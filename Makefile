@@ -1,5 +1,6 @@
-# LAQy development targets. CI (.github/workflows/ci.yml) runs the same
-# gates; keep the two in sync.
+# LAQy development targets. CI (.github/workflows/ci.yml) calls these
+# targets — `make all` is its build/vet/laqy-vet/test step — so a gate is
+# defined once, here.
 
 GO ?= go
 FUZZTIME ?= 10s

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -70,10 +71,22 @@ func TestRunJSONFindings(t *testing.T) {
 		t.Fatalf("expected findings (exit 1), got %d:\n%s%s", code, out.String(), errb.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	// a.go: unjoined spin + dynamic spawn; b.go: accept-loop leak +
-	// unjoined serve goroutine (the server-shaped goldens).
-	if len(lines) != 4 {
-		t.Fatalf("expected 4 findings in the goleak golden package, got %d:\n%s", len(lines), out.String())
+	// One finding per `// want` marker of the golden files, so the golden
+	// package can grow without this test going stale.
+	goldens, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, g := range goldens {
+		src, err := os.ReadFile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += strings.Count(string(src), "// want `")
+	}
+	if want == 0 || len(lines) != want {
+		t.Fatalf("expected %d findings (the golden package's want markers), got %d:\n%s", want, len(lines), out.String())
 	}
 	prevFile, prevLine := "", 0
 	for _, l := range lines {

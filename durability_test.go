@@ -3,7 +3,6 @@ package laqy
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,7 +41,7 @@ func TestCanceledContextSkipsRetryPass(t *testing.T) {
 }
 
 // TestLoadSamplesSalvagesCorruptFile: the DB-level load degrades
-// gracefully on a damaged store file — it logs through Config.Warnf, keeps
+// gracefully on a damaged store file — it logs through Config.Logger, keeps
 // the salvageable samples, and lets queries rebuild the dropped ones
 // lazily. The strict variant refuses the same file.
 func TestLoadSamplesSalvagesCorruptFile(t *testing.T) {
@@ -76,10 +75,8 @@ func TestLoadSamplesSalvagesCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var warns []string
-	db2 := Open(Config{Workers: 2, Seed: 9, Warnf: func(format string, args ...any) {
-		warns = append(warns, fmt.Sprintf(format, args...))
-	}})
+	logger := &recordingLogger{}
+	db2 := Open(Config{Workers: 2, Seed: 9, Logger: logger})
 	if err := db2.LoadSSB(30000, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +94,8 @@ func TestLoadSamplesSalvagesCorruptFile(t *testing.T) {
 	if got := db2.SampleStoreStats().Samples; got != 1 {
 		t.Fatalf("salvaged %d samples, want 1", got)
 	}
-	if len(warns) != 1 || !strings.Contains(warns[0], "salvaged") {
-		t.Fatalf("warnings = %q, want one naming the salvage", warns)
+	if warns := logger.lines; len(warns) != 1 || !strings.HasPrefix(warns[0], "warn: ") || !strings.Contains(warns[0], "salvaged") {
+		t.Fatalf("log lines = %q, want one warning naming the salvage", warns)
 	}
 
 	// The surviving sample serves its query offline; the dropped one

@@ -7,7 +7,7 @@ import (
 
 // queryRowsFingerprint renders a result's rows exactly (groups and full
 // float64 bits) for bitwise comparisons between the encoded path and the
-// DisableEncoding reference.
+// disableEncoding reference.
 func queryRowsFingerprint(res *Result) string {
 	out := ""
 	for _, row := range res.Rows {
@@ -35,6 +35,7 @@ var encodingTestQueries = []string{
 		WHERE lo_orderdate BETWEEN 20070101 AND 20071231 AND lo_discount BETWEEN 1 AND 3
 		AND lo_quantity < 25`,
 	`SELECT COUNT(*) FROM lineorder WHERE lo_quantity BETWEEN 60 AND 70`, // empty
+	`SELECT SUM(lo_revenue) FROM lineorder WHERE lo_discount BETWEEN 1 AND 3`,
 	`SELECT lo_quantity, SUM(lo_revenue) FROM lineorder
 		WHERE lo_intkey BETWEEN 0 AND 20000 GROUP BY lo_quantity`,
 	`SELECT d_year, SUM(lo_revenue) FROM lineorder, date
@@ -44,13 +45,13 @@ var encodingTestQueries = []string{
 }
 
 // TestEncodingEquivalenceQueries pins whole-query answers over encoded
-// storage bitwise to a DisableEncoding twin DB fed the same data and seeds,
+// storage bitwise to a disableEncoding twin DB fed the same data and seeds,
 // including Δ-maintenance: both DBs append mid-run and re-query, so the
 // Δ-scan (which starts mid-segment) and the sample merge are covered.
 func TestEncodingEquivalenceQueries(t *testing.T) {
 	const rows = 50_000
 	open := func(disable bool) *DB {
-		db := Open(Config{Workers: 1, DefaultK: 128, Seed: 7, DisableEncoding: disable})
+		db := Open(Config{Workers: 1, DefaultK: 128, Seed: 7, disableEncoding: disable})
 		if err := db.LoadSSB(rows, 11); err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestEncodingEquivalenceQueries(t *testing.T) {
 				t.Fatalf("%s query %d (reference): %v", phase, qi, err)
 			}
 			if g, w := queryRowsFingerprint(got), queryRowsFingerprint(want); g != w {
-				t.Fatalf("%s query %d: encoded answer differs from DisableEncoding reference\nencoded:\n%s\nreference:\n%s",
+				t.Fatalf("%s query %d: encoded answer differs from disableEncoding reference\nencoded:\n%s\nreference:\n%s",
 					phase, qi, g, w)
 			}
 		}
@@ -104,28 +105,7 @@ func TestEncodingEquivalenceQueries(t *testing.T) {
 	}
 	refSt := ref.StorageStats()
 	if refSt.PhysicalBytes != refSt.LogicalBytes {
-		t.Fatalf("DisableEncoding DB compressed: %+v", refSt)
-	}
-}
-
-// TestWithEncodingDisabledOption checks the per-query opt-out: same
-// answers, and the plain path reports no encoded morsels in its trace.
-func TestWithEncodingDisabledOption(t *testing.T) {
-	db := Open(Config{Workers: 1, DefaultK: 128, Seed: 3})
-	if err := db.LoadSSB(30_000, 5); err != nil {
-		t.Fatal(err)
-	}
-	q := `SELECT SUM(lo_revenue) FROM lineorder WHERE lo_discount BETWEEN 1 AND 3`
-	enc, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := db.Query(q, WithEncodingDisabled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if queryRowsFingerprint(enc) != queryRowsFingerprint(plain) {
-		t.Fatalf("answers differ: %v vs %v", enc.Rows, plain.Rows)
+		t.Fatalf("disableEncoding DB compressed: %+v", refSt)
 	}
 }
 

@@ -85,6 +85,20 @@ func (d *Data) shape(step workload.Step, q2 bool) (queryShape, error) {
 	}, nil
 }
 
+// scanFloor runs the ungrouped exact SUM(lo_revenue) the way db.Query
+// routes it — the fused scan over the bare fact table, the group-by sink
+// with no group columns behind joins — and returns its stats: the exact-scan
+// floor that approximation methods try to dip below (the "scan" series of
+// Figures 14 and 15).
+func scanFloor(q *engine.Query, workers int) (engine.Stats, error) {
+	if len(q.Joins) == 0 {
+		_, st, err := engine.RunAggregate(q, engine.Cols([]string{"lo_revenue"}), workers)
+		return st, err
+	}
+	_, st, err := engine.RunGroupBy(q, nil, "lo_revenue", workers)
+	return st, err
+}
+
 // SeqRecord is one query's measurements under all strategies.
 type SeqRecord struct {
 	Step   workload.Step
@@ -165,7 +179,7 @@ func RunSequence(d *Data, long, q2 bool) (*SeqResult, error) {
 			rec.Online = st
 		}
 		// Scan floor.
-		if _, st, err := engine.RunScan(sh.query, "lo_revenue", d.Cfg.Workers); err != nil {
+		if st, err := scanFloor(sh.query, d.Cfg.Workers); err != nil {
 			return nil, err
 		} else {
 			rec.Scan = st

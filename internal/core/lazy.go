@@ -404,7 +404,7 @@ func (l *LazySampler) online(req Request, input string, start time.Time) (*Resul
 		degradations = append(degradations, *shrink)
 	}
 	q := spanQuery(req.Query, "online sample")
-	sam, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(req.Schema), req.QCSWidth, k, req.Seed, req.Workers)
+	sam, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(req.Schema), req.QCSWidth, k, req.Seed, req.Workers, nil)
 	endSpanQuery(q, &stats)
 	if err != nil {
 		return nil, err
@@ -541,7 +541,7 @@ func (l *LazySampler) partial(req Request, input string, match *store.Match, sta
 	}
 	deltaQuery = spanQuery(deltaQuery, "Δ-sample")
 	obs.SpanFrom(deltaQuery.Ctx).SetAttr("missing", delta.Column+"∈"+delta.Missing.String())
-	deltaSample, stats, err := engine.RunStratifiedExprs(deltaQuery, engine.ExprsFromNames(meta.Schema), req.QCSWidth, meta.K, req.Seed, req.Workers)
+	deltaSample, stats, err := engine.RunStratifiedExprs(deltaQuery, engine.ExprsFromNames(meta.Schema), req.QCSWidth, meta.K, req.Seed, req.Workers, nil)
 	endSpanQuery(deltaQuery, &stats)
 	if err != nil {
 		return nil, err

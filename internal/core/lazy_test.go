@@ -429,7 +429,7 @@ func TestInputSignature(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
+func TestModeNames(t *testing.T) {
 	if ModeOnline.String() != "online" || ModePartial.String() != "partial" || ModeOffline.String() != "offline" {
 		t.Fatal("Mode.String mismatch")
 	}

@@ -49,20 +49,18 @@ func (l *LazySampler) Maintain(q *engine.Query, fromRow int, seed uint64, worker
 		if err != nil {
 			return nil, fmt.Errorf("core: maintaining %q: %w", input, err)
 		}
-		var deltaSample *sample.Stratified
+		// Per-segment provenance: Δ-scan only the segments that grew or
+		// changed since the sample last covered them, not the whole appended
+		// suffix. A pre-segmentation entry has none and falls back to the
+		// single table-wide high-water mark the caller supplied.
+		var marks map[int]int
 		if len(m.Meta.Segments) > 0 {
-			// Per-segment provenance: Δ-scan only the segments that grew
-			// or changed since the sample last covered them, not the whole
-			// appended suffix.
-			deltaSample, _, err = engine.RunStratifiedSegmentsFrom(mq, engine.ExprsFromNames(m.Meta.Schema),
-				m.Meta.QCSWidth, m.Meta.K, seed+uint64(i)*0x9E37, workers, watermarkFrom(q.Fact, m.Meta.Segments))
+			marks = watermarkFrom(q.Fact, m.Meta.Segments)
 		} else {
-			// Pre-segmentation entry: fall back to the single table-wide
-			// high-water mark the caller supplied.
 			mq.ScanFrom = fromRow
-			deltaSample, _, err = engine.RunStratifiedExprs(mq, engine.ExprsFromNames(m.Meta.Schema),
-				m.Meta.QCSWidth, m.Meta.K, seed+uint64(i)*0x9E37, workers)
 		}
+		deltaSample, _, err := engine.RunStratifiedExprs(mq, engine.ExprsFromNames(m.Meta.Schema),
+			m.Meta.QCSWidth, m.Meta.K, seed+uint64(i)*0x9E37, workers, marks)
 		if err != nil {
 			return nil, err
 		}

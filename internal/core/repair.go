@@ -45,7 +45,7 @@ func (l *LazySampler) repairSupport(req Request, schema sample.Schema, answer *s
 		return engine.Stats{}, false, nil
 	}
 	repaired, stats, err := engine.RunStratifiedExprs(repairQuery, engine.ExprsFromNames(schema),
-		req.QCSWidth, req.effectiveK(), req.Seed^0x5EFA, req.Workers)
+		req.QCSWidth, req.effectiveK(), req.Seed^0x5EFA, req.Workers, nil)
 	if err != nil {
 		return engine.Stats{}, false, err
 	}

@@ -31,7 +31,7 @@ func segmentWatermarks(t *storage.Table) []store.SegmentWatermark {
 }
 
 // watermarkFrom converts an entry's per-segment provenance into a Δ-scan
-// plan for engine.RunStratifiedSegmentsFrom: for each current segment, the
+// plan for engine.RunStratifiedExprs: for each current segment, the
 // absolute row to resume sampling from. Under the append-only contract a
 // segment's recorded row prefix is still verbatim, so an unchanged segment
 // (same rows) resumes at its end — skipped entirely — and a grown segment

@@ -1,45 +1,20 @@
 package engine
 
 import (
-	"errors"
 	"testing"
 
 	"laqy/internal/governor"
 )
 
-// TestGroupByMemoryBudgetDenialFailsQuery proves the soft memory budget's
-// contract end to end: a group-by whose hash table outgrows the per-query
-// budget fails with a typed *governor.MemoryBudgetError (wrapping
-// ErrMemoryBudget) at a morsel boundary — the query dies, the process and
-// the engine keep running — and the deferred ReleaseAll leaves the global
-// pool clean for the next query.
-func TestGroupByMemoryBudgetDenialFailsQuery(t *testing.T) {
-	const n = 50000
+// TestGroupByBudgetAccounting: a group-by that fits its per-query budget
+// succeeds, holds its reservations while it runs, and leaves the global
+// pool clean after ReleaseAll. (The denial side — a typed
+// *governor.MemoryBudgetError at a morsel boundary — is a driver failure
+// case in TestScanDriverFailures.)
+func TestGroupByBudgetAccounting(t *testing.T) {
 	gov := governor.New(governor.Config{QueryMemoryBytes: 1 << 20})
-
-	// Grouping by the unique key needs ~50k hash entries across the
-	// workers — far past the 1 MiB per-query budget.
-	manyGroups := buildFact(n, n, 10)
 	budget := gov.NewQueryBudget()
-	q := &Query{Fact: manyGroups, Budget: budget}
-	_, _, err := RunGroupBy(q, []string{"f_key"}, "f_val", 4)
-	budget.ReleaseAll()
-	if !errors.Is(err, governor.ErrMemoryBudget) {
-		t.Fatalf("err = %v, want ErrMemoryBudget", err)
-	}
-	var me *governor.MemoryBudgetError
-	if !errors.As(err, &me) || me.Scope != "query" {
-		t.Fatalf("err = %v, want query-scope MemoryBudgetError", err)
-	}
-	if got := gov.Stats().MemUsed; got != 0 {
-		t.Fatalf("global MemUsed after ReleaseAll = %d, want 0", got)
-	}
-
-	// A small group-by under the same budget succeeds and accounts bytes.
-	fewGroups := buildFact(n, 7, 10)
-	budget = gov.NewQueryBudget()
-	q2 := &Query{Fact: fewGroups, Budget: budget}
-	res, _, err := RunGroupBy(q2, []string{"f_group"}, "f_val", 4)
+	res, _, err := RunGroupBy(&Query{Fact: buildFact(50000, 7, 10), Budget: budget}, []string{"f_group"}, "f_val", 4)
 	if err != nil {
 		t.Fatalf("budgeted small group-by: %v", err)
 	}

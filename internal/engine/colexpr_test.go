@@ -111,7 +111,7 @@ func TestStratifiedComputedCapture(t *testing.T) {
 		Col("f_group"),
 		{Name: "f_val*2", Left: "f_val", Op: '*', RightLit: 2, RightIsLit: true},
 	}
-	sam, _, err := RunStratifiedExprs(q, exprs, 1, 1000, 3, 2)
+	sam, _, err := RunStratifiedExprs(q, exprs, 1, 1000, 3, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -251,17 +251,22 @@ func TestEncodedSampleBuildEquivalence(t *testing.T) {
 	fact := buildClusteredFact(t, 2*storage.DefaultMorselSize+777, 6)
 	p := algebra.NewPredicate().WithRange("e_date", 20070030, 20070370).WithRange("e_flag", 1, 35)
 	exprs := ExprsFromNames([]string{"e_flag", "e_val"})
-	for _, par := range []int{-1, 1} { // monolithic and serialized segmented builds
-		enc, _, err := RunStratifiedExprs(&Query{Fact: fact, Filter: p, SegmentParallelism: par},
-			exprs, 1, 64, 99, 1)
-		if err != nil {
-			t.Fatal(err)
+	for _, par := range []int{0, 1} { // 0: the leaf over the whole table; 1: serialized segmented builds
+		build := func(disable bool) *sample.Stratified {
+			q := &Query{Fact: fact, Filter: p, SegmentParallelism: par, DisableEncoding: disable}
+			var sam *sample.Stratified
+			var err error
+			if par == 0 {
+				sam, _, err = BuildSegmentSample(q, exprs, 1, 64, 99, 1)
+			} else {
+				sam, _, err = RunStratifiedExprs(q, exprs, 1, 64, 99, 1, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sam
 		}
-		ref, _, err := RunStratifiedExprs(&Query{Fact: fact, Filter: p, SegmentParallelism: par, DisableEncoding: true},
-			exprs, 1, 64, 99, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc, ref := build(false), build(true)
 		if enc.NumStrata() != ref.NumStrata() || enc.TotalWeight() != ref.TotalWeight() {
 			t.Fatalf("par %d: strata/weight %d/%v vs %d/%v",
 				par, enc.NumStrata(), enc.TotalWeight(), ref.NumStrata(), ref.TotalWeight())

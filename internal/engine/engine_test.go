@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"laqy/internal/algebra"
 	"laqy/internal/approx"
@@ -253,32 +251,6 @@ func TestRunStratifiedWithJoinQCS(t *testing.T) {
 	}
 }
 
-func TestRunReservoir(t *testing.T) {
-	fact := buildFact(30000, 4, 10)
-	q := &Query{
-		Fact:   fact,
-		Filter: algebra.NewPredicate().WithRange("f_key", 0, 9999),
-	}
-	res, stats, err := RunReservoir(q, []string{"f_val"}, 500, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Weight() != 10000 {
-		t.Fatalf("Weight = %v, want 10000", res.Weight())
-	}
-	if res.Len() != 500 {
-		t.Fatalf("Len = %d", res.Len())
-	}
-	if stats.RowsSelected != 10000 {
-		t.Fatalf("RowsSelected = %d", stats.RowsSelected)
-	}
-	// Estimate the mean of f_val over [0, 9999]: true mean = 3*4999.5.
-	e := approx.FromReservoir(res, 0, approx.Avg)
-	if approx.RelativeError(e.Value, 3*4999.5) > 0.10 {
-		t.Fatalf("avg estimate = %v", e.Value)
-	}
-}
-
 func TestRunScan(t *testing.T) {
 	fact := buildFact(10000, 4, 10)
 	q := &Query{Fact: fact}
@@ -346,30 +318,6 @@ func TestWorkerCountOne(t *testing.T) {
 func TestDefaultWorkersPositive(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers must be >= 1")
-	}
-}
-
-func TestQueryCancellation(t *testing.T) {
-	fact := buildFact(500000, 4, 10)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already canceled: the run must abort promptly
-	q := &Query{Fact: fact, Ctx: ctx}
-	if _, _, err := RunGroupBy(q, []string{"f_group"}, "f_val", 2); err == nil {
-		t.Fatal("canceled context must abort the run")
-	} else if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// A live context runs normally.
-	q2 := &Query{Fact: fact, Ctx: context.Background()}
-	if _, _, err := RunGroupBy(q2, []string{"f_group"}, "f_val", 2); err != nil {
-		t.Fatal(err)
-	}
-	// Deadline expiry aborts a stratified run too.
-	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer dcancel()
-	q3 := &Query{Fact: fact, Ctx: dctx}
-	if _, _, err := RunStratified(q3, sample.Schema{"f_group", "f_val"}, 1, 10, 1, 2); err == nil {
-		t.Fatal("expired deadline must abort")
 	}
 }
 

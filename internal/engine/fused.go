@@ -2,11 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"laqy/internal/expr"
 	"laqy/internal/storage"
 )
 
@@ -14,7 +11,8 @@ import (
 // qualifying rows and the qualifying-row COUNT (shared by all expressions
 // of a run; AVG is Sum/Count). Sum accumulates exactly like the
 // materializing sinks — a per-morsel int64 partial converted to float64 —
-// so single-worker fused answers are bitwise identical to RunScan.
+// so single-worker fused answers are bitwise identical to the materializing
+// reference scan the equivalence suites compare against.
 type AggResult struct {
 	Sum   float64
 	Count int64
@@ -28,74 +26,19 @@ type fusedExpr struct {
 	op    byte
 }
 
-// fusedSegment is the per-sealed-segment compilation for the fused path:
-// the filter bound to the segment's encodings (nil = plain kernels) and
-// each expression's encoded left operand (nil entries = plain vector).
-type fusedSegment struct {
-	start, end int
-	ef         *expr.EncodedFilter
-	cols       []*storage.EncodedCol
-}
-
-// fusedSegments compiles the scan's sealed segments for fused execution.
-// Returns nil when encoding is disabled or nothing is encoded.
-func fusedSegments(q *Query, exprs []ColumnExpr, filter *expr.Filter) []fusedSegment {
-	if q.DisableEncoding {
-		return nil
-	}
-	from, to := q.scanBounds()
-	var out []fusedSegment
-	for _, seg := range q.Fact.Segments() {
-		if seg.End() <= from || seg.Start() >= to {
-			continue
-		}
-		enc := seg.Encoding()
-		if enc == nil || enc.NumEncoded() == 0 {
-			continue
-		}
-		fs := fusedSegment{start: seg.Start(), end: seg.End(), ef: filter.BindEncoded(enc, seg.Start())}
-		any := fs.ef != nil
-		for _, ce := range exprs {
-			var ec *storage.EncodedCol
-			// Two-column expressions still need per-row access to the right
-			// operand, so run arithmetic cannot fold them.
-			if ce.Op == 0 || ce.RightIsLit {
-				ec = enc.Col(ce.Left)
-			}
-			fs.cols = append(fs.cols, ec)
-			any = any || ec != nil
-		}
-		if any {
-			out = append(out, fs)
-		}
-	}
-	return out
-}
-
-// find returns the compiled segment fully containing [start, end), or nil.
-//
-//laqy:hot per-morsel fused-segment lookup
-func findFusedSegment(segs []fusedSegment, start, end int) *fusedSegment {
-	for i := range segs { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-		if start >= segs[i].start && end <= segs[i].end {
-			return &segs[i]
-		}
-	}
-	return nil
-}
-
 // RunAggregate executes q computing exact SUM and COUNT for each expression
 // over the qualifying rows in one fused scan — aggregation folded into the
-// scan itself:
+// scan itself, as a per-morsel body of the morsel driver (scan.go):
 //
-//   - pruned-full morsels and (when every filter conjunct decomposes over
+//   - zone-map-full morsels and (when every filter conjunct decomposes over
 //     RLE/const encodings) all-pass runs fold straight into the partial
 //     accumulators via run_value×run_length arithmetic — no selection
 //     vector at all;
 //   - remaining morsels select (encoded or plain kernels) and accumulate by
 //     direct index into the operand vectors — no gather materialization.
 //
-// Queries with joins are not fused (the probe needs materialized
+// All of a fused morsel's time is Stats.Scan (there is no phase past the
+// scan). Queries with joins are not fused (the probe needs materialized
 // selections); callers route those through RunGroupByExprs. This is the
 // exact path's replacement for materialize-then-aggregate
 // (BenchmarkFusedAggregate measures the gap).
@@ -120,172 +63,72 @@ func RunAggregate(q *Query, exprs []ColumnExpr, workers int) ([]AggResult, Stats
 			fes[i].right = s.right.vec
 		}
 	}
-	filter, err := expr.Compile(q.Filter, q.resolveFact)
+	plan, err := newMorselPlan(q, exprs)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 
-	scanFrom, scanTo := q.scanBounds()
-	morsels := storage.MorselsRange(scanFrom, scanTo, 0)
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	pruner := newMorselPruner(q.Fact, filter, q.DisableZoneMaps, scanFrom, scanTo)
-	segs := fusedSegments(q, exprs, filter)
-
-	var next atomic.Int64
-	var scanNanos, selected atomic.Int64
-	var prunedMorsels, fullMorsels, encodedMorsels, fusedMorsels atomic.Int64
-	var canceled atomic.Bool
-	start := time.Now()
-
-	sums := make([][]float64, workers)
-	counts := make([]int64, workers)
-	var wg sync.WaitGroup
-	workerErrs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		sums[w] = make([]float64, len(fes))
-		go func(w int) {
-			defer wg.Done()
-			// Panic isolation, as in runPipeline: a poisoned chunk fails
-			// this query, not the process. Worker-slot write: each
-			// goroutine owns workerErrs[w].
-			defer func() {
-				if r := recover(); r != nil {
-					workerErrs[w] = panicError("fused aggregate worker", r)
-				}
-			}()
-			sc := leaseMorselScratch(0, 0)
-			sel := sc.sel
-			defer func() {
-				sc.sel = sel
-				morselScratchPool.Put(sc) //laqy:allow hotalloc pointer into interface, once per worker retirement (not per morsel)
-			}()
-			mySums := sums[w]
-			acc := make([]int64, len(fes)) //laqy:allow hotalloc once per worker prologue, not per morsel
-			var localScan, localSelected int64
-			var localPruned, localFull, localEncoded, localFused int64
-			for {
-				m := int(next.Add(1)) - 1
-				if m >= len(morsels) {
-					break
-				}
-				if q.Ctx != nil && q.Ctx.Err() != nil {
-					canceled.Store(true)
-					break
-				}
-				mo := morsels[m]
-
-				t0 := time.Now()
-				class := pruneNone
-				if pruner != nil {
-					class = pruner.classify(mo.Start, mo.End)
-				}
-				if class == pruneSkip {
-					localPruned++
-					localScan += time.Since(t0).Nanoseconds()
-					continue
-				}
-				fs := findFusedSegment(segs, mo.Start, mo.End)
-				for e := range acc {
-					acc[e] = 0
-				}
-				n := 0
-				fused := false
-				if class == pruneFull {
-					// Zone map proved every row matches: fold the whole
-					// morsel, preferring encoded run arithmetic.
-					localFull++
-					n = mo.Len()
-					fused = true
-					for e := range fes {
-						acc[e] = sumExprRange(&fes[e], fs, e, mo.Start, mo.End)
-					}
-				} else if fs != nil && fs.ef != nil {
-					localEncoded++
-					// All-pass-run fold: when every conjunct decomposes
-					// over RLE/const runs here, passing runs fold with no
-					// selection vector.
-					fused = fs.ef.PassRuns(mo.Start, mo.End, func(lo, hi int) {
-						n += hi - lo
-						for e := range fes {
-							acc[e] += sumExprRange(&fes[e], fs, e, lo, hi)
-						}
-					})
-					if !fused {
-						sel = fs.ef.SelectInto(mo.Start, mo.End, sel[:0])
-						n = len(sel)
-						for e := range fes {
-							acc[e] = sumExprSel(&fes[e], sel)
-						}
-					}
-				} else {
-					sel = filter.SelectInto(mo.Start, mo.End, sel[:0])
-					n = len(sel)
-					for e := range fes {
-						acc[e] = sumExprSel(&fes[e], sel)
-					}
-				}
-				if fused {
-					localFused++
-				}
-				// One int64→float64 conversion per morsel per expression —
-				// the same rounding structure as scanSink.consume, which is
-				// what keeps fused answers bitwise identical to the
-				// materializing reference at workers=1.
-				for e := range fes {
-					mySums[e] += float64(acc[e])
-				}
-				counts[w] += int64(n)
-				localSelected += int64(n)
-				localScan += time.Since(t0).Nanoseconds()
+	sums := make([][]float64, workers) // worker w owns sums[w]
+	stats, err := plan.run(q, workers, 0, 0, func(w int) (morselBody, func() error) {
+		mySums := make([]float64, len(fes))
+		sums[w] = mySums
+		acc := make([]int64, len(fes))
+		return func(ws *scanWorker, mo storage.Morsel, v morselVerdict, b *segmentBinding) (int, time.Duration) {
+			for e := range acc {
+				acc[e] = 0
 			}
-			scanNanos.Add(localScan)
-			selected.Add(localSelected)
-			prunedMorsels.Add(localPruned)
-			fullMorsels.Add(localFull)
-			encodedMorsels.Add(localEncoded)
-			fusedMorsels.Add(localFused)
-		}(w)
-	}
-	wg.Wait()
-	if err := firstError(workerErrs); err != nil {
+			n, fused := 0, false
+			if v == morselFull {
+				// Every row matches: fold the whole morsel, preferring
+				// encoded run arithmetic.
+				n, fused = mo.Len(), true
+				for e := range fes {
+					acc[e] = sumExprRange(&fes[e], b, e, mo.Start, mo.End)
+				}
+			} else if b != nil && b.ef != nil {
+				// All-pass-run fold: when every conjunct decomposes over
+				// RLE/const runs here, passing runs fold with no selection
+				// vector.
+				fused = b.ef.PassRuns(mo.Start, mo.End, func(lo, hi int) {
+					n += hi - lo
+					for e := range fes {
+						acc[e] += sumExprRange(&fes[e], b, e, lo, hi)
+					}
+				})
+			}
+			if fused {
+				ws.st.MorselsFused++
+			} else {
+				ws.sel = plan.selectInto(b, mo, ws.sel[:0])
+				n = len(ws.sel)
+				for e := range fes {
+					acc[e] = sumExprSel(&fes[e], ws.sel)
+				}
+			}
+			// One int64→float64 conversion per morsel per expression — the
+			// same rounding structure as a materializing sum sink, which is
+			// what keeps fused answers bitwise identical to the
+			// materializing reference at workers=1.
+			for e := range fes {
+				mySums[e] += float64(acc[e])
+			}
+			return n, 0
+		}, nil
+	})
+	if err != nil {
 		return nil, Stats{}, err
 	}
-	if canceled.Load() {
-		return nil, Stats{}, q.Ctx.Err()
-	}
 
-	out := make([]AggResult, len(fes))
-	for w := 0; w < workers; w++ {
-		for e := range out {
-			out[e].Sum += sums[w][e]
-		}
-		out[0].Count += counts[w]
-	}
 	// All expressions share the selection, so every Count is the same.
-	for e := 1; e < len(out); e++ {
-		out[e].Count = out[0].Count
+	out := make([]AggResult, len(fes))
+	for e := range out {
+		out[e].Count = stats.RowsSelected
+		for _, ws := range sums {
+			if ws != nil {
+				out[e].Sum += ws[e]
+			}
+		}
 	}
-
-	divisor := int64(workers)
-	if divisor == 0 {
-		divisor = 1
-	}
-	end := time.Now()
-	stats := Stats{
-		Scan:           time.Duration(scanNanos.Load() / divisor),
-		Wall:           end.Sub(start),
-		RowsScanned:    int64(scanTo - scanFrom),
-		RowsSelected:   selected.Load(),
-		Workers:        workers,
-		MorselsPruned:  prunedMorsels.Load(),
-		MorselsFull:    fullMorsels.Load(),
-		MorselsEncoded: encodedMorsels.Load(),
-		MorselsFused:   fusedMorsels.Load(),
-	}
-	finishPipeline(q, &stats, len(morsels), start, end)
 	return out, stats, nil
 }
 
@@ -297,7 +140,7 @@ func RunAggregate(q *Query, exprs []ColumnExpr, workers int) ([]AggResult, Stats
 // the per-row plain loops.
 //
 //laqy:hot fused full-range aggregate fold
-func sumExprRange(fe *fusedExpr, fs *fusedSegment, e, start, end int) int64 {
+func sumExprRange(fe *fusedExpr, b *segmentBinding, e, start, end int) int64 {
 	n := int64(end - start)
 	if fe.right != nil {
 		left, right := fe.left, fe.right
@@ -319,8 +162,8 @@ func sumExprRange(fe *fusedExpr, fs *fusedSegment, e, start, end int) int64 {
 		return s
 	}
 	var s int64
-	if fs != nil && fs.cols[e] != nil {
-		s = fs.cols[e].SumRange(start-fs.start, end-fs.start)
+	if b != nil && b.cols[e] != nil {
+		s = b.cols[e].SumRange(start-b.start, end-b.start)
 	} else {
 		left := fe.left
 		for i := start; i < end; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel

@@ -5,10 +5,12 @@
 // Queries are star joins over a fact table: the fact table is scanned in
 // morsels by parallel workers, filtered with compiled vectorized
 // predicates, probed against pre-built dimension hash tables, and fed into
-// a sink — an exact group-by aggregation, a simple reservoir sampler, or a
-// stratified sampler (the paper's "reservoir aggregation function" inside a
-// group-by, §6.2). Per-worker partial states merge at the end, mirroring
-// sample collection after an exchange operator [14].
+// a sink — an exact group-by aggregation or a stratified sampler (the
+// paper's "reservoir aggregation function" inside a group-by, §6.2; zero QCS
+// columns degenerate to a simple reservoir) — or folded in place by the
+// fused exact aggregate. One morsel driver (scan.go) runs them all.
+// Per-worker partial states merge at the end, mirroring sample collection
+// after an exchange operator [14].
 //
 // The engine reports a per-phase wall-clock breakdown (scan, process,
 // merge) because the paper's Figure 11 decomposes cumulative query time
@@ -57,10 +59,8 @@ type Query struct {
 	// bounds to one segment's row range.
 	ScanTo int
 	// SegmentParallelism caps the number of concurrent per-segment sample
-	// builds when the fact table is segmented: 0 picks
-	// min(DefaultWorkers, segments), 1 serializes the segment builds, and
-	// a negative value forces the monolithic single-pipeline path (the
-	// reference for the segmented-equivalence tests).
+	// builds when the fact table is segmented: n ≤ 0 picks
+	// min(DefaultWorkers, segments), 1 serializes the segment builds.
 	SegmentParallelism int
 	// Ctx, when non-nil, cancels the scan: workers stop at the next morsel
 	// boundary and the run returns the context's error. A nil Ctx never
@@ -77,17 +77,14 @@ type Query struct {
 	// sources (internal/shard) while keeping local geometry for planning
 	// and admission. Nil keeps every segment in-process.
 	Planner SegmentPlanner
-	// DisableZoneMaps turns off zone-map morsel pruning and the
-	// full-morsel fast path, forcing per-row filter evaluation on every
-	// morsel. This is the reference path: the pruning equivalence tests
-	// and the ablation benchmarks compare against it. Production queries
-	// leave it false — pruning is exact, never statistical.
+	// DisableZoneMaps and DisableEncoding are the engine-internal oracle
+	// switches of the equivalence suites and ablation benchmarks, read only
+	// by the morsel plan (scan.go); no public option sets them. The first
+	// turns off zone-map verdicts (every morsel is filtered per row), the
+	// second keeps every morsel on the plain []int64 kernels (no encoded
+	// selection, no run-arithmetic folds). Both optimizations are exact,
+	// never statistical, so answers are bitwise identical either way.
 	DisableZoneMaps bool
-	// DisableEncoding turns off the encoded selection and fused-aggregate
-	// kernels for this query, forcing every morsel through the plain
-	// []int64 kernels. This is the reference path the encoding equivalence
-	// suite pins bitwise-identical answers against; like zone maps,
-	// encoded evaluation is exact, never statistical.
 	DisableEncoding bool
 }
 

@@ -9,54 +9,9 @@ import (
 	"laqy/internal/sample"
 )
 
-// panicSink is a rowSink poisoned to blow up mid-pipeline, standing in
-// for a buggy kernel or a corrupted column chunk.
-type panicSink struct{ calls int }
-
-func (s *panicSink) consume(cols [][]int64, n int) {
-	s.calls++
-	panic("poisoned sink kernel: deliberate test explosion")
-}
-
-// TestWorkerPanicFailsQueryNotProcess: a panic inside a morsel worker
-// must surface as that query's error — message and stack included — while
-// the process and subsequent queries keep working.
-func TestWorkerPanicFailsQueryNotProcess(t *testing.T) {
-	fact := buildFact(20000, 4, 10)
-	q := &Query{Fact: fact}
-	const workers = 4
-	sinks := make([]rowSink, workers)
-	for w := range sinks {
-		sinks[w] = &panicSink{}
-	}
-	_, err := runPipeline(q, Cols(sample.Schema{"f_group", "f_val"}), workers, sinks)
-	if err == nil {
-		t.Fatal("a panicking sink must fail the query")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "poisoned sink kernel") {
-		t.Fatalf("error %q does not carry the panic message", msg)
-	}
-	if !strings.Contains(msg, "morsel worker") {
-		t.Fatalf("error %q does not name the panicking component", msg)
-	}
-	if !strings.Contains(msg, "recover_test.go") {
-		t.Fatalf("error does not carry a stack trace:\n%s", msg)
-	}
-
-	// The engine is still fully functional: the same query shape runs
-	// cleanly with healthy sinks afterwards.
-	sam, _, err := RunStratified(&Query{Fact: fact}, sample.Schema{"f_group", "f_val"}, 1, 16, 1, workers)
-	if err != nil {
-		t.Fatalf("query after a panic-failed query: %v", err)
-	}
-	if sam.TotalWeight() != 20000 {
-		t.Fatalf("post-panic query weight = %v", sam.TotalWeight())
-	}
-}
-
 // TestMergePanicFailsQueryNotProcess: a panic in the parallel exchange
-// (tree merge) step is likewise converted into an error. The real merge
+// (tree merge) step is converted into an error like a morsel worker's
+// (TestScanDriverFailures). The real merge
 // only panics on unreachable invariants, so the test swaps the merge
 // function through its seam.
 func TestMergePanicFailsQueryNotProcess(t *testing.T) {

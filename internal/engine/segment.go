@@ -107,7 +107,7 @@ type SegmentDrop struct {
 }
 
 // localSegment is the in-process SegmentSource: a segment-scoped copy of
-// the query run through the monolithic pipeline.
+// the query run through the leaf build (BuildSegmentSample).
 type localSegment struct {
 	q        Query // value copy with ScanFrom/ScanTo bound to the segment
 	exprs    []ColumnExpr
@@ -134,7 +134,7 @@ func (s *localSegment) MemEstimate(workers int) int64 {
 
 func (s *localSegment) Build(workers int, seed uint64) (*sample.Stratified, Stats, error) {
 	q := s.q
-	return runStratifiedSingle(&q, s.exprs, s.qcsWidth, s.k, seed, workers)
+	return BuildSegmentSample(&q, s.exprs, s.qcsWidth, s.k, seed, workers)
 }
 
 // ScanRange implements PlannedSegment.
@@ -144,17 +144,9 @@ func (s *localSegment) ScanRange() (from, to int) { return s.q.ScanFrom, s.q.Sca
 // segment overlapping the scan range, each clipped to [from, to) — where
 // from is q.ScanFrom, or the segment's own high-water mark when fromBySeg
 // supplies one (Δ-maintenance passes the per-segment marks recorded in
-// sample provenance). Returns nil when segmentation cannot apply: an
-// unsegmented table, or SegmentParallelism < 0 forcing the monolithic
-// reference path.
+// sample provenance). An unsegmented table is a table with one segment.
 func localSegmentSources(q *Query, exprs []ColumnExpr, qcsWidth, k int, fromBySeg map[int]int) []SegmentSource {
-	if q.SegmentParallelism < 0 || q.Fact == nil {
-		return nil
-	}
 	segs := q.Fact.Segments()
-	if len(segs) <= 1 && fromBySeg == nil {
-		return nil
-	}
 	from, to := q.scanBounds()
 	out := make([]SegmentSource, 0, len(segs))
 	for _, seg := range segs {
@@ -189,30 +181,31 @@ func planSegments(q *Query, exprs []ColumnExpr, qcsWidth, k int, fromBySeg map[i
 	return q.Planner.PlanSegments(q, exprs, qcsWidth, k, local)
 }
 
-// RunStratifiedSegmentsFrom builds a stratified sample over a segmented
-// fact table scanning each segment from its own high-water mark (absolute
-// row; segments absent from the map scan in full). This is the
-// Δ-maintenance entry point: per-segment marks replace the old single
-// table offset, so an append touching only the open segment rescans only
+// RunStratifiedExprs executes q and builds a stratified sample of the
+// qualifying rows capturing exprs (the first qcsWidth are the QCS columns,
+// k the per-stratum reservoir capacity). It is the one entry for sample
+// builds — full, Δ and distributed: fromBySeg optionally gives per-segment
+// resume marks (absolute row; segments absent from the map, or a nil map,
+// scan in full), so an append touching only the open segment rescans only
 // that segment's tail.
-func RunStratifiedSegmentsFrom(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int, fromBySeg map[int]int) (*sample.Stratified, Stats, error) {
+//
+// The build is planned as one source per overlapping segment and
+// dispatched by one rule: no sources (every segment already covered, or an
+// empty range) is a well-formed empty sample; a single in-process source
+// is built directly with the caller's seed — a table of one segment costs
+// no coordinator; anything else — several segments, or any plan a Planner
+// rewrote, since even a single remote segment needs the drop/degradation
+// path — fans out through the coordinator and merges N-way.
+func RunStratifiedExprs(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int, fromBySeg map[int]int) (*sample.Stratified, Stats, error) {
 	sources := planSegments(q, exprs, qcsWidth, k, fromBySeg)
 	switch {
 	case len(sources) == 0:
-		// Every segment is already covered: an empty delta. Build over the
-		// empty range so the caller still gets a well-formed sample.
 		empty := *q
 		empty.ScanFrom, empty.ScanTo = q.Fact.NumRows(), q.Fact.NumRows()
-		return runStratifiedSingle(&empty, exprs, qcsWidth, k, seed, workers)
+		return BuildSegmentSample(&empty, exprs, qcsWidth, k, seed, workers)
 	case len(sources) == 1 && q.Planner == nil:
-		sam, st, err := sources[0].Build(workers, seed)
-		if err == nil {
-			st.Segments, st.SegmentsBuilt, st.SegmentParallelism = 1, 1, 1
-		}
-		return sam, st, err
+		return sources[0].Build(workers, seed)
 	default:
-		// Planner-rewritten plans always run through the coordinator, even
-		// for one segment: a remote source needs its drop/degradation path.
 		return runStratifiedSegments(q, sources, seed, workers)
 	}
 }

@@ -98,7 +98,7 @@ func TestPlannerRewritesPlan(t *testing.T) {
 	fact := segmentedFact(t, 1000, 4, 500)
 	planner := &recordingPlanner{}
 	q := &Query{Fact: fact, Planner: planner, SegmentParallelism: 1}
-	sam, stats, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 2)
+	sam, stats, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

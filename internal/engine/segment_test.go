@@ -24,8 +24,8 @@ func segmentedFact(t *testing.T, n, groups int, cuts ...int) *storage.Table {
 }
 
 // TestSegmentedMatchesReferenceWeights proves the N-way merged build is
-// weight-identical to the monolithic single-reservoir reference
-// (SegmentParallelism < 0 forces it) over an uneven layout including an
+// weight-identical to the single-reservoir reference (the leaf build run
+// over the whole table) over an uneven layout including an
 // empty segment: the merge algebra preserves per-stratum weights exactly
 // whatever the sharding.
 func TestSegmentedMatchesReferenceWeights(t *testing.T) {
@@ -36,7 +36,7 @@ func TestSegmentedMatchesReferenceWeights(t *testing.T) {
 	}
 
 	seg, stats, err := RunStratifiedExprs(&Query{Fact: fact},
-		ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4)
+		ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSegmentedMatchesReferenceWeights(t *testing.T) {
 		// The empty segment plans no source.
 		t.Fatalf("segments = %d built = %d, want 3/3", stats.Segments, stats.SegmentsBuilt)
 	}
-	ref, refStats, err := RunStratifiedExprs(&Query{Fact: fact, SegmentParallelism: -1},
+	ref, refStats, err := BuildSegmentSample(&Query{Fact: fact},
 		ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -74,13 +74,12 @@ func TestSegmentedMatchesReferenceWeights(t *testing.T) {
 // chiSquareUniform builds the sample `trials` times with distinct seeds,
 // buckets every sampled row by its key, and returns the chi-square
 // statistic against the uniform expectation.
-func chiSquareUniform(t *testing.T, fact *storage.Table, n, k, trials, buckets, par int) float64 {
+func chiSquareUniform(t *testing.T, n, trials, buckets int, build func(seed uint64) (*sample.Stratified, Stats, error)) float64 {
 	t.Helper()
 	counts := make([]int64, buckets)
 	total := 0
 	for trial := 0; trial < trials; trial++ {
-		sam, _, err := RunStratifiedExprs(&Query{Fact: fact, SegmentParallelism: par},
-			ExprsFromNames([]string{"f_group", "f_val"}), 1, k, uint64(1000+trial*7919), 2)
+		sam, _, err := build(uint64(1000 + trial*7919))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,15 +111,25 @@ func TestSegmentedBuildChiSquare(t *testing.T) {
 	// One stratum so inclusion probability is uniform across the table.
 	fact := segmentedFact(t, n, 1, 4000, 4000, 21000)
 
+	exprs := ExprsFromNames([]string{"f_group", "f_val"})
+	segmented := func(par int) func(uint64) (*sample.Stratified, Stats, error) {
+		return func(seed uint64) (*sample.Stratified, Stats, error) {
+			return RunStratifiedExprs(&Query{Fact: fact, SegmentParallelism: par}, exprs, 1, k, seed, 2, nil)
+		}
+	}
 	const critical = 40.0 // χ²(df=14) at p≈0.001 is 36.1; headroom for seeds
-	if chi2 := chiSquareUniform(t, fact, n, k, trials, buckets, 0); chi2 > critical {
+	if chi2 := chiSquareUniform(t, n, trials, buckets, segmented(0)); chi2 > critical {
 		t.Fatalf("segmented build chi-square = %.1f > %.1f: sampling is biased", chi2, critical)
 	}
-	if chi2 := chiSquareUniform(t, fact, n, k, trials, buckets, -1); chi2 > critical {
+	// The reference: the leaf's single reservoir over the whole table.
+	reference := func(seed uint64) (*sample.Stratified, Stats, error) {
+		return BuildSegmentSample(&Query{Fact: fact}, exprs, 1, k, seed, 2)
+	}
+	if chi2 := chiSquareUniform(t, n, trials, buckets, reference); chi2 > critical {
 		t.Fatalf("reference build chi-square = %.1f > %.1f: reference harness is broken", chi2, critical)
 	}
 	// Serialized segment builds (parallelism 1) go through the same merge.
-	if chi2 := chiSquareUniform(t, fact, n, k, trials, buckets, 1); chi2 > critical {
+	if chi2 := chiSquareUniform(t, n, trials, buckets, segmented(1)); chi2 > critical {
 		t.Fatalf("serialized segmented build chi-square = %.1f > %.1f", chi2, critical)
 	}
 }
@@ -169,7 +178,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 	}
 	exprs := ExprsFromNames([]string{"f_group", "f_val"})
 
-	base, _, err := RunStratifiedExprs(&Query{Fact: fact}, exprs, 1, k, 11, 2)
+	base, _, err := RunStratifiedExprs(&Query{Fact: fact}, exprs, 1, k, 11, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +193,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 	if grown.NumSegments() != 3 {
 		t.Fatalf("segments after append = %d, want 3", grown.NumSegments())
 	}
-	delta, dstats, err := RunStratifiedSegmentsFrom(&Query{Fact: grown}, exprs, 1, k, 13, 2, marks)
+	delta, dstats, err := RunStratifiedExprs(&Query{Fact: grown}, exprs, 1, k, 13, 2, marks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +227,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 	for _, s := range grown.Segments() {
 		marks[s.ID()] = s.End()
 	}
-	empty, _, err := RunStratifiedSegmentsFrom(&Query{Fact: grown}, exprs, 1, k, 17, 2, marks)
+	empty, _, err := RunStratifiedExprs(&Query{Fact: grown}, exprs, 1, k, 17, 2, marks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +242,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 func TestSegmentWorkerCapAtTotalMorsels(t *testing.T) {
 	fact := segmentedFact(t, 2000, 4, 1000) // 2 segments, 1 morsel each
 	_, stats, err := RunStratifiedExprs(&Query{Fact: fact},
-		ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 8)
+		ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +271,7 @@ func (f *fakeSegment) Build(workers int, seed uint64) (*sample.Stratified, Stats
 		return nil, Stats{}, f.fail
 	}
 	q := &Query{Fact: f.fact, ScanFrom: f.lo, ScanTo: f.hi}
-	return runStratifiedSingle(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, seed, workers)
+	return BuildSegmentSample(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, seed, workers)
 }
 
 func fakeSources(fact *storage.Table, fails map[int]error, ests ...int64) []SegmentSource {

@@ -92,6 +92,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	if par := req.SegmentParallelism; par < 0 {
+		writeEnvelope(w, http.StatusBadRequest, &Envelope{
+			RequestID: reqID,
+			Error:     &WireError{Code: "bad_request", Message: fmt.Sprintf("segment_parallelism must be >= 0, got %d", par)},
+		})
+		return
+	}
 
 	tenant := req.Tenant
 	if tenant == "" {
@@ -125,9 +132,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var opts []laqy.QueryOption
 	if req.SegmentParallelism != 0 {
 		opts = append(opts, laqy.WithSegmentParallelism(req.SegmentParallelism))
-	}
-	if req.DisableZoneMaps {
-		opts = append(opts, laqy.WithZoneMapsDisabled())
 	}
 	res, err := ts.db.QueryContext(qctx, req.SQL, opts...)
 	if err != nil {

@@ -57,15 +57,35 @@ func TestWireOptionsForwarded(t *testing.T) {
 		t.Fatalf("stats = %+v, want a multi-segment build", env.Stats)
 	}
 
-	// Negative parallelism forces the monolithic path: no segment stats.
+	// A forwarded option reaches the engine: serialized segment builds (a
+	// different stratification, so the stored sample cannot answer it).
 	resp, env = postQuery(t, hs.URL, QueryRequest{
-		SQL:                "SELECT SUM(v) FROM t WHERE key BETWEEN 1 AND 149999 APPROX WITH K 400",
-		SegmentParallelism: -1,
+		SQL:                "SELECT v, SUM(key) FROM t GROUP BY v APPROX WITH K 400",
+		SegmentParallelism: 1,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (error %+v)", resp.StatusCode, env.Error)
 	}
-	if env.Stats == nil || env.Stats.Segments != 0 {
-		t.Fatalf("monolithic stats = %+v, want no segments", env.Stats)
+	if env.Stats == nil || env.Stats.Segments < 2 || env.Stats.SegmentParallelism != 1 {
+		t.Fatalf("serialized stats = %+v, want a multi-segment build at parallelism 1", env.Stats)
+	}
+
+	// There is no negative mode: the value is refused, typed.
+	resp, env = postQuery(t, hs.URL, QueryRequest{SQL: sql, SegmentParallelism: -3})
+	if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != "bad_request" ||
+		!strings.Contains(env.Error.Message, "segment_parallelism") {
+		t.Fatalf("negative parallelism: status %d error %+v, want a bad_request naming the field", resp.StatusCode, env.Error)
+	}
+
+	// A client still sending the retired disable_zone_maps field keeps
+	// working: unknown fields are ignored and the answer is the same.
+	raw, err := http.Post(hs.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"sql": "SELECT SUM(v) FROM t WHERE key BETWEEN 0 AND 999", "disable_zone_maps": true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.Body.Close()
+	if raw.StatusCode != http.StatusOK {
+		t.Fatalf("retired field: status %d, want 200", raw.StatusCode)
 	}
 }

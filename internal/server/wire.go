@@ -52,12 +52,9 @@ type QueryRequest struct {
 	// Stream selects NDJSON row streaming (equivalent to ?stream=ndjson).
 	Stream bool `json:"stream,omitempty"`
 	// SegmentParallelism caps concurrent per-segment sample builds
-	// (laqy.WithSegmentParallelism: 0 = engine's choice, 1 = serialize,
-	// negative = monolithic path).
+	// (laqy.WithSegmentParallelism: 0 = engine's choice, 1 = serialize);
+	// a negative value is rejected with bad_request.
 	SegmentParallelism int `json:"segment_parallelism,omitempty"`
-	// DisableZoneMaps turns off zone-map morsel pruning for this query
-	// (laqy.WithZoneMapsDisabled).
-	DisableZoneMaps bool `json:"disable_zone_maps,omitempty"`
 }
 
 // WireAgg is one aggregate estimate on the wire.

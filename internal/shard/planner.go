@@ -70,7 +70,6 @@ func (p *Planner) PlanSegments(q *engine.Query, exprs []engine.ColumnExpr, qcsWi
 				K:              k,
 				// Seed and Workers are filled per Build call by the
 				// coordinator's dispatch.
-				DisableZoneMaps: q.DisableZoneMaps,
 			},
 		}
 	}

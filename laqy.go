@@ -68,13 +68,12 @@ type Config struct {
 	// are raised to it. Tables smaller than one segment keep a single
 	// segment, preserving the pre-segmentation layout.
 	SegmentRows int
-	// DisableEncoding keeps sealed segments un-encoded and routes every
-	// query through the plain []int64 kernels — the reference path the
-	// encoding equivalence suite pins bitwise-identical answers against.
-	// Production DBs leave it false: encoded evaluation is exact, never
-	// statistical, and sealed segments typically shrink well below their
-	// plain footprint (docs/PERFORMANCE.md, "Encoded storage").
-	DisableEncoding bool
+	// disableEncoding keeps sealed segments un-encoded and routes every
+	// query through the plain []int64 kernels — the reference the in-package
+	// encoding equivalence suite (encoding_test.go) pins bitwise-identical
+	// answers against. Not a product setting: encoded evaluation is exact,
+	// never statistical (docs/PERFORMANCE.md, "Encoded storage").
+	disableEncoding bool
 	// MinSupport, when > 0, enables the conservative per-stratum support
 	// check when reusing tightened samples: reuse falls back to online
 	// sampling if any stratum would back an estimate with fewer tuples.
@@ -84,18 +83,10 @@ type Config struct {
 	// tightened reuses keep enough per-stratum support. Values ≤ 1 mean
 	// no oversampling.
 	Oversample float64
-	// Logger receives leveled diagnostics. It supersedes Warnf: when both
-	// are set, Logger wins.
+	// Logger receives leveled diagnostics (e.g. partially corrupt sample
+	// stores salvaged on LoadSamples). When unset, LogWarn and above go to
+	// the standard logger.
 	Logger Logger
-	// Warnf receives non-fatal diagnostics (e.g. partially corrupt sample
-	// stores salvaged on LoadSamples).
-	//
-	// Deprecated: set Logger instead; Warnf remains as a compatibility
-	// shim receiving LogWarn and LogError messages (Open adapts it onto
-	// the Logger interface). When neither is set the standard logger is
-	// used. The shim will be removed in the release after next; see the
-	// deprecation window in the README.
-	Warnf func(format string, args ...any)
 	// DisableMetrics turns off the metrics registry: all instruments
 	// become no-ops and Metrics()/Handler() report nothing. Tracing
 	// (SetTracing, EXPLAIN ANALYZE) is independent and stays available.
@@ -147,11 +138,6 @@ type DB struct {
 // Open creates an empty DB.
 func Open(cfg Config) *DB {
 	cfg = cfg.withDefaults()
-	// Fold the deprecated Warnf shim into the leveled logger once, here,
-	// so every internal diagnostic goes through Config.Logger.
-	if cfg.Logger == nil && cfg.Warnf != nil {
-		cfg.Logger = warnfLogger(cfg.Warnf)
-	}
 	reg := obs.NewRegistry()
 	if cfg.DisableMetrics {
 		reg = obs.Disabled
@@ -233,7 +219,7 @@ func (db *DB) Register(b *TableBuilder) error {
 	if err != nil {
 		return err
 	}
-	if !db.cfg.DisableEncoding {
+	if !db.cfg.disableEncoding {
 		// Seal the bulk-loaded rows so every data segment is eligible for
 		// the lazy per-segment encodings; appends land in the fresh open
 		// segment and stay plain until it seals in turn.
@@ -263,7 +249,7 @@ func (db *DB) LoadSSB(lineorderRows int, seed uint64) error {
 		if err != nil {
 			return err
 		}
-		if !db.cfg.DisableEncoding {
+		if !db.cfg.disableEncoding {
 			t, err = storage.Seal(t)
 			if err != nil {
 				return err
@@ -428,7 +414,7 @@ func (db *DB) SaveSamplesFS(fsys iofault.FS, path string) error {
 // LoadSamples restores previously saved samples into the store, appending
 // to any samples already present. It degrades gracefully on partial
 // corruption: entries whose checksums fail are skipped (reported through
-// Config.Warnf) and the healthy ones are kept — a dropped sample just
+// Config.Logger) and the healthy ones are kept — a dropped sample just
 // rebuilds lazily online the next time its query runs, so a flipped bit
 // on disk never fails startup. Unreadable files (missing, wrong magic)
 // still return an error. Use LoadSamplesStrict to reject any corruption.
@@ -462,9 +448,8 @@ func (db *DB) LoadSamplesFS(fsys iofault.FS, path string) error {
 	return err
 }
 
-// logf routes a diagnostic to the leveled logger (Open folds the
-// deprecated Config.Warnf into one), falling back to the standard logger
-// (LogWarn and above only) when none is configured.
+// logf routes a diagnostic to the leveled logger, falling back to the
+// standard logger (LogWarn and above only) when none is configured.
 func (db *DB) logf(level LogLevel, format string, args ...any) {
 	if db.cfg.Name != "" {
 		format = "[" + db.cfg.Name + "] " + format
@@ -477,18 +462,6 @@ func (db *DB) logf(level LogLevel, format string, args ...any) {
 		return
 	}
 	log.Printf(format, args...)
-}
-
-// warnfLogger adapts the deprecated Config.Warnf callback to the Logger
-// interface: LogWarn and above forward, lower levels are dropped —
-// preserving the shim's historical contract while every internal call site
-// speaks only the leveled interface.
-type warnfLogger func(format string, args ...any)
-
-func (f warnfLogger) Logf(level LogLevel, format string, args ...any) {
-	if level >= LogWarn {
-		f(format, args...)
-	}
 }
 
 // SampleInfo describes one cached sample for observability.

@@ -2,11 +2,9 @@ package laqy
 
 import "laqy/internal/core"
 
-// Mode identifies the execution path that produced a Result. It replaces
-// the string Mode field of earlier versions; Mode implements fmt.Stringer
-// with the same values ("exact", "online", "partial", "offline",
-// "exact_fallback"), so format-verb users are unaffected, and
-// Result.ModeString() remains for code that compared strings.
+// Mode identifies the execution path that produced a Result. Mode
+// implements fmt.Stringer ("exact", "online", "partial", "offline",
+// "exact_fallback").
 type Mode int
 
 const (

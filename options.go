@@ -22,21 +22,10 @@ type QueryOptions struct {
 	// earlier deadline, the earlier one wins. 0 inherits.
 	Timeout time.Duration
 	// SegmentParallelism caps how many storage segments build their
-	// reservoirs concurrently: 0 lets the engine choose (min of the worker
-	// count and the segment count), 1 serializes segment builds, and a
-	// negative value forces the monolithic single-reservoir path —
-	// bypassing the segment coordinator entirely, which the equivalence
-	// tests use as the reference. See docs/SHARDING.md.
+	// reservoirs concurrently: n ≤ 0 lets the engine choose (min of the
+	// worker count and the segment count), 1 serializes segment builds.
+	// See docs/SHARDING.md.
 	SegmentParallelism int
-	// DisableZoneMaps turns off zone-map morsel pruning for this query,
-	// forcing every morsel through the selection kernels (measurement and
-	// debugging aid).
-	DisableZoneMaps bool
-	// DisableEncoding routes this query through the plain []int64 kernels,
-	// skipping the encoded selection and fused-aggregate paths (the
-	// reference for the encoding equivalence suite; also composes with
-	// Config.DisableEncoding, which keeps segments un-encoded DB-wide).
-	DisableEncoding bool
 	// ErrorBound, when > 0, applies an APPROX ERROR contract to the query:
 	// estimates must meet this relative error bound or the engine resizes
 	// and ultimately falls back to exact execution. A bound written in the
@@ -58,22 +47,10 @@ func WithTimeout(d time.Duration) QueryOption {
 	return func(o *QueryOptions) { o.Timeout = d }
 }
 
-// WithSegmentParallelism caps concurrent per-segment sample builds (0 =
-// engine's choice, 1 = serialize, negative = monolithic reference path).
+// WithSegmentParallelism caps concurrent per-segment sample builds (n ≤ 0 =
+// engine's choice, 1 = serialize).
 func WithSegmentParallelism(n int) QueryOption {
 	return func(o *QueryOptions) { o.SegmentParallelism = n }
-}
-
-// WithZoneMapsDisabled turns off zone-map morsel pruning for this query.
-func WithZoneMapsDisabled() QueryOption {
-	return func(o *QueryOptions) { o.DisableZoneMaps = true }
-}
-
-// WithEncodingDisabled forces this query onto the plain selection and
-// aggregation kernels, bypassing encoded-segment evaluation (measurement
-// and debugging aid; answers are identical either way).
-func WithEncodingDisabled() QueryOption {
-	return func(o *QueryOptions) { o.DisableEncoding = true }
 }
 
 // WithErrorBound applies an APPROX ERROR contract: relative error at most

@@ -4,6 +4,11 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"laqy/internal/approx"
+	"laqy/internal/engine"
+	"laqy/internal/obs"
+	"laqy/internal/sql"
 )
 
 // openSegmented builds a DB whose lone table spans several storage
@@ -48,17 +53,17 @@ func TestQuerySpansSegments(t *testing.T) {
 	}
 }
 
-func TestWithSegmentParallelismMonolithic(t *testing.T) {
+func TestWithSegmentParallelism(t *testing.T) {
 	db, _ := openSegmented(t)
-	// Negative parallelism forces the single-reservoir reference path; the
-	// stats then report no segmentation at all.
+	// n ≤ 0 is the engine's choice — there is no negative mode: the build
+	// still fans out over every segment.
 	res, err := db.Query(`SELECT g, SUM(v) FROM t WHERE key BETWEEN 0 AND 149999 GROUP BY g APPROX WITH K 400`,
 		WithSegmentParallelism(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Segments != 0 || res.Stats.SegmentsBuilt != 0 {
-		t.Fatalf("monolithic path reported segments %d/%d", res.Stats.SegmentsBuilt, res.Stats.Segments)
+	if res.Stats.Segments < 2 || res.Stats.SegmentsBuilt != res.Stats.Segments {
+		t.Fatalf("engine's-choice build = %d/%d segments", res.Stats.SegmentsBuilt, res.Stats.Segments)
 	}
 	// Serialized segment builds still cover every segment.
 	db.ClearSamples()
@@ -72,25 +77,46 @@ func TestWithSegmentParallelismMonolithic(t *testing.T) {
 	}
 }
 
-func TestWithZoneMapsDisabled(t *testing.T) {
+// TestZoneMapPruningMatchesUnprunedPlan: a selective predicate prunes
+// morsels in db.Query; the same plan run through the engine with its
+// zone-map oracle switch off (every morsel filtered per row) must give the
+// same answer.
+func TestZoneMapPruningMatchesUnprunedPlan(t *testing.T) {
 	db, _ := openSegmented(t)
-	// A selective predicate prunes morsels with zone maps on; disabling
-	// them must still return the same answer.
 	const q = `SELECT g, SUM(v) FROM t WHERE key BETWEEN 1000 AND 1999 GROUP BY g`
 	pruned, err := db.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := db.Query(q, WithZoneMapsDisabled())
+	if got := db.Metrics().Counters[obs.MEngineMorselsPruned]; got == 0 {
+		t.Fatal("the selective predicate pruned no morsel")
+	}
+	stmt, err := sql.Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pruned.Rows) != len(full.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(pruned.Rows), len(full.Rows))
+	plan, err := sql.PlanStatement(stmt, db.catalog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range pruned.Rows {
-		if pruned.Rows[i].Aggs[0].Value != full.Rows[i].Aggs[0].Value {
-			t.Fatalf("row %d: %v vs %v", i, pruned.Rows[i].Aggs[0].Value, full.Rows[i].Aggs[0].Value)
+	plan.Query.DisableZoneMaps = true
+	ref, refStats, err := engine.RunGroupBy(plan.Query, plan.GroupBy, "v", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refStats.MorselsPruned != 0 || refStats.MorselsFull != 0 {
+		t.Fatalf("reference run consulted the zone map: %+v", refStats)
+	}
+	if len(pruned.Rows) != ref.NumGroups() {
+		t.Fatalf("row counts differ: %d vs %d", len(pruned.Rows), ref.NumGroups())
+	}
+	want := map[string]float64{}
+	for _, key := range ref.Keys() {
+		want[decodeGroups(plan, key)[0].Str], _ = ref.Value(key, approx.Sum)
+	}
+	for _, row := range pruned.Rows {
+		if w, ok := want[row.Groups[0].Str]; !ok || row.Aggs[0].Value != w {
+			t.Fatalf("group %q: pruned %v vs unpruned %v (present=%v)", row.Groups[0].Str, row.Aggs[0].Value, w, ok)
 		}
 	}
 }

@@ -120,16 +120,10 @@ type Result struct {
 	Degradations []Degradation
 }
 
-// ModeString returns Mode.String().
-//
-// Deprecated: compare Result.Mode against the Mode constants instead; this
-// exists for code written against the former string-typed field.
-func (r *Result) ModeString() string { return r.Mode.String() }
-
 // Query parses, plans, and executes a SQL statement. Aggregation queries
 // are supported; the APPROX clause selects sampling-based execution with
 // LAQy's lazy sample reuse. Options tune this execution only (timeout,
-// segment parallelism, zone maps, error contract); see QueryOptions.
+// segment parallelism, error contract); see QueryOptions.
 func (db *DB) Query(text string, opts ...QueryOption) (*Result, error) {
 	return db.QueryContext(context.Background(), text, opts...)
 }
@@ -171,8 +165,7 @@ func (db *DB) execute(ctx context.Context, plan *sql.Plan, opt QueryOptions, par
 	// Per-query knobs: the option surface overrides the Config-wide
 	// defaults; clauses written in the SQL text win over options.
 	plan.Query.SegmentParallelism = opt.SegmentParallelism
-	plan.Query.DisableZoneMaps = plan.Query.DisableZoneMaps || opt.DisableZoneMaps
-	plan.Query.DisableEncoding = db.cfg.DisableEncoding || opt.DisableEncoding
+	plan.Query.DisableEncoding = db.cfg.disableEncoding
 	if opt.ErrorBound > 0 && plan.ErrorBound == 0 {
 		plan.ErrorBound = opt.ErrorBound
 		if opt.Confidence > 0 && plan.Confidence == 0 {

@@ -17,9 +17,9 @@ import (
 // executes per-segment stratified builds on behalf of a remote
 // coordinator. The spec below is the engine-independent description of one
 // such build — strings, ints, and interval lists only, so it crosses the
-// wire as JSON — and BuildSegment replays it through the exact monolithic
-// pipeline a local SegmentSource would use, making the remote reservoir
-// byte-identical to the local one for the same seed.
+// wire as JSON — and BuildSegment replays it through the leaf build a local
+// SegmentSource runs (engine.BuildSegmentSample), making the remote
+// reservoir byte-identical to the local one for the same seed.
 
 // IntervalSpec is one closed int64 range of a predicate constraint
 // (dictionary codes for string columns, day numbers for dates — the
@@ -79,8 +79,6 @@ type SegmentBuildSpec struct {
 	// partial-merge order, so the coordinator pins it for reproducibility.
 	// 0 lets the serving node choose (no byte-identity guarantee).
 	Workers int `json:"workers,omitempty"`
-	// DisableZoneMaps forces per-row filtering (mirrors the query option).
-	DisableZoneMaps bool `json:"disable_zone_maps,omitempty"`
 }
 
 // SegmentStaleError reports a segment version mismatch between the
@@ -197,22 +195,16 @@ func (db *DB) BuildSegment(ctx context.Context, spec SegmentBuildSpec) (*sample.
 		Joins:    joins,
 		ScanFrom: spec.ScanFrom,
 		ScanTo:   spec.ScanTo,
-		// The monolithic path: this IS one segment's build, and the bytes
-		// must match what a local SegmentSource.Build would produce.
-		SegmentParallelism: -1,
-		Ctx:                obs.WithRegistry(ctx, db.reg),
-		Budget:             budget,
-		DisableZoneMaps:    spec.DisableZoneMaps,
+		Ctx:      obs.WithRegistry(ctx, db.reg),
+		Budget:   budget,
 	}
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = db.cfg.Workers
 	}
-	sam, stats, err := engine.RunStratifiedExprs(&q, engine.ExprsFromNames(spec.Schema), spec.QCSWidth, spec.K, spec.Seed, workers)
-	if err != nil {
-		return nil, stats, err
-	}
-	return sam, stats, nil
+	// This IS one segment's build: run the leaf directly, so the bytes match
+	// what a local SegmentSource.Build would produce.
+	return engine.BuildSegmentSample(&q, engine.ExprsFromNames(spec.Schema), spec.QCSWidth, spec.K, spec.Seed, workers)
 }
 
 // SetSegmentPlanner installs (or, with nil, removes) a segment planner

@@ -59,10 +59,9 @@ func (l LogLevel) String() string {
 	}
 }
 
-// Logger receives leveled diagnostics from a DB. It supersedes
-// Config.Warnf: when both are set, Logger wins; when only Warnf is set, it
-// receives LogWarn and LogError messages (the compatibility shim).
-// Implementations must be safe for concurrent use.
+// Logger receives leveled diagnostics from a DB (Config.Logger); when none
+// is set, LogWarn and above go to the standard logger. Implementations must
+// be safe for concurrent use.
 type Logger interface {
 	Logf(level LogLevel, format string, args ...any)
 }

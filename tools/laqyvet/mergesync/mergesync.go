@@ -11,7 +11,7 @@
 //
 //   - worker-slot writes `shared[i] = ...` where the index is a parameter
 //     of the goroutine literal: each worker owns a disjoint slot (the
-//     per-worker partials of runPipeline and treeMergeStratified);
+//     per-worker error slots of the morsel driver and treeMergeStratified);
 //   - writes lexically guarded by a Lock()/RLock() call earlier on the
 //     statement path inside the goroutine, with no intervening Unlock;
 //   - atomics: sync/atomic types are written through method calls, which
