@@ -3,6 +3,8 @@ package laqy
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -218,5 +220,112 @@ func TestGovernorDisabled(t *testing.T) {
 	}
 	if stats := db.GovernorStats(); stats.Enabled {
 		t.Fatalf("GovernorStats = %+v, want disabled zeros", stats)
+	}
+}
+
+// TestLadder pins the degradation ladder as a value: for each statement
+// kind and deadline pressure (reuseOnly implies degrade, so six cases),
+// the rungs execute walks, in order. A second rung is what runs when the
+// first reports governor.ErrNoStoredSample.
+func TestLadder(t *testing.T) {
+	cases := []struct {
+		name                       string
+		approx, degrade, reuseOnly bool
+		want                       []rung
+	}{
+		{"approx, no pressure", true, false, false, []rung{rungSample}},
+		{"approx, degrade", true, true, false, []rung{rungSample}},
+		{"approx, reuse-only: stored, else build anyway", true, true, true, []rung{rungStored, rungSample}},
+		{"exact, no pressure", false, false, false, []rung{rungExact}},
+		{"exact, degrade: sample, else exact", false, true, false, []rung{rungSample, rungExact}},
+		{"exact, reuse-only: stored, else exact", false, true, true, []rung{rungStored, rungExact}},
+	}
+	for _, c := range cases {
+		if got := ladder(c.approx, c.degrade, c.reuseOnly); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: ladder = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestLadderFallsThroughOnEmptyStore walks the two ErrNoStoredSample
+// fall-throughs end to end: under reuse-only pressure with nothing stored,
+// an approximate query builds its sample anyway and an exact one runs
+// exact — both undegraded, neither refused.
+func TestLadderFallsThroughOnEmptyStore(t *testing.T) {
+	db := Open(Config{Workers: 1, DefaultK: 64, Seed: 2})
+	if err := db.LoadSSB(2_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	db.gov.SetScanCost(1e9) // 1s/row: nothing but a stored serve fits 10s
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, c := range []struct {
+		sql  string
+		want Mode
+	}{
+		{`SELECT lo_quantity, COUNT(*) FROM lineorder GROUP BY lo_quantity`, ModeExact},
+		{`SELECT lo_quantity, COUNT(*) FROM lineorder GROUP BY lo_quantity APPROX`, ModeOnline},
+	} {
+		res, err := db.QueryContext(ctx, c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if res.Mode != c.want || len(res.Degradations) != 0 || res.Stale {
+			t.Fatalf("%s: mode=%v degradations=%v stale=%v, want undegraded %v",
+				c.sql, res.Mode, res.Degradations, res.Stale, c.want)
+		}
+	}
+}
+
+// TestResizeRetryStaleServeIsLabelled: when the APPROX ERROR resize retry
+// finds only a partially covering sample of the capacity it needs and the
+// Δ-build is denied its memory, the retry is served from that stored
+// sample as-is. The answer must carry Stale beside its skip_delta label,
+// exactly as a first-pass stale serve does.
+func TestResizeRetryStaleServeIsLabelled(t *testing.T) {
+	// An unconstrained session builds a K=4096 sample of lo_intkey ∈
+	// [0,10000] (large enough to hold every qualifying row) and saves it.
+	path := filepath.Join(t.TempDir(), "samples.laqy")
+	big := Open(Config{Workers: 1, Seed: 5})
+	if err := big.LoadSSB(30_000, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := big.Query(ssbRange("10000", false) + " WITH K 4096"); err != nil {
+		t.Fatal(err)
+	}
+	if err := big.SaveSamples(path); err != nil {
+		t.Fatal(err)
+	}
+
+	// The constrained session first builds its own K=16 sample covering
+	// [0,20000] (fits 64 KiB), then loads the big one: a K=4096 Δ-build
+	// reserves ~3 MiB and is denied.
+	db := Open(Config{Workers: 1, Seed: 5, Governor: GovernorConfig{QueryMemoryBytes: 64 << 10}})
+	if err := db.LoadSSB(30_000, 3); err != nil {
+		t.Fatal(err)
+	}
+	wide := ssbRange("20000", false) + " WITH K 16"
+	if res, err := db.Query(wide); err != nil || res.Mode != ModeOnline || len(res.Degradations) != 0 {
+		t.Fatalf("warmup: mode=%v degradations=%v err=%v, want clean online", res.Mode, res.Degradations, err)
+	}
+	if err := db.LoadSamples(path); err != nil {
+		t.Fatal(err)
+	}
+
+	// First pass: offline from the K=16 sample, far off a 5% bound. Retry:
+	// the resized K excludes that sample; the K=4096 one covers half.
+	res, err := db.Query(wide, WithErrorBound(0.05, 0.95))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Degradations) != 1 || res.Degradations[0].Step != DegradeSkipDelta ||
+		res.Degradations[0].Reason != "memory budget" {
+		t.Fatalf("degradations = %v, want one skip_delta (memory budget)", res.Degradations)
+	}
+	if !res.Stale {
+		t.Fatalf("answer labelled %v but Stale = false", res.Degradations)
+	}
+	if res.Mode != ModeOffline || res.Stats.RowsScanned != 0 {
+		t.Fatalf("mode=%v scanned=%d, want a zero-scan stored serve", res.Mode, res.Stats.RowsScanned)
 	}
 }

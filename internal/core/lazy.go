@@ -177,9 +177,9 @@ type Result struct {
 type LazySampler struct {
 	store *store.Store
 
-	// genMu serializes gen: concurrent partial merges on different
-	// entries each draw their merge RNG substream from the shared
-	// generator (a DB is documented safe for concurrent queries).
+	// genMu serializes gen: concurrent merges — partial reuses on
+	// different entries, maintenance beside them — each draw their RNG
+	// substream from the shared generator through nextMergeGen.
 	genMu sync.Mutex
 	gen   *rng.Lehmer64
 
@@ -222,6 +222,14 @@ func (l *LazySampler) SetObs(reg *obs.Registry) {
 // Store returns the underlying sample store.
 func (l *LazySampler) Store() *store.Store { return l.store }
 
+// nextMergeGen draws the RNG substream for one Δ-merge, whether a query's
+// partial reuse or an append's maintenance pass triggered it.
+func (l *LazySampler) nextMergeGen() *rng.Lehmer64 {
+	l.genMu.Lock()
+	defer l.genMu.Unlock()
+	return l.gen.Split(l.gen.Next())
+}
+
 // InputSignature canonically identifies a logical sampler input: the fact
 // table plus the join structure (dimension tables and key pairs). Filters
 // are deliberately excluded — they belong to the predicate, where the
@@ -240,8 +248,10 @@ func InputSignature(q *engine.Query) string {
 // path taken (online / partial / offline, plus support fallbacks) in the
 // wired metrics registry.
 func (l *LazySampler) Sample(req Request) (*Result, error) {
+	start := obs.Clock()
 	res, err := l.sample(req)
 	if err == nil && res != nil {
+		res.Total = obs.Since(start)
 		switch res.Mode {
 		case ModeOnline:
 			l.met.online.Inc()
@@ -258,7 +268,6 @@ func (l *LazySampler) Sample(req Request) (*Result, error) {
 }
 
 func (l *LazySampler) sample(req Request) (*Result, error) {
-	start := obs.Clock()
 	if err := validate(&req); err != nil {
 		return nil, err
 	}
@@ -271,18 +280,18 @@ func (l *LazySampler) sample(req Request) (*Result, error) {
 
 	lsp := obs.SpanFrom(req.Query.Ctx).Start("store lookup")
 	match := l.store.Lookup(input, req.Schema, req.QCSWidth, req.effectiveK(), req.Predicate)
-	switch {
-	case match == nil:
+	if match == nil {
 		lsp.SetAttr("reuse", "miss")
-	case match.Reuse == algebra.ReuseFull:
-		lsp.SetAttr("reuse", "full")
+	} else {
+		lsp.SetAttr("reuse", match.Reuse.String())
 		lsp.SetAttr("matched", match.Meta.Predicate.String())
-	default:
-		lsp.SetAttr("reuse", "partial")
-		lsp.SetAttr("matched", match.Meta.Predicate.String())
-		lsp.SetAttr("delta", match.Delta.Column+"∈"+match.Delta.Missing.String())
+		if match.Reuse == algebra.ReusePartial {
+			lsp.SetAttr("delta", match.Delta.Column+"∈"+match.Delta.Missing.String())
+		}
 	}
 	lsp.End()
+	var res *Result
+	var err error
 	switch {
 	case match == nil:
 		if req.ServeStored {
@@ -290,40 +299,35 @@ func (l *LazySampler) sample(req Request) (*Result, error) {
 			return nil, governor.ErrNoStoredSample
 		}
 		// No overlapping sample: pure online sampling (S_lazy ← S).
-		res, err := l.online(req, input, start)
-		return res, err
-
+		return l.online(req, input)
 	case match.Reuse == algebra.ReuseFull:
-		res, err := l.offline(req, match, start)
-		if err != nil || !res.SupportFallback {
-			return res, err
-		}
-		if req.ServeStored {
-			// The fallback would scan; in reuse-only mode an unsupported
-			// tightening is unservable.
-			return nil, governor.ErrNoStoredSample
-		}
-		// Conservative support fallback: full online sampling.
-		onlineRes, err := l.online(req, input, start)
-		if err != nil {
-			return nil, err
-		}
-		onlineRes.SupportFallback = true
-		return onlineRes, nil
-
+		res, err = l.offline(req, match)
+	case req.ServeStored:
+		return l.serveStored(req, match, governor.Degradation{
+			Step:   governor.DegradeSkipDelta,
+			Reason: "deadline pressure",
+		})
+	case req.DisablePartial:
+		// Full-match-only baseline: a partial overlap is a miss.
+		return l.online(req, input)
 	default: // partial reuse: Δ-sample + merge
-		if req.ServeStored {
-			return l.serveStored(req, match, start, governor.Degradation{
-				Step:   governor.DegradeSkipDelta,
-				Reason: "deadline pressure",
-			})
-		}
-		if req.DisablePartial {
-			// Full-match-only baseline: a partial overlap is a miss.
-			return l.online(req, input, start)
-		}
-		return l.partial(req, input, match, start)
+		res, err = l.partial(req, match)
 	}
+	if err != nil || !res.SupportFallback {
+		return res, err
+	}
+	if req.ServeStored {
+		// The fallback would scan; in reuse-only mode an unsupported
+		// tightening is unservable.
+		return nil, governor.ErrNoStoredSample
+	}
+	// Conservative support fallback: full online sampling.
+	res, err = l.online(req, input)
+	if err != nil {
+		return nil, err
+	}
+	res.SupportFallback = true
+	return res, nil
 }
 
 // ctxErr reports the context's error; a nil context never cancels.
@@ -394,7 +398,7 @@ func shrinkToBudget(b *governor.QueryBudget, k, width, workers int) (int, *gover
 }
 
 // online builds a full online sample for the request and stores it.
-func (l *LazySampler) online(req Request, input string, start time.Time) (*Result, error) {
+func (l *LazySampler) online(req Request, input string) (*Result, error) {
 	k, shrink, err := shrinkToBudget(req.Budget, req.effectiveK(), len(req.Schema), req.Workers)
 	if err != nil {
 		return nil, err
@@ -440,7 +444,6 @@ func (l *LazySampler) online(req Request, input string, start time.Time) (*Resul
 		Missing:      missing,
 		DeltaColumn:  col,
 		Stats:        stats,
-		Total:        obs.Since(start),
 		Degradations: degradations,
 	}
 	dropDegradation(stats, res)
@@ -474,44 +477,48 @@ func endSpanQuery(q *engine.Query, stats *engine.Stats) {
 
 // offline serves a request from a fully subsuming stored sample, tightening
 // when the query predicate is strictly narrower.
-func (l *LazySampler) offline(req Request, match *store.Match, start time.Time) (*Result, error) {
-	res := &Result{Mode: ModeOffline}
-
+func (l *LazySampler) offline(req Request, match *store.Match) (*Result, error) {
 	mergeStart := obs.Clock()
 	tsp := obs.SpanFrom(req.Query.Ctx).Start("tighten")
 	defer tsp.End()
-	sam := match.Sample
-	tightenPred := tighteningPredicate(match.Meta.Predicate, req.Predicate)
-	if !tightenPred.IsTrue() {
-		matcher, err := expr.TupleMatcher(tightenPred, match.Meta.Schema)
-		if err != nil {
-			// The sample did not capture a column we must tighten on;
-			// treat as a support failure → online fallback.
-			res.SupportFallback = true
-			return res, nil
-		}
-		sam = sam.Filter(matcher)
-		repairStats, ok, err := l.checkSupport(req, match.Meta.Schema, match.Sample, sam)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			res.SupportFallback = true
-			return res, nil
-		}
-		res.Stats = repairStats
+	sam, repairStats, ok, err := l.tighten(req, match.Meta.Schema, match.Meta.Predicate, match.Sample)
+	if err != nil {
+		return nil, err
 	}
-	res.Sample = sam
-	res.MergeTime = obs.Since(mergeStart)
-	res.Total = obs.Since(start)
-	return res, nil
+	if !ok {
+		return &Result{Mode: ModeOffline, SupportFallback: true}, nil
+	}
+	return &Result{Sample: sam, Mode: ModeOffline, Stats: repairStats, MergeTime: obs.Since(mergeStart)}, nil
+}
+
+// tighten narrows from — a sample covering samplePred, capturing schema — to
+// the request predicate (§5.2.1): the query's conjuncts that stored tuples may
+// violate are re-applied to them, then the support policy (checkSupport; none
+// when req.MinSupport is 0) accepts or repairs the thinned strata. It returns
+// the sample to answer from and the repair's execution stats. ok=false: from
+// lacks a column to tighten on, or support failed beyond repair.
+func (l *LazySampler) tighten(req Request, schema sample.Schema, samplePred algebra.Predicate,
+	from *sample.Stratified) (*sample.Stratified, engine.Stats, bool, error) {
+
+	pred := tighteningPredicate(samplePred, req.Predicate)
+	if pred.IsTrue() {
+		return from, engine.Stats{}, true, nil
+	}
+	matcher, err := expr.TupleMatcher(pred, schema)
+	if err != nil {
+		return nil, engine.Stats{}, false, nil
+	}
+	answer := from.Filter(matcher)
+	repairStats, ok, err := l.checkSupport(req, schema, from, answer)
+	return answer, repairStats, ok, err
 }
 
 // partial is the lazy path: Δ-sample only the missing range, merge with
 // the stored sample, update the store to cover the union, and answer the
 // query from the merged sample (tightened if the stored sample extends
-// beyond the query range).
-func (l *LazySampler) partial(req Request, input string, match *store.Match, start time.Time) (*Result, error) {
+// beyond the query range). Like offline, it reports a tightening it cannot
+// support as Result.SupportFallback and leaves the fallback to sample.
+func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) {
 	meta, delta := match.Meta, match.Delta
 
 	// Prompt cancellation before committing to the Δ-scan.
@@ -521,21 +528,19 @@ func (l *LazySampler) partial(req Request, input string, match *store.Match, sta
 	// Charge the Δ-build's reservoir memory. K cannot shrink here — the
 	// Δ-sample must merge with the stored sample at its capacity — so a
 	// denial degrades one rung instead: serve the stored sample as-is.
-	if req.Budget != nil {
-		if err := req.Budget.Reserve(sampleMemEstimate(meta.K, len(meta.Schema), req.Workers)); err != nil {
-			if errors.Is(err, governor.ErrMemoryBudget) {
-				return l.serveStored(req, match, start, governor.Degradation{
-					Step:   governor.DegradeSkipDelta,
-					Reason: "memory budget",
-				})
-			}
-			return nil, err
+	if err := req.Budget.Reserve(sampleMemEstimate(meta.K, len(meta.Schema), req.Workers)); err != nil {
+		if errors.Is(err, governor.ErrMemoryBudget) {
+			return l.serveStored(req, match, governor.Degradation{
+				Step:   governor.DegradeSkipDelta,
+				Reason: "memory budget",
+			})
 		}
+		return nil, err
 	}
 
 	// Build the Δ-query: the request predicate with the delta column
 	// restricted to the missing range, pushed down into the engine query.
-	deltaQuery, err := applyDelta(req.Query, delta.Column, delta.Missing)
+	deltaQuery, err := pushDown(req.Query, algebra.NewPredicate().With(delta.Column, delta.Missing))
 	if err != nil {
 		return nil, err
 	}
@@ -555,7 +560,7 @@ func (l *LazySampler) partial(req Request, input string, match *store.Match, sta
 		// instead: serveStored guarantees a finite 1/coverage scale, so a
 		// drop after a partial merge can never surface NaN/Inf estimates.
 		reason, detail := dropAttribution(stats)
-		return l.serveStored(req, match, start, governor.Degradation{
+		return l.serveStored(req, match, governor.Degradation{
 			Step:   governor.DegradeDropSegments,
 			Reason: reason,
 			Detail: "Δ-build: " + detail,
@@ -571,10 +576,7 @@ func (l *LazySampler) partial(req Request, input string, match *store.Match, sta
 	// not retained.
 	mergeStart := obs.Clock()
 	msp := obs.SpanFrom(req.Query.Ctx).Start("merge")
-	l.genMu.Lock()
-	mergeGen := l.gen.Split(l.gen.Next())
-	l.genMu.Unlock()
-	merged, err := sample.MergeStratified(match.Sample.Clone(), deltaSample, mergeGen)
+	merged, err := sample.MergeStratified(match.Sample.Clone(), deltaSample, l.nextMergeGen())
 	if err != nil {
 		msp.End()
 		return nil, err
@@ -585,40 +587,20 @@ func (l *LazySampler) partial(req Request, input string, match *store.Match, sta
 
 	// The logical sample for the query: tighten when the merged sample is
 	// wider than the request.
-	answer := merged
-	supportFallback := false
-	tightenPred := tighteningPredicate(newPred, req.Predicate)
-	if !tightenPred.IsTrue() {
-		matcher, merr := expr.TupleMatcher(tightenPred, meta.Schema)
-		if merr != nil {
-			supportFallback = true
-		} else {
-			answer = merged.Filter(matcher)
-			repairStats, ok, rerr := l.checkSupport(req, meta.Schema, merged, answer)
-			if rerr != nil {
-				return nil, rerr
-			}
-			if !ok {
-				supportFallback = true
-			} else {
-				stats.Add(repairStats)
-			}
-		}
-	}
+	answer, repairStats, ok, err := l.tighten(req, meta.Schema, newPred, merged)
 	mergeTime := obs.Since(mergeStart)
 	msp.SetAttrInt("strata", int64(merged.NumStrata()))
 	msp.End()
+	if err != nil {
+		return nil, err
+	}
 	l.met.merges.Inc()
 	l.met.mergeSeconds.Observe(mergeTime)
 
-	if supportFallback {
-		res, err := l.online(req, input, start)
-		if err != nil {
-			return nil, err
-		}
-		res.SupportFallback = true
-		return res, nil
+	if !ok {
+		return &Result{Mode: ModePartial, SupportFallback: true}, nil
 	}
+	stats.Add(repairStats)
 	return &Result{
 		Sample:      answer,
 		Mode:        ModePartial,
@@ -626,7 +608,6 @@ func (l *LazySampler) partial(req Request, input string, match *store.Match, sta
 		DeltaColumn: delta.Column,
 		Stats:       stats,
 		MergeTime:   mergeTime,
-		Total:       obs.Since(start),
 	}, nil
 }
 
@@ -640,30 +621,24 @@ func (l *LazySampler) partial(req Request, input string, match *store.Match, sta
 // uniform-density assumption over the predicate's value domain. The answer
 // is always labeled (Result.Stale + a skip_delta degradation) — a degraded
 // answer may be wrong-er, but never silently so.
-func (l *LazySampler) serveStored(req Request, match *store.Match, start time.Time, deg governor.Degradation) (*Result, error) {
+func (l *LazySampler) serveStored(req Request, match *store.Match, deg governor.Degradation) (*Result, error) {
 	meta, delta := match.Meta, match.Delta
 	sp := obs.SpanFrom(req.Query.Ctx).Start("serve stored")
 	sp.SetAttr("missing", delta.Column+"∈"+delta.Missing.String())
 	defer sp.End()
 
-	answer := match.Sample
-	tightenPred := tighteningPredicate(meta.Predicate, req.Predicate)
-	if !tightenPred.IsTrue() {
-		matcher, err := expr.TupleMatcher(tightenPred, meta.Schema)
-		if err != nil {
-			// The sample lacks a column the query constrains: unservable.
-			return nil, governor.ErrNoStoredSample
-		}
-		answer = answer.Filter(matcher)
+	req.MinSupport = 0 // no support repair: a repair would scan
+	answer, _, ok, err := l.tighten(req, meta.Schema, meta.Predicate, match.Sample)
+	if err != nil {
+		return nil, err
 	}
 	cov := coverageEstimate(req.Predicate, delta.Column, delta.Missing)
-	if cov <= 0 {
+	if !ok || cov <= 0 {
+		// The sample lacks a column the query constrains, or covers none
+		// of its range: unservable.
 		return nil, governor.ErrNoStoredSample
 	}
-	scale := 1.0
-	if cov < 1 {
-		scale = 1 / cov
-	}
+	scale := 1 / cov // coverage is in (0,1]
 	if deg.Detail == "" {
 		deg.Detail = fmt.Sprintf("coverage %.0f%%", cov*100)
 	}
@@ -678,7 +653,6 @@ func (l *LazySampler) serveStored(req Request, match *store.Match, start time.Ti
 		Extrapolate:  scale,
 		CIScale:      scale,
 		Degradations: []governor.Degradation{deg},
-		Total:        obs.Since(start),
 	}, nil
 }
 
@@ -701,25 +675,6 @@ func coverageEstimate(pred algebra.Predicate, col string, missing algebra.Set) f
 		return 0
 	}
 	return 1 - float64(miss)/float64(total)
-}
-
-// applyDelta clones q, restricting the delta column's predicate to the
-// missing range: on the fact filter when the column belongs to the fact
-// table, or on the owning dimension's join filter otherwise (the filter
-// pushdown below the Δ-sampler of Figure 7, step 3).
-func applyDelta(q *engine.Query, col string, missing algebra.Set) (*engine.Query, error) {
-	out := &engine.Query{Fact: q.Fact, Filter: q.Filter, Joins: append([]engine.Join(nil), q.Joins...), Ctx: q.Ctx}
-	if q.Fact.Column(col) != nil {
-		out.Filter = out.Filter.With(col, missing)
-		return out, nil
-	}
-	for i := range out.Joins {
-		if out.Joins[i].Dim.Column(col) != nil {
-			out.Joins[i].Filter = out.Joins[i].Filter.With(col, missing)
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("core: delta column %q not found in query tables", col)
 }
 
 // tighteningPredicate returns the conjuncts of query that stored rows may

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"laqy/internal/algebra"
@@ -158,6 +159,59 @@ func TestNarrowedRangeTightens(t *testing.T) {
 			}
 		}
 	})
+
+	// One tightening, three ways in. The table ends at key factRows-1, so
+	// with [40000,49999] stored, a query for [45000,60000] misses a range
+	// that holds no rows: its stale serve, the offline serve of
+	// [45000,49999] and its partial serve (empty Δ, merge is the identity)
+	// all narrow the same stored sample by the same conjunct and must
+	// return the same tuples at the same weights. Stale and offline go
+	// first: the partial serve widens the stored entry.
+	l = New(store.New(0), 1)
+	if _, err := l.Sample(request(fact, 40000, factRows-1)); err != nil {
+		t.Fatal(err)
+	}
+	stale := request(fact, 45000, 60000)
+	stale.ServeStored = true
+	var want *sample.Stratified
+	for _, c := range []struct {
+		name string
+		req  Request
+		mode Mode
+	}{
+		{"stale", stale, ModeOffline},
+		{"offline", request(fact, 45000, factRows-1), ModeOffline},
+		{"partial", request(fact, 45000, 60000), ModePartial},
+	} {
+		res, err := l.Sample(c.req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Mode != c.mode || res.Stale != (c.name == "stale") {
+			t.Fatalf("%s: mode=%v stale=%v", c.name, res.Mode, res.Stale)
+		}
+		if want == nil {
+			want = res.Sample
+			if want.NumStrata() != groups || want.TotalWeight() <= 0 {
+				t.Fatalf("tightened sample: %d strata, weight %v", want.NumStrata(), want.TotalWeight())
+			}
+			continue
+		}
+		if res.Sample.NumStrata() != want.NumStrata() {
+			t.Fatalf("%s: %d strata, stale serve had %d", c.name, res.Sample.NumStrata(), want.NumStrata())
+		}
+		want.ForEach(func(key sample.StratumKey, w *sample.Reservoir) {
+			g := res.Sample.Stratum(key)
+			if g == nil || g.Weight() != w.Weight() || g.Len() != w.Len() {
+				t.Fatalf("%s: stratum %v differs from the stale serve's", c.name, key)
+			}
+			for i := 0; i < w.Len(); i++ {
+				if !reflect.DeepEqual(g.Tuple(i), w.Tuple(i)) {
+					t.Fatalf("%s: stratum %v tuple %d = %v, stale serve had %v", c.name, key, i, g.Tuple(i), w.Tuple(i))
+				}
+			}
+		})
+	}
 }
 
 func TestDisjointRangeIsOnline(t *testing.T) {

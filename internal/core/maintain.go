@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"laqy/internal/algebra"
@@ -41,11 +42,15 @@ func (l *LazySampler) Maintain(q *engine.Query, fromRow int, seed uint64, worker
 	if fromRow == q.Fact.NumRows() {
 		return res, nil
 	}
+	bare := &engine.Query{Fact: q.Fact, Joins: append([]engine.Join(nil), q.Joins...), Ctx: q.Ctx}
+	for i := range bare.Joins {
+		bare.Joins[i].Filter = algebra.NewPredicate()
+	}
 	for i, m := range l.store.List() {
 		if m.Meta.Input != input {
 			continue
 		}
-		mq, err := routePredicate(q, m.Meta.Predicate)
+		mq, err := pushDown(bare, m.Meta.Predicate)
 		if err != nil {
 			return nil, fmt.Errorf("core: maintaining %q: %w", input, err)
 		}
@@ -64,7 +69,7 @@ func (l *LazySampler) Maintain(q *engine.Query, fromRow int, seed uint64, worker
 		if err != nil {
 			return nil, err
 		}
-		merged, err := sample.MergeStratified(m.Sample.Clone(), deltaSample, l.gen.Split(l.gen.Next()))
+		merged, err := sample.MergeStratified(m.Sample.Clone(), deltaSample, l.nextMergeGen())
 		if err != nil {
 			return nil, err
 		}
@@ -92,31 +97,23 @@ func inputMentionsTable(signature, table string) bool {
 		strings.Contains(signature, "⋈"+table+"(")
 }
 
-// routePredicate clones q and pushes each of pred's column constraints to
-// its owning table: fact columns into the scan filter, dimension columns
-// into the owning join's filter.
-func routePredicate(q *engine.Query, pred algebra.Predicate) (*engine.Query, error) {
-	out := &engine.Query{Fact: q.Fact, Filter: algebra.NewPredicate(), Joins: append([]engine.Join(nil), q.Joins...), Ctx: q.Ctx}
-	for i := range out.Joins {
-		out.Joins[i].Filter = algebra.NewPredicate()
-	}
+// pushDown clones q with each of pred's column constraints intersected into
+// the filter of the table owning the column: the fact filter for fact
+// columns, the owning dimension's join filter otherwise (the filter pushdown
+// below the Δ-sampler of Figure 7, step 3).
+func pushDown(q *engine.Query, pred algebra.Predicate) (*engine.Query, error) {
+	out := &engine.Query{Fact: q.Fact, Filter: q.Filter, Joins: append([]engine.Join(nil), q.Joins...), Ctx: q.Ctx}
 	for _, col := range pred.Columns() {
 		set, _ := pred.Constraint(col)
 		if q.Fact.Column(col) != nil {
 			out.Filter = out.Filter.With(col, set)
 			continue
 		}
-		routed := false
-		for i := range out.Joins {
-			if out.Joins[i].Dim.Column(col) != nil {
-				out.Joins[i].Filter = out.Joins[i].Filter.With(col, set)
-				routed = true
-				break
-			}
-		}
-		if !routed {
+		i := slices.IndexFunc(out.Joins, func(j engine.Join) bool { return j.Dim.Column(col) != nil })
+		if i < 0 {
 			return nil, fmt.Errorf("core: predicate column %q not found in query tables", col)
 		}
+		out.Joins[i].Filter = out.Joins[i].Filter.With(col, set)
 	}
 	return out, nil
 }

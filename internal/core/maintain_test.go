@@ -203,10 +203,10 @@ func TestInputMentionsTable(t *testing.T) {
 	}
 }
 
-func TestRoutePredicateErrors(t *testing.T) {
+func TestPushDownErrors(t *testing.T) {
 	fact := testFact(10, 2)
 	pred := algebra.NewPredicate().WithRange("nope", 0, 1)
-	if _, err := routePredicate(&engine.Query{Fact: fact}, pred); err == nil {
+	if _, err := pushDown(&engine.Query{Fact: fact}, pred); err == nil {
 		t.Fatal("unknown column must error")
 	}
 }

@@ -38,7 +38,7 @@ func (l *LazySampler) repairSupport(req Request, schema sample.Schema, answer *s
 	for _, k := range fails {
 		keys = keys.Union(algebra.SetOf(algebra.Point(k[0])))
 	}
-	repairQuery, err := applyDelta(req.Query, qcsCol, keys)
+	repairQuery, err := pushDown(req.Query, algebra.NewPredicate().With(qcsCol, keys))
 	if err != nil {
 		// The QCS column is not a base column of the query's tables
 		// (should not happen for planned queries); not repairable.

@@ -198,9 +198,11 @@ func (t *Table) Schema() Schema {
 	return s
 }
 
-// Catalog is a named collection of tables. It is not safe for concurrent
-// mutation; engines register tables at load time and read thereafter.
+// Catalog is a named collection of tables, safe for concurrent use: an
+// append replaces a table's version (Replace) beside queries planning
+// against the catalog (Table).
 type Catalog struct {
+	mu     sync.RWMutex
 	tables map[string]*Table
 }
 
@@ -211,6 +213,8 @@ func NewCatalog() *Catalog {
 
 // Register adds a table, rejecting duplicate names.
 func (c *Catalog) Register(t *Table) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, dup := c.tables[t.Name]; dup {
 		return fmt.Errorf("storage: table %q already registered", t.Name)
 	}
@@ -220,6 +224,8 @@ func (c *Catalog) Register(t *Table) error {
 
 // Table looks up a table by name.
 func (c *Catalog) Table(name string) (*Table, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown table %q", name)
@@ -229,6 +235,8 @@ func (c *Catalog) Table(name string) (*Table, error) {
 
 // Names returns the registered table names in sorted order.
 func (c *Catalog) Names() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.tables))
 	for n := range c.tables {
 		out = append(out, n)
@@ -284,6 +292,8 @@ func MorselsRange(from, to, size int) []Morsel {
 // Replace swaps a registered table for a new version under the same name
 // (e.g. after appending rows). The table must already be registered.
 func (c *Catalog) Replace(t *Table) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if _, ok := c.tables[t.Name]; !ok {
 		return fmt.Errorf("storage: cannot replace unregistered table %q", t.Name)
 	}

@@ -30,8 +30,9 @@ func corpusStore(tb testing.TB) *Store {
 }
 
 // corpusSeeds returns the interesting byte streams shared by the fuzz
-// seeds and the committed corpus: valid v2, valid v1, truncations at
-// structural boundaries, a flipped bit, and hostile size claims.
+// seeds and the committed corpus: a valid stream, truncations at
+// structural boundaries, a flipped bit, hostile size claims, and magics
+// the loader refuses (the retired v1 among them).
 func corpusSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	s := corpusStore(tb)
@@ -40,7 +41,6 @@ func corpusSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	v2 := buf.Bytes()
-	v1 := saveV1(s)
 
 	flipped := append([]byte(nil), v2...)
 	flipped[len(flipped)/2] ^= 0x40
@@ -53,14 +53,12 @@ func corpusSeeds(tb testing.TB) [][]byte {
 
 	seeds := [][]byte{
 		v2,
-		v1,
 		flipped,
 		bigClaim,
 		v2[:len(persistMagicV2)+1], // header only
 		v2[:len(v2)-5],             // inside the footer
 		v2[:len(v2)*2/3],           // mid-stream cut
-		v1[:len(v1)-9],             // v1 prefix
-		[]byte(persistMagicV1),     // bare v1 magic
+		[]byte("LAQYSTO1"),         // retired v1 magic
 		[]byte(persistMagicV2),     // bare v2 magic
 		[]byte("LAQYSTO9garbage"),  // unknown version
 		[]byte("not a store at all"),
@@ -92,8 +90,8 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 
 func fileNameForSeed(i int) string {
 	names := []string{
-		"valid-v2", "valid-v1", "bitflip-v2", "big-length-claim",
-		"header-only", "footer-cut", "midstream-cut", "v1-prefix",
+		"valid-v2", "bitflip-v2", "big-length-claim",
+		"header-only", "footer-cut", "midstream-cut",
 		"bare-v1-magic", "bare-v2-magic", "unknown-version", "garbage",
 	}
 	if i < len(names) {

@@ -41,7 +41,8 @@ import (
 //	  uint32  crc32c(payload₀ ‖ payload₁ ‖ …)   (whole-store digest)
 //	  uint32  crc32c(footer magic ‖ count ‖ digest)
 //
-// Entry encoding (v1's core, plus the v3 per-segment provenance block):
+// Entry encoding (the core shared with v2, plus the v3 per-segment
+// provenance block):
 //
 //	string input
 //	predicate:  uvarint #cols { string name; uvarint #ivs { int64 lo, hi } }
@@ -53,12 +54,11 @@ import (
 //	segments:   uvarint #marks { uvarint id; uvarint version; uvarint rows }
 //	            (v3 only — per-segment high-water marks, docs/SHARDING.md)
 //
-// Format v2 ("LAQYSTO2": same framing, entries end at the sample block) and
-// format v1 ("LAQYSTO1": magic, uvarint entryCount, back-to-back unframed
-// entry encodings) are still loaded, read-only, with empty watermark lists;
-// Save always writes v3.
+// Format v2 ("LAQYSTO2": same framing, entries end at the sample block) is
+// still loaded, read-only, with empty watermark lists; Save always writes
+// v3. Any other magic — including the unframed, unchecksummed v1
+// ("LAQYSTO1") — is refused.
 const (
-	persistMagicV1 = "LAQYSTO1"
 	persistMagicV2 = "LAQYSTO2"
 	persistMagicV3 = "LAQYSTO3"
 	footerMagic    = "LAQYFTR2"
@@ -253,9 +253,7 @@ func (s *Store) Load(r io.Reader, seed uint64) error {
 // anything was damaged the returned error is a *CorruptStoreError
 // detailing the drops; a nil return means the file was fully intact.
 // Errors that leave nothing to salvage (unreadable header, wrong magic)
-// are returned as plain errors. v1 files have no per-entry framing, so
-// salvage keeps the entries decoded before the first error and drops the
-// rest.
+// are returned as plain errors.
 func (s *Store) Salvage(r io.Reader, seed uint64) error {
 	return s.load(r, seed, true, "")
 }
@@ -275,12 +273,8 @@ func (s *Store) LoadFileFS(fsys iofault.FS, path string, seed uint64) error {
 	return s.load(f, seed, false, path)
 }
 
-// SalvageFile is Salvage over a file path (see Salvage for the contract).
-func (s *Store) SalvageFile(path string, seed uint64) error {
-	return s.SalvageFileFS(iofault.OS, path, seed)
-}
-
-// SalvageFileFS is SalvageFile over an injectable filesystem.
+// SalvageFileFS is Salvage over a file path on an injectable filesystem
+// (see Salvage for the contract).
 func (s *Store) SalvageFileFS(fsys iofault.FS, path string, seed uint64) error {
 	f, err := fsys.Open(path)
 	if err != nil {
@@ -315,15 +309,8 @@ func (s *Store) loadInner(r io.Reader, seed uint64, salvage bool, path string) e
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return fmt.Errorf("store: reading magic: %w", err)
 	}
-	legacy := false
-	withSegments := false
-	switch string(magic) {
-	case persistMagicV3:
-		withSegments = true
-	case persistMagicV2:
-	case persistMagicV1:
-		legacy = true
-	default:
+	withSegments := string(magic) == persistMagicV3
+	if !withSegments && string(magic) != persistMagicV2 {
 		return fmt.Errorf("store: bad magic %q (not a LAQy sample store, or unsupported version)", magic)
 	}
 	count, err := binary.ReadUvarint(br)
@@ -334,13 +321,8 @@ func (s *Store) loadInner(r io.Reader, seed uint64, salvage bool, path string) e
 		return fmt.Errorf("store: implausible entry count %d", count)
 	}
 	gen := rng.NewLehmer64(seed ^ 0x570E)
-	var loaded []*Entry
 	corrupt := &CorruptStoreError{Path: path}
-	if legacy {
-		loaded, err = readAllV1(br, count, gen, salvage, corrupt)
-	} else {
-		loaded, err = readAllFramed(br, count, gen, salvage, corrupt, withSegments)
-	}
+	loaded, err := readAllFramed(br, count, gen, salvage, corrupt, withSegments)
 	if err != nil {
 		return err
 	}
@@ -358,34 +340,6 @@ func (s *Store) loadInner(r io.Reader, seed uint64, salvage bool, path string) e
 		return corrupt
 	}
 	return nil
-}
-
-// readAllV1 decodes a legacy unframed stream. There are no per-entry
-// checksums or length prefixes, so the first decoding error desyncs the
-// stream: strict mode fails, salvage keeps what decoded cleanly before it.
-func readAllV1(br *bufio.Reader, count uint64, gen *rng.Lehmer64, salvage bool, corrupt *CorruptStoreError) ([]*Entry, error) {
-	var loaded []*Entry
-	for i := uint64(0); i < count; i++ {
-		e, err := readEntry(br, gen.Split(i))
-		if err != nil {
-			if !salvage {
-				return nil, fmt.Errorf("store: entry %d: %w", i, err)
-			}
-			corrupt.Dropped = append(corrupt.Dropped, DroppedEntry{
-				Index:  int(i),
-				Reason: fmt.Sprintf("v1 stream desynced: %v (this and all later entries lost)", err),
-			})
-			if rest := count - i - 1; rest > 0 {
-				corrupt.Dropped = append(corrupt.Dropped, DroppedEntry{
-					Index:  -1,
-					Reason: fmt.Sprintf("%d entries after the desync point unrecoverable (v1 has no framing)", rest),
-				})
-			}
-			return loaded, nil
-		}
-		loaded = append(loaded, e)
-	}
-	return loaded, nil
 }
 
 // readAllFramed decodes a framed v2/v3 stream: every entry is
@@ -504,24 +458,6 @@ func checkFooter(br *bufio.Reader, count uint64, digest uint32, entriesDropped b
 	return nil
 }
 
-// decodeEntryPayload parses one CRC-validated v2/v3 entry payload.
-func decodeEntryPayload(payload []byte, gen *rng.Lehmer64, withSegments bool) (*Entry, error) {
-	br := bufio.NewReader(bytes.NewReader(payload))
-	e, err := readEntry(br, gen)
-	if err != nil {
-		return nil, err
-	}
-	if withSegments {
-		if e.Segments, err = readSegmentMarks(br); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("trailing bytes after entry payload")
-	}
-	return e, nil
-}
-
 // readSegmentMarks decodes the v3 per-segment provenance block.
 func readSegmentMarks(r *bufio.Reader) ([]SegmentWatermark, error) {
 	n, err := binary.ReadUvarint(r)
@@ -556,7 +492,7 @@ func readSegmentMarks(r *bufio.Reader) ([]SegmentWatermark, error) {
 	return marks, nil
 }
 
-// writeEntryPayload encodes one v3 entry: the v1/v2-compatible core
+// writeEntryPayload encodes one v3 entry: the v2-compatible core
 // followed by the per-segment provenance block. Writing into a
 // bytes.Buffer cannot fail; bufio destinations surface errors on the
 // caller's Flush.
@@ -571,7 +507,7 @@ func writeEntryPayload(w binWriter, e *Entry) {
 }
 
 // writeEntryCore encodes the entry fields shared by every format version
-// (byte-identical to the v1 entry encoding; the v1 compat tests reuse it).
+// (a v2 payload is exactly this; the v2 compat tests reuse it).
 func writeEntryCore(w binWriter, e *Entry) {
 	writeString(w, e.Input)
 	// Predicate.
@@ -647,7 +583,10 @@ func DecodeStratified(data []byte, seed uint64) (*sample.Stratified, error) {
 	return sam, nil
 }
 
-func readEntry(r *bufio.Reader, gen *rng.Lehmer64) (*Entry, error) {
+// decodeEntryPayload parses one CRC-validated entry payload: the entry
+// core, then for v3 (withSegments) the per-segment watermark block.
+func decodeEntryPayload(payload []byte, gen *rng.Lehmer64, withSegments bool) (*Entry, error) {
+	r := bufio.NewReader(bytes.NewReader(payload))
 	input, err := readString(r)
 	if err != nil {
 		return nil, err
@@ -690,7 +629,7 @@ func readEntry(r *bufio.Reader, gen *rng.Lehmer64) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Entry{
+	e := &Entry{
 		Meta: Meta{
 			Input:     input,
 			Predicate: pred,
@@ -699,7 +638,16 @@ func readEntry(r *bufio.Reader, gen *rng.Lehmer64) (*Entry, error) {
 			K:         k,
 		},
 		Sample: sam,
-	}, nil
+	}
+	if withSegments {
+		if e.Segments, err = readSegmentMarks(r); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := r.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("trailing bytes after entry payload")
+	}
+	return e, nil
 }
 
 // readStratifiedBlock mirrors writeStratifiedBlock: schema, QCS width,

@@ -5,25 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"laqy/internal/algebra"
 	"laqy/internal/sample"
 )
-
-// saveV1 renders a store in the legacy unframed v1 format (the entry core
-// encoding is byte-identical to v1's entry encoding, so the read-only v1
-// loader stays testable without keeping a v1 writer in the library).
-func saveV1(s *Store) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(persistMagicV1)
-	writeUvarint(&buf, uint64(len(s.entries)))
-	for _, e := range s.entries {
-		writeEntryCore(&buf, e)
-	}
-	return buf.Bytes()
-}
 
 // threeEntryStore builds a store with three distinguishable entries.
 func threeEntryStore(t *testing.T) *Store {
@@ -75,30 +63,6 @@ func TestSaveWritesV3Magic(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(footerMagic)) {
 		t.Fatal("v3 stream is missing its footer")
-	}
-}
-
-func TestLoadV1ReadOnlyCompat(t *testing.T) {
-	orig := populatedStore(t)
-	data := saveV1(orig)
-	loaded := New(0)
-	if err := loaded.Load(bytes.NewReader(data), 9); err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	if loaded.Len() != 2 {
-		t.Fatalf("v1 load restored %d entries", loaded.Len())
-	}
-	m := loaded.Lookup("lineorder", testSchema, 1, 10, algebra.NewPredicate().WithRange("key", 100, 200))
-	if m == nil || m.Reuse != algebra.ReuseFull {
-		t.Fatalf("lookup after v1 load: %+v", m)
-	}
-	// A v1 store re-saved comes out in the current format.
-	var buf bytes.Buffer
-	if err := loaded.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(persistMagicV3)) {
-		t.Fatal("re-save of a v1 store must write v3")
 	}
 }
 
@@ -238,27 +202,6 @@ func TestSalvageTruncations(t *testing.T) {
 	}
 }
 
-// TestSalvageV1KeepsPrefix: v1 has no framing, so salvage keeps the
-// entries decoded before the damage and reports the rest unrecoverable.
-func TestSalvageV1KeepsPrefix(t *testing.T) {
-	s := threeEntryStore(t)
-	data := saveV1(s)
-	// Cut inside the last entry: the first two decode cleanly.
-	mut := data[:len(data)-20]
-	loaded := New(0)
-	err := loaded.Salvage(bytes.NewReader(mut), 1)
-	var corrupt *CorruptStoreError
-	if !errors.As(err, &corrupt) {
-		t.Fatalf("salvage err = %v, want *CorruptStoreError", err)
-	}
-	if loaded.Len() != 2 || corrupt.Loaded != 2 {
-		t.Fatalf("salvaged %d entries (reported %d), want 2", loaded.Len(), corrupt.Loaded)
-	}
-	if len(corrupt.Dropped) == 0 || !strings.Contains(corrupt.Dropped[0].Reason, "desync") {
-		t.Fatalf("dropped = %+v", corrupt.Dropped)
-	}
-}
-
 // TestSalvageUnsalvageable: wrong magic and unreadable headers are plain
 // errors — nothing to salvage, nothing loaded.
 func TestSalvageUnsalvageable(t *testing.T) {
@@ -278,15 +221,47 @@ func TestSalvageUnsalvageable(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsOversizedAllocation crafts streams whose size fields
-// claim gigantic strata; the loader must reject them from the size fields
-// alone — before any allocation — closing the corrupt-file OOM vector in
-// both the v1 and v2 paths.
+// TestLoadRejectsV1Magic: the unframed, unchecksummed v1 format is no
+// longer read. A well-formed v1 stream (one that older builds loaded) is
+// refused by both loaders with the bad-magic error, and the store it was
+// offered to keeps exactly what it held.
+func TestLoadRejectsV1Magic(t *testing.T) {
+	src := threeEntryStore(t)
+	var v1 bytes.Buffer
+	v1.WriteString("LAQYSTO1")
+	writeUvarint(&v1, uint64(len(src.entries)))
+	for _, e := range src.entries {
+		writeEntryCore(&v1, e)
+	}
+	for name, load := range map[string]func(*Store) error{
+		"strict":  func(s *Store) error { return s.Load(bytes.NewReader(v1.Bytes()), 1) },
+		"salvage": func(s *Store) error { return s.Salvage(bytes.NewReader(v1.Bytes()), 1) },
+	} {
+		dst := populatedStore(t)
+		before := dst.Len()
+		err := load(dst)
+		if err == nil || !strings.Contains(err.Error(), `bad magic "LAQYSTO1"`) {
+			t.Fatalf("%s load of a v1 stream: err = %v, want the bad-magic error", name, err)
+		}
+		var corrupt *CorruptStoreError
+		if errors.As(err, &corrupt) {
+			t.Fatalf("%s: %v should be a plain error, not CorruptStoreError", name, err)
+		}
+		if dst.Len() != before {
+			t.Fatalf("%s: store went from %d to %d entries", name, before, dst.Len())
+		}
+	}
+}
+
+// TestLoadRejectsOversizedAllocation crafts entries whose size fields
+// claim gigantic strata, framed as intact v2 and v3 payloads (valid frame
+// CRC, valid footer) so nothing but the size fields is wrong; the loader
+// must reject them from those fields alone — before any allocation and
+// before reading the tuple data that is not there — closing the
+// corrupt-file OOM vector.
 func TestLoadRejectsOversizedAllocation(t *testing.T) {
 	craft := func(resK, count, width uint64) []byte {
 		var buf bytes.Buffer
-		buf.WriteString(persistMagicV1)
-		writeUvarint(&buf, 1) // one entry
 		writeString(&buf, "t")
 		writeUvarint(&buf, 0) // no predicate columns
 		writeUvarint(&buf, 1) // schema: one column
@@ -315,13 +290,19 @@ func TestLoadRejectsOversizedAllocation(t *testing.T) {
 		{"zero capacity", 0, 0, 1},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			loaded := New(0)
-			err := loaded.Load(bytes.NewReader(craft(c.resK, c.count, c.width)), 1)
-			if err == nil {
-				t.Fatal("oversized stratum accepted")
-			}
-		})
+		for _, magic := range []string{persistMagicV2, persistMagicV3} {
+			t.Run(c.name+"/"+magic, func(t *testing.T) {
+				loaded := New(0)
+				data := frameStore(magic, craft(c.resK, c.count, c.width))
+				err := loaded.Load(bytes.NewReader(data), 1)
+				if err == nil {
+					t.Fatal("oversized stratum accepted")
+				}
+				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("rejected only by running out of bytes, not by the size caps: %v", err)
+				}
+			})
+		}
 	}
 }
 

@@ -16,21 +16,31 @@ import (
 // watermark trailer). Kept in the tests so the library only ever writes
 // the current format.
 func saveV2(s *Store) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(persistMagicV2)
-	writeUvarint(&buf, uint64(len(s.entries)))
-	digest := crc32.New(castagnoli)
-	for _, e := range s.entries {
+	payloads := make([][]byte, len(s.entries))
+	for i, e := range s.entries {
 		var payload bytes.Buffer
 		writeEntryCore(&payload, e)
-		writeUvarint(&buf, uint64(payload.Len()))
-		buf.Write(payload.Bytes())
-		writeUint32(&buf, crc32.Checksum(payload.Bytes(), castagnoli))
-		digest.Write(payload.Bytes())
+		payloads[i] = payload.Bytes()
+	}
+	return frameStore(persistMagicV2, payloads...)
+}
+
+// frameStore wraps entry payloads in the v2/v3 container under the given
+// magic: per-entry length prefix and CRC, then the checksummed footer.
+func frameStore(magic string, payloads ...[]byte) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	writeUvarint(&buf, uint64(len(payloads)))
+	digest := crc32.New(castagnoli)
+	for _, payload := range payloads {
+		writeUvarint(&buf, uint64(len(payload)))
+		buf.Write(payload)
+		writeUint32(&buf, crc32.Checksum(payload, castagnoli))
+		digest.Write(payload)
 	}
 	var footer bytes.Buffer
 	footer.WriteString(footerMagic)
-	writeUvarint(&footer, uint64(len(s.entries)))
+	writeUvarint(&footer, uint64(len(payloads)))
 	writeUint32(&footer, digest.Sum32())
 	buf.Write(footer.Bytes())
 	writeUint32(&buf, crc32.Checksum(footer.Bytes(), castagnoli))

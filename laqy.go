@@ -215,7 +215,17 @@ func (db *DB) Register(b *TableBuilder) error {
 	if err != nil {
 		return err
 	}
-	t, err = storage.Resegment(t, db.cfg.SegmentRows)
+	if err := db.registerTable(t); err != nil {
+		return err
+	}
+	db.updateStorageGauges()
+	return nil
+}
+
+// registerTable lays a bulk-loaded table out in segments of
+// Config.SegmentRows rows, seals it, and adds it to the catalog.
+func (db *DB) registerTable(t *storage.Table) error {
+	t, err := storage.Resegment(t, db.cfg.SegmentRows)
 	if err != nil {
 		return err
 	}
@@ -228,11 +238,7 @@ func (db *DB) Register(b *TableBuilder) error {
 			return err
 		}
 	}
-	if err := db.catalog.Register(t); err != nil {
-		return err
-	}
-	db.updateStorageGauges()
-	return nil
+	return db.catalog.Register(t)
 }
 
 // LoadSSB generates and registers the Star Schema Benchmark tables
@@ -245,17 +251,7 @@ func (db *DB) LoadSSB(lineorderRows int, seed uint64) error {
 		return err
 	}
 	for _, t := range []*storage.Table{data.Lineorder, data.Date, data.Supplier, data.Part, data.Customer} {
-		t, err = storage.Resegment(t, db.cfg.SegmentRows)
-		if err != nil {
-			return err
-		}
-		if !db.cfg.disableEncoding {
-			t, err = storage.Seal(t)
-			if err != nil {
-				return err
-			}
-		}
-		if err := db.catalog.Register(t); err != nil {
+		if err := db.registerTable(t); err != nil {
 			return err
 		}
 	}
@@ -322,19 +318,7 @@ type StorageStats struct {
 // physical number reflects the steady state, and republishes the
 // laqy_storage_{encoded,logical}_bytes gauges.
 func (db *DB) StorageStats() StorageStats {
-	var st StorageStats
-	for _, name := range db.catalog.Names() {
-		t, err := db.catalog.Table(name)
-		if err != nil {
-			continue
-		}
-		p, l := t.EncodedSizes()
-		st.PhysicalBytes += p
-		st.LogicalBytes += l
-	}
-	db.reg.Gauge(obs.MStorageEncodedBytes).Set(st.PhysicalBytes)
-	db.reg.Gauge(obs.MStorageLogicalBytes).Set(st.LogicalBytes)
-	return st
+	return db.publishStorage((*storage.Table).EncodedSizes)
 }
 
 // updateStorageGauges republishes the storage byte gauges from encodings
@@ -342,18 +326,25 @@ func (db *DB) StorageStats() StorageStats {
 // yet encoded count at their plain size. StorageStats forces the builds
 // when an exact steady-state number is needed.
 func (db *DB) updateStorageGauges() {
-	var phys, logical int64
+	db.publishStorage((*storage.Table).EncodedSizesBuilt)
+}
+
+// publishStorage sums sizes (physical, logical bytes) over the registered
+// tables and sets the storage gauges to the totals.
+func (db *DB) publishStorage(sizes func(*storage.Table) (physical, logical int64)) StorageStats {
+	var st StorageStats
 	for _, name := range db.catalog.Names() {
 		t, err := db.catalog.Table(name)
 		if err != nil {
 			continue
 		}
-		p, l := t.EncodedSizesBuilt()
-		phys += p
-		logical += l
+		p, l := sizes(t)
+		st.PhysicalBytes += p
+		st.LogicalBytes += l
 	}
-	db.reg.Gauge(obs.MStorageEncodedBytes).Set(phys)
-	db.reg.Gauge(obs.MStorageLogicalBytes).Set(logical)
+	db.reg.Gauge(obs.MStorageEncodedBytes).Set(st.PhysicalBytes)
+	db.reg.Gauge(obs.MStorageLogicalBytes).Set(st.LogicalBytes)
+	return st
 }
 
 // SampleStoreStats reports sample-store reuse telemetry.
@@ -419,14 +410,7 @@ func (db *DB) SaveSamplesFS(fsys iofault.FS, path string) error {
 // on disk never fails startup. Unreadable files (missing, wrong magic)
 // still return an error. Use LoadSamplesStrict to reject any corruption.
 func (db *DB) LoadSamples(path string) error {
-	err := db.lazy.Store().SalvageFile(path, storeFileSeed(db.cfg.Seed))
-	var corrupt *store.CorruptStoreError
-	if errors.As(err, &corrupt) {
-		db.logf(LogWarn, "laqy: %v (continuing with %d salvaged samples; dropped samples rebuild lazily online)",
-			corrupt, corrupt.Loaded)
-		return nil
-	}
-	return err
+	return db.LoadSamplesFS(iofault.OS, path)
 }
 
 // LoadSamplesStrict restores previously saved samples, failing on any

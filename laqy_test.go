@@ -546,6 +546,56 @@ func TestAppendMaintainsSamples(t *testing.T) {
 	}
 }
 
+// TestAppendBesidePartialReuse: appends maintain the stored samples while
+// widening-range queries Δ-merge into them; both draw their merge RNG
+// substreams from the sampler's one generator. Run with -race (make race).
+func TestAppendBesidePartialReuse(t *testing.T) {
+	db := Open(Config{Workers: 2, Seed: 3})
+	const n, batch, rounds = 8000, 500, 12
+	column := func(from, count int) []int64 {
+		out := make([]int64, count)
+		for i := range out {
+			out[i] = int64(from + i)
+		}
+		return out
+	}
+	if err := db.Register(NewTable("t").Int64("key", column(0, n)).Int64("v", column(0, n))); err != nil {
+		t.Fatal(err)
+	}
+	query := func(hi int) error {
+		_, err := db.Query(`SELECT SUM(v) FROM t WHERE key BETWEEN 0 AND ` + strconv.Itoa(hi) + ` APPROX WITH K 64`)
+		return err
+	}
+	if err := query(1000); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			from := n + i*batch
+			if err := db.Append("t", NewTable("t").Int64("key", column(from, batch)).Int64("v", column(from, batch))); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	go func() {
+		for i := 1; i <= rounds; i++ {
+			if err := query(1000 + i*400); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestAppendValidation(t *testing.T) {
 	db := Open(Config{})
 	if err := db.Register(NewTable("t").Int64("a", []int64{1}).String("s", []string{"x"})); err != nil {

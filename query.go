@@ -131,31 +131,40 @@ func (db *DB) Query(text string, opts ...QueryOption) (*Result, error) {
 // QueryContext is Query with cancellation: scans abort at the next morsel
 // boundary once ctx is done, returning the context's error.
 func (db *DB) QueryContext(ctx context.Context, text string, opts ...QueryOption) (*Result, error) {
-	parseStart := obs.Clock()
-	stmt, err := sql.Parse(text)
-	db.met.parse.Inc()
+	plan, parseStart, parseEnd, planEnd, err := db.parsePlan(text)
 	if err != nil {
-		db.met.parseErrors.Inc()
 		return nil, err
 	}
-	parseEnd := obs.Clock()
-	plan, err := sql.PlanStatement(stmt, db.catalog)
-	db.met.plan.Inc()
-	if err != nil {
-		db.met.planErrors.Inc()
-		return nil, err
-	}
-	planEnd := obs.Clock()
 	if plan.Explain {
 		return &Result{Explain: plan.Describe()}, nil
 	}
 	return db.execute(ctx, plan, applyOptions(opts), parseStart, parseEnd, planEnd)
 }
 
+// parsePlan parses and plans a statement, counting both phases; execute
+// records the returned phase boundaries on the trace.
+func (db *DB) parsePlan(text string) (plan *sql.Plan, parseStart, parseEnd, planEnd time.Time, err error) {
+	parseStart = obs.Clock()
+	stmt, err := sql.Parse(text)
+	db.met.parse.Inc()
+	if err != nil {
+		db.met.parseErrors.Inc()
+		return nil, parseStart, parseEnd, planEnd, err
+	}
+	parseEnd = obs.Clock()
+	plan, err = sql.PlanStatement(stmt, db.catalog)
+	db.met.plan.Inc()
+	if err != nil {
+		db.met.planErrors.Inc()
+		return nil, parseStart, parseEnd, planEnd, err
+	}
+	return plan, parseStart, parseEnd, obs.Clock(), nil
+}
+
 // execute runs a planned statement with the observability and governance
 // plumbing: the metrics registry (and, when tracing, the root span) ride
 // the context through core → engine → store; the parse/plan phases measured
-// by QueryContext are recorded retroactively on the trace; and the query
+// by parsePlan are recorded retroactively on the trace; and the query
 // passes the resource governor — default deadline, admission control,
 // memory budget, and (under deadline pressure) the degradation ladder.
 func (db *DB) execute(ctx context.Context, plan *sql.Plan, opt QueryOptions, parseStart, parseEnd, planEnd time.Time) (*Result, error) {
@@ -239,19 +248,24 @@ func (db *DB) execute(ctx context.Context, plan *sql.Plan, opt QueryOptions, par
 	// planner, when one is configured (cmd/laqyd -shards).
 	plan.Query.Planner = db.segmentPlanner()
 
+	// Walk the degradation ladder: a rung that has nothing stored to serve
+	// hands over to the next one; any other outcome ends the walk.
 	var res *Result
 	var err error
-	if plan.Approx {
-		_, reuseOnly := db.deadlinePressure(ctx, plan)
-		res, err = db.runApprox(plan, reuseOnly)
-		if reuseOnly && errors.Is(err, governor.ErrNoStoredSample) {
-			// Bottom rung unservable (nothing stored): build the sample
-			// anyway and let the deadline cancel the scan if it must — a
-			// best-effort answer beats refusing a legitimate query.
-			res, err = db.runApprox(plan, false)
+	degrade, reuseOnly := db.deadlinePressure(ctx, plan)
+	for _, r := range ladder(plan.Approx, degrade, reuseOnly) {
+		if r == rungExact {
+			res, err = db.runExact(plan)
+		} else {
+			res, err = db.runApprox(plan, r == rungStored)
+			if err == nil && !plan.Approx {
+				label := Degradation{Step: DegradeExactToApprox, Reason: "deadline pressure"}
+				res.Degradations = append([]Degradation{label}, res.Degradations...)
+			}
 		}
-	} else {
-		res, err = db.runExactOrDegrade(ctx, plan)
+		if !errors.Is(err, governor.ErrNoStoredSample) {
+			break
+		}
 	}
 	if err != nil {
 		db.met.queryErrors.Inc()
@@ -313,44 +327,40 @@ func (db *DB) deadlinePressure(ctx context.Context, plan *sql.Plan) (degrade, re
 		return false, false
 	}
 	remaining := deadline.Sub(obs.Clock())
-	if remaining <= 0 {
-		return true, true
-	}
-	if est > remaining {
-		degrade = true
-		// A sample build still scans (online or Δ). When even a quarter of
-		// the full scan would blow the deadline, only a zero-scan stored
-		// serve can answer in time.
-		if est/4 > remaining {
-			reuseOnly = true
-		}
-	}
-	return degrade, reuseOnly
+	// A sample build still scans (online or Δ). When even a quarter of the
+	// full scan would blow the deadline (or it has already passed), only a
+	// zero-scan stored serve can answer in time.
+	return est > remaining, remaining <= 0 || est/4 > remaining
 }
 
-// runExactOrDegrade is the exact path's entry to the degradation ladder:
-// under deadline pressure the query is answered from a sample instead
-// (labeled DegradeExactToApprox); when the bottom rung has nothing stored
-// to serve, it falls back to the undegraded exact scan and accepts the
-// deadline risk — a late exact answer beats no answer only when there is
-// no approximate one to give.
-func (db *DB) runExactOrDegrade(ctx context.Context, plan *sql.Plan) (*Result, error) {
-	degrade, reuseOnly := db.deadlinePressure(ctx, plan)
-	if !degrade {
-		return db.runExact(plan)
+// rung is one way to answer a statement; ladder orders them.
+type rung int
+
+const (
+	rungExact  rung = iota // the exact scan
+	rungSample             // the lazy sampler: reuse, Δ-build or build, as the store dictates
+	rungStored             // the lazy sampler held to the store: no scan, partial cover served as-is
+)
+
+// ladder is the degradation ladder as a value: the rungs to try, in order,
+// for an APPROX or exact statement under the pressure deadlinePressure
+// reports (reuseOnly implies degrade). execute moves to the next rung only
+// on governor.ErrNoStoredSample, so each list ends in a rung that needs
+// nothing stored: an approximate query builds its sample anyway, an exact
+// one runs exact — a late answer beats none when there is no stored one.
+func ladder(approx, degrade, reuseOnly bool) []rung {
+	switch {
+	case approx && reuseOnly:
+		return []rung{rungStored, rungSample}
+	case approx:
+		return []rung{rungSample}
+	case reuseOnly:
+		return []rung{rungStored, rungExact}
+	case degrade:
+		return []rung{rungSample, rungExact}
+	default:
+		return []rung{rungExact}
 	}
-	res, err := db.runApprox(plan, reuseOnly)
-	if err != nil {
-		if errors.Is(err, governor.ErrNoStoredSample) {
-			return db.runExact(plan)
-		}
-		return nil, err
-	}
-	res.Degradations = append([]Degradation{{
-		Step:   DegradeExactToApprox,
-		Reason: "deadline pressure",
-	}}, res.Degradations...)
-	return res, nil
 }
 
 // aggLabel renders the aggregate's result-column label (the AS alias when
@@ -409,51 +419,50 @@ func (db *DB) runExact(plan *sql.Plan) (*Result, error) {
 			aggCols[i] = a.Column
 		}
 	}
-	// Ungrouped SUM/COUNT/AVG queries over the bare fact table take the
-	// fused scan→filter→aggregate path: no group hash table, no gather, and
-	// encoded morsels fold by run arithmetic (engine.RunAggregate). Joins,
-	// GROUP BY, and MIN/MAX still need the materializing group-by sink.
+	exprs := engine.ExprsFromNames(aggCols)
+	// Either engine call yields ordered group keys and an aggregate reader.
+	var keys []engine.GroupKey
+	var value func(key engine.GroupKey, i int, kind approx.AggKind) (float64, bool)
+	var stats engine.Stats
 	if fusedEligible(plan) {
-		aggs, stats, err := engine.RunAggregate(plan.Query,
-			engine.ExprsFromNames(aggCols), db.engineWorkers())
+		// Ungrouped SUM/COUNT/AVG queries over the bare fact table take the
+		// fused scan→filter→aggregate path: no group hash table, no gather,
+		// and encoded morsels fold by run arithmetic (engine.RunAggregate).
+		// Joins, GROUP BY, and MIN/MAX need the materializing group-by sink.
+		aggs, st, err := engine.RunAggregate(plan.Query, exprs, db.engineWorkers())
 		if err != nil {
 			return nil, err
 		}
-		db.gov.ObserveScan(stats.RowsScanned, stats.Scan)
-		out := newResult(plan, false, ModeExact)
+		stats = st
 		// Count == 0 means no qualifying rows: zero result rows, matching
 		// the group-by sink's empty hash table.
 		if aggs[0].Count > 0 {
-			row := Row{Groups: decodeGroups(plan, engine.GroupKey{}), Aggs: make([]AggValue, len(plan.Aggs))}
-			for i, a := range plan.Aggs {
-				var v float64
-				switch a.Kind {
-				case approx.Sum:
-					v = aggs[i].Sum
-				case approx.Count:
-					v = float64(aggs[i].Count)
-				default: // approx.Avg, per fusedEligible
-					v = aggs[i].Sum / float64(aggs[i].Count)
-				}
-				row.Aggs[i] = AggValue{Value: v, Exact: true}
-			}
-			out.Rows = append(out.Rows, row)
+			keys = []engine.GroupKey{{}}
 		}
-		out.Stats = toExecStats(stats, 0, obs.Since(start))
-		finishRows(plan, out)
-		return out, nil
-	}
-	res, stats, err := engine.RunGroupByExprs(plan.Query, plan.GroupBy,
-		engine.ExprsFromNames(aggCols), db.engineWorkers())
-	if err != nil {
-		return nil, err
+		value = func(_ engine.GroupKey, i int, kind approx.AggKind) (float64, bool) {
+			switch kind {
+			case approx.Sum:
+				return aggs[i].Sum, true
+			case approx.Count:
+				return float64(aggs[i].Count), true
+			default: // approx.Avg, per fusedEligible
+				return aggs[i].Sum / float64(aggs[i].Count), true
+			}
+		}
+	} else {
+		res, st, err := engine.RunGroupByExprs(plan.Query, plan.GroupBy, exprs, db.engineWorkers())
+		if err != nil {
+			return nil, err
+		}
+		stats = st
+		keys, value = res.Keys(), res.ValueAt
 	}
 	db.gov.ObserveScan(stats.RowsScanned, stats.Scan)
 	out := newResult(plan, false, ModeExact)
-	for _, key := range res.Keys() {
+	for _, key := range keys {
 		row := Row{Groups: decodeGroups(plan, key), Aggs: make([]AggValue, len(plan.Aggs))}
 		for i, a := range plan.Aggs {
-			v, _ := res.ValueAt(key, i, a.Kind)
+			v, _ := value(key, i, a.Kind)
 			row.Aggs[i] = AggValue{Value: v, Exact: true}
 		}
 		out.Rows = append(out.Rows, row)
@@ -491,13 +500,7 @@ func (db *DB) runApprox(plan *sql.Plan, serveStored bool) (*Result, error) {
 		return nil, err
 	}
 	db.gov.ObserveScan(res.Stats.RowsScanned, res.Stats.Scan)
-
-	out := newResult(plan, true, modeFromCore(res.Mode))
-	out.Rows = rowsFromSample(plan, res)
-	out.Stats = toExecStats(res.Stats, res.MergeTime, obs.Since(start))
-	out.Stale = res.Stale
-	out.Degradations = append(out.Degradations, res.Degradations...)
-	finishRows(plan, out)
+	out := resultFromSample(plan, res, start)
 
 	// APPROX ERROR e [CONFIDENCE c]: when an estimate's realized bound
 	// exceeds the target, retry with a reservoir capacity sized from the
@@ -528,12 +531,7 @@ func (db *DB) runApprox(plan *sql.Plan, serveStored bool) (*Result, error) {
 				return true, err
 			}
 			db.gov.ObserveScan(res.Stats.RowsScanned, res.Stats.Scan)
-			resized := newResult(plan, true, modeFromCore(res.Mode))
-			resized.Rows = rowsFromSample(plan, res)
-			resized.Stats = toExecStats(res.Stats, res.MergeTime, obs.Since(start))
-			resized.Degradations = append(resized.Degradations, res.Degradations...)
-			finishRows(plan, resized)
-			out = resized
+			out = resultFromSample(plan, res, start)
 			return boundsMet(out, plan.ErrorBound, conf), nil
 		})
 		if rerr != nil {
@@ -569,17 +567,21 @@ func (db *DB) runApprox(plan *sql.Plan, serveStored bool) (*Result, error) {
 // estimate asks for still more capacity under maxAutoK.
 const approxRetryAttempts = 2
 
-// rowsFromSample materializes result rows from a logical sample: one row
-// per stratum, each aggregate estimated from the stratum's reservoir.
-// COUNT(*) rides on the first captured value column. Both the first-pass
-// and the error-driven resized-K materializations in runApprox use this.
+// resultFromSample materializes a sampler answer into a Result, for the first
+// pass and the resized-K passes of runApprox alike: one row per stratum, each
+// aggregate estimated from the stratum's reservoir (COUNT(*) rides on the
+// first captured value column), plus stats, staleness and degradations.
 //
 // A stale serve (degraded stored sample covering only part of the
 // predicate) is adjusted here: extensive aggregates (SUM, COUNT) scale by
 // the coverage extrapolation factor — their standard errors with them —
 // and every standard error is additionally widened by CIScale, so the
 // reported uncertainty discloses the unobserved range.
-func rowsFromSample(plan *sql.Plan, res *core.Result) []Row {
+func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time) *Result {
+	out := newResult(plan, true, modeFromCore(res.Mode))
+	out.Stats = toExecStats(res.Stats, res.MergeTime, obs.Since(start))
+	out.Stale = res.Stale
+	out.Degradations = append(out.Degradations, res.Degradations...)
 	rideOnIdx := len(plan.GroupBy)
 	// Coverage accounting applies to stale serves and to builds that
 	// dropped trailing segments under pressure: either way the sample
@@ -593,7 +595,6 @@ func rowsFromSample(plan *sql.Plan, res *core.Result) []Row {
 			ciScale = res.CIScale
 		}
 	}
-	var rows []Row
 	res.Sample.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
 		row := Row{Groups: decodeGroups(plan, key), Aggs: make([]AggValue, len(plan.Aggs))}
 		for i, a := range plan.Aggs {
@@ -609,9 +610,10 @@ func rowsFromSample(plan *sql.Plan, res *core.Result) []Row {
 			e.StdErr *= ciScale
 			row.Aggs[i] = AggValue{Value: e.Value, StdErr: e.StdErr, Support: e.Support}
 		}
-		rows = append(rows, row)
+		out.Rows = append(out.Rows, row)
 	})
-	return rows
+	finishRows(plan, out)
+	return out
 }
 
 // maxAutoK caps error-driven reservoir growth; beyond it exact execution
@@ -813,11 +815,7 @@ var _ fmt.Stringer = GroupValue{}
 // description (scan, joins, and — for APPROX queries — the logical sampler
 // placement and matching predicate) without executing anything.
 func (db *DB) Explain(text string) (string, error) {
-	stmt, err := sql.Parse(text)
-	if err != nil {
-		return "", err
-	}
-	plan, err := sql.PlanStatement(stmt, db.catalog)
+	plan, _, _, _, err := db.parsePlan(text)
 	if err != nil {
 		return "", err
 	}

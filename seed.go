@@ -17,10 +17,9 @@ package laqy
 // drawn from the same uniform-inclusion distribution (asserted by
 // TestAlgorithmLChiSquareEquivalence) but are different draws. Determinism
 // within a version is unaffected: the same binary, seed, and query sequence
-// still reproduce byte-identical samples, and persisted sample stores from
-// v1 remain loadable (restored reservoirs are data, not RNG state). The
-// per-row reference path itself is frozen by TestConsiderByteIdentityPin;
-// any change to it is a further identity bump and must update that pin.
+// still reproduce byte-identical samples. The per-row reference path itself
+// is frozen by TestConsiderByteIdentityPin; any change to it is a further
+// identity bump and must update that pin.
 const (
 	// seedMergeXor decorrelates the lazy sampler's merge randomness
 	// (Algorithm 3's reservoir coin flips) from per-query sampling.
