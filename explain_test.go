@@ -52,13 +52,13 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		t.Fatal("EXPLAIN ANALYZE must also return the result rows")
 	}
 	wantOnline := strings.Join([]string{
-		"query <dur> [mode=online rows=7 enc_ratio=0.17]",
+		"query <dur> [mode=online rows=7]",
 		"  parse <dur>",
 		"  plan <dur>",
 		"  admission <dur>",
 		"  store lookup <dur> [reuse=miss]",
 		"  online sample <dur> [rows_scanned=30000 rows_selected=10001]",
-		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 encoded=1 rows_scanned=30000 rows_selected=10001]",
+		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 encoded=0 rows_scanned=30000 rows_selected=10001]",
 	}, "\n")
 	if got := scrubTrace(res.Explain); got != wantOnline {
 		t.Errorf("first EXPLAIN ANALYZE trace:\n%s\nwant:\n%s", got, wantOnline)
@@ -72,13 +72,13 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		t.Fatalf("second run mode = %q, want partial", res2.Mode)
 	}
 	wantPartial := strings.Join([]string{
-		"query <dur> [mode=partial rows=7 enc_ratio=0.17]",
+		"query <dur> [mode=partial rows=7]",
 		"  parse <dur>",
 		"  plan <dur>",
 		"  admission <dur>",
 		"  store lookup <dur> [reuse=partial matched=lo_intkey ∈ [0,10000] delta=lo_intkey∈[10001,20000]]",
 		"  Δ-sample <dur> [missing=lo_intkey∈[10001,20000] rows_scanned=30000 rows_selected=10000]",
-		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 encoded=1 rows_scanned=30000 rows_selected=10000]",
+		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 encoded=0 rows_scanned=30000 rows_selected=10000]",
 		"  merge <dur> [strata=7]",
 	}, "\n")
 	if got := scrubTrace(res2.Explain); got != wantPartial {

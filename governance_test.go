@@ -77,7 +77,7 @@ func TestDeadlineDegradesExactToApproxGolden(t *testing.T) {
 		t.Fatalf("degradations = %v, want one exact_to_approx", res.Degradations)
 	}
 	want := strings.Join([]string{
-		"query <dur> [mode=offline rows=7 degraded=exact_to_approx (deadline pressure) enc_ratio=0.17]",
+		"query <dur> [mode=offline rows=7 degraded=exact_to_approx (deadline pressure)]",
 		"  parse <dur>",
 		"  plan <dur>",
 		"  admission <dur>",
@@ -118,7 +118,7 @@ func TestDeadlineReuseOnlyServesStaleGolden(t *testing.T) {
 		t.Fatalf("degradations = %v, want one skip_delta", res.Degradations)
 	}
 	want := strings.Join([]string{
-		"query <dur> [mode=offline rows=7 degraded=skip_delta (deadline pressure; coverage 50%) enc_ratio=0.17]",
+		"query <dur> [mode=offline rows=7 degraded=skip_delta (deadline pressure; coverage 50%)]",
 		"  parse <dur>",
 		"  plan <dur>",
 		"  admission <dur>",

@@ -65,6 +65,7 @@ func BenchmarkPrunedScan(b *testing.B) {
 	run := func(b *testing.B, disable bool) Stats {
 		var last Stats
 		b.SetBytes(int64(fact.NumRows()) * 3 * 8) // three filter columns
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q := &Query{Fact: fact, Filter: q11Predicate(), DisableZoneMaps: disable}
@@ -134,6 +135,7 @@ func BenchmarkSegmentParallelBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("segments=%d", segments), func(b *testing.B) {
 			b.SetBytes(int64(n+appendRows) * 3 * 8)
 			var last Stats
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tab, err := storage.AppendColumns(seg, grown, segRows)

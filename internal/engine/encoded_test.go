@@ -12,21 +12,24 @@ import (
 )
 
 // buildClusteredFact builds a sealed multi-segment fact shaped for the
-// encodings: e_date is sorted with long runs (RLE), e_flag is a narrow
-// shuffled domain (FOR), e_one is constant, e_wide is un-encodable noise,
-// and e_val is the small aggregation payload.
+// encodings: e_date is sorted with long runs (RLE), e_one is constant, and
+// three columns stay plain — e_flag (a narrow shuffled domain), e_pair
+// (average run 2: shorter than the RLE adoption threshold) and e_wide
+// (noise); e_val is the small aggregation payload.
 func buildClusteredFact(t testing.TB, n int, seed int64) *storage.Table {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
 	date := make([]int64, n)
 	flag := make([]int64, n)
 	one := make([]int64, n)
+	pair := make([]int64, n)
 	wide := make([]int64, n)
 	val := make([]int64, n)
 	for i := 0; i < n; i++ {
 		date[i] = 20070000 + int64(i*400/n) // sorted, ~400 runs
 		flag[i] = rnd.Int63n(50)
 		one[i] = 1
+		pair[i] = int64(i / 2 % 97)
 		wide[i] = int64(rnd.Uint64())
 		val[i] = rnd.Int63n(1000)
 	}
@@ -34,6 +37,7 @@ func buildClusteredFact(t testing.TB, n int, seed int64) *storage.Table {
 		&storage.Column{Name: "e_date", Kind: storage.KindInt64, Ints: date},
 		&storage.Column{Name: "e_flag", Kind: storage.KindInt64, Ints: flag},
 		&storage.Column{Name: "e_one", Kind: storage.KindInt64, Ints: one},
+		&storage.Column{Name: "e_pair", Kind: storage.KindInt64, Ints: pair},
 		&storage.Column{Name: "e_wide", Kind: storage.KindInt64, Ints: wide},
 		&storage.Column{Name: "e_val", Kind: storage.KindInt64, Ints: val},
 	)
@@ -49,8 +53,9 @@ func buildClusteredFact(t testing.TB, n int, seed int64) *storage.Table {
 }
 
 // encodedPredicates is the predicate zoo the equivalence tests sweep: every
-// kernel shape (RLE produce/refine, FOR single and multi interval, const,
-// plain fallback, zone-map interactions).
+// kernel shape (RLE produce/refine under one-, two- and many-interval run
+// tests, const, plain fallback beside encoded conjuncts, zone-map
+// interactions).
 func encodedPredicates() []algebra.Predicate {
 	return []algebra.Predicate{
 		algebra.NewPredicate().WithRange("e_date", 20070100, 20070250),
@@ -61,8 +66,19 @@ func encodedPredicates() []algebra.Predicate {
 		algebra.NewPredicate().WithRange("e_date", 20070050, 20070350).WithRange("e_wide", -1<<62, 1<<62),
 		algebra.NewPredicate().With("e_flag", algebra.NewSet(
 			algebra.Interval{Lo: 3, Hi: 7}, algebra.Interval{Lo: 30, Hi: 41})),
+		algebra.NewPredicate().With("e_date", twoDateRanges()).WithRange("e_pair", 10, 60),
+		algebra.NewPredicate().With("e_date", algebra.NewSet(
+			algebra.Interval{Lo: 20070010, Hi: 20070020}, algebra.Interval{Lo: 20070100, Hi: 20070130},
+			algebra.Interval{Lo: 20070200, Hi: 20070210}, algebra.Interval{Lo: 20070300, Hi: 20070399})),
 		algebra.NewPredicate(), // trivial: full morsels, no encoding involved
 	}
+}
+
+// twoDateRanges is the Δ-range shape over the RLE date column: two
+// intervals, so no zone map applies and every morsel runs the run-granular
+// kernels under the branchless two-interval test.
+func twoDateRanges() algebra.Set {
+	return algebra.NewSet(algebra.Interval{Lo: 20070050, Hi: 20070120}, algebra.Interval{Lo: 20070200, Hi: 20070290})
 }
 
 // TestEncodedScanEquivalence pins RunScan over encoded segments bitwise to
@@ -95,13 +111,64 @@ func TestEncodedScanEquivalence(t *testing.T) {
 	}
 	// A predicate over encoded columns must actually take the encoded path
 	// on morsels the zone map can neither skip nor fully pass.
-	q := &Query{Fact: fact, Filter: algebra.NewPredicate().WithRange("e_flag", 5, 20)}
+	q := &Query{Fact: fact, Filter: algebra.NewPredicate().With("e_date", twoDateRanges())}
 	_, stats, err := RunScan(q, "e_val", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.MorselsEncoded == 0 {
 		t.Fatalf("no encoded morsels: %+v", stats)
+	}
+}
+
+// TestNeverSlowerAdoption is the structural half of "an encoded scan is
+// never slower than the plain compare": columns whose encoded kernels would
+// lose to the plain loop — a shuffled narrow domain (what frame-of-reference
+// packing used to adopt) and an average-run-2 column (what the byte-count
+// rule used to hand to RLE) — get no EncodedCol, so a filter over them binds
+// nothing and every morsel runs the plain kernels; the date-clustered column
+// still binds RLE and its runs still fold without a selection vector.
+func TestNeverSlowerAdoption(t *testing.T) {
+	fact := buildClusteredFact(t, 3*storage.DefaultMorselSize+1234, 7)
+	for _, seg := range fact.Segments() {
+		enc := seg.Encoding()
+		if enc == nil { // the open segment
+			continue
+		}
+		for _, name := range []string{"e_flag", "e_pair", "e_wide", "e_val"} {
+			if ec := enc.Col(name); ec != nil {
+				t.Fatalf("segment at %d: %s encoded as %v", seg.Start(), name, ec.Kind)
+			}
+		}
+		if ec := enc.Col("e_date"); ec == nil || ec.Kind != storage.EncRLE {
+			t.Fatalf("segment at %d: e_date = %+v, want rle", seg.Start(), ec)
+		}
+		if enc.PhysicalBytes() > enc.LogicalBytes() {
+			t.Fatalf("segment at %d: a scan reads %d bytes of %d plain", seg.Start(), enc.PhysicalBytes(), enc.LogicalBytes())
+		}
+	}
+	plain := algebra.NewPredicate().WithRange("e_flag", 5, 20).WithRange("e_pair", 10, 60)
+	_, stats, err := RunScan(&Query{Fact: fact, Filter: plain}, "e_val", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MorselsEncoded != 0 || stats.RowsSelected == 0 {
+		t.Fatalf("filter over plain columns: %+v", stats)
+	}
+	_, stats, err = RunAggregate(&Query{Fact: fact, Filter: plain}, ExprsFromNames([]string{"e_val"}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MorselsEncoded != 0 || stats.MorselsFused != 0 {
+		t.Fatalf("fused plan over plain columns: %+v", stats)
+	}
+	dates := algebra.NewPredicate().With("e_date", twoDateRanges())
+	_, stats, err = RunAggregate(&Query{Fact: fact, Filter: dates}, ExprsFromNames([]string{"e_val"}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MorselsEncoded == 0 || stats.MorselsFused == 0 {
+		t.Fatalf("date-clustered filter: %+v", stats)
 	}
 }
 

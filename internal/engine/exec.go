@@ -46,7 +46,7 @@ type Stats struct {
 	// range-filled with no per-row compares.
 	MorselsFull int64
 	// MorselsEncoded counts morsels whose filter evaluated directly over a
-	// sealed segment's encoded columns (const/RLE/FOR kernels) instead of
+	// sealed segment's encoded columns (const/RLE kernels) instead of
 	// the plain vectors.
 	MorselsEncoded int64
 	// MorselsFused counts morsels the fused aggregate path folded straight

@@ -134,10 +134,9 @@ func RunAggregate(q *Query, exprs []ColumnExpr, workers int) ([]AggResult, Stats
 
 // sumExprRange folds the expression over every row of [start, end). When
 // the left operand is encoded in the morsel's segment, the sum comes from
-// run_value×run_length / packed-delta arithmetic (storage.SumRange);
-// literal operands fold algebraically (sum(a*c) = c·sum(a),
-// sum(a±c) = sum(a) ± c·n). The wrapping int64 arithmetic is identical to
-// the per-row plain loops.
+// run_value×run_length arithmetic (storage.SumRange); literal operands fold
+// algebraically (sum(a*c) = c·sum(a), sum(a±c) = sum(a) ± c·n). The wrapping
+// int64 arithmetic is identical to the per-row plain loops.
 //
 //laqy:hot fused full-range aggregate fold
 func sumExprRange(fe *fusedExpr, b *segmentBinding, e, start, end int) int64 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"laqy/internal/algebra"
+	"laqy/internal/rng"
 )
 
 // TestBranchlessRangeExtremes pins the wraparound range test
@@ -114,5 +115,99 @@ func TestFillRange(t *testing.T) {
 	// Empty range is a no-op.
 	if got := FillRange(sel, 5, 5); len(got) != len(sel) {
 		t.Fatalf("empty fill grew sel: %v", got)
+	}
+}
+
+// TestIntervalSetKernelsMatchReference is the k-interval property test: over
+// random interval sets of 1–8 intervals — points, adjacent intervals (which
+// the set coalesces), sets touching math.MinInt64 and math.MaxInt64 — the
+// producer (the set constrains the first conjunct) and the refiner (it
+// constrains a later one) must select exactly the rows a per-row
+// Set.Contains picks, at unaligned offsets into the vector. The sets land on
+// both sides of maxBranchlessIntervals, so the single-interval loop, the
+// branchless OR of compares and the Set.Contains fallback are all held to
+// the same reference.
+func TestIntervalSetKernelsMatchReference(t *testing.T) {
+	const minI, maxI = math.MinInt64, math.MaxInt64
+	gen := rng.NewLehmer64(15)
+	const rows = 3000
+	// Values cluster around the int64 boundaries and zero so boundary-hugging
+	// intervals select something.
+	anchors := []int64{minI, minI + 40, -20, 0, 20, maxI - 40}
+	draw := func() int64 { return anchors[gen.Intn(len(anchors))] + int64(gen.Intn(41)) }
+	first, later, other := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	for i := 0; i < rows; i++ {
+		first[i], later[i], other[i] = draw(), draw(), int64(gen.Intn(100))
+	}
+	cols := map[string][]int64{"a": other, "b": later, "first": first}
+
+	randSet := func(k int) algebra.Set {
+		ivs := make([]algebra.Interval, k)
+		for j := range ivs {
+			lo := draw()
+			switch gen.Intn(4) {
+			case 0: // point
+				ivs[j] = algebra.Point(lo)
+			case 1: // adjacent to (or overlapping) the previous interval
+				if j > 0 && ivs[j-1].Hi < maxI {
+					lo = ivs[j-1].Hi + 1
+				}
+				ivs[j] = algebra.Interval{Lo: lo, Hi: lo + int64(gen.Intn(5))}
+			case 2: // bounded by an end of the domain
+				if gen.Intn(2) == 0 {
+					ivs[j] = algebra.Interval{Lo: minI, Hi: minI + int64(gen.Intn(60))}
+				} else {
+					ivs[j] = algebra.Interval{Lo: maxI - int64(gen.Intn(60)), Hi: maxI}
+				}
+			default:
+				ivs[j] = algebra.Interval{Lo: lo, Hi: lo + int64(gen.Intn(12))}
+			}
+			if ivs[j].Hi < ivs[j].Lo { // lo + width wrapped past MaxInt64
+				ivs[j].Hi = maxI
+			}
+		}
+		return algebra.NewSet(ivs...)
+	}
+
+	seen := map[int]int{} // canonical interval count -> trials
+	for trial := 0; trial < 600; trial++ {
+		set := randSet(1 + gen.Intn(8))
+		seen[len(set.Intervals())]++
+		start := gen.Intn(rows)
+		end := start + gen.Intn(rows-start+1)
+
+		// Producer: the set constrains the only conjunct.
+		f, err := Compile(algebra.NewPredicate().With("first", set), resolver(cols))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int32
+		for i := start; i < end; i++ {
+			if set.Contains(first[i]) {
+				want = append(want, int32(i))
+			}
+		}
+		selEqual(t, "producer "+set.String(), f.SelectInto(start, end, nil), want)
+
+		// Refiner: "a" sorts first and produces; the set refines on "b".
+		f, err = Compile(algebra.NewPredicate().WithRange("a", 10, 79).With("b", set), resolver(cols))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = want[:0]
+		for i := start; i < end; i++ {
+			if other[i] >= 10 && other[i] <= 79 && set.Contains(later[i]) {
+				want = append(want, int32(i))
+			}
+		}
+		// A non-empty prefix checks the kernels append, never overwrite.
+		got := f.SelectInto(start, end, []int32{-7})
+		if got[0] != -7 {
+			t.Fatalf("refiner %v: prefix clobbered: %d", set, got[0])
+		}
+		selEqual(t, "refiner "+set.String(), got[1:], want)
+	}
+	if seen[1] == 0 || seen[maxBranchlessIntervals] == 0 || seen[maxBranchlessIntervals+1] == 0 {
+		t.Fatalf("interval counts drawn %v: want the single, branchless and Set.Contains arms all covered", seen)
 	}
 }

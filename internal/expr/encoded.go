@@ -1,22 +1,21 @@
 // Selection kernels over encoded columns (storage/encode.go): the filter's
-// conjuncts evaluate directly against a sealed segment's const, RLE, or
-// frame-of-reference representations — no plain vector is materialized,
-// and the per-row work shrinks with the representation:
+// conjuncts evaluate directly against a sealed segment's const or RLE
+// representations — the plain vector is not read, and the per-row work
+// shrinks with the representation:
 //
 //   - EncConst: one value test decides the whole range (all or none);
 //   - EncRLE:   one value test per run, then a compare-free FillRange for
 //     passing runs (producer) or a monotonic merge-walk against the runs
 //     (refiner) — run-granular skip/take composing with the zone map's
-//     morsel-granular skip/full/none;
-//   - EncFOR:   the interval test is rewritten into the packed domain
-//     (lo <= Ref+u <= hi  ⇔  u-shift <= span in uint64 wraparound
-//     arithmetic, exact for all int64 bounds), so the branchless kernel
-//     compares Width-bit deltas it unpacks two words at a time — touching
-//     Width/64 of the plain path's memory.
+//     morsel-granular skip/full/none.
+//
+// Columns storage declined to encode (short runs, shuffled domains) take
+// the plain kernels of expr.go: an encoding is bound only where its scan is
+// never slower than the plain compare.
 //
 // Dictionary-encoded string columns need nothing special here: their codes
 // are order-preserving integers, so a string range predicate is already an
-// integer interval test and composes with all three encodings.
+// integer interval test and composes with both encodings.
 package expr
 
 import (
@@ -42,16 +41,16 @@ func (f *Filter) BindEncoded(enc *storage.SegmentEncoding, segBase int) *Encoded
 	if f.Trivial() || enc == nil || enc.NumEncoded() == 0 {
 		return nil
 	}
-	ef := &EncodedFilter{f: f, base: segBase, cols: make([]*storage.EncodedCol, len(f.cols))}
-	bound := 0
+	var ef *EncodedFilter
 	for i := range f.cols {
-		if ec := enc.Col(f.cols[i].name); ec != nil {
-			ef.cols[i] = ec
-			bound++
+		ec := enc.Col(f.cols[i].name)
+		if ec == nil {
+			continue
 		}
-	}
-	if bound == 0 {
-		return nil
+		if ef == nil {
+			ef = &EncodedFilter{f: f, base: segBase, cols: make([]*storage.EncodedCol, len(f.cols))}
+		}
+		ef.cols[i] = ec
 	}
 	return ef
 }
@@ -91,27 +90,27 @@ func (ef *EncodedFilter) SelectInto(start, end int, sel []int32) []int32 {
 // ccContains reports whether the conjunct accepts value v — the
 // run-granularity test shared by the const and RLE kernels.
 func ccContains(cc *compiledCol, v int64) bool {
-	if cc.single {
+	switch {
+	case cc.single:
 		return uint64(v-cc.lo) <= uint64(cc.hi-cc.lo)
+	case cc.few:
+		return cc.ivs[0].hit(v)|cc.ivs[1].hit(v) != 0
+	default:
+		return cc.set.Contains(v)
 	}
-	return cc.set.Contains(v)
 }
 
 // produceEncoded appends the rows of [start, end) accepted by cc to sel,
 // reading the encoded column. Capacity for end-start rows is pre-grown by
 // the caller.
 func produceEncoded(cc *compiledCol, ec *storage.EncodedCol, segBase, start, end int, sel []int32) []int32 {
-	switch ec.Kind {
-	case storage.EncConst:
-		if ccContains(cc, ec.Value) {
-			return FillRange(sel, start, end)
-		}
-		return sel
-	case storage.EncRLE:
+	if ec.Kind == storage.EncRLE {
 		return produceRLE(cc, ec, segBase, start, end, sel)
-	default:
-		return produceFOR(cc, ec, segBase, start, end, sel)
 	}
+	if ccContains(cc, ec.Value) {
+		return FillRange(sel, start, end)
+	}
+	return sel
 }
 
 // produceRLE is the run-granular producer: one predicate test per run, then
@@ -133,133 +132,55 @@ func produceRLE(cc *compiledCol, ec *storage.EncodedCol, segBase, start, end int
 	return sel
 }
 
-// produceFOR is the branchless bit-unpack producer: the single-interval
-// test is rewritten into the packed domain (shift/span below) so each row
-// costs one two-word unpack and one unsigned compare. Multi-interval
-// constraints decode and fall back to Set.Contains.
-//
-//laqy:hot branchless bit-unpack selection producer
-func produceFOR(cc *compiledCol, ec *storage.EncodedCol, segBase, start, end int, sel []int32) []int32 {
-	words, width := ec.Words, uint(ec.Width)
-	mask := uint64(1)<<width - 1
-	rel := uint(start - segBase)
-	if cc.single {
-		n := len(sel)
-		buf := sel[:n+end-start]
-		// u passes iff Ref+u (two's-complement) lies in [lo, hi]; in
-		// uint64 wraparound arithmetic that is u-shift <= span, exact for
-		// all int64 bounds and references.
-		shift := uint64(cc.lo) - uint64(ec.Ref)
-		span := uint64(cc.hi - cc.lo)
-		// Incremental bit cursor: no per-row multiply; the pad word keeps
-		// words[w+1] in bounds on the last row.
-		bit := rel * width
-		for i := 0; i < end-start; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			w, off := bit>>6, bit&63
-			u := (words[w]>>off | words[w+1]<<(64-off)) & mask
-			buf[n] = int32(start + i)
-			n += b2i(u-shift <= span)
-			bit += width
-		}
-		return buf[:n]
-	}
-	ref := uint64(ec.Ref)
-	bit := rel * width
-	for i := 0; i < end-start; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-		w, off := bit>>6, bit&63
-		u := (words[w]>>off | words[w+1]<<(64-off)) & mask
-		if cc.set.Contains(int64(ref + u)) {
-			sel = append(sel, int32(start+i))
-		}
-		bit += width
-	}
-	return sel
-}
-
 // refineEncoded compacts live in place to the rows accepted by cc, reading
 // the encoded column, and returns the surviving count.
 func refineEncoded(cc *compiledCol, ec *storage.EncodedCol, segBase int, live []int32) int {
-	switch ec.Kind {
-	case storage.EncConst:
-		if ccContains(cc, ec.Value) {
-			return len(live)
-		}
-		return 0
-	case storage.EncRLE:
+	if ec.Kind == storage.EncRLE {
 		return refineRLE(cc, ec, segBase, live)
-	default:
-		return refineFOR(cc, ec, segBase, live)
 	}
+	if ccContains(cc, ec.Value) {
+		return len(live)
+	}
+	return 0
 }
 
 // refineRLE merge-walks the ascending selection against the runs: the run
-// cursor only ever advances, so the cost is O(len(live) + runs touched)
-// with one predicate test per run — no per-row value load at all.
+// cursor only ever advances, and each run's stretch of the selection is
+// found with one compare per row and kept (a block move) or dropped whole on
+// one predicate test — no per-row value load at all.
 //
 //laqy:hot RLE merge-walk selection refiner
 func refineRLE(cc *compiledCol, ec *storage.EncodedCol, segBase int, live []int32) int {
 	if len(live) == 0 {
 		return 0
 	}
+	n := 0
 	ri := ec.RunContaining(int(live[0]) - segBase)
-	rEnd := int32(segBase + ec.RunEnd(ri))
-	match := ccContains(cc, ec.Values[ri])
-	n := 0
-	for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-		for idx >= rEnd {
-			ri++
-			rEnd = int32(segBase + ec.RunEnd(ri))
-			match = ccContains(cc, ec.Values[ri])
+	for i := 0; i < len(live); ri++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+		rEnd := int32(segBase + ec.RunEnd(ri))
+		j := i
+		for j < len(live) && live[j] < rEnd {
+			j++
 		}
-		live[n] = idx
-		n += b2i(match)
-	}
-	return n
-}
-
-// refineFOR is the branchless bit-unpack refiner (see produceFOR for the
-// packed-domain rewrite).
-//
-//laqy:hot branchless bit-unpack selection refiner
-func refineFOR(cc *compiledCol, ec *storage.EncodedCol, segBase int, live []int32) int {
-	words, width := ec.Words, uint(ec.Width)
-	mask := uint64(1)<<width - 1
-	n := 0
-	if cc.single {
-		shift := uint64(cc.lo) - uint64(ec.Ref)
-		span := uint64(cc.hi - cc.lo)
-		for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			bit := uint(int(idx)-segBase) * width
-			w, off := bit>>6, bit&63
-			u := (words[w]>>off | words[w+1]<<(64-off)) & mask
-			live[n] = idx
-			n += b2i(u-shift <= span)
+		if j > i && ccContains(cc, ec.Values[ri]) {
+			n += copy(live[n:], live[i:j])
 		}
-		return n
-	}
-	ref := uint64(ec.Ref)
-	for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-		bit := uint(int(idx)-segBase) * width
-		w, off := bit>>6, bit&63
-		u := (words[w]>>off | words[w+1]<<(64-off)) & mask
-		live[n] = idx
-		n += b2i(cc.set.Contains(int64(ref + u)))
+		i = j
 	}
 	return n
 }
 
 // PassRuns decomposes the filter's verdict over [start, end) into
-// run-granular all-pass ranges: fn is invoked for each maximal row range in
-// which every row provably passes every conjunct. It reports ok=false —
+// run-granular all-pass ranges: fn is invoked, in ascending order, for each
+// stretch between run boundaries in which every row provably passes every
+// conjunct. It reports ok=false —
 // without calling fn — when the filter does not decompose at run
-// granularity over this segment (any conjunct is plain or FOR-encoded
-// there). The engine's fused aggregate path folds the reported ranges
+// granularity over this segment (any conjunct is plain there). The engine's fused aggregate path folds the reported ranges
 // straight into run_value×run_length arithmetic with no selection vector.
 func (ef *EncodedFilter) PassRuns(start, end int, fn func(lo, hi int)) bool {
 	f := ef.f
 	for ci := range f.cols {
-		ec := ef.cols[ci]
-		if ec == nil || ec.Kind == storage.EncFOR {
+		if ef.cols[ci] == nil {
 			return false
 		}
 	}

@@ -49,9 +49,10 @@ func selEqual(t *testing.T, ctx string, got, want []int32) {
 }
 
 // TestEncodedSelectEquivalence drives random predicates over columns shaped
-// for each encoding (RLE runs, narrow FOR domain, const, and an un-encodable
-// wide column for the mixed plain-fallback case) and pins the encoded
-// SelectInto to the plain kernels' output, index for index.
+// for each encoding (RLE runs, const, and two columns that stay plain — a
+// shuffled narrow domain and wide noise — for the mixed plain-fallback
+// cases) and pins the encoded SelectInto to the plain kernels' output, index
+// for index.
 func TestEncodedSelectEquivalence(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	const rows = 10_000
@@ -63,7 +64,7 @@ func TestEncodedSelectEquivalence(t *testing.T) {
 	}
 	v := int64(0)
 	for i := 0; i < rows; i++ {
-		if rnd.Intn(64) == 0 {
+		if rnd.Intn(100) == 0 {
 			v += rnd.Int63n(5)
 		}
 		cols["runs"][i] = v
@@ -75,8 +76,8 @@ func TestEncodedSelectEquivalence(t *testing.T) {
 	if enc.Col("runs") == nil || enc.Col("runs").Kind != storage.EncRLE {
 		t.Fatalf("runs column: %+v", enc.Col("runs"))
 	}
-	if enc.Col("narrow") == nil || enc.Col("narrow").Kind != storage.EncFOR {
-		t.Fatalf("narrow column: %+v", enc.Col("narrow"))
+	if enc.Col("narrow") != nil {
+		t.Fatalf("shuffled narrow column encoded: %+v", enc.Col("narrow"))
 	}
 	if enc.Col("const") == nil || enc.Col("const").Kind != storage.EncConst {
 		t.Fatalf("const column: %+v", enc.Col("const"))
@@ -93,12 +94,26 @@ func TestEncodedSelectEquivalence(t *testing.T) {
 		}
 		return algebra.NewPredicate().WithRange(name, a, b)
 	}
+	// Interval sets over the RLE column on both sides of the k-interval
+	// crossover: the run test goes through the branchless OR of compares up
+	// to maxBranchlessIntervals and through Set.Contains above it.
+	runSet := func(k int) algebra.Predicate {
+		top := cols["runs"][rows-1]
+		var ivs []algebra.Interval
+		for j := 0; j < k; j++ {
+			lo := int64(j) * (top + 1) / int64(k)
+			ivs = append(ivs, algebra.Interval{Lo: lo, Hi: lo + rnd.Int63n(top/int64(2*k)+1)})
+		}
+		return algebra.NewPredicate().With("runs", algebra.NewSet(ivs...))
+	}
 	preds := []func() algebra.Predicate{
 		func() algebra.Predicate { return randRange("runs") },
-		func() algebra.Predicate { return randRange("narrow") },
-		// Multi-interval over the FOR column (Set.Contains fallback).
+		func() algebra.Predicate { return runSet(2) },
+		func() algebra.Predicate { return runSet(maxBranchlessIntervals) },
+		func() algebra.Predicate { return runSet(maxBranchlessIntervals + 3) },
+		// Two-interval plain conjunct refining an RLE producer and back.
 		func() algebra.Predicate {
-			return algebra.NewPredicate().With("narrow", algebra.NewSet(
+			return randRange("runs").With("narrow", algebra.NewSet(
 				algebra.Interval{Lo: -90, Hi: -50}, algebra.Interval{Lo: 0, Hi: 10}))
 		},
 		// Const all-pass and all-fail.
@@ -166,18 +181,30 @@ func TestEncodedSelectSegmentBase(t *testing.T) {
 	selEqual(t, "offset segment", ef.SelectInto(start, end, nil), f.SelectInto(start, end, nil))
 }
 
+// TestBindEncodedDeclines pins where no EncodedFilter is bound — the
+// structural half of "never slower than the plain compare": conjuncts over
+// columns storage left plain (wide noise, a shuffled narrow domain, average
+// run 2) keep the plain kernels at zero per-morsel overhead, even beside an
+// encoded column the filter does not mention.
 func TestBindEncodedDeclines(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
-	wide := make([]int64, 4096)
-	narrow := make([]int64, 4096)
-	for i := range wide {
-		wide[i] = int64(rnd.Uint64())
-		narrow[i] = rnd.Int63n(50)
+	cols := map[string][]int64{
+		"wide":   make([]int64, 4096),
+		"narrow": make([]int64, 4096),
+		"run2":   make([]int64, 4096),
+		"one":    make([]int64, 4096),
 	}
-	enc := sealedEncoding(t, map[string][]int64{"wide": wide, "narrow": narrow})
-	resolve := func(name string) []int64 {
-		return map[string][]int64{"wide": wide, "narrow": narrow}[name]
+	for i := range cols["wide"] {
+		cols["wide"][i] = int64(rnd.Uint64())
+		cols["narrow"][i] = rnd.Int63n(50)
+		cols["run2"][i] = int64(i / 2)
+		cols["one"][i] = 1
 	}
+	enc := sealedEncoding(t, cols)
+	if enc.NumEncoded() != 1 || enc.Col("one") == nil {
+		t.Fatalf("encoded %d columns, want only the constant one", enc.NumEncoded())
+	}
+	resolve := func(name string) []int64 { return cols[name] }
 
 	// Trivial filter: nothing to bind.
 	f, err := Compile(algebra.NewPredicate(), resolve)
@@ -187,15 +214,21 @@ func TestBindEncodedDeclines(t *testing.T) {
 	if f.BindEncoded(enc, 0) != nil {
 		t.Fatal("trivial filter bound")
 	}
-	// Filter only over the un-encoded column: no conjunct binds.
-	if f, err = Compile(algebra.NewPredicate().WithRange("wide", 0, 1<<32), resolve); err != nil {
-		t.Fatal(err)
-	}
-	if f.BindEncoded(enc, 0) != nil {
-		t.Fatal("plain-only filter bound")
+	// Filters only over un-encoded columns: no conjunct binds.
+	for _, p := range []algebra.Predicate{
+		algebra.NewPredicate().WithRange("wide", 0, 1<<32),
+		algebra.NewPredicate().WithRange("narrow", 5, 20),
+		algebra.NewPredicate().WithRange("run2", 100, 900).WithRange("narrow", 0, 30),
+	} {
+		if f, err = Compile(p, resolve); err != nil {
+			t.Fatal(err)
+		}
+		if f.BindEncoded(enc, 0) != nil {
+			t.Fatalf("plain-only filter %v bound", p)
+		}
 	}
 	// Nil encoding (open segment).
-	if f, err = Compile(algebra.NewPredicate().WithRange("narrow", 0, 10), resolve); err != nil {
+	if f, err = Compile(algebra.NewPredicate().WithRange("one", 0, 10), resolve); err != nil {
 		t.Fatal(err)
 	}
 	if f.BindEncoded(nil, 0) != nil {
@@ -205,7 +238,7 @@ func TestBindEncodedDeclines(t *testing.T) {
 
 // TestPassRuns pins the fused path's run decomposition: the union of the
 // reported all-pass ranges must equal the plain selection exactly, and
-// filters with FOR or plain conjuncts must refuse to decompose.
+// filters with a plain conjunct must refuse to decompose.
 func TestPassRuns(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	const rows = 8192
@@ -214,10 +247,10 @@ func TestPassRuns(t *testing.T) {
 	narrow := make([]int64, rows)
 	a, b := int64(0), int64(100)
 	for i := range runsA {
-		if rnd.Intn(40) == 0 {
+		if rnd.Intn(200) == 0 {
 			a++
 		}
-		if rnd.Intn(25) == 0 {
+		if rnd.Intn(120) == 0 {
 			b += 3
 		}
 		runsA[i] = a
@@ -250,9 +283,9 @@ func TestPassRuns(t *testing.T) {
 		start := rnd.Intn(rows)
 		end := start + rnd.Intn(rows-start+1)
 		var got []int32
-		prev := start - 1
+		prev := start // ranges ascend and never overlap; adjacent ones are not coalesced
 		ok := ef.PassRuns(start, end, func(lo, hi int) {
-			if lo <= prev || hi <= lo || hi > end {
+			if lo < prev || hi <= lo || hi > end {
 				t.Fatalf("bad range [%d,%d) after %d", lo, hi, prev)
 			}
 			prev = hi
@@ -264,7 +297,7 @@ func TestPassRuns(t *testing.T) {
 		selEqual(t, "passruns", got, f.SelectInto(start, end, nil))
 	}
 
-	// A FOR conjunct blocks decomposition — as does a plain one.
+	// A plain conjunct blocks decomposition.
 	f, err := Compile(algebra.NewPredicate().WithRange("ra", 0, 1<<40).WithRange("narrow", 3, 9), resolve)
 	if err != nil {
 		t.Fatal(err)
@@ -272,6 +305,6 @@ func TestPassRuns(t *testing.T) {
 	if ef := f.BindEncoded(enc, 0); ef == nil {
 		t.Fatal("BindEncoded returned nil")
 	} else if ef.PassRuns(0, rows, func(lo, hi int) { t.Fatal("fn called") }) {
-		t.Fatal("FOR conjunct must not decompose")
+		t.Fatal("plain conjunct must not decompose")
 	}
 }

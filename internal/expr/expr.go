@@ -16,14 +16,42 @@ import (
 )
 
 // compiledCol is one conjunct of a compiled filter: a column vector plus
-// its constraint, with the single-interval fast path precomputed.
+// its constraint, with the branchless fast paths precomputed.
 type compiledCol struct {
 	name   string
 	vec    []int64
 	set    algebra.Set
 	lo, hi int64
 	single bool // constraint is one interval: lo <= v <= hi
+	// few: the constraint is exactly maxBranchlessIntervals intervals, held
+	// in ivs in wraparound form — the Δ-range shape, "query range minus
+	// stored range": an interval either side of the stored one.
+	few bool
+	ivs [maxBranchlessIntervals]wrapInterval
 }
+
+// wrapInterval is [lo, lo+width] prepared for the one-compare membership
+// test uint64(v-lo) <= width, exact for all int64 lo <= hi.
+type wrapInterval struct {
+	lo    int64
+	width uint64
+}
+
+// hit reports (as 0/1) whether v lies in the interval.
+func (w wrapInterval) hit(v int64) int { return b2i(uint64(v-w.lo) <= w.width) }
+
+// maxBranchlessIntervals is the crossover between the branchless k-interval
+// test (the OR of k wraparound compares feeding the same cursor as the
+// single-interval loop) and Set.Contains (a binary search: log k branches per
+// row, mispredicted on shuffled data). At two intervals the OR, hoisted into
+// registers, costs 1.3–1.7× the single-interval loop and a tenth of Set.Contains
+// (BenchmarkSelect/delta2 against /multiinterval, BENCH_PR5.json). Past two
+// the compares stop fitting one hoisted loop body: four behind a
+// loop-invariant branch slowed the two-interval case by a third, and a
+// fixed-trip loop over k of them (835 µs per 64 Ki rows at k = 8) loses to a
+// binary search whose branches predict (437 µs on sorted values), so wider
+// sets, which no traced Δ-range produces, keep Set.Contains.
+const maxBranchlessIntervals = 2
 
 // Filter is a compiled conjunctive range predicate bound to a set of column
 // vectors. It is immutable and safe for concurrent use by parallel scan
@@ -44,8 +72,14 @@ func Compile(p algebra.Predicate, resolve func(name string) []int64) (*Filter, e
 			return nil, fmt.Errorf("expr: unknown column %q in predicate", name)
 		}
 		cc := compiledCol{name: name, vec: vec, set: set}
-		if ivs := set.Intervals(); len(ivs) == 1 {
+		switch ivs := set.Intervals(); len(ivs) {
+		case 1:
 			cc.single, cc.lo, cc.hi = true, ivs[0].Lo, ivs[0].Hi
+		case maxBranchlessIntervals:
+			cc.few = true
+			for i, iv := range ivs {
+				cc.ivs[i] = wrapInterval{lo: iv.Lo, width: uint64(iv.Hi - iv.Lo)}
+			}
 		}
 		f.cols = append(f.cols, cc)
 	}
@@ -133,7 +167,9 @@ func FillRange(sel []int32, start, end int) []int32 {
 // the loop carries no data-dependent branch. The wraparound test
 // `uint64(v-lo) <= uint64(hi-lo)` is exact for all int64 lo <= hi: it is
 // the [lo, hi] membership test folded into one unsigned compare.
-// Multi-interval constraints keep the Set.Contains fallback.
+// Two-interval constraints (Δ-ranges) run the same cursor with the OR of
+// their wraparound tests; only wider interval sets keep the Set.Contains
+// fallback (maxBranchlessIntervals).
 //
 //laqy:hot per-chunk filter evaluation, the innermost scan loop
 func (f *Filter) SelectInto(start, end int, sel []int32) []int32 {
@@ -158,14 +194,23 @@ func (f *Filter) SelectInto(start, end int, sel []int32) []int32 {
 //
 //laqy:hot branchless selection producer
 func producePlain(cc *compiledCol, start, end int, sel []int32) []int32 {
-	if cc.single {
-		n := len(sel)
-		buf := sel[:n+end-start]
-		vec, lo := cc.vec, cc.lo
+	n := len(sel)
+	switch {
+	case cc.single:
+		buf, vec := sel[:n+end-start], cc.vec
+		lo := cc.lo
 		width := uint64(cc.hi - cc.lo)
 		for i := start; i < end; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
 			buf[n] = int32(i)
 			n += b2i(uint64(vec[i]-lo) <= width)
+		}
+		return buf[:n]
+	case cc.few:
+		buf, vec := sel[:n+end-start], cc.vec
+		a, b := cc.ivs[0], cc.ivs[1]
+		for i := start; i < end; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+			buf[n] = int32(i)
+			n += a.hit(vec[i]) | b.hit(vec[i])
 		}
 		return buf[:n]
 	}
@@ -178,23 +223,31 @@ func producePlain(cc *compiledCol, start, end int, sel []int32) []int32 {
 }
 
 // refinePlain compacts live in place to the rows accepted by cc, returning
-// the surviving count (the branchless cursor-compaction kernel).
+// the surviving count (the same cursor and row tests as producePlain).
 //
 //laqy:hot branchless selection refiner
 func refinePlain(cc *compiledCol, live []int32) int {
 	n := 0
-	if cc.single {
-		vec, lo := cc.vec, cc.lo
+	vec := cc.vec
+	switch {
+	case cc.single:
+		lo := cc.lo
 		width := uint64(cc.hi - cc.lo)
 		for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
 			live[n] = idx
 			n += b2i(uint64(vec[idx]-lo) <= width)
 		}
-		return n
-	}
-	for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-		live[n] = idx
-		n += b2i(cc.set.Contains(cc.vec[idx]))
+	case cc.few:
+		a, b := cc.ivs[0], cc.ivs[1]
+		for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+			live[n] = idx
+			n += a.hit(vec[idx]) | b.hit(vec[idx])
+		}
+	default:
+		for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+			live[n] = idx
+			n += b2i(cc.set.Contains(vec[idx]))
+		}
 	}
 	return n
 }

@@ -63,10 +63,12 @@ const (
 	MEngineSegmentsDropped     = "laqy_engine_segments_dropped_total"
 	MEngineSegmentMergeSeconds = "laqy_engine_segment_merge_seconds"
 
-	// Storage (internal/storage via the facade): physical vs logical byte
-	// footprints of registered tables. Physical counts sealed segments at
-	// their encoded size (docs/PERFORMANCE.md, "Encoded storage");
-	// logical is rows×columns×8. Updated on Register/LoadSSB/Append.
+	// Storage (internal/storage via the facade): the bytes a scan of the
+	// registered tables reads against their plain size. Encoded counts
+	// sealed segments' adopted encodings at their encoded size
+	// (docs/PERFORMANCE.md, "Encoded storage") — the plain vectors stay
+	// resident, so this is scan traffic, not heap saved; logical is
+	// rows×columns×8. Updated on Register/LoadSSB/Append.
 	MStorageEncodedBytes = "laqy_storage_encoded_bytes" // gauge
 	MStorageLogicalBytes = "laqy_storage_logical_bytes" // gauge
 

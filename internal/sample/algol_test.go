@@ -170,6 +170,70 @@ func TestConsiderColumnsMatchesRowColumns(t *testing.T) {
 	}
 }
 
+// TestRowFillGrowsInTuples pins the fill phase of the stratified batch path:
+// a stratum holding t < k tuples owns at most max(2t, fillChunkTuples) tuples
+// of storage — whole tuples, doubling, never the k-tuple reservation that
+// thousands of sparse strata could not afford — and at most k once full;
+// every row offered before saturation is kept verbatim, in order, also when
+// the fill continues on storage whose capacity is no multiple of the width
+// (a clone, a restored reservoir).
+func TestRowFillGrowsInTuples(t *testing.T) {
+	const k, width, n = 1024, 3, 1500
+	cols := make([][]int64, width)
+	for c := range cols {
+		cols[c] = make([]int64, n)
+		for i := range cols[c] {
+			cols[c][i] = int64(1000*c + i)
+		}
+	}
+	check := func(r *Reservoir, from, upto int) {
+		t.Helper()
+		for i := from; i < upto; i++ {
+			r.considerRowColumns(cols, i)
+			have := r.Len()
+			if limit := min(max(2*have, fillChunkTuples), k) * width; have < k && cap(r.data) > limit {
+				t.Fatalf("after %d rows: cap %d int64s for %d tuples, limit %d", i+1, cap(r.data), have, limit)
+			}
+		}
+		if upto > k {
+			return // saturated: admission has been replacing tuples
+		}
+		for i := 0; i < upto; i++ {
+			for c, v := range r.Tuple(i) {
+				if v != cols[c][i] {
+					t.Fatalf("tuple %d column %d = %d, want %d", i, c, v, cols[c][i])
+				}
+			}
+		}
+	}
+	r := NewReservoir(k, width, rng.NewLehmer64(3))
+	check(r, 0, 700)
+	clone := r.Clone()
+	clone.data = append(clone.data[:len(clone.data):len(clone.data)], 0)[:len(clone.data)] // capacity now off the tuple grid
+	for _, r := range []*Reservoir{clone, r} {
+		check(r, 700, k)
+		check(r, k, n)
+	}
+	for _, full := range []*Reservoir{r, clone} {
+		if full.Len() != k || full.Weight() != n || cap(full.data) > 2*k*width {
+			t.Fatalf("saturated: Len=%d Weight=%v cap=%d", full.Len(), full.Weight(), cap(full.data))
+		}
+	}
+
+	// The same bound through the stratified entry point, on a sparse key.
+	s := NewStratified(Schema{"g", "a", "b"}, 1, k, rng.NewLehmer64(4))
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i % 300) // 5 tuples per stratum
+	}
+	s.ConsiderColumns([][]int64{keys, cols[1], cols[2]}, n)
+	s.ForEach(func(key StratumKey, r *Reservoir) {
+		if r.Len() != 5 || cap(r.data) > fillChunkTuples*width {
+			t.Fatalf("stratum %v: %d tuples in cap %d", key, r.Len(), cap(r.data))
+		}
+	})
+}
+
 // TestConsiderColumnsInterleavedWithConsider checks the L-state restart:
 // interleaving a per-row Consider between batches invalidates the
 // precomputed gap and the reservoir stays consistent (correct weight,

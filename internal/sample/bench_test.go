@@ -29,6 +29,7 @@ func BenchmarkReservoirAdmission(b *testing.B) {
 	b.Run("perRow", func(b *testing.B) {
 		tuple := make([]int64, width)
 		b.SetBytes(n * width * 8)
+		b.ReportAllocs()
 		var draws int64
 		for i := 0; i < b.N; i++ {
 			res := NewReservoir(k, width, rng.NewLehmer64(uint64(i)))
@@ -45,6 +46,7 @@ func BenchmarkReservoirAdmission(b *testing.B) {
 
 	b.Run("batchSkip", func(b *testing.B) {
 		b.SetBytes(n * width * 8)
+		b.ReportAllocs()
 		var draws int64
 		for i := 0; i < b.N; i++ {
 			res := NewReservoir(k, width, rng.NewLehmer64(uint64(i)))
@@ -83,6 +85,7 @@ func BenchmarkStratifiedAdmission(b *testing.B) {
 		schema[i] = string(rune('a' + i))
 	}
 	b.SetBytes(n * width * 8)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewStratified(schema, qcs, k, rng.NewLehmer64(uint64(i)))

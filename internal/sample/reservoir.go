@@ -280,9 +280,13 @@ func (r *Reservoir) ConsiderColumns(cols [][]int64, n int) {
 //laqy:hot per-row skip-ahead admission on the sampling path
 func (r *Reservoir) considerRowColumns(cols [][]int64, i int) {
 	r.weight++
-	if len(r.data) < r.k*r.width {
+	if n := len(r.data); n < r.k*r.width {
+		if cap(r.data)-n < r.width {
+			r.growFill()
+		}
+		r.data = r.data[:n+r.width]
 		for c := 0; c < r.width; c++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			r.data = append(r.data, cols[c][i])
+			r.data[n+c] = cols[c][i]
 		}
 		return
 	}
@@ -299,6 +303,23 @@ func (r *Reservoir) considerRowColumns(cols [][]int64, i int) {
 		dst[c] = cols[c][i]
 	}
 	r.admitAdvance()
+}
+
+// fillChunkTuples is the first allocation of a stratum filled row by row
+// (considerRowColumns): small, because a stratified sample over a sparse key
+// holds thousands of strata of a few tuples each — default k = 1024 times
+// ~2 400 date strata per worker and segment would be hundreds of MB if each
+// reserved k tuples up front.
+const fillChunkTuples = 8
+
+// growFill makes room for the next tuple of a filling reservoir: whole
+// tuples, doubling from fillChunkTuples, capped at k — one allocation per
+// doubling of the stratum, not one per doubling of every int64 appended.
+func (r *Reservoir) growFill() {
+	tuples := min(max(2*r.Len(), fillChunkTuples), r.k)
+	nd := make([]int64, len(r.data), tuples*r.width)
+	copy(nd, r.data)
+	r.data = nd
 }
 
 // considerWeighted offers a tuple carrying an importance weight w, using
@@ -345,12 +366,20 @@ func (r *Reservoir) Clone() *Reservoir {
 func (r *Reservoir) Filter(keep func(tuple []int64) bool) *Reservoir {
 	out := &Reservoir{k: r.k, width: r.width, gen: r.gen.Split(0xF1)}
 	n := r.Len()
+	// Count the survivors first (at most k tuples), so the output is one
+	// exact allocation instead of a growth chain per stratum.
 	kept := 0
 	for i := 0; i < n; i++ {
-		t := r.Tuple(i)
-		if keep(t) {
-			out.data = append(out.data, t...)
+		if keep(r.Tuple(i)) {
 			kept++
+		}
+	}
+	if kept > 0 {
+		out.data = make([]int64, 0, kept*r.width)
+		for i := 0; i < n; i++ {
+			if t := r.Tuple(i); keep(t) {
+				out.data = append(out.data, t...)
+			}
 		}
 	}
 	if n > 0 {

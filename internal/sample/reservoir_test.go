@@ -121,6 +121,15 @@ func TestReservoirFilter(t *testing.T) {
 	if math.Abs(f.Weight()-25) > 1e-9 {
 		t.Fatalf("filtered Weight = %v, want 25", f.Weight())
 	}
+	// Survivors keep their order and sit in one exact allocation.
+	for i := 0; i < f.Len(); i++ {
+		if f.Tuple(i)[0] != int64(i) {
+			t.Fatalf("filtered tuple %d = %d", i, f.Tuple(i)[0])
+		}
+	}
+	if cap(f.data) != 25 {
+		t.Fatalf("filtered storage cap = %d, want exactly 25", cap(f.data))
+	}
 	// Filter on a full reservoir rescales weight by the observed fraction.
 	r2 := NewReservoir(50, 1, newGen(5))
 	fill(r2, 0, 1000)
@@ -131,7 +140,7 @@ func TestReservoirFilter(t *testing.T) {
 	}
 	// Empty filter result.
 	f3 := r2.Filter(func([]int64) bool { return false })
-	if f3.Len() != 0 || f3.Weight() != 0 {
+	if f3.Len() != 0 || f3.Weight() != 0 || f3.data != nil {
 		t.Fatal("empty filter should yield empty zero-weight reservoir")
 	}
 }

@@ -1,8 +1,9 @@
 package sample
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"laqy/internal/rng"
 )
@@ -162,6 +163,17 @@ func (s *Stratified) RNGDraws() int64 {
 	return total
 }
 
+// SizeBytes estimates the sample's memory footprint: tuple storage plus
+// per-stratum admission state. The sum is commutative, so the strata are
+// visited in map order — no key sort.
+func (s *Stratified) SizeBytes() int64 {
+	var bytes int64
+	for _, r := range s.strata {
+		bytes += int64(len(r.data))*8 + 64
+	}
+	return bytes
+}
+
 // Stratum returns the reservoir for key, or nil.
 func (s *Stratified) Stratum(key StratumKey) *Reservoir { return s.strata[key] }
 
@@ -171,13 +183,13 @@ func (s *Stratified) Keys() []StratumKey {
 	for k := range s.strata {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
+	slices.SortFunc(out, func(a, b StratumKey) int {
 		for c := 0; c < MaxQCS; c++ {
-			if out[i][c] != out[j][c] {
-				return out[i][c] < out[j][c]
+			if a[c] != b[c] {
+				return cmp.Compare(a[c], b[c])
 			}
 		}
-		return false
+		return 0
 	})
 	return out
 }

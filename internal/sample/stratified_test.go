@@ -96,6 +96,22 @@ func TestStratifiedKeysDeterministicOrder(t *testing.T) {
 			t.Fatal("keys not sorted")
 		}
 	}
+
+	// Lexicographic over every QCS column, signed.
+	m := NewStratified(Schema{"a", "b", "v"}, 2, 5, newGen(6))
+	for _, ab := range [][2]int64{{2, -1}, {-3, 7}, {2, -9}, {0, 0}, {-3, -7}, {2, 4}} {
+		m.Consider([]int64{ab[0], ab[1], 1})
+	}
+	want := []StratumKey{{-3, -7}, {-3, 7}, {0, 0}, {2, -9}, {2, -1}, {2, 4}}
+	got := m.Keys()
+	if len(got) != len(want) {
+		t.Fatalf("%d keys, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("keys = %v, want %v", got, want)
+		}
+	}
 }
 
 func TestNewStratifiedValidation(t *testing.T) {

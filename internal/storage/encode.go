@@ -1,21 +1,27 @@
 // Lightweight per-segment column encodings. A sealed segment's columns are
-// immutable, so at first encoded scan the segment picks — per column, by a
-// byte-cost heuristic — one of three representations the kernels can
-// evaluate predicates over without materializing the plain vector:
+// immutable, so at first encoded scan the segment picks — per column, by
+// scan cost in kernel steps — a representation the kernels can evaluate
+// predicates over without reading the plain vector:
 //
 //   - EncConst:  every row holds one value (one int64 for the whole run);
 //   - EncRLE:    run-length encoding for sorted/clustered columns (run
-//     values + run start offsets, run ends implicit);
-//   - EncFOR:    frame-of-reference bit-packing for narrow-domain integers
-//     (deltas from the segment minimum, packed at the domain's bit width).
+//     values + run start offsets, run ends implicit), adopted only when the
+//     runs are long enough that one predicate test per run beats one
+//     branchless compare per row (rleMinAvgRun).
 //
-// The plain []int64 vector remains the logical source of truth — encodings
-// are scan accelerators, never the only copy — which keeps gathers, joins,
-// and per-row fallbacks O(1) and lets EncodeColumn decline columns the
-// heuristic can't shrink. The open (last) segment of a table never encodes:
-// its rows still change, and keeping it plain keeps appends O(1). Seal()
-// converts a bulk-loaded table to the all-sealed layout so loaded data
-// serves encoded scans immediately.
+// Everything else stays plain: a representation is adopted only where its
+// scan is never slower than the plain compare. (Frame-of-reference
+// bit-packing was retired for that reason: its per-row unpack is strictly
+// more ALU work than the plain compare.)
+//
+// The plain []int64 vector remains the logical source of truth and stays
+// resident — encodings are scan accelerators, never the only copy — which
+// keeps gathers, joins, and per-row fallbacks O(1). So PhysBytes and the
+// physical/logical ratio built from it are the bytes a scan reads, not heap
+// saved. The open (last) segment of a table never encodes: its rows still
+// change, and keeping it plain keeps appends O(1). Seal() converts a
+// bulk-loaded table to the all-sealed layout so loaded data serves encoded
+// scans immediately.
 //
 // Like zone maps, encodings are built once per sealed segment and the cache
 // is carried by pointer across table versions (AppendColumns), so an append
@@ -24,7 +30,6 @@
 package storage
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -40,8 +45,6 @@ const (
 	// EncRLE: run-length encoded (Values[i] repeated over
 	// [Starts[i], Starts[i+1])).
 	EncRLE
-	// EncFOR: frame-of-reference bit-packed (Ref + unpacked Width-bit delta).
-	EncFOR
 )
 
 // String implements fmt.Stringer.
@@ -53,21 +56,22 @@ func (k EncKind) String() string {
 		return "const"
 	case EncRLE:
 		return "rle"
-	case EncFOR:
-		return "for"
 	default:
 		return "enc(?)"
 	}
 }
 
-// encMinShrinkNum/Den is the heuristic's gain threshold: an encoding is
-// adopted only if its physical bytes are at most 3/4 of the plain vector's.
-// Below that margin the cheaper representation doesn't buy enough memory
-// traffic to pay for the (slightly) costlier per-row access.
-const (
-	encMinShrinkNum = 3
-	encMinShrinkDen = 4
-)
+// rleMinAvgRun is the adoption rule for RLE, in scan cost: a run step (one
+// predicate test, one run-end lookup, one FillRange call or block move, and
+// a branch that mispredicts when neighbouring runs disagree) costs as much as
+// tens of plain row steps (one branchless compare each), so a column whose
+// average run is shorter scans slower encoded than plain and stays plain.
+// Measured by BenchmarkRunLength (internal/expr, BENCH_PR5.json), RLE kernels
+// over plain on one morsel: at average run 4 producer and refiner take 4× the
+// plain time (BenchmarkEncodedScan/shortruns is that case end to end), at 16
+// still up to 1.5× and 1.7×; from 64 up the producer wins at every
+// selectivity and the refiner is level.
+const rleMinAvgRun = 64
 
 // EncodedCol is one column of one sealed segment in encoded physical form.
 // All row indices are segment-relative (0 = the segment's first row); the
@@ -76,8 +80,8 @@ const (
 type EncodedCol struct {
 	// Name is the column name.
 	Name string
-	// Kind is EncConst, EncRLE, or EncFOR (never EncPlain: plain columns
-	// simply have no EncodedCol).
+	// Kind is EncConst or EncRLE (never EncPlain: plain columns simply have
+	// no EncodedCol).
 	Kind EncKind
 	// Rows is the segment's row count.
 	Rows int
@@ -90,84 +94,37 @@ type EncodedCol struct {
 	Values []int64
 	Starts []int32
 
-	// Ref, Width, and Words are the FOR packing: row i decodes to
-	// Ref + unpack(i), where unpack reads Width bits at bit offset i*Width
-	// from Words. Words carries one zero pad word so the branchless two-word
-	// read never runs off the end. Width is in [1, 63]; the arithmetic is
-	// two's-complement exact (uint64(value) == uint64(Ref) + packed mod 2^64).
-	Ref   int64
-	Width uint8
-	Words []uint64
-
-	// PhysBytes is the physical footprint of this representation.
+	// PhysBytes is the bytes a scan of this representation reads: 16 for
+	// const, 12 per run (value + start) for RLE.
 	PhysBytes int64
 }
 
 // EncodeColumn encodes vals (one segment's slice of a column) or returns nil
-// when no representation beats the plain vector by the shrink threshold.
-// The cost model is pure byte counting: const = 16 bytes, RLE = 12 bytes per
-// run (value + start), FOR = Width bits per row rounded up to words plus the
-// pad word, plain = 8 bytes per row.
+// when the plain vector scans at least as fast: const is always adopted, RLE
+// when the average run clears rleMinAvgRun, nothing else.
 func EncodeColumn(name string, vals []int64) *EncodedCol {
 	rows := len(vals)
 	if rows == 0 {
 		return nil
 	}
 	runs := 1
-	mn, mx := vals[0], vals[0]
 	for i := 1; i < rows; i++ {
-		v := vals[i]
-		if v != vals[i-1] {
+		if vals[i] != vals[i-1] {
 			runs++
-		}
-		if v < mn {
-			mn = v
-		} else if v > mx {
-			mx = v
 		}
 	}
 	if runs == 1 {
 		return &EncodedCol{Name: name, Kind: EncConst, Rows: rows, Value: vals[0], PhysBytes: 16}
 	}
-	plainBytes := int64(rows) * 8
-	rleBytes := int64(runs) * 12
-	// span is the unsigned domain width; two's-complement subtraction is
-	// exact even when mx-mn overflows int64.
-	span := uint64(mx) - uint64(mn)
-	width := bits.Len64(span) // >= 1 (runs > 1 implies span > 0)
-	forBytes := int64(1)<<62 - 1
-	if width < 64 {
-		forBytes = int64((rows*width+63)/64+1) * 8
-	}
-	best, kind := rleBytes, EncRLE
-	if forBytes < best {
-		best, kind = forBytes, EncFOR
-	}
-	if best*encMinShrinkDen > plainBytes*encMinShrinkNum {
+	if runs*rleMinAvgRun > rows {
 		return nil
 	}
-	ec := &EncodedCol{Name: name, Kind: kind, Rows: rows, PhysBytes: best}
-	if kind == EncRLE {
-		ec.Values = make([]int64, 0, runs)
-		ec.Starts = make([]int32, 0, runs)
-		for i := 0; i < rows; i++ {
-			if i == 0 || vals[i] != vals[i-1] {
-				ec.Values = append(ec.Values, vals[i])
-				ec.Starts = append(ec.Starts, int32(i))
-			}
-		}
-		return ec
-	}
-	ec.Ref = mn
-	ec.Width = uint8(width)
-	ec.Words = make([]uint64, (rows*width+63)/64+1)
-	for i, v := range vals {
-		u := uint64(v) - uint64(mn)
-		bit := uint(i) * uint(width)
-		w, off := bit>>6, bit&63
-		ec.Words[w] |= u << off
-		if off+uint(width) > 64 {
-			ec.Words[w+1] = u >> (64 - off)
+	ec := &EncodedCol{Name: name, Kind: EncRLE, Rows: rows, PhysBytes: int64(runs) * 12,
+		Values: make([]int64, 0, runs), Starts: make([]int32, 0, runs)}
+	for i := 0; i < rows; i++ {
+		if i == 0 || vals[i] != vals[i-1] {
+			ec.Values = append(ec.Values, vals[i])
+			ec.Starts = append(ec.Starts, int32(i))
 		}
 	}
 	return ec
@@ -199,26 +156,12 @@ func (e *EncodedCol) RunEnd(ri int) int {
 	return e.Rows
 }
 
-// UnpackAt returns the packed FOR delta of segment-relative row i. The
-// two-word read is branchless: Go defines shifts >= 64 as zero, so a
-// word-aligned value reads zero from the (pad-guaranteed) next word.
-func (e *EncodedCol) UnpackAt(i int) uint64 {
-	bit := uint(i) * uint(e.Width)
-	w, off := bit>>6, bit&63
-	mask := uint64(1)<<e.Width - 1
-	return (e.Words[w]>>off | e.Words[w+1]<<(64-off)) & mask
-}
-
 // At decodes segment-relative row i.
 func (e *EncodedCol) At(i int) int64 {
-	switch e.Kind {
-	case EncConst:
+	if e.Kind == EncConst {
 		return e.Value
-	case EncRLE:
-		return e.Values[e.RunContaining(i)]
-	default:
-		return int64(uint64(e.Ref) + e.UnpackAt(i))
 	}
+	return e.Values[e.RunContaining(i)]
 }
 
 // DecodeInto decodes the segment-relative rows [from, to) into dst, which
@@ -226,27 +169,21 @@ func (e *EncodedCol) At(i int) int64 {
 // scan kernels never materialize.
 func (e *EncodedCol) DecodeInto(dst []int64, from, to int) []int64 {
 	dst = dst[:to-from]
-	switch e.Kind {
-	case EncConst:
+	if e.Kind == EncConst {
 		for i := range dst {
 			dst[i] = e.Value
 		}
-	case EncRLE:
-		ri := e.RunContaining(from)
-		for i := from; i < to; {
-			end := e.RunEnd(ri)
-			if end > to {
-				end = to
-			}
-			v := e.Values[ri]
-			for ; i < end; i++ {
-				dst[i-from] = v
-			}
-			ri++
+		return dst
+	}
+	ri := e.RunContaining(from)
+	for i := from; i < to; ri++ {
+		end := e.RunEnd(ri)
+		if end > to {
+			end = to
 		}
-	default:
-		for i := range dst {
-			dst[i] = int64(uint64(e.Ref) + e.UnpackAt(from+i))
+		v := e.Values[ri]
+		for ; i < end; i++ {
+			dst[i-from] = v
 		}
 	}
 	return dst
@@ -254,50 +191,34 @@ func (e *EncodedCol) DecodeInto(dst []int64, from, to int) []int64 {
 
 // SumRange returns the exact int64 (wrapping) sum of segment-relative rows
 // [from, to) straight from the encoded form: run_value × run_length
-// arithmetic for RLE/const, reference-scaled delta sums for FOR. This is
-// the arithmetic behind the engine's fused aggregate path; the wrapping
-// semantics match the plain kernels' int64 accumulation exactly.
+// arithmetic. This is the arithmetic behind the engine's fused aggregate
+// path; the wrapping semantics match the plain kernels' int64 accumulation
+// exactly.
 //
 //laqy:hot fused-aggregate fold over encoded runs
 func (e *EncodedCol) SumRange(from, to int) int64 {
 	if to <= from {
 		return 0
 	}
-	switch e.Kind {
-	case EncConst:
+	if e.Kind == EncConst {
 		return e.Value * int64(to-from)
-	case EncRLE:
-		ri := e.RunContaining(from)
-		var sum int64
-		for i := from; i < to; { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			end := e.RunEnd(ri)
-			if end > to {
-				end = to
-			}
-			sum += e.Values[ri] * int64(end-i)
-			i = end
-			ri++
-		}
-		return sum
-	default:
-		words, width := e.Words, uint(e.Width)
-		mask := uint64(1)<<width - 1
-		var acc uint64
-		// Incremental bit cursor: no per-row multiply. The pad word keeps
-		// words[w+1] in bounds for the last row.
-		bit := uint(from) * width
-		for i := from; i < to; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			w, off := bit>>6, bit&63
-			acc += (words[w]>>off | words[w+1]<<(64-off)) & mask
-			bit += width
-		}
-		return int64(uint64(e.Ref)*uint64(to-from) + acc)
 	}
+	ri := e.RunContaining(from)
+	var sum int64
+	for i := from; i < to; ri++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+		end := e.RunEnd(ri)
+		if end > to {
+			end = to
+		}
+		sum += e.Values[ri] * int64(end-i)
+		i = end
+	}
+	return sum
 }
 
 // SegmentEncoding holds one sealed segment's encoded columns: only columns
-// the heuristic shrank appear; everything else stays plain. Immutable after
-// build.
+// that adopted an encoding appear; everything else stays plain. Immutable
+// after build.
 type SegmentEncoding struct {
 	cols map[string]*EncodedCol
 	// physical counts every column: encoded bytes where an encoding was

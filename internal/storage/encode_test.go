@@ -33,8 +33,8 @@ func TestEncodeColumnConst(t *testing.T) {
 }
 
 func TestEncodeColumnRLE(t *testing.T) {
-	// Sorted with long runs and a huge value span: RLE must win, FOR can't
-	// (width 63-64) — mirrors a date-clustered fact column.
+	// Sorted with long runs and a huge value span — mirrors a date-clustered
+	// fact column.
 	var vals []int64
 	for r := 0; r < 8; r++ {
 		v := int64(r) * (math.MaxInt64 / 8)
@@ -65,62 +65,56 @@ func TestEncodeColumnRLE(t *testing.T) {
 	}
 }
 
-func TestEncodeColumnFOR(t *testing.T) {
-	// Shuffled narrow domain: runs ≈ rows so RLE loses, 7-bit FOR wins.
-	rnd := rand.New(rand.NewSource(1))
-	vals := make([]int64, 4096)
-	for i := range vals {
-		vals[i] = 1_000_000 + rnd.Int63n(100)
-	}
-	ec := EncodeColumn("c", vals)
-	if ec == nil || ec.Kind != EncFOR {
-		t.Fatalf("kind = %v, want for", ec)
-	}
-	if ec.Width != 7 {
-		t.Fatalf("width = %d, want 7", ec.Width)
-	}
-	for i, v := range decodeAll(ec) {
-		if v != vals[i] {
-			t.Fatalf("row %d = %d, want %d", i, v, vals[i])
-		}
-	}
-}
-
-func TestEncodeColumnFORNegativeSpan(t *testing.T) {
-	// Negative references and values crossing zero stay exact: FOR works in
-	// uint64 two's-complement space.
-	vals := []int64{-5, -4, -3, 3, 4, -5, 0, -1, 2, -2, 1, 0, -3, 3, -4, 2}
-	ec := EncodeColumn("c", vals)
-	if ec == nil || ec.Kind != EncFOR || ec.Ref != -5 {
-		t.Fatalf("enc = %+v", ec)
-	}
-	for i, v := range decodeAll(ec) {
-		if v != vals[i] {
-			t.Fatalf("row %d = %d, want %d", i, v, vals[i])
-		}
-	}
-}
-
+// TestEncodeColumnDeclines pins the never-slower adoption rule: a column is
+// encoded only where the encoded scan beats the plain compare. Shuffled
+// columns (narrow or wide domain) and short runs stay plain; the average run
+// must reach rleMinAvgRun.
 func TestEncodeColumnDeclines(t *testing.T) {
-	// Shuffled full-width values: no representation clears the 3/4 shrink
-	// threshold, so the column stays plain.
 	rnd := rand.New(rand.NewSource(2))
-	vals := make([]int64, 2048)
-	for i := range vals {
-		vals[i] = int64(rnd.Uint64())
+	const rows = 4096
+	narrow := make([]int64, rows) // shuffled 7-bit domain: smaller packed, slower scanned
+	wide := make([]int64, rows)
+	run2 := make([]int64, rows) // average run 2: 12 bytes/run is ¾ of plain, still slower
+	for i := range narrow {
+		narrow[i] = 1_000_000 + rnd.Int63n(100)
+		wide[i] = int64(rnd.Uint64())
+		run2[i] = int64(i / 2)
 	}
-	if ec := EncodeColumn("c", vals); ec != nil {
-		t.Fatalf("wide random column encoded as %v (%d bytes)", ec.Kind, ec.PhysBytes)
+	for name, vals := range map[string][]int64{"narrow": narrow, "wide": wide, "run2": run2} {
+		if ec := EncodeColumn(name, vals); ec != nil {
+			t.Fatalf("%s column encoded as %v (%d bytes)", name, ec.Kind, ec.PhysBytes)
+		}
 	}
 	if ec := EncodeColumn("empty", nil); ec != nil {
 		t.Fatal("empty column must not encode")
+	}
+
+	// The threshold itself: average run rleMinAvgRun adopts, one row fewer
+	// per run does not.
+	atThreshold := make([]int64, rows)
+	for i := range atThreshold {
+		atThreshold[i] = int64(i / rleMinAvgRun)
+	}
+	ec := EncodeColumn("at", atThreshold)
+	if ec == nil || ec.Kind != EncRLE || ec.NumRuns() != rows/rleMinAvgRun {
+		t.Fatalf("average run %d: enc = %+v, want rle", rleMinAvgRun, ec)
+	}
+	if ec.PhysBytes > int64(rows)*8 {
+		t.Fatalf("rle reads %d bytes, plain %d", ec.PhysBytes, rows*8)
+	}
+	below := make([]int64, rows)
+	for i := range below {
+		below[i] = int64(i / (rleMinAvgRun - 1))
+	}
+	if ec := EncodeColumn("below", below); ec != nil {
+		t.Fatalf("average run %d encoded as %v", rleMinAvgRun-1, ec.Kind)
 	}
 }
 
 func TestSumRangeMatchesNaive(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	cases := map[string][]int64{}
-	// Const, RLE, FOR, and a FOR case with values that overflow int64 sums
+	// Const, RLE, and an RLE case with values that overflow int64 sums
 	// (wrapping semantics must match the plain int64 accumulation).
 	constCol := make([]int64, 777)
 	for i := range constCol {
@@ -130,19 +124,14 @@ func TestSumRangeMatchesNaive(t *testing.T) {
 	var rle []int64
 	for r := 0; r < 40; r++ {
 		v := rnd.Int63n(1000) - 500
-		for j := 0; j < 1+rnd.Intn(60); j++ {
+		for j := rleMinAvgRun + rnd.Intn(60); j > 0; j-- {
 			rle = append(rle, v)
 		}
 	}
 	cases["rle"] = rle
-	forCol := make([]int64, 1500)
-	for i := range forCol {
-		forCol[i] = -300 + rnd.Int63n(601)
-	}
-	cases["for"] = forCol
 	big := make([]int64, 1024)
 	for i := range big {
-		big[i] = math.MaxInt64 - rnd.Int63n(128)
+		big[i] = math.MaxInt64 - int64(i/128)
 	}
 	cases["wrap"] = big
 

@@ -326,11 +326,15 @@ func (s *Store) loadInner(r io.Reader, seed uint64, salvage bool, path string) e
 	if err != nil {
 		return err
 	}
+	for _, e := range loaded {
+		e.bytes = e.Sample.SizeBytes()
+	}
 	s.mu.Lock()
 	for _, e := range loaded {
 		s.clock++
 		e.lastUsed = s.clock
 		s.entries = append(s.entries, e)
+		s.total += e.bytes
 	}
 	s.enforceBudgetLocked()
 	s.refreshGaugesLocked()

@@ -47,6 +47,13 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if loaded.Len() != 2 {
 		t.Fatalf("loaded %d entries", loaded.Len())
 	}
+	// Loaded entries enter the running byte total at their walked size.
+	loaded.mu.Lock()
+	walked := walkBytesLocked(t, loaded)
+	loaded.mu.Unlock()
+	if got := loaded.TotalBytes(); got != walked || got != s.TotalBytes() {
+		t.Fatalf("TotalBytes after load = %d, walk = %d, saved store = %d", got, walked, s.TotalBytes())
+	}
 
 	// The loaded store answers lookups like the original.
 	m := loaded.Lookup("lineorder", testSchema, 1, 10, algebra.NewPredicate().WithRange("key", 100, 200))

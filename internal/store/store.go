@@ -14,6 +14,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"laqy/internal/algebra"
@@ -76,16 +77,11 @@ type Entry struct {
 	Sample *sample.Stratified
 	// lastUsed is the store's logical clock value at last access.
 	lastUsed int64
-}
-
-// SizeBytes estimates the entry's memory footprint: tuple storage plus
-// per-stratum admission state.
-func (e *Entry) SizeBytes() int64 {
-	var bytes int64
-	e.Sample.ForEach(func(_ sample.StratumKey, r *sample.Reservoir) {
-		bytes += int64(r.Len()*r.Width())*8 + 64
-	})
-	return bytes
+	// bytes is Sample.SizeBytes(), taken when the sample was published:
+	// stored samples are immutable, so it stays exact until Update swaps
+	// the sample, and the store's footprint is a running sum of these
+	// instead of a walk over every stratum of every entry.
+	bytes int64
 }
 
 // Match is the result of a store lookup. Meta and Sample are snapshots
@@ -104,10 +100,8 @@ type Match struct {
 	Reuse algebra.Reuse
 	// Delta is non-nil for partial reuse: the missing range to Δ-sample.
 	Delta *algebra.Delta
-	// Bytes is the entry's estimated footprint, snapshotted under the
-	// store lock. Populated by List only (Lookup leaves it 0 to keep the
-	// hot path free of the per-stratum size walk); readers must use it
-	// instead of Entry.SizeBytes, which races with concurrent Updates.
+	// Bytes is the entry's estimated footprint (Sample.SizeBytes()),
+	// snapshotted under the store lock. Populated by List only.
 	Bytes int64
 }
 
@@ -124,6 +118,7 @@ type Store struct {
 	mu      sync.Mutex
 	entries []*Entry
 	budget  int64 // bytes; 0 = unbounded
+	total   int64 // sum of the entries' bytes, adjusted wherever entries change
 	clock   int64
 	stats   Stats
 
@@ -176,7 +171,7 @@ func (s *Store) SetObs(reg *obs.Registry) {
 // refreshGaugesLocked publishes the store's current footprint.
 func (s *Store) refreshGaugesLocked() {
 	s.met.samples.Set(int64(len(s.entries)))
-	s.met.bytes.Set(s.totalBytesLocked())
+	s.met.bytes.Set(s.total)
 }
 
 // Len returns the number of stored samples.
@@ -271,11 +266,13 @@ func (s *Store) Put(meta Meta, sam *sample.Stratified) (*Entry, error) {
 		return nil, fmt.Errorf("store: sample schema %v/%d does not match meta %v/%d",
 			sam.Schema(), sam.QCSWidth(), meta.Schema, meta.QCSWidth)
 	}
+	bytes := sam.SizeBytes() // the per-stratum walk stays outside the lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.clock++
-	e := &Entry{Meta: meta, Sample: sam, lastUsed: s.clock}
+	e := &Entry{Meta: meta, Sample: sam, lastUsed: s.clock, bytes: bytes}
 	s.entries = append(s.entries, e)
+	s.total += bytes
 	s.met.puts.Inc()
 	s.enforceBudgetLocked()
 	s.refreshGaugesLocked()
@@ -287,8 +284,13 @@ func (s *Store) Put(meta Meta, sam *sample.Stratified) (*Entry, error) {
 // replaces the entry's per-segment watermarks (the provenance of the merged
 // sample); nil keeps the existing marks.
 func (s *Store) Update(e *Entry, sam *sample.Stratified, pred algebra.Predicate, segs []SegmentWatermark) {
+	bytes := sam.SizeBytes()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if slices.Contains(s.entries, e) { // an entry evicted since its Lookup no longer counts
+		s.total += bytes - e.bytes
+	}
+	e.bytes = bytes
 	e.Sample = sam
 	e.Predicate = pred
 	if segs != nil {
@@ -306,20 +308,23 @@ func (s *Store) Update(e *Entry, sam *sample.Stratified, pred algebra.Predicate,
 func (s *Store) Remove(e *Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, x := range s.entries {
-		if x == e {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
-			s.refreshGaugesLocked()
-			return
-		}
+	if i := slices.Index(s.entries, e); i >= 0 {
+		s.dropLocked(i)
+		s.refreshGaugesLocked()
 	}
+}
+
+// dropLocked removes entry i and its bytes from the running total.
+func (s *Store) dropLocked(i int) {
+	s.total -= s.entries[i].bytes
+	s.entries = append(s.entries[:i], s.entries[i+1:]...)
 }
 
 // Clear drops all stored samples.
 func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.entries = nil
+	s.entries, s.total = nil, 0
 	s.refreshGaugesLocked()
 }
 
@@ -327,15 +332,7 @@ func (s *Store) Clear() {
 func (s *Store) TotalBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.totalBytesLocked()
-}
-
-func (s *Store) totalBytesLocked() int64 {
-	var total int64
-	for _, e := range s.entries {
-		total += e.SizeBytes()
-	}
-	return total
+	return s.total
 }
 
 // enforceBudgetLocked evicts LRU entries until within budget. The newest
@@ -345,7 +342,7 @@ func (s *Store) enforceBudgetLocked() {
 	if s.budget <= 0 {
 		return
 	}
-	for len(s.entries) > 1 && s.totalBytesLocked() > s.budget {
+	for len(s.entries) > 1 && s.total > s.budget {
 		oldest := 0
 		var newest int64 = -1
 		for _, e := range s.entries {
@@ -366,7 +363,7 @@ func (s *Store) enforceBudgetLocked() {
 		if !found {
 			return
 		}
-		s.entries = append(s.entries[:oldest], s.entries[oldest+1:]...)
+		s.dropLocked(oldest)
 		s.stats.Evicted++
 		s.met.evictions.Inc()
 	}
@@ -380,7 +377,7 @@ func (s *Store) List() []Match {
 	defer s.mu.Unlock()
 	out := make([]Match, 0, len(s.entries))
 	for _, e := range s.entries {
-		out = append(out, Match{Entry: e, Meta: e.Meta, Sample: e.Sample, Bytes: e.SizeBytes()})
+		out = append(out, Match{Entry: e, Meta: e.Meta, Sample: e.Sample, Bytes: e.bytes})
 	}
 	return out
 }
@@ -396,6 +393,7 @@ func (s *Store) RemoveWhere(pred func(Meta) bool) int {
 	for _, e := range s.entries {
 		if pred(e.Meta) {
 			removed++
+			s.total -= e.bytes
 		} else {
 			kept = append(kept, e)
 		}

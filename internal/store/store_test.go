@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"laqy/internal/algebra"
+	"laqy/internal/obs"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
 )
@@ -23,6 +24,30 @@ func makeSample(seed uint64, schema sample.Schema, qcsWidth, k int, n int64) *sa
 }
 
 var testSchema = sample.Schema{"g", "key", "val"}
+
+// walkBytes is the from-scratch reference for the store's running byte
+// total: the per-stratum walk of every stored entry (what TotalBytes used to
+// do on each call), in sorted stratum order, against which the running sum,
+// the List snapshots and the laqy_store_bytes gauge must agree exactly.
+// Callers hold s.mu.
+func walkBytesLocked(t *testing.T, s *Store) int64 {
+	t.Helper()
+	var total int64
+	for _, e := range s.entries {
+		var bytes int64
+		e.Sample.ForEach(func(_ sample.StratumKey, r *sample.Reservoir) {
+			bytes += int64(r.Len()*r.Width())*8 + 64
+		})
+		if bytes != e.bytes {
+			t.Errorf("entry %v: cached %d bytes, walk %d", e.Predicate, e.bytes, bytes)
+		}
+		total += bytes
+	}
+	if total != s.total {
+		t.Errorf("running total %d, from-scratch walk %d", s.total, total)
+	}
+	return total
+}
 
 func meta(pred algebra.Predicate) Meta {
 	return Meta{Input: "lineorder", Predicate: pred, Schema: testSchema, QCSWidth: 1, K: 10}
@@ -172,10 +197,32 @@ func TestRemoveAndClear(t *testing.T) {
 
 func TestBudgetEviction(t *testing.T) {
 	// Each sample: 5 strata * up to 10 tuples * 3 cols * 8 bytes + overhead.
-	one := makeSample(14, testSchema, 1, 10, 1000)
-	perEntry := (&Entry{Meta: meta(algebra.NewPredicate()), Sample: one}).SizeBytes()
+	perEntry := makeSample(14, testSchema, 1, 10, 1000).SizeBytes()
 
 	s := New(perEntry * 2)
+	reg := obs.NewRegistry()
+	s.SetObs(reg)
+	// The running total, the gauge and TotalBytes all read what a
+	// from-scratch walk computes, after every kind of change.
+	checkBytes := func(step string) {
+		t.Helper()
+		s.mu.Lock()
+		want := walkBytesLocked(t, s)
+		s.mu.Unlock()
+		if got := s.TotalBytes(); got != want {
+			t.Fatalf("%s: TotalBytes = %d, walk = %d", step, got, want)
+		}
+		if got := reg.Gauge(obs.MStoreBytes).Value(); got != want {
+			t.Fatalf("%s: %s = %d, walk = %d", step, obs.MStoreBytes, got, want)
+		}
+		var listed int64
+		for _, m := range s.List() {
+			listed += m.Bytes
+		}
+		if listed != want {
+			t.Fatalf("%s: List bytes = %d, walk = %d", step, listed, want)
+		}
+	}
 	a, _ := s.Put(meta(algebra.NewPredicate().WithRange("key", 0, 10)), makeSample(15, testSchema, 1, 10, 1000))
 	s.Put(meta(algebra.NewPredicate().WithRange("key", 20, 30)), makeSample(16, testSchema, 1, 10, 1000))
 	// Touch a so b becomes LRU.
@@ -198,6 +245,41 @@ func TestBudgetEviction(t *testing.T) {
 	}
 	if got := s.Stats(); got.Evicted != 1 {
 		t.Fatalf("stats = %+v", got)
+	}
+	checkBytes("after eviction")
+	if got := s.TotalBytes(); got != 2*perEntry {
+		t.Fatalf("TotalBytes = %d, want two entries of %d", got, perEntry)
+	}
+
+	// Update swaps in a smaller sample: the total follows, and growing it
+	// back past the budget evicts the other entry, never the updated one.
+	s.Update(a, makeSample(18, testSchema, 1, 4, 1000), a.Predicate, nil)
+	checkBytes("after shrinking Update")
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d after a shrinking Update", s.Len())
+	}
+	s.Update(a, makeSample(19, testSchema, 1, 15, 1000), a.Predicate, nil)
+	checkBytes("after growing Update")
+	if s.Len() != 1 || s.List()[0].Entry != a {
+		t.Fatalf("growing Update kept %d entries; the updated one must survive alone", s.Len())
+	}
+	// An Update through a stale handle (c was just evicted) is not counted.
+	s.Update(c, makeSample(21, testSchema, 1, 10, 1000), c.Predicate, nil)
+	checkBytes("after Update of an evicted entry")
+
+	d, _ := s.Put(meta(algebra.NewPredicate().WithRange("key", 60, 70)), makeSample(22, testSchema, 1, 2, 1000))
+	checkBytes("after Put")
+	s.Remove(d)
+	checkBytes("after Remove")
+	s.Put(meta(algebra.NewPredicate().WithRange("key", 80, 90)), makeSample(23, testSchema, 1, 2, 1000))
+	if n := s.RemoveWhere(func(m Meta) bool { return m.K == 10 }); n != 2 {
+		t.Fatalf("RemoveWhere removed %d", n)
+	}
+	checkBytes("after RemoveWhere")
+	s.Clear()
+	checkBytes("after Clear")
+	if s.TotalBytes() != 0 {
+		t.Fatalf("TotalBytes = %d after Clear", s.TotalBytes())
 	}
 }
 
@@ -262,8 +344,7 @@ func newTestGen() *rng.Lehmer64 { return rng.NewLehmer64(1) }
 // enforcement runs on nearly every operation. Run under -race via the
 // stress target.
 func TestConcurrentEvictionNeverDropsNewest(t *testing.T) {
-	one := makeSample(20, testSchema, 1, 10, 1000)
-	perEntry := (&Entry{Meta: meta(algebra.NewPredicate()), Sample: one}).SizeBytes()
+	perEntry := makeSample(20, testSchema, 1, 10, 1000).SizeBytes()
 	s := New(perEntry * 3)
 
 	const workers = 8
@@ -282,7 +363,7 @@ func TestConcurrentEvictionNeverDropsNewest(t *testing.T) {
 			default:
 			}
 			s.mu.Lock()
-			total := s.totalBytesLocked()
+			total := walkBytesLocked(t, s)
 			n := len(s.entries)
 			budget := s.budget
 			s.mu.Unlock()

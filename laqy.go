@@ -304,9 +304,10 @@ func (db *DB) NumRows(table string) (int, error) {
 
 // StorageStats reports the byte footprint of the registered tables.
 type StorageStats struct {
-	// PhysicalBytes is the resident columnar footprint: sealed segments at
-	// their encoded size, the open segment (and any un-encoded sealed
-	// segment) at rows×columns×8.
+	// PhysicalBytes is what a scan of every column reads: sealed segments'
+	// encoded columns at their encoded size, everything else (plain
+	// columns, the open segment) at rows×8. The plain vectors stay resident
+	// beside the encodings, so this measures scan traffic, not heap saved.
 	PhysicalBytes int64
 	// LogicalBytes is the un-encoded footprint, rows×columns×8 — the
 	// denominator of the encoding ratio.
