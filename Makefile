@@ -42,11 +42,14 @@ benchmark-check:
 # one iteration of every kernel bench — the selection kernels, the run-length
 # sweep behind the RLE adoption threshold, the encoded scans and the fused
 # aggregate — so their fixtures and structural assertions (which cases bind
-# an encoding, which fuse) cannot rot unseen between `make bench` runs.
+# an encoding, which fuse) cannot rot unseen between `make bench` runs, and
+# one reuse hit of each kind (BenchmarkReuseHit), whose allocs/op column is
+# the per-hit allocation count.
 bench-smoke:
 	$(GO) run ./cmd/laqy-bench -smoke -metricsout bench-metrics.json
 	$(GO) test -run '^$$' -bench 'Select|RunLength|EncodedScan|FusedAggregate' -benchtime 1x \
 		./internal/expr ./internal/engine
+	$(GO) test -run '^$$' -bench 'ReuseHit' -benchtime 1x .
 
 # The sampling engine is morsel-parallel; every PR must pass under the race
 # detector. -short skips the statistical long-haul tests.

@@ -271,6 +271,61 @@ func BenchmarkLazySampler_Modes(b *testing.B) {
 	})
 }
 
+// BenchmarkReuseHit times — and, with its allocation columns, sizes — one
+// reuse hit through the public API, answer rows included, in the benchmark's
+// Q1 shape (k = 32 over ~2.4 k date strata, reservoirs overflowing): a full
+// reuse narrowed by the query (the stored sample read through its tightening
+// predicate), a full reuse of the same range, and a partial reuse whose Δ
+// touches a minority of the strata it is merged into. `make bench-smoke` runs
+// one iteration so the per-hit allocation count has a row CI can see.
+func BenchmarkReuseHit(b *testing.B) {
+	db := openBenchDB(b)
+	const half = int64(benchRows / 2)
+	hit := func(b *testing.B, lo, hi int64, want laqy.Mode) {
+		res, err := db.Query(fmt.Sprintf(`SELECT lo_orderdate, SUM(lo_revenue) FROM lineorder
+			WHERE lo_intkey BETWEEN %d AND %d GROUP BY lo_orderdate APPROX WITH K 32`, lo, hi))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Mode != want || len(res.Rows) < 2000 {
+			b.Fatalf("[%d,%d]: mode %q with %d rows, want %q over ~2.4k strata", lo, hi, res.Mode, len(res.Rows), want)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		lo, hi int64
+	}{
+		{"offline-narrowed", half / 4, half / 2},
+		{"offline-same", 0, half},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			db.ClearSamples()
+			hit(b, 0, half, laqy.ModeOnline)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hit(b, c.lo, c.hi, laqy.ModeOffline)
+			}
+		})
+	}
+	b.Run("partial-small-delta", func(b *testing.B) {
+		// Each hit extends the stored range by 300 rows; start over from the
+		// half-table sample before the extensions run off the table.
+		const delta, laps = 300, 400
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			step := int64(i % laps)
+			if step == 0 {
+				b.StopTimer()
+				db.ClearSamples()
+				hit(b, 0, half, laqy.ModeOnline)
+				b.StartTimer()
+			}
+			hit(b, 0, half+delta*(step+1), laqy.ModePartial)
+		}
+	})
+}
+
 // BenchmarkAblation_RNG compares the paper's inlined Lehmer generators
 // with math/rand in the admission-control hot path (§6.2).
 func BenchmarkAblation_RNG(b *testing.B) {

@@ -98,28 +98,63 @@ func (e Estimate) RelativeErrorBound(confidence float64) (float64, error) {
 	return math.Abs(z * e.StdErr / e.Value), nil
 }
 
-// moments computes the sample mean and unbiased variance of column col
-// across a reservoir's tuples.
-func moments(r *sample.Reservoir, col int) (n int, mean, variance float64) {
-	n = r.Len()
-	if n == 0 {
-		return 0, 0, 0
+// Selection is the part of one reservoir an estimate reads: every stored
+// tuple, or the tuples a tightening predicate keeps. Selection commutes with
+// sampling, so a stored sample wider than the query is never copied narrower
+// (§5.2.1): the survivors are selected once per stratum, at the weight
+// sample.Reservoir.Select reports, and every aggregate of the query reads
+// that one selection. The zero value is ready; its index scratch is reused
+// from one stratum to the next.
+type Selection struct {
+	tuples   []int64 // the reservoir's row-major storage
+	width    int
+	kept     []int32 // surviving tuple indices; meaningful only when filtered
+	filtered bool
+	n        int
+	weight   float64
+}
+
+// Select points s at the tuples of r that keep accepts (nil: all of them) and
+// reports whether there are any.
+func (s *Selection) Select(r *sample.Reservoir, keep func(tuple []int64) bool) bool {
+	s.tuples, s.width, s.filtered = r.Tuples(), r.Width(), keep != nil
+	s.n, s.weight = r.Len(), r.Weight()
+	if s.filtered {
+		s.kept, s.weight = r.Select(keep, s.kept[:0])
+		s.n = len(s.kept)
 	}
+	return s.n > 0
+}
+
+// Weight returns the subpopulation size the selected tuples represent.
+func (s *Selection) Weight() float64 { return s.weight }
+
+// at returns column col of the j-th selected tuple.
+func (s *Selection) at(j, col int) int64 {
+	if s.filtered {
+		j = int(s.kept[j])
+	}
+	return s.tuples[j*s.width+col]
+}
+
+// moments computes the sample mean and unbiased variance of column col
+// across the selected tuples.
+func (s *Selection) moments(col int) (mean, variance float64) {
+	n := s.n
 	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(r.Tuple(i)[col])
+	for j := 0; j < n; j++ {
+		sum += float64(s.at(j, col))
 	}
 	mean = sum / float64(n)
 	if n < 2 {
-		return n, mean, 0
+		return mean, 0
 	}
 	ss := 0.0
-	for i := 0; i < n; i++ {
-		d := float64(r.Tuple(i)[col]) - mean
+	for j := 0; j < n; j++ {
+		d := float64(s.at(j, col)) - mean
 		ss += d * d
 	}
-	variance = ss / float64(n-1)
-	return n, mean, variance
+	return mean, ss / float64(n-1)
 }
 
 // fpc is the finite-population correction factor (1 - n/w): sampling n of w
@@ -139,14 +174,23 @@ func fpc(n int, w float64) float64 {
 // FromReservoir estimates an aggregate of column col (an index into the
 // sample's tuple layout) over the subpopulation represented by r.
 func FromReservoir(r *sample.Reservoir, col int, kind AggKind) Estimate {
-	n, mean, variance := moments(r, col)
-	w := r.Weight()
+	var s Selection
+	s.Select(r, nil)
+	return s.Estimate(col, kind)
+}
+
+// Estimate estimates an aggregate of column col over the subpopulation the
+// selected tuples represent. The moment passes run only for the kinds that
+// read them.
+func (s *Selection) Estimate(col int, kind AggKind) Estimate {
+	n, w := s.n, s.Weight()
 	est := Estimate{Support: n, Weight: w}
 	if n == 0 {
 		return est
 	}
 	switch kind {
 	case Sum:
+		mean, variance := s.moments(col)
 		est.Value = w * mean
 		// Var(w·mean) = w² · s²/n · fpc
 		est.StdErr = w * math.Sqrt(variance/float64(n)*fpc(n, w))
@@ -154,20 +198,21 @@ func FromReservoir(r *sample.Reservoir, col int, kind AggKind) Estimate {
 		// The weight is the exact count of considered tuples.
 		est.Value = w
 	case Avg:
+		mean, variance := s.moments(col)
 		est.Value = mean
 		est.StdErr = math.Sqrt(variance / float64(n) * fpc(n, w))
 	case Min:
-		m := r.Tuple(0)[col]
-		for i := 1; i < n; i++ {
-			if v := r.Tuple(i)[col]; v < m {
+		m := s.at(0, col)
+		for j := 1; j < n; j++ {
+			if v := s.at(j, col); v < m {
 				m = v
 			}
 		}
 		est.Value = float64(m)
 	case Max:
-		m := r.Tuple(0)[col]
-		for i := 1; i < n; i++ {
-			if v := r.Tuple(i)[col]; v > m {
+		m := s.at(0, col)
+		for j := 1; j < n; j++ {
+			if v := s.at(j, col); v > m {
 				m = v
 			}
 		}
@@ -232,13 +277,17 @@ func TotalEstimate(s *sample.Stratified, col int, kind AggKind) Estimate {
 // stratum (§5.2.3).
 const MinSupport = 30
 
-// SupportFailures returns the stratum keys whose reservoirs hold fewer than
-// minSupport tuples — the strata for which the conservative policy of
-// §5.2.3 would trigger a validating online query.
-func SupportFailures(s *sample.Stratified, minSupport int) []sample.StratumKey {
+// SupportFailures returns the stratum keys with fewer than minSupport tuples
+// accepted by keep (nil: every tuple) — the strata for which the conservative
+// policy of §5.2.3 would trigger a validating online query. A stratum the
+// predicate empties counts: it may still hold qualifying rows the reservoir
+// happened to miss.
+func SupportFailures(s *sample.Stratified, keep func(tuple []int64) bool, minSupport int) []sample.StratumKey {
 	var out []sample.StratumKey
+	var sel Selection
 	s.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
-		if !r.SupportOK(minSupport) {
+		sel.Select(r, keep)
+		if sel.n < minSupport {
 			out = append(out, key)
 		}
 	})

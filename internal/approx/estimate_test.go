@@ -2,6 +2,7 @@ package approx
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"laqy/internal/rng"
@@ -225,11 +226,11 @@ func TestSupportFailures(t *testing.T) {
 	for v := int64(0); v < 3; v++ {
 		s.Consider([]int64{1, v})
 	}
-	fails := SupportFailures(s, MinSupport)
+	fails := SupportFailures(s, nil, MinSupport)
 	if len(fails) != 1 || fails[0][0] != 1 {
 		t.Fatalf("SupportFailures = %v", fails)
 	}
-	if got := SupportFailures(s, 1); len(got) != 0 {
+	if got := SupportFailures(s, nil, 1); len(got) != 0 {
 		t.Fatalf("minSupport=1 should pass everywhere, got %v", got)
 	}
 }
@@ -273,5 +274,96 @@ func TestEstimateAfterMergeMatchesTruth(t *testing.T) {
 	e := FromReservoir(merged, 0, Sum)
 	if RelativeError(e.Value, trueSum) > 0.10 {
 		t.Fatalf("merged estimate %.0f vs true %.0f", e.Value, trueSum)
+	}
+}
+
+// TestViewMatchesFilter is the contract that lets a reuse hit answer through
+// (stored sample, predicate) instead of a tightened copy: over random
+// stratified samples and random one- and many-interval predicates, every
+// aggregate kind estimated through a Selection equals, bit for bit, the
+// estimate over sample.Stratified.Filter's materialized copy — Value, StdErr,
+// Support and Weight, and the set and order of strata that keep any tuple —
+// including strata that empty out and strata left with a single survivor.
+func TestViewMatchesFilter(t *testing.T) {
+	g := newGen(20240917)
+	kinds := []AggKind{Sum, Count, Avg, Min, Max}
+	sawEmpty, sawSingle, sawAll := false, false, false
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + g.Intn(24)
+		strata := 1 + g.Intn(12)
+		domain := int64(8 + g.Intn(400))
+		s := sample.NewStratified(sample.Schema{"g", "key", "val"}, 1, k, g.Split(uint64(trial)))
+		for n := g.Intn(40 * strata); n >= 0; n-- {
+			// Skewed groups: stratum 0 overflows k, others hold a tuple or two.
+			grp := int64(g.Intn(strata)) * int64(g.Intn(2))
+			s.Consider([]int64{grp, int64(g.Uint64n(uint64(domain))), int64(g.Uint64n(1<<40)) - 1<<39})
+		}
+		// A union of 1..4 random intervals over the key domain.
+		type iv struct{ lo, hi int64 }
+		ivs := make([]iv, 1+g.Intn(4))
+		for i := range ivs {
+			lo := int64(g.Uint64n(uint64(domain)))
+			ivs[i] = iv{lo, lo + int64(g.Uint64n(uint64(domain)/uint64(1+g.Intn(6))+1))}
+		}
+		keep := func(tu []int64) bool {
+			for _, v := range ivs {
+				if tu[1] >= v.lo && tu[1] <= v.hi {
+					return true
+				}
+			}
+			return false
+		}
+		if trial%10 == 0 {
+			keep = func([]int64) bool { return true } // w·n/n, not w
+		}
+
+		copyOf := s.Filter(keep)
+		var viewKeys []sample.StratumKey
+		var sel Selection
+		s.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
+			if !sel.Select(r, keep) {
+				sawEmpty = true
+				if copyOf.Stratum(key) != nil {
+					t.Fatalf("trial %d: view drops stratum %v, the copy keeps it", trial, key)
+				}
+				return
+			}
+			viewKeys = append(viewKeys, key)
+			f := copyOf.Stratum(key)
+			if f == nil {
+				t.Fatalf("trial %d: view keeps stratum %v, the copy drops it", trial, key)
+			}
+			sawSingle = sawSingle || sel.n == 1
+			sawAll = sawAll || sel.n == r.Len()
+			for _, kind := range kinds {
+				for col := 1; col <= 2; col++ {
+					got, want := sel.Estimate(col, kind), FromReservoir(f, col, kind)
+					if math.Float64bits(got.Value) != math.Float64bits(want.Value) ||
+						math.Float64bits(got.StdErr) != math.Float64bits(want.StdErr) ||
+						math.Float64bits(got.Weight) != math.Float64bits(want.Weight) ||
+						got.Support != want.Support {
+						t.Fatalf("trial %d stratum %v %v(col %d): view %+v, copy %+v", trial, key, kind, col, got, want)
+					}
+				}
+			}
+		})
+		if want := copyOf.Keys(); !slices.Equal(viewKeys, want) {
+			t.Fatalf("trial %d: view emits strata %v, copy holds %v", trial, viewKeys, want)
+		}
+		// The support check reads counts through the same view.
+		for _, minSupport := range []int{1, 3} {
+			var want []sample.StratumKey
+			for _, key := range s.Keys() {
+				if f := copyOf.Stratum(key); f == nil || f.Len() < minSupport {
+					want = append(want, key)
+				}
+			}
+			if got := SupportFailures(s, keep, minSupport); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: SupportFailures(%d) = %v, want %v", trial, minSupport, got, want)
+			}
+		}
+	}
+	if !sawEmpty || !sawSingle || !sawAll {
+		t.Fatalf("generator missed a case: empty %v, single survivor %v, all survive %v", sawEmpty, sawSingle, sawAll)
 	}
 }

@@ -67,13 +67,15 @@ func Alpha(d *Data) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			fails := approx.SupportFailures(tight.Sample, approx.MinSupport)
-			total := tight.Sample.NumStrata()
+			// The ratio is over the strata tightening leaves tuples in.
+			low := approx.SupportFailures(tight.Sample, tight.Keep, approx.MinSupport)
+			empty := approx.SupportFailures(tight.Sample, tight.Keep, 1)
+			total := tight.Sample.NumStrata() - len(empty)
 			if total == 0 {
 				row = append(row, "n/a")
 				continue
 			}
-			row = append(row, pct(float64(len(fails))/float64(total)))
+			row = append(row, pct(float64(len(low)-len(empty))/float64(total)))
 		}
 		t.Append(row...)
 	}

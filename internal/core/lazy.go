@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"laqy/internal/algebra"
+	"laqy/internal/approx"
 	"laqy/internal/engine"
 	"laqy/internal/expr"
 	"laqy/internal/governor"
@@ -131,9 +132,14 @@ func (r *Request) effectiveK() int {
 
 // Result reports how a request was served.
 type Result struct {
-	// Sample is the logical sample answering the request; its distribution
-	// matches an online sample built under Request.Predicate.
+	// Sample holds the tuples answering the request and Keep, when not nil,
+	// the tightening predicate they are read through (§5.2.1): the logical
+	// sample — distributed like an online sample built under
+	// Request.Predicate — is the tuples of Sample that Keep accepts, at the
+	// weights sample.Reservoir.Select gives them (approx.Selection reads it
+	// so). Sample may be the store's own copy: read-only.
 	Sample *sample.Stratified
+	Keep   func(tuple []int64) bool
 	// Mode is the Algorithm 1 path taken.
 	Mode Mode
 	// Missing is the Δ-range sampled (empty for full reuse and equal to
@@ -481,36 +487,41 @@ func (l *LazySampler) offline(req Request, match *store.Match) (*Result, error) 
 	mergeStart := obs.Clock()
 	tsp := obs.SpanFrom(req.Query.Ctx).Start("tighten")
 	defer tsp.End()
-	sam, repairStats, ok, err := l.tighten(req, match.Meta.Schema, match.Meta.Predicate, match.Sample)
+	res, err := l.tighten(req, match.Meta.Schema, match.Meta.Predicate, match.Sample)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if res == nil {
 		return &Result{Mode: ModeOffline, SupportFallback: true}, nil
 	}
-	return &Result{Sample: sam, Mode: ModeOffline, Stats: repairStats, MergeTime: obs.Since(mergeStart)}, nil
+	res.Mode, res.MergeTime = ModeOffline, obs.Since(mergeStart)
+	return res, nil
 }
 
 // tighten narrows from — a sample covering samplePred, capturing schema — to
 // the request predicate (§5.2.1): the query's conjuncts that stored tuples may
-// violate are re-applied to them, then the support policy (checkSupport; none
-// when req.MinSupport is 0) accepts or repairs the thinned strata. It returns
-// the sample to answer from and the repair's execution stats. ok=false: from
-// lacks a column to tighten on, or support failed beyond repair.
+// violate become the Keep predicate from is read through, then the support
+// policy (none when req.MinSupport is 0) accepts the thinned strata or has
+// the failing ones repaired. It returns a Result holding the view to answer
+// from and the repair's execution stats; nil when from lacks a column to
+// tighten on or support failed beyond repair.
 func (l *LazySampler) tighten(req Request, schema sample.Schema, samplePred algebra.Predicate,
-	from *sample.Stratified) (*sample.Stratified, engine.Stats, bool, error) {
+	from *sample.Stratified) (*Result, error) {
 
 	pred := tighteningPredicate(samplePred, req.Predicate)
 	if pred.IsTrue() {
-		return from, engine.Stats{}, true, nil
+		return &Result{Sample: from}, nil
 	}
-	matcher, err := expr.TupleMatcher(pred, schema)
+	keep, err := expr.TupleMatcher(pred, schema)
 	if err != nil {
-		return nil, engine.Stats{}, false, nil
+		return nil, nil
 	}
-	answer := from.Filter(matcher)
-	repairStats, ok, err := l.checkSupport(req, schema, from, answer)
-	return answer, repairStats, ok, err
+	if req.MinSupport > 0 {
+		if fails := approx.SupportFailures(from, keep, req.MinSupport); len(fails) > 0 {
+			return l.repairSupport(req, schema, from, keep, fails)
+		}
+	}
+	return &Result{Sample: from, Keep: keep}, nil
 }
 
 // partial is the lazy path: Δ-sample only the missing range, merge with
@@ -587,7 +598,7 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 
 	// The logical sample for the query: tighten when the merged sample is
 	// wider than the request.
-	answer, repairStats, ok, err := l.tighten(req, meta.Schema, newPred, merged)
+	res, err := l.tighten(req, meta.Schema, newPred, merged)
 	mergeTime := obs.Since(mergeStart)
 	msp.SetAttrInt("strata", int64(merged.NumStrata()))
 	msp.End()
@@ -597,18 +608,13 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 	l.met.merges.Inc()
 	l.met.mergeSeconds.Observe(mergeTime)
 
-	if !ok {
+	if res == nil {
 		return &Result{Mode: ModePartial, SupportFallback: true}, nil
 	}
-	stats.Add(repairStats)
-	return &Result{
-		Sample:      answer,
-		Mode:        ModePartial,
-		Missing:     delta.Missing,
-		DeltaColumn: delta.Column,
-		Stats:       stats,
-		MergeTime:   mergeTime,
-	}, nil
+	stats.Add(res.Stats)
+	res.Mode, res.Missing, res.DeltaColumn = ModePartial, delta.Missing, delta.Column
+	res.Stats, res.MergeTime = stats, mergeTime
+	return res, nil
 }
 
 // serveStored is the bottom rung of the degradation ladder: answer a
@@ -628,12 +634,12 @@ func (l *LazySampler) serveStored(req Request, match *store.Match, deg governor.
 	defer sp.End()
 
 	req.MinSupport = 0 // no support repair: a repair would scan
-	answer, _, ok, err := l.tighten(req, meta.Schema, meta.Predicate, match.Sample)
+	res, err := l.tighten(req, meta.Schema, meta.Predicate, match.Sample)
 	if err != nil {
 		return nil, err
 	}
 	cov := coverageEstimate(req.Predicate, delta.Column, delta.Missing)
-	if !ok || cov <= 0 {
+	if res == nil || cov <= 0 {
 		// The sample lacks a column the query constrains, or covers none
 		// of its range: unservable.
 		return nil, governor.ErrNoStoredSample
@@ -644,7 +650,8 @@ func (l *LazySampler) serveStored(req Request, match *store.Match, deg governor.
 	}
 	sp.SetAttr("degraded", deg.String())
 	return &Result{
-		Sample:       answer,
+		Sample:       res.Sample,
+		Keep:         res.Keep,
 		Mode:         ModeOffline,
 		Missing:      delta.Missing,
 		DeltaColumn:  delta.Column,

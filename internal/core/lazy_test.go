@@ -133,6 +133,16 @@ func TestExpandedRangeIsPartial(t *testing.T) {
 	}
 }
 
+// answer materializes the logical sample a result stands for — the tuples of
+// res.Sample its Keep predicate accepts, at the rescaled weights — so a test
+// can inspect what the estimators read through the view.
+func answer(res *Result) *sample.Stratified {
+	if res.Keep == nil {
+		return res.Sample
+	}
+	return res.Sample.Filter(res.Keep)
+}
+
 func TestNarrowedRangeTightens(t *testing.T) {
 	fact := testFact(factRows, groups)
 	l := New(store.New(0), 1)
@@ -146,12 +156,17 @@ func TestNarrowedRangeTightens(t *testing.T) {
 	if res.Mode != ModeOffline {
 		t.Fatalf("mode = %v", res.Mode)
 	}
+	// The hit copies nothing: it is the stored sample behind a predicate.
+	if res.Keep == nil || res.Sample != l.Store().List()[0].Sample {
+		t.Fatalf("tightened hit should be a view over the stored sample (keep set: %v)", res.Keep != nil)
+	}
 	// Tightened weight should estimate the 1001 qualifying rows.
-	if math.Abs(res.Sample.TotalWeight()-1001) > 600 {
-		t.Fatalf("tightened weight = %v, want ≈1001", res.Sample.TotalWeight())
+	tight := answer(res)
+	if math.Abs(tight.TotalWeight()-1001) > 600 {
+		t.Fatalf("tightened weight = %v, want ≈1001", tight.TotalWeight())
 	}
 	// Every surviving tuple satisfies the narrow predicate.
-	res.Sample.ForEach(func(_ sample.StratumKey, r *sample.Reservoir) {
+	tight.ForEach(func(_ sample.StratumKey, r *sample.Reservoir) {
 		for i := 0; i < r.Len(); i++ {
 			k := r.Tuple(i)[1]
 			if k < 5000 || k > 6000 {
@@ -190,18 +205,19 @@ func TestNarrowedRangeTightens(t *testing.T) {
 		if res.Mode != c.mode || res.Stale != (c.name == "stale") {
 			t.Fatalf("%s: mode=%v stale=%v", c.name, res.Mode, res.Stale)
 		}
+		got := answer(res)
 		if want == nil {
-			want = res.Sample
+			want = got
 			if want.NumStrata() != groups || want.TotalWeight() <= 0 {
 				t.Fatalf("tightened sample: %d strata, weight %v", want.NumStrata(), want.TotalWeight())
 			}
 			continue
 		}
-		if res.Sample.NumStrata() != want.NumStrata() {
-			t.Fatalf("%s: %d strata, stale serve had %d", c.name, res.Sample.NumStrata(), want.NumStrata())
+		if got.NumStrata() != want.NumStrata() {
+			t.Fatalf("%s: %d strata, stale serve had %d", c.name, got.NumStrata(), want.NumStrata())
 		}
 		want.ForEach(func(key sample.StratumKey, w *sample.Reservoir) {
-			g := res.Sample.Stratum(key)
+			g := got.Stratum(key)
 			if g == nil || g.Weight() != w.Weight() || g.Len() != w.Len() {
 				t.Fatalf("%s: stratum %v differs from the stale serve's", c.name, key)
 			}
@@ -252,11 +268,12 @@ func TestCombinedTightenAndRelax(t *testing.T) {
 	}
 	// Answer weight ≈ 10000 qualifying rows (5000 exact from delta, ~5000
 	// estimated from tightening).
-	if math.Abs(res.Sample.TotalWeight()-10000) > 2500 {
-		t.Fatalf("answer weight = %v, want ≈10000", res.Sample.TotalWeight())
+	tight := answer(res)
+	if math.Abs(tight.TotalWeight()-10000) > 2500 {
+		t.Fatalf("answer weight = %v, want ≈10000", tight.TotalWeight())
 	}
 	// All tuples in range.
-	res.Sample.ForEach(func(_ sample.StratumKey, r *sample.Reservoir) {
+	tight.ForEach(func(_ sample.StratumKey, r *sample.Reservoir) {
 		for i := 0; i < r.Len(); i++ {
 			k := r.Tuple(i)[1]
 			if k < 5000 || k > 14999 {
@@ -333,7 +350,11 @@ func TestSupportRepair(t *testing.T) {
 	if res.Stats.RowsScanned == 0 {
 		t.Fatal("repair should have scanned for the failing strata")
 	}
-	// Repaired strata hold exactly the 21 qualifying rows.
+	// Repaired strata hold exactly the 21 qualifying rows: the one case an
+	// answer is still materialized, since those tuples are not in the store.
+	if res.Keep != nil {
+		t.Fatal("a repaired answer should carry its own tuples, not a view")
+	}
 	if res.Sample.TotalWeight() != 21 {
 		t.Fatalf("repaired weight = %v, want exact 21", res.Sample.TotalWeight())
 	}

@@ -294,7 +294,8 @@ func TupleMatcher(p algebra.Predicate, schema sample.Schema) (func(tuple []int64
 		cs = append(cs, c)
 	}
 	return func(tuple []int64) bool {
-		for _, c := range cs {
+		for i := range cs {
+			c := &cs[i]
 			v := tuple[c.idx]
 			if c.single {
 				if v < c.lo || v > c.hi {

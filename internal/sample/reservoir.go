@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"laqy/internal/rng"
 )
@@ -62,6 +63,14 @@ type Reservoir struct {
 	weight float64 // number of tuples considered (importance weight)
 	data   []int64 // row-major tuple storage, len = min(n, k) * width
 	gen    *rng.Lehmer64
+
+	// shared: data may also be referenced by another reservoir. Clone sets
+	// it on both sides, and whichever side first overwrites a stored slot
+	// copies the storage beforehand (own). Appends need no copy: a clone's
+	// slice has cap == len, so its append reallocates, and the original
+	// appends past every clone's len. Atomic because readers of a published
+	// sample may clone it concurrently.
+	shared atomic.Bool
 
 	// Algorithm L skip-ahead state (Li 1994), used only by the batch
 	// admission paths (ConsiderColumns / considerRowColumns). After the
@@ -123,6 +132,10 @@ func (r *Reservoir) Tuple(i int) []int64 {
 	return r.data[i*r.width : (i+1)*r.width]
 }
 
+// Tuples returns all stored tuples, row-major; it aliases internal storage
+// under the same terms as Tuple.
+func (r *Reservoir) Tuples() []int64 { return r.data }
+
 // Consider offers one tuple to the reservoir, performing the admission
 // control step of Algorithm R: the n-th considered tuple is admitted with
 // probability k/n, replacing a uniformly chosen victim.
@@ -153,6 +166,7 @@ func (r *Reservoir) Consider(tuple []int64) {
 	r.rngDraws++
 	n := uint64(r.weight)
 	if slot := r.gen.Uint64n(n); slot < uint64(r.k) {
+		r.own()
 		copy(r.data[int(slot)*r.width:], tuple)
 	}
 }
@@ -233,9 +247,7 @@ func (r *Reservoir) ConsiderColumns(cols [][]int64, n int) {
 		}
 		need := (have + fill) * r.width
 		if cap(r.data) < need {
-			nd := make([]int64, len(r.data), r.k*r.width)
-			copy(nd, r.data)
-			r.data = nd
+			r.regrow(r.k)
 		}
 		r.data = r.data[:need]
 		for c := 0; c < r.width; c++ {
@@ -263,6 +275,7 @@ func (r *Reservoir) ConsiderColumns(cols [][]int64, n int) {
 		i += int(r.lSkip)
 		r.weight += float64(r.lSkip) + 1
 		r.rngDraws++
+		r.own()
 		dst := r.data[r.gen.Intn(r.k)*r.width:]
 		for c := 0; c < r.width; c++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
 			dst[c] = cols[c][i]
@@ -298,6 +311,7 @@ func (r *Reservoir) considerRowColumns(cols [][]int64, i int) {
 		return
 	}
 	r.rngDraws++
+	r.own()
 	dst := r.data[r.gen.Intn(r.k)*r.width:]
 	for c := 0; c < r.width; c++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
 		dst[c] = cols[c][i]
@@ -316,10 +330,24 @@ const fillChunkTuples = 8
 // tuples, doubling from fillChunkTuples, capped at k — one allocation per
 // doubling of the stratum, not one per doubling of every int64 appended.
 func (r *Reservoir) growFill() {
-	tuples := min(max(2*r.Len(), fillChunkTuples), r.k)
+	r.regrow(min(max(2*r.Len(), fillChunkTuples), r.k))
+}
+
+// regrow moves the stored tuples into fresh storage, this reservoir's alone,
+// with room for the given number of tuples.
+func (r *Reservoir) regrow(tuples int) {
 	nd := make([]int64, len(r.data), tuples*r.width)
 	copy(nd, r.data)
 	r.data = nd
+	r.shared.Store(false)
+}
+
+// own makes the tuple storage private before a stored slot is overwritten: a
+// no-op unless a Clone may still share it.
+func (r *Reservoir) own() {
+	if r.shared.Load() {
+		r.regrow(r.Len())
+	}
 }
 
 // considerWeighted offers a tuple carrying an importance weight w, using
@@ -346,52 +374,66 @@ func (r *Reservoir) considerWeighted(tuple []int64, w float64) {
 	if admit {
 		r.rngDraws++
 		slot := r.gen.Intn(r.k)
+		r.own()
 		copy(r.data[slot*r.width:], tuple)
 	}
 }
 
-// Clone returns a deep copy of the reservoir sharing no storage, with its
-// own RNG substream so the copies evolve independently.
+// Clone returns an independent copy of the reservoir with its own RNG
+// substream. Tuple storage is shared until either side overwrites a stored
+// slot (see shared): merging a small Δ into a clone copies only the strata
+// the Δ rewrites.
 func (r *Reservoir) Clone() *Reservoir {
 	out := &Reservoir{k: r.k, width: r.width, weight: r.weight, gen: r.gen.Split(0x5C)}
-	out.data = append([]int64(nil), r.data...)
+	if len(r.data) > 0 {
+		out.data = r.data[:len(r.data):len(r.data)]
+		out.shared.Store(true)
+		if !r.shared.Load() { // write once: concurrent readers share r's cache line
+			r.shared.Store(true)
+		}
+	}
 	return out
 }
 
-// Filter returns a new reservoir holding only tuples accepted by keep,
-// implementing the paper's conditional transition to stricter predicates
-// (§5.2.1): the surviving tuples are a uniform sample of the qualifying
-// subpopulation, and the represented weight is rescaled by the observed
-// qualifying fraction (an estimate, exact only in expectation).
+// Select appends to dst the indices of the stored tuples accepted by keep and
+// returns them with the weight they represent — the paper's conditional
+// transition to stricter predicates (§5.2.1) without the copy: the survivors
+// are a uniform sample of the qualifying subpopulation, and the represented
+// weight is rescaled by the observed qualifying fraction (an estimate, exact
+// only in expectation).
+//
+//laqy:hot per-tuple predicate on every reuse hit
+func (r *Reservoir) Select(keep func(tuple []int64) bool, dst []int32) ([]int32, float64) {
+	data, w := r.data, r.width
+	n := 0
+	for ; len(data) >= w; data, n = data[w:], n+1 {
+		if keep(data[:w:w]) {
+			dst = append(dst, int32(n))
+		}
+	}
+	if n == 0 {
+		return dst, 0
+	}
+	return dst, r.weight * float64(len(dst)) / float64(n)
+}
+
+// Filter returns a new reservoir holding only the tuples Select keeps, at
+// the weight it reports: the materialized form of a tightening, for callers
+// that go on to merge or store the narrower sample.
 func (r *Reservoir) Filter(keep func(tuple []int64) bool) *Reservoir {
 	out := &Reservoir{k: r.k, width: r.width, gen: r.gen.Split(0xF1)}
-	n := r.Len()
-	// Count the survivors first (at most k tuples), so the output is one
-	// exact allocation instead of a growth chain per stratum.
-	kept := 0
-	for i := 0; i < n; i++ {
-		if keep(r.Tuple(i)) {
-			kept++
+	// keep runs once per tuple; its verdicts size the one exact allocation.
+	var buf [64]int32
+	kept, weight := r.Select(keep, buf[:0])
+	out.weight = weight
+	if len(kept) > 0 {
+		out.data = make([]int64, 0, len(kept)*r.width)
+		for _, i := range kept {
+			out.data = append(out.data, r.Tuple(int(i))...)
 		}
-	}
-	if kept > 0 {
-		out.data = make([]int64, 0, kept*r.width)
-		for i := 0; i < n; i++ {
-			if t := r.Tuple(i); keep(t) {
-				out.data = append(out.data, t...)
-			}
-		}
-	}
-	if n > 0 {
-		out.weight = r.weight * float64(kept) / float64(n)
 	}
 	return out
 }
-
-// SupportOK reports whether the reservoir holds at least minSupport tuples,
-// the per-stratum support check of §5.2.3 guarding error bounds after
-// predicate tightening.
-func (r *Reservoir) SupportOK(minSupport int) bool { return r.Len() >= minSupport }
 
 // Merge combines two reservoirs over disjoint inputs into a reservoir
 // distributed as a direct sample of the combined input, implementing the
@@ -469,6 +511,7 @@ func mergeProportional(r1, r2 *Reservoir, gen *rng.Lehmer64) *Reservoir {
 	w1, w2 := r1.weight, r2.weight
 	p1 := w1 / (w1 + w2)
 	out := r1 // reuse r1's storage
+	out.own()
 	for i := 0; i < out.k; i++ {
 		if gen.Float64() >= p1 {
 			copy(out.data[i*out.width:], r2.Tuple(i))

@@ -114,7 +114,11 @@ func TestReservoirClone(t *testing.T) {
 func TestReservoirFilter(t *testing.T) {
 	r := NewReservoir(100, 1, newGen(4))
 	fill(r, 0, 100) // not full: holds exactly 0..99, weight 100
-	f := r.Filter(func(tu []int64) bool { return tu[0] < 25 })
+	calls := 0
+	f := r.Filter(func(tu []int64) bool { calls++; return tu[0] < 25 })
+	if calls != r.Len() {
+		t.Fatalf("keep ran %d times over %d tuples, want once each", calls, r.Len())
+	}
 	if f.Len() != 25 {
 		t.Fatalf("filtered Len = %d, want 25", f.Len())
 	}
@@ -142,14 +146,6 @@ func TestReservoirFilter(t *testing.T) {
 	f3 := r2.Filter(func([]int64) bool { return false })
 	if f3.Len() != 0 || f3.Weight() != 0 || f3.data != nil {
 		t.Fatal("empty filter should yield empty zero-weight reservoir")
-	}
-}
-
-func TestSupportOK(t *testing.T) {
-	r := NewReservoir(100, 1, newGen(6))
-	fill(r, 0, 30)
-	if !r.SupportOK(30) || r.SupportOK(31) {
-		t.Fatal("SupportOK threshold wrong")
 	}
 }
 

@@ -35,6 +35,8 @@ func (s *Stratified) Restore(key StratumKey, r *Reservoir) error {
 	}
 	if old, ok := s.strata[key]; ok {
 		s.weight -= old.Weight()
+	} else {
+		s.sorted.Store(nil)
 	}
 	s.strata[key] = r
 	s.weight += r.Weight()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"laqy/internal/rng"
 )
@@ -51,6 +52,12 @@ type Stratified struct {
 	strata   map[StratumKey]*Reservoir
 	gen      *rng.Lehmer64
 	weight   float64 // total tuples considered across all strata
+
+	// sorted caches the stratum keys in order, so the ordered walk behind
+	// every answer sorts once per sample, not once per query. Built on first
+	// use (atomically: readers of a published sample may race to build it),
+	// dropped wherever a stratum is inserted, never written once stored.
+	sorted atomic.Pointer[[]StratumKey]
 }
 
 // NewStratified creates an empty stratified sample capturing the columns of
@@ -106,11 +113,18 @@ func (s *Stratified) Consider(tuple []int64) {
 	k := s.key(tuple)
 	res, ok := s.strata[k]
 	if !ok {
-		res = NewReservoir(s.k, len(s.schema), s.gen.Split(uint64(len(s.strata))))
-		s.strata[k] = res
+		res = s.insert(k)
 	}
 	res.Consider(tuple)
 	s.weight++
+}
+
+// insert allocates the reservoir of a stratum seen for the first time.
+func (s *Stratified) insert(key StratumKey) *Reservoir {
+	res := NewReservoir(s.k, len(s.schema), s.gen.Split(uint64(len(s.strata))))
+	s.strata[key] = res
+	s.sorted.Store(nil)
+	return res
 }
 
 // ConsiderColumns offers n tuples laid out column-major (cols[c][i] is
@@ -144,8 +158,7 @@ func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {
 			var ok bool
 			res, ok = s.strata[key]
 			if !ok {
-				res = NewReservoir(s.k, len(s.schema), s.gen.Split(uint64(len(s.strata))))
-				s.strata[key] = res
+				res = s.insert(key)
 			}
 		}
 		res.considerRowColumns(cols, i)
@@ -178,7 +191,14 @@ func (s *Stratified) SizeBytes() int64 {
 func (s *Stratified) Stratum(key StratumKey) *Reservoir { return s.strata[key] }
 
 // Keys returns all stratum keys in deterministic (sorted) order.
-func (s *Stratified) Keys() []StratumKey {
+func (s *Stratified) Keys() []StratumKey { return slices.Clone(s.sortedKeys()) }
+
+// sortedKeys returns the cached ordered keys (read-only), sorting anew when a
+// stratum was inserted since the last walk.
+func (s *Stratified) sortedKeys() []StratumKey {
+	if p := s.sorted.Load(); p != nil {
+		return *p
+	}
 	out := make([]StratumKey, 0, len(s.strata))
 	for k := range s.strata {
 		out = append(out, k)
@@ -191,12 +211,13 @@ func (s *Stratified) Keys() []StratumKey {
 		}
 		return 0
 	})
+	s.sorted.Store(&out)
 	return out
 }
 
 // ForEach visits every stratum in deterministic order.
 func (s *Stratified) ForEach(fn func(key StratumKey, r *Reservoir)) {
-	for _, k := range s.Keys() {
+	for _, k := range s.sortedKeys() {
 		fn(k, s.strata[k])
 	}
 }
@@ -222,7 +243,8 @@ func (s *Stratified) Filter(keep func(tuple []int64) bool) *Stratified {
 	return out
 }
 
-// Clone returns a deep copy sharing no storage with s.
+// Clone returns an independent copy of s. Tuple storage is shared per stratum
+// until written (Reservoir.Clone), and so is the immutable sorted-key cache.
 func (s *Stratified) Clone() *Stratified {
 	out := &Stratified{
 		schema:   s.schema,
@@ -235,6 +257,7 @@ func (s *Stratified) Clone() *Stratified {
 	for k, r := range s.strata {
 		out.strata[k] = r.Clone()
 	}
+	out.sorted.Store(s.sorted.Load())
 	return out
 }
 
@@ -271,6 +294,7 @@ func MergeStratified(a, b *Stratified, gen *rng.Lehmer64) (*Stratified, error) {
 			dst.strata[k] = Merge(existing, r, gen.Split(k.splitIndex()))
 		} else {
 			dst.strata[k] = r
+			dst.sorted.Store(nil)
 		}
 	}
 	dst.weight = a.weight + b.weight

@@ -548,7 +548,11 @@ func TestAppendMaintainsSamples(t *testing.T) {
 
 // TestAppendBesidePartialReuse: appends maintain the stored samples while
 // widening-range queries Δ-merge into them; both draw their merge RNG
-// substreams from the sampler's one generator. Run with -race (make race).
+// substreams from the sampler's one generator. Beside them, narrower queries
+// answer offline from the very entry being merged: each merge works on a
+// clone that shares the entry's tuple storage until it writes, so a write
+// that reached the shared storage would race with these readers. Run with
+// -race (make race).
 func TestAppendBesidePartialReuse(t *testing.T) {
 	db := Open(Config{Workers: 2, Seed: 3})
 	const n, batch, rounds = 8000, 500, 12
@@ -570,6 +574,30 @@ func TestAppendBesidePartialReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 2)
+	writersDone := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(lo int) {
+			defer readers.Done()
+			for {
+				res, err := db.Query(`SELECT SUM(v), COUNT(*) FROM t WHERE key BETWEEN ` + strconv.Itoa(lo) + ` AND 900 APPROX WITH K 64`)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Mode != ModeOffline || len(res.Rows) != 1 || res.Rows[0].Aggs[0].Support == 0 {
+					t.Errorf("reader beside the merges: mode %q, %d rows", res.Mode, len(res.Rows))
+					return
+				}
+				select {
+				case <-writersDone:
+					return
+				default:
+				}
+			}
+		}(100 * (r + 1))
+	}
 	go func() {
 		for i := 0; i < rounds; i++ {
 			from := n + i*batch
@@ -589,10 +617,16 @@ func TestAppendBesidePartialReuse(t *testing.T) {
 		}
 		errs <- nil
 	}()
+	var failed error
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
-			t.Fatal(err)
+			failed = err
 		}
+	}
+	close(writersDone)
+	readers.Wait()
+	if failed != nil {
+		t.Fatal(failed)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"laqy/internal/obs"
 	"laqy/internal/sample"
 	"laqy/internal/sql"
+	"laqy/internal/storage"
 )
 
 // GroupValue is one grouping-column value of a result row, decoded to a
@@ -379,14 +380,18 @@ func aggLabel(a sql.AggSpec) string {
 func decodeGroups(plan *sql.Plan, key engine.GroupKey) []GroupValue {
 	out := make([]GroupValue, len(plan.GroupBy))
 	for i, col := range plan.GroupBy {
-		v := key[i]
-		if dict, ok := plan.Dicts[col]; ok && dict != nil {
-			out[i] = GroupValue{Str: dict.Value(v), IsString: true, Int: v}
-		} else {
-			out[i] = GroupValue{Int: v}
-		}
+		out[i] = decodeGroup(plan.Dicts[col], key[i])
 	}
 	return out
+}
+
+// decodeGroup renders one grouping value: a dictionary code (dict not nil)
+// or a plain integer.
+func decodeGroup(dict *storage.Dict, v int64) GroupValue {
+	if dict != nil {
+		return GroupValue{Str: dict.Value(v), IsString: true, Int: v}
+	}
+	return GroupValue{Int: v}
 }
 
 // fusedEligible reports whether the exact plan can run as one fused
@@ -568,21 +573,24 @@ func (db *DB) runApprox(plan *sql.Plan, serveStored bool) (*Result, error) {
 const approxRetryAttempts = 2
 
 // resultFromSample materializes a sampler answer into a Result, for the first
-// pass and the resized-K passes of runApprox alike: one row per stratum, each
-// aggregate estimated from the stratum's reservoir (COUNT(*) rides on the
-// first captured value column), plus stats, staleness and degradations.
+// pass and the resized-K passes of runApprox alike: one row per stratum with
+// tuples left under the answer's tightening predicate, each aggregate
+// estimated from that one selection of the stratum's reservoir (COUNT(*)
+// rides on the first captured value column), plus stats, staleness and
+// degradations.
 //
 // A stale serve (degraded stored sample covering only part of the
 // predicate) is adjusted here: extensive aggregates (SUM, COUNT) scale by
 // the coverage extrapolation factor — their standard errors with them —
 // and every standard error is additionally widened by CIScale, so the
 // reported uncertainty discloses the unobserved range.
+//
+//laqy:hot per-stratum estimate loop of every approximate answer
 func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time) *Result {
 	out := newResult(plan, true, modeFromCore(res.Mode))
 	out.Stats = toExecStats(res.Stats, res.MergeTime, obs.Since(start))
 	out.Stale = res.Stale
 	out.Degradations = append(out.Degradations, res.Degradations...)
-	rideOnIdx := len(plan.GroupBy)
 	// Coverage accounting applies to stale serves and to builds that
 	// dropped trailing segments under pressure: either way the sample
 	// under-covers the predicate and Extrapolate/CIScale disclose it.
@@ -595,14 +603,36 @@ func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time) *Result
 			ciScale = res.CIScale
 		}
 	}
+	// Resolved once, not per stratum: each aggregate's tuple column and each
+	// grouping column's dictionary. Rows cut Groups and Aggs from two slabs.
+	nGroups, nAggs := len(plan.GroupBy), len(plan.Aggs)
+	cols := make([]int, nAggs)
+	for i, a := range plan.Aggs {
+		cols[i] = nGroups
+		if a.Column != "" {
+			cols[i] = plan.Schema.Index(a.Column)
+		}
+	}
+	dicts := make([]*storage.Dict, nGroups)
+	for i, col := range plan.GroupBy {
+		dicts[i] = plan.Dicts[col]
+	}
+	strata := res.Sample.NumStrata()
+	out.Rows = make([]Row, 0, strata)
+	groups := make([]GroupValue, strata*nGroups)
+	aggs := make([]AggValue, strata*nAggs)
+	var sel approx.Selection
 	res.Sample.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
-		row := Row{Groups: decodeGroups(plan, key), Aggs: make([]AggValue, len(plan.Aggs))}
+		if !sel.Select(r, res.Keep) {
+			return // tightening left this stratum no tuple
+		}
+		row := Row{Groups: groups[:nGroups:nGroups], Aggs: aggs[:nAggs:nAggs]}
+		groups, aggs = groups[nGroups:], aggs[nAggs:]
+		for i, dict := range dicts {
+			row.Groups[i] = decodeGroup(dict, key[i])
+		}
 		for i, a := range plan.Aggs {
-			colIdx := rideOnIdx
-			if a.Column != "" {
-				colIdx = plan.Schema.Index(a.Column)
-			}
-			e := approx.FromReservoir(r, colIdx, a.Kind)
+			e := sel.Estimate(cols[i], a.Kind)
 			if a.Kind == approx.Sum || a.Kind == approx.Count {
 				e.Value *= extrapolate
 				e.StdErr *= extrapolate

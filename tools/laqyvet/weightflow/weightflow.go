@@ -5,9 +5,10 @@
 // and nothing crashes.
 //
 // Sources are reads of sampled tuples: calls to
-// (*sample.Reservoir).Tuple. Scale applications are reads of the
+// (*sample.Reservoir).Tuple and Tuples. Scale applications are reads of the
 // represented-population weight: (*sample.Reservoir).Weight,
-// (*sample.Stratified).TotalWeight. Sinks are constructions of
+// (*sample.Stratified).TotalWeight, and (*approx.Selection).Weight — the
+// weight of a reservoir read through a tightening predicate. Sinks are constructions of
 // approx.Estimate composite literals. Each property is computed per
 // function and propagated over the package-set call graph (including
 // escaping literals, so a callback handed to Stratified.ForEach carries
@@ -43,11 +44,13 @@ var Analyzer = &analysis.Analyzer{
 // Source and scale methods, by (*types.Func).FullName.
 var (
 	sourceMethods = map[string]bool{
-		"(*laqy/internal/sample.Reservoir).Tuple": true,
+		"(*laqy/internal/sample.Reservoir).Tuple":  true,
+		"(*laqy/internal/sample.Reservoir).Tuples": true,
 	}
 	scaleMethods = map[string]bool{
 		"(*laqy/internal/sample.Reservoir).Weight":       true,
 		"(*laqy/internal/sample.Stratified).TotalWeight": true,
+		"(*laqy/internal/approx.Selection).Weight":       true,
 	}
 )
 
