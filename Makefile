@@ -39,15 +39,14 @@ benchmark-check:
 
 # CI-sized bench pass that exercises sample reuse and writes the sampler
 # metrics snapshot CI uploads as an artifact (docs/OBSERVABILITY.md), then
-# one iteration of every kernel bench — the selection kernels, the run-length
-# sweep behind the RLE adoption threshold, the encoded scans and the fused
-# aggregate — so their fixtures and structural assertions (which cases bind
-# an encoding, which fuse) cannot rot unseen between `make bench` runs, and
-# one reuse hit of each kind (BenchmarkReuseHit), whose allocs/op column is
-# the per-hit allocation count.
+# one iteration of every kernel bench — the selection kernels and the fused
+# aggregate — so their fixtures and structural assertions (which cases
+# fuse) cannot rot unseen between `make bench` runs, and one reuse hit of
+# each kind (BenchmarkReuseHit), whose allocs/op column is the per-hit
+# allocation count.
 bench-smoke:
 	$(GO) run ./cmd/laqy-bench -smoke -metricsout bench-metrics.json
-	$(GO) test -run '^$$' -bench 'Select|RunLength|EncodedScan|FusedAggregate' -benchtime 1x \
+	$(GO) test -run '^$$' -bench 'Select|FusedAggregate' -benchtime 1x \
 		./internal/expr ./internal/engine
 	$(GO) test -run '^$$' -bench 'ReuseHit' -benchtime 1x .
 
@@ -108,7 +107,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPlan -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sql
 	$(GO) test -fuzz=FuzzSetAlgebra -fuzztime=$(FUZZTIME) -run '^$$' ./internal/algebra
 	$(GO) test -fuzz=FuzzStoreLoad -fuzztime=$(FUZZTIME) -run '^$$' ./internal/store
-	$(GO) test -fuzz=FuzzEncodedColumn -fuzztime=$(FUZZTIME) -run '^$$' ./internal/expr
 
 # Full benchmark pass: the paper-figure benches in the root package plus
 # the hot-path microbenches (selection kernels, reservoir admission,
@@ -122,15 +120,6 @@ BENCHPKGS = . ./internal/expr ./internal/sample ./internal/engine
 # committed snapshot (BENCH_PR8.json) is the acceptance artifact for the
 # segment-sharding work and needs stable per-layout numbers.
 SEGBENCHTIME ?= 10x
-# The encoded-storage benches likewise: BENCH_PR10.json snapshots the
-# encoded selection kernels and the fused aggregate against their plain
-# references (clustered/shuffled/shortruns/const), and is the acceptance
-# artifact for the encoded-columnar work and its never-slower adoption rule
-# (docs/PERFORMANCE.md, "Encoded storage"). The never-slower rows compare
-# the same kernels run twice, and on a small shared machine their ratio
-# only settles within a few percent of 1 over ~1000 iterations (20x
-# recorded anything from 0.83 to 1.2).
-ENCBENCHTIME ?= 1000x
 
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -run '^$$' $(BENCHPKGS) > bench-raw.txt
@@ -140,10 +129,6 @@ bench:
 		-run '^$$' ./internal/engine > bench-segments-raw.txt
 	@cat bench-segments-raw.txt
 	$(GO) run ./cmd/benchjson -in bench-segments-raw.txt -out BENCH_PR8.json
-	$(GO) test -bench='BenchmarkEncodedScan|BenchmarkFusedAggregate' -benchtime=$(ENCBENCHTIME) \
-		-run '^$$' ./internal/engine > bench-encoded-raw.txt
-	@cat bench-encoded-raw.txt
-	$(GO) run ./cmd/benchjson -in bench-encoded-raw.txt -out BENCH_PR10.json
 
 clean:
 	$(GO) clean ./...

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"laqy/internal/engine"
+	"laqy/internal/obs"
 	"laqy/internal/storage"
 )
 
@@ -93,9 +94,7 @@ func (db *DB) Append(table string, b *TableBuilder) error {
 	if err := db.catalog.Replace(newTable); err != nil {
 		return err
 	}
-	// Appends can seal a full open segment (newly eligible for encoding)
-	// and always grow the logical footprint; republish the storage gauges.
-	db.updateStorageGauges()
+	db.reg.Gauge(obs.MStorageLogicalBytes).Add(tableBytes(newTable, newRows))
 
 	// Maintain scan-level samples over the grown table; invalidate
 	// join-level samples involving it.

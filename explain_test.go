@@ -58,7 +58,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		"  admission <dur>",
 		"  store lookup <dur> [reuse=miss]",
 		"  online sample <dur> [rows_scanned=30000 rows_selected=10001]",
-		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 encoded=0 rows_scanned=30000 rows_selected=10001]",
+		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 rows_scanned=30000 rows_selected=10001]",
 	}, "\n")
 	if got := scrubTrace(res.Explain); got != wantOnline {
 		t.Errorf("first EXPLAIN ANALYZE trace:\n%s\nwant:\n%s", got, wantOnline)
@@ -78,7 +78,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		"  admission <dur>",
 		"  store lookup <dur> [reuse=partial matched=lo_intkey ∈ [0,10000] delta=lo_intkey∈[10001,20000]]",
 		"  Δ-sample <dur> [missing=lo_intkey∈[10001,20000] rows_scanned=30000 rows_selected=10000]",
-		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 encoded=0 rows_scanned=30000 rows_selected=10000]",
+		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 rows_scanned=30000 rows_selected=10000]",
 		"  merge <dur> [strata=7]",
 	}, "\n")
 	if got := scrubTrace(res2.Explain); got != wantPartial {

@@ -53,6 +53,14 @@ func q11Predicate() algebra.Predicate {
 		WithRange("lo_quantity", 1, 24)
 }
 
+// warmZoneMaps builds every segment's zone map outside the timed loop, as a
+// warm server would have.
+func warmZoneMaps(t *storage.Table) {
+	for _, s := range t.Segments() {
+		s.ZoneMap()
+	}
+}
+
 // BenchmarkPrunedScan runs the Q1.1-shaped scan with zone maps on and off.
 // The pruned variant reports the fraction of morsels skipped (the
 // acceptance target is >0.9 on this clustered layout); the reference
@@ -60,7 +68,7 @@ func q11Predicate() algebra.Predicate {
 func BenchmarkPrunedScan(b *testing.B) {
 	const nMorsels = 16
 	fact := buildQ11Fact(nMorsels)
-	fact.ZoneMap() // build outside the timed loop, as a warm server would
+	warmZoneMaps(fact)
 
 	run := func(b *testing.B, disable bool) Stats {
 		var last Stats
@@ -90,14 +98,73 @@ func BenchmarkPrunedScan(b *testing.B) {
 	})
 }
 
+// BenchmarkFusedAggregate measures the fused scan→filter→aggregate path
+// (RunAggregate) against materialize-then-aggregate — the pipeline that
+// fills a selection vector and feeds it to a sink (RunScan, the exact path
+// before fusion) — under the same zone-map verdicts. Cases:
+//
+//   - clustered: a contiguous half of the date history, so the inner morsels
+//     are zone-map-full and fold in a single straight sum — no selection
+//     vector, no gather;
+//   - shuffled: a discount range no zone map can decide — nothing folds, but
+//     the fused path still skips materialization (select + direct-index
+//     fold), so it must not lose to materialize.
+func BenchmarkFusedAggregate(b *testing.B) {
+	fact := buildQ11Fact(16)
+	warmZoneMaps(fact)
+	cases := []struct {
+		name  string
+		pred  algebra.Predicate
+		fuses bool // some morsel folds without a selection vector
+	}{
+		{"clustered", algebra.NewPredicate().WithRange("lo_orderdate", 20000000, 20151231), true},
+		{"shuffled", algebra.NewPredicate().WithRange("lo_discount", 1, 3), false},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name+"/fused", func(b *testing.B) {
+			var last Stats
+			b.SetBytes(int64(fact.NumRows()) * 2 * 8) // filter column + payload
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := &Query{Fact: fact, Filter: tc.pred}
+				aggs, st, err := RunAggregate(q, ExprsFromNames([]string{"lo_extendedprice"}), 4)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(aggs) != 1 {
+					b.Fatalf("got %d aggregates", len(aggs))
+				}
+				last = st
+			}
+			b.StopTimer()
+			if (last.MorselsFused > 0) != tc.fuses {
+				b.Fatalf("fused morsels = %d, want fuses=%v: %+v", last.MorselsFused, tc.fuses, last)
+			}
+			b.ReportMetric(float64(last.MorselsFused), "fused-morsels")
+		})
+		b.Run(tc.name+"/materialize", func(b *testing.B) {
+			b.SetBytes(int64(fact.NumRows()) * 2 * 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := &Query{Fact: fact, Filter: tc.pred}
+				if _, _, err := RunScan(q, "lo_extendedprice", 4); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSegmentParallelBuild measures the append-then-build cycle of a
 // warm warehouse on SSB Q1.1 across segment layouts. Each iteration
 // appends one batch to the fact table and rebuilds the stratified sample,
 // which is the steady state a lazily-maintained store lives in. The
 // segmented layouts win even on one core because sealed segments carry
 // their zone maps across the append untouched (pointer-shared summaries,
-// storage.AppendColumns): only the open segment re-summarizes, while the
-// single-segment layout rebuilds the whole-table zone map every batch.
+// storage.AppendColumns): only the open segment re-summarizes, and in the
+// single-segment layout the open segment is the whole table.
 // BENCH_PR8.json tracks these numbers; see docs/SHARDING.md.
 func BenchmarkSegmentParallelBuild(b *testing.B) {
 	const nMorsels = 32
@@ -129,9 +196,7 @@ func BenchmarkSegmentParallelBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, s := range seg.Segments() {
-			s.ZoneMap() // warm the pre-append summaries, as a live server would
-		}
+		warmZoneMaps(seg) // the pre-append summaries, as on a live server
 		b.Run(fmt.Sprintf("segments=%d", segments), func(b *testing.B) {
 			b.SetBytes(int64(n+appendRows) * 3 * 8)
 			var last Stats

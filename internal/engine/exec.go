@@ -45,13 +45,9 @@ type Stats struct {
 	// zone map proved every row matches, so the selection vector was
 	// range-filled with no per-row compares.
 	MorselsFull int64
-	// MorselsEncoded counts morsels whose filter evaluated directly over a
-	// sealed segment's encoded columns (const/RLE kernels) instead of
-	// the plain vectors.
-	MorselsEncoded int64
 	// MorselsFused counts morsels the fused aggregate path folded straight
-	// into partial accumulators — pruned-full morsels and all-pass
-	// RLE/const runs — without producing a selection vector.
+	// into partial accumulators — the zone-map-full ones — without
+	// producing a selection vector.
 	MorselsFused int64
 	// Segments is the number of segment-scoped builds the coordinator
 	// planned (0 when no coordinator ran: a leaf build, or a plan of one
@@ -83,7 +79,6 @@ func (s *Stats) Add(o Stats) {
 	s.RowsSelected += o.RowsSelected
 	s.MorselsPruned += o.MorselsPruned
 	s.MorselsFull += o.MorselsFull
-	s.MorselsEncoded += o.MorselsEncoded
 	s.MorselsFused += o.MorselsFused
 	s.Segments += o.Segments
 	s.SegmentsBuilt += o.SegmentsBuilt
@@ -136,7 +131,7 @@ func runPipeline(q *Query, exprs []ColumnExpr, workers int, sinks []rowSink) (St
 	if err != nil {
 		return Stats{}, err
 	}
-	plan, err := newMorselPlan(q, nil)
+	plan, err := newMorselPlan(q)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -150,11 +145,11 @@ func runPipeline(q *Query, exprs []ColumnExpr, workers int, sinks []rowSink) (St
 		if fs, ok := sink.(failableSink); ok {
 			failed = fs.sinkErr
 		}
-		return func(ws *scanWorker, mo storage.Morsel, v morselVerdict, b *segmentBinding) (int, time.Duration) {
+		return func(ws *scanWorker, mo storage.Morsel, v morselVerdict) (int, time.Duration) {
 			if v == morselFull {
 				ws.sel = expr.FillRange(ws.sel[:0], mo.Start, mo.End)
 			} else {
-				ws.sel = plan.selectInto(b, mo, ws.sel[:0])
+				ws.sel = plan.filter.SelectInto(mo.Start, mo.End, ws.sel[:0])
 			}
 			t1 := time.Now()
 			sel, dimRows, gathered := ws.sel, ws.dimRows[:len(joinTables)], ws.gathered[:len(sources)]

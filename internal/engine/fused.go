@@ -30,12 +30,10 @@ type fusedExpr struct {
 // over the qualifying rows in one fused scan — aggregation folded into the
 // scan itself, as a per-morsel body of the morsel driver (scan.go):
 //
-//   - zone-map-full morsels and (when every filter conjunct decomposes over
-//     RLE/const encodings) all-pass runs fold straight into the partial
-//     accumulators via run_value×run_length arithmetic — no selection
-//     vector at all;
-//   - remaining morsels select (encoded or plain kernels) and accumulate by
-//     direct index into the operand vectors — no gather materialization.
+//   - zone-map-full morsels fold straight into the partial accumulators —
+//     no selection vector at all;
+//   - remaining morsels select and accumulate by direct index into the
+//     operand vectors — no gather materialization.
 //
 // All of a fused morsel's time is Stats.Scan (there is no phase past the
 // scan). Queries with joins are not fused (the probe needs materialized
@@ -63,7 +61,7 @@ func RunAggregate(q *Query, exprs []ColumnExpr, workers int) ([]AggResult, Stats
 			fes[i].right = s.right.vec
 		}
 	}
-	plan, err := newMorselPlan(q, exprs)
+	plan, err := newMorselPlan(q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -73,33 +71,17 @@ func RunAggregate(q *Query, exprs []ColumnExpr, workers int) ([]AggResult, Stats
 		mySums := make([]float64, len(fes))
 		sums[w] = mySums
 		acc := make([]int64, len(fes))
-		return func(ws *scanWorker, mo storage.Morsel, v morselVerdict, b *segmentBinding) (int, time.Duration) {
-			for e := range acc {
-				acc[e] = 0
-			}
-			n, fused := 0, false
+		return func(ws *scanWorker, mo storage.Morsel, v morselVerdict) (int, time.Duration) {
+			var n int
 			if v == morselFull {
-				// Every row matches: fold the whole morsel, preferring
-				// encoded run arithmetic.
-				n, fused = mo.Len(), true
-				for e := range fes {
-					acc[e] = sumExprRange(&fes[e], b, e, mo.Start, mo.End)
-				}
-			} else if b != nil && b.ef != nil {
-				// All-pass-run fold: when every conjunct decomposes over
-				// RLE/const runs here, passing runs fold with no selection
-				// vector.
-				fused = b.ef.PassRuns(mo.Start, mo.End, func(lo, hi int) {
-					n += hi - lo
-					for e := range fes {
-						acc[e] += sumExprRange(&fes[e], b, e, lo, hi)
-					}
-				})
-			}
-			if fused {
+				// Every row matches: fold the whole morsel.
+				n = mo.Len()
 				ws.st.MorselsFused++
+				for e := range fes {
+					acc[e] = sumExprRange(&fes[e], mo.Start, mo.End)
+				}
 			} else {
-				ws.sel = plan.selectInto(b, mo, ws.sel[:0])
+				ws.sel = plan.filter.SelectInto(mo.Start, mo.End, ws.sel[:0])
 				n = len(ws.sel)
 				for e := range fes {
 					acc[e] = sumExprSel(&fes[e], ws.sel)
@@ -132,14 +114,12 @@ func RunAggregate(q *Query, exprs []ColumnExpr, workers int) ([]AggResult, Stats
 	return out, stats, nil
 }
 
-// sumExprRange folds the expression over every row of [start, end). When
-// the left operand is encoded in the morsel's segment, the sum comes from
-// run_value×run_length arithmetic (storage.SumRange); literal operands fold
-// algebraically (sum(a*c) = c·sum(a), sum(a±c) = sum(a) ± c·n). The wrapping
-// int64 arithmetic is identical to the per-row plain loops.
+// sumExprRange folds the expression over every row of [start, end). Literal
+// operands fold algebraically (sum(a*c) = c·sum(a), sum(a±c) = sum(a) ± c·n);
+// the wrapping int64 arithmetic is identical to the per-row loops.
 //
 //laqy:hot fused full-range aggregate fold
-func sumExprRange(fe *fusedExpr, b *segmentBinding, e, start, end int) int64 {
+func sumExprRange(fe *fusedExpr, start, end int) int64 {
 	n := int64(end - start)
 	if fe.right != nil {
 		left, right := fe.left, fe.right
@@ -161,13 +141,9 @@ func sumExprRange(fe *fusedExpr, b *segmentBinding, e, start, end int) int64 {
 		return s
 	}
 	var s int64
-	if b != nil && b.cols[e] != nil {
-		s = b.cols[e].SumRange(start-b.start, end-b.start)
-	} else {
-		left := fe.left
-		for i := start; i < end; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			s += left[i]
-		}
+	left := fe.left
+	for i := start; i < end; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+		s += left[i]
 	}
 	switch fe.op {
 	case '*':

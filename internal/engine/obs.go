@@ -7,8 +7,8 @@ import (
 )
 
 // finishPipeline publishes one pipeline execution to the observability
-// substrate carried by the query context: six registry instruments and one
-// retroactive trace span covering the measured pipeline wall time.
+// substrate carried by the query context: the engine's registry instruments
+// and one retroactive trace span covering the measured pipeline wall time.
 //
 // It runs once per query, after the morsel workers have joined — the hot
 // per-morsel loop itself is never instrumented (the engine package is
@@ -21,7 +21,6 @@ func finishPipeline(q *Query, st *Stats, morsels int, start, end time.Time) {
 		reg.Counter(obs.MEngineMorsels).Add(int64(morsels))
 		reg.Counter(obs.MEngineMorselsPruned).Add(st.MorselsPruned)
 		reg.Counter(obs.MEngineMorselsFull).Add(st.MorselsFull)
-		reg.Counter(obs.MEngineMorselsEncoded).Add(st.MorselsEncoded)
 		reg.Counter(obs.MEngineMorselsFused).Add(st.MorselsFused)
 		reg.Counter(obs.MEngineRowsScanned).Add(st.RowsScanned)
 		reg.Counter(obs.MEngineRowsSelected).Add(st.RowsSelected)
@@ -34,7 +33,6 @@ func finishPipeline(q *Query, st *Stats, morsels int, start, end time.Time) {
 		p.SetAttrInt("morsels", int64(morsels))
 		p.SetAttrInt("pruned", st.MorselsPruned)
 		p.SetAttrInt("full", st.MorselsFull)
-		p.SetAttrInt("encoded", st.MorselsEncoded)
 		if st.MorselsFused > 0 {
 			p.SetAttrInt("fused", st.MorselsFused)
 		}

@@ -163,7 +163,7 @@ func TestZoneMapAppendInvalidation(t *testing.T) {
 	const n = storage.DefaultMorselSize + 100
 	base := buildPruneFact(n, 11)
 	// Warm the base table's zone map so a buggy shared cache would go stale.
-	if base.ZoneMap() == nil {
+	if base.Segments()[0].ZoneMap() == nil {
 		t.Fatal("no zone map for base table")
 	}
 
@@ -205,5 +205,138 @@ func TestZoneMapAppendInvalidation(t *testing.T) {
 	assertSameResult(t, prunedB, refB, psB, rsB)
 	if rsB.RowsSelected != 0 || psB.MorselsPruned == 0 {
 		t.Fatalf("base table after append: selected=%d pruned=%d", rsB.RowsSelected, psB.MorselsPruned)
+	}
+}
+
+// appendPruneRows grows a prune fact through storage.AppendColumns (so the
+// sealed segments carry their zone maps), continuing p_seq and p_group and
+// drawing fresh noise and values.
+func appendPruneRows(t *testing.T, tab *storage.Table, extra int, seed uint64) *storage.Table {
+	t.Helper()
+	n := tab.NumRows()
+	rg := rng.NewLehmer64(seed)
+	grown := make([]*storage.Column, 0, len(tab.Columns()))
+	for _, c := range tab.Columns() {
+		vals := append(make([]int64, 0, n+extra), c.Ints...)
+		for i := n; i < n+extra; i++ {
+			switch c.Name {
+			case "p_seq":
+				vals = append(vals, int64(i))
+			case "p_group":
+				vals = append(vals, int64(i%5))
+			case "p_noise":
+				vals = append(vals, int64(rg.Intn(1000)))
+			default:
+				vals = append(vals, int64(rg.Intn(10000)))
+			}
+		}
+		grown = append(grown, &storage.Column{Name: c.Name, Kind: c.Kind, Ints: vals})
+	}
+	nt, err := storage.AppendColumns(tab, grown, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nt
+}
+
+// TestStraddlingMorselVerdicts pins the fold that replaced the whole-table
+// zone map, on the layout ingest leaves behind: a clustered table sealed at
+// a row count that is not a multiple of the morsel size, then grown by small
+// appends into the open segment, so one morsel of every cross-segment scan
+// covers the tail of the sealed segment and the head of the open one. That
+// morsel's bounds come from both segments' maps; the scans must equal the
+// DisableZoneMaps reference, and each verdict must be reachable on it.
+func TestStraddlingMorselVerdicts(t *testing.T) {
+	const sealedRows = 500_000 // 7 morsels + 41 248 rows
+	tab, err := storage.Seal(buildPruneFact(sealedRows, 31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anySeq := algebra.NewPredicate().WithRange("p_seq", 0, 1<<40)
+
+	// Fresh after Seal the open segment is empty: it has no map, so the plan
+	// classifies with the sealed segment's alone.
+	plan, err := newMorselPlan(&Query{Fact: tab, Filter: anySeq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.zms) != 1 || plan.zms[0].End() != sealedRows {
+		t.Fatalf("plan over an empty open segment holds %d maps", len(plan.zms))
+	}
+	if v := plan.lookup(7*storage.DefaultMorselSize, sealedRows); v != morselFull {
+		t.Fatalf("last sealed morsel: verdict %d, want full", v)
+	}
+
+	// straddler returns the morsel of the scan from `from` that crosses the
+	// seal, with its verdict under pred.
+	straddler := func(fact *storage.Table, pred algebra.Predicate, from int) (storage.Morsel, morselVerdict) {
+		t.Helper()
+		plan, err := newMorselPlan(&Query{Fact: fact, Filter: pred, ScanFrom: from})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.zms) != 2 {
+			t.Fatalf("plan holds %d maps, want the sealed and the open segment's", len(plan.zms))
+		}
+		for _, mo := range plan.morsels {
+			if mo.Start < sealedRows && mo.End > sealedRows {
+				return mo, plan.lookup(mo.Start, mo.End)
+			}
+		}
+		t.Fatalf("no morsel of the scan from %d straddles row %d", from, sealedRows)
+		return storage.Morsel{}, 0
+	}
+
+	for ai, extra := range []int{3_000, 20_000, 50_000} {
+		tab = appendPruneRows(t, tab, extra, uint64(40+ai))
+		n := int64(tab.NumRows())
+		for _, from := range []int{0, 123_457} {
+			mo, _ := straddler(tab, anySeq, from)
+			// The bounds the fold can know: p_seq is the row index, and a
+			// map answers in whole zones, aligned to its segment's start.
+			const m = storage.DefaultMorselSize
+			lo := int64(mo.Start / m * m)
+			hi := min(n, int64(sealedRows+(mo.End-sealedRows+m-1)/m*m)) - 1
+			shapes := []struct {
+				name string
+				pred algebra.Predicate
+				want morselVerdict
+			}{
+				{"before the straddler", algebra.NewPredicate().WithRange("p_seq", 0, lo-1), morselSkip},
+				{"only appended rows past it", algebra.NewPredicate().WithRange("p_seq", hi+1, n), morselSkip},
+				{"covering it", algebra.NewPredicate().WithRange("p_seq", lo-10, n), morselFull},
+				{"sealed rows only", algebra.NewPredicate().WithRange("p_seq", 0, sealedRows-1), morselPartial},
+				{"appended rows only", algebra.NewPredicate().WithRange("p_seq", sealedRows, n), morselPartial},
+				{"covering it, and noise", algebra.NewPredicate().WithRange("p_seq", lo-10, n).WithRange("p_noise", 100, 899), morselPartial},
+				{"before it, and noise", algebra.NewPredicate().WithRange("p_seq", 0, lo-1).WithRange("p_noise", 100, 899), morselSkip},
+				{"covering it, and all noise", algebra.NewPredicate().WithRange("p_seq", lo-10, n).WithRange("p_noise", 0, 999), morselFull},
+			}
+			for _, sh := range shapes {
+				if _, v := straddler(tab, sh.pred, from); v != sh.want {
+					t.Fatalf("append %d from %d, %s: straddling morsel [%d,%d) verdict %d, want %d",
+						ai, from, sh.name, mo.Start, mo.End, v, sh.want)
+				}
+				pruned, ref, ps, rs := runBoth(t, tab, sh.pred, from)
+				assertSameResult(t, pruned, ref, ps, rs)
+
+				exprs := ExprsFromNames([]string{"p_seq", "p_val"})
+				got, gs, err := RunAggregate(&Query{Fact: tab, Filter: sh.pred, ScanFrom: from}, exprs, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, ws, err := RunAggregate(&Query{Fact: tab, Filter: sh.pred, ScanFrom: from, DisableZoneMaps: true}, exprs, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gs.RowsSelected != ws.RowsSelected || got[0] != want[0] || got[1] != want[1] {
+					t.Fatalf("append %d from %d, %s: fused %+v over %d rows, reference %+v over %d",
+						ai, from, sh.name, got, gs.RowsSelected, want, ws.RowsSelected)
+				}
+				if gs.MorselsFused != gs.MorselsFull || ws.MorselsFused != 0 {
+					t.Fatalf("append %d from %d, %s: fused %d of %d full morsels (reference fused %d)",
+						ai, from, sh.name, gs.MorselsFused, gs.MorselsFull, ws.MorselsFused)
+				}
+			}
+		}
 	}
 }

@@ -77,15 +77,12 @@ type Query struct {
 	// sources (internal/shard) while keeping local geometry for planning
 	// and admission. Nil keeps every segment in-process.
 	Planner SegmentPlanner
-	// DisableZoneMaps and DisableEncoding are the engine-internal oracle
-	// switches of the equivalence suites and ablation benchmarks, read only
-	// by the morsel plan (scan.go); no public option sets them. The first
-	// turns off zone-map verdicts (every morsel is filtered per row), the
-	// second keeps every morsel on the plain []int64 kernels (no encoded
-	// selection, no run-arithmetic folds). Both optimizations are exact,
+	// DisableZoneMaps is the engine-internal oracle switch of the
+	// equivalence suites and ablation benchmarks, read only by the morsel
+	// plan (scan.go); no public option sets it. It turns off zone-map
+	// verdicts, so every morsel is filtered per row. Verdicts are exact,
 	// never statistical, so answers are bitwise identical either way.
 	DisableZoneMaps bool
-	DisableEncoding bool
 }
 
 // scanBounds resolves the effective scan range [from, to): ScanFrom

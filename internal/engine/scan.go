@@ -29,145 +29,113 @@ const (
 	morselFull
 )
 
-// segmentBinding is the scan's compilation against one sealed segment's
-// encodings: the filter bound to the segment's encoded columns (nil =
-// plain kernels) and, for fused aggregation, each expression's encoded
-// left operand (nil entries = plain vector).
-type segmentBinding struct {
-	start, end int
-	ef         *expr.EncodedFilter
-	cols       []*storage.EncodedCol
-}
-
 // morselPlan is the per-run classification of a scan, built once in the
-// prologue: the morsel list, the zone map the filter's interval conjuncts
-// are checked against, and one binding per sealed segment that overlaps
-// the scan range and encodes something the run can use. Building it may
-// lazily build zone maps and segment encodings — one-off reads amortized
-// across every later scan — so the per-morsel lookup allocates nothing.
+// prologue: the morsel list and the zone maps the filter's interval
+// conjuncts are checked against — one per non-empty segment overlapping the
+// scan range, each summarizing only its own rows. Building the plan may
+// lazily build those maps (a one-off read of a segment, carried across
+// appends for as long as the segment is unchanged), so the per-morsel lookup
+// allocates nothing.
 //
-// It is the only reader of Query.DisableZoneMaps and Query.DisableEncoding
-// (the oracle switches of the equivalence suites): both scan bodies consume
-// the same verdicts and bindings, so they cannot disagree about a morsel.
+// It is the only reader of Query.DisableZoneMaps (the oracle switch of the
+// equivalence suites): both scan bodies consume the same verdicts, so they
+// cannot disagree about a morsel.
 type morselPlan struct {
 	from, to int
 	morsels  []storage.Morsel
 	filter   *expr.Filter
 
-	zm  *storage.ZoneMap // nil = no pruning: every morsel is partial
+	zms []*storage.ZoneMap // in row order; empty = no pruning: every morsel is partial
 	ivs []expr.IntervalConjunct
 	all bool // every filter conjunct is single-interval
-
-	segs []segmentBinding
 }
 
-// newMorselPlan compiles q's filter and plans its scan range. aggs lists
-// the fused-aggregate expressions whose operands should bind to encoded
-// columns (nil for the materializing pipeline).
+// newMorselPlan compiles q's filter and plans its scan range.
 //
 // Pruning is off when it cannot help: trivial filters select everything
-// anyway, filters with no single-interval conjunct give the zone map
-// nothing to intersect, and empty tables have no zones. A scan range inside
-// a single segment of a multi-segment table uses that segment's own zone
-// map: segment-scoped builds then summarize only their segment's rows, and
-// sealed segments reuse the map carried across appends instead of forcing a
-// whole-table rebuild. A trivial filter binds no encodings either: with no
-// verdict ever full, nothing would read them.
-func newMorselPlan(q *Query, aggs []ColumnExpr) (*morselPlan, error) {
+// anyway, filters with no single-interval conjunct give the zone maps
+// nothing to intersect, and empty segments have no zones.
+func newMorselPlan(q *Query) (*morselPlan, error) {
 	filter, err := expr.Compile(q.Filter, q.resolveFact)
 	if err != nil {
 		return nil, err
 	}
 	from, to := q.scanBounds()
 	p := &morselPlan{from: from, to: to, morsels: storage.MorselsRange(from, to, 0), filter: filter}
-	if filter.Trivial() {
+	if filter.Trivial() || q.DisableZoneMaps {
 		return p, nil
 	}
-	if !q.DisableZoneMaps {
-		if p.ivs, p.all = filter.IntervalConjuncts(); len(p.ivs) > 0 {
-			if seg := q.Fact.SegmentSpanning(from, to); seg != nil {
-				p.zm = seg.ZoneMap()
-			} else {
-				p.zm = q.Fact.ZoneMap()
-			}
-		}
-	}
-	if q.DisableEncoding {
+	if p.ivs, p.all = filter.IntervalConjuncts(); len(p.ivs) == 0 {
 		return p, nil
 	}
 	for _, seg := range q.Fact.Segments() {
 		if seg.End() <= from || seg.Start() >= to {
 			continue
 		}
-		enc := seg.Encoding()
-		if enc == nil || enc.NumEncoded() == 0 {
-			continue
-		}
-		b := segmentBinding{start: seg.Start(), end: seg.End(), ef: filter.BindEncoded(enc, seg.Start())}
-		bound := b.ef != nil
-		for _, ce := range aggs {
-			var ec *storage.EncodedCol
-			// Two-column expressions still need per-row access to the right
-			// operand, so run arithmetic cannot fold them.
-			if ce.Op == 0 || ce.RightIsLit {
-				ec = enc.Col(ce.Left)
-			}
-			b.cols = append(b.cols, ec)
-			bound = bound || ec != nil
-		}
-		if bound {
-			p.segs = append(p.segs, b)
+		if zm := seg.ZoneMap(); zm != nil {
+			p.zms = append(p.zms, zm)
 		}
 	}
 	return p, nil
 }
 
-// lookup resolves one morsel: its zone-map verdict and, unless it is
-// skipped, the binding of the sealed segment fully containing it. Morsels
-// that straddle a segment boundary (possible when ScanFrom is not
-// segment-aligned, e.g. Δ-scans) and morsels over the open segment resolve
-// to a nil binding and take the plain kernels; answers are identical either
-// way. It runs once per morsel, never per row: a handful of map lookups and
-// compares buys skipping up to DefaultMorselSize rows.
-func (p *morselPlan) lookup(start, end int) (morselVerdict, *segmentBinding) {
+// lookup resolves one morsel to its zone-map verdict. It runs once per
+// morsel, never per row: a handful of map lookups and compares buys
+// skipping up to DefaultMorselSize rows.
+func (p *morselPlan) lookup(start, end int) morselVerdict {
+	if len(p.zms) == 0 {
+		return morselPartial
+	}
 	v := morselPartial
-	if p.zm != nil {
-		if p.all {
-			v = morselFull
+	if p.all {
+		v = morselFull
+	}
+	for i := range p.ivs {
+		iv := &p.ivs[i]
+		lo, hi, ok := p.bounds(iv.Name, start, end)
+		if !ok {
+			// Unknown column: no judgement for this conjunct, so the full
+			// fast path is off the table.
+			v = morselPartial
+			continue
 		}
-		for i := range p.ivs {
-			iv := &p.ivs[i]
-			lo, hi, ok := p.zm.Bounds(iv.Name, start, end)
-			if !ok {
-				// Unknown column or out-of-range morsel: no judgement for
-				// this conjunct, so the full fast path is off the table.
-				v = morselPartial
-				continue
-			}
-			if hi < iv.Lo || lo > iv.Hi {
-				return morselSkip, nil
-			}
-			if lo < iv.Lo || hi > iv.Hi {
-				v = morselPartial
-			}
+		if hi < iv.Lo || lo > iv.Hi {
+			return morselSkip
+		}
+		if lo < iv.Lo || hi > iv.Hi {
+			v = morselPartial
 		}
 	}
-	for i := range p.segs {
-		if start >= p.segs[i].start && end <= p.segs[i].end {
-			return v, &p.segs[i]
-		}
-	}
-	return v, nil
+	return v
 }
 
-// selectInto evaluates the filter over a partial morsel, through the
-// segment's encoded kernels when it has a bound filter and the plain
-// vector kernels otherwise.
-func (p *morselPlan) selectInto(b *segmentBinding, mo storage.Morsel, sel []int32) []int32 {
-	if b != nil && b.ef != nil {
-		return b.ef.SelectInto(mo.Start, mo.End, sel)
+// bounds folds the named column's value bounds over the segments the morsel
+// [start, end) overlaps. The plan's maps tile the scan range, so a morsel
+// inside one segment reads one map and a morsel straddling a boundary (a
+// segment sealed at a row count that is not a multiple of the morsel size,
+// or an unaligned ScanFrom) folds both sides; either way the bounds hold
+// for every row of the morsel.
+func (p *morselPlan) bounds(name string, start, end int) (lo, hi int64, ok bool) {
+	for _, zm := range p.zms {
+		if zm.End() <= start {
+			continue
+		}
+		if zm.Start() >= end {
+			break
+		}
+		l, h, found := zm.Bounds(name, max(start, zm.Start()), min(end, zm.End()))
+		if !found {
+			return 0, 0, false
+		}
+		if !ok || l < lo {
+			lo = l
+		}
+		if !ok || h > hi {
+			hi = h
+		}
+		ok = true
 	}
-	return p.filter.SelectInto(mo.Start, mo.End, sel)
+	return lo, hi, ok
 }
 
 // morselScratch is one worker's reusable per-morsel buffers: the selection
@@ -220,7 +188,7 @@ type scanWorker struct {
 // scan, which the driver books as Stats.Process; the rest of the morsel's
 // time is Stats.Scan. Bodies that fold a morsel without a selection vector
 // count it in ws.st.MorselsFused.
-type morselBody func(ws *scanWorker, mo storage.Morsel, v morselVerdict, b *segmentBinding) (selected int, process time.Duration)
+type morselBody func(ws *scanWorker, mo storage.Morsel, v morselVerdict) (selected int, process time.Duration)
 
 // run is the engine's one morsel-parallel worker loop. Each of up to
 // `workers` goroutines leases a scratch set (nJoins probe maps, nSources
@@ -291,18 +259,16 @@ func (p *morselPlan) run(q *Query, workers, nJoins, nSources int, newBody func(w
 				mo := morsels[m]
 
 				t0 := time.Now()
-				v, b := p.lookup(mo.Start, mo.End)
-				switch {
-				case v == morselSkip:
+				v := p.lookup(mo.Start, mo.End)
+				switch v {
+				case morselSkip:
 					ws.st.MorselsPruned++
 					ws.st.Scan += time.Since(t0)
 					continue
-				case v == morselFull:
+				case morselFull:
 					ws.st.MorselsFull++
-				case b != nil && b.ef != nil:
-					ws.st.MorselsEncoded++
 				}
-				n, process := body(&ws, mo, v, b)
+				n, process := body(&ws, mo, v)
 				ws.st.RowsSelected += int64(n)
 				ws.st.Process += process
 				ws.st.Scan += time.Since(t0) - process

@@ -15,10 +15,10 @@ import (
 )
 
 // randomScanPredicate draws a conjunction over the clustered fact's
-// columns: RLE date ranges (zone maps skip and fill), FOR flag ranges and
-// two-interval sets (encoded partial morsels, no full verdicts), the const
-// column passing or failing everything, the un-encodable noise column, or
-// nothing at all.
+// columns: date ranges (zone maps skip and fill), flag ranges and
+// two-interval sets (partial morsels, no full verdicts), the constant
+// column passing or failing everything, the noise column, or nothing at
+// all.
 func randomScanPredicate(g *rng.Lehmer64) algebra.Predicate {
 	p := algebra.NewPredicate()
 	if g.Intn(3) != 0 {
@@ -48,17 +48,17 @@ func randomScanPredicate(g *rng.Lehmer64) algebra.Predicate {
 // materializing sink pipeline (RunScan) and the fused fold (RunAggregate) —
 // over the same randomized predicates and storage layouts and requires the
 // same answer and the same morsel verdicts from both: they consume one
-// morsel plan, so they cannot disagree about which morsels were skipped,
-// full, or evaluated over encodings. The plain reference (both oracle
-// switches off) must give the same answer with no verdicts at all.
+// morsel plan, so they cannot disagree about which morsels were skipped or
+// full. The DisableZoneMaps reference must give the same answer with no
+// verdicts at all.
 func TestScanDriverBodiesAgree(t *testing.T) {
 	const m = storage.DefaultMorselSize
-	sealed := buildClusteredFact(t, 3*m+1234, 21) // const/RLE/FOR segments, empty open segment
+	sealed := buildClusteredFact(t, 3*m+1234, 21) // one-morsel segments, empty open segment
 	open, err := storage.Resegment(buildClusteredFact(t, 2*m+4321, 22), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-segmenting drops the seal: the last segment is open (plain) again.
+	// Re-segmenting drops the seal: the short last segment is the open one.
 	layouts := []struct {
 		name     string
 		fact     *storage.Table
@@ -72,8 +72,8 @@ func TestScanDriverBodiesAgree(t *testing.T) {
 	}
 	g := rng.NewLehmer64(20230618)
 	val := ExprsFromNames([]string{"e_val"})
-	verdicts := func(s Stats) [3]int64 { return [3]int64{s.MorselsPruned, s.MorselsFull, s.MorselsEncoded} }
-	var sawPruned, sawFull, sawEncoded, sawFused bool
+	verdicts := func(s Stats) [2]int64 { return [2]int64{s.MorselsPruned, s.MorselsFull} }
+	var sawPruned, sawFull bool
 	for _, lay := range layouts {
 		for trial := 0; trial < 12; trial++ {
 			p := randomScanPredicate(g)
@@ -90,7 +90,7 @@ func TestScanDriverBodiesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := q()
-			ref.DisableZoneMaps, ref.DisableEncoding = true, true
+			ref.DisableZoneMaps = true
 			want, refStats, err := RunScan(ref, "e_val", workers)
 			if err != nil {
 				t.Fatal(err)
@@ -109,13 +109,13 @@ func TestScanDriverBodiesAgree(t *testing.T) {
 				t.Fatalf("%s: rows scanned %d / %d / %d", lay.name, sinkStats.RowsScanned, foldStats.RowsScanned, refStats.RowsScanned)
 			}
 			if verdicts(sinkStats) != verdicts(foldStats) {
-				t.Fatalf("%s %v: verdicts (pruned, full, encoded) sink %v vs fold %v",
+				t.Fatalf("%s %v: verdicts (pruned, full) sink %v vs fold %v",
 					lay.name, p, verdicts(sinkStats), verdicts(foldStats))
 			}
-			if verdicts(refStats) != [3]int64{} || refStats.MorselsFused != 0 {
+			if verdicts(refStats) != [2]int64{} || refStats.MorselsFused != 0 {
 				t.Fatalf("%s: reference run took a verdict: %+v", lay.name, refStats)
 			}
-			if sinkStats.MorselsFused != 0 || foldStats.MorselsFused < foldStats.MorselsFull {
+			if sinkStats.MorselsFused != 0 || foldStats.MorselsFused != foldStats.MorselsFull {
 				t.Fatalf("%s: fused morsels sink %d, fold %d (full %d)", lay.name,
 					sinkStats.MorselsFused, foldStats.MorselsFused, foldStats.MorselsFull)
 			}
@@ -124,13 +124,10 @@ func TestScanDriverBodiesAgree(t *testing.T) {
 			}
 			sawPruned = sawPruned || foldStats.MorselsPruned > 0
 			sawFull = sawFull || foldStats.MorselsFull > 0
-			sawEncoded = sawEncoded || foldStats.MorselsEncoded > 0
-			sawFused = sawFused || foldStats.MorselsFused > foldStats.MorselsFull
 		}
 	}
-	if !sawPruned || !sawFull || !sawEncoded || !sawFused {
-		t.Fatalf("layouts never exercised a verdict: pruned=%v full=%v encoded=%v pass-run fold=%v",
-			sawPruned, sawFull, sawEncoded, sawFused)
+	if !sawPruned || !sawFull {
+		t.Fatalf("layouts never exercised a verdict: pruned=%v full=%v", sawPruned, sawFull)
 	}
 }
 
@@ -227,13 +224,13 @@ func TestScanDriverFailures(t *testing.T) {
 		}},
 		{"denial/any body's failure poll", func() error {
 			q := &Query{Fact: fact}
-			plan, err := newMorselPlan(q, nil)
+			plan, err := newMorselPlan(q)
 			if err != nil {
 				return err
 			}
 			_, err = plan.run(q, 3, 0, 0, func(int) (morselBody, func() error) {
 				seen := 0
-				body := func(*scanWorker, storage.Morsel, morselVerdict, *segmentBinding) (int, time.Duration) {
+				body := func(*scanWorker, storage.Morsel, morselVerdict) (int, time.Duration) {
 					seen++
 					return 0, 0
 				}

@@ -1,12 +1,10 @@
 package expr
 
 import (
-	"fmt"
 	"testing"
 
 	"laqy/internal/algebra"
 	"laqy/internal/rng"
-	"laqy/internal/storage"
 )
 
 // benchVec builds one morsel's worth of uniform random values in [0, 1000).
@@ -122,63 +120,4 @@ func BenchmarkFillRange(b *testing.B) {
 		sel = FillRange(sel[:0], 0, n)
 	}
 	_ = sel
-}
-
-// BenchmarkRunLength sweeps the average run length of an RLE column to
-// place storage's adoption threshold (rleMinAvgRun): the run-granular
-// kernels over a hand-built EncodedCol — bypassing the adoption rule, which
-// would decline the short-run cases — against the plain kernels on the same
-// values, one morsel per iteration. produce has the column as the only
-// conjunct; refine puts a 50% plain conjunct ahead of it. Run values are
-// random, so at 50% selectivity neighbouring runs disagree and the per-run
-// branch mispredicts; at 90% most runs fill.
-func BenchmarkRunLength(b *testing.B) {
-	const n = 64 << 10
-	other := benchVec(n)
-	for _, avg := range []int{4, 16, 64, 256} {
-		r := rng.NewLehmer64(5)
-		vals := make([]int64, 0, n)
-		ec := &storage.EncodedCol{Name: "x", Kind: storage.EncRLE, Rows: n}
-		for len(vals) < n {
-			v := int64(r.Intn(1000))
-			if k := len(ec.Values); k > 0 && ec.Values[k-1] == v {
-				v = (v + 1) % 1000
-			}
-			ec.Values = append(ec.Values, v)
-			ec.Starts = append(ec.Starts, int32(len(vals)))
-			for l := min(1+r.Intn(2*avg-1), n-len(vals)); l > 0; l-- {
-				vals = append(vals, v)
-			}
-		}
-		cols := map[string][]int64{"a": other, "x": vals}
-		for _, selPct := range []int64{50, 90} {
-			onX := algebra.NewPredicate().WithRange("x", 0, selPct*10-1)
-			for _, role := range []struct {
-				name string
-				pred algebra.Predicate
-			}{{"produce", onX}, {"refine", onX.WithRange("a", 0, 499)}} {
-				f, err := Compile(role.pred, func(name string) []int64 { return cols[name] })
-				if err != nil {
-					b.Fatal(err)
-				}
-				ef := &EncodedFilter{f: f, cols: make([]*storage.EncodedCol, len(f.cols))}
-				ef.cols[len(f.cols)-1] = ec // "x" sorts last
-				for _, kernel := range []struct {
-					name     string
-					selectFn func(start, end int, sel []int32) []int32
-				}{{"rle", ef.SelectInto}, {"plain", f.SelectInto}} {
-					b.Run(fmt.Sprintf("avgrun%d/sel%dpct/%s/%s", avg, selPct, role.name, kernel.name), func(b *testing.B) {
-						sel := make([]int32, 0, n)
-						b.SetBytes(n * 8 * int64(len(f.cols)))
-						b.ReportAllocs()
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							sel = kernel.selectFn(0, n, sel[:0])
-						}
-						_ = sel
-					})
-				}
-			}
-		}
-	}
 }

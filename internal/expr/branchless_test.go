@@ -211,3 +211,16 @@ func TestIntervalSetKernelsMatchReference(t *testing.T) {
 		t.Fatalf("interval counts drawn %v: want the single, branchless and Set.Contains arms all covered", seen)
 	}
 }
+
+// selEqual fails unless a and b are identical index sequences.
+func selEqual(t *testing.T, ctx string, got, want []int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d selected, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: sel[%d] = %d, want %d", ctx, i, got[i], want[i])
+		}
+	}
+}

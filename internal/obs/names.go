@@ -44,16 +44,15 @@ const (
 	MStoreSalvageDrops  = "laqy_store_salvage_dropped_total"
 
 	// Execution engine (internal/engine).
-	MEngineRuns           = "laqy_engine_runs_total"
-	MEngineMorsels        = "laqy_engine_morsels_total"
-	MEngineMorselsPruned  = "laqy_engine_morsels_pruned_total"   // zone map skipped the morsel
-	MEngineMorselsFull    = "laqy_engine_morsels_fullpath_total" // compare-free full-morsel fill
-	MEngineMorselsEncoded = "laqy_engine_morsels_encoded_total"  // filter ran over encoded columns
-	MEngineMorselsFused   = "laqy_engine_morsels_fused_total"    // folded into aggregates with no selection vector
-	MEngineRowsScanned    = "laqy_engine_rows_scanned_total"
-	MEngineRowsSelected   = "laqy_engine_rows_selected_total"
-	MEngineWallSeconds    = "laqy_engine_wall_seconds"
-	MEngineScanSeconds    = "laqy_engine_scan_seconds"
+	MEngineRuns          = "laqy_engine_runs_total"
+	MEngineMorsels       = "laqy_engine_morsels_total"
+	MEngineMorselsPruned = "laqy_engine_morsels_pruned_total"   // zone map skipped the morsel
+	MEngineMorselsFull   = "laqy_engine_morsels_fullpath_total" // compare-free full-morsel fill
+	MEngineMorselsFused  = "laqy_engine_morsels_fused_total"    // folded into aggregates with no selection vector
+	MEngineRowsScanned   = "laqy_engine_rows_scanned_total"
+	MEngineRowsSelected  = "laqy_engine_rows_selected_total"
+	MEngineWallSeconds   = "laqy_engine_wall_seconds"
+	MEngineScanSeconds   = "laqy_engine_scan_seconds"
 
 	// Segment-parallel coordinator (engine/segment.go): one "run" per
 	// segmented build, with per-segment builds, drops under pressure, and
@@ -63,13 +62,9 @@ const (
 	MEngineSegmentsDropped     = "laqy_engine_segments_dropped_total"
 	MEngineSegmentMergeSeconds = "laqy_engine_segment_merge_seconds"
 
-	// Storage (internal/storage via the facade): the bytes a scan of the
-	// registered tables reads against their plain size. Encoded counts
-	// sealed segments' adopted encodings at their encoded size
-	// (docs/PERFORMANCE.md, "Encoded storage") — the plain vectors stay
-	// resident, so this is scan traffic, not heap saved; logical is
-	// rows×columns×8. Updated on Register/LoadSSB/Append.
-	MStorageEncodedBytes = "laqy_storage_encoded_bytes" // gauge
+	// Storage (internal/storage via the facade): the registered tables'
+	// footprint, rows×columns×8 (every column is a plain int64 vector).
+	// Moved by Register/LoadSSB/Append.
 	MStorageLogicalBytes = "laqy_storage_logical_bytes" // gauge
 
 	// Resource governor (internal/governor). See docs/GOVERNANCE.md.

@@ -9,8 +9,10 @@
 // Tables stay copy-on-append: Append-style growth constructs a new Table.
 // What segmentation adds is that the new version *shares* the sealed
 // segments' zone-map caches with the old version (their rows are copied
-// verbatim), so an append re-summarizes only the open segment instead of
-// the whole table. See docs/SHARDING.md.
+// verbatim). The per-segment maps are the only zone maps there are — a scan
+// that crosses segments folds the maps of the segments it overlaps — so the
+// summary cost of an append is one read of the open segment, whatever the
+// table's size. See docs/SHARDING.md.
 package storage
 
 import "fmt"
@@ -32,9 +34,6 @@ type Segment struct {
 	version uint64
 	t       *Table
 	zone    *zoneMapCache
-	// enc memoizes the sealed segment's column encodings (encode.go),
-	// shared across table versions exactly like zone.
-	enc *encodingCache
 }
 
 // ID is the segment's position in the table's segment list (dense, 0-based).
@@ -72,13 +71,12 @@ func (s *Segment) ZoneMap() *ZoneMap {
 }
 
 // Segments returns the table's segment list in row order. Tables built by
-// NewTable have a single segment spanning all rows (sharing the whole-table
-// zone cache), so un-segmented callers see exactly the old behavior.
-// The returned slice must not be modified.
+// NewTable have a single segment spanning all rows, which owns the table's
+// one zone-map cache. The returned slice must not be modified.
 func (t *Table) Segments() []*Segment {
 	t.segOnce.Do(func() {
 		if t.segs == nil {
-			t.segs = []*Segment{{start: 0, end: t.rows, version: 1, t: t, zone: &t.zone, enc: &encodingCache{}}}
+			t.segs = []*Segment{{start: 0, end: t.rows, version: 1, t: t, zone: &zoneMapCache{}}}
 		}
 	})
 	return t.segs
@@ -86,22 +84,6 @@ func (t *Table) Segments() []*Segment {
 
 // NumSegments returns the number of segments.
 func (t *Table) NumSegments() int { return len(t.Segments()) }
-
-// SegmentSpanning returns the single segment that fully contains the row
-// range [start, end), or nil if the range is empty, out of bounds, or
-// crosses a segment boundary. Segment-scoped scans use it to prune with the
-// segment's own zone map instead of forcing a whole-table summary build.
-func (t *Table) SegmentSpanning(start, end int) *Segment {
-	if start >= end || start < 0 || end > t.rows {
-		return nil
-	}
-	for _, s := range t.Segments() {
-		if start >= s.start && end <= s.end {
-			return s
-		}
-	}
-	return nil
-}
 
 // normalizeSegmentRows applies the default and floors at one morsel so a
 // pathological configuration can't produce per-row segments.
@@ -123,9 +105,6 @@ func (t *Table) setSegments(segs []*Segment) {
 		s.t = t
 		if s.zone == nil {
 			s.zone = &zoneMapCache{}
-		}
-		if s.enc == nil {
-			s.enc = &encodingCache{}
 		}
 	}
 	t.segs = segs
@@ -168,6 +147,39 @@ func Resegment(t *Table, segmentRows int) (*Table, error) {
 	return SegmentTableAt(t, cuts...)
 }
 
+// Sealed reports whether the segment is sealed (not the table's open, last
+// segment): its rows can no longer change.
+func (s *Segment) Sealed() bool {
+	return s.id < len(s.t.Segments())-1
+}
+
+// Seal returns a table version in which every current row belongs to a
+// sealed segment: if the last segment is non-empty, a fresh empty open
+// segment is appended after it, and later appends fill that one. Bulk
+// loaders call this after Resegment, so the loaded segments keep their
+// boundaries — and with them their per-segment build seeds and sample
+// identities — however many rows arrive later. The empty open segment is
+// invisible to planning (segment sources skip empty segments), to zone-map
+// pruning (it has no map) and to Δ-maintenance (an empty watermark is a
+// no-op).
+func Seal(t *Table) (*Table, error) {
+	segs := t.Segments()
+	if segs[len(segs)-1].Rows() == 0 {
+		return t, nil
+	}
+	nt, err := NewTable(t.Name, t.columns...)
+	if err != nil {
+		return nil, err
+	}
+	ns := make([]*Segment, 0, len(segs)+1)
+	for _, s := range segs {
+		ns = append(ns, &Segment{start: s.start, end: s.end, version: s.version, zone: s.zone})
+	}
+	ns = append(ns, &Segment{start: t.rows, end: t.rows, version: 1})
+	nt.setSegments(ns)
+	return nt, nil
+}
+
 // AppendColumns builds the next version of old from already-concatenated
 // column vectors (each grown column must extend old's same-position column),
 // routing the appended rows to the open segment:
@@ -206,7 +218,7 @@ func AppendColumns(old *Table, grown []*Column, segmentRows int) (*Table, error)
 	oldSegs := old.Segments()
 	segs := make([]*Segment, 0, len(oldSegs)+1+(nt.rows-old.rows)/segRows)
 	for _, s := range oldSegs[:len(oldSegs)-1] {
-		segs = append(segs, &Segment{start: s.start, end: s.end, version: s.version, zone: s.zone, enc: s.enc})
+		segs = append(segs, &Segment{start: s.start, end: s.end, version: s.version, zone: s.zone})
 	}
 	open := oldSegs[len(oldSegs)-1]
 	pending := nt.rows - old.rows
@@ -214,7 +226,7 @@ func AppendColumns(old *Table, grown []*Column, segmentRows int) (*Table, error)
 	if capacity := segRows - open.Rows(); capacity <= 0 || pending == 0 {
 		// The open segment is already at (or past) capacity, or nothing was
 		// appended: it seals as-is and keeps its summary.
-		segs = append(segs, &Segment{start: open.start, end: open.end, version: open.version, zone: open.zone, enc: open.enc})
+		segs = append(segs, &Segment{start: open.start, end: open.end, version: open.version, zone: open.zone})
 		row = open.end
 	} else {
 		take := capacity

@@ -23,9 +23,9 @@ func TestSegmentsSynthesizedForPlainTable(t *testing.T) {
 	if s.ID() != 0 || s.Start() != 0 || s.End() != 1000 || s.Version() != 1 {
 		t.Fatalf("segment = id %d [%d,%d) v%d", s.ID(), s.Start(), s.End(), s.Version())
 	}
-	// The synthesized segment shares the whole-table zone cache.
-	if zm := s.ZoneMap(); zm != tab.ZoneMap() {
-		t.Fatal("single segment must share the whole-table zone map")
+	// The synthesized segment owns the table's one zone map.
+	if zm := s.ZoneMap(); zm == nil || zm.Start() != 0 || zm.End() != 1000 {
+		t.Fatalf("single segment's zone map = %+v, want one over [0,1000)", zm)
 	}
 }
 
@@ -83,22 +83,44 @@ func TestSegmentTableAtUnevenAndEmpty(t *testing.T) {
 	}
 }
 
-func TestSegmentSpanning(t *testing.T) {
-	tab, err := SegmentTableAt(segTable(t, 1000), 400)
+// TestSealLayout: sealing a bulk-loaded table closes its last segment behind
+// a fresh empty open one, keeps the data segments' boundaries, versions and
+// zone-map caches, and is a no-op on a table that is already sealed.
+func TestSealLayout(t *testing.T) {
+	const n = 2*DefaultMorselSize + 100
+	loaded, err := Resegment(segTable(t, n), DefaultMorselSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := tab.SegmentSpanning(0, 400); s == nil || s.ID() != 0 {
-		t.Fatalf("SegmentSpanning(0,400) = %v", s)
+	tail := loaded.Segments()[2].ZoneMap() // force the build pre-seal
+	tab, err := Seal(loaded)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := tab.SegmentSpanning(450, 600); s == nil || s.ID() != 1 {
-		t.Fatalf("SegmentSpanning(450,600) = %v", s)
+	segs := tab.Segments()
+	if len(segs) != 4 {
+		t.Fatalf("segments = %d, want 3 data + 1 open", len(segs))
 	}
-	if s := tab.SegmentSpanning(300, 600); s != nil {
-		t.Fatal("range crossing a boundary must not resolve to one segment")
+	open := segs[3]
+	if open.Rows() != 0 || open.Start() != n || open.Sealed() || open.ZoneMap() != nil {
+		t.Fatalf("open segment: [%d,%d) sealed=%v zone=%v", open.Start(), open.End(), open.Sealed(), open.ZoneMap())
 	}
-	if s := tab.SegmentSpanning(0, 0); s != nil {
-		t.Fatal("empty range must not resolve")
+	for i, s := range segs[:3] {
+		was := loaded.Segments()[i]
+		if !s.Sealed() || s.Start() != was.Start() || s.End() != was.End() || s.Version() != was.Version() {
+			t.Fatalf("segment %d: [%d,%d) v%d sealed=%v, loaded as [%d,%d) v%d",
+				i, s.Start(), s.End(), s.Version(), s.Sealed(), was.Start(), was.End(), was.Version())
+		}
+	}
+	if segs[2].ZoneMap() != tail {
+		t.Fatal("Seal must carry the data segments' zone maps (pointer identity)")
+	}
+	again, err := Seal(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != tab {
+		t.Fatal("Seal of sealed table must be a no-op")
 	}
 }
 
@@ -174,6 +196,46 @@ func TestAppendColumnsSharesSealedZoneCaches(t *testing.T) {
 	lo, hi, ok := grown.Segments()[1].ZoneMap().Bounds("v", segRows, segRows+150)
 	if !ok || lo != int64(segRows) || hi != int64(segRows+149) {
 		t.Fatalf("open zone bounds = [%d,%d] ok=%v", lo, hi, ok)
+	}
+}
+
+// TestAppendColumnsSealedLayoutResummarizesOpenOnly pins the append cost on
+// the layout every registered table has (Resegment, then Seal, then small
+// appends): the loaded segments — including the short one sealed at a row
+// count that is not a multiple of the zone size — keep their zone maps by
+// pointer across every append, and only the open segment's map is rebuilt.
+func TestAppendColumnsSealedLayoutResummarizesOpenOnly(t *testing.T) {
+	segRows := DefaultMorselSize
+	loaded, err := Resegment(segTable(t, segRows+100), segRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Seal(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, short := tab.Segments()[0].ZoneMap(), tab.Segments()[1].ZoneMap()
+	var openBefore *ZoneMap // the fresh open segment is empty: no map yet
+	rows := segRows + 100
+	for _, n := range []int{50, 30, 1} {
+		tab = grow(t, tab, n, segRows)
+		rows += n
+		segs := tab.Segments()
+		if len(segs) != 3 || segs[2].Start() != segRows+100 || segs[2].End() != rows {
+			t.Fatalf("after +%d: %d segments, open [%d,%d)", n, len(segs), segs[2].Start(), segs[2].End())
+		}
+		if segs[0].ZoneMap() != full || segs[1].ZoneMap() != short {
+			t.Fatalf("after +%d: a sealed segment re-summarized", n)
+		}
+		open := segs[2].ZoneMap()
+		if open == nil || open == openBefore || open.Start() != segRows+100 || open.End() != rows {
+			t.Fatalf("after +%d: open map %+v (previous %p)", n, open, openBefore)
+		}
+		lo, hi, ok := open.Bounds("v", segRows+100, rows)
+		if !ok || lo != int64(segRows+100) || hi != int64(rows-1) {
+			t.Fatalf("after +%d: open zone bounds = [%d,%d] ok=%v", n, lo, hi, ok)
+		}
+		openBefore = open
 	}
 }
 

@@ -135,10 +135,6 @@ type Table struct {
 	columns []*Column
 	byName  map[string]*Column
 	rows    int
-	// zone memoizes the lazily built per-morsel min/max summary
-	// (zonemap.go). Appends build a new Table, so the cache can never go
-	// stale for a given table version.
-	zone zoneMapCache
 	// segs is the segment list (segment.go): explicit for tables built by
 	// the segmented constructors, synthesized as one whole-table segment on
 	// first Segments() call otherwise. segOnce guards the lazy synthesis.

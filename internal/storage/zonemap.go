@@ -2,31 +2,39 @@ package storage
 
 import "sync"
 
-// ZoneMap holds per-zone min/max summaries for every column of a table: the
-// lightweight scan index ("small materialized aggregates") that lets the
-// engine's morsel drivers skip chunks whose value ranges cannot intersect a
-// predicate, and take a compare-free fast path through chunks entirely
-// inside it.
+// ZoneMap holds per-zone min/max summaries for every column of one segment
+// (Segment.ZoneMap): the lightweight scan index ("small materialized
+// aggregates") that lets the engine's morsel driver skip chunks whose value
+// ranges cannot intersect a predicate, and take a compare-free fast path
+// through chunks entirely inside it.
 //
-// Zones are fixed-width, table-aligned row ranges of DefaultMorselSize rows
-// ([i*size, (i+1)*size)); an arbitrary morsel [start, end) is summarized by
-// folding the zones it overlaps, so pruning stays exact even when the scan
-// starts mid-table (ScanFrom > 0 during incremental Δ-scans).
+// Zones are fixed-width, segment-aligned row ranges of DefaultMorselSize
+// rows; an arbitrary row range inside the segment is summarized by folding
+// the zones it overlaps, and a morsel that crosses a segment boundary by
+// folding the maps of both segments (engine's morselPlan), so pruning stays
+// exact when the scan starts mid-table (ScanFrom > 0 during incremental
+// Δ-scans) and when a segment sealed at a row count that is not a multiple
+// of the zone size.
 //
 // A ZoneMap is immutable after construction and safe for concurrent reads.
-// It summarizes the table version it was built from: Table.ZoneMap caches
-// the map on the table, and appends build a new Table (copy-on-append), so
-// a grown table never serves a stale summary.
+// It summarizes the segment version it was built from: an append that lands
+// rows in the open segment gives it a fresh cache (AppendColumns), so a
+// grown segment never serves a stale summary.
 type ZoneMap struct {
 	zoneSize int
-	// base is the absolute row the summary starts at: zone i covers rows
-	// [base+i*zoneSize, base+(i+1)*zoneSize). Whole-table maps have base 0;
-	// per-segment maps (segment.go) are based at the segment's first row so
-	// Bounds keeps taking absolute coordinates either way.
+	// base is the absolute row the summary starts at (the segment's first
+	// row): zone i covers rows [base+i*zoneSize, base+(i+1)*zoneSize), so
+	// Bounds takes absolute coordinates.
 	base   int
 	rows   int
 	byName map[string]zoneCol
 }
+
+// Start returns the first absolute row the map summarizes.
+func (z *ZoneMap) Start() int { return z.base }
+
+// End returns one past the last absolute row the map summarizes.
+func (z *ZoneMap) End() int { return z.base + z.rows }
 
 // zoneCol is the per-column summary: mins[i]/maxs[i] bound the values of
 // zone i.
@@ -37,7 +45,7 @@ type zoneCol struct {
 // ZoneSize returns the zone granularity in rows.
 func (z *ZoneMap) ZoneSize() int { return z.zoneSize }
 
-// NumZones returns the number of zones the table is split into.
+// NumZones returns the number of zones the segment is split into.
 func (z *ZoneMap) NumZones() int {
 	if z.zoneSize == 0 {
 		return 0
@@ -53,8 +61,8 @@ func (z *ZoneMap) Column(name string) bool {
 
 // Bounds returns the [lo, hi] value bounds of the named column over the row
 // range [start, end), folding every overlapped zone. ok is false when the
-// column is unknown or the range is empty — callers must then fall back to
-// evaluating the range.
+// column is unknown, the range is empty, or it reaches outside
+// [Start, End) — callers must then fall back to evaluating the range.
 func (z *ZoneMap) Bounds(name string, start, end int) (lo, hi int64, ok bool) {
 	c, found := z.byName[name]
 	if !found || start >= end || start < z.base || end > z.base+z.rows {
@@ -72,14 +80,6 @@ func (z *ZoneMap) Bounds(name string, start, end int) (lo, hi int64, ok bool) {
 		}
 	}
 	return lo, hi, true
-}
-
-// buildZoneMap computes the per-zone min/max of every column in one pass
-// per column. Cost is one full read of the table, paid once per table
-// version (Table.ZoneMap memoizes) and amortized across every scan that
-// prunes with it.
-func buildZoneMap(t *Table, zoneSize int) *ZoneMap {
-	return buildZoneMapRange(t, 0, t.NumRows(), zoneSize)
 }
 
 // buildZoneMapRange computes the per-zone min/max of every column over the
@@ -122,27 +122,10 @@ func buildZoneMapRange(t *Table, base, rows, zoneSize int) *ZoneMap {
 	return z
 }
 
-// zoneMapCache memoizes one lazily built ZoneMap per table. It lives in a
-// side struct (not inline fields) so Table literals constructed by tests
-// keep working and the zero value stays useful.
+// zoneMapCache memoizes one segment's lazily built ZoneMap. Segments of
+// successive table versions share the cache by pointer for as long as the
+// segment's rows are unchanged.
 type zoneMapCache struct {
 	once sync.Once
 	zm   *ZoneMap
-}
-
-// ZoneMap returns the table's zone map at DefaultMorselSize granularity,
-// building it on first use (one full table read) and caching it for the
-// lifetime of this table version. Appends construct a new Table, so the
-// cache is invalidated by construction: the grown table builds a fresh map
-// covering the appended rows.
-//
-// Returns nil for empty tables (nothing to prune).
-func (t *Table) ZoneMap() *ZoneMap {
-	if t.NumRows() == 0 {
-		return nil
-	}
-	t.zone.once.Do(func() {
-		t.zone.zm = buildZoneMap(t, DefaultMorselSize)
-	})
-	return t.zone.zm
 }

@@ -14,6 +14,12 @@ func zoneTable(t *testing.T, name string, vals []int64) *Table {
 	)
 }
 
+// buildZoneMap summarizes the whole of a single-segment table at a small
+// zone size, so the cases below can spell their zones out.
+func buildZoneMap(t *Table, zoneSize int) *ZoneMap {
+	return buildZoneMapRange(t, 0, t.NumRows(), zoneSize)
+}
+
 func TestZoneMapBoundsSingleZone(t *testing.T) {
 	tab := zoneTable(t, "c", []int64{5, -3, 9, 0})
 	zm := buildZoneMap(tab, 8)
@@ -107,7 +113,7 @@ func TestZoneMapBoundsUnknownAndEmpty(t *testing.T) {
 
 func TestTableZoneMapMemoizedPerVersion(t *testing.T) {
 	tab := zoneTable(t, "c", []int64{1, 2, 3})
-	a, b := tab.ZoneMap(), tab.ZoneMap()
+	a, b := tab.Segments()[0].ZoneMap(), tab.Segments()[0].ZoneMap()
 	if a == nil || a != b {
 		t.Fatalf("ZoneMap not memoized: %p vs %p", a, b)
 	}
@@ -116,7 +122,7 @@ func TestTableZoneMapMemoizedPerVersion(t *testing.T) {
 	grown := MustNewTable("t",
 		&Column{Name: "c", Kind: KindInt64, Ints: []int64{1, 2, 3, 99}},
 	)
-	g := grown.ZoneMap()
+	g := grown.Segments()[0].ZoneMap()
 	if g == a {
 		t.Fatal("grown table shares the old table's zone map")
 	}
@@ -127,7 +133,7 @@ func TestTableZoneMapMemoizedPerVersion(t *testing.T) {
 
 func TestEmptyTableZoneMapNil(t *testing.T) {
 	tab := MustNewTable("t", &Column{Name: "c", Kind: KindInt64, Ints: nil})
-	if tab.ZoneMap() != nil {
+	if tab.Segments()[0].ZoneMap() != nil {
 		t.Fatal("empty table should have nil zone map")
 	}
 }

@@ -68,12 +68,6 @@ type Config struct {
 	// are raised to it. Tables smaller than one segment keep a single
 	// segment, preserving the pre-segmentation layout.
 	SegmentRows int
-	// disableEncoding keeps sealed segments un-encoded and routes every
-	// query through the plain []int64 kernels — the reference the in-package
-	// encoding equivalence suite (encoding_test.go) pins bitwise-identical
-	// answers against. Not a product setting: encoded evaluation is exact,
-	// never statistical (docs/PERFORMANCE.md, "Encoded storage").
-	disableEncoding bool
 	// MinSupport, when > 0, enables the conservative per-stratum support
 	// check when reusing tightened samples: reuse falls back to online
 	// sampling if any stratum would back an estimate with fewer tuples.
@@ -215,30 +209,32 @@ func (db *DB) Register(b *TableBuilder) error {
 	if err != nil {
 		return err
 	}
-	if err := db.registerTable(t); err != nil {
-		return err
-	}
-	db.updateStorageGauges()
-	return nil
+	return db.registerTable(t)
 }
 
 // registerTable lays a bulk-loaded table out in segments of
-// Config.SegmentRows rows, seals it, and adds it to the catalog.
+// Config.SegmentRows rows, seals it — appends land in a fresh open segment,
+// so the loaded segments' boundaries, and with them the per-segment build
+// seeds and sample identities, never move — and adds it to the catalog.
 func (db *DB) registerTable(t *storage.Table) error {
 	t, err := storage.Resegment(t, db.cfg.SegmentRows)
 	if err != nil {
 		return err
 	}
-	if !db.cfg.disableEncoding {
-		// Seal the bulk-loaded rows so every data segment is eligible for
-		// the lazy per-segment encodings; appends land in the fresh open
-		// segment and stay plain until it seals in turn.
-		t, err = storage.Seal(t)
-		if err != nil {
-			return err
-		}
+	if t, err = storage.Seal(t); err != nil {
+		return err
 	}
-	return db.catalog.Register(t)
+	if err := db.catalog.Register(t); err != nil {
+		return err
+	}
+	db.reg.Gauge(obs.MStorageLogicalBytes).Add(tableBytes(t, t.NumRows()))
+	return nil
+}
+
+// tableBytes is the footprint of rows rows of t: every column is a plain
+// int64 vector, so rows×columns×8.
+func tableBytes(t *storage.Table, rows int) int64 {
+	return int64(rows) * int64(len(t.Columns())) * 8
 }
 
 // LoadSSB generates and registers the Star Schema Benchmark tables
@@ -255,7 +251,6 @@ func (db *DB) LoadSSB(lineorderRows int, seed uint64) error {
 			return err
 		}
 	}
-	db.updateStorageGauges()
 	return nil
 }
 
@@ -303,48 +298,24 @@ func (db *DB) NumRows(table string) (int, error) {
 }
 
 // StorageStats reports the byte footprint of the registered tables.
+// Columns are stored as plain int64 vectors and nothing else, so the two
+// fields are equal.
 type StorageStats struct {
-	// PhysicalBytes is what a scan of every column reads: sealed segments'
-	// encoded columns at their encoded size, everything else (plain
-	// columns, the open segment) at rows×8. The plain vectors stay resident
-	// beside the encodings, so this measures scan traffic, not heap saved.
+	// PhysicalBytes is what a scan of every column reads.
 	PhysicalBytes int64
-	// LogicalBytes is the un-encoded footprint, rows×columns×8 — the
-	// denominator of the encoding ratio.
+	// LogicalBytes is rows×columns×8, the laqy_storage_logical_bytes gauge.
 	LogicalBytes int64
 }
 
-// StorageStats returns the physical vs logical storage footprint across
-// all registered tables, forcing any pending lazy segment encodings so the
-// physical number reflects the steady state, and republishes the
-// laqy_storage_{encoded,logical}_bytes gauges.
+// StorageStats returns the storage footprint across all registered tables.
 func (db *DB) StorageStats() StorageStats {
-	return db.publishStorage((*storage.Table).EncodedSizes)
-}
-
-// updateStorageGauges republishes the storage byte gauges from encodings
-// already built (queries trigger the lazy per-segment builds); segments not
-// yet encoded count at their plain size. StorageStats forces the builds
-// when an exact steady-state number is needed.
-func (db *DB) updateStorageGauges() {
-	db.publishStorage((*storage.Table).EncodedSizesBuilt)
-}
-
-// publishStorage sums sizes (physical, logical bytes) over the registered
-// tables and sets the storage gauges to the totals.
-func (db *DB) publishStorage(sizes func(*storage.Table) (physical, logical int64)) StorageStats {
 	var st StorageStats
 	for _, name := range db.catalog.Names() {
-		t, err := db.catalog.Table(name)
-		if err != nil {
-			continue
+		if t, err := db.catalog.Table(name); err == nil {
+			st.LogicalBytes += tableBytes(t, t.NumRows())
 		}
-		p, l := sizes(t)
-		st.PhysicalBytes += p
-		st.LogicalBytes += l
 	}
-	db.reg.Gauge(obs.MStorageEncodedBytes).Set(st.PhysicalBytes)
-	db.reg.Gauge(obs.MStorageLogicalBytes).Set(st.LogicalBytes)
+	st.PhysicalBytes = st.LogicalBytes
 	return st
 }
 

@@ -175,7 +175,6 @@ func (db *DB) execute(ctx context.Context, plan *sql.Plan, opt QueryOptions, par
 	// Per-query knobs: the option surface overrides the Config-wide
 	// defaults; clauses written in the SQL text win over options.
 	plan.Query.SegmentParallelism = opt.SegmentParallelism
-	plan.Query.DisableEncoding = db.cfg.disableEncoding
 	if opt.ErrorBound > 0 && plan.ErrorBound == 0 {
 		plan.ErrorBound = opt.ErrorBound
 		if opt.Confidence > 0 && plan.Confidence == 0 {
@@ -277,26 +276,12 @@ func (db *DB) execute(ctx context.Context, plan *sql.Plan, opt QueryOptions, par
 	}
 	db.met.querySeconds.Observe(obs.Since(start))
 	db.met.mode(res.Mode).Inc()
-	if plan.Query.Fact != nil && !plan.Query.DisableEncoding {
-		// The scan may have built segment encodings lazily; keep the storage
-		// gauges tracking what is actually resident (no forced builds).
-		db.updateStorageGauges()
-	}
 	if tr != nil {
 		root := tr.Root()
 		root.SetAttr("mode", res.Mode.String())
 		root.SetAttrInt("rows", int64(len(res.Rows)))
 		if len(res.Degradations) > 0 {
 			root.SetAttr("degraded", degradationsString(res.Degradations))
-		}
-		// Encoding ratio of the scanned fact table (physical/logical over
-		// segments whose lazy encodings have been built — this query's scan
-		// builds the ones it touched), so EXPLAIN ANALYZE shows what the
-		// encoded kernels were working with.
-		if f := plan.Query.Fact; f != nil && !plan.Query.DisableEncoding {
-			if phys, logical := f.EncodedSizesBuilt(); logical > 0 && phys < logical {
-				root.SetAttr("enc_ratio", fmt.Sprintf("%.2f", float64(phys)/float64(logical)))
-			}
 		}
 		root.End()
 		res.Trace = traceFromObs(tr)
@@ -432,7 +417,8 @@ func (db *DB) runExact(plan *sql.Plan) (*Result, error) {
 	if fusedEligible(plan) {
 		// Ungrouped SUM/COUNT/AVG queries over the bare fact table take the
 		// fused scan→filter→aggregate path: no group hash table, no gather,
-		// and encoded morsels fold by run arithmetic (engine.RunAggregate).
+		// and zone-map-full morsels fold without a selection vector
+		// (engine.RunAggregate).
 		// Joins, GROUP BY, and MIN/MAX need the materializing group-by sink.
 		aggs, st, err := engine.RunAggregate(plan.Query, exprs, db.engineWorkers())
 		if err != nil {

@@ -93,12 +93,12 @@ func KernelBatchSink(cols [][]int64, k, width int) []int64 {
 	return data
 }
 
-// KernelRunWalk is the run-granular RLE selection shape from the encoded
-// storage layer: the selection buffer is pre-grown by the caller and each
-// passing run fills through a cursor — no allocation per run. The unsized
-// per-run spill is still flagged.
+// KernelRunWalk is a run-granular selection shape over run values and run
+// starts: the selection buffer is pre-grown by the caller and each passing
+// run fills through a cursor — no allocation per run. The unsized per-run
+// spill is still flagged.
 //
-//laqy:hot run-granular RLE producer
+//laqy:hot run-granular producer
 func KernelRunWalk(values []int64, starts []int32, rows int, lo, hi int64, sel []int32) []int32 {
 	if len(sel) < rows {
 		// invariant: callers pre-grow sel to the segment's row count.
