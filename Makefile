@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint vet laqy-vet benchmark-check race stress servestress shardchaos faults fuzz-smoke bench bench-smoke clean
+.PHONY: all build test lint vet laqy-vet benchmark-check race stress servestress shardchaos faults fuzz-smoke bench-smoke clean
 
 all: build lint test
 
@@ -21,12 +21,12 @@ lint: vet laqy-vet
 vet:
 	$(GO) vet ./...
 
-# laqy-vet is the custom static-analysis suite (tools/laqyvet): six
-# per-package checks (ctxpoll, rngsource, hotalloc, mergesync,
-# errchecklite, obscheck) plus three program-scope semantic checks
-# (lockorder, goleak, weightflow). See docs/STATIC_ANALYSIS.md. The second
-# invocation is the self-check: the analyzer framework and the commands
-# are held to the same rules they enforce.
+# laqy-vet is the custom static-analysis suite (tools/laqyvet): five
+# per-package checks (ctxpoll, rngsource, hotalloc, errchecklite,
+# obscheck) plus one program-scope semantic check (goleak). See
+# docs/STATIC_ANALYSIS.md. The second invocation is the self-check: the
+# analyzer framework and the commands are held to the same rules they
+# enforce.
 laqy-vet:
 	$(GO) run ./cmd/laqy-vet ./...
 	$(GO) run ./cmd/laqy-vet ./tools/laqyvet/... ./cmd/...
@@ -41,9 +41,9 @@ benchmark-check:
 # metrics snapshot CI uploads as an artifact (docs/OBSERVABILITY.md), then
 # one iteration of every kernel bench — the selection kernels and the fused
 # aggregate — so their fixtures and structural assertions (which cases
-# fuse) cannot rot unseen between `make bench` runs, and one reuse hit of
-# each kind (BenchmarkReuseHit), whose allocs/op column is the per-hit
-# allocation count.
+# fuse) cannot rot unseen, and one reuse hit of each kind
+# (BenchmarkReuseHit), whose allocs/op column is the per-hit allocation
+# count.
 bench-smoke:
 	$(GO) run ./cmd/laqy-bench -smoke -metricsout bench-metrics.json
 	$(GO) test -run '^$$' -bench 'Select|FusedAggregate' -benchtime 1x \
@@ -107,28 +107,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPlan -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sql
 	$(GO) test -fuzz=FuzzSetAlgebra -fuzztime=$(FUZZTIME) -run '^$$' ./internal/algebra
 	$(GO) test -fuzz=FuzzStoreLoad -fuzztime=$(FUZZTIME) -run '^$$' ./internal/store
-
-# Full benchmark pass: the paper-figure benches in the root package plus
-# the hot-path microbenches (selection kernels, reservoir admission,
-# zone-map pruning). Raw output lands in bench-raw.txt; cmd/benchjson
-# converts it to the machine-diffable BENCH_PR5.json that CI uploads as an
-# artifact (docs/PERFORMANCE.md). Raise BENCHTIME for stable numbers,
-# e.g. `make bench BENCHTIME=100x`.
-BENCHTIME ?= 1x
-BENCHPKGS = . ./internal/expr ./internal/sample ./internal/engine
-# The segment-parallel build bench gets its own longer benchtime: its
-# committed snapshot (BENCH_PR8.json) is the acceptance artifact for the
-# segment-sharding work and needs stable per-layout numbers.
-SEGBENCHTIME ?= 10x
-
-bench:
-	$(GO) test -bench=. -benchtime=$(BENCHTIME) -run '^$$' $(BENCHPKGS) > bench-raw.txt
-	@cat bench-raw.txt
-	$(GO) run ./cmd/benchjson -in bench-raw.txt -out BENCH_PR5.json
-	$(GO) test -bench=BenchmarkSegmentParallelBuild -benchtime=$(SEGBENCHTIME) \
-		-run '^$$' ./internal/engine > bench-segments-raw.txt
-	@cat bench-segments-raw.txt
-	$(GO) run ./cmd/benchjson -in bench-segments-raw.txt -out BENCH_PR8.json
 
 clean:
 	$(GO) clean ./...

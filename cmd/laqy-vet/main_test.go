@@ -35,16 +35,21 @@ func TestSortFindingsNumeric(t *testing.T) {
 	}
 }
 
-// TestRunList exercises the -list path.
+// TestRunList exercises the -list path: exactly the registered suite, one
+// name per line, in order.
 func TestRunList(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errb.String())
 	}
-	for _, name := range []string{"lockorder", "goleak", "weightflow", "rngsource"} {
-		if !strings.Contains(out.String(), name) {
-			t.Fatalf("-list output missing %s:\n%s", name, out.String())
-		}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		got = append(got, name)
+	}
+	const want = "ctxpoll errchecklite goleak hotalloc obscheck rngsource"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("-list names = %q, want %q:\n%s", got, want, out.String())
 	}
 }
 

@@ -1,10 +1,56 @@
 package approx
 
 import (
+	"sort"
 	"testing"
 
+	"laqy/internal/rng"
 	"laqy/internal/sample"
 )
+
+// bootstrap is the resampling reference the CLT intervals of FromReservoir
+// are checked against: a percentile-bootstrap confidence interval for
+// SUM/COUNT/AVG over a reservoir. The reservoir is resampled with
+// replacement `replicates` times, the estimator is recomputed on each
+// replicate, and the interval is the (α/2, 1−α/2) percentile range of the
+// replicates. It makes no normality assumption, which is what makes it an
+// oracle for the CLT interval on skewed or low-support data. No product
+// code calls it; ROADMAP 1(b) decides whether an estimator like it returns
+// for low-support strata.
+func bootstrap(r *sample.Reservoir, col int, kind AggKind, replicates int,
+	confidence float64, gen *rng.Lehmer64) (lo, hi float64) {
+
+	n := r.Len()
+	w := r.Weight()
+	vals := make([]float64, n)
+	for i := 0; i < n; i++ {
+		vals[i] = float64(r.Tuple(i)[col])
+	}
+	stats := make([]float64, replicates)
+	for b := 0; b < replicates; b++ {
+		sum := 0.0
+		for i := 0; i < n; i++ {
+			sum += vals[gen.Intn(n)]
+		}
+		mean := sum / float64(n)
+		switch kind {
+		case Sum:
+			stats[b] = w * mean
+		case Count:
+			stats[b] = w
+		case Avg:
+			stats[b] = mean
+		}
+	}
+	sort.Float64s(stats)
+	alpha := 1 - confidence
+	loIdx := int(alpha / 2 * float64(replicates))
+	hiIdx := int((1 - alpha/2) * float64(replicates))
+	if hiIdx >= replicates {
+		hiIdx = replicates - 1
+	}
+	return stats[loIdx], stats[hiIdx]
+}
 
 func TestBootstrapMatchesCLTOnUniformData(t *testing.T) {
 	// For well-behaved (uniform) data with decent support, the percentile
@@ -19,10 +65,7 @@ func TestBootstrapMatchesCLTOnUniformData(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bootLo, bootHi, err := Bootstrap(r, 0, Sum, 2000, 0.95, newGen(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	bootLo, bootHi := bootstrap(r, 0, Sum, 2000, 0.95, newGen(2))
 	cltWidth := cltHi - cltLo
 	bootWidth := bootHi - bootLo
 	if bootWidth < cltWidth*0.7 || bootWidth > cltWidth*1.3 {
@@ -45,10 +88,7 @@ func TestBootstrapCoverage(t *testing.T) {
 		for v := int64(0); v < n; v++ {
 			r.Consider([]int64{v})
 		}
-		lo, hi, err := Bootstrap(r, 0, Sum, 400, 0.95, newGen(uint64(trial+5000)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		lo, hi := bootstrap(r, 0, Sum, 400, 0.95, newGen(uint64(trial+5000)))
 		if lo <= trueSum && trueSum <= hi {
 			hits++
 		}
@@ -71,10 +111,7 @@ func TestBootstrapSkewedData(t *testing.T) {
 		r.Consider([]int64{x})
 	}
 	est := FromReservoir(r, 0, Avg)
-	lo, hi, err := Bootstrap(r, 0, Avg, 2000, 0.95, newGen(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	lo, hi := bootstrap(r, 0, Avg, 2000, 0.95, newGen(8))
 	if lo > est.Value || hi < est.Value {
 		t.Fatalf("interval [%v, %v] excludes %v", lo, hi, est.Value)
 	}
@@ -88,28 +125,8 @@ func TestBootstrapCountIsExact(t *testing.T) {
 	for v := int64(0); v < 1000; v++ {
 		r.Consider([]int64{v})
 	}
-	lo, hi, err := Bootstrap(r, 0, Count, 100, 0.95, newGen(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	lo, hi := bootstrap(r, 0, Count, 100, 0.95, newGen(10))
 	if lo != 1000 || hi != 1000 {
 		t.Fatalf("COUNT bootstrap = [%v, %v], want exact weight", lo, hi)
-	}
-}
-
-func TestBootstrapValidation(t *testing.T) {
-	r := sample.NewReservoir(10, 1, newGen(11))
-	if _, _, err := Bootstrap(r, 0, Sum, 100, 0.95, newGen(12)); err == nil {
-		t.Fatal("empty reservoir must error")
-	}
-	r.Consider([]int64{1})
-	if _, _, err := Bootstrap(r, 0, Sum, 5, 0.95, newGen(12)); err == nil {
-		t.Fatal("too few replicates must error")
-	}
-	if _, _, err := Bootstrap(r, 0, Sum, 100, 1.5, newGen(12)); err == nil {
-		t.Fatal("bad confidence must error")
-	}
-	if _, _, err := Bootstrap(r, 0, Min, 100, 0.95, newGen(12)); err == nil {
-		t.Fatal("MIN bootstrap must be rejected")
 	}
 }

@@ -165,7 +165,7 @@ func BenchmarkFusedAggregate(b *testing.B) {
 // their zone maps across the append untouched (pointer-shared summaries,
 // storage.AppendColumns): only the open segment re-summarizes, and in the
 // single-segment layout the open segment is the whole table.
-// BENCH_PR8.json tracks these numbers; see docs/SHARDING.md.
+// Run it with `go test -bench SegmentParallelBuild`; see docs/SHARDING.md.
 func BenchmarkSegmentParallelBuild(b *testing.B) {
 	const nMorsels = 32
 	const appendRows = 8192

@@ -265,12 +265,14 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 		go func() {
 			defer wg.Done()
 			for {
+				// next.Add hands index i to exactly one worker, so segErrs[i]
+				// and partials[i] are written without a lock.
 				i := int(next.Add(1)) - 1
 				if i >= len(sources) {
 					return
 				}
 				if stopped.Load() {
-					segErrs[i] = errSegmentsStopped //laqy:allow mergesync index i is claimed by exactly one worker via next.Add
+					segErrs[i] = errSegmentsStopped
 					continue
 				}
 				if q.Ctx != nil {
@@ -279,10 +281,10 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 						// explicit cancellation aborts like before.
 						if errors.Is(err, context.DeadlineExceeded) {
 							stopped.Store(true)
-							segErrs[i] = errSegmentsStopped //laqy:allow mergesync index i is claimed by exactly one worker via next.Add
+							segErrs[i] = errSegmentsStopped
 							continue
 						}
-						segErrs[i] = err //laqy:allow mergesync index i is claimed by exactly one worker via next.Add
+						segErrs[i] = err
 						return
 					}
 				}
@@ -292,7 +294,7 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 				if q.Budget != nil {
 					if err := q.Budget.Reserve(est); err != nil {
 						stopped.Store(true)
-						segErrs[i] = errSegmentsStopped //laqy:allow mergesync index i is claimed by exactly one worker via next.Add
+						segErrs[i] = errSegmentsStopped
 						continue
 					}
 				}
@@ -305,7 +307,7 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 				if err != nil {
 					if errors.Is(err, context.DeadlineExceeded) {
 						stopped.Store(true)
-						segErrs[i] = errSegmentsStopped //laqy:allow mergesync index i is claimed by exactly one worker via next.Add
+						segErrs[i] = errSegmentsStopped
 						continue
 					}
 					if errors.Is(err, ErrSegmentUnavailable) {
@@ -313,13 +315,13 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 						// exhausted): drop just this segment's weight and
 						// keep dispatching the rest — other shards may be
 						// healthy.
-						segErrs[i] = err //laqy:allow mergesync index i is claimed by exactly one worker via next.Add
+						segErrs[i] = err
 						continue
 					}
-					segErrs[i] = err //laqy:allow mergesync index i is claimed by exactly one worker via next.Add
+					segErrs[i] = err
 					return
 				}
-				partials[i] = sam //laqy:allow mergesync index i is claimed by exactly one worker via next.Add
+				partials[i] = sam
 				recordSegmentSpan(q, sources[i], buildStart)
 				statsMu.Lock()
 				stats.Add(st)

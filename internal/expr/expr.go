@@ -45,7 +45,7 @@ func (w wrapInterval) hit(v int64) int { return b2i(uint64(v-w.lo) <= w.width) }
 // single-interval loop) and Set.Contains (a binary search: log k branches per
 // row, mispredicted on shuffled data). At two intervals the OR, hoisted into
 // registers, costs 1.3–1.7× the single-interval loop and a tenth of Set.Contains
-// (BenchmarkSelect/delta2 against /multiinterval, BENCH_PR5.json). Past two
+// (`go test -bench Select`: /delta2 against /multiinterval). Past two
 // the compares stop fitting one hoisted loop body: four behind a
 // loop-invariant branch slowed the two-interval case by a third, and a
 // fixed-trip loop over k of them (835 µs per 64 Ki rows at k = 8) loses to a

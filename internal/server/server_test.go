@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -491,7 +493,7 @@ func TestRequestIDThreadedToTrace(t *testing.T) {
 
 // TestDrainLifecycle runs a real listener through the full drain: ready →
 // draining (new queries 503 + Retry-After, readyz 503) → final save →
-// listener closed → idempotent repeat.
+// listener closed → every goroutine Start spawned gone → idempotent repeat.
 func TestDrainLifecycle(t *testing.T) {
 	memfs := iofault.NewMem()
 	db := tinyDB(t)
@@ -507,6 +509,10 @@ func TestDrainLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Connections earlier tests left idle would wind down mid-test and
+	// mask a leak of the same size: settle them before counting.
+	http.DefaultClient.CloseIdleConnections()
+	before := settledGoroutines(math.MaxInt)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -592,10 +598,34 @@ func TestDrainLifecycle(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("listener still accepting after drain")
 	}
+	// Shutdown joined everything Start spawned (listener, saver): the count
+	// is back to the pre-Start one exactly — no "+2" allowance, which is
+	// what lets a saver that never exits pass the chaos harness.
+	client.CloseIdleConnections()
+	http.DefaultClient.CloseIdleConnections()
+	if after := settledGoroutines(before); after != before {
+		t.Errorf("goroutines after Shutdown = %d, before Start = %d", after, before)
+	}
 	// Idempotent.
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Errorf("second shutdown: %v", err)
 	}
+}
+
+// settledGoroutines polls runtime.NumGoroutine until it is at most atMost
+// and has read the same for 50 ms, or two seconds pass, and returns the
+// last reading.
+func settledGoroutines(atMost int) int {
+	n, stable := runtime.NumGoroutine(), 0
+	for i := 0; i < 200 && (n > atMost || stable < 5); i++ {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			stable++
+		} else {
+			n, stable = m, 0
+		}
+	}
+	return n
 }
 
 // TestShutdownCancelsInflightPastDeadline: with the drain budget already

@@ -3,7 +3,7 @@
 // standard library so the repository stays self-contained (the container
 // that builds this repo has no module proxy access).
 //
-// It provides exactly what laqy-vet's four analyzers need: an Analyzer
+// It provides exactly what laqy-vet's analyzers need: an Analyzer
 // descriptor, a per-package Pass carrying syntax + type information, and a
 // Diagnostic stream. Analyzers written against this package follow the same
 // shape as upstream go/analysis analyzers, so migrating to the real

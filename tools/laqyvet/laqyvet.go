@@ -1,9 +1,10 @@
-// Package laqyvet assembles the project's static-analysis suite: nine
+// Package laqyvet assembles the project's static-analysis suite: six
 // analyzers enforcing the invariants the paper's correctness and
-// performance claims rest on but the compiler cannot check — six
-// per-package syntactic checks and three program-scope semantic checks
-// built on the tools/laqyvet/sem call-graph layer. See
-// docs/STATIC_ANALYSIS.md for the full policy and annotation grammar.
+// performance claims rest on but the compiler cannot check — five
+// per-package syntactic checks and one program-scope semantic check
+// (goleak) built on the tools/laqyvet/sem call graph. See
+// docs/STATIC_ANALYSIS.md for the full policy, the annotation grammar and
+// the audit that decided which analyzers stay.
 package laqyvet
 
 import (
@@ -12,11 +13,8 @@ import (
 	"laqy/tools/laqyvet/errchecklite"
 	"laqy/tools/laqyvet/goleak"
 	"laqy/tools/laqyvet/hotalloc"
-	"laqy/tools/laqyvet/lockorder"
-	"laqy/tools/laqyvet/mergesync"
 	"laqy/tools/laqyvet/obscheck"
 	"laqy/tools/laqyvet/rngsource"
-	"laqy/tools/laqyvet/weightflow"
 )
 
 // All returns the full analyzer suite in deterministic order.
@@ -26,11 +24,8 @@ func All() []*analysis.Analyzer {
 		errchecklite.Analyzer,
 		goleak.Analyzer,
 		hotalloc.Analyzer,
-		lockorder.Analyzer,
-		mergesync.Analyzer,
 		obscheck.Analyzer,
 		rngsource.Analyzer,
-		weightflow.Analyzer,
 	}
 }
 

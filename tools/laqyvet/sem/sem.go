@@ -1,9 +1,7 @@
-// Package sem is the semantic layer beneath laqy-vet's interprocedural
-// analyzers (lockorder, goleak, weightflow): a package-set call graph with
-// conservative handling of function literals and method values, an
-// intra-procedural CFG with a reaching-definitions solver, and lock-set
-// summaries propagated to fixpoint over the call graph. Like the rest of
-// the framework it is stdlib-only — no golang.org/x/tools.
+// Package sem is the semantic layer beneath laqy-vet's one
+// interprocedural analyzer (goleak): a package-set call graph with
+// conservative handling of function literals and method values. Like the
+// rest of the framework it is stdlib-only — no golang.org/x/tools.
 //
 // The call graph is deliberately conservative rather than precise:
 //
@@ -14,16 +12,15 @@
 //   - a literal or method value that *escapes* — stored in a variable,
 //     passed as an argument, returned — gets an Escape edge from the
 //     function that creates it, i.e. it is assumed callable wherever the
-//     creator hands it; summaries flow through Escape edges exactly like
-//     through calls;
+//     creator hands it; reachability flows through Escape edges exactly
+//     like through calls;
 //   - calls through function-typed values whose target the above cannot
-//     name are recorded as Dynamic with a nil callee. Analyzers decide
-//     per-check whether an unresolved callee is a finding (goleak) or a
-//     documented blind spot (lockorder).
+//     name are recorded as Dynamic with a nil callee; goleak makes an
+//     unresolvable spawn a finding.
 //
 // Spawn edges (`go` statements) are recorded separately from Calls: a
-// goroutine's acquisitions happen on another stack, so lock-order and
-// lock-set propagation must not treat them as synchronous.
+// nested goroutine is its own lifecycle, so reachability from a spawned
+// body must be able to leave them out.
 package sem
 
 import (
@@ -44,7 +41,7 @@ const (
 	LiteralCall
 	// Escape is the conservative edge for a literal or method value that
 	// leaves the creating function (assigned, passed, returned): it may be
-	// invoked from wherever it escapes to, so summaries flow through it.
+	// invoked from wherever it escapes to, so reachability flows through it.
 	Escape
 	// Deferred is a `defer` call (runs on the same goroutine).
 	Deferred
@@ -56,16 +53,9 @@ const (
 
 // Call is one outgoing call-graph edge of a function.
 type Call struct {
-	// Site is the syntax that creates the edge: the *ast.CallExpr for
-	// calls, the *ast.FuncLit or method-value *ast.SelectorExpr/*ast.Ident
-	// for Escape edges.
-	Site ast.Node
 	// Callee is the target when it is part of the program; nil for
 	// external (other-module/stdlib) and Dynamic targets.
 	Callee *Func
-	// Obj is the static callee object when known, even if external (e.g.
-	// (*sync.WaitGroup).Done). Nil for literals and Dynamic calls.
-	Obj *types.Func
 	// Kind classifies the edge.
 	Kind CallKind
 }
@@ -86,17 +76,12 @@ type Func struct {
 	// "laqy/internal/store.(*Store).Put", with "$1", "$2", ... appended
 	// for literals in creation order within their parent.
 	Name string
-	// Obj is the declared function's object; nil for literals.
-	Obj *types.Func
 	// Decl is the declaration; nil for literals.
 	Decl *ast.FuncDecl
 	// Lit is the literal; nil for declared functions.
 	Lit *ast.FuncLit
 	// Unit is the package the function lives in.
 	Unit *analysis.Unit
-	// Parent is the enclosing function, for literals; nil for declared
-	// functions and literals in package-level initializers.
-	Parent *Func
 	// Calls are the outgoing edges, in source order.
 	Calls []Call
 	// Spawns are the function's go statements, in source order.
@@ -128,8 +113,6 @@ func (f *Func) Params() *ast.FieldList {
 
 // Program is the built call graph over one analysis.Program.
 type Program struct {
-	// Prog is the underlying package set.
-	Prog *analysis.Program
 	// Funcs lists every declared function and literal in deterministic
 	// order: units by path, files in list order, declarations in source
 	// order, literals in creation order within their parent.
@@ -138,18 +121,10 @@ type Program struct {
 	byLit map[*ast.FuncLit]*Func
 }
 
-// FuncOf returns the graph node for a declared function object, or nil if
-// the object is outside the program.
-func (p *Program) FuncOf(obj *types.Func) *Func { return p.byObj[obj] }
-
-// FuncOfLit returns the graph node for a function literal, or nil.
-func (p *Program) FuncOfLit(lit *ast.FuncLit) *Func { return p.byLit[lit] }
-
 // Build indexes every function of the program and resolves its call and
 // spawn edges.
 func Build(prog *analysis.Program) *Program {
 	p := &Program{
-		Prog:  prog,
 		byObj: make(map[*types.Func]*Func),
 		byLit: make(map[*ast.FuncLit]*Func),
 	}
@@ -162,15 +137,12 @@ func Build(prog *analysis.Program) *Program {
 				case *ast.FuncDecl:
 					fn := &Func{Decl: d, Unit: u}
 					if obj, ok := u.TypesInfo.Defs[d.Name].(*types.Func); ok {
-						fn.Obj = obj
 						fn.Name = obj.FullName()
+						p.byObj[obj] = fn
 					} else {
 						fn.Name = u.Path + "." + d.Name.Name
 					}
 					p.Funcs = append(p.Funcs, fn)
-					if fn.Obj != nil {
-						p.byObj[fn.Obj] = fn
-					}
 					if d.Body != nil {
 						p.indexLits(fn, d.Body)
 					}
@@ -191,7 +163,7 @@ func Build(prog *analysis.Program) *Program {
 }
 
 // indexLits registers every function literal under n (excluding n itself)
-// as a Func whose Parent chain reflects lexical nesting.
+// as a Func named after its lexically enclosing function.
 func (p *Program) indexLits(parent *Func, n ast.Node) {
 	if n == nil {
 		return
@@ -206,13 +178,9 @@ func (p *Program) indexLits(parent *Func, n ast.Node) {
 			}
 			count++
 			fn := &Func{
-				Name:   fmt.Sprintf("%s$%d", par.Name, count),
-				Lit:    lit,
-				Unit:   par.Unit,
-				Parent: par,
-			}
-			if par.Decl == nil && par.Lit == nil {
-				fn.Parent = nil // package-level initializer, no real parent
+				Name: fmt.Sprintf("%s$%d", par.Name, count),
+				Lit:  lit,
+				Unit: par.Unit,
 			}
 			p.Funcs = append(p.Funcs, fn)
 			p.byLit[lit] = fn
@@ -243,11 +211,11 @@ func (p *Program) resolveEdges(fn *Func) {
 			// A literal in non-call position escapes: conservative edge,
 			// then stop — the literal's own node owns its body.
 			if !funExprs[x] {
-				fn.Calls = append(fn.Calls, Call{Site: x, Callee: p.byLit[x], Kind: Escape})
+				fn.Calls = append(fn.Calls, Call{Callee: p.byLit[x], Kind: Escape})
 			}
 			return false
 		case *ast.GoStmt:
-			c := p.resolveCall(info, x.Call, funExprs)
+			c, _ := p.resolveCall(info, x.Call, funExprs)
 			c.Kind = Spawned
 			fn.Calls = append(fn.Calls, c)
 			fn.Spawns = append(fn.Spawns, Spawn{Stmt: x, Target: c.Callee})
@@ -258,7 +226,7 @@ func (p *Program) resolveEdges(fn *Func) {
 			}
 			return false
 		case *ast.DeferStmt:
-			c := p.resolveCall(info, x.Call, funExprs)
+			c, _ := p.resolveCall(info, x.Call, funExprs)
 			c.Kind = Deferred
 			fn.Calls = append(fn.Calls, c)
 			for _, arg := range x.Call.Args {
@@ -266,8 +234,7 @@ func (p *Program) resolveEdges(fn *Func) {
 			}
 			return false
 		case *ast.CallExpr:
-			c := p.resolveCall(info, x, funExprs)
-			if c.Kind != Dynamic || c.Site != nil {
+			if c, ok := p.resolveCall(info, x, funExprs); ok {
 				fn.Calls = append(fn.Calls, c)
 			}
 			return true
@@ -276,7 +243,7 @@ func (p *Program) resolveEdges(fn *Func) {
 				if obj, ok := info.Uses[x.Sel].(*types.Func); ok {
 					// Method value (or method expression): assumed
 					// callable wherever it flows.
-					fn.Calls = append(fn.Calls, Call{Site: x, Callee: p.byObj[obj], Obj: obj, Kind: Escape})
+					fn.Calls = append(fn.Calls, Call{Callee: p.byObj[obj], Kind: Escape})
 				}
 			}
 			// Walk only the receiver side: visiting Sel as a bare Ident
@@ -287,7 +254,7 @@ func (p *Program) resolveEdges(fn *Func) {
 		case *ast.Ident:
 			if !funExprs[x] {
 				if obj, ok := info.Uses[x].(*types.Func); ok {
-					fn.Calls = append(fn.Calls, Call{Site: x, Callee: p.byObj[obj], Obj: obj, Kind: Escape})
+					fn.Calls = append(fn.Calls, Call{Callee: p.byObj[obj], Kind: Escape})
 				}
 			}
 			return true
@@ -298,36 +265,30 @@ func (p *Program) resolveEdges(fn *Func) {
 }
 
 // resolveCall classifies one call expression and marks its Fun so the
-// value-reference walk skips it.
-func (p *Program) resolveCall(info *types.Info, call *ast.CallExpr, funExprs map[ast.Expr]bool) Call {
+// value-reference walk skips it. ok is false for builtins and type
+// conversions, which are not call-graph edges.
+func (p *Program) resolveCall(info *types.Info, call *ast.CallExpr, funExprs map[ast.Expr]bool) (c Call, ok bool) {
 	fun := unparen(call.Fun)
 	funExprs[fun] = true
 	switch f := fun.(type) {
 	case *ast.FuncLit:
-		return Call{Site: call, Callee: p.byLit[f], Kind: LiteralCall}
+		return Call{Callee: p.byLit[f], Kind: LiteralCall}, true
 	case *ast.Ident:
 		switch obj := info.Uses[f].(type) {
 		case *types.Func:
-			return Call{Site: call, Callee: p.byObj[obj], Obj: obj, Kind: Static}
+			return Call{Callee: p.byObj[obj], Kind: Static}, true
 		case *types.Builtin, *types.TypeName:
-			// Builtins and conversions are not call-graph edges.
-			return Call{Kind: Dynamic}
+			return Call{Kind: Dynamic}, false
 		}
-		return Call{Site: call, Kind: Dynamic}
 	case *ast.SelectorExpr:
 		if obj, ok := info.Uses[f.Sel].(*types.Func); ok {
-			return Call{Site: call, Callee: p.byObj[obj], Obj: obj, Kind: Static}
+			return Call{Callee: p.byObj[obj], Kind: Static}, true
 		}
-		if tv, ok := info.Types[fun]; ok && tv.IsType() {
-			return Call{Kind: Dynamic} // conversion through a qualified type
-		}
-		return Call{Site: call, Kind: Dynamic}
-	default:
-		if tv, ok := info.Types[fun]; ok && tv.IsType() {
-			return Call{Kind: Dynamic}
-		}
-		return Call{Site: call, Kind: Dynamic}
 	}
+	if tv, ok := info.Types[fun]; ok && tv.IsType() {
+		return Call{Kind: Dynamic}, false // conversion through a type expression
+	}
+	return Call{Kind: Dynamic}, true
 }
 
 // unparen strips parentheses.

@@ -1,8 +1,6 @@
 package sem_test
 
 import (
-	"go/ast"
-	"go/types"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -75,9 +73,6 @@ func TestCallGraphStatic(t *testing.T) {
 	if len(st) != 1 || st[0].Callee != leaf {
 		t.Fatalf("Static: got %d static edges (callee match=%v), want 1 edge to Leaf", len(st), len(st) == 1 && st[0].Callee == leaf)
 	}
-	if st[0].Obj == nil || st[0].Obj.Name() != "Leaf" {
-		t.Fatalf("Static: edge Obj = %v, want Leaf", st[0].Obj)
-	}
 }
 
 func TestCallGraphLiteralCall(t *testing.T) {
@@ -119,9 +114,6 @@ func TestCallGraphMethodValue(t *testing.T) {
 	if len(esc) != 1 || esc[0].Callee != fn(t, p, "M).Do") {
 		t.Fatalf("MethodValue: want 1 Escape edge to (*M).Do, got %+v", esc)
 	}
-	if _, ok := esc[0].Site.(*ast.SelectorExpr); !ok {
-		t.Fatalf("MethodValue: escape site should be the selector, got %T", esc[0].Site)
-	}
 }
 
 func TestCallGraphFuncValue(t *testing.T) {
@@ -156,111 +148,5 @@ func TestCallGraphDynamic(t *testing.T) {
 	dyn := edges(fn(t, p, ".Dyn"), sem.Dynamic)
 	if len(dyn) != 1 || dyn[0].Callee != nil {
 		t.Fatalf("Dyn: want 1 Dynamic edge with nil callee, got %+v", dyn)
-	}
-}
-
-// hasLock reports whether any LockID in ids ends in suffix.
-func hasLock(m map[sem.LockID]bool, suffix string) bool {
-	for id := range m {
-		if strings.HasSuffix(string(id), suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-func TestLockSummaryPropagation(t *testing.T) {
-	p := buildFixture(t)
-	sums := sem.LockSummaries(p)
-
-	inner := sums[fn(t, p, ".lockInner")]
-	if len(inner.Direct) != 1 || !strings.HasSuffix(string(inner.Direct[0].ID), "L2.mu") {
-		t.Fatalf("lockInner: direct = %+v, want one L2.mu acquire", inner.Direct)
-	}
-
-	nested := sums[fn(t, p, ".Nested")]
-	trans := make(map[sem.LockID]bool)
-	for id := range nested.Transitive {
-		trans[id] = true
-	}
-	if !hasLock(trans, "L1.mu") || !hasLock(trans, "L2.mu") {
-		t.Fatalf("Nested: transitive = %v, want both L1.mu and L2.mu", nested.Transitive)
-	}
-	var pair *sem.LockPair
-	for i := range nested.Pairs {
-		pr := &nested.Pairs[i]
-		if strings.HasSuffix(string(pr.First), "L1.mu") && strings.HasSuffix(string(pr.Second), "L2.mu") {
-			pair = pr
-		}
-	}
-	if pair == nil {
-		t.Fatalf("Nested: pairs = %+v, want (L1.mu held, L2.mu acquired) from the call into lockInner", nested.Pairs)
-	}
-
-	if got := sums[fn(t, p, ".Balanced")].Pairs; len(got) != 0 {
-		t.Fatalf("Balanced: pairs = %+v, want none (locks never overlap)", got)
-	}
-}
-
-func TestReachingDefs(t *testing.T) {
-	p := buildFixture(t)
-	flow := fn(t, p, ".Flow")
-	cfg := sem.BuildCFG(flow.Body())
-	rd := sem.Reaching(cfg, flow.Unit.TypesInfo, flow.Params())
-	info := flow.Unit.TypesInfo
-
-	// Locate y's variable (defined by `y := x`).
-	var yIdent *ast.Ident
-	ast.Inspect(flow.Body(), func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok && yIdent == nil {
-			if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name == "y" {
-				yIdent = id
-				return false
-			}
-		}
-		return true
-	})
-	if yIdent == nil {
-		t.Fatal("fixture drift: no `y :=` assignment in Flow")
-	}
-	yVar, ok := info.Defs[yIdent].(*types.Var)
-	if !ok {
-		t.Fatalf("y resolves to %T, want *types.Var", info.Defs[yIdent])
-	}
-
-	// Find the block holding the return statement.
-	var retBlk *sem.Block
-	for _, blk := range cfg.Blocks {
-		for _, n := range blk.Nodes {
-			if _, ok := n.(*ast.ReturnStmt); ok {
-				retBlk = blk
-			}
-		}
-	}
-	if retBlk == nil {
-		t.Fatal("no block contains the return statement")
-	}
-
-	// Both `y := x` and the then-branch `y = 1` may reach the return.
-	defs := rd.At(retBlk, yVar)
-	if len(defs) != 2 {
-		t.Fatalf("defs of y reaching the return = %d, want 2 (initial and then-branch)", len(defs))
-	}
-
-	// The parameter x reaches entry as an entry definition (nil Node).
-	var xVar *types.Var
-	for _, f := range flow.Params().List {
-		for _, name := range f.Names {
-			if name.Name == "x" {
-				xVar, _ = info.Defs[name].(*types.Var)
-			}
-		}
-	}
-	if xVar == nil {
-		t.Fatal("fixture drift: Flow has no parameter x")
-	}
-	xDefs := rd.At(cfg.Entry, xVar)
-	if len(xDefs) != 1 || xDefs[0].Node != nil {
-		t.Fatalf("param x at entry = %+v, want one entry definition with nil Node", xDefs)
 	}
 }

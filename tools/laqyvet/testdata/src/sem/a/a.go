@@ -1,9 +1,6 @@
 // Fixture for the sem-layer unit tests: one function per call-graph edge
-// kind, a nested-lock pair for summary propagation, and a branchy function
-// for the reaching-definitions solver.
+// kind.
 package a
-
-import "sync"
 
 func Leaf() {}
 
@@ -49,41 +46,4 @@ func DeferredCall() {
 // Call through a function parameter: unresolvable.
 func Dyn(f func()) {
 	f()
-}
-
-// Lock fixtures: Nested acquires L1.mu and reaches L2.mu only through
-// lockInner, so the pair must come from summary propagation.
-
-type L1 struct{ mu sync.Mutex }
-type L2 struct{ mu sync.Mutex }
-
-var l1 L1
-var l2 L2
-
-func lockInner() {
-	l2.mu.Lock()
-	l2.mu.Unlock()
-}
-
-func Nested() {
-	l1.mu.Lock()
-	defer l1.mu.Unlock()
-	lockInner()
-}
-
-// Balanced never holds two locks at once: no pairs.
-func Balanced() {
-	l1.mu.Lock()
-	l1.mu.Unlock()
-	l2.mu.Lock()
-	l2.mu.Unlock()
-}
-
-// Flow has two definitions of y reaching the return.
-func Flow(x int) int {
-	y := x
-	if x > 0 {
-		y = 1
-	}
-	return y
 }
