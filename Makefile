@@ -41,14 +41,16 @@ benchmark-check:
 # metrics snapshot CI uploads as an artifact (docs/OBSERVABILITY.md), then
 # one iteration of every kernel bench — the selection kernels and the fused
 # aggregate — so their fixtures and structural assertions (which cases
-# fuse) cannot rot unseen, and one reuse hit of each kind
-# (BenchmarkReuseHit), whose allocs/op column is the per-hit allocation
-# count.
+# fuse) cannot rot unseen, one reuse hit of each kind (BenchmarkReuseHit),
+# whose allocs/op column is the per-hit allocation count, and one served
+# hit over loopback HTTP of each kind (BenchmarkServeHit: the same hit plus
+# the response encoder and the wire).
 bench-smoke:
 	$(GO) run ./cmd/laqy-bench -smoke -metricsout bench-metrics.json
 	$(GO) test -run '^$$' -bench 'Select|FusedAggregate' -benchtime 1x \
 		./internal/expr ./internal/engine
 	$(GO) test -run '^$$' -bench 'ReuseHit' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'ServeHit' -benchtime 1x -benchmem ./internal/server
 
 # The sampling engine is morsel-parallel; every PR must pass under the race
 # detector. -short skips the statistical long-haul tests.

@@ -12,6 +12,7 @@ package laqy_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"laqy/internal/bench"
 	"laqy/internal/core"
 	"laqy/internal/engine"
+	"laqy/internal/expr"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
 	"laqy/internal/store"
@@ -420,13 +422,16 @@ func BenchmarkAblation_Pushdown(b *testing.B) {
 		q := &engine.Query{Fact: d.Lineorder}
 		// The sample must capture lo_intkey to filter afterwards.
 		fullSchema := sample.Schema{"lo_quantity", "lo_tax", "lo_revenue", "lo_intkey"}
-		keyIdx := fullSchema.Index("lo_intkey")
+		keep, err := expr.CompileTuples(algebra.NewPredicate().WithRange("lo_intkey", math.MinInt64, sel-1), fullSchema)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for i := 0; i < b.N; i++ {
 			s, _, err := engine.RunStratified(q, fullSchema, qcs, 512, uint64(i), 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			s.Filter(func(tu []int64) bool { return tu[keyIdx] < sel })
+			s.Filter(keep)
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"laqy/internal/expr"
 	"laqy/internal/sample"
 )
 
@@ -116,7 +117,7 @@ type Selection struct {
 
 // Select points s at the tuples of r that keep accepts (nil: all of them) and
 // reports whether there are any.
-func (s *Selection) Select(r *sample.Reservoir, keep func(tuple []int64) bool) bool {
+func (s *Selection) Select(r *sample.Reservoir, keep *expr.TupleFilter) bool {
 	s.tuples, s.width, s.filtered = r.Tuples(), r.Width(), keep != nil
 	s.n, s.weight = r.Len(), r.Weight()
 	if s.filtered {
@@ -282,7 +283,7 @@ const MinSupport = 30
 // policy of §5.2.3 would trigger a validating online query. A stratum the
 // predicate empties counts: it may still hold qualifying rows the reservoir
 // happened to miss.
-func SupportFailures(s *sample.Stratified, keep func(tuple []int64) bool, minSupport int) []sample.StratumKey {
+func SupportFailures(s *sample.Stratified, keep *expr.TupleFilter, minSupport int) []sample.StratumKey {
 	var out []sample.StratumKey
 	var sel Selection
 	s.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {

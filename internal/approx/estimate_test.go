@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 
+	"laqy/internal/algebra"
+	"laqy/internal/expr"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
 )
@@ -278,8 +280,8 @@ func TestEstimateAfterMergeMatchesTruth(t *testing.T) {
 }
 
 // TestViewMatchesFilter is the contract that lets a reuse hit answer through
-// (stored sample, predicate) instead of a tightened copy: over random
-// stratified samples and random one- and many-interval predicates, every
+// (stored sample, compiled tuple filter) instead of a tightened copy: over
+// random stratified samples and random one- and many-interval predicates, every
 // aggregate kind estimated through a Selection equals, bit for bit, the
 // estimate over sample.Stratified.Filter's materialized copy — Value, StdErr,
 // Support and Weight, and the set and order of strata that keep any tuple —
@@ -299,22 +301,18 @@ func TestViewMatchesFilter(t *testing.T) {
 			s.Consider([]int64{grp, int64(g.Uint64n(uint64(domain))), int64(g.Uint64n(1<<40)) - 1<<39})
 		}
 		// A union of 1..4 random intervals over the key domain.
-		type iv struct{ lo, hi int64 }
-		ivs := make([]iv, 1+g.Intn(4))
+		ivs := make([]algebra.Interval, 1+g.Intn(4))
 		for i := range ivs {
 			lo := int64(g.Uint64n(uint64(domain)))
-			ivs[i] = iv{lo, lo + int64(g.Uint64n(uint64(domain)/uint64(1+g.Intn(6))+1))}
+			ivs[i] = algebra.Interval{Lo: lo, Hi: lo + int64(g.Uint64n(uint64(domain)/uint64(1+g.Intn(6))+1))}
 		}
-		keep := func(tu []int64) bool {
-			for _, v := range ivs {
-				if tu[1] >= v.lo && tu[1] <= v.hi {
-					return true
-				}
-			}
-			return false
-		}
+		keySet := algebra.NewSet(ivs...)
 		if trial%10 == 0 {
-			keep = func([]int64) bool { return true } // w·n/n, not w
+			keySet = algebra.SetOf(algebra.Interval{Lo: math.MinInt64, Hi: math.MaxInt64}) // w·n/n, not w
+		}
+		keep, err := expr.CompileTuples(algebra.NewPredicate().With("key", keySet), s.Schema())
+		if err != nil {
+			t.Fatal(err)
 		}
 
 		copyOf := s.Filter(keep)

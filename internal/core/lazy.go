@@ -139,7 +139,7 @@ type Result struct {
 	// weights sample.Reservoir.Select gives them (approx.Selection reads it
 	// so). Sample may be the store's own copy: read-only.
 	Sample *sample.Stratified
-	Keep   func(tuple []int64) bool
+	Keep   *expr.TupleFilter
 	// Mode is the Algorithm 1 path taken.
 	Mode Mode
 	// Missing is the Δ-range sampled (empty for full reuse and equal to
@@ -512,7 +512,7 @@ func (l *LazySampler) tighten(req Request, schema sample.Schema, samplePred alge
 	if pred.IsTrue() {
 		return &Result{Sample: from}, nil
 	}
-	keep, err := expr.TupleMatcher(pred, schema)
+	keep, err := expr.CompileTuples(pred, schema)
 	if err != nil {
 		return nil, nil
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"laqy/internal/algebra"
 	"laqy/internal/engine"
+	"laqy/internal/expr"
 	"laqy/internal/sample"
 )
 
@@ -28,7 +29,7 @@ import (
 // not repairable, in which case the caller falls back to full online
 // sampling.
 func (l *LazySampler) repairSupport(req Request, schema sample.Schema, from *sample.Stratified,
-	keep func(tuple []int64) bool, fails []sample.StratumKey) (*Result, error) {
+	keep *expr.TupleFilter, fails []sample.StratumKey) (*Result, error) {
 
 	if req.QCSWidth != 1 {
 		return nil, nil

@@ -1,6 +1,6 @@
 // Package expr compiles the declarative predicates of package algebra into
-// executable, vectorized filters over column vectors and into per-tuple
-// matchers over sample schemas.
+// executable, vectorized filters: over column vectors for scans, and over a
+// sample's row-major tuples for tightening.
 //
 // The engine evaluates predicates chunk-at-a-time into selection vectors;
 // the common single-interval constraint (BETWEEN) compiles to a two-compare
@@ -16,10 +16,16 @@ import (
 )
 
 // compiledCol is one conjunct of a compiled filter: a column vector plus
-// its constraint, with the branchless fast paths precomputed.
+// its constraint.
 type compiledCol struct {
-	name   string
-	vec    []int64
+	name string
+	vec  []int64
+	conjunct
+}
+
+// conjunct is one column's constraint with the branchless fast paths
+// precomputed — the form both the column filter and the tuple filter run.
+type conjunct struct {
 	set    algebra.Set
 	lo, hi int64
 	single bool // constraint is one interval: lo <= v <= hi
@@ -28,6 +34,22 @@ type compiledCol struct {
 	// stored range": an interval either side of the stored one.
 	few bool
 	ivs [maxBranchlessIntervals]wrapInterval
+}
+
+// compileConjunct picks set's fast path: one interval, exactly
+// maxBranchlessIntervals intervals, or Set.Contains.
+func compileConjunct(set algebra.Set) conjunct {
+	c := conjunct{set: set}
+	switch ivs := set.Intervals(); len(ivs) {
+	case 1:
+		c.single, c.lo, c.hi = true, ivs[0].Lo, ivs[0].Hi
+	case maxBranchlessIntervals:
+		c.few = true
+		for i, iv := range ivs {
+			c.ivs[i] = wrapInterval{lo: iv.Lo, width: uint64(iv.Hi - iv.Lo)}
+		}
+	}
+	return c
 }
 
 // wrapInterval is [lo, lo+width] prepared for the one-compare membership
@@ -71,17 +93,7 @@ func Compile(p algebra.Predicate, resolve func(name string) []int64) (*Filter, e
 		if vec == nil {
 			return nil, fmt.Errorf("expr: unknown column %q in predicate", name)
 		}
-		cc := compiledCol{name: name, vec: vec, set: set}
-		switch ivs := set.Intervals(); len(ivs) {
-		case 1:
-			cc.single, cc.lo, cc.hi = true, ivs[0].Lo, ivs[0].Hi
-		case maxBranchlessIntervals:
-			cc.few = true
-			for i, iv := range ivs {
-				cc.ivs[i] = wrapInterval{lo: iv.Lo, width: uint64(iv.Hi - iv.Lo)}
-			}
-		}
-		f.cols = append(f.cols, cc)
+		f.cols = append(f.cols, compiledCol{name: name, vec: vec, conjunct: compileConjunct(set)})
 	}
 	return f, nil
 }
@@ -268,43 +280,112 @@ func (f *Filter) Matches(i int) bool {
 	return true
 }
 
-// TupleMatcher compiles predicate p against a sample schema, returning a
-// per-tuple matcher used to tighten stored samples (§5.2.1): the tuple
+// TupleFilter is a predicate compiled against a sample schema: the
+// tightening filter a stored sample is read through (§5.2.1). Its one kernel,
+// SelectTuples, runs the same conjunct forms as Filter over a reservoir's
+// row-major storage. It is immutable and safe for concurrent use.
+type TupleFilter struct {
+	cols []tupleCol
+}
+
+// tupleCol is one conjunct of a tuple filter: the constrained column's
+// offset within a tuple plus its constraint.
+type tupleCol struct {
+	idx int
+	conjunct
+}
+
+// CompileTuples compiles predicate p against a sample schema; the tuple
 // layout is the sample's column order. Columns constrained by p but absent
 // from the schema yield an error — such a sample cannot be tightened
 // because the filter column was not captured.
-func TupleMatcher(p algebra.Predicate, schema sample.Schema) (func(tuple []int64) bool, error) {
-	type conjunct struct {
-		idx    int
-		set    algebra.Set
-		lo, hi int64
-		single bool
-	}
-	var cs []conjunct
+func CompileTuples(p algebra.Predicate, schema sample.Schema) (*TupleFilter, error) {
+	f := &TupleFilter{}
 	for _, name := range p.Columns() {
 		set, _ := p.Constraint(name)
 		idx := schema.Index(name)
 		if idx < 0 {
 			return nil, fmt.Errorf("expr: predicate column %q not captured by sample schema %v", name, schema)
 		}
-		c := conjunct{idx: idx, set: set}
-		if ivs := set.Intervals(); len(ivs) == 1 {
-			c.single, c.lo, c.hi = true, ivs[0].Lo, ivs[0].Hi
-		}
-		cs = append(cs, c)
+		f.cols = append(f.cols, tupleCol{idx: idx, conjunct: compileConjunct(set)})
 	}
-	return func(tuple []int64) bool {
-		for i := range cs {
-			c := &cs[i]
-			v := tuple[c.idx]
-			if c.single {
-				if v < c.lo || v > c.hi {
-					return false
-				}
-			} else if !c.set.Contains(v) {
-				return false
-			}
+	return f, nil
+}
+
+// SelectTuples appends to dst the ascending indices of the width-wide tuples
+// of data (a reservoir's row-major storage) the filter accepts. The first
+// conjunct produces and the rest refine, with the branchless cursor of
+// SelectInto, so a tightening costs one compare per tuple and conjunct.
+//
+//laqy:hot tightening kernel of every reuse hit
+func (f *TupleFilter) SelectTuples(data []int64, width int, dst []int32) []int32 {
+	n := len(data) / width
+	if len(f.cols) == 0 {
+		return FillRange(dst, 0, n)
+	}
+	base := len(dst)
+	dst = growSel(dst, n)
+	dst = produceTuples(&f.cols[0], data, width, n, dst)
+	for ci := 1; ci < len(f.cols); ci++ {
+		dst = dst[:base+refineTuples(&f.cols[ci], data, width, dst[base:])]
+	}
+	return dst
+}
+
+// produceTuples appends the indices of the n tuples of data accepted by tc
+// to sel, whose capacity the caller has already grown by n.
+//
+//laqy:hot branchless tuple selection producer
+func produceTuples(tc *tupleCol, data []int64, width, n int, sel []int32) []int32 {
+	m := len(sel)
+	buf := sel[:m+n]
+	switch {
+	case tc.single:
+		lo, w := tc.lo, uint64(tc.hi-tc.lo)
+		for i, off := 0, tc.idx; i < n; i, off = i+1, off+width { //laqy:allow ctxpoll leaf kernel; the reuse path is one stored sample, bounded by k per stratum
+			buf[m] = int32(i)
+			m += b2i(uint64(data[off]-lo) <= w)
 		}
-		return true
-	}, nil
+	case tc.few:
+		a, b := tc.ivs[0], tc.ivs[1]
+		for i, off := 0, tc.idx; i < n; i, off = i+1, off+width { //laqy:allow ctxpoll leaf kernel; the reuse path is one stored sample, bounded by k per stratum
+			buf[m] = int32(i)
+			m += a.hit(data[off]) | b.hit(data[off])
+		}
+	default:
+		for i, off := 0, tc.idx; i < n; i, off = i+1, off+width { //laqy:allow ctxpoll leaf kernel; the reuse path is one stored sample, bounded by k per stratum
+			buf[m] = int32(i)
+			m += b2i(tc.set.Contains(data[off]))
+		}
+	}
+	return buf[:m]
+}
+
+// refineTuples compacts live in place to the tuples accepted by tc, returning
+// the surviving count (the same cursor and tests as produceTuples).
+//
+//laqy:hot branchless tuple selection refiner
+func refineTuples(tc *tupleCol, data []int64, width int, live []int32) int {
+	m := 0
+	switch {
+	case tc.single:
+		lo, w := tc.lo, uint64(tc.hi-tc.lo)
+		for _, i := range live { //laqy:allow ctxpoll leaf kernel; the reuse path is one stored sample, bounded by k per stratum
+			live[m] = i
+			m += b2i(uint64(data[int(i)*width+tc.idx]-lo) <= w)
+		}
+	case tc.few:
+		a, b := tc.ivs[0], tc.ivs[1]
+		for _, i := range live { //laqy:allow ctxpoll leaf kernel; the reuse path is one stored sample, bounded by k per stratum
+			v := data[int(i)*width+tc.idx]
+			live[m] = i
+			m += a.hit(v) | b.hit(v)
+		}
+	default:
+		for _, i := range live { //laqy:allow ctxpoll leaf kernel; the reuse path is one stored sample, bounded by k per stratum
+			live[m] = i
+			m += b2i(tc.set.Contains(data[int(i)*width+tc.idx]))
+		}
+	}
+	return m
 }

@@ -5,7 +5,6 @@ import (
 
 	"laqy/internal/algebra"
 	"laqy/internal/rng"
-	"laqy/internal/sample"
 )
 
 func resolver(cols map[string][]int64) func(string) []int64 {
@@ -143,42 +142,6 @@ func TestFilterAgainstRowOracle(t *testing.T) {
 				t.Fatalf("trial %d row %d: vectorized=%v rowwise=%v oracle=%v",
 					trial, i, selected[int32(i)], f.Matches(i), want)
 			}
-		}
-	}
-}
-
-func TestTupleMatcher(t *testing.T) {
-	schema := sample.Schema{"g", "key", "val"}
-	p := algebra.NewPredicate().WithRange("key", 10, 20)
-	m, err := TupleMatcher(p, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m([]int64{1, 15, 99}) {
-		t.Fatal("key=15 should match")
-	}
-	if m([]int64{1, 25, 99}) {
-		t.Fatal("key=25 should not match")
-	}
-}
-
-func TestTupleMatcherMissingColumn(t *testing.T) {
-	p := algebra.NewPredicate().WithRange("not_captured", 0, 1)
-	if _, err := TupleMatcher(p, sample.Schema{"g", "v"}); err == nil {
-		t.Fatal("uncaptured predicate column must error")
-	}
-}
-
-func TestTupleMatcherMultiInterval(t *testing.T) {
-	set := algebra.NewSet(algebra.Interval{Lo: 0, Hi: 1}, algebra.Interval{Lo: 5, Hi: 6})
-	p := algebra.NewPredicate().With("v", set)
-	m, err := TupleMatcher(p, sample.Schema{"v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, want := range map[int64]bool{0: true, 1: true, 2: false, 5: true, 7: false} {
-		if m([]int64{v}) != want {
-			t.Fatalf("v=%d", v)
 		}
 	}
 }

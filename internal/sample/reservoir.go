@@ -395,34 +395,37 @@ func (r *Reservoir) Clone() *Reservoir {
 	return out
 }
 
-// Select appends to dst the indices of the stored tuples accepted by keep and
+// TupleSelector is a compiled tightening predicate (expr.TupleFilter, which
+// this package cannot import): SelectTuples appends to dst the ascending
+// indices of the width-wide tuples of row-major data it keeps.
+type TupleSelector interface {
+	SelectTuples(data []int64, width int, dst []int32) []int32
+}
+
+// Select appends to dst the indices of the stored tuples keep accepts and
 // returns them with the weight they represent — the paper's conditional
 // transition to stricter predicates (§5.2.1) without the copy: the survivors
 // are a uniform sample of the qualifying subpopulation, and the represented
 // weight is rescaled by the observed qualifying fraction (an estimate, exact
 // only in expectation).
 //
-//laqy:hot per-tuple predicate on every reuse hit
-func (r *Reservoir) Select(keep func(tuple []int64) bool, dst []int32) ([]int32, float64) {
-	data, w := r.data, r.width
-	n := 0
-	for ; len(data) >= w; data, n = data[w:], n+1 {
-		if keep(data[:w:w]) {
-			dst = append(dst, int32(n))
-		}
-	}
+//laqy:hot tightening of every reuse hit
+func (r *Reservoir) Select(keep TupleSelector, dst []int32) ([]int32, float64) {
+	base := len(dst)
+	dst = keep.SelectTuples(r.data, r.width, dst)
+	n := r.Len()
 	if n == 0 {
 		return dst, 0
 	}
-	return dst, r.weight * float64(len(dst)) / float64(n)
+	return dst, r.weight * float64(len(dst)-base) / float64(n)
 }
 
 // Filter returns a new reservoir holding only the tuples Select keeps, at
 // the weight it reports: the materialized form of a tightening, for callers
 // that go on to merge or store the narrower sample.
-func (r *Reservoir) Filter(keep func(tuple []int64) bool) *Reservoir {
+func (r *Reservoir) Filter(keep TupleSelector) *Reservoir {
 	out := &Reservoir{k: r.k, width: r.width, gen: r.gen.Split(0xF1)}
-	// keep runs once per tuple; its verdicts size the one exact allocation.
+	// keep's verdicts size the one exact allocation.
 	var buf [64]int32
 	kept, weight := r.Select(keep, buf[:0])
 	out.weight = weight

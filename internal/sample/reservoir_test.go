@@ -111,11 +111,24 @@ func TestReservoirClone(t *testing.T) {
 	}
 }
 
+// keepFunc adapts a per-tuple predicate to TupleSelector; the product's one
+// selector is expr.TupleFilter, which this package cannot import.
+type keepFunc func(tuple []int64) bool
+
+func (f keepFunc) SelectTuples(data []int64, width int, dst []int32) []int32 {
+	for i := 0; (i+1)*width <= len(data); i++ {
+		if f(data[i*width : (i+1)*width]) {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
+}
+
 func TestReservoirFilter(t *testing.T) {
 	r := NewReservoir(100, 1, newGen(4))
 	fill(r, 0, 100) // not full: holds exactly 0..99, weight 100
 	calls := 0
-	f := r.Filter(func(tu []int64) bool { calls++; return tu[0] < 25 })
+	f := r.Filter(keepFunc(func(tu []int64) bool { calls++; return tu[0] < 25 }))
 	if calls != r.Len() {
 		t.Fatalf("keep ran %d times over %d tuples, want once each", calls, r.Len())
 	}
@@ -137,13 +150,13 @@ func TestReservoirFilter(t *testing.T) {
 	// Filter on a full reservoir rescales weight by the observed fraction.
 	r2 := NewReservoir(50, 1, newGen(5))
 	fill(r2, 0, 1000)
-	f2 := r2.Filter(func(tu []int64) bool { return tu[0] < 500 })
+	f2 := r2.Filter(keepFunc(func(tu []int64) bool { return tu[0] < 500 }))
 	wantW := 1000 * float64(f2.Len()) / 50
 	if math.Abs(f2.Weight()-wantW) > 1e-9 {
 		t.Fatalf("rescaled weight = %v, want %v", f2.Weight(), wantW)
 	}
 	// Empty filter result.
-	f3 := r2.Filter(func([]int64) bool { return false })
+	f3 := r2.Filter(keepFunc(func([]int64) bool { return false }))
 	if f3.Len() != 0 || f3.Weight() != 0 || f3.data != nil {
 		t.Fatal("empty filter should yield empty zero-weight reservoir")
 	}

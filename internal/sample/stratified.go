@@ -225,7 +225,7 @@ func (s *Stratified) ForEach(fn func(key StratumKey, r *Reservoir)) {
 // Filter returns a new stratified sample whose reservoirs hold only tuples
 // accepted by keep, with weights rescaled per stratum (predicate
 // tightening, §5.2.1). Strata whose reservoirs become empty are dropped.
-func (s *Stratified) Filter(keep func(tuple []int64) bool) *Stratified {
+func (s *Stratified) Filter(keep TupleSelector) *Stratified {
 	out := &Stratified{
 		schema:   s.schema,
 		qcsWidth: s.qcsWidth,

@@ -130,7 +130,7 @@ func TestNewStratifiedValidation(t *testing.T) {
 func TestStratifiedFilter(t *testing.T) {
 	s := NewStratified(Schema{"g", "v"}, 1, 100, newGen(6))
 	fillStratified(s, 0, 500, 5) // 100 tuples per stratum, none full
-	f := s.Filter(func(tu []int64) bool { return tu[1] < 250 })
+	f := s.Filter(keepFunc(func(tu []int64) bool { return tu[1] < 250 }))
 	if f.NumStrata() != 5 {
 		t.Fatalf("NumStrata = %d", f.NumStrata())
 	}
@@ -138,7 +138,7 @@ func TestStratifiedFilter(t *testing.T) {
 		t.Fatalf("TotalWeight = %v, want 250", f.TotalWeight())
 	}
 	// A filter dropping whole strata removes them.
-	f2 := s.Filter(func(tu []int64) bool { return tu[0] == 2 })
+	f2 := s.Filter(keepFunc(func(tu []int64) bool { return tu[0] == 2 }))
 	if f2.NumStrata() != 1 {
 		t.Fatalf("NumStrata = %d, want 1", f2.NumStrata())
 	}

@@ -148,55 +148,59 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.streamResult(qctx, w, reqID, tenant, status, res)
 		return
 	}
-	writeEnvelope(w, status, toEnvelope(reqID, tenant, res, true))
+	writeAnswer(w, status, toEnvelope(reqID, tenant, res), res.Rows)
 }
 
 // streamResult writes the result as NDJSON frames: one header, one line
 // per row, one summary. The header and summary both carry the envelope
 // metadata (mode, degradations, stats) so a client that only reads the
 // first line still learns whether the answer is degraded, and one that
-// reads to the end gets the execution stats. Mid-stream client
-// disconnects abort at the next row boundary and are counted.
+// reads to the end gets the execution stats. Frames are encoded into one
+// pooled buffer and sent at each flush point. A client that disconnects
+// mid-stream (detected at the next row boundary), a failed write and a row
+// JSON cannot carry all abort the stream, counted: it ends after the frames
+// before the failure, without a summary frame, which is how clients
+// distinguish an aborted stream from a complete one.
 func (s *Server) streamResult(ctx context.Context, w http.ResponseWriter, reqID, tenant string, status int, res *laqy.Result) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
+	buf := getBuf()
+	defer putBuf(buf)
+	b := *buf
+	defer func() { *buf = b }()
+	// send writes the frames encoded since the last send and flushes them.
+	send := func() bool {
+		_, err := w.Write(b)
+		b = b[:0]
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return err == nil
 	}
-
-	meta := toEnvelope(reqID, tenant, res, false)
-	if err := enc.Encode(StreamFrame{Kind: FrameHeader, Envelope: meta}); err != nil {
+	meta := toEnvelope(reqID, tenant, res)
+	complete := func() bool {
+		var err error
+		if b, err = appendFrame(b, FrameHeader, meta, laqy.Row{}); err != nil || !send() {
+			return false
+		}
+		for i := range res.Rows {
+			if ctx.Err() != nil {
+				return false // client hung up, or drain canceled us
+			}
+			if b, err = appendFrame(b, FrameRow, nil, res.Rows[i]); err != nil {
+				return false
+			}
+			if (i+1)%streamFlushEvery == 0 && !send() {
+				return false
+			}
+		}
+		b, err = appendFrame(b, FrameSummary, meta, laqy.Row{})
+		return err == nil && send()
+	}
+	if !complete() {
+		send() // the frames encoded before the failure
 		s.met.streamAborts.Inc()
-		return
 	}
-	flush()
-	for i := range res.Rows {
-		select {
-		case <-ctx.Done():
-			// Client hung up (or drain canceled us) mid-stream: the
-			// truncated body has no summary frame, which is how clients
-			// distinguish an aborted stream from a complete one.
-			s.met.streamAborts.Inc()
-			return
-		default:
-		}
-		row := wireRow(res.Rows[i])
-		if err := enc.Encode(StreamFrame{Kind: FrameRow, Groups: row.Groups, Aggs: row.Aggs}); err != nil {
-			s.met.streamAborts.Inc()
-			return
-		}
-		if (i+1)%streamFlushEvery == 0 {
-			flush()
-		}
-	}
-	if err := enc.Encode(StreamFrame{Kind: FrameSummary, Envelope: meta}); err != nil {
-		s.met.streamAborts.Inc()
-		return
-	}
-	flush()
 }

@@ -412,18 +412,40 @@ func (s *Server) wrap(next http.Handler) http.Handler {
 	})
 }
 
-// writeEnvelope emits a JSON envelope with the daemon's standard headers.
+// writeEnvelope emits an envelope without rows (an error, or an answer's
+// metadata alone) with the daemon's standard headers.
 func writeEnvelope(w http.ResponseWriter, status int, env *Envelope) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Cache-Control", "no-store")
+	writeAnswer(w, status, env, nil)
+}
+
+// writeAnswer emits env with rows as its answer rows: encoded whole before
+// the status is sent, then one Content-Length-framed Write. An answer JSON
+// cannot carry (NaN or ±Inf anywhere in it) becomes a 500 internal error
+// naming the value, never a 2xx with a truncated body.
+func writeAnswer(w http.ResponseWriter, status int, env *Envelope, rows []laqy.Row) {
+	buf := getBuf()
+	defer putBuf(buf)
+	b, err := appendEnvelope(*buf, env, rows)
+	if err != nil {
+		status = http.StatusInternalServerError
+		env = &Envelope{RequestID: env.RequestID, Tenant: env.Tenant, Error: &WireError{
+			Code:    "internal",
+			Message: "answer not encodable as JSON: " + err.Error(),
+		}}
+		b, _ = appendEnvelope(*buf, env, nil) // strings and integers only: cannot fail
+	}
+	*buf = b
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Cache-Control", "no-store")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	if env.Error != nil && env.Error.RetryAfterMS > 0 &&
 		(status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable) {
-		w.Header().Set("Retry-After",
+		h.Set("Retry-After",
 			strconv.Itoa(retryAfterSeconds(time.Duration(env.Error.RetryAfterMS)*time.Millisecond)))
 	}
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(env) // client gone: nothing useful to do
+	_, _ = w.Write(b) // client gone: nothing useful to do
 }
 
 // handleHealthz is liveness: the process can answer HTTP. It stays 200

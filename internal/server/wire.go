@@ -13,7 +13,8 @@
 //	503 draining             daemon is shutting down; retry another replica
 //	504 timeout              the request's deadline expired mid-query
 //	507 memory_budget        the query's transient memory exceeded budget
-//	500 internal             handler panic (isolated; carries request_id)
+//	500 internal             handler panic (isolated; carries request_id),
+//	                         or an answer JSON cannot carry (NaN/±Inf)
 //
 // Degraded-but-successful answers (Result.Degradations non-empty or
 // Result.Stale) return 206 with the envelope labeling every degradation —
@@ -66,7 +67,8 @@ type WireAgg struct {
 }
 
 // WireRow is one result row: decoded group values then aggregates, in
-// envelope column order.
+// envelope column order. The server encodes rows straight from
+// laqy.Result.Rows (encode.go); WireRow is their shape for decoding clients.
 type WireRow struct {
 	Groups []string  `json:"groups"`
 	Aggs   []WireAgg `json:"aggs"`
@@ -101,7 +103,9 @@ type WireError struct {
 }
 
 // Envelope is the response of POST /v1/query (buffered mode) and the
-// header+summary frame content of streaming mode.
+// header+summary frame content of streaming mode. Envelope and StreamFrame
+// are the decode contract; the server writes their bytes with its own
+// encoder (encode.go), taking Rows from the engine result.
 type Envelope struct {
 	RequestID    string     `json:"request_id"`
 	Tenant       string     `json:"tenant,omitempty"`
@@ -136,8 +140,9 @@ type StreamFrame struct {
 	Aggs   []WireAgg `json:"aggs,omitempty"`
 }
 
-// toEnvelope converts an engine result to the wire shape.
-func toEnvelope(reqID, tenant string, res *laqy.Result, includeRows bool) *Envelope {
+// toEnvelope converts an engine result's metadata to the wire shape; the
+// encoder takes the rows from res itself.
+func toEnvelope(reqID, tenant string, res *laqy.Result) *Envelope {
 	env := &Envelope{
 		RequestID:    reqID,
 		Tenant:       tenant,
@@ -164,33 +169,7 @@ func toEnvelope(reqID, tenant string, res *laqy.Result, includeRows bool) *Envel
 	for _, d := range res.Degradations {
 		env.Degradations = append(env.Degradations, d.String())
 	}
-	if includeRows {
-		env.Rows = wireRows(res)
-	}
 	return env
-}
-
-// wireRows converts result rows to the wire shape.
-func wireRows(res *laqy.Result) []WireRow {
-	rows := make([]WireRow, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		rows = append(rows, wireRow(r))
-	}
-	return rows
-}
-
-func wireRow(r laqy.Row) WireRow {
-	out := WireRow{
-		Groups: make([]string, len(r.Groups)),
-		Aggs:   make([]WireAgg, len(r.Aggs)),
-	}
-	for i, g := range r.Groups {
-		out.Groups[i] = g.String()
-	}
-	for i, a := range r.Aggs {
-		out.Aggs[i] = WireAgg{Value: a.Value, StdErr: a.StdErr, Support: a.Support, Exact: a.Exact}
-	}
-	return out
 }
 
 // degradedStatus reports whether a successful result should be labeled

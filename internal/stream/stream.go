@@ -19,6 +19,8 @@ package stream
 import (
 	"fmt"
 
+	"laqy/internal/algebra"
+	"laqy/internal/expr"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
 )
@@ -201,7 +203,12 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 		// silently under-count; refuse instead.
 		return nil, fmt.Errorf("stream: window start %d precedes the retained horizon %d", from, w.horizon)
 	}
-	tsIdx := w.tsIdx
+	// Boundary slides are tightened on time (rescaling weights, exactly like
+	// predicate tightening in §5.2.1).
+	onTime, err := expr.CompileTuples(algebra.NewPredicate().WithRange(TimeColumn, from, to), w.schema)
+	if err != nil {
+		return nil, err
+	}
 	var merged *sample.Stratified
 	for i := range w.slides {
 		sl := &w.slides[i]
@@ -211,16 +218,10 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 		}
 		part := sl.sam
 		if sl.start < from || slEnd > to {
-			// Boundary slide: tighten on time (rescales weights, exactly
-			// like predicate tightening in §5.2.1).
-			part = part.Filter(func(tuple []int64) bool {
-				ts := tuple[tsIdx]
-				return ts >= from && ts <= to
-			})
+			part = part.Filter(onTime)
 		} else {
 			part = part.Clone()
 		}
-		var err error
 		merged, err = sample.MergeStratified(merged, part, w.gen.Split(uint64(i)+0x3E6))
 		if err != nil {
 			return nil, err

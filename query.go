@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"laqy/internal/approx"
@@ -30,7 +31,7 @@ func (g GroupValue) String() string {
 	if g.IsString {
 		return g.Str
 	}
-	return fmt.Sprintf("%d", g.Int)
+	return strconv.FormatInt(g.Int, 10)
 }
 
 // AggValue is one aggregate output with its uncertainty. Exact results have
