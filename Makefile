@@ -51,6 +51,7 @@ bench-smoke:
 		./internal/expr ./internal/engine
 	$(GO) test -run '^$$' -bench 'ReuseHit' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'ServeHit' -benchtime 1x -benchmem ./internal/server
+	$(GO) test -run '^$$' -bench 'Admission' -benchtime 1x ./internal/sample
 
 # The sampling engine is morsel-parallel; every PR must pass under the race
 # detector. -short skips the statistical long-haul tests.

@@ -362,11 +362,13 @@ func BenchmarkAblation_RNG(b *testing.B) {
 // not-full streaming path.
 func BenchmarkAblation_MergePaths(b *testing.B) {
 	build := func(k int, n int64, seed uint64) *sample.Reservoir {
-		r := sample.NewReservoir(k, 2, rng.NewLehmer64(seed))
-		for v := int64(0); v < n; v++ {
-			r.Consider([]int64{v, v * 2})
+		s := sample.NewStratified(sample.Schema{"v", "w"}, 0, k, rng.NewLehmer64(seed))
+		cols := [][]int64{make([]int64, n), make([]int64, n)}
+		for v := range n {
+			cols[0][v], cols[1][v] = v, v*2
 		}
-		return r
+		s.ConsiderColumns(cols, int(n))
+		return s.Stratum(sample.StratumKey{})
 	}
 	b.Run("proportional_equal_k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -439,6 +441,8 @@ func BenchmarkAblation_Pushdown(b *testing.B) {
 // BenchmarkAblation_ReservoirLayout compares the decoupled pointer-to-
 // storage reservoir layout (§6.3) against an inline-array layout for the
 // strata hash table, at a small fixed capacity where inlining is feasible.
+// The decoupled side is the engine's admission (Algorithm L); the inline
+// side keeps the per-row Algorithm R coin, so it also pays one draw per row.
 func BenchmarkAblation_ReservoirLayout(b *testing.B) {
 	const k, groups, n = 8, 4950, 1_000_000
 	keys := make([]int64, n)
@@ -451,11 +455,7 @@ func BenchmarkAblation_ReservoirLayout(b *testing.B) {
 	b.Run("pointer_decoupled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := sample.NewStratified(sample.Schema{"g", "v"}, 1, k, rng.NewLehmer64(uint64(i)))
-			tuple := make([]int64, 2)
-			for j := 0; j < n; j++ {
-				tuple[0], tuple[1] = keys[j], vals[j]
-				s.Consider(tuple)
-			}
+			s.ConsiderColumns([][]int64{keys, vals}, n)
 		}
 	})
 	b.Run("inline_array", func(b *testing.B) {

@@ -230,10 +230,6 @@ func meta(db *laqy.DB, line string) bool {
 		}
 	case `\governor`:
 		g := db.GovernorStats()
-		if !g.Enabled {
-			fmt.Println("  governor: disabled (no admission control or degradation).")
-			return true
-		}
 		fmt.Printf("  slots:     %d/%d in use, %d/%d queued\n",
 			g.SlotsInUse, g.Slots, g.Queued, g.QueueDepth)
 		if g.MemLimit > 0 {

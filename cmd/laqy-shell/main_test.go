@@ -210,10 +210,4 @@ func TestMetaGovernor(t *testing.T) {
 	if !strings.Contains(out, "slots:") || !strings.Contains(out, "mean hold:") {
 		t.Fatalf("governor status:\n%s", out)
 	}
-
-	off := laqy.Open(laqy.Config{Workers: 1, Governor: laqy.GovernorConfig{Disable: true}})
-	out = captureStdout(t, func() { meta(off, `\governor`) })
-	if !strings.Contains(out, "disabled") {
-		t.Fatalf("disabled governor:\n%s", out)
-	}
 }

@@ -11,14 +11,10 @@ import (
 // and live stats. See docs/GOVERNANCE.md for the model and tuning guide.
 
 // GovernorConfig tunes admission control, memory budgeting, and the
-// deadline degradation ladder. The zero value enables the governor with
-// production-safe defaults (generous slot pool, deep queue, no queue
-// timeout, no memory limits); set Disable to opt out entirely.
+// deadline degradation ladder. The governor is always on; the zero value
+// gives production-safe defaults (generous slot pool, deep queue, no queue
+// timeout, no memory limits).
 type GovernorConfig struct {
-	// Disable turns the governor off: no admission control, no memory
-	// budgets, no degradation. Queries behave exactly as before the
-	// governor existed.
-	Disable bool
 	// Slots is the total admission weight available concurrently (an
 	// exact query holds 2 slots, an approximate query 1). 0 defaults to
 	// 2×GOMAXPROCS, floor 4.
@@ -38,10 +34,6 @@ type GovernorConfig struct {
 	// QueryMemoryBytes is the per-query soft budget. 0 disables
 	// per-query accounting.
 	QueryMemoryBytes int64
-	// DisableDegradation keeps admission control and budgets but turns
-	// off the deadline degradation ladder: queries under deadline
-	// pressure run undegraded and abort at the deadline as before.
-	DisableDegradation bool
 }
 
 // ErrOverloaded identifies queries refused (or timed out) at the
@@ -92,8 +84,6 @@ const (
 // GovernorStats is a point-in-time view of the governor for dashboards
 // and the shell's \governor command.
 type GovernorStats struct {
-	// Enabled reports whether the governor is active.
-	Enabled bool
 	// Slots and SlotsInUse describe the admission slot pool.
 	Slots, SlotsInUse int
 	// Queued and QueueDepth describe the admission wait queue.
@@ -106,14 +96,10 @@ type GovernorStats struct {
 	MeanHold time.Duration
 }
 
-// GovernorStats snapshots the governor (zero value when disabled).
+// GovernorStats snapshots the governor.
 func (db *DB) GovernorStats() GovernorStats {
-	if db.gov == nil {
-		return GovernorStats{}
-	}
 	s := db.gov.Stats()
 	return GovernorStats{
-		Enabled:       true,
 		Slots:         s.Slots,
 		SlotsInUse:    s.InUse,
 		Queued:        s.Queued,
@@ -130,7 +116,7 @@ func (db *DB) GovernorStats() GovernorStats {
 // simulated without sleeping; passing 0 unfreezes and resets the model.
 // This is the test seam behind the chaos harnesses (the root storm and
 // laqyd's connection chaos) — production deployments leave the model to
-// its EWMA of observed scans. No-op when the governor is disabled.
+// its EWMA of observed scans.
 func (db *DB) SetScanCostNanos(nsPerRow float64) { db.gov.SetScanCost(nsPerRow) }
 
 // degradationsString renders a degradation list for trace annotations.

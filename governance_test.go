@@ -184,8 +184,8 @@ func TestOverloadReturnsTypedError(t *testing.T) {
 	}
 
 	stats := db.GovernorStats()
-	if !stats.Enabled || stats.Slots != 1 || stats.SlotsInUse != 1 {
-		t.Fatalf("GovernorStats = %+v, want enabled 1/1 slots", stats)
+	if stats.Slots != 1 || stats.SlotsInUse != 1 {
+		t.Fatalf("GovernorStats = %+v, want 1/1 slots", stats)
 	}
 }
 
@@ -201,25 +201,6 @@ func TestDefaultQueryTimeoutApplies(t *testing.T) {
 	_, err := db.Query(`SELECT lo_quantity, COUNT(*) FROM lineorder GROUP BY lo_quantity`)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
-// TestGovernorDisabled: Disable opts out entirely — no admission span, no
-// stats, queries run exactly as before the governor existed.
-func TestGovernorDisabled(t *testing.T) {
-	db := Open(Config{Workers: 1, DefaultK: 64, Seed: 2, Governor: GovernorConfig{Disable: true}})
-	if err := db.LoadSSB(2_000, 1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query(`EXPLAIN ANALYZE SELECT lo_quantity, COUNT(*) FROM lineorder GROUP BY lo_quantity APPROX`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(res.Explain, "admission") {
-		t.Fatalf("disabled governor still records admission:\n%s", res.Explain)
-	}
-	if stats := db.GovernorStats(); stats.Enabled {
-		t.Fatalf("GovernorStats = %+v, want disabled zeros", stats)
 	}
 }
 

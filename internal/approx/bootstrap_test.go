@@ -55,10 +55,7 @@ func bootstrap(r *sample.Reservoir, col int, kind AggKind, replicates int,
 func TestBootstrapMatchesCLTOnUniformData(t *testing.T) {
 	// For well-behaved (uniform) data with decent support, the percentile
 	// bootstrap and the CLT interval should roughly agree.
-	r := sample.NewReservoir(500, 1, newGen(1))
-	for v := int64(0); v < 100000; v++ {
-		r.Consider([]int64{v})
-	}
+	r := reservoirOf(500, 1, iota64(0, 100000))
 	est := FromReservoir(r, 0, Sum)
 	cltLo, cltHi, err := est.ConfidenceInterval(0.95)
 	if err != nil {
@@ -83,11 +80,9 @@ func TestBootstrapCoverage(t *testing.T) {
 	const n, k, trials = 20000, 300, 120
 	trueSum := float64(n) * float64(n-1) / 2
 	hits := 0
+	vals := iota64(0, n)
 	for trial := 0; trial < trials; trial++ {
-		r := sample.NewReservoir(k, 1, newGen(uint64(trial+50)))
-		for v := int64(0); v < n; v++ {
-			r.Consider([]int64{v})
-		}
+		r := reservoirOf(k, uint64(trial+50), vals)
 		lo, hi := bootstrap(r, 0, Sum, 400, 0.95, newGen(uint64(trial+5000)))
 		if lo <= trueSum && trueSum <= hi {
 			hits++
@@ -102,14 +97,14 @@ func TestBootstrapCoverage(t *testing.T) {
 func TestBootstrapSkewedData(t *testing.T) {
 	// Heavily skewed values (a few huge outliers): the bootstrap interval
 	// is asymmetric around the estimate, which the CLT interval cannot be.
-	r := sample.NewReservoir(5000, 1, newGen(7))
-	for v := int64(0); v < 5000; v++ {
-		x := int64(1)
+	vals := make([]int64, 5000)
+	for v := range vals {
+		vals[v] = 1
 		if v%100 == 0 {
-			x = 10_000
+			vals[v] = 10_000
 		}
-		r.Consider([]int64{x})
 	}
+	r := reservoirOf(5000, 7, vals)
 	est := FromReservoir(r, 0, Avg)
 	lo, hi := bootstrap(r, 0, Avg, 2000, 0.95, newGen(8))
 	if lo > est.Value || hi < est.Value {
@@ -121,10 +116,7 @@ func TestBootstrapSkewedData(t *testing.T) {
 }
 
 func TestBootstrapCountIsExact(t *testing.T) {
-	r := sample.NewReservoir(10, 1, newGen(9))
-	for v := int64(0); v < 1000; v++ {
-		r.Consider([]int64{v})
-	}
+	r := reservoirOf(10, 9, iota64(0, 1000))
 	lo, hi := bootstrap(r, 0, Count, 100, 0.95, newGen(10))
 	if lo != 1000 || hi != 1000 {
 		t.Fatalf("COUNT bootstrap = [%v, %v], want exact weight", lo, hi)

@@ -13,6 +13,23 @@ import (
 
 func newGen(seed uint64) *rng.Lehmer64 { return rng.NewLehmer64(seed) }
 
+// iota64 returns lo, lo+1, …, hi-1.
+func iota64(lo, hi int64) []int64 {
+	vals := make([]int64, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		vals = append(vals, v)
+	}
+	return vals
+}
+
+// reservoirOf admits vals, in order, through the engine's admission path: a
+// keyless stratified sample, whose one stratum is the returned reservoir.
+func reservoirOf(k int, seed uint64, vals []int64) *sample.Reservoir {
+	s := sample.NewStratified(sample.Schema{"v"}, 0, k, newGen(seed))
+	s.ConsiderColumns([][]int64{vals}, len(vals))
+	return s.Stratum(sample.StratumKey{})
+}
+
 func TestZQuantile(t *testing.T) {
 	// Known standard normal quantiles.
 	cases := []struct{ p, want float64 }{
@@ -45,12 +62,8 @@ func TestZQuantilePanicsOutOfRange(t *testing.T) {
 func TestExactReservoirEstimates(t *testing.T) {
 	// A not-full reservoir holds its whole subpopulation: estimates are
 	// exact with zero standard error (fpc = 0).
-	r := sample.NewReservoir(1000, 1, newGen(1))
-	var exactSum float64
-	for v := int64(0); v < 100; v++ {
-		r.Consider([]int64{v})
-		exactSum += float64(v)
-	}
+	r := reservoirOf(1000, 1, iota64(0, 100))
+	exactSum := float64(99 * 100 / 2)
 	sum := FromReservoir(r, 0, Sum)
 	if sum.Value != exactSum || sum.StdErr != 0 {
 		t.Fatalf("Sum = %+v, want exact %v with zero stderr", sum, exactSum)
@@ -85,12 +98,9 @@ func TestSumEstimateUnbiased(t *testing.T) {
 	const n, k, trials = 50000, 500, 60
 	trueSum := float64(n) * float64(n-1) / 2
 	acc := 0.0
+	vals := iota64(0, n)
 	for trial := 0; trial < trials; trial++ {
-		r := sample.NewReservoir(k, 1, newGen(uint64(trial+10)))
-		for v := int64(0); v < n; v++ {
-			r.Consider([]int64{v})
-		}
-		acc += FromReservoir(r, 0, Sum).Value
+		acc += FromReservoir(reservoirOf(k, uint64(trial+10), vals), 0, Sum).Value
 	}
 	got := acc / trials
 	if RelativeError(got, trueSum) > 0.01 {
@@ -103,12 +113,9 @@ func TestConfidenceIntervalCoverage(t *testing.T) {
 	const n, k, trials = 20000, 400, 200
 	trueSum := float64(n) * float64(n-1) / 2
 	hits := 0
+	vals := iota64(0, n)
 	for trial := 0; trial < trials; trial++ {
-		r := sample.NewReservoir(k, 1, newGen(uint64(trial+999)))
-		for v := int64(0); v < n; v++ {
-			r.Consider([]int64{v})
-		}
-		lo, hi, err := FromReservoir(r, 0, Sum).ConfidenceInterval(0.95)
+		lo, hi, err := FromReservoir(reservoirOf(k, uint64(trial+999), vals), 0, Sum).ConfidenceInterval(0.95)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,9 +159,12 @@ func TestRelativeErrorBound(t *testing.T) {
 
 func buildStratified(seed uint64, n int64, groups int64, k int) *sample.Stratified {
 	s := sample.NewStratified(sample.Schema{"g", "v"}, 1, k, newGen(seed))
-	for v := int64(0); v < n; v++ {
-		s.Consider([]int64{v % groups, v})
+	vals := iota64(0, n)
+	keys := make([]int64, n)
+	for i, v := range vals {
+		keys[i] = v % groups
 	}
+	s.ConsiderColumns([][]int64{keys, vals}, int(n))
 	return s
 }
 
@@ -222,12 +232,9 @@ func TestTotalEstimate(t *testing.T) {
 func TestSupportFailures(t *testing.T) {
 	// Group 0 has many tuples; group 1 has only 3.
 	s := sample.NewStratified(sample.Schema{"g", "v"}, 1, 100, newGen(4))
-	for v := int64(0); v < 1000; v++ {
-		s.Consider([]int64{0, v})
-	}
-	for v := int64(0); v < 3; v++ {
-		s.Consider([]int64{1, v})
-	}
+	keys := append(make([]int64, 1000), 1, 1, 1)
+	vals := append(iota64(0, 1000), 0, 1, 2)
+	s.ConsiderColumns([][]int64{keys, vals}, len(keys))
 	fails := SupportFailures(s, nil, MinSupport)
 	if len(fails) != 1 || fails[0][0] != 1 {
 		t.Fatalf("SupportFailures = %v", fails)
@@ -261,17 +268,9 @@ func TestEstimateAfterMergeMatchesTruth(t *testing.T) {
 	// End-to-end soundness of the paper's pipeline: estimate from a merged
 	// (delta + offline) sample tracks the exact answer over the union.
 	const k = 800
-	offline := sample.NewReservoir(k, 1, newGen(50))
-	var trueSum float64
-	for v := int64(0); v < 30000; v++ {
-		offline.Consider([]int64{v})
-		trueSum += float64(v)
-	}
-	delta := sample.NewReservoir(k, 1, newGen(51))
-	for v := int64(30000); v < 50000; v++ {
-		delta.Consider([]int64{v})
-		trueSum += float64(v)
-	}
+	offline := reservoirOf(k, 50, iota64(0, 30000))
+	delta := reservoirOf(k, 51, iota64(30000, 50000))
+	trueSum := float64(49999 * 50000 / 2)
 	merged := sample.Merge(offline, delta, newGen(52))
 	e := FromReservoir(merged, 0, Sum)
 	if RelativeError(e.Value, trueSum) > 0.10 {
@@ -295,11 +294,15 @@ func TestViewMatchesFilter(t *testing.T) {
 		strata := 1 + g.Intn(12)
 		domain := int64(8 + g.Intn(400))
 		s := sample.NewStratified(sample.Schema{"g", "key", "val"}, 1, k, g.Split(uint64(trial)))
+		cols := make([][]int64, 3)
 		for n := g.Intn(40 * strata); n >= 0; n-- {
 			// Skewed groups: stratum 0 overflows k, others hold a tuple or two.
 			grp := int64(g.Intn(strata)) * int64(g.Intn(2))
-			s.Consider([]int64{grp, int64(g.Uint64n(uint64(domain))), int64(g.Uint64n(1<<40)) - 1<<39})
+			cols[0] = append(cols[0], grp)
+			cols[1] = append(cols[1], int64(g.Uint64n(uint64(domain))))
+			cols[2] = append(cols[2], int64(g.Uint64n(1<<40))-1<<39)
 		}
+		s.ConsiderColumns(cols, len(cols[0]))
 		// A union of 1..4 random intervals over the key domain.
 		ivs := make([]algebra.Interval, 1+g.Intn(4))
 		for i := range ivs {

@@ -28,34 +28,27 @@ func qcsColumns(strata int) ([]string, error) {
 }
 
 // buildDirect feeds the first n fact rows straight into a stratified
-// sample, isolating pure sample-construction time from scan and filter
-// cost — the measurement of the paper's Figures 3 and 4.
+// sample through the engine's admission path (one ConsiderColumns batch),
+// isolating pure sample-construction time from scan and filter cost — the
+// measurement of the paper's Figures 3 and 4.
 func (d *Data) buildDirect(strata, k, n int, seed uint64) (time.Duration, *sample.Stratified, error) {
 	cols, err := qcsColumns(strata)
 	if err != nil {
 		return 0, nil, err
 	}
 	schema := sample.Schema(append(append([]string{}, cols...), "lo_revenue"))
+	n = min(n, d.Lineorder.NumRows())
 	vecs := make([][]int64, len(schema))
 	for i, name := range schema {
 		c := d.Lineorder.Column(name)
 		if c == nil {
 			return 0, nil, fmt.Errorf("bench: column %q missing", name)
 		}
-		vecs[i] = c.Ints
-	}
-	if n > d.Lineorder.NumRows() {
-		n = d.Lineorder.NumRows()
+		vecs[i] = c.Ints[:n]
 	}
 	s := sample.NewStratified(schema, len(cols), k, rng.NewLehmer64(seed))
-	tuple := make([]int64, len(schema))
 	start := time.Now()
-	for i := 0; i < n; i++ {
-		for c := range vecs {
-			tuple[c] = vecs[c][i]
-		}
-		s.Consider(tuple)
-	}
+	s.ConsiderColumns(vecs, n)
 	return time.Since(start), s, nil
 }
 

@@ -266,9 +266,9 @@ func TestZoneMapSampleBuildEquivalence(t *testing.T) {
 	fact := buildClusteredFact(t, 2*storage.DefaultMorselSize+777, 6)
 	p := algebra.NewPredicate().WithRange("e_date", 20070030, 20070370).WithRange("e_flag", 1, 35)
 	exprs := ExprsFromNames([]string{"e_flag", "e_val"})
-	for _, par := range []int{0, 1} { // 0: the leaf over the whole table; 1: serialized segmented builds
+	for _, par := range []int{0, 1} { // 0: the leaf over the whole table; 1: segmented builds, one worker
 		build := func(disable bool) *sample.Stratified {
-			q := &Query{Fact: fact, Filter: p, SegmentParallelism: par, DisableZoneMaps: disable}
+			q := &Query{Fact: fact, Filter: p, DisableZoneMaps: disable}
 			var sam *sample.Stratified
 			var err error
 			if par == 0 {

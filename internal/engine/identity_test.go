@@ -67,15 +67,14 @@ func TestSampleIdentityPins(t *testing.T) {
 	encExprs := ExprsFromNames([]string{"e_flag", "e_val"})
 	encPred := algebra.NewPredicate().WithRange("e_date", 20070030, 20070370).WithRange("e_flag", 1, 35)
 	for _, c := range []struct {
-		name         string
-		par, workers int
-		want         string
+		name    string
+		workers int
+		want    string
 	}{
-		{"4-segment par=1", 1, 1, "516435244777b62a"},
-		{"4-segment par=4", 4, 1, "516435244777b62a"},
-		{"4-segment par=4 workers=4", 4, 4, "516435244777b62a"},
+		{"4-segment workers=1", 1, "516435244777b62a"},
+		{"4-segment workers=4", 4, "516435244777b62a"},
 	} {
-		s, st, err := RunStratifiedExprs(&Query{Fact: enc, Filter: encPred, SegmentParallelism: c.par}, encExprs, 1, k, seed, c.workers, nil)
+		s, st, err := RunStratifiedExprs(&Query{Fact: enc, Filter: encPred}, encExprs, 1, k, seed, c.workers, nil)
 		check(c.name, s, err, c.want)
 		if err == nil && st.Segments != 4 {
 			t.Errorf("%s: %d segments planned, want 4", c.name, st.Segments)
@@ -95,7 +94,7 @@ func TestSampleIdentityPins(t *testing.T) {
 	}
 	marks[1] = segRows + 777 // segment 1 only half covered
 	grown := growFactTable(t, base, n, segRows+123, 5, segRows)
-	s, st, err := RunStratifiedExprs(&Query{Fact: grown, ScanFrom: segRows + 4000, SegmentParallelism: 1}, oneExprs, 1, k, seed, 1, marks)
+	s, st, err := RunStratifiedExprs(&Query{Fact: grown, ScanFrom: segRows + 4000}, oneExprs, 1, k, seed, 1, marks)
 	check("delta from marks", s, err, "625a3fa9e8e1e293")
 	if err == nil && int(s.TotalWeight()) != grown.NumRows()-n+(2*segRows-(segRows+4000)) {
 		t.Errorf("delta weight %v over %d segments", s.TotalWeight(), st.Segments)

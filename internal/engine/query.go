@@ -58,10 +58,6 @@ type Query struct {
 	// means the end of the fact table. Segment-scoped builds set both
 	// bounds to one segment's row range.
 	ScanTo int
-	// SegmentParallelism caps the number of concurrent per-segment sample
-	// builds when the fact table is segmented: n ≤ 0 picks
-	// min(DefaultWorkers, segments), 1 serializes the segment builds.
-	SegmentParallelism int
 	// Ctx, when non-nil, cancels the scan: workers stop at the next morsel
 	// boundary and the run returns the context's error. A nil Ctx never
 	// cancels.

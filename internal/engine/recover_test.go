@@ -19,7 +19,7 @@ func TestMergePanicFailsQueryNotProcess(t *testing.T) {
 	schema := sample.Schema{"g", "v"}
 	healthy := func(seed uint64) *sample.Stratified {
 		s := sample.NewStratified(schema, 1, 8, rng.NewLehmer64(seed))
-		s.Consider([]int64{1, 2})
+		s.ConsiderColumns([][]int64{{1}, {2}}, 1)
 		return s
 	}
 	orig := mergeStratifiedFn

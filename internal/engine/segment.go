@@ -237,16 +237,8 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 	if workers < 1 {
 		workers = 1
 	}
-	par := q.SegmentParallelism
-	if par <= 0 {
-		par = DefaultWorkers()
-	}
-	if par > len(sources) {
-		par = len(sources)
-	}
-	if par > workers {
-		par = workers
-	}
+	// Concurrent segment builds: one per segment, at most one per worker.
+	par := min(DefaultWorkers(), len(sources), workers)
 	perSeg := workers / par
 	if perSeg < 1 {
 		perSeg = 1

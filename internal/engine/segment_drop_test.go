@@ -27,8 +27,8 @@ func TestSegmentUnavailableDropsAndContinues(t *testing.T) {
 	// Wrap the failing source with shard attribution.
 	sources[1] = &shardedFake{fakeSegment: *sources[1].(*fakeSegment), shard: "node-b"}
 
-	q := &Query{Fact: fact, SegmentParallelism: 1}
-	sam, stats, err := runStratifiedSegments(q, sources, 99, 2)
+	q := &Query{Fact: fact}
+	sam, stats, err := runStratifiedSegments(q, sources, 99, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +63,8 @@ func TestAllSegmentsUnavailable(t *testing.T) {
 		0: fmt.Errorf("a: %w", ErrSegmentUnavailable),
 		1: fmt.Errorf("b: %w", ErrSegmentUnavailable),
 	}
-	q := &Query{Fact: fact, SegmentParallelism: 1}
-	_, _, err := runStratifiedSegments(q, fakeSources(fact, fails, 1, 1), 7, 2)
+	q := &Query{Fact: fact}
+	_, _, err := runStratifiedSegments(q, fakeSources(fact, fails, 1, 1), 7, 1)
 	if !errors.Is(err, ErrSegmentUnavailable) {
 		t.Fatalf("err = %v, want ErrSegmentUnavailable", err)
 	}
@@ -75,8 +75,8 @@ func TestAllSegmentsUnavailable(t *testing.T) {
 func TestPressureDropsAttributed(t *testing.T) {
 	fact := buildFact(2000, 4, 10)
 	sources := fakeSources(fact, map[int]error{2: errDeadline()}, 1, 1, 1, 1)
-	q := &Query{Fact: fact, SegmentParallelism: 1}
-	_, stats, err := runStratifiedSegments(q, sources, 99, 2)
+	q := &Query{Fact: fact}
+	_, stats, err := runStratifiedSegments(q, sources, 99, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestPressureDropsAttributed(t *testing.T) {
 func TestPlannerRewritesPlan(t *testing.T) {
 	fact := segmentedFact(t, 1000, 4, 500)
 	planner := &recordingPlanner{}
-	q := &Query{Fact: fact, Planner: planner, SegmentParallelism: 1}
-	sam, stats, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 2, nil)
+	q := &Query{Fact: fact, Planner: planner}
+	sam, stats, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,8 +102,8 @@ func chiSquareUniform(t *testing.T, n, trials, buckets int, build func(seed uint
 
 // TestSegmentedBuildChiSquare is the randomized distribution-equivalence
 // property: rows sampled by the segment-parallel build (uneven segments,
-// one empty) are uniformly distributed over the table, matching the frozen
-// single-reservoir Algorithm R reference. Thresholds are the p≈0.001
+// one empty) are uniformly distributed over the table, matching the
+// single-reservoir reference build. Thresholds are the p≈0.001
 // critical values for df = buckets-1, so a biased merge fails decisively
 // while seed noise does not.
 func TestSegmentedBuildChiSquare(t *testing.T) {
@@ -112,13 +112,13 @@ func TestSegmentedBuildChiSquare(t *testing.T) {
 	fact := segmentedFact(t, n, 1, 4000, 4000, 21000)
 
 	exprs := ExprsFromNames([]string{"f_group", "f_val"})
-	segmented := func(par int) func(uint64) (*sample.Stratified, Stats, error) {
+	segmented := func(workers int) func(uint64) (*sample.Stratified, Stats, error) {
 		return func(seed uint64) (*sample.Stratified, Stats, error) {
-			return RunStratifiedExprs(&Query{Fact: fact, SegmentParallelism: par}, exprs, 1, k, seed, 2, nil)
+			return RunStratifiedExprs(&Query{Fact: fact}, exprs, 1, k, seed, workers, nil)
 		}
 	}
 	const critical = 40.0 // χ²(df=14) at p≈0.001 is 36.1; headroom for seeds
-	if chi2 := chiSquareUniform(t, n, trials, buckets, segmented(0)); chi2 > critical {
+	if chi2 := chiSquareUniform(t, n, trials, buckets, segmented(2)); chi2 > critical {
 		t.Fatalf("segmented build chi-square = %.1f > %.1f: sampling is biased", chi2, critical)
 	}
 	// The reference: the leaf's single reservoir over the whole table.
@@ -128,7 +128,7 @@ func TestSegmentedBuildChiSquare(t *testing.T) {
 	if chi2 := chiSquareUniform(t, n, trials, buckets, reference); chi2 > critical {
 		t.Fatalf("reference build chi-square = %.1f > %.1f: reference harness is broken", chi2, critical)
 	}
-	// Serialized segment builds (parallelism 1) go through the same merge.
+	// Serialized segment builds (one worker) go through the same merge.
 	if chi2 := chiSquareUniform(t, n, trials, buckets, segmented(1)); chi2 > critical {
 		t.Fatalf("serialized segmented build chi-square = %.1f > %.1f", chi2, critical)
 	}
@@ -290,8 +290,8 @@ func fakeSources(fact *storage.Table, fails map[int]error, ests ...int64) []Segm
 func TestSegmentsDroppedOnDeadline(t *testing.T) {
 	fact := buildFact(2000, 4, 10)
 	sources := fakeSources(fact, map[int]error{2: context.DeadlineExceeded}, 1, 1, 1, 1)
-	q := &Query{Fact: fact, SegmentParallelism: 1} // serialize for determinism
-	sam, stats, err := runStratifiedSegments(q, sources, 99, 2)
+	q := &Query{Fact: fact}
+	sam, stats, err := runStratifiedSegments(q, sources, 99, 1) // one worker: serialized, deterministic
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +313,8 @@ func TestSegmentsDroppedOnBudgetDenial(t *testing.T) {
 	gov := governor.New(governor.Config{QueryMemoryBytes: 1 << 20})
 	budget := gov.NewQueryBudget()
 	sources := fakeSources(fact, nil, 1, 1, 1<<30, 1) // third segment cannot fit
-	q := &Query{Fact: fact, SegmentParallelism: 1, Budget: budget}
-	sam, stats, err := runStratifiedSegments(q, sources, 7, 2)
+	q := &Query{Fact: fact, Budget: budget}
+	sam, stats, err := runStratifiedSegments(q, sources, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,8 +335,8 @@ func TestSegmentsNothingBuiltPropagatesPressure(t *testing.T) {
 	fact := buildFact(2000, 4, 10)
 	gov := governor.New(governor.Config{QueryMemoryBytes: 16})
 	sources := fakeSources(fact, nil, 1<<20, 1<<20)
-	q := &Query{Fact: fact, SegmentParallelism: 1, Budget: gov.NewQueryBudget()}
-	_, _, err := runStratifiedSegments(q, sources, 7, 2)
+	q := &Query{Fact: fact, Budget: gov.NewQueryBudget()}
+	_, _, err := runStratifiedSegments(q, sources, 7, 1)
 	if !errors.Is(err, governor.ErrMemoryBudget) {
 		t.Fatalf("err = %v, want memory budget", err)
 	}
@@ -349,8 +349,8 @@ func TestSegmentsCancellationAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sources := fakeSources(fact, nil, 1, 1)
-	q := &Query{Fact: fact, Ctx: ctx, SegmentParallelism: 1}
-	_, _, err := runStratifiedSegments(q, sources, 7, 2)
+	q := &Query{Fact: fact, Ctx: ctx}
+	_, _, err := runStratifiedSegments(q, sources, 7, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
@@ -364,8 +364,8 @@ func TestSegmentsDeadlineAlreadyExpiredDegrades(t *testing.T) {
 	defer cancel()
 	time.Sleep(time.Millisecond)
 	sources := fakeSources(fact, nil, 1, 1)
-	q := &Query{Fact: fact, Ctx: ctx, SegmentParallelism: 1}
-	_, _, err := runStratifiedSegments(q, sources, 7, 2)
+	q := &Query{Fact: fact, Ctx: ctx}
+	_, _, err := runStratifiedSegments(q, sources, 7, 1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}

@@ -123,9 +123,17 @@ func TestSelectTuplesMatchesSetOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 1 + g.Intn(40)
-		r := sample.NewReservoir(k, len(schema), g.Split(uint64(trial)))
+		s := sample.NewStratified(schema, 0, k, g.Split(uint64(trial)))
+		cols := make([][]int64, len(schema))
 		for n := g.Intn(2*k + 1); n > 0; n-- {
-			r.Consider([]int64{edgeValue(g), edgeValue(g), edgeValue(g), edgeValue(g)})
+			for c := range cols {
+				cols[c] = append(cols[c], edgeValue(g))
+			}
+		}
+		s.ConsiderColumns(cols, len(cols[0]))
+		r := s.Stratum(sample.StratumKey{})
+		if r == nil { // no row offered, no stratum: an empty reservoir
+			r = sample.NewReservoir(k, len(schema), g.Split(uint64(trial)))
 		}
 		want := oracleKeep(p, schema, r.Tuples())
 		prefix := []int32{-7, -8}

@@ -144,13 +144,9 @@ func New(cfg Config) *Governor {
 	}
 }
 
-// SetObs wires the governor's instruments into reg. Safe to call with nil
-// (leaves the no-op instruments in place). Not safe to call concurrently
-// with admissions; call it during setup, as laqy.Open does.
+// SetObs wires the governor's instruments into reg. Not safe to call
+// concurrently with admissions; call it during setup, as laqy.Open does.
 func (g *Governor) SetObs(reg *obs.Registry) {
-	if g == nil {
-		return
-	}
 	g.reg = reg
 	g.admitted = reg.Counter(obs.MGovAdmitted)
 	g.rejected = reg.Counter(obs.MGovRejected)
@@ -391,11 +387,8 @@ type Stats struct {
 	MeanHold time.Duration
 }
 
-// Stats snapshots the governor. The nil Governor reports zeros.
+// Stats snapshots the governor.
 func (g *Governor) Stats() Stats {
-	if g == nil {
-		return Stats{}
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return Stats{
@@ -450,9 +443,6 @@ func (g *Governor) EstimateScan(rows int64) time.Duration {
 // arbitrarily slow scans without sleeping. Passing 0 unfreezes and resets
 // the model.
 func (g *Governor) SetScanCost(nsPerRow float64) {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	if nsPerRow <= 0 {
 		g.scanNsPerRow = 0

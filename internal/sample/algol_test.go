@@ -6,33 +6,61 @@ import (
 	"laqy/internal/rng"
 )
 
-// inclusionCounts runs `trials` independent reservoir samples of the stream
-// 0..n-1 (width 1) and accumulates, per bucket of n/buckets consecutive
-// items, how many sampled tuples fell in it. consider chooses the admission
-// path under test.
-func inclusionCounts(trials, n, k, buckets int, seed uint64, consider func(r *Reservoir, vals []int64)) []int64 {
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i)
+// algorithmR is per-row Algorithm R (Vitter 1985), the reference the
+// product's admission path is held to: the n-th considered tuple is
+// admitted with probability k/n, replacing a uniformly chosen victim — one
+// RNG draw per tuple past the fill. It lives here, not in the product: the
+// engine admits through Stratified.ConsiderColumns (Algorithm L).
+func algorithmR(r *Reservoir, tuple []int64) {
+	r.weight++
+	if len(r.data) < r.k*r.width {
+		r.data = append(r.data, tuple...)
+		return
 	}
+	r.rngDraws++
+	if slot := r.gen.Uint64n(uint64(r.weight)); slot < uint64(r.k) {
+		copy(r.data[int(slot)*r.width:], tuple)
+	}
+}
+
+// admit offers n column-major rows to r through the product entry point,
+// Stratified.ConsiderColumns, with r as the one stratum of a keyless sample.
+func admit(r *Reservoir, cols [][]int64, n int) {
+	s := &Stratified{schema: make(Schema, r.width), k: r.k, strata: map[StratumKey]*Reservoir{{}: r}}
+	s.ConsiderColumns(cols, n)
+}
+
+// addRow offers one tuple to s as a batch of one, the shape of a streamed
+// event.
+func addRow(s *Stratified, tuple ...int64) {
+	cols := make([][]int64, len(tuple))
+	for c := range tuple {
+		cols[c] = tuple[c : c+1]
+	}
+	s.ConsiderColumns(cols, 1)
+}
+
+// iota64 returns lo, lo+1, …, hi-1.
+func iota64(lo, hi int64) []int64 {
+	vals := make([]int64, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		vals = append(vals, v)
+	}
+	return vals
+}
+
+// inclusionCounts draws `trials` independent samples of the stream 0..n-1
+// and accumulates, per bucket of n/buckets consecutive items, how many
+// sampled items fell in it. draw builds one sample from gen and returns the
+// sampled stream items.
+func inclusionCounts(trials, n, buckets int, seed uint64, draw func(gen *rng.Lehmer64, vals []int64) []int64) []int64 {
+	vals := iota64(0, int64(n))
 	counts := make([]int64, buckets)
 	width := n / buckets
 	master := rng.NewLehmer64(seed)
 	for t := 0; t < trials; t++ {
-		r := NewReservoir(k, 1, master.Split(uint64(t)))
-		consider(r, vals)
-		if r.Len() != k {
-			panic("reservoir not full")
-		}
-		if r.Weight() != float64(n) {
-			panic("weight mismatch")
-		}
-		for i := 0; i < k; i++ {
-			b := int(r.Tuple(i)[0]) / width
-			if b >= buckets {
-				b = buckets - 1
-			}
-			counts[b]++
+		for _, v := range draw(master.Split(uint64(t)), vals) {
+			counts[min(int(v)/width, buckets-1)]++
 		}
 	}
 	return counts
@@ -49,13 +77,16 @@ func chiSquare(counts []int64, expected float64) float64 {
 	return stat
 }
 
-// TestAlgorithmLChiSquareEquivalence holds the batch Algorithm-L skip path
-// to the same distributional contract as the per-row Algorithm-R reference:
-// every stream position is included with probability k/n. Both paths'
-// bucket-inclusion counts are tested against the uniform expectation with a
-// chi-square goodness-of-fit at the 0.001 level (df=19, critical 43.82).
-// Seeds are fixed, so this never flakes — it fails only if an admission
-// path's inclusion probabilities are actually skewed.
+// TestAlgorithmLChiSquareEquivalence holds the product's admission path,
+// Stratified.ConsiderColumns, to the same distributional contract as the
+// Algorithm R oracle: every stream position is included with probability
+// k/n. The oracle and four ways of feeding the product path — keyless in one
+// batch, one row per batch (a streamed event), 37-row chunks (skip state
+// carried across calls, mid-fill too), and keyed with two interleaved
+// strata (a reservoir switch on every row) — are each tested against the
+// uniform expectation with a chi-square goodness-of-fit at the 0.001 level
+// (df=19, critical 43.82). Seeds are fixed, so this never flakes — it fails
+// only if an admission path's inclusion probabilities are actually skewed.
 func TestAlgorithmLChiSquareEquivalence(t *testing.T) {
 	const (
 		trials  = 400
@@ -64,115 +95,112 @@ func TestAlgorithmLChiSquareEquivalence(t *testing.T) {
 		buckets = 20
 		crit    = 43.82 // chi-square 0.999 quantile, df = buckets-1 = 19
 	)
-	expected := float64(trials) * float64(k) / float64(buckets)
-
-	perRow := func(r *Reservoir, vals []int64) {
-		tuple := make([]int64, 1)
-		for _, v := range vals {
-			tuple[0] = v
-			r.Consider(tuple)
+	oracle := func(gen *rng.Lehmer64, vals []int64) []int64 {
+		r := NewReservoir(k, 1, gen)
+		for i := range vals {
+			algorithmR(r, vals[i:i+1])
 		}
+		return r.Tuples()
 	}
-	batch := func(r *Reservoir, vals []int64) {
-		r.ConsiderColumns([][]int64{vals}, len(vals))
-	}
-	// Split batches mid-stream (and mid-fill) to exercise skip-state carry
-	// across ConsiderColumns calls.
-	chunked := func(r *Reservoir, vals []int64) {
-		for len(vals) > 0 {
-			c := 37
-			if c > len(vals) {
-				c = len(vals)
+	// keyless samples vals in a qcsWidth-0 sample, feeding it through feed.
+	keyless := func(feed func(s *Stratified, vals []int64)) func(*rng.Lehmer64, []int64) []int64 {
+		return func(gen *rng.Lehmer64, vals []int64) []int64 {
+			s := NewStratified(Schema{"v"}, 0, k, gen)
+			feed(s, vals)
+			r := s.Stratum(StratumKey{})
+			if s.TotalWeight() != n || r.Weight() != n {
+				t.Fatalf("weights %v and %v, want %d", s.TotalWeight(), r.Weight(), n)
 			}
-			r.ConsiderColumns([][]int64{vals[:c]}, c)
-			vals = vals[c:]
+			return r.Tuples()
 		}
+	}
+	keyed := func(gen *rng.Lehmer64, vals []int64) []int64 {
+		s := NewStratified(Schema{"g", "v"}, 1, k, gen)
+		g := make([]int64, len(vals))
+		for i := range g {
+			g[i] = int64(i % 2)
+		}
+		s.ConsiderColumns([][]int64{g, vals}, len(vals))
+		var out []int64
+		s.ForEach(func(_ StratumKey, r *Reservoir) {
+			for i := 0; i < r.Len(); i++ {
+				out = append(out, r.Tuple(i)[1])
+			}
+		})
+		return out
 	}
 
 	for _, tc := range []struct {
-		name     string
-		seed     uint64
-		consider func(*Reservoir, []int64)
+		name   string
+		seed   uint64
+		strata int
+		draw   func(*rng.Lehmer64, []int64) []int64
 	}{
-		{"algorithmR-perRow", 101, perRow},
-		{"algorithmL-batch", 202, batch},
-		{"algorithmL-chunked", 303, chunked},
+		{"algorithmR-oracle", 101, 1, oracle},
+		{"qcs0-batch", 202, 1, keyless(func(s *Stratified, vals []int64) {
+			s.ConsiderColumns([][]int64{vals}, len(vals))
+		})},
+		{"qcs0-perRow", 303, 1, keyless(func(s *Stratified, vals []int64) {
+			for i := range vals {
+				s.ConsiderColumns([][]int64{vals[i : i+1]}, 1)
+			}
+		})},
+		{"qcs0-chunked", 404, 1, keyless(func(s *Stratified, vals []int64) {
+			for len(vals) > 0 {
+				c := min(37, len(vals))
+				s.ConsiderColumns([][]int64{vals[:c]}, c)
+				vals = vals[c:]
+			}
+		})},
+		{"keyed", 505, 2, keyed},
 	} {
-		counts := inclusionCounts(trials, n, k, buckets, tc.seed, tc.consider)
+		counts := inclusionCounts(trials, n, buckets, tc.seed, tc.draw)
 		var total int64
 		for _, c := range counts {
 			total += c
 		}
-		if total != int64(trials*k) {
-			t.Fatalf("%s: total inclusions %d, want %d", tc.name, total, trials*k)
+		if want := int64(trials * k * tc.strata); total != want {
+			t.Fatalf("%s: total inclusions %d, want %d", tc.name, total, want)
 		}
-		if stat := chiSquare(counts, expected); stat > crit {
+		stat := chiSquare(counts, float64(total)/buckets)
+		if stat > crit {
 			t.Fatalf("%s: chi-square %.2f exceeds %.2f (df=%d) — inclusion is not uniform: %v",
 				tc.name, stat, crit, buckets-1, counts)
 		}
+		t.Logf("%s: chi-square %.2f (critical %.2f)", tc.name, stat, crit)
 	}
 }
 
-// TestAlgorithmLDrawSavings pins the perf claim behind the batch path: for
-// n >> k the geometric skip draws O(k·log(n/k)) random numbers where the
-// per-row reference draws one per considered tuple (~n). The ratio must be
-// at least 10x; at n=1e6, k=64 it is ~500x.
+// TestAlgorithmLDrawSavings pins the perf claim behind the admission path:
+// for n >> k the geometric skip draws O(k·log(n/k)) random numbers where the
+// Algorithm R oracle draws one per considered tuple past the fill. The
+// ratio must be at least 10x; at n=1e6, k=64 it is ~500x.
 func TestAlgorithmLDrawSavings(t *testing.T) {
 	const (
 		n = 1_000_000
 		k = 64
 	)
-	vals := make([]int64, n)
+	vals := iota64(0, n)
+	oracle := NewReservoir(k, 1, rng.NewLehmer64(1))
 	for i := range vals {
-		vals[i] = int64(i)
+		algorithmR(oracle, vals[i:i+1])
 	}
+	s := NewStratified(Schema{"v"}, 0, k, rng.NewLehmer64(1))
+	s.ConsiderColumns([][]int64{vals}, n)
 
-	rr := NewReservoir(k, 1, rng.NewLehmer64(1))
-	tuple := make([]int64, 1)
-	for _, v := range vals {
-		tuple[0] = v
-		rr.Consider(tuple)
+	if oracle.rngDraws != n-k {
+		t.Fatalf("oracle draws = %d, want n-k = %d", oracle.rngDraws, n-k)
 	}
-	rl := NewReservoir(k, 1, rng.NewLehmer64(1))
-	rl.ConsiderColumns([][]int64{vals}, n)
-
-	if rr.RNGDraws() != n-k {
-		t.Fatalf("per-row draws = %d, want n-k = %d", rr.RNGDraws(), n-k)
+	if s.RNGDraws()*10 > oracle.rngDraws {
+		t.Fatalf("admission drew %d vs the oracle's %d: want >= 10x fewer", s.RNGDraws(), oracle.rngDraws)
 	}
-	if rl.RNGDraws()*10 > rr.RNGDraws() {
-		t.Fatalf("batch path drew %d vs per-row %d: want >= 10x fewer", rl.RNGDraws(), rr.RNGDraws())
-	}
-	t.Logf("draws: per-row %d, batch %d (%.0fx fewer)",
-		rr.RNGDraws(), rl.RNGDraws(), float64(rr.RNGDraws())/float64(rl.RNGDraws()))
+	t.Logf("draws: oracle %d, ConsiderColumns %d (%.0fx fewer)",
+		oracle.rngDraws, s.RNGDraws(), float64(oracle.rngDraws)/float64(s.RNGDraws()))
 }
 
-// TestConsiderColumnsMatchesRowColumns checks the stratified single-row
-// batch step and the flat batch path agree on weight accounting and
-// reservoir size for identical streams.
-func TestConsiderColumnsMatchesRowColumns(t *testing.T) {
-	const n, k = 5000, 32
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	cols := [][]int64{vals}
-
-	batch := NewReservoir(k, 1, rng.NewLehmer64(9))
-	batch.ConsiderColumns(cols, n)
-	rowwise := NewReservoir(k, 1, rng.NewLehmer64(9))
-	for i := 0; i < n; i++ {
-		rowwise.considerRowColumns(cols, i)
-	}
-	for _, r := range []*Reservoir{batch, rowwise} {
-		if r.Len() != k || r.Weight() != float64(n) {
-			t.Fatalf("Len=%d Weight=%v, want %d and %d", r.Len(), r.Weight(), k, n)
-		}
-	}
-}
-
-// TestRowFillGrowsInTuples pins the fill phase of the stratified batch path:
-// a stratum holding t < k tuples owns at most max(2t, fillChunkTuples) tuples
-// of storage — whole tuples, doubling, never the k-tuple reservation that
+// TestRowFillGrowsInTuples pins the fill phase of admission: a stratum
+// holding t < k tuples owns at most max(2t, fillChunkTuples) tuples of
+// storage — whole tuples, doubling, never the k-tuple reservation that
 // thousands of sparse strata could not afford — and at most k once full;
 // every row offered before saturation is kept verbatim, in order, also when
 // the fill continues on storage whose capacity is no multiple of the width
@@ -234,30 +262,49 @@ func TestRowFillGrowsInTuples(t *testing.T) {
 	})
 }
 
-// TestConsiderColumnsInterleavedWithConsider checks the L-state restart:
-// interleaving a per-row Consider between batches invalidates the
-// precomputed gap and the reservoir stays consistent (correct weight,
-// full, all tuples from the stream).
-func TestConsiderColumnsInterleavedWithConsider(t *testing.T) {
-	const n, k = 4000, 16
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	r := NewReservoir(k, 1, rng.NewLehmer64(5))
-	r.ConsiderColumns([][]int64{vals[:1500]}, 1500)
-	r.Consider([]int64{int64(1500)})
-	tail := vals[1501:]
-	r.ConsiderColumns([][]int64{tail}, len(tail))
-	if r.Len() != k || r.Weight() != float64(n) {
-		t.Fatalf("Len=%d Weight=%v, want %d and %d", r.Len(), r.Weight(), k, n)
-	}
-	seen := make(map[int64]bool, k)
-	for i := 0; i < k; i++ {
-		v := r.Tuple(i)[0]
-		if v < 0 || v >= n || seen[v] {
-			t.Fatalf("tuple %d = %d out of stream or duplicated", i, v)
-		}
-		seen[v] = true
+// TestConsiderColumnsInterleavedWithMerge checks the L-state restart: a merge
+// between batches — Algorithm 2 streaming a not-full reservoir through
+// considerWeighted, or rewriting slots proportionally — invalidates the
+// precomputed gap, the next batch re-derives it, and the reservoir stays
+// consistent (correct weight, full, every tuple from the stream, none
+// twice).
+func TestConsiderColumnsInterleavedWithMerge(t *testing.T) {
+	const n, k, cut = 4000, 16, 1500
+	vals := iota64(0, n)
+	for _, tc := range []struct {
+		name string
+		rest int // rows in the merged-in sample, from cut on
+	}{
+		{"considerWeighted", 3},
+		{"proportional", 500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewStratified(Schema{"v"}, 0, k, newGen(5))
+			a.ConsiderColumns([][]int64{vals[:cut]}, cut)
+			b := NewStratified(Schema{"v"}, 0, k, newGen(6))
+			b.ConsiderColumns([][]int64{vals[cut : cut+tc.rest]}, tc.rest)
+			m, err := MergeStratified(a, b, newGen(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := m.Stratum(StratumKey{})
+			if r.lValid {
+				t.Fatal("the merge left the skip schedule of the pre-merge stream in place")
+			}
+			tail := vals[cut+tc.rest:]
+			m.ConsiderColumns([][]int64{tail}, len(tail))
+			if !r.lValid || r.Len() != k || r.Weight() != n || m.TotalWeight() != n {
+				t.Fatalf("lValid=%v Len=%d Weight=%v TotalWeight=%v, want true, %d, %d, %d",
+					r.lValid, r.Len(), r.Weight(), m.TotalWeight(), k, n, n)
+			}
+			seen := make(map[int64]bool, k)
+			for i := 0; i < k; i++ {
+				v := r.Tuple(i)[0]
+				if v < 0 || v >= n || seen[v] {
+					t.Fatalf("tuple %d = %d out of stream or duplicated", i, v)
+				}
+				seen[v] = true
+			}
+		})
 	}
 }

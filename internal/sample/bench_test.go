@@ -6,11 +6,12 @@ import (
 	"laqy/internal/rng"
 )
 
-// BenchmarkReservoirAdmission compares per-row Algorithm R against the
-// batch Algorithm-L skip path on a saturated stream (n >> k, the regime
-// the paper's reservoir aggregation lives in). Both variants report
-// draws/tuple — the batch path's headline win is O(k·log(n/k)) RNG draws
-// and admission copies instead of O(n) draws.
+// BenchmarkReservoirAdmission compares the Algorithm R oracle against the
+// product's admission path, Stratified.ConsiderColumns on a keyless sample,
+// on a saturated stream (n >> k, the regime the paper's reservoir
+// aggregation lives in). Both variants report draws/tuple — Algorithm L's
+// headline win is O(k·log(n/k)) RNG draws and admission copies instead of
+// O(n) draws.
 func BenchmarkReservoirAdmission(b *testing.B) {
 	const (
 		n     = 1 << 20
@@ -26,7 +27,7 @@ func BenchmarkReservoirAdmission(b *testing.B) {
 		}
 	}
 
-	b.Run("perRow", func(b *testing.B) {
+	b.Run("algorithmR-oracle", func(b *testing.B) {
 		tuple := make([]int64, width)
 		b.SetBytes(n * width * 8)
 		b.ReportAllocs()
@@ -37,21 +38,24 @@ func BenchmarkReservoirAdmission(b *testing.B) {
 				for c := 0; c < width; c++ {
 					tuple[c] = cols[c][row]
 				}
-				res.Consider(tuple)
+				algorithmR(res, tuple)
 			}
-			draws = res.RNGDraws()
+			draws = res.rngDraws
 		}
 		b.ReportMetric(float64(draws)/float64(n), "draws/tuple")
 	})
 
-	b.Run("batchSkip", func(b *testing.B) {
+	b.Run("considerColumns", func(b *testing.B) {
 		b.SetBytes(n * width * 8)
 		b.ReportAllocs()
 		var draws int64
 		for i := 0; i < b.N; i++ {
-			res := NewReservoir(k, width, rng.NewLehmer64(uint64(i)))
-			res.ConsiderColumns(cols, n)
-			draws = res.RNGDraws()
+			s := NewStratified(make(Schema, width), 0, k, rng.NewLehmer64(uint64(i)))
+			s.ConsiderColumns(cols, n)
+			if r := s.Stratum(StratumKey{}); r.Len() != k || r.Weight() != n {
+				b.Fatalf("admitted Len=%d Weight=%v, want %d and %d", r.Len(), r.Weight(), k, n)
+			}
+			draws = s.RNGDraws()
 		}
 		b.ReportMetric(float64(draws)/float64(n), "draws/tuple")
 	})
@@ -90,5 +94,8 @@ func BenchmarkStratifiedAdmission(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewStratified(schema, qcs, k, rng.NewLehmer64(uint64(i)))
 		s.ConsiderColumns(cols, n)
+		if s.NumStrata() != nGroups || s.TotalWeight() != n {
+			b.Fatalf("%d strata of weight %v, want %d and %d", s.NumStrata(), s.TotalWeight(), nGroups, n)
+		}
 	}
 }

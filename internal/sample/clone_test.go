@@ -38,12 +38,12 @@ func TestLazyCloneIsolation(t *testing.T) {
 	}
 	full := func(seed uint64) *Reservoir {
 		r := NewReservoir(k, width, newGen(seed))
-		r.ConsiderColumns(cols(100, 0), 100)
+		admit(r, cols(100, 0), 100)
 		return r
 	}
 	filling := func(seed uint64) *Reservoir {
 		r := NewReservoir(k, width, newGen(seed))
-		r.ConsiderColumns(cols(3, 0), 3)
+		admit(r, cols(3, 0), 3)
 		return r
 	}
 	for _, c := range []struct {
@@ -51,15 +51,15 @@ func TestLazyCloneIsolation(t *testing.T) {
 		base  func(seed uint64) *Reservoir
 		write func(r *Reservoir)
 	}{
-		{"row fill", filling, func(r *Reservoir) { r.Consider([]int64{-1, -2}) }},
+		{"row fill", filling, func(r *Reservoir) { admit(r, [][]int64{{-1}, {-2}}, 1) }},
 		{"row admission", full, func(r *Reservoir) {
 			for i := int64(0); i < 200; i++ {
-				r.Consider([]int64{-i, -i})
+				admit(r, [][]int64{{-i}, {-i}}, 1)
 			}
 		}},
-		{"batch fill", filling, func(r *Reservoir) { r.ConsiderColumns(cols(2, -50), 2) }},
-		{"batch fill to saturation", filling, func(r *Reservoir) { r.ConsiderColumns(cols(400, -900), 400) }},
-		{"batch admission", full, func(r *Reservoir) { r.ConsiderColumns(cols(400, -900), 400) }},
+		{"batch fill", filling, func(r *Reservoir) { admit(r, cols(2, -50), 2) }},
+		{"batch fill to saturation", filling, func(r *Reservoir) { admit(r, cols(400, -900), 400) }},
+		{"batch admission", full, func(r *Reservoir) { admit(r, cols(400, -900), 400) }},
 		{"stratified row fill", filling, func(r *Reservoir) { r.considerRowColumns(cols(1, -7), 0) }},
 		{"stratified row admission", full, func(r *Reservoir) {
 			c := cols(400, -900)
@@ -75,14 +75,14 @@ func TestLazyCloneIsolation(t *testing.T) {
 		}},
 		{"merge not-full into it", full, func(r *Reservoir) {
 			d := NewReservoir(k, width, newGen(90))
-			d.ConsiderColumns(cols(5, -500), 5)
+			admit(d, cols(5, -500), 5)
 			if m := Merge(r, d, newGen(91)); m != r {
 				panic("accumulator should be the full side")
 			}
 		}},
 		{"proportional merge", full, func(r *Reservoir) {
 			d := NewReservoir(k, width, newGen(92))
-			d.ConsiderColumns(cols(300, -5000), 300)
+			admit(d, cols(300, -5000), 300)
 			if m := Merge(r, d, newGen(93)); m != r {
 				panic("proportional merge should reuse r1")
 			}
@@ -146,7 +146,7 @@ func TestStratifiedCloneIsolation(t *testing.T) {
 		t.Fatalf("merged weight = %v", merged.TotalWeight())
 	}
 	fresh := NewReservoir(8, 2, newGen(4))
-	fresh.Consider([]int64{0, -1})
+	admit(fresh, [][]int64{{0}, {-1}}, 1)
 	if err := merged.Restore(StratumKey{0}, fresh); err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +181,14 @@ func TestSortedKeyCache(t *testing.T) {
 			t.Fatalf("walk order %v, want %v", got, want)
 		}
 	}
-	s.Consider([]int64{5, 0})
-	s.Consider([]int64{3, 0})
+	addRow(s, 5, 0)
+	addRow(s, 3, 0)
 	inOrder(3, 5)
 	if s.sorted.Load() == nil {
 		t.Fatal("walk did not cache its keys")
 	}
 	cached := s.sorted.Load()
-	s.Consider([]int64{3, 1}) // existing stratum: cache stands
+	addRow(s, 3, 1) // existing stratum: cache stands
 	inOrder(3, 5)
 	if s.sorted.Load() != cached {
 		t.Fatal("a tuple of an existing stratum rebuilt the key cache")
@@ -197,12 +197,12 @@ func TestSortedKeyCache(t *testing.T) {
 	keys[0] = StratumKey{99}
 	inOrder(3, 5)
 
-	s.Consider([]int64{4, 0})
+	addRow(s, 4, 0)
 	inOrder(3, 4, 5)
 	s.ConsiderColumns([][]int64{{1, 4}, {0, 0}}, 2)
 	inOrder(1, 3, 4, 5)
 	r := NewReservoir(4, 2, newGen(2))
-	r.Consider([]int64{2, 0})
+	admit(r, [][]int64{{2}, {0}}, 1)
 	if err := s.Restore(StratumKey{2}, r); err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +213,8 @@ func TestSortedKeyCache(t *testing.T) {
 		t.Fatal("clone should share the sorted keys")
 	}
 	other := NewStratified(Schema{"g", "v"}, 1, 4, newGen(3))
-	other.Consider([]int64{0, 0})
-	other.Consider([]int64{3, 9})
+	addRow(other, 0, 0)
+	addRow(other, 3, 9)
 	m, err := MergeStratified(c, other, newGen(4))
 	if err != nil {
 		t.Fatal(err)

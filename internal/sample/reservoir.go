@@ -72,15 +72,14 @@ type Reservoir struct {
 	// sample may clone it concurrently.
 	shared atomic.Bool
 
-	// Algorithm L skip-ahead state (Li 1994), used only by the batch
-	// admission paths (ConsiderColumns / considerRowColumns). After the
-	// reservoir saturates, instead of one RNG draw per considered tuple
-	// (Algorithm R's k/n coin), the sampler draws the geometric-like gap
-	// to the next admitted tuple directly: O(k·log(n/k)) draws total for
-	// an n-tuple stream instead of O(n). lW is L's evolving threshold,
-	// lSkip the number of upcoming tuples to pass over untouched, lValid
-	// whether the state reflects the current stream (per-row Algorithm R
-	// steps and merges invalidate it; the batch path then re-derives a
+	// Algorithm L skip-ahead state (Li 1994) of admission
+	// (considerRowColumns). After the reservoir saturates, instead of one
+	// RNG draw per considered tuple (Algorithm R's k/n coin), the sampler
+	// draws the geometric-like gap to the next admitted tuple directly:
+	// O(k·log(n/k)) draws total for an n-tuple stream instead of O(n). lW
+	// is L's evolving threshold, lSkip the number of upcoming tuples to
+	// pass over untouched, lValid whether the state reflects the current
+	// stream (merges invalidate it; the next admission then re-derives a
 	// fresh schedule).
 	lW     float64
 	lSkip  int64
@@ -88,7 +87,7 @@ type Reservoir struct {
 
 	// rngDraws counts generator calls made by admission control, the
 	// quantity the paper's §6.2 identifies as the sampling bottleneck.
-	// Exposed via RNGDraws for the draws-per-tuple microbenchmarks.
+	// Exposed via Stratified.RNGDraws for the draws-per-tuple benchmarks.
 	rngDraws int64
 }
 
@@ -127,7 +126,7 @@ func (r *Reservoir) Full() bool { return r.Len() == r.k }
 
 // Tuple returns the i-th stored tuple as a subslice of the storage buffer.
 // The returned slice aliases internal storage and must not be retained
-// across Consider calls.
+// across admissions.
 func (r *Reservoir) Tuple(i int) []int64 {
 	return r.data[i*r.width : (i+1)*r.width]
 }
@@ -135,46 +134,6 @@ func (r *Reservoir) Tuple(i int) []int64 {
 // Tuples returns all stored tuples, row-major; it aliases internal storage
 // under the same terms as Tuple.
 func (r *Reservoir) Tuples() []int64 { return r.data }
-
-// Consider offers one tuple to the reservoir, performing the admission
-// control step of Algorithm R: the n-th considered tuple is admitted with
-// probability k/n, replacing a uniformly chosen victim.
-//
-// This is the reference implementation: one RNG draw per considered tuple,
-// byte-identical to the pre-skip-ahead pin (TestConsiderByteIdentityPin).
-// The engine's sinks use the batch ConsiderColumns path instead; switching
-// a reservoir from batch back to per-row admission restarts the batch
-// path's skip schedule.
-//
-//laqy:hot per-tuple admission on the sampling path
-func (r *Reservoir) Consider(tuple []int64) {
-	if len(tuple) != r.width {
-		// Sinks are constructed with tuple buffers of the reservoir's
-		// width; a mismatch is a caller bug, never query input.
-		// invariant: tuple width matches the reservoir width
-		panic(fmt.Sprintf("sample: tuple width %d, reservoir width %d", len(tuple), r.width))
-	}
-	r.weight++
-	if len(r.data) < r.k*r.width {
-		r.data = append(r.data, tuple...)
-		return
-	}
-	// Probabilistic admission: admit with probability k/weight. An
-	// interleaved Algorithm R step breaks the batch path's precomputed
-	// gap (it was drawn for an uninterrupted stream), so invalidate it.
-	r.lValid = false
-	r.rngDraws++
-	n := uint64(r.weight)
-	if slot := r.gen.Uint64n(n); slot < uint64(r.k) {
-		r.own()
-		copy(r.data[int(slot)*r.width:], tuple)
-	}
-}
-
-// RNGDraws returns the number of generator calls admission control has
-// made so far — the cost the skip-ahead path exists to shrink (≥10× fewer
-// draws than per-row Algorithm R on a saturated stream with n ≫ k).
-func (r *Reservoir) RNGDraws() int64 { return r.rngDraws }
 
 // u01 draws a uniform in (0, 1], guarding the log() calls of Algorithm L
 // against the zero sample, and counts the draw.
@@ -218,77 +177,11 @@ func (r *Reservoir) admitAdvance() {
 	r.lSkip = r.drawGap()
 }
 
-// ConsiderColumns offers n tuples laid out column-major (cols[c][i] is
-// column c of tuple i; len(cols) must equal the tuple width) to the
-// reservoir's admission control, the batch analogue of calling Consider n
-// times. Until saturation the rows are copied verbatim; afterwards the
-// Algorithm L skip-ahead jumps straight to the next admitted row, drawing
-// O(k·log(n/k)) random numbers total instead of one per row, and only
-// admitted tuples are materialized — skipped rows are never touched, so
-// the per-row staging copy of the old sink path disappears too.
-//
-// TestAlgorithmLChiSquareEquivalence proves this path is statistically
-// indistinguishable from per-row Algorithm R.
-//
-//laqy:hot batch admission on the sampling path
-func (r *Reservoir) ConsiderColumns(cols [][]int64, n int) {
-	if len(cols) != r.width {
-		// invariant: sinks gather exactly the reservoir's schema width
-		panic(fmt.Sprintf("sample: %d columns, reservoir width %d", len(cols), r.width))
-	}
-	i := 0
-	if len(r.data) < r.k*r.width {
-		// Fill phase: copy rows verbatim until saturation, growing the
-		// storage to full capacity once.
-		have := r.Len()
-		fill := r.k - have
-		if n < fill {
-			fill = n
-		}
-		need := (have + fill) * r.width
-		if cap(r.data) < need {
-			r.regrow(r.k)
-		}
-		r.data = r.data[:need]
-		for c := 0; c < r.width; c++ {
-			src := cols[c][:fill]
-			for row := range src { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-				r.data[(have+row)*r.width+c] = src[row]
-			}
-		}
-		r.weight += float64(fill)
-		i = fill
-		if len(r.data) < r.k*r.width {
-			return // batch exhausted before saturation
-		}
-	}
-	if !r.lValid {
-		r.initSkipState()
-	}
-	for { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-		remaining := int64(n - i)
-		if r.lSkip >= remaining {
-			r.lSkip -= remaining
-			r.weight += float64(remaining)
-			return
-		}
-		i += int(r.lSkip)
-		r.weight += float64(r.lSkip) + 1
-		r.rngDraws++
-		r.own()
-		dst := r.data[r.gen.Intn(r.k)*r.width:]
-		for c := 0; c < r.width; c++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			dst[c] = cols[c][i]
-		}
-		i++
-		r.admitAdvance()
-	}
-}
-
-// considerRowColumns is the single-row step of the batch path, used by
-// Stratified.ConsiderColumns where consecutive rows land in different
-// strata: the skip counter is decremented per qualifying row of this
-// stratum, still avoiding the per-row RNG draw and staging copy.
+// considerRowColumns offers row i of a column-major batch (cols[c][i] is
+// column c) to the reservoir: the admission step behind
+// Stratified.ConsiderColumns. Until saturation the row is copied verbatim;
+// afterwards Algorithm L's skip counter passes over rows with a decrement —
+// no RNG draw, no copy — and only admitted rows are materialized.
 //
 //laqy:hot per-row skip-ahead admission on the sampling path
 func (r *Reservoir) considerRowColumns(cols [][]int64, i int) {
@@ -362,8 +255,8 @@ func (r *Reservoir) considerWeighted(tuple []int64, w float64) {
 		r.data = append(r.data, tuple...)
 		return
 	}
-	// A weighted step changes the stream the batch path's gap was drawn
-	// for; the next batch admission re-derives its schedule.
+	// A weighted step changes the stream the skip gap was drawn for; the
+	// next admission re-derives its schedule.
 	r.lValid = false
 	p := float64(r.k) * w / r.weight
 	admit := p >= 1

@@ -9,10 +9,9 @@ import (
 
 func newGen(seed uint64) *rng.Lehmer64 { return rng.NewLehmer64(seed) }
 
+// fill admits lo..hi-1 to the width-1 reservoir r in one batch.
 func fill(r *Reservoir, lo, hi int64) {
-	for v := lo; v < hi; v++ {
-		r.Consider([]int64{v})
-	}
+	admit(r, [][]int64{iota64(lo, hi)}, int(hi-lo))
 }
 
 func TestReservoirNotFullKeepsEverything(t *testing.T) {
@@ -80,8 +79,7 @@ func TestReservoirWidthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on wrong tuple width")
 		}
 	}()
-	r := NewReservoir(10, 2, newGen(1))
-	r.Consider([]int64{1})
+	addRow(NewStratified(Schema{"a", "b"}, 0, 10, newGen(1)), 1)
 }
 
 func TestNewReservoirValidation(t *testing.T) {
@@ -105,7 +103,7 @@ func TestReservoirClone(t *testing.T) {
 		t.Fatal("clone state mismatch")
 	}
 	// Mutating the clone must not affect the original.
-	c.Consider([]int64{-1})
+	admit(c, [][]int64{{-1}}, 1)
 	if r.Weight() == c.Weight() {
 		t.Fatal("clone shares state with original")
 	}

@@ -96,29 +96,6 @@ func (s *Stratified) NumStrata() int { return len(s.strata) }
 // represented input size).
 func (s *Stratified) TotalWeight() float64 { return s.weight }
 
-// key extracts the stratum key from a tuple laid out per the schema.
-func (s *Stratified) key(tuple []int64) StratumKey {
-	var k StratumKey
-	copy(k[:], tuple[:s.qcsWidth])
-	return k
-}
-
-// Consider offers one tuple (laid out per the schema) to the sample: the
-// stratum is located — or allocated and initialized on first sight, the
-// constant per-stratum cost visible in the paper's Figure 3 — and the tuple
-// goes through that stratum's reservoir admission control.
-//
-//laqy:hot per-tuple admission on the sampling path
-func (s *Stratified) Consider(tuple []int64) {
-	k := s.key(tuple)
-	res, ok := s.strata[k]
-	if !ok {
-		res = s.insert(k)
-	}
-	res.Consider(tuple)
-	s.weight++
-}
-
 // insert allocates the reservoir of a stratum seen for the first time.
 func (s *Stratified) insert(key StratumKey) *Reservoir {
 	res := NewReservoir(s.k, len(s.schema), s.gen.Split(uint64(len(s.strata))))
@@ -128,16 +105,17 @@ func (s *Stratified) insert(key StratumKey) *Reservoir {
 }
 
 // ConsiderColumns offers n tuples laid out column-major (cols[c][i] is
-// column c of tuple i, schema order with QCS columns first) to the sample,
-// the batch analogue of calling Consider n times. The stratum map lookup is
-// paid once per run of equal stratum keys, not once per row: on clustered
-// inputs (date-sorted facts, RLE-friendly segments) whole runs resolve to
-// one reservoir pointer, and once that reservoir saturates, its Algorithm L
-// skip counter turns the per-row cost into a decrement — no map probe, no
-// RNG draw, no staging copy. The admission sequence is identical to the
-// row-at-a-time loop (rows reach the same reservoirs in the same order, and
-// strata are still allocated on first sight), so answers are bit-for-bit
-// unchanged; shuffled inputs degrade to one lookup per row, same as before.
+// column c of tuple i, schema order with QCS columns first) to the sample.
+// It is the one admission entry point: scan batches, streamed events (a
+// batch of one) and the Figure 3/4 harness all arrive here. Each row's
+// stratum is located — or allocated on first sight, the constant
+// per-stratum cost visible in the paper's Figure 3 — and the row goes
+// through that stratum's Algorithm L admission. The map lookup is paid once
+// per run of equal stratum keys, not once per row: on clustered inputs
+// (date-sorted facts) whole runs resolve to one reservoir pointer, and once
+// that reservoir saturates its skip counter turns the per-row cost into a
+// decrement — no map probe, no RNG draw, no staging copy. Shuffled inputs
+// degrade to one lookup per row.
 //
 //laqy:hot batch admission on the sampling path
 func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {

@@ -7,9 +7,12 @@ import (
 
 // fillStratified feeds n tuples of (group, value) with group = value % groups.
 func fillStratified(s *Stratified, start, n int64, groups int64) {
-	for v := start; v < start+n; v++ {
-		s.Consider([]int64{v % groups, v})
+	vals := iota64(start, start+n)
+	keys := make([]int64, n)
+	for i, v := range vals {
+		keys[i] = v % groups
 	}
+	s.ConsiderColumns([][]int64{keys, vals}, int(n))
 }
 
 func TestStratifiedBasics(t *testing.T) {
@@ -43,10 +46,10 @@ func TestStratifiedPerStratumWeights(t *testing.T) {
 	// Uneven groups: group 0 gets 900 tuples, group 1 gets 100.
 	s := NewStratified(Schema{"g", "v"}, 1, 20, newGen(2))
 	for v := int64(0); v < 900; v++ {
-		s.Consider([]int64{0, v})
+		addRow(s, 0, v)
 	}
 	for v := int64(0); v < 100; v++ {
-		s.Consider([]int64{1, v})
+		addRow(s, 1, v)
 	}
 	var k0, k1 StratumKey
 	k1[0] = 1
@@ -64,7 +67,7 @@ func TestStratifiedSmallGroupsFullyKept(t *testing.T) {
 	s := NewStratified(Schema{"g", "v"}, 1, 50, newGen(3))
 	for g := int64(0); g < 10; g++ {
 		for v := int64(0); v < 5; v++ {
-			s.Consider([]int64{g, g*100 + v})
+			addRow(s, g, g*100+v)
 		}
 	}
 	s.ForEach(func(_ StratumKey, r *Reservoir) {
@@ -77,7 +80,7 @@ func TestStratifiedSmallGroupsFullyKept(t *testing.T) {
 func TestStratifiedMultiColumnQCS(t *testing.T) {
 	s := NewStratified(Schema{"a", "b", "v"}, 2, 5, newGen(4))
 	for v := int64(0); v < 1000; v++ {
-		s.Consider([]int64{v % 3, v % 5, v})
+		addRow(s, v%3, v%5, v)
 	}
 	if s.NumStrata() != 15 {
 		t.Fatalf("NumStrata = %d, want 3*5=15", s.NumStrata())
@@ -100,7 +103,7 @@ func TestStratifiedKeysDeterministicOrder(t *testing.T) {
 	// Lexicographic over every QCS column, signed.
 	m := NewStratified(Schema{"a", "b", "v"}, 2, 5, newGen(6))
 	for _, ab := range [][2]int64{{2, -1}, {-3, 7}, {2, -9}, {0, 0}, {-3, -7}, {2, 4}} {
-		m.Consider([]int64{ab[0], ab[1], 1})
+		addRow(m, ab[0], ab[1], 1)
 	}
 	want := []StratumKey{{-3, -7}, {-3, 7}, {0, 0}, {2, -9}, {2, -1}, {2, 4}}
 	got := m.Keys()
@@ -151,7 +154,7 @@ func TestStratifiedClone(t *testing.T) {
 	if c.NumStrata() != s.NumStrata() || c.TotalWeight() != s.TotalWeight() {
 		t.Fatal("clone mismatch")
 	}
-	c.Consider([]int64{99, 99})
+	addRow(c, 99, 99)
 	if s.NumStrata() == c.NumStrata() {
 		t.Fatal("clone shares strata map")
 	}
@@ -160,11 +163,11 @@ func TestStratifiedClone(t *testing.T) {
 func TestMergeStratifiedDisjointStrata(t *testing.T) {
 	a := NewStratified(Schema{"g", "v"}, 1, 10, newGen(8))
 	for v := int64(0); v < 100; v++ {
-		a.Consider([]int64{0, v})
+		addRow(a, 0, v)
 	}
 	b := NewStratified(Schema{"g", "v"}, 1, 10, newGen(9))
 	for v := int64(0); v < 100; v++ {
-		b.Consider([]int64{1, v})
+		addRow(b, 1, v)
 	}
 	m, err := MergeStratified(a, b, newGen(10))
 	if err != nil {
@@ -271,7 +274,7 @@ func TestStratifiedZeroQCSIsSimpleReservoir(t *testing.T) {
 	// qcsWidth 0: grouping without a key — one stratum, a plain reservoir.
 	s := NewStratified(Schema{"v"}, 0, 50, newGen(99))
 	for v := int64(0); v < 5000; v++ {
-		s.Consider([]int64{v})
+		addRow(s, v)
 	}
 	if s.NumStrata() != 1 {
 		t.Fatalf("NumStrata = %d, want 1", s.NumStrata())
@@ -291,9 +294,7 @@ func TestMergeAssociativityInDistribution(t *testing.T) {
 	build := func(seedBase uint64) (left, right float64) {
 		mk := func(start int64, seed uint64) *Stratified {
 			s := NewStratified(Schema{"g", "v"}, 1, k, newGen(seed))
-			for v := start; v < start+n; v++ {
-				s.Consider([]int64{0, v})
-			}
+			fillStratified(s, start, n, 1)
 			return s
 		}
 		mean := func(s *Stratified) float64 {

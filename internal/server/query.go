@@ -92,13 +92,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if par := req.SegmentParallelism; par < 0 {
-		writeEnvelope(w, http.StatusBadRequest, &Envelope{
-			RequestID: reqID,
-			Error:     &WireError{Code: "bad_request", Message: fmt.Sprintf("segment_parallelism must be >= 0, got %d", par)},
-		})
-		return
-	}
 
 	tenant := req.Tenant
 	if tenant == "" {
@@ -129,11 +122,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qctx, qcancel := context.WithTimeout(ctx, timeout)
 	defer qcancel()
 
-	var opts []laqy.QueryOption
-	if req.SegmentParallelism != 0 {
-		opts = append(opts, laqy.WithSegmentParallelism(req.SegmentParallelism))
-	}
-	res, err := ts.db.QueryContext(qctx, req.SQL, opts...)
+	res, err := ts.db.QueryContext(qctx, req.SQL)
 	if err != nil {
 		status, werr := mapError(err)
 		writeEnvelope(w, status, &Envelope{RequestID: reqID, Tenant: tenant, Error: werr})

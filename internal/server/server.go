@@ -486,15 +486,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 		gov := readyProbe{Name: "governor:" + name, OK: true}
 		gs := ts.db.GovernorStats()
-		if gs.Enabled {
-			gov.Detail = fmt.Sprintf("slots=%d/%d queued=%d/%d",
-				gs.SlotsInUse, gs.Slots, gs.Queued, gs.QueueDepth)
-			if gs.QueueDepth > 0 && gs.Queued >= gs.QueueDepth {
-				gov.OK = false
-				gov.Detail += " (saturated)"
-			}
-		} else {
-			gov.Detail = "disabled"
+		gov.Detail = fmt.Sprintf("slots=%d/%d queued=%d/%d",
+			gs.SlotsInUse, gs.Slots, gs.Queued, gs.QueueDepth)
+		if gs.QueueDepth > 0 && gs.Queued >= gs.QueueDepth {
+			gov.OK = false
+			gov.Detail += " (saturated)"
 		}
 		probes = append(probes, gov)
 	}

@@ -52,10 +52,6 @@ type QueryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Stream selects NDJSON row streaming (equivalent to ?stream=ndjson).
 	Stream bool `json:"stream,omitempty"`
-	// SegmentParallelism caps concurrent per-segment sample builds
-	// (laqy.WithSegmentParallelism: 0 = engine's choice, 1 = serialize);
-	// a negative value is rejected with bad_request.
-	SegmentParallelism int `json:"segment_parallelism,omitempty"`
 }
 
 // WireAgg is one aggregate estimate on the wire.

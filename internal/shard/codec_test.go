@@ -11,13 +11,11 @@ import (
 
 func testSample(seed uint64, qcsWidth, k int, n int64) *sample.Stratified {
 	s := sample.NewStratified(sample.Schema{"g", "key", "val"}, qcsWidth, k, rng.NewLehmer64(seed))
-	tuple := make([]int64, 3)
-	for v := int64(0); v < n; v++ {
-		tuple[0] = v % 5
-		tuple[1] = v
-		tuple[2] = v * 3
-		s.Consider(tuple)
+	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
+	for v := range n {
+		cols[0][v], cols[1][v], cols[2][v] = v%5, v, v*3
 	}
+	s.ConsiderColumns(cols, int(n))
 	return s
 }
 

@@ -32,7 +32,7 @@ func corpusStore(tb testing.TB) *Store {
 // corpusSeeds returns the interesting byte streams shared by the fuzz
 // seeds and the committed corpus: a valid stream, truncations at
 // structural boundaries, a flipped bit, hostile size claims, and magics
-// the loader refuses (the retired v1 among them).
+// the loader refuses (the retired v1 and v2 among them).
 func corpusSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	s := corpusStore(tb)
@@ -40,27 +40,27 @@ func corpusSeeds(tb testing.TB) [][]byte {
 	if err := s.Save(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	v2 := buf.Bytes()
+	valid := buf.Bytes()
 
-	flipped := append([]byte(nil), v2...)
+	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 
-	// A v2 frame whose length prefix claims far more than the stream holds.
-	bigClaim := []byte(persistMagicV2)
+	// A frame whose length prefix claims far more than the stream holds.
+	bigClaim := []byte(persistMagicV3)
 	bigClaim = append(bigClaim, 0x01)             // one entry
 	bigClaim = append(bigClaim, 0xFF, 0xFF, 0x7F) // ~2 MiB claimed payload
 	bigClaim = append(bigClaim, []byte("tiny")...)
 
 	seeds := [][]byte{
-		v2,
+		valid,
 		flipped,
 		bigClaim,
-		v2[:len(persistMagicV2)+1], // header only
-		v2[:len(v2)-5],             // inside the footer
-		v2[:len(v2)*2/3],           // mid-stream cut
-		[]byte("LAQYSTO1"),         // retired v1 magic
-		[]byte(persistMagicV2),     // bare v2 magic
-		[]byte("LAQYSTO9garbage"),  // unknown version
+		valid[:len(persistMagicV3)+1], // header only
+		valid[:len(valid)-5],          // inside the footer
+		valid[:len(valid)*2/3],        // mid-stream cut
+		[]byte("LAQYSTO1"),            // retired v1 magic
+		[]byte("LAQYSTO2"),            // retired v2 magic
+		[]byte("LAQYSTO9garbage"),     // unknown version
 		[]byte("not a store at all"),
 	}
 	return seeds
@@ -90,7 +90,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 
 func fileNameForSeed(i int) string {
 	names := []string{
-		"valid-v2", "bitflip-v2", "big-length-claim",
+		"valid-v3", "bitflip-v3", "big-length-claim",
 		"header-only", "footer-cut", "midstream-cut",
 		"bare-v1-magic", "bare-v2-magic", "unknown-version", "garbage",
 	}

@@ -22,12 +22,12 @@ import (
 // is versioned and self-contained: predicates, schemas, stratum keys,
 // weights, and tuple payloads.
 //
-// Format v3 ("LAQYSTO3", written by Save) keeps v2's framing — every entry
-// length-prefixed with a CRC32-C of its payload, a checksummed footer — so
-// torn writes, truncations and bit flips are detected per entry and
-// salvage can skip exactly the damaged entries (see Salvage). Layout (all
-// integers little-endian; varints are unsigned LEB128 via
-// encoding/binary's Uvarint; CRCs are CRC32-C / Castagnoli):
+// Format v3 ("LAQYSTO3", the one format Save writes and Load reads) frames
+// every entry length-prefixed with a CRC32-C of its payload, then a
+// checksummed footer, so torn writes, truncations and bit flips are
+// detected per entry and salvage can skip exactly the damaged entries (see
+// Salvage). Layout (all integers little-endian; varints are unsigned LEB128
+// via encoding/binary's Uvarint; CRCs are CRC32-C / Castagnoli):
 //
 //	magic "LAQYSTO3"
 //	uvarint entryCount
@@ -41,8 +41,7 @@ import (
 //	  uint32  crc32c(payload₀ ‖ payload₁ ‖ …)   (whole-store digest)
 //	  uint32  crc32c(footer magic ‖ count ‖ digest)
 //
-// Entry encoding (the core shared with v2, plus the v3 per-segment
-// provenance block):
+// Entry encoding:
 //
 //	string input
 //	predicate:  uvarint #cols { string name; uvarint #ivs { int64 lo, hi } }
@@ -52,14 +51,12 @@ import (
 //	  stratum*: int64 key[MaxQCS]; float64 weight;
 //	            uvarint resK, width, tupleCount; int64 data[count*width]
 //	segments:   uvarint #marks { uvarint id; uvarint version; uvarint rows }
-//	            (v3 only — per-segment high-water marks, docs/SHARDING.md)
+//	            (per-segment high-water marks, docs/SHARDING.md)
 //
-// Format v2 ("LAQYSTO2": same framing, entries end at the sample block) is
-// still loaded, read-only, with empty watermark lists; Save always writes
-// v3. Any other magic — including the unframed, unchecksummed v1
-// ("LAQYSTO1") — is refused.
+// Any other magic — the retired v2 ("LAQYSTO2", entries without the
+// segments block, written by no build since segment marks arrived) and
+// the unframed, unchecksummed v1 ("LAQYSTO1") among them — is refused.
 const (
-	persistMagicV2 = "LAQYSTO2"
 	persistMagicV3 = "LAQYSTO3"
 	footerMagic    = "LAQYFTR2"
 )
@@ -71,7 +68,7 @@ const (
 const (
 	// maxEntries bounds the store entry count field.
 	maxEntries = 1 << 24
-	// maxEntryPayload bounds one v2 entry frame's payload (256 MiB).
+	// maxEntryPayload bounds one entry frame's payload (256 MiB).
 	maxEntryPayload = 1 << 28
 	// maxStratumInts bounds one stratum's tuple payload in int64s
 	// (256 MiB): count*width and resK*width must stay under it.
@@ -305,12 +302,11 @@ func (s *Store) load(r io.Reader, seed uint64, salvage bool, path string) error 
 
 func (s *Store) loadInner(r io.Reader, seed uint64, salvage bool, path string) error {
 	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, len(persistMagicV2))
+	magic := make([]byte, len(persistMagicV3))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return fmt.Errorf("store: reading magic: %w", err)
 	}
-	withSegments := string(magic) == persistMagicV3
-	if !withSegments && string(magic) != persistMagicV2 {
+	if string(magic) != persistMagicV3 {
 		return fmt.Errorf("store: bad magic %q (not a LAQy sample store, or unsupported version)", magic)
 	}
 	count, err := binary.ReadUvarint(br)
@@ -322,7 +318,7 @@ func (s *Store) loadInner(r io.Reader, seed uint64, salvage bool, path string) e
 	}
 	gen := rng.NewLehmer64(seed ^ 0x570E)
 	corrupt := &CorruptStoreError{Path: path}
-	loaded, err := readAllFramed(br, count, gen, salvage, corrupt, withSegments)
+	loaded, err := readAllFramed(br, count, gen, salvage, corrupt)
 	if err != nil {
 		return err
 	}
@@ -346,12 +342,11 @@ func (s *Store) loadInner(r io.Reader, seed uint64, salvage bool, path string) e
 	return nil
 }
 
-// readAllFramed decodes a framed v2/v3 stream: every entry is
+// readAllFramed decodes the framed entry stream: every entry is
 // length-prefixed and CRC-checked, so salvage skips exactly the damaged
 // frames and keeps going. A corrupted length prefix desyncs the frame
-// stream; the remaining entries are then reported dropped. withSegments
-// selects the v3 entry encoding (trailing per-segment watermark block).
-func readAllFramed(br *bufio.Reader, count uint64, gen *rng.Lehmer64, salvage bool, corrupt *CorruptStoreError, withSegments bool) ([]*Entry, error) {
+// stream; the remaining entries are then reported dropped.
+func readAllFramed(br *bufio.Reader, count uint64, gen *rng.Lehmer64, salvage bool, corrupt *CorruptStoreError) ([]*Entry, error) {
 	var loaded []*Entry
 	digest := crc32.New(castagnoli)
 	for i := uint64(0); i < count; i++ {
@@ -404,7 +399,7 @@ func readAllFramed(br *bufio.Reader, count uint64, gen *rng.Lehmer64, salvage bo
 			})
 			continue // framing preserved: skip just this entry
 		}
-		e, err := decodeEntryPayload(payload, gen.Split(i), withSegments)
+		e, err := decodeEntryPayload(payload, gen.Split(i))
 		if err != nil {
 			if !salvage {
 				return nil, fmt.Errorf("store: entry %d: %w", i, err)
@@ -423,7 +418,7 @@ func readAllFramed(br *bufio.Reader, count uint64, gen *rng.Lehmer64, salvage bo
 	return loaded, nil
 }
 
-// checkFooter validates the v2 trailer. entriesDropped relaxes the
+// checkFooter validates the trailer. entriesDropped relaxes the
 // whole-store digest check: when salvage already skipped frames the
 // digest cannot match, and the per-entry CRCs carry the integrity claim.
 func checkFooter(br *bufio.Reader, count uint64, digest uint32, entriesDropped bool) error {
@@ -462,7 +457,7 @@ func checkFooter(br *bufio.Reader, count uint64, digest uint32, entriesDropped b
 	return nil
 }
 
-// readSegmentMarks decodes the v3 per-segment provenance block.
+// readSegmentMarks decodes the per-segment provenance block.
 func readSegmentMarks(r *bufio.Reader) ([]SegmentWatermark, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -496,23 +491,11 @@ func readSegmentMarks(r *bufio.Reader) ([]SegmentWatermark, error) {
 	return marks, nil
 }
 
-// writeEntryPayload encodes one v3 entry: the v2-compatible core
-// followed by the per-segment provenance block. Writing into a
+// writeEntryPayload encodes one entry: input, predicate, the stratified
+// block, then the per-segment provenance block. Writing into a
 // bytes.Buffer cannot fail; bufio destinations surface errors on the
 // caller's Flush.
 func writeEntryPayload(w binWriter, e *Entry) {
-	writeEntryCore(w, e)
-	writeUvarint(w, uint64(len(e.Segments)))
-	for _, m := range e.Segments {
-		writeUvarint(w, uint64(m.ID))
-		writeUvarint(w, m.Version)
-		writeUvarint(w, uint64(m.Rows))
-	}
-}
-
-// writeEntryCore encodes the entry fields shared by every format version
-// (a v2 payload is exactly this; the v2 compat tests reuse it).
-func writeEntryCore(w binWriter, e *Entry) {
 	writeString(w, e.Input)
 	// Predicate.
 	cols := e.Predicate.Columns()
@@ -530,11 +513,17 @@ func writeEntryCore(w binWriter, e *Entry) {
 	// Schema + parameters + sample payload (the shared stratified block,
 	// also the unit of the shard wire codec — internal/shard).
 	writeStratifiedBlock(w, e.Schema, e.QCSWidth, e.K, e.Sample)
+	writeUvarint(w, uint64(len(e.Segments)))
+	for _, m := range e.Segments {
+		writeUvarint(w, uint64(m.ID))
+		writeUvarint(w, m.Version)
+		writeUvarint(w, uint64(m.Rows))
+	}
 }
 
 // writeStratifiedBlock encodes the schema/qcsWidth/k header and the
 // per-stratum reservoir payload — the sample portion of the entry
-// encoding, byte-identical across every format version.
+// encoding.
 func writeStratifiedBlock(w binWriter, schema sample.Schema, qcsWidth, k int, sam *sample.Stratified) {
 	writeUvarint(w, uint64(len(schema)))
 	for _, c := range schema {
@@ -587,9 +576,9 @@ func DecodeStratified(data []byte, seed uint64) (*sample.Stratified, error) {
 	return sam, nil
 }
 
-// decodeEntryPayload parses one CRC-validated entry payload: the entry
-// core, then for v3 (withSegments) the per-segment watermark block.
-func decodeEntryPayload(payload []byte, gen *rng.Lehmer64, withSegments bool) (*Entry, error) {
+// decodeEntryPayload parses one CRC-validated entry payload, the inverse
+// of writeEntryPayload.
+func decodeEntryPayload(payload []byte, gen *rng.Lehmer64) (*Entry, error) {
 	r := bufio.NewReader(bytes.NewReader(payload))
 	input, err := readString(r)
 	if err != nil {
@@ -643,10 +632,8 @@ func decodeEntryPayload(payload []byte, gen *rng.Lehmer64, withSegments bool) (*
 		},
 		Sample: sam,
 	}
-	if withSegments {
-		if e.Segments, err = readSegmentMarks(r); err != nil {
-			return nil, err
-		}
+	if e.Segments, err = readSegmentMarks(r); err != nil {
+		return nil, err
 	}
 	if _, err := r.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("trailing bytes after entry payload")

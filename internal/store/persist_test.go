@@ -144,9 +144,11 @@ func TestLoadedSamplesKeepSamplingCorrectly(t *testing.T) {
 	m := loaded.Lookup("lineorder", testSchema, 1, 10, algebra.NewPredicate().WithRange("key", 0, 9999))
 	sam := m.Entry.Sample
 	before := sam.TotalWeight()
-	for v := int64(0); v < 1000; v++ {
-		sam.Consider([]int64{0, v, v})
+	vals := make([]int64, 1000)
+	for v := range vals {
+		vals[v] = int64(v)
 	}
+	sam.ConsiderColumns([][]int64{make([]int64, 1000), vals, vals}, 1000)
 	if sam.TotalWeight() != before+1000 {
 		t.Fatalf("weight after continued sampling = %v, want %v", sam.TotalWeight(), before+1000)
 	}

@@ -30,11 +30,11 @@ func threeEntryStore(t *testing.T) *Store {
 	return s
 }
 
-// framePayloads walks a v2 byte stream and returns each entry payload's
+// framePayloads walks a saved store's byte stream and returns each entry payload's
 // [start, end) range plus the offset where the footer begins.
 func framePayloads(t *testing.T, data []byte) (payloads [][2]int, footerStart int) {
 	t.Helper()
-	pos := len(persistMagicV2)
+	pos := len(persistMagicV3)
 	count, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
 		t.Fatal("bad header")
@@ -66,7 +66,7 @@ func TestSaveWritesV3Magic(t *testing.T) {
 	}
 }
 
-// TestEveryBitFlipIsDetected sweeps single-bit flips across the whole v2
+// TestEveryBitFlipIsDetected sweeps single-bit flips across the whole
 // stream: the strict loader must reject every one of them — no silent
 // acceptance of corrupted data anywhere in the file.
 func TestEveryBitFlipIsDetected(t *testing.T) {
@@ -158,7 +158,7 @@ func TestSalvageSkipsFlippedEntry(t *testing.T) {
 	}
 }
 
-// TestSalvageTruncations truncates the v2 stream at and inside every
+// TestSalvageTruncations truncates the stream at and inside every
 // frame boundary: strict load always errors; salvage recovers exactly the
 // complete frames before the cut.
 func TestSalvageTruncations(t *testing.T) {
@@ -174,7 +174,7 @@ func TestSalvageTruncations(t *testing.T) {
 		want int // complete entries recoverable
 	}
 	cuts := []cut{
-		{len(persistMagicV2) + 1, 0},               // inside the header
+		{len(persistMagicV3) + 1, 0},               // inside the header
 		{payloads[0][0] + 10, 0},                   // inside entry 0's payload
 		{payloads[0][1] + 2, 0},                    // inside entry 0's CRC
 		{payloads[1][0] - 1, 1},                    // inside entry 1's frame header
@@ -202,10 +202,10 @@ func TestSalvageTruncations(t *testing.T) {
 	}
 }
 
-// TestSalvageUnsalvageable: wrong magic and unreadable headers are plain
-// errors — nothing to salvage, nothing loaded.
+// TestSalvageUnsalvageable: wrong magic (the retired v2 among them) and
+// unreadable headers are plain errors — nothing to salvage, nothing loaded.
 func TestSalvageUnsalvageable(t *testing.T) {
-	for _, data := range []string{"", "short", "NOTASTORE---", persistMagicV2} {
+	for _, data := range []string{"", "short", "NOTASTORE---", "LAQYSTO2", persistMagicV3} {
 		loaded := New(0)
 		err := loaded.Salvage(strings.NewReader(data), 1)
 		if err == nil {
@@ -231,7 +231,7 @@ func TestLoadRejectsV1Magic(t *testing.T) {
 	v1.WriteString("LAQYSTO1")
 	writeUvarint(&v1, uint64(len(src.entries)))
 	for _, e := range src.entries {
-		writeEntryCore(&v1, e)
+		writeEntryPayload(&v1, e)
 	}
 	for name, load := range map[string]func(*Store) error{
 		"strict":  func(s *Store) error { return s.Load(bytes.NewReader(v1.Bytes()), 1) },
@@ -254,11 +254,12 @@ func TestLoadRejectsV1Magic(t *testing.T) {
 }
 
 // TestLoadRejectsOversizedAllocation crafts entries whose size fields
-// claim gigantic strata, framed as intact v2 and v3 payloads (valid frame
-// CRC, valid footer) so nothing but the size fields is wrong; the loader
-// must reject them from those fields alone — before any allocation and
-// before reading the tuple data that is not there — closing the
-// corrupt-file OOM vector.
+// claim gigantic strata, framed as intact payloads (valid frame CRC, valid
+// footer) so nothing but the size fields is wrong; the loader must reject
+// them from those fields alone — before any allocation and before reading
+// the tuple data that is not there — closing the corrupt-file OOM vector.
+// Under the retired v2 magic the same frames are refused at the magic,
+// before any size field is read.
 func TestLoadRejectsOversizedAllocation(t *testing.T) {
 	craft := func(resK, count, width uint64) []byte {
 		var buf bytes.Buffer
@@ -290,7 +291,7 @@ func TestLoadRejectsOversizedAllocation(t *testing.T) {
 		{"zero capacity", 0, 0, 1},
 	}
 	for _, c := range cases {
-		for _, magic := range []string{persistMagicV2, persistMagicV3} {
+		for _, magic := range []string{"LAQYSTO2", persistMagicV3} {
 			t.Run(c.name+"/"+magic, func(t *testing.T) {
 				loaded := New(0)
 				data := frameStore(magic, craft(c.resK, c.count, c.width))
@@ -300,6 +301,9 @@ func TestLoadRejectsOversizedAllocation(t *testing.T) {
 				}
 				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 					t.Fatalf("rejected only by running out of bytes, not by the size caps: %v", err)
+				}
+				if magic != persistMagicV3 && !strings.Contains(err.Error(), "bad magic") {
+					t.Fatalf("retired magic: err = %v, want the bad-magic refusal", err)
 				}
 			})
 		}

@@ -7,25 +7,9 @@ import (
 	"hash/crc32"
 	"reflect"
 	"testing"
-
-	"laqy/internal/algebra"
 )
 
-// saveV2 renders a store in the read-only v2 format: same framing and
-// footer as v3, but entry payloads stop at the sample block (no segment
-// watermark trailer). Kept in the tests so the library only ever writes
-// the current format.
-func saveV2(s *Store) []byte {
-	payloads := make([][]byte, len(s.entries))
-	for i, e := range s.entries {
-		var payload bytes.Buffer
-		writeEntryCore(&payload, e)
-		payloads[i] = payload.Bytes()
-	}
-	return frameStore(persistMagicV2, payloads...)
-}
-
-// frameStore wraps entry payloads in the v2/v3 container under the given
+// frameStore wraps entry payloads in the store container under the given
 // magic: per-entry length prefix and CRC, then the checksummed footer.
 func frameStore(magic string, payloads ...[]byte) []byte {
 	var buf bytes.Buffer
@@ -107,51 +91,22 @@ func TestSegmentWatermarksSurviveSalvage(t *testing.T) {
 	}
 }
 
-func TestLoadV2ReadOnlyCompat(t *testing.T) {
-	orig := threeEntryStore(t)
-	data := saveV2(orig)
-	loaded := New(0)
-	if err := loaded.Load(bytes.NewReader(data), 9); err != nil {
-		t.Fatalf("v2 load: %v", err)
-	}
-	if loaded.Len() != 3 {
-		t.Fatalf("v2 load restored %d entries", loaded.Len())
-	}
-	for i, e := range loaded.entries {
-		if e.Segments != nil {
-			t.Fatalf("v2 entry %d has watermarks %+v (v2 predates them)", i, e.Segments)
-		}
-	}
-	m := loaded.Lookup("lineorder1", testSchema, 1, 50, algebra.NewPredicate().WithRange("key", 11000, 12000))
-	if m == nil || m.Reuse != algebra.ReuseFull {
-		t.Fatalf("lookup after v2 load: %+v", m)
-	}
-	// A v2 store re-saved comes out in the current format.
-	var buf bytes.Buffer
-	if err := loaded.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(persistMagicV3)) {
-		t.Fatal("re-save of a v2 store must write v3")
-	}
-}
-
-// TestV3PayloadIsCorePlusMarks pins the v3 entry layout: the core is
-// byte-identical to the v2 payload, and the watermark block is appended
-// after it — the property the version-compat loaders rely on.
+// TestV3PayloadIsCorePlusMarks pins the entry layout: the watermark block
+// is the payload's tail, after a core (input, predicate, stratified block)
+// that does not depend on the marks.
 func TestV3PayloadIsCorePlusMarks(t *testing.T) {
 	s := threeEntryStore(t)
 	marks := []SegmentWatermark{{ID: 1, Version: 2, Rows: 500}}
 	e := s.entries[0]
+	var bare, full bytes.Buffer
+	writeEntryPayload(&bare, e) // no marks: the core, then a zero count
 	s.Update(e, e.Sample, e.Predicate, marks)
-
-	var core, full bytes.Buffer
-	writeEntryCore(&core, e)
 	writeEntryPayload(&full, e)
-	if !bytes.HasPrefix(full.Bytes(), core.Bytes()) {
-		t.Fatal("v3 payload does not start with the v2-identical core")
+	core := bare.Bytes()[:bare.Len()-1]
+	if !bytes.HasPrefix(full.Bytes(), core) {
+		t.Fatal("payload with marks does not start with the core")
 	}
-	tail := full.Bytes()[core.Len():]
+	tail := full.Bytes()[len(core):]
 	got, err := readSegmentMarks(bufio.NewReader(bytes.NewReader(tail)))
 	if err != nil {
 		t.Fatal(err)

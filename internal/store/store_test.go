@@ -12,14 +12,17 @@ import (
 
 func makeSample(seed uint64, schema sample.Schema, qcsWidth, k int, n int64) *sample.Stratified {
 	s := sample.NewStratified(schema, qcsWidth, k, rng.NewLehmer64(seed))
-	for v := int64(0); v < n; v++ {
-		tuple := make([]int64, len(schema))
-		tuple[0] = v % 5
-		for c := 1; c < len(schema); c++ {
-			tuple[c] = v
+	cols := make([][]int64, len(schema))
+	for c := range cols {
+		cols[c] = make([]int64, n)
+		for v := range cols[c] {
+			cols[c][v] = int64(v)
+			if c == 0 {
+				cols[c][v] %= 5
+			}
 		}
-		s.Consider(tuple)
 	}
+	s.ConsiderColumns(cols, int(n))
 	return s
 }
 

@@ -64,9 +64,10 @@ type WindowedSampler struct {
 	gen      *rng.Lehmer64
 	observed int64
 	dropped  int64 // late tuples older than the retained horizon
-	horizon  int64 // lowest admissible slide start (raised by eviction)
+	horizon  int64 // lowest admissible slide start (raised by eviction and by Observe's drops)
 	hasHzn   bool
-	scratch  []int64
+	scratch  []int64   // the event being admitted, schema order
+	cols     [][]int64 // one-element column views of scratch: a batch of one
 }
 
 // New creates a WindowedSampler.
@@ -84,12 +85,18 @@ func New(cfg Config) (*WindowedSampler, error) {
 		return nil, fmt.Errorf("stream: schema already contains %q", TimeColumn)
 	}
 	schema := append(append(sample.Schema{}, cfg.Schema...), TimeColumn)
+	scratch := make([]int64, len(schema))
+	cols := make([][]int64, len(schema))
+	for c := range cols {
+		cols[c] = scratch[c : c+1]
+	}
 	return &WindowedSampler{
 		cfg:     cfg,
 		schema:  schema,
 		tsIdx:   len(schema) - 1,
 		gen:     rng.NewLehmer64(cfg.Seed),
-		scratch: make([]int64, len(schema)),
+		scratch: scratch,
+		cols:    cols,
 	}, nil
 }
 
@@ -115,14 +122,20 @@ func (w *WindowedSampler) slideStart(ts int64) int64 {
 	return s
 }
 
-// Observe feeds one tuple with its event timestamp. Out-of-order tuples
-// are accepted as long as their slide is still retained; older tuples are
-// counted in DroppedLate.
+// Observe feeds one tuple with its event timestamp, admitted as a batch of
+// one. Out-of-order tuples are accepted as long as their slide is still
+// retained; older tuples are counted in DroppedLate. So is a tuple whose
+// slide would be older than every slide of a window already at MaxSlides:
+// its slide would be evicted on arrival, and the horizon rises to the
+// oldest retained slide instead.
 func (w *WindowedSampler) Observe(ts int64, tuple []int64) error {
 	if len(tuple) != len(w.cfg.Schema) {
 		return fmt.Errorf("stream: tuple width %d, schema has %d columns", len(tuple), len(w.cfg.Schema))
 	}
 	start := w.slideStart(ts)
+	if m := w.cfg.MaxSlides; m > 0 && len(w.slides) >= m && start < w.slides[0].start {
+		w.horizon, w.hasHzn = w.slides[0].start, true
+	}
 	if w.hasHzn && start < w.horizon {
 		// The slide this tuple belongs to has been evicted.
 		w.dropped++
@@ -131,7 +144,7 @@ func (w *WindowedSampler) Observe(ts int64, tuple []int64) error {
 	sl := w.slideFor(start)
 	copy(w.scratch, tuple)
 	w.scratch[w.tsIdx] = ts
-	sl.sam.Consider(w.scratch)
+	sl.sam.ConsiderColumns(w.cols, 1)
 	w.observed++
 	return nil
 }
@@ -171,8 +184,8 @@ func (w *WindowedSampler) slideFor(start int64) *slide {
 			return &w.slides[i]
 		}
 	}
-	// Unreachable unless the new slide itself was evicted (MaxSlides < 1
-	// is rejected at construction when set).
+	// Unreachable: Observe drops a tuple whose new slide would be the
+	// oldest of a full window, the only slide eviction could take.
 	// invariant: the slide inserted above survives eviction
 	panic("stream: slide lost after insertion")
 }

@@ -195,6 +195,34 @@ func TestLateArrivals(t *testing.T) {
 	}
 }
 
+// TestLateEventOlderThanFullWindow: with the window at MaxSlides and nothing
+// evicted yet, an event older than every retained slide would get a slide
+// that eviction takes at once. It is dropped as late, and the horizon rises
+// so that a window reaching back to it is refused, not under-counted.
+func TestLateEventOlderThanFullWindow(t *testing.T) {
+	cfg := baseConfig()
+	cfg.MaxSlides = 2
+	w := newSampler(t, cfg)
+	for _, ts := range []int64{100, 200, 0} {
+		if err := w.Observe(ts, []int64{0, ts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.DroppedLate() != 1 || w.Observed() != 2 || w.NumSlides() != 2 {
+		t.Fatalf("dropped=%d observed=%d slides=%d, want 1, 2, 2", w.DroppedLate(), w.Observed(), w.NumSlides())
+	}
+	if _, err := w.Window(0, 299); err == nil {
+		t.Fatal("a window reaching the dropped event must error")
+	}
+	win, err := w.Window(100, 299)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if win.TotalWeight() != 2 {
+		t.Fatalf("weight = %v, want 2", win.TotalWeight())
+	}
+}
+
 func TestOutOfOrderWithinHorizon(t *testing.T) {
 	w := newSampler(t, baseConfig())
 	// Feed slides out of order: 200s first, then 0s, then 100s.

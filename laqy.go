@@ -110,8 +110,8 @@ type DB struct {
 	cfg     Config
 	catalog *storage.Catalog
 	lazy    *core.LazySampler
-	// gov is the resource governor (nil when Config.Governor.Disable);
-	// the nil governor admits everything and accounts nothing.
+	// gov is the resource governor: admission, memory budgets and the
+	// deadline degradation ladder.
 	gov *governor.Governor
 
 	// reg is the DB's metrics registry (obs.Disabled when
@@ -141,17 +141,15 @@ func Open(cfg Config) *DB {
 		catalog: storage.NewCatalog(),
 		lazy:    core.New(store.New(cfg.StoreBudgetBytes), mergeSeed(cfg.Seed)),
 		reg:     reg,
-	}
-	if !cfg.Governor.Disable {
-		db.gov = governor.New(governor.Config{
+		gov: governor.New(governor.Config{
 			Slots:            cfg.Governor.Slots,
 			QueueDepth:       cfg.Governor.QueueDepth,
 			QueueTimeout:     cfg.Governor.QueueTimeout,
 			MemoryBytes:      cfg.Governor.MemoryBytes,
 			QueryMemoryBytes: cfg.Governor.QueryMemoryBytes,
-		})
-		db.gov.SetObs(reg)
+		}),
 	}
+	db.gov.SetObs(reg)
 	db.met = newDBMetrics(reg)
 	db.lazy.SetObs(reg)
 	registerRegistry(reg)

@@ -12,20 +12,15 @@ import "time"
 //
 //	res, err := db.Query(sqlText,
 //	    laqy.WithTimeout(200*time.Millisecond),
-//	    laqy.WithSegmentParallelism(4))
+//	    laqy.WithErrorBound(0.05, 0.95))
 //
-// The wire protocol mirrors these fields on QueryRequest (see
-// internal/server), so remote callers get the same surface.
+// The wire protocol mirrors Timeout as QueryRequest.TimeoutMS (see
+// internal/server).
 type QueryOptions struct {
 	// Timeout bounds this query's execution, superseding
 	// Config.DefaultQueryTimeout. If the context already carries an
 	// earlier deadline, the earlier one wins. 0 inherits.
 	Timeout time.Duration
-	// SegmentParallelism caps how many storage segments build their
-	// reservoirs concurrently: n ≤ 0 lets the engine choose (min of the
-	// worker count and the segment count), 1 serializes segment builds.
-	// See docs/SHARDING.md.
-	SegmentParallelism int
 	// ErrorBound, when > 0, applies an APPROX ERROR contract to the query:
 	// estimates must meet this relative error bound or the engine resizes
 	// and ultimately falls back to exact execution. A bound written in the
@@ -45,12 +40,6 @@ type QueryOption func(*QueryOptions)
 // of aborting.
 func WithTimeout(d time.Duration) QueryOption {
 	return func(o *QueryOptions) { o.Timeout = d }
-}
-
-// WithSegmentParallelism caps concurrent per-segment sample builds (n ≤ 0 =
-// engine's choice, 1 = serialize).
-func WithSegmentParallelism(n int) QueryOption {
-	return func(o *QueryOptions) { o.SegmentParallelism = n }
 }
 
 // WithErrorBound applies an APPROX ERROR contract: relative error at most

@@ -2,6 +2,7 @@ package laqy
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,13 +12,13 @@ import (
 	"laqy/internal/sql"
 )
 
-// openSegmented builds a DB whose lone table spans several storage
-// segments: SegmentRows is pinned to the morsel-size floor (64 Ki rows)
-// and the table holds ~2.2 segments' worth of rows.
-func openSegmented(t *testing.T) (*DB, int) {
+// openSegmented builds a DB of the given worker count whose lone table
+// spans several storage segments: SegmentRows is pinned to the morsel-size
+// floor (64 Ki rows) and the table holds ~2.2 segments' worth of rows.
+func openSegmented(t *testing.T, workers int) (*DB, int) {
 	t.Helper()
 	const n = 150000
-	db := Open(Config{Workers: 2, DefaultK: 256, Seed: 9, SegmentRows: 1})
+	db := Open(Config{Workers: workers, DefaultK: 256, Seed: 9, SegmentRows: 1})
 	keys := make([]int64, n)
 	vals := make([]int64, n)
 	grp := make([]string, n)
@@ -33,47 +34,31 @@ func openSegmented(t *testing.T) (*DB, int) {
 	return db, n
 }
 
+// TestQuerySpansSegments: a build fans out over every segment, at the
+// engine's parallelism — min(CPUs, segments, workers) — and one
+// worker serializes the segment builds without losing any.
 func TestQuerySpansSegments(t *testing.T) {
-	db, n := openSegmented(t)
-	res, err := db.Query(`SELECT g, SUM(v) FROM t WHERE key BETWEEN 0 AND 149999 GROUP BY g APPROX WITH K 400`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Segments < 2 {
-		t.Fatalf("Segments = %d, want the build fanned out over >1 segment", res.Stats.Segments)
-	}
-	if res.Stats.SegmentsBuilt != res.Stats.Segments {
-		t.Fatalf("built %d of %d segments with no pressure", res.Stats.SegmentsBuilt, res.Stats.Segments)
-	}
-	if res.Stats.RowsDropped != 0 {
-		t.Fatalf("RowsDropped = %d without pressure", res.Stats.RowsDropped)
-	}
-	if res.Stats.RowsScanned != int64(n) {
-		t.Fatalf("RowsScanned = %d, want %d", res.Stats.RowsScanned, n)
-	}
-}
-
-func TestWithSegmentParallelism(t *testing.T) {
-	db, _ := openSegmented(t)
-	// n ≤ 0 is the engine's choice — there is no negative mode: the build
-	// still fans out over every segment.
-	res, err := db.Query(`SELECT g, SUM(v) FROM t WHERE key BETWEEN 0 AND 149999 GROUP BY g APPROX WITH K 400`,
-		WithSegmentParallelism(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Segments < 2 || res.Stats.SegmentsBuilt != res.Stats.Segments {
-		t.Fatalf("engine's-choice build = %d/%d segments", res.Stats.SegmentsBuilt, res.Stats.Segments)
-	}
-	// Serialized segment builds still cover every segment.
-	db.ClearSamples()
-	res, err = db.Query(`SELECT g, SUM(v) FROM t WHERE key BETWEEN 10 AND 149999 GROUP BY g APPROX WITH K 400`,
-		WithSegmentParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Segments < 2 || res.Stats.SegmentParallelism != 1 {
-		t.Fatalf("serialized build = %d segments at parallelism %d", res.Stats.Segments, res.Stats.SegmentParallelism)
+	for _, workers := range []int{2, 1} {
+		db, n := openSegmented(t, workers)
+		res, err := db.Query(`SELECT g, SUM(v) FROM t WHERE key BETWEEN 0 AND 149999 GROUP BY g APPROX WITH K 400`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Segments < 2 {
+			t.Fatalf("workers=%d: Segments = %d, want the build fanned out over >1 segment", workers, res.Stats.Segments)
+		}
+		if res.Stats.SegmentsBuilt != res.Stats.Segments {
+			t.Fatalf("workers=%d: built %d of %d segments with no pressure", workers, res.Stats.SegmentsBuilt, res.Stats.Segments)
+		}
+		if want := min(runtime.NumCPU(), res.Stats.Segments, workers); res.Stats.SegmentParallelism != want {
+			t.Fatalf("workers=%d: SegmentParallelism = %d, want %d", workers, res.Stats.SegmentParallelism, want)
+		}
+		if res.Stats.RowsDropped != 0 {
+			t.Fatalf("workers=%d: RowsDropped = %d without pressure", workers, res.Stats.RowsDropped)
+		}
+		if res.Stats.RowsScanned != int64(n) {
+			t.Fatalf("workers=%d: RowsScanned = %d, want %d", workers, res.Stats.RowsScanned, n)
+		}
 	}
 }
 
@@ -82,7 +67,7 @@ func TestWithSegmentParallelism(t *testing.T) {
 // zone-map oracle switch off (every morsel filtered per row) must give the
 // same answer.
 func TestZoneMapPruningMatchesUnprunedPlan(t *testing.T) {
-	db, _ := openSegmented(t)
+	db, _ := openSegmented(t, 2)
 	const q = `SELECT g, SUM(v) FROM t WHERE key BETWEEN 1000 AND 1999 GROUP BY g`
 	pruned, err := db.Query(q)
 	if err != nil {
@@ -150,7 +135,7 @@ func TestWithErrorBoundOption(t *testing.T) {
 }
 
 func TestWithTimeoutOption(t *testing.T) {
-	db, _ := openSegmented(t)
+	db, _ := openSegmented(t, 2)
 	// An already-expired per-query timeout surfaces as a deadline error
 	// (nothing built → nothing to degrade to).
 	_, err := db.Query(`SELECT g, SUM(v) FROM t GROUP BY g APPROX WITH K 400`,
@@ -167,8 +152,8 @@ func TestWithTimeoutOption(t *testing.T) {
 }
 
 func TestNilOptionIsIgnored(t *testing.T) {
-	db, _ := openSegmented(t)
-	if _, err := db.Query(`SELECT COUNT(*) FROM t`, nil, WithSegmentParallelism(0)); err != nil {
+	db, _ := openSegmented(t, 2)
+	if _, err := db.Query(`SELECT COUNT(*) FROM t`, nil, WithTimeout(0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -175,7 +175,6 @@ func (db *DB) execute(ctx context.Context, plan *sql.Plan, opt QueryOptions, par
 
 	// Per-query knobs: the option surface overrides the Config-wide
 	// defaults; clauses written in the SQL text win over options.
-	plan.Query.SegmentParallelism = opt.SegmentParallelism
 	if opt.ErrorBound > 0 && plan.ErrorBound == 0 {
 		plan.ErrorBound = opt.ErrorBound
 		if opt.Confidence > 0 && plan.Confidence == 0 {
@@ -216,21 +215,19 @@ func (db *DB) execute(ctx context.Context, plan *sql.Plan, opt QueryOptions, par
 	// Admission: hold a weighted slot for the query's lifetime. Overload is
 	// reported as a typed *OverloadedError before any work is done, so a
 	// saturated server sheds load at the door instead of thrashing.
-	if db.gov != nil {
-		weight := governor.WeightExact
-		if plan.Approx {
-			weight = governor.WeightApprox
-		}
-		admStart := obs.Clock()
-		lease, err := db.gov.Acquire(ctx, weight)
-		if err != nil {
-			db.met.queryErrors.Inc()
-			return nil, err
-		}
-		defer lease.Release()
-		if tr != nil {
-			tr.Root().Record("admission", admStart, obs.Clock())
-		}
+	weight := governor.WeightExact
+	if plan.Approx {
+		weight = governor.WeightApprox
+	}
+	admStart := obs.Clock()
+	lease, err := db.gov.Acquire(ctx, weight)
+	if err != nil {
+		db.met.queryErrors.Inc()
+		return nil, err
+	}
+	defer lease.Release()
+	if tr != nil {
+		tr.Root().Record("admission", admStart, obs.Clock())
 	}
 
 	ctx = obs.WithRegistry(ctx, db.reg)
@@ -252,7 +249,6 @@ func (db *DB) execute(ctx context.Context, plan *sql.Plan, opt QueryOptions, par
 	// Walk the degradation ladder: a rung that has nothing stored to serve
 	// hands over to the next one; any other outcome ends the walk.
 	var res *Result
-	var err error
 	degrade, reuseOnly := db.deadlinePressure(ctx, plan)
 	for _, r := range ladder(plan.Approx, degrade, reuseOnly) {
 		if r == rungExact {
@@ -298,11 +294,10 @@ func (db *DB) execute(ctx context.Context, plan *sql.Plan, opt QueryOptions, par
 // context deadline and reports which degradation rungs apply: degrade
 // (an exact scan would miss the deadline → answer from a sample) and
 // reuseOnly (even a sample build would miss it → serve a stored sample
-// as-is, skipping the Δ scan). A cold cost model, a missing deadline, or
-// DisableDegradation all report no pressure, so first queries and
-// opted-out configurations run undegraded.
+// as-is, skipping the Δ scan). A cold cost model or a missing deadline
+// report no pressure, so first queries run undegraded.
 func (db *DB) deadlinePressure(ctx context.Context, plan *sql.Plan) (degrade, reuseOnly bool) {
-	if db.gov == nil || db.cfg.Governor.DisableDegradation || plan.Query.Fact == nil {
+	if plan.Query.Fact == nil {
 		return false, false
 	}
 	deadline, ok := ctx.Deadline()
@@ -527,8 +522,7 @@ func (db *DB) runApprox(plan *sql.Plan, serveStored bool) (*Result, error) {
 			return boundsMet(out, plan.ErrorBound, conf), nil
 		})
 		if rerr != nil {
-			if errors.Is(rerr, context.DeadlineExceeded) &&
-				db.gov != nil && !db.cfg.Governor.DisableDegradation {
+			if errors.Is(rerr, context.DeadlineExceeded) {
 				// The deadline ran out mid-retry: the best-so-far answer,
 				// labeled, beats no answer (the BlinkDB trade).
 				out.Degradations = append(out.Degradations, Degradation{

@@ -9,17 +9,17 @@ package laqy
 // sample a given seed produces.
 //
 // Sampling identity v2 (scan→sample hot-path overhaul). The seed constants
-// are unchanged, but the engine's sampling sinks now feed reservoirs through
-// the batch Algorithm-L skip path (sample.Reservoir.ConsiderColumns), which
+// are unchanged, but every reservoir is fed through the one admission path,
+// per-stratum Algorithm L (sample.Stratified.ConsiderColumns), which
 // consumes the per-reservoir RNG substream in a different order than the
-// per-row Algorithm-R path did. For a fixed seed, samples produced by v2 are
-// therefore NOT byte-identical to samples produced by v1 releases — they are
-// drawn from the same uniform-inclusion distribution (asserted by
-// TestAlgorithmLChiSquareEquivalence) but are different draws. Determinism
-// within a version is unaffected: the same binary, seed, and query sequence
-// still reproduce byte-identical samples. The per-row reference path itself
-// is frozen by TestConsiderByteIdentityPin; any change to it is a further
-// identity bump and must update that pin.
+// per-row Algorithm R of v1 did. For a fixed seed, samples produced by v2
+// are therefore NOT byte-identical to samples produced by v1 releases —
+// they are drawn from the same uniform-inclusion distribution (asserted
+// against the Algorithm R test oracle by TestAlgorithmLChiSquareEquivalence)
+// but are different draws. Determinism within a version is unaffected: the
+// same binary, seed, and query sequence still reproduce byte-identical
+// samples. TestSampleIdentityPins freezes the engine's builds; any change
+// to admission that moves those digests is a further identity bump.
 const (
 	// seedMergeXor decorrelates the lazy sampler's merge randomness
 	// (Algorithm 3's reservoir coin flips) from per-query sampling.

@@ -179,13 +179,11 @@ func (db *DB) BuildSegment(ctx context.Context, spec SegmentBuildSpec) (*sample.
 		})
 	}
 
-	if db.gov != nil {
-		lease, err := db.gov.Acquire(ctx, governor.WeightApprox)
-		if err != nil {
-			return nil, zero, err
-		}
-		defer lease.Release()
+	lease, err := db.gov.Acquire(ctx, governor.WeightApprox)
+	if err != nil {
+		return nil, zero, err
 	}
+	defer lease.Release()
 	budget := db.gov.NewQueryBudget()
 	defer budget.ReleaseAll()
 

@@ -94,6 +94,40 @@ func TestWindowedValidation(t *testing.T) {
 	}
 }
 
+// TestWindowedLateEventOlderThanFullWindow: an out-of-order event older than
+// every slide of a window already at MaxSlides is counted as dropped, and
+// windows reaching back to it are refused.
+func TestWindowedLateEventOlderThanFullWindow(t *testing.T) {
+	w, err := NewWindowed(WindowConfig{
+		Columns:    []string{"v"},
+		K:          8,
+		SlideWidth: 10,
+		MaxSlides:  2,
+		Seed:       4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []int64{10, 20, 0} {
+		if err := w.Observe(ts, []int64{ts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Observed() != 2 || w.DroppedLate() != 1 {
+		t.Fatalf("observed=%d dropped=%d, want 2 and 1", w.Observed(), w.DroppedLate())
+	}
+	if _, err := w.Aggregate(0, 29, "v", Sum); err == nil {
+		t.Fatal("a window reaching the dropped event must error")
+	}
+	groups, err := w.Aggregate(10, 29, "v", Sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 1 || groups[0].Value.Value != 30 {
+		t.Fatalf("groups = %+v, want one sum of 30", groups)
+	}
+}
+
 func TestWindowedSamplingAccuracy(t *testing.T) {
 	// Under genuine sampling pressure the estimate must track the truth.
 	w, err := NewWindowed(WindowConfig{
