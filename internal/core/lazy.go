@@ -549,9 +549,11 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 		return nil, err
 	}
 
-	// Build the Δ-query: the request predicate with the delta column
-	// restricted to the missing range, pushed down into the engine query.
-	deltaQuery, err := pushDown(req.Query, algebra.NewPredicate().With(delta.Column, delta.Missing))
+	// Build the Δ-query under the entry's predicate with the delta column
+	// restricted to the missing range. The merged sample then covers exactly
+	// what the widened entry claims; where the request is narrower on another
+	// column, tighten reads the merged sample through that constraint.
+	deltaQuery, err := entryQuery(req.Query, replaceConstraint(meta.Predicate, delta.Column, delta.Missing))
 	if err != nil {
 		return nil, err
 	}

@@ -42,15 +42,11 @@ func (l *LazySampler) Maintain(q *engine.Query, fromRow int, seed uint64, worker
 	if fromRow == q.Fact.NumRows() {
 		return res, nil
 	}
-	bare := &engine.Query{Fact: q.Fact, Joins: append([]engine.Join(nil), q.Joins...), Ctx: q.Ctx}
-	for i := range bare.Joins {
-		bare.Joins[i].Filter = algebra.NewPredicate()
-	}
 	for i, m := range l.store.List() {
 		if m.Meta.Input != input {
 			continue
 		}
-		mq, err := pushDown(bare, m.Meta.Predicate)
+		mq, err := entryQuery(q, m.Meta.Predicate)
 		if err != nil {
 			return nil, fmt.Errorf("core: maintaining %q: %w", input, err)
 		}
@@ -95,6 +91,17 @@ func inputMentionsTable(signature, table string) bool {
 	return signature == table ||
 		strings.HasPrefix(signature, table+"⋈") ||
 		strings.Contains(signature, "⋈"+table+"(")
+}
+
+// entryQuery is q's fact table and joins under pred alone: q's own filters
+// are dropped and pred is pushed down in their place, so a sample built from
+// it covers exactly what a store entry claiming pred covers.
+func entryQuery(q *engine.Query, pred algebra.Predicate) (*engine.Query, error) {
+	bare := &engine.Query{Fact: q.Fact, Joins: append([]engine.Join(nil), q.Joins...), Ctx: q.Ctx}
+	for i := range bare.Joins {
+		bare.Joins[i].Filter = algebra.NewPredicate()
+	}
+	return pushDown(bare, pred)
 }
 
 // pushDown clones q with each of pred's column constraints intersected into

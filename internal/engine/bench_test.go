@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"laqy/internal/algebra"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
+	"laqy/internal/ssb"
 	"laqy/internal/storage"
 )
 
@@ -219,6 +221,108 @@ func BenchmarkSegmentParallelBuild(b *testing.B) {
 				b.Fatalf("built %d segments, want %d", last.Segments, segments)
 			}
 			b.ReportMetric(float64(last.Segments), "segments")
+		})
+	}
+}
+
+// starJoinQuery is SSB Q2.1's star over data: lineorder joined to date,
+// part (p_category = 'MFGR#12') and supplier (s_region = 'AMERICA').
+func starJoinQuery(data *ssb.Dataset) *Query {
+	code := func(t *storage.Table, col, v string) int64 {
+		c, _ := t.Column(col).Dict.Code(v)
+		return c
+	}
+	return &Query{Fact: data.Lineorder, Joins: []Join{
+		{Dim: data.Date, FactKey: "lo_orderdate", DimKey: "d_datekey"},
+		{Dim: data.Part, FactKey: "lo_partkey", DimKey: "p_partkey",
+			Filter: algebra.NewPredicate().WithRange("p_category", code(data.Part, "p_category", "MFGR#12"), code(data.Part, "p_category", "MFGR#12"))},
+		{Dim: data.Supplier, FactKey: "lo_suppkey", DimKey: "s_suppkey",
+			Filter: algebra.NewPredicate().WithRange("s_region", code(data.Supplier, "s_region", "AMERICA"), code(data.Supplier, "s_region", "AMERICA"))},
+	}}
+}
+
+// sparseKeys returns data with every join key k of date, part and supplier
+// (dimension and fact side) replaced by k·10⁹, a layout no array can hold.
+func sparseKeys(data *ssb.Dataset) *ssb.Dataset {
+	spread := func(t *storage.Table, keyCols ...string) *storage.Table {
+		cols := make([]*storage.Column, 0, len(t.Columns()))
+		for _, c := range t.Columns() {
+			if slices.Contains(keyCols, c.Name) {
+				ints := make([]int64, len(c.Ints))
+				for i, k := range c.Ints {
+					ints[i] = k * 1_000_000_000
+				}
+				c = &storage.Column{Name: c.Name, Kind: c.Kind, Ints: ints, Dict: c.Dict}
+			}
+			cols = append(cols, c)
+		}
+		return storage.MustNewTable(t.Name, cols...)
+	}
+	out := *data
+	out.Lineorder = spread(data.Lineorder, "lo_orderdate", "lo_partkey", "lo_suppkey")
+	out.Date = spread(data.Date, "d_datekey")
+	out.Part = spread(data.Part, "p_partkey")
+	out.Supplier = spread(data.Supplier, "s_suppkey")
+	return &out
+}
+
+// BenchmarkStarJoin runs the SSB Q2.1-shaped star as an exact group-by by
+// d_year and p_brand1, once over the generator's dense dimension keys, whose
+// join tables are direct-address arrays, and once over the same rows with
+// keys 10⁹ apart, whose tables are hash maps. Each case asserts the
+// representation every join took and the joined row count, which a naive
+// pass over the fact rows gives.
+func BenchmarkStarJoin(b *testing.B) {
+	data, err := ssb.Generate(ssb.Config{LineorderRows: 4 * storage.DefaultMorselSize, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The naive join: SSB keys are 1..N, row k−1 holds key k.
+	q := starJoinQuery(data)
+	part, supp := q.Joins[1], q.Joins[2]
+	var want int64
+	for i := 0; i < data.Lineorder.NumRows(); i++ {
+		p := data.Lineorder.Column("lo_partkey").Ints[i] - 1
+		s := data.Lineorder.Column("lo_suppkey").Ints[i] - 1
+		if part.Filter.Matches(map[string]int64{"p_category": data.Part.Column("p_category").Ints[p]}) &&
+			supp.Filter.Matches(map[string]int64{"s_region": data.Supplier.Column("s_region").Ints[s]}) {
+			want++
+		}
+	}
+	if want == 0 {
+		b.Fatal("the star joins no row")
+	}
+	for _, tc := range []struct {
+		name  string
+		data  *ssb.Dataset
+		array bool
+	}{{"dense", data, true}, {"sparse", sparseKeys(data), false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			q := starJoinQuery(tc.data)
+			tables, err := buildJoinTables(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, jt := range tables {
+				if (jt.rowByKey == nil) != tc.array {
+					b.Fatalf("join on %s: array=%v, want %v", q.Joins[jt.slot].Dim.Name, jt.rowByKey == nil, tc.array)
+				}
+			}
+			b.SetBytes(int64(q.Fact.NumRows()) * 4 * 8) // three keys + payload
+			b.ReportAllocs()
+			b.ResetTimer()
+			var last Stats
+			for i := 0; i < b.N; i++ {
+				_, st, err := RunGroupBy(q, []string{"d_year", "p_brand1"}, "lo_revenue", 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = st
+			}
+			b.StopTimer()
+			if last.RowsSelected != want {
+				b.Fatalf("joined %d rows, want %d", last.RowsSelected, want)
+			}
 		})
 	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"laqy/internal/algebra"
@@ -289,6 +291,23 @@ func TestJoinErrorPaths(t *testing.T) {
 	} {
 		if _, _, err := RunScan(q, "f_val", 1); err == nil {
 			t.Fatal("bad join spec must error")
+		}
+	}
+	// A key repeated among the kept dimension rows fails either table
+	// representation, naming the key; a filter that keeps one row per key
+	// joins.
+	for _, stride := range []int64{1, 1_000_000_000} {
+		dup := storage.MustNewTable("dup",
+			&storage.Column{Name: "d_key", Kind: storage.KindInt64, Ints: []int64{0, 5 * stride, 5 * stride}},
+			&storage.Column{Name: "d_attr", Kind: storage.KindInt64, Ints: []int64{0, 1, 2}},
+		)
+		q := &Query{Fact: fact, Joins: []Join{{Dim: dup, FactKey: "f_dimfk", DimKey: "d_key"}}}
+		if _, _, err := RunScan(q, "f_val", 1); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("key %d repeats", 5*stride)) {
+			t.Fatalf("stride %d: duplicate key: err = %v", stride, err)
+		}
+		q.Joins[0].Filter = algebra.NewPredicate().WithRange("d_attr", 0, 1)
+		if _, _, err := RunScan(q, "f_val", 1); err != nil {
+			t.Fatalf("stride %d: filtered duplicate: %v", stride, err)
 		}
 	}
 }

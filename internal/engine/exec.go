@@ -155,7 +155,7 @@ func runPipeline(q *Query, exprs []ColumnExpr, workers int, sinks []rowSink) (St
 			sel, dimRows, gathered := ws.sel, ws.dimRows[:len(joinTables)], ws.gathered[:len(sources)]
 			n := len(sel)
 			for j := range joinTables { //laqy:allow ctxpoll per-morsel body; the morsel driver polls per morsel
-				n = joinTables[j].probe(sel[:n], dimRows, j)
+				n = joinTables[j].probe(sel[:n], dimRows)
 			}
 			if n > 0 {
 				for c := range sources { //laqy:allow ctxpoll per-morsel body; the morsel driver polls per morsel

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"math"
+	"math/big"
 	"testing"
 
 	"laqy/internal/algebra"
@@ -11,47 +14,115 @@ import (
 
 // TestRandomizedQueriesAgainstOracle cross-checks the vectorized parallel
 // engine against a naive row-at-a-time reference implementation on random
-// star queries: random fact data, random predicates on fact and dimension
-// columns, random group columns. Any divergence in group sets, counts, or
-// sums is a bug in the scan/filter/join/aggregate pipeline.
+// star queries: random fact data, random predicates on fact columns, up to
+// three dimension joins with independent filters (so the probe order varies
+// across trials), random group columns. Any divergence in group sets,
+// counts, or sums is a bug in the scan/filter/join/aggregate pipeline.
+//
+// Each joined dimension's keys take one of four layouts, which between them
+// force both join-table representations: dense keys with holes, keys 10⁹
+// apart, keys at both ends of int64 (the span arithmetic must not overflow),
+// and the bottom end alone. One fact key in nine has no dimension row, and one
+// filter in ten keeps no dimension row at all. The test checks, from the
+// kept keys, the representation and probe order each run built.
 func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 	r := rng.NewLehmer64(2024)
-	const nFact, nDim = 20000, 64
+	const nFact, nDim, nAbsent, maxJoins = 20000, 64, 8, 3
+	// A layout spells nDim dimension keys and, at i >= nDim, nAbsent keys no
+	// dimension row has: holes inside the dense spans, keys past them, and
+	// for the bottom layout the far end of int64, where key−lo overflows
+	// and the probe's bounds test must wrap around.
+	layouts := []struct {
+		name string
+		key  func(i int) int64
+	}{
+		{"dense", func(i int) int64 {
+			switch {
+			case i < nDim:
+				return int64(3*i - 100)
+			case i%2 == 0:
+				return int64(3*(i-nDim) - 99) // a hole
+			}
+			return int64(-200 - i) // below the span
+		}},
+		{"sparse", func(i int) int64 { return int64(i) * 1_000_000_000 }},
+		{"extremes", func(i int) int64 {
+			if i%2 == 0 {
+				return math.MinInt64 + int64(i)
+			}
+			return math.MaxInt64 - int64(i)
+		}},
+		{"bottom", func(i int) int64 {
+			switch {
+			case i < nDim:
+				return math.MinInt64 + 2*int64(i)
+			case i%2 == 0:
+				return math.MinInt64 + 2*int64(i-nDim) + 1 // a hole
+			}
+			return math.MaxInt64 - int64(i)
+		}},
+	}
 
-	// Fact: key (unique), a (0..19), b (0..99), fk (0..nDim-1), val.
+	// Fact: key (unique), a (0..19), b (0..99), val, and per join slot j the
+	// index of its dimension row (>= nDim: absent), spelled as a key column
+	// fk<j>_<layout> per layout.
 	key := make([]int64, nFact)
 	a := make([]int64, nFact)
 	bcol := make([]int64, nFact)
-	fk := make([]int64, nFact)
 	val := make([]int64, nFact)
+	var dimIdx [maxJoins][]int
+	for j := range dimIdx {
+		dimIdx[j] = make([]int, nFact)
+	}
 	for i := 0; i < nFact; i++ {
 		key[i] = int64(i)
 		a[i] = int64(r.Intn(20))
 		bcol[i] = int64(r.Intn(100))
-		fk[i] = int64(r.Intn(nDim))
 		val[i] = int64(r.Intn(10000) - 5000)
+		for j := range dimIdx {
+			dimIdx[j][i] = r.Intn(nDim + nAbsent)
+		}
 	}
-	fact := storage.MustNewTable("fact",
-		&storage.Column{Name: "key", Kind: storage.KindInt64, Ints: key},
-		&storage.Column{Name: "a", Kind: storage.KindInt64, Ints: a},
-		&storage.Column{Name: "b", Kind: storage.KindInt64, Ints: bcol},
-		&storage.Column{Name: "fk", Kind: storage.KindInt64, Ints: fk},
-		&storage.Column{Name: "val", Kind: storage.KindInt64, Ints: val},
-	)
-	// Dim: dkey (unique), attr (0..7).
-	dkey := make([]int64, nDim)
-	attr := make([]int64, nDim)
-	for i := 0; i < nDim; i++ {
-		dkey[i] = int64(i)
-		attr[i] = int64(r.Intn(8))
+	factCols := []*storage.Column{
+		{Name: "key", Kind: storage.KindInt64, Ints: key},
+		{Name: "a", Kind: storage.KindInt64, Ints: a},
+		{Name: "b", Kind: storage.KindInt64, Ints: bcol},
+		{Name: "val", Kind: storage.KindInt64, Ints: val},
 	}
-	dim := storage.MustNewTable("dim",
-		&storage.Column{Name: "dkey", Kind: storage.KindInt64, Ints: dkey},
-		&storage.Column{Name: "attr", Kind: storage.KindInt64, Ints: attr},
-	)
+	// Dimension j under layout l: row i has key pools[l][i] (the layout's
+	// first nDim keys in shuffled order) and attr<j> in 0..7;
+	// pools[l][nDim:] are the absent keys.
+	var dims [maxJoins][]*storage.Table
+	var attrs [maxJoins][]int64
+	pools := make([][]int64, len(layouts))
+	for l, lay := range layouts {
+		pools[l] = make([]int64, nDim+nAbsent)
+		for i := range pools[l] {
+			pools[l][i] = lay.key(i)
+		}
+		r.Shuffle(nDim, func(x, y int) { pools[l][x], pools[l][y] = pools[l][y], pools[l][x] })
+	}
+	for j := range dims {
+		attrs[j] = make([]int64, nDim)
+		for i := range attrs[j] {
+			attrs[j][i] = int64(r.Intn(8))
+		}
+		for l, lay := range layouts {
+			fk := make([]int64, nFact)
+			for i, idx := range dimIdx[j] {
+				fk[i] = pools[l][idx]
+			}
+			factCols = append(factCols, &storage.Column{Name: fmt.Sprintf("fk%d_%s", j, lay.name), Kind: storage.KindInt64, Ints: fk})
+			dims[j] = append(dims[j], storage.MustNewTable(fmt.Sprintf("d%d_%s", j, lay.name),
+				&storage.Column{Name: "dkey", Kind: storage.KindInt64, Ints: pools[l][:nDim]},
+				&storage.Column{Name: fmt.Sprintf("attr%d", j), Kind: storage.KindInt64, Ints: attrs[j]},
+			))
+		}
+	}
+	fact := storage.MustNewTable("fact", factCols...)
 
-	for trial := 0; trial < 40; trial++ {
-		// Random predicate shape.
+	var arrays, maps, empties, reordered int
+	for trial := 0; trial < 60; trial++ {
 		pred := algebra.NewPredicate()
 		if r.Intn(2) == 0 {
 			lo := int64(r.Intn(nFact))
@@ -61,20 +132,76 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 			lo := int64(r.Intn(15))
 			pred = pred.WithRange("a", lo, lo+int64(r.Intn(8)))
 		}
-		useJoin := r.Intn(2) == 0
-		var dimFilter algebra.Predicate
-		if useJoin && r.Intn(2) == 0 {
-			dimFilter = algebra.NewPredicate().WithRange("attr", 0, int64(r.Intn(8)))
+		q := &Query{Fact: fact, Filter: pred}
+		slots := r.Perm(maxJoins)[:r.Intn(maxJoins+1)] // join i is dimension slots[i]
+		for _, j := range slots {
+			attr := fmt.Sprintf("attr%d", j)
+			filter := algebra.NewPredicate()
+			switch c := r.Intn(10); {
+			case c == 0:
+				filter = filter.WithRange(attr, 100, 200) // keeps no row
+			case c >= 5:
+				lo := int64(r.Intn(8))
+				filter = filter.WithRange(attr, lo, lo+int64(r.Intn(8)))
+			}
+			l := r.Intn(len(layouts))
+			q.Joins = append(q.Joins, Join{Dim: dims[j][l], FactKey: fmt.Sprintf("fk%d_%s", j, layouts[l].name), DimKey: "dkey", Filter: filter})
 		}
 		groupCols := [][]string{{"a"}, {"b"}, {"a", "b"}}[r.Intn(3)]
-		if useJoin && r.Intn(2) == 0 {
-			groupCols = []string{"attr"}
+		if len(slots) > 0 && r.Intn(2) == 0 {
+			groupCols = []string{fmt.Sprintf("attr%d", slots[r.Intn(len(slots))])}
+			if r.Intn(2) == 0 {
+				groupCols = append(groupCols, "a")
+			}
 		}
 
-		q := &Query{Fact: fact, Filter: pred}
-		if useJoin {
-			q.Joins = []Join{{Dim: dim, FactKey: "fk", DimKey: "dkey", Filter: dimFilter}}
+		// The join tables this query builds: representation by the
+		// denseSpanFactor rule over the kept keys, probe order by ascending
+		// kept fraction with ties in join order.
+		tables, err := buildJoinTables(q)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
+		for p, jt := range tables {
+			jn := q.Joins[jt.slot]
+			var kept []int64
+			for i, k := range jn.Dim.Column("dkey").Ints {
+				if jn.Filter.Matches(map[string]int64{fmt.Sprintf("attr%d", slots[jt.slot]): attrs[slots[jt.slot]][i]}) {
+					kept = append(kept, k)
+				}
+			}
+			wantArray := len(kept) == 0
+			if len(kept) > 0 {
+				lo, hi := kept[0], kept[0]
+				for _, k := range kept {
+					lo, hi = min(lo, k), max(hi, k)
+				}
+				wantArray = new(big.Int).Sub(big.NewInt(hi), big.NewInt(lo)).Cmp(big.NewInt(nDim*denseSpanFactor)) < 0
+			}
+			if isArray := jt.rowByKey == nil; isArray != wantArray || jt.kept != len(kept) {
+				t.Fatalf("trial %d join %d (%s): array=%v kept=%d, want array=%v kept=%d",
+					trial, jt.slot, jn.Dim.Name, isArray, jt.kept, wantArray, len(kept))
+			}
+			if wantArray {
+				arrays++
+			} else {
+				maps++
+			}
+			if len(kept) == 0 {
+				empties++
+			}
+			if p > 0 {
+				prev := tables[p-1]
+				if prev.kept > jt.kept || prev.kept == jt.kept && prev.slot > jt.slot {
+					t.Fatalf("trial %d: join %d (kept %d) probed before join %d (kept %d)",
+						trial, prev.slot, prev.kept, jt.slot, jt.kept)
+				}
+			}
+			if jt.slot != p {
+				reordered++
+			}
+		}
+
 		got, _, err := RunGroupBy(q, groupCols, "val", 3)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -87,27 +214,26 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 			minv, maxv int64
 		}
 		oracle := map[GroupKey]*acc{}
+	rows:
 		for i := 0; i < nFact; i++ {
-			row := map[string]int64{"key": key[i], "a": a[i], "b": bcol[i]}
-			if !pred.IsTrue() && !pred.Matches(row) {
+			if !pred.IsTrue() && !pred.Matches(map[string]int64{"key": key[i], "a": a[i], "b": bcol[i]}) {
 				continue
 			}
-			dimRow := int(fk[i])
-			if useJoin {
-				if !dimFilter.IsTrue() && !dimFilter.Matches(map[string]int64{"attr": attr[dimRow]}) {
-					continue
+			row := map[string]int64{"a": a[i], "b": bcol[i]}
+			for p, j := range slots {
+				idx := dimIdx[j][i]
+				if idx >= nDim {
+					continue rows
+				}
+				attr := fmt.Sprintf("attr%d", j)
+				row[attr] = attrs[j][idx]
+				if f := q.Joins[p].Filter; !f.IsTrue() && !f.Matches(map[string]int64{attr: row[attr]}) {
+					continue rows
 				}
 			}
 			var k GroupKey
 			for c, col := range groupCols {
-				switch col {
-				case "a":
-					k[c] = a[i]
-				case "b":
-					k[c] = bcol[i]
-				case "attr":
-					k[c] = attr[dimRow]
-				}
+				k[c] = row[col]
 			}
 			st, ok := oracle[k]
 			if !ok {
@@ -125,8 +251,8 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 		}
 
 		if got.NumGroups() != len(oracle) {
-			t.Fatalf("trial %d: %d groups, oracle %d (pred=%v join=%v group=%v)",
-				trial, got.NumGroups(), len(oracle), pred, useJoin, groupCols)
+			t.Fatalf("trial %d: %d groups, oracle %d (pred=%v joins=%v group=%v)",
+				trial, got.NumGroups(), len(oracle), pred, slots, groupCols)
 		}
 		for k, want := range oracle {
 			if v, ok := got.Value(k, approx.Sum); !ok || v != want.sum {
@@ -169,5 +295,10 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 		if totalWeight != float64(totalRows) {
 			t.Fatalf("trial %d: total weight %v vs %d rows", trial, totalWeight, totalRows)
 		}
+	}
+	t.Logf("%d array and %d map tables, %d empty, %d probed out of join order", arrays, maps, empties, reordered)
+	if arrays == 0 || maps == 0 || empties == 0 || reordered == 0 {
+		t.Fatalf("trials built %d array and %d map tables, %d empty, %d probed out of join order; want each > 0",
+			arrays, maps, empties, reordered)
 	}
 }

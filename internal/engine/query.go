@@ -4,7 +4,7 @@
 //
 // Queries are star joins over a fact table: the fact table is scanned in
 // morsels by parallel workers, filtered with compiled vectorized
-// predicates, probed against pre-built dimension hash tables, and fed into
+// predicates, probed against pre-built dimension join tables, and fed into
 // a sink — an exact group-by aggregation or a stratified sampler (the
 // paper's "reservoir aggregation function" inside a group-by, §6.2; zero QCS
 // columns degenerate to a simple reservoir) — or folded in place by the
@@ -28,7 +28,8 @@ import (
 
 // Join describes one dimension join of a star query: fact.FactKey =
 // dim.DimKey, with an optional filter over dimension columns applied at
-// hash-table build time.
+// join-table build time. DimKey must be unique among the rows the filter
+// keeps: a key that repeats there fails the run.
 type Join struct {
 	// Dim is the dimension table.
 	Dim *storage.Table
@@ -36,7 +37,7 @@ type Join struct {
 	FactKey string
 	// DimKey is the dimension-side join column name.
 	DimKey string
-	// Filter restricts the dimension rows entering the hash table
+	// Filter restricts the dimension rows entering the join table
 	// (e.g. s_region = 'AMERICA'); constraint values are dictionary codes
 	// for string columns.
 	Filter algebra.Predicate
@@ -49,7 +50,8 @@ type Query struct {
 	Fact *storage.Table
 	// Filter is the predicate over fact columns, evaluated during the scan.
 	Filter algebra.Predicate
-	// Joins are the dimension joins, probed in order.
+	// Joins are the dimension joins. They are probed most selective first
+	// (buildJoinTables); the joined rows are the same in any order.
 	Joins []Join
 	// ScanFrom skips fact rows before this index — used to scan only
 	// appended rows during incremental sample maintenance.

@@ -264,22 +264,6 @@ func refinePlain(cc *compiledCol, live []int32) int {
 	return n
 }
 
-// Matches evaluates the filter for a single row index (used off the hot
-// path, e.g. in validation code).
-func (f *Filter) Matches(i int) bool {
-	for _, cc := range f.cols {
-		v := cc.vec[i]
-		if cc.single {
-			if v < cc.lo || v > cc.hi {
-				return false
-			}
-		} else if !cc.set.Contains(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // TupleFilter is a predicate compiled against a sample schema: the
 // tightening filter a stored sample is read through (§5.2.1). Its one kernel,
 // SelectTuples, runs the same conjunct forms as Filter over a reservoir's

@@ -109,8 +109,8 @@ func TestSelectIntoAppendsAndChunks(t *testing.T) {
 }
 
 func TestFilterAgainstRowOracle(t *testing.T) {
-	// Randomized cross-check: vectorized selection must agree with
-	// row-at-a-time Matches and with the algebra-level predicate.
+	// Randomized cross-check: vectorized selection must agree with the
+	// algebra-level predicate.
 	r := rng.NewLehmer64(9)
 	const n = 2000
 	x := make([]int64, n)
@@ -138,9 +138,9 @@ func TestFilterAgainstRowOracle(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			want := p.Matches(map[string]int64{"x": x[i], "y": y[i]})
-			if selected[int32(i)] != want || f.Matches(i) != want {
-				t.Fatalf("trial %d row %d: vectorized=%v rowwise=%v oracle=%v",
-					trial, i, selected[int32(i)], f.Matches(i), want)
+			if selected[int32(i)] != want {
+				t.Fatalf("trial %d row %d: vectorized=%v oracle=%v",
+					trial, i, selected[int32(i)], want)
 			}
 		}
 	}

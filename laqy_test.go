@@ -184,6 +184,76 @@ func TestLazyReuseAcrossQueries(t *testing.T) {
 	}
 }
 
+// TestPartialReuseClaimsWhatItStored pins the partial-reuse coverage claim.
+// The stored entry is unconstrained on f_val; the second query is wider on
+// f_key and narrower on f_val. Its Δ must be sampled under the entry's
+// (absent) f_val constraint, because the merged entry goes on claiming
+// every f_val: a Δ built under the query's f_val bound would leave an entry
+// claiming f_key in [0, 19999] at the weight of f_val <= 12000, and the third
+// query, a full reuse of it, would under-count.
+func TestPartialReuseClaimsWhatItStored(t *testing.T) {
+	const n = 20000
+	db := Open(Config{Workers: 2, Seed: 5})
+	key, grp := make([]int64, n), make([]int64, n)
+	for i := range key {
+		key[i], grp[i] = int64(i), int64(i%4)
+	}
+	if err := db.Register(NewTable("t").Int64("f_key", key).Int64("f_val", key).Int64("f_g", grp)); err != nil {
+		t.Fatal(err)
+	}
+	count := func(where string, mode Mode) float64 {
+		t.Helper()
+		res, err := db.Query(`SELECT f_g, SUM(f_val), COUNT(*) FROM t WHERE ` + where + ` GROUP BY f_g APPROX WITH K 64`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != mode {
+			t.Fatalf("%s: mode %q, want %q", where, res.Mode, mode)
+		}
+		var total float64
+		for _, row := range res.Rows {
+			total += row.Aggs[1].Value
+		}
+		return total
+	}
+	if got := count("f_key BETWEEN 0 AND 9999", ModeOnline); got != 10000 {
+		t.Fatalf("online COUNT = %v, want 10000", got)
+	}
+	// Tightened to f_val <= 12000 over the widened entry: an estimate.
+	if got := count("f_key BETWEEN 0 AND 19999 AND f_val <= 12000", ModePartial); math.Abs(got-12001) > 0.2*12001 {
+		t.Fatalf("partial COUNT = %v, want about 12001", got)
+	}
+	if got := count("f_key BETWEEN 0 AND 19999", ModeOffline); got != n {
+		t.Fatalf("offline COUNT over the widened entry = %v, want %d", got, n)
+	}
+}
+
+// TestDuplicateDimensionKeyRefused: the engine joins a dimension key to a
+// fact foreign key, so a key that repeats among the dimension rows a join
+// keeps has no single row to join. The query must fail naming the table and
+// the key, not silently join one of the duplicates.
+func TestDuplicateDimensionKeyRefused(t *testing.T) {
+	db := Open(Config{Workers: 2})
+	if err := db.Register(NewTable("f").Int64("f_fk", []int64{1, 1, 2}).Int64("f_v", []int64{10, 20, 30})); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register(NewTable("d").Int64("d_key", []int64{1, 1, 2}).Int64("d_attr", []int64{7, 8, 9})); err != nil {
+		t.Fatal(err)
+	}
+	_, err := db.Query(`SELECT d_attr, SUM(f_v) FROM f, d WHERE f_fk = d_key GROUP BY d_attr`)
+	if err == nil || !strings.Contains(err.Error(), `"d"`) || !strings.Contains(err.Error(), "key 1") {
+		t.Fatalf("duplicate dimension key: err = %v, want one naming table \"d\" and key 1", err)
+	}
+	// A filter that keeps one row per key joins as usual.
+	res, err := db.Query(`SELECT d_attr, SUM(f_v) FROM f, d WHERE f_fk = d_key AND d_attr >= 8 GROUP BY d_attr`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0].Aggs[0].Value != 30 || res.Rows[1].Aggs[0].Value != 30 {
+		t.Fatalf("filtered join: %+v", res.Rows)
+	}
+}
+
 func TestClearSamples(t *testing.T) {
 	db := openSSB(t, 20000)
 	if _, err := db.Query(`SELECT lo_orderdate, SUM(lo_revenue) FROM lineorder
@@ -907,7 +977,9 @@ func TestHavingValidation(t *testing.T) {
 }
 
 func TestSelectAliases(t *testing.T) {
-	db := openSSB(t, 2000)
+	// More lineorder rows than the 2 520 date rows, so lineorder is the fact
+	// table and d_datekey the join's unique key.
+	db := openSSB(t, 4000)
 	res, err := db.Query(`SELECT d_year, SUM(lo_revenue) AS revenue, COUNT(*) AS orders
 		FROM lineorder, date WHERE lo_orderdate = d_datekey GROUP BY d_year`)
 	if err != nil {
