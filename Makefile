@@ -43,9 +43,10 @@ benchmark-check:
 # aggregate and the star-join probes — so their fixtures and structural
 # assertions (which cases fuse, which join tables are arrays) cannot rot
 # unseen, one reuse hit of each kind (BenchmarkReuseHit),
-# whose allocs/op column is the per-hit allocation count, and one served
+# whose allocs/op column is the per-hit allocation count, one served
 # hit over loopback HTTP of each kind (BenchmarkServeHit: the same hit plus
-# the response encoder and the wire).
+# the response encoder and the wire), and the admission benches (the
+# Algorithm R oracle, and stratified builds in the ingest, Q1 and Q2 shapes).
 bench-smoke:
 	$(GO) run ./cmd/laqy-bench -smoke -metricsout bench-metrics.json
 	$(GO) test -run '^$$' -bench 'Select|FusedAggregate|StarJoin' -benchtime 1x \

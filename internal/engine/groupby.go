@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 
 	"laqy/internal/approx"
 	"laqy/internal/governor"
@@ -58,30 +58,25 @@ func (a *aggState) merge(b *aggState) {
 // GroupResult is the exact answer of a group-by aggregation query: the
 // baseline LAQy's approximate answers are compared against, and the engine
 // operation whose access pattern stratified sampling shares (Figure 8).
-// Each group carries one aggState per requested value column.
+// Each group carries one aggState per requested value column: the index
+// gives a group its dense id, and states holds its valueCols aggStates at
+// id*valueCols.
 type GroupResult struct {
-	groupWidth int
-	valueCols  int
-	groups     map[GroupKey][]aggState
+	valueCols int
+	index     sample.KeyIndex
+	states    []aggState
 }
 
 // NumGroups returns the number of distinct groups.
-func (r *GroupResult) NumGroups() int { return len(r.groups) }
+func (r *GroupResult) NumGroups() int { return r.index.Len() }
 
 // Keys returns the group keys in deterministic sorted order.
 func (r *GroupResult) Keys() []GroupKey {
-	out := make([]GroupKey, 0, len(r.groups))
-	for k := range r.groups {
-		out = append(out, k)
+	ids := r.index.SortedIDs()
+	out := make([]GroupKey, len(ids))
+	for i, id := range ids {
+		out[i] = r.index.Key(id)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for c := 0; c < sample.MaxQCS; c++ {
-			if out[i][c] != out[j][c] {
-				return out[i][c] < out[j][c]
-			}
-		}
-		return false
-	})
 	return out
 }
 
@@ -94,11 +89,14 @@ func (r *GroupResult) Value(key GroupKey, kind approx.AggKind) (float64, bool) {
 // ValueAt returns the requested aggregate of the col-th value column for a
 // group and whether the group exists.
 func (r *GroupResult) ValueAt(key GroupKey, col int, kind approx.AggKind) (float64, bool) {
-	states, ok := r.groups[key]
-	if !ok || col < 0 || col >= len(states) || states[col].count == 0 {
+	id := r.index.Find(&key)
+	if id < 0 || col < 0 || col >= r.valueCols {
 		return 0, false
 	}
-	a := &states[col]
+	a := &r.states[int(id)*r.valueCols+col]
+	if a.count == 0 {
+		return 0, false
+	}
 	switch kind {
 	case approx.Sum:
 		return a.sum, true
@@ -120,9 +118,10 @@ func (r *GroupResult) ValueAt(key GroupKey, col int, kind approx.AggKind) (float
 // touches the budget once per chunk of distinct groups, not per row.
 const groupByReserveChunk = 1024
 
-// groupBytesPerEntry estimates the resident cost of one hash-table entry:
-// the key (MaxQCS int64s), the aggState slice header + backing array, and
-// amortized map-bucket overhead.
+// groupBytesPerEntry is what the budget charges for one group: a key of
+// MaxQCS int64s, a slice header and the group's aggStates, and a hash-table
+// entry's overhead — an upper bound on the index slots, the key words and
+// the states slab a group costs.
 func groupBytesPerEntry(valueCols int) int64 {
 	return int64(8*sample.MaxQCS + 24 + 32*valueCols + 48)
 }
@@ -133,7 +132,8 @@ func groupBytesPerEntry(valueCols int) int64 {
 type groupBySink struct {
 	groupWidth int
 	valueCols  int
-	groups     map[GroupKey][]aggState
+	index      sample.KeyIndex
+	states     []aggState // valueCols per group id
 
 	// budget, when non-nil, is charged for every chunk of new groups;
 	// headroom counts the groups remaining in the current chunk. A denial
@@ -148,7 +148,7 @@ func newGroupBySink(groupWidth, valueCols int, budget *governor.QueryBudget) *gr
 	return &groupBySink{
 		groupWidth: groupWidth,
 		valueCols:  valueCols,
-		groups:     make(map[GroupKey][]aggState),
+		index:      sample.NewKeyIndex(groupWidth),
 		budget:     budget,
 	}
 }
@@ -163,13 +163,13 @@ func (s *groupBySink) consume(cols [][]int64, n int) {
 	if s.err != nil {
 		return
 	}
+	var key GroupKey
 	for i := 0; i < n; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-		var key GroupKey
 		for c := 0; c < s.groupWidth; c++ {
 			key[c] = cols[c][i]
 		}
-		states, ok := s.groups[key]
-		if !ok {
+		id := s.index.Find(&key)
+		if id < 0 {
 			if s.budget != nil {
 				if s.headroom == 0 {
 					if err := s.budget.Reserve(int64(groupByReserveChunk) * groupBytesPerEntry(s.valueCols)); err != nil {
@@ -180,28 +180,38 @@ func (s *groupBySink) consume(cols [][]int64, n int) {
 				}
 				s.headroom--
 			}
-			states = make([]aggState, s.valueCols)
-			s.groups[key] = states
+			id = s.index.Insert(&key)
+			at := len(s.states)
+			s.states = slices.Grow(s.states, s.valueCols)[:at+s.valueCols]
+			clear(s.states[at:])
 		}
+		states := s.states[int(id)*s.valueCols:]
 		for v := 0; v < s.valueCols; v++ {
 			states[v].update(cols[s.groupWidth+v][i])
 		}
 	}
 }
 
-// mergeGroupBySinks folds per-worker partial aggregations into one result.
+// mergeGroupBySinks folds per-worker partial aggregations into one result:
+// the first sink's index and states become the result's, and every other
+// sink's groups fold into them.
 func mergeGroupBySinks(sinks []*groupBySink) *GroupResult {
-	out := &GroupResult{groups: make(map[GroupKey][]aggState)}
-	for _, s := range sinks {
-		out.groupWidth = s.groupWidth
-		out.valueCols = s.valueCols
-		for k, st := range s.groups {
-			if existing, ok := out.groups[k]; ok {
-				for v := range existing {
-					existing[v].merge(&st[v])
-				}
-			} else {
-				out.groups[k] = st
+	first := sinks[0]
+	out := &GroupResult{valueCols: first.valueCols, index: first.index, states: first.states}
+	w := out.valueCols
+	for _, s := range sinks[1:] {
+		for id := 0; id < s.index.Len(); id++ {
+			key := s.index.Key(int32(id))
+			src := s.states[id*w : (id+1)*w]
+			did := out.index.Find(&key)
+			if did < 0 {
+				out.index.Insert(&key)
+				out.states = append(out.states, src...)
+				continue
+			}
+			dst := out.states[int(did)*w:]
+			for v := range src {
+				dst[v].merge(&src[v])
 			}
 		}
 	}

@@ -176,8 +176,17 @@ func (l *Lehmer64) Perm(n int) []int {
 // substreams are reproducible functions of the root seed and the index,
 // regardless of how much the parent has been consumed.
 func (l *Lehmer64) Split(i uint64) *Lehmer64 {
+	sub := l.Substream(i)
+	return &sub
+}
+
+// Substream is Split returning the generator by value, for an owner that
+// embeds its generator (a sample reservoir) instead of pointing at one.
+func (l *Lehmer64) Substream(i uint64) Lehmer64 {
 	s := l.hi ^ (l.lo * 0x9E3779B97F4A7C15) ^ (i+1)*0xBF58476D1CE4E5B9
-	return NewLehmer64(splitmix64(&s))
+	var sub Lehmer64
+	sub.Seed(splitmix64(&s))
+	return sub
 }
 
 // splitmix64 is the SplitMix64 output function; it advances *s and returns

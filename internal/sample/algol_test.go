@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"math"
 	"testing"
 
 	"laqy/internal/rng"
@@ -26,7 +27,8 @@ func algorithmR(r *Reservoir, tuple []int64) {
 // admit offers n column-major rows to r through the product entry point,
 // Stratified.ConsiderColumns, with r as the one stratum of a keyless sample.
 func admit(r *Reservoir, cols [][]int64, n int) {
-	s := &Stratified{schema: make(Schema, r.width), k: r.k, strata: map[StratumKey]*Reservoir{{}: r}}
+	s := NewStratified(make(Schema, r.width), 0, r.k, nil)
+	s.add(&StratumKey{}, r)
 	s.ConsiderColumns(cols, n)
 }
 
@@ -262,14 +264,21 @@ func TestRowFillGrowsInTuples(t *testing.T) {
 	})
 }
 
-// TestConsiderColumnsInterleavedWithMerge checks the L-state restart: a merge
-// between batches — Algorithm 2 streaming a not-full reservoir through
-// considerWeighted, or rewriting slots proportionally — invalidates the
-// precomputed gap, the next batch re-derives it, and the reservoir stays
-// consistent (correct weight, full, every tuple from the stream, none
-// twice).
+// TestConsiderColumnsInterleavedWithMerge admits rows into a merged sample:
+// Algorithm 2 streaming a not-full reservoir through considerWeighted, or
+// rewriting slots proportionally, leaves a reservoir that represents more
+// rows than it holds and no skip schedule. Each trial keeps it consistent
+// (correct weight, full, every tuple from the stream, none twice), and over
+// the trials each part of the stream — the first sample's rows, the merged-in
+// rows, the rows admitted after the merge — holds its share of the kept
+// tuples within binomial tolerance. Restarting Algorithm L there, as if the
+// reservoir had seen only k rows, keeps almost nothing but the last part.
 func TestConsiderColumnsInterleavedWithMerge(t *testing.T) {
 	const n, k, cut = 4000, 16, 1500
+	trials := 4000
+	if testing.Short() {
+		trials = 1000
+	}
 	vals := iota64(0, n)
 	for _, tc := range []struct {
 		name string
@@ -279,32 +288,54 @@ func TestConsiderColumnsInterleavedWithMerge(t *testing.T) {
 		{"proportional", 500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := NewStratified(Schema{"v"}, 0, k, newGen(5))
-			a.ConsiderColumns([][]int64{vals[:cut]}, cut)
-			b := NewStratified(Schema{"v"}, 0, k, newGen(6))
-			b.ConsiderColumns([][]int64{vals[cut : cut+tc.rest]}, tc.rest)
-			m, err := MergeStratified(a, b, newGen(7))
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := m.Stratum(StratumKey{})
-			if r.lValid {
-				t.Fatal("the merge left the skip schedule of the pre-merge stream in place")
-			}
-			tail := vals[cut+tc.rest:]
-			m.ConsiderColumns([][]int64{tail}, len(tail))
-			if !r.lValid || r.Len() != k || r.Weight() != n || m.TotalWeight() != n {
-				t.Fatalf("lValid=%v Len=%d Weight=%v TotalWeight=%v, want true, %d, %d, %d",
-					r.lValid, r.Len(), r.Weight(), m.TotalWeight(), k, n, n)
-			}
-			seen := make(map[int64]bool, k)
-			for i := 0; i < k; i++ {
-				v := r.Tuple(i)[0]
-				if v < 0 || v >= n || seen[v] {
-					t.Fatalf("tuple %d = %d out of stream or duplicated", i, v)
+			var parts [3]int64 // kept tuples from [0,cut), [cut,cut+rest), the rest
+			for trial := uint64(0); trial < uint64(trials); trial++ {
+				a := NewStratified(Schema{"v"}, 0, k, newGen(3*trial+5))
+				a.ConsiderColumns([][]int64{vals[:cut]}, cut)
+				b := NewStratified(Schema{"v"}, 0, k, newGen(3*trial+6))
+				b.ConsiderColumns([][]int64{vals[cut : cut+tc.rest]}, tc.rest)
+				m, err := MergeStratified(a, b, newGen(3*trial+7))
+				if err != nil {
+					t.Fatal(err)
 				}
-				seen[v] = true
+				r := m.Stratum(StratumKey{})
+				if r.lValid {
+					t.Fatal("the merge left the skip schedule of the pre-merge stream in place")
+				}
+				tail := vals[cut+tc.rest:]
+				m.ConsiderColumns([][]int64{tail}, len(tail))
+				if r.Len() != k || r.Weight() != n || m.TotalWeight() != n {
+					t.Fatalf("Len=%d Weight=%v TotalWeight=%v, want %d, %d, %d",
+						r.Len(), r.Weight(), m.TotalWeight(), k, n, n)
+				}
+				seen := make(map[int64]bool, k)
+				for i := 0; i < k; i++ {
+					v := r.Tuple(i)[0]
+					if v < 0 || v >= n || seen[v] {
+						t.Fatalf("tuple %d = %d out of stream or duplicated", i, v)
+					}
+					seen[v] = true
+					switch {
+					case v < cut:
+						parts[0]++
+					case v < cut+int64(tc.rest):
+						parts[1]++
+					default:
+						parts[2]++
+					}
+				}
 			}
+			total := float64(trials * k)
+			for i, rows := range []int{cut, tc.rest, n - cut - tc.rest} {
+				p := float64(rows) / n
+				// The k tuples of one trial are drawn without replacement, so
+				// a binomial sd over all kept tuples is conservative.
+				if sd := math.Sqrt(total * p * (1 - p)); math.Abs(float64(parts[i])-total*p) > 5*sd {
+					t.Fatalf("part %d holds %.4f of the kept tuples, want %.4f ± %.4f (shares %v)",
+						i, float64(parts[i])/total, p, 5*sd/total, parts)
+				}
+			}
+			t.Logf("shares %.4f / %.4f / %.4f", float64(parts[0])/total, float64(parts[1])/total, float64(parts[2])/total)
 		})
 	}
 }

@@ -58,11 +58,11 @@ func (s Schema) Equal(o Schema) bool {
 // tuple storage is a separately allocated flat buffer reached through a
 // slice header, reproducing the paper's pointer-decoupled layout (§6.3).
 type Reservoir struct {
-	k      int     // capacity in tuples
-	width  int     // ints per tuple
-	weight float64 // number of tuples considered (importance weight)
-	data   []int64 // row-major tuple storage, len = min(n, k) * width
-	gen    *rng.Lehmer64
+	k      int          // capacity in tuples
+	width  int          // ints per tuple
+	weight float64      // number of tuples considered (importance weight)
+	data   []int64      // row-major tuple storage, len = min(n, k) * width
+	gen    rng.Lehmer64 // held by value: a stratum costs one allocation, not two
 
 	// shared: data may also be referenced by another reservoir. Clone sets
 	// it on both sides, and whichever side first overwrites a stored slot
@@ -79,8 +79,10 @@ type Reservoir struct {
 	// O(k·log(n/k)) draws total for an n-tuple stream instead of O(n). lW
 	// is L's evolving threshold, lSkip the number of upcoming tuples to
 	// pass over untouched, lValid whether the state reflects the current
-	// stream (merges invalidate it; the next admission then re-derives a
-	// fresh schedule).
+	// stream. L starts only on a reservoir that holds its whole stream (k
+	// tuples of weight k); one that represents more — after a merge, a
+	// weighted step, a Filter, a Clone or a Restore — admits each further
+	// row by A-Chao's weighted step at weight 1 instead (considerRowColumns).
 	lW     float64
 	lSkip  int64
 	lValid bool
@@ -95,6 +97,11 @@ type Reservoir struct {
 // given width, drawing randomness from gen. gen must not be shared across
 // concurrently used reservoirs.
 func NewReservoir(k, width int, gen *rng.Lehmer64) *Reservoir {
+	return newReservoir(k, width, *gen)
+}
+
+// newReservoir is NewReservoir taking the generator by value.
+func newReservoir(k, width int, gen rng.Lehmer64) *Reservoir {
 	if k <= 0 {
 		// invariant: capacities are validated at the API boundary (core.validate, store load)
 		panic(fmt.Sprintf("sample: reservoir capacity %d", k))
@@ -183,10 +190,18 @@ func (r *Reservoir) admitAdvance() {
 // afterwards Algorithm L's skip counter passes over rows with a decrement —
 // no RNG draw, no copy — and only admitted rows are materialized.
 //
+// L's schedule is valid only for the stream the reservoir saw row by row.
+// A full reservoir without one starts L when it holds its whole stream
+// (weight k before this row). One that represents more rows than it holds
+// cannot: a fresh L threshold is the maximum of k uniforms, right for a
+// k-row stream and far too high for a w-row one, which would then admit
+// almost every following row. It admits the row by A-Chao's step at weight
+// 1 — with probability k/w, into a uniform slot — the rule merges use.
+//
 //laqy:hot per-row skip-ahead admission on the sampling path
 func (r *Reservoir) considerRowColumns(cols [][]int64, i int) {
-	r.weight++
 	if n := len(r.data); n < r.k*r.width {
+		r.weight++
 		if cap(r.data)-n < r.width {
 			r.growFill()
 		}
@@ -197,19 +212,31 @@ func (r *Reservoir) considerRowColumns(cols [][]int64, i int) {
 		return
 	}
 	if !r.lValid {
+		if r.weight != float64(r.k) {
+			if slot := r.chaoSlot(1); slot >= 0 {
+				r.storeRow(slot, cols, i)
+			}
+			return
+		}
 		r.initSkipState()
 	}
+	r.weight++
 	if r.lSkip > 0 {
 		r.lSkip--
 		return
 	}
 	r.rngDraws++
+	r.storeRow(r.gen.Intn(r.k), cols, i)
+	r.admitAdvance()
+}
+
+// storeRow overwrites stored tuple slot with row i of a column-major batch.
+func (r *Reservoir) storeRow(slot int, cols [][]int64, i int) {
 	r.own()
-	dst := r.data[r.gen.Intn(r.k)*r.width:]
-	for c := 0; c < r.width; c++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+	dst := r.data[slot*r.width : (slot+1)*r.width]
+	for c := range dst { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
 		dst[c] = cols[c][i]
 	}
-	r.admitAdvance()
 }
 
 // fillChunkTuples is the first allocation of a stratum filled row by row
@@ -250,26 +277,32 @@ func (r *Reservoir) own() {
 //
 //laqy:hot per-tuple admission during merges
 func (r *Reservoir) considerWeighted(tuple []int64, w float64) {
-	r.weight += w
 	if len(r.data) < r.k*r.width {
+		r.weight += w
 		r.data = append(r.data, tuple...)
 		return
 	}
-	// A weighted step changes the stream the skip gap was drawn for; the
-	// next admission re-derives its schedule.
-	r.lValid = false
-	p := float64(r.k) * w / r.weight
-	admit := p >= 1
-	if !admit {
-		r.rngDraws++
-		admit = r.gen.Float64() < p
-	}
-	if admit {
-		r.rngDraws++
-		slot := r.gen.Intn(r.k)
+	if slot := r.chaoSlot(w); slot >= 0 {
 		r.own()
 		copy(r.data[slot*r.width:], tuple)
 	}
+}
+
+// chaoSlot is A-Chao's step for an item of weight w offered to a full
+// reservoir: it adds w to the weight and returns the slot the item replaces,
+// or -1 if it is not admitted. A weighted step changes the stream a skip gap
+// was drawn for, so it drops Algorithm L's schedule.
+func (r *Reservoir) chaoSlot(w float64) int {
+	r.weight += w
+	r.lValid = false
+	if p := float64(r.k) * w / r.weight; p < 1 {
+		r.rngDraws++
+		if r.gen.Float64() >= p {
+			return -1
+		}
+	}
+	r.rngDraws++
+	return r.gen.Intn(r.k)
 }
 
 // Clone returns an independent copy of the reservoir with its own RNG
@@ -277,7 +310,7 @@ func (r *Reservoir) considerWeighted(tuple []int64, w float64) {
 // slot (see shared): merging a small Δ into a clone copies only the strata
 // the Δ rewrites.
 func (r *Reservoir) Clone() *Reservoir {
-	out := &Reservoir{k: r.k, width: r.width, weight: r.weight, gen: r.gen.Split(0x5C)}
+	out := &Reservoir{k: r.k, width: r.width, weight: r.weight, gen: r.gen.Substream(0x5C)}
 	if len(r.data) > 0 {
 		out.data = r.data[:len(r.data):len(r.data)]
 		out.shared.Store(true)
@@ -317,7 +350,7 @@ func (r *Reservoir) Select(keep TupleSelector, dst []int32) ([]int32, float64) {
 // the weight it reports: the materialized form of a tightening, for callers
 // that go on to merge or store the narrower sample.
 func (r *Reservoir) Filter(keep TupleSelector) *Reservoir {
-	out := &Reservoir{k: r.k, width: r.width, gen: r.gen.Split(0xF1)}
+	out := &Reservoir{k: r.k, width: r.width, gen: r.gen.Substream(0xF1)}
 	// keep's verdicts size the one exact allocation.
 	var buf [64]int32
 	kept, weight := r.Select(keep, buf[:0])
@@ -414,8 +447,8 @@ func mergeProportional(r1, r2 *Reservoir, gen *rng.Lehmer64) *Reservoir {
 		}
 	}
 	out.weight = w1 + w2
-	out.gen = gen
-	out.lValid = false // the merged stream gets a fresh skip schedule
+	out.gen = *gen
+	out.lValid = false // the merged stream has no skip schedule
 	return out
 }
 
@@ -453,7 +486,7 @@ func mergeScaledProportional(r1, r2 *Reservoir, gen *rng.Lehmer64) *Reservoir {
 	if kOut > len(cands) {
 		kOut = len(cands)
 	}
-	out := &Reservoir{k: kOut, width: r1.width, weight: r1.weight + r2.weight, gen: gen}
+	out := &Reservoir{k: kOut, width: r1.width, weight: r1.weight + r2.weight, gen: *gen}
 	out.data = make([]int64, 0, kOut*out.width)
 	for _, c := range cands[:kOut] {
 		out.data = append(out.data, c.src.Tuple(c.idx)...)

@@ -23,7 +23,7 @@ func RestoreReservoir(k, width int, weight float64, data []int64, gen *rng.Lehme
 	if weight < float64(len(data)/width) {
 		return nil, fmt.Errorf("sample: restore weight %v below stored tuple count %d", weight, len(data)/width)
 	}
-	return &Reservoir{k: k, width: width, weight: weight, data: data, gen: gen}, nil
+	return &Reservoir{k: k, width: width, weight: weight, data: data, gen: *gen}, nil
 }
 
 // Restore installs a reservoir as the stratum for key, replacing any
@@ -33,12 +33,12 @@ func (s *Stratified) Restore(key StratumKey, r *Reservoir) error {
 	if r.Width() != len(s.schema) {
 		return fmt.Errorf("sample: restoring width-%d reservoir into %d-column sample", r.Width(), len(s.schema))
 	}
-	if old, ok := s.strata[key]; ok {
-		s.weight -= old.Weight()
+	if id := s.index.Find(&key); id >= 0 {
+		s.weight -= s.res[id].Weight()
+		s.res[id] = r
 	} else {
-		s.sorted.Store(nil)
+		s.add(&key, r)
 	}
-	s.strata[key] = r
 	s.weight += r.Weight()
 	return nil
 }

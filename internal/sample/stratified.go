@@ -1,9 +1,7 @@
 package sample
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"laqy/internal/rng"
@@ -40,24 +38,26 @@ func (k StratumKey) splitIndex() uint64 {
 // integration (§6.2) — as a group-by whose aggregation function is
 // reservoir sampling.
 //
-// The hash table maps each stratum key to the admission-control state and a
-// pointer to the reservoir storage (the decoupled layout of §6.3), so the
-// per-tuple random access touches a small table even when reservoirs are
-// large. A Stratified is not safe for concurrent use; parallel builds use
-// one instance per worker and merge.
+// A KeyIndex gives each stratum key a dense id, and res holds the stratum's
+// reservoir at that id: the admission table a row probes is a slot array
+// and the key words (the decoupled layout of §6.3), and the reservoir's
+// admission state and tuple storage lie behind one pointer. A Stratified is
+// not safe for concurrent use; parallel builds use one instance per worker
+// and merge.
 type Stratified struct {
 	schema   Schema
 	qcsWidth int
 	k        int
-	strata   map[StratumKey]*Reservoir
+	index    KeyIndex
+	res      []*Reservoir // by stratum id
 	gen      *rng.Lehmer64
 	weight   float64 // total tuples considered across all strata
 
-	// sorted caches the stratum keys in order, so the ordered walk behind
+	// sorted caches the stratum ids in key order, so the ordered walk behind
 	// every answer sorts once per sample, not once per query. Built on first
 	// use (atomically: readers of a published sample may race to build it),
 	// dropped wherever a stratum is inserted, never written once stored.
-	sorted atomic.Pointer[[]StratumKey]
+	sorted atomic.Pointer[[]int32]
 }
 
 // NewStratified creates an empty stratified sample capturing the columns of
@@ -75,7 +75,7 @@ func NewStratified(schema Schema, qcsWidth, k int, gen *rng.Lehmer64) *Stratifie
 		schema:   schema,
 		qcsWidth: qcsWidth,
 		k:        k,
-		strata:   make(map[StratumKey]*Reservoir),
+		index:    NewKeyIndex(qcsWidth),
 		gen:      gen,
 	}
 }
@@ -90,17 +90,24 @@ func (s *Stratified) QCSWidth() int { return s.qcsWidth }
 func (s *Stratified) K() int { return s.k }
 
 // NumStrata returns the number of materialized strata.
-func (s *Stratified) NumStrata() int { return len(s.strata) }
+func (s *Stratified) NumStrata() int { return len(s.res) }
 
 // TotalWeight returns the total number of tuples considered (the
 // represented input size).
 func (s *Stratified) TotalWeight() float64 { return s.weight }
 
-// insert allocates the reservoir of a stratum seen for the first time.
-func (s *Stratified) insert(key StratumKey) *Reservoir {
-	res := NewReservoir(s.k, len(s.schema), s.gen.Split(uint64(len(s.strata))))
-	s.strata[key] = res
+// add installs r as the reservoir of a key the index does not hold yet.
+func (s *Stratified) add(key *StratumKey, r *Reservoir) {
+	s.index.Insert(key)
+	s.res = append(s.res, r)
 	s.sorted.Store(nil)
+}
+
+// insert allocates the reservoir of a stratum seen for the first time. Its
+// generator is the sample's substream numbered by the stratum's id.
+func (s *Stratified) insert(key *StratumKey) *Reservoir {
+	res := newReservoir(s.k, len(s.schema), s.gen.Substream(uint64(len(s.res))))
+	s.add(key, res)
 	return res
 }
 
@@ -110,12 +117,12 @@ func (s *Stratified) insert(key StratumKey) *Reservoir {
 // batch of one) and the Figure 3/4 harness all arrive here. Each row's
 // stratum is located — or allocated on first sight, the constant
 // per-stratum cost visible in the paper's Figure 3 — and the row goes
-// through that stratum's Algorithm L admission. The map lookup is paid once
+// through that stratum's Algorithm L admission. The index probe is paid once
 // per run of equal stratum keys, not once per row: on clustered inputs
-// (date-sorted facts) whole runs resolve to one reservoir pointer, and once
-// that reservoir saturates its skip counter turns the per-row cost into a
-// decrement — no map probe, no RNG draw, no staging copy. Shuffled inputs
-// degrade to one lookup per row.
+// (date-sorted facts) whole runs resolve to one reservoir pointer. Once a
+// reservoir saturates, its skip counter turns the per-row cost into a
+// decrement, tested here in the row loop — no call, no RNG draw, no staging
+// copy. Shuffled inputs degrade to one probe per row.
 //
 //laqy:hot batch admission on the sampling path
 func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {
@@ -133,11 +140,16 @@ func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {
 			key[c] = v
 		}
 		if !same {
-			var ok bool
-			res, ok = s.strata[key]
-			if !ok {
-				res = s.insert(key)
+			if id := s.index.Find(&key); id >= 0 {
+				res = s.res[id]
+			} else {
+				res = s.insert(&key)
 			}
+		}
+		if res.lValid && res.lSkip > 0 {
+			res.weight++
+			res.lSkip--
+			continue
 		}
 		res.considerRowColumns(cols, i)
 	}
@@ -148,7 +160,7 @@ func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {
 // strata (see Reservoir.RNGDraws).
 func (s *Stratified) RNGDraws() int64 {
 	var total int64
-	for _, r := range s.strata {
+	for _, r := range s.res {
 		total += r.rngDraws
 	}
 	return total
@@ -156,47 +168,48 @@ func (s *Stratified) RNGDraws() int64 {
 
 // SizeBytes estimates the sample's memory footprint: tuple storage plus
 // per-stratum admission state. The sum is commutative, so the strata are
-// visited in map order — no key sort.
+// visited in id order — no key sort.
 func (s *Stratified) SizeBytes() int64 {
 	var bytes int64
-	for _, r := range s.strata {
+	for _, r := range s.res {
 		bytes += int64(len(r.data))*8 + 64
 	}
 	return bytes
 }
 
 // Stratum returns the reservoir for key, or nil.
-func (s *Stratified) Stratum(key StratumKey) *Reservoir { return s.strata[key] }
+func (s *Stratified) Stratum(key StratumKey) *Reservoir {
+	if id := s.index.Find(&key); id >= 0 {
+		return s.res[id]
+	}
+	return nil
+}
 
 // Keys returns all stratum keys in deterministic (sorted) order.
-func (s *Stratified) Keys() []StratumKey { return slices.Clone(s.sortedKeys()) }
-
-// sortedKeys returns the cached ordered keys (read-only), sorting anew when a
-// stratum was inserted since the last walk.
-func (s *Stratified) sortedKeys() []StratumKey {
-	if p := s.sorted.Load(); p != nil {
-		return *p
+func (s *Stratified) Keys() []StratumKey {
+	ids := s.sortedIDs()
+	out := make([]StratumKey, len(ids))
+	for i, id := range ids {
+		out[i] = s.index.Key(id)
 	}
-	out := make([]StratumKey, 0, len(s.strata))
-	for k := range s.strata {
-		out = append(out, k)
-	}
-	slices.SortFunc(out, func(a, b StratumKey) int {
-		for c := 0; c < MaxQCS; c++ {
-			if a[c] != b[c] {
-				return cmp.Compare(a[c], b[c])
-			}
-		}
-		return 0
-	})
-	s.sorted.Store(&out)
 	return out
 }
 
-// ForEach visits every stratum in deterministic order.
+// sortedIDs returns the cached stratum ids in key order (read-only), sorting
+// anew when a stratum was inserted since the last walk.
+func (s *Stratified) sortedIDs() []int32 {
+	if p := s.sorted.Load(); p != nil {
+		return *p
+	}
+	ids := s.index.SortedIDs()
+	s.sorted.Store(&ids)
+	return ids
+}
+
+// ForEach visits every stratum in deterministic (key) order.
 func (s *Stratified) ForEach(fn func(key StratumKey, r *Reservoir)) {
-	for _, k := range s.sortedKeys() {
-		fn(k, s.strata[k])
+	for _, id := range s.sortedIDs() {
+		fn(s.index.Key(id), s.res[id])
 	}
 }
 
@@ -204,17 +217,12 @@ func (s *Stratified) ForEach(fn func(key StratumKey, r *Reservoir)) {
 // accepted by keep, with weights rescaled per stratum (predicate
 // tightening, §5.2.1). Strata whose reservoirs become empty are dropped.
 func (s *Stratified) Filter(keep TupleSelector) *Stratified {
-	out := &Stratified{
-		schema:   s.schema,
-		qcsWidth: s.qcsWidth,
-		k:        s.k,
-		strata:   make(map[StratumKey]*Reservoir, len(s.strata)),
-		gen:      s.gen.Split(0xFE),
-	}
-	for k, r := range s.strata {
+	out := NewStratified(s.schema, s.qcsWidth, s.k, s.gen.Split(0xFE))
+	for id, r := range s.res {
 		f := r.Filter(keep)
 		if f.Len() > 0 {
-			out.strata[k] = f
+			key := s.index.Key(int32(id))
+			out.add(&key, f)
 			out.weight += f.Weight()
 		}
 	}
@@ -222,18 +230,19 @@ func (s *Stratified) Filter(keep TupleSelector) *Stratified {
 }
 
 // Clone returns an independent copy of s. Tuple storage is shared per stratum
-// until written (Reservoir.Clone), and so is the immutable sorted-key cache.
+// until written (Reservoir.Clone), and so is the immutable sorted-id cache.
 func (s *Stratified) Clone() *Stratified {
 	out := &Stratified{
 		schema:   s.schema,
 		qcsWidth: s.qcsWidth,
 		k:        s.k,
-		strata:   make(map[StratumKey]*Reservoir, len(s.strata)),
+		index:    s.index.Clone(),
+		res:      make([]*Reservoir, len(s.res)),
 		gen:      s.gen.Split(0xC1),
 		weight:   s.weight,
 	}
-	for k, r := range s.strata {
-		out.strata[k] = r.Clone()
+	for id, r := range s.res {
+		out.res[id] = r.Clone()
 	}
 	out.sorted.Store(s.sorted.Load())
 	return out
@@ -262,17 +271,17 @@ func MergeStratified(a, b *Stratified, gen *rng.Lehmer64) (*Stratified, error) {
 	if a.qcsWidth != b.qcsWidth {
 		return nil, fmt.Errorf("sample: merging QCS widths %d and %d", a.qcsWidth, b.qcsWidth)
 	}
-	// Accumulate into the sample with more strata to reduce map churn.
+	// Accumulate into the sample with more strata: fewer inserts.
 	dst, src := a, b
-	if len(b.strata) > len(a.strata) {
+	if len(b.res) > len(a.res) {
 		dst, src = b, a
 	}
-	for k, r := range src.strata {
-		if existing, ok := dst.strata[k]; ok {
-			dst.strata[k] = Merge(existing, r, gen.Split(k.splitIndex()))
+	for id, r := range src.res {
+		key := src.index.Key(int32(id))
+		if did := dst.index.Find(&key); did >= 0 {
+			dst.res[did] = Merge(dst.res[did], r, gen.Split(key.splitIndex()))
 		} else {
-			dst.strata[k] = r
-			dst.sorted.Store(nil)
+			dst.add(&key, r)
 		}
 	}
 	dst.weight = a.weight + b.weight

@@ -156,7 +156,7 @@ func TestStratifiedClone(t *testing.T) {
 	}
 	addRow(c, 99, 99)
 	if s.NumStrata() == c.NumStrata() {
-		t.Fatal("clone shares strata map")
+		t.Fatal("clone shares strata")
 	}
 }
 
