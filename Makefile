@@ -37,8 +37,9 @@ laqy-vet:
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# CI-sized bench pass that exercises sample reuse and writes the sampler
-# metrics snapshot CI uploads as an artifact (docs/OBSERVABILITY.md), then
+# CI-sized bench pass: every laqy-bench experiment id and a replay of the
+# short-running sequence at smoke scale, writing the sampler metrics
+# snapshot CI uploads as an artifact (docs/OBSERVABILITY.md), then
 # one iteration of every kernel bench — the selection kernels, the fused
 # aggregate and the star-join probes — so their fixtures and structural
 # assertions (which cases fuse, which join tables are arrays) cannot rot
@@ -48,7 +49,7 @@ benchmark-check:
 # the response encoder and the wire), and the admission benches (the
 # Algorithm R oracle, and stratified builds in the ingest, Q1 and Q2 shapes).
 bench-smoke:
-	$(GO) run ./cmd/laqy-bench -smoke -metricsout bench-metrics.json
+	$(GO) run ./cmd/laqy-bench -smoke -exp all -replay short -metricsout bench-metrics.json
 	$(GO) test -run '^$$' -bench 'Select|FusedAggregate|StarJoin' -benchtime 1x \
 		./internal/expr ./internal/engine
 	$(GO) test -run '^$$' -bench 'ReuseHit' -benchtime 1x .

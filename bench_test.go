@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"laqy"
 	"laqy/internal/algebra"
@@ -68,155 +69,73 @@ func data(b *testing.B) *bench.Data {
 	return benchData
 }
 
-// BenchmarkFig03_BuildVsTuplesStrata times stratified-sample construction
-// across the (tuples × strata) grid of Figure 3.
-func BenchmarkFig03_BuildVsTuplesStrata(b *testing.B) {
-	d := data(b)
-	for _, frac := range []int{4, 1} {
-		for _, strata := range []int{50, 450, 4950} {
-			n := benchRows / frac
-			b.Run(fmt.Sprintf("tuples=%d/strata=%d", n, strata), func(b *testing.B) {
-				q := &engine.Query{
-					Fact:   d.Lineorder,
-					Filter: algebra.NewPredicate().WithRange("lo_intkey", 0, int64(n-1)),
+// runFigure times each case of a micro-benchmark figure as a sub-benchmark:
+// the same case list and body `laqy-bench -exp <id>` tabulates.
+func runFigure(b *testing.B, f bench.Figure) {
+	for _, c := range f.Cases {
+		b.Run(f.Table.ID+"/"+c.Row+"/"+c.Col, func(b *testing.B) {
+			var total time.Duration
+			for i := 0; i < b.N; i++ {
+				dur, err := c.Run()
+				if err != nil {
+					b.Fatal(err)
 				}
-				schema, qcs := strataSchema(strata)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := engine.RunStratified(q, schema, qcs, 512, uint64(i), 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+				total += dur
+			}
+			b.ReportMetric(float64(total.Nanoseconds())/1e6/float64(b.N), "case_ms")
+		})
 	}
 }
 
-func strataSchema(strata int) (sample.Schema, int) {
-	switch strata {
-	case 50:
-		return sample.Schema{"lo_quantity", "lo_revenue"}, 1
-	case 450:
-		return sample.Schema{"lo_quantity", "lo_tax", "lo_revenue"}, 2
-	default:
-		return sample.Schema{"lo_quantity", "lo_tax", "lo_discount", "lo_revenue"}, 3
-	}
-}
+// BenchmarkFig03_BuildVsTuplesStrata times stratified-sample admission
+// across the (tuples × strata) grid of Figure 3.
+func BenchmarkFig03_BuildVsTuplesStrata(b *testing.B) { runFigure(b, bench.Fig3(data(b))) }
 
 // BenchmarkFig04_ReservoirCapacity shows k's marginal impact (Figure 4):
 // compare across sub-benchmarks — time barely moves with k.
-func BenchmarkFig04_ReservoirCapacity(b *testing.B) {
-	d := data(b)
-	for _, k := range []int{512, 1024, 2048, 4096} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			q := &engine.Query{Fact: d.Lineorder}
-			schema, qcs := strataSchema(450)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.RunStratified(q, schema, qcs, k, uint64(i), 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkFig04_ReservoirCapacity(b *testing.B) { runFigure(b, bench.Fig4(data(b))) }
 
 // BenchmarkFig06_PredicateUnpredictability times the three predicate
-// strategies of Figure 6 at 10% selectivity: QVS pushdown (cheap),
-// column-in-QCS (expensive, the all-or-none penalty), QCS pushdown.
-func BenchmarkFig06_PredicateUnpredictability(b *testing.B) {
-	d := data(b)
-	sel := int64(float64(benchRows) * 0.10)
-	cases := []struct {
-		name   string
-		filter algebra.Predicate
-		strata int
-	}{
-		{"predQVS_450", algebra.NewPredicate().WithRange("lo_intkey", 0, sel-1), 450},
-		{"predInQCS_4950", algebra.NewPredicate(), 4950},
-		{"predOnQCS", algebra.NewPredicate().WithRange("lo_quantity", 1, 5), 4950},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			q := &engine.Query{Fact: d.Lineorder, Filter: tc.filter}
-			schema, qcs := strataSchema(tc.strata)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.RunStratified(q, schema, qcs, 512, uint64(i), 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// strategies of Figure 6 across its selectivity sweep: QVS pushdown
+// (cheap), column-in-QCS (expensive, the all-or-none penalty), QCS
+// pushdown.
+func BenchmarkFig06_PredicateUnpredictability(b *testing.B) { runFigure(b, bench.Fig6(data(b))) }
 
 // BenchmarkFig08_GroupByVsStratified compares the exact GroupBy with
 // stratified sampling under QCS- and QVS-selectivity (Figures 8a–8c).
 func BenchmarkFig08_GroupByVsStratified(b *testing.B) {
-	d := data(b)
-	schema, qcs := strataSchema(4950)
-	cases := []struct {
-		name   string
-		filter algebra.Predicate
-	}{
-		{"fig8a_QCS_sel50", algebra.NewPredicate().WithRange("lo_quantity", 1, 25)},
-		{"fig8b_QVS_sel50", algebra.NewPredicate().WithRange("lo_intkey", 0, int64(benchRows/2))},
-		{"fig8c_QVS_sel1", algebra.NewPredicate().WithRange("lo_intkey", 0, int64(benchRows/100))},
-	}
-	for _, tc := range cases {
-		q := &engine.Query{Fact: d.Lineorder, Filter: tc.filter}
-		b.Run(tc.name+"/groupby", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.RunGroupBy(q, []string(schema[:qcs]), "lo_revenue", 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(tc.name+"/stratified", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.RunStratified(q, schema, qcs, 512, uint64(i), 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, f := range bench.Fig8(data(b)) {
+		runFigure(b, f)
 	}
 }
 
-// BenchmarkFig11to15_Sequences runs the full exploratory sequences behind
-// Figures 11–15 (per-query and cumulative times for Q1/Q2, long/short) and
-// reports the headline online/LAQy speedup as a custom metric.
-func BenchmarkFig11to15_Sequences(b *testing.B) {
+// BenchmarkFig09to15_Sequences runs the exploratory sequences behind
+// Figures 9–15 (Δ-sampled selectivity, per-query and cumulative times for
+// Q1/Q2, long/short) and the §8 drift sequence, and reports the headline
+// online/LAQy speedup as a custom metric.
+func BenchmarkFig09to15_Sequences(b *testing.B) {
 	d := data(b)
-	for _, tc := range []struct {
-		name     string
-		long, q2 bool
-	}{
-		{"fig12a_fig14a_longQ1", true, false},
-		{"fig12b_fig14b_longQ2", true, true},
-		{"fig13a_fig15a_shortQ1", false, false},
-		{"fig13b_fig15b_shortQ2", false, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var speedup float64
-			for i := 0; i < b.N; i++ {
-				r, err := bench.RunSequence(d, tc.long, tc.q2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				speedup = r.Speedup()
+	for _, seq := range []bench.Sequence{bench.Long, bench.Short, bench.Drift} {
+		for _, q2 := range []bool{false, true} {
+			if seq == bench.Drift && q2 {
+				continue
 			}
-			b.ReportMetric(speedup, "speedup_vs_online")
-		})
-	}
-}
-
-// BenchmarkFig09_SelectivitySimulation times the predicate-only reuse
-// simulation of Figures 9/10 (pure interval algebra, no engine).
-func BenchmarkFig09_SelectivitySimulation(b *testing.B) {
-	d := data(b)
-	for i := 0; i < b.N; i++ {
-		bench.Fig9(d, true)
-		bench.Fig10(d, false)
+			name := seq.String() + "/Q1"
+			if q2 {
+				name = seq.String() + "/Q2"
+			}
+			b.Run(name, func(b *testing.B) {
+				var speedup float64
+				for i := 0; i < b.N; i++ {
+					r, err := bench.RunSequence(d, seq, q2)
+					if err != nil {
+						b.Fatal(err)
+					}
+					speedup = r.Speedup()
+				}
+				b.ReportMetric(speedup, "speedup_vs_online")
+			})
+		}
 	}
 }
 
@@ -407,7 +326,7 @@ func BenchmarkAblation_MergePaths(b *testing.B) {
 // input vs sampling everything and discarding afterwards.
 func BenchmarkAblation_Pushdown(b *testing.B) {
 	d := data(b)
-	schema, qcs := strataSchema(450)
+	schema, qcs := sample.Schema{"lo_quantity", "lo_tax", "lo_revenue"}, 2
 	sel := int64(float64(benchRows) * 0.10)
 	b.Run("pushdown", func(b *testing.B) {
 		q := &engine.Query{

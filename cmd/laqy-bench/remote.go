@@ -11,11 +11,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"laqy/internal/bench"
 	"laqy/internal/obs"
 	"laqy/internal/rng"
 	"laqy/internal/server"
@@ -25,13 +27,14 @@ import (
 type remoteResult struct {
 	status    int
 	latency   time.Duration
-	degraded  bool
 	retrySecs int  // parsed Retry-After on 429/503 (0 when absent)
 	err       bool // transport failure
 }
 
-// remoteBench fires clients×requests queries at a laqyd instance.
-func remoteBench(url, tenant string, clients, requests int, seed uint64) error {
+// remoteBench fires clients×requests queries at a laqyd instance and
+// tabulates the response classes, with the Retry-After and latency
+// summaries as notes.
+func remoteBench(url, tenant string, clients, requests int, seed uint64) (*bench.Table, error) {
 	httpc := &http.Client{
 		Timeout:   60 * time.Second,
 		Transport: &http.Transport{MaxIdleConnsPerHost: clients},
@@ -41,13 +44,10 @@ func remoteBench(url, tenant string, clients, requests int, seed uint64) error {
 	// Probe first so a wrong URL fails fast with a useful message.
 	resp, err := httpc.Get(url + "/healthz")
 	if err != nil {
-		return fmt.Errorf("laqyd not reachable at %s: %w", url, err)
+		return nil, fmt.Errorf("laqyd not reachable at %s: %w", url, err)
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-
-	fmt.Printf("remote bench: %s  tenant=%q  clients=%d  requests/client=%d\n",
-		url, tenant, clients, requests)
 
 	results := make([][]remoteResult, clients)
 	start := obs.Clock()
@@ -81,7 +81,6 @@ func remoteBench(url, tenant string, clients, requests int, seed uint64) error {
 				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				res.status = resp.StatusCode
-				res.degraded = resp.StatusCode == http.StatusPartialContent
 				if sec, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil {
 					res.retrySecs = sec
 				}
@@ -99,10 +98,7 @@ func remoteBench(url, tenant string, clients, requests int, seed uint64) error {
 	wg.Wait()
 	wall := obs.Since(start)
 
-	var all []remoteResult
-	for _, rs := range results {
-		all = append(all, rs...)
-	}
+	all := slices.Concat(results...)
 	classes := map[string]int{}
 	var oks []time.Duration
 	retryCarried, retryMissing := 0, 0
@@ -113,7 +109,7 @@ func remoteBench(url, tenant string, clients, requests int, seed uint64) error {
 		case res.status == http.StatusOK:
 			classes["200 ok"]++
 			oks = append(oks, res.latency)
-		case res.degraded:
+		case res.status == http.StatusPartialContent:
 			classes["206 degraded"]++
 			oks = append(oks, res.latency)
 		case res.status == http.StatusTooManyRequests:
@@ -128,26 +124,29 @@ func remoteBench(url, tenant string, clients, requests int, seed uint64) error {
 		}
 	}
 
-	fmt.Printf("\n%-18s %8s\n", "class", "count")
+	t := &bench.Table{
+		ID:     "remote",
+		Title:  fmt.Sprintf("%s tenant=%q: %d clients x %d requests", url, tenant, clients, requests),
+		Header: []string{"class", "count"},
+	}
 	names := make([]string, 0, len(classes))
 	for name := range classes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("%-18s %8d\n", name, classes[name])
+		t.Append(name, fmt.Sprint(classes[name]))
 	}
 	if retryCarried+retryMissing > 0 {
-		fmt.Printf("\n429s carrying Retry-After: %d/%d\n", retryCarried, retryCarried+retryMissing)
+		t.Notes = append(t.Notes, fmt.Sprintf("429s carrying Retry-After: %d/%d", retryCarried, retryCarried+retryMissing))
 	}
 	if len(oks) > 0 {
 		sort.Slice(oks, func(i, j int) bool { return oks[i] < oks[j] })
 		pct := func(p int) time.Duration { return oks[(len(oks)-1)*p/100] }
-		fmt.Printf("\nsuccessful answers: %d in %v (%.0f qps)\n",
-			len(oks), wall.Round(time.Millisecond), float64(len(oks))/wall.Seconds())
-		fmt.Printf("latency p50=%v p95=%v p99=%v max=%v\n",
+		t.Notes = append(t.Notes, fmt.Sprintf("successful answers: %d in %v (%.0f qps); latency p50=%v p95=%v p99=%v max=%v",
+			len(oks), wall.Round(time.Millisecond), float64(len(oks))/wall.Seconds(),
 			pct(50).Round(time.Microsecond), pct(95).Round(time.Microsecond),
-			pct(99).Round(time.Microsecond), pct(100).Round(time.Microsecond))
+			pct(99).Round(time.Microsecond), pct(100).Round(time.Microsecond)))
 	}
-	return nil
+	return t, nil
 }

@@ -3,11 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"laqy/internal/algebra"
 	"laqy/internal/approx"
 	"laqy/internal/core"
-	"laqy/internal/engine"
-	"laqy/internal/sample"
 	"laqy/internal/store"
 )
 
@@ -27,43 +24,23 @@ func Alpha(d *Data) (*Table, error) {
 		Header: []string{"alpha", "build (ms)", "sample bytes",
 			"fail@sel=10%", "fail@sel=2%", "fail@sel=0.5%"},
 	}
-	baseK := d.Cfg.K / 10
-	if baseK < 8 {
-		baseK = 8
-	}
-	wide := algebra.NewPredicate().WithRange("lo_intkey", 0, int64(d.Cfg.Rows-1))
-	schema := sample.Schema{"lo_orderdate", "lo_revenue", "lo_intkey"}
+	baseK := max(d.Cfg.K/10, 8)
 
 	for _, alpha := range []float64{1, 1.5, 2, 4} {
 		st := store.New(0)
 		lazy := core.New(st, d.Cfg.Seed)
 		lazy.SetObs(d.Obs)
-		res, err := lazy.Sample(core.Request{
-			Query:      &engine.Query{Fact: d.Lineorder, Filter: wide},
-			Predicate:  wide,
-			Schema:     schema,
-			QCSWidth:   1,
-			K:          baseK,
-			Seed:       d.Cfg.Seed + uint64(alpha*10),
-			Workers:    d.Cfg.Workers,
-			Oversample: alpha,
-		})
+		req := d.request(d.q1(0, int64(d.Cfg.Rows-1)), d.Cfg.Seed+uint64(alpha*10))
+		req.K, req.Oversample = baseK, alpha
+		res, err := lazy.Sample(req)
 		if err != nil {
 			return nil, err
 		}
 		row := []string{fmt.Sprintf("%.1f", alpha), ms(res.Stats.Wall), fmt.Sprint(st.TotalBytes())}
 		for _, sel := range []float64{0.10, 0.02, 0.005} {
-			hi := int64(sel * float64(d.Cfg.Rows))
-			narrow := algebra.NewPredicate().WithRange("lo_intkey", 0, hi)
-			tight, err := lazy.Sample(core.Request{
-				Query:     &engine.Query{Fact: d.Lineorder, Filter: narrow},
-				Predicate: narrow,
-				Schema:    schema,
-				QCSWidth:  1,
-				K:         baseK,
-				Seed:      d.Cfg.Seed,
-				Workers:   d.Cfg.Workers,
-			})
+			req := d.request(d.q1(0, int64(sel*float64(d.Cfg.Rows))), d.Cfg.Seed)
+			req.K = baseK
+			tight, err := lazy.Sample(req)
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,9 @@
 // Package bench is the experiment harness regenerating every table and
-// figure of the LAQy paper's evaluation (Section 7). Each experiment
-// returns a Table whose rows mirror the series the paper plots; the
-// cmd/laqy-bench binary prints them, and bench_test.go exposes each as a
-// testing.B benchmark.
+// figure of the LAQy paper's evaluation (Section 7), and replaying SQL
+// workloads against the same generated data. Each experiment returns a
+// Table whose rows mirror the series the paper plots; cmd/laqy-bench is the
+// one command that prints them, and bench_test.go times the same case
+// lists and runs as testing.B benchmarks.
 //
 // The paper runs at SSB SF1000 (≈6B fact rows) on a 48-thread server; this
 // harness runs the same parameter sweeps at a configurable laptop scale.
@@ -11,9 +12,11 @@
 package bench
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"laqy/internal/obs"
@@ -33,21 +36,6 @@ type Config struct {
 	K int
 }
 
-// DefaultConfig is the laptop-scale default used by cmd/laqy-bench.
-func DefaultConfig() Config {
-	return Config{Rows: 2_000_000, Seed: 1, K: 2000}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Rows == 0 {
-		c.Rows = 2_000_000
-	}
-	if c.K == 0 {
-		c.K = 2000
-	}
-	return c
-}
-
 // Data is the generated dataset shared by the experiments.
 type Data struct {
 	Cfg Config
@@ -62,7 +50,6 @@ type Data struct {
 
 // NewData generates the SSB dataset at the configured scale.
 func NewData(cfg Config) (*Data, error) {
-	cfg = cfg.withDefaults()
 	d, err := ssb.Generate(ssb.Config{LineorderRows: cfg.Rows, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -80,6 +67,8 @@ type Table struct {
 	Header []string
 	// Rows are the result rows.
 	Rows [][]string
+	// Notes are summary lines printed under the rows (not part of the CSV).
+	Notes []string
 }
 
 // Append adds a row of stringified cells.
@@ -87,38 +76,27 @@ func (t *Table) Append(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Fprint renders the table with aligned columns.
+// Fprint renders the table with aligned columns, two spaces apart.
 func (t *Table) Fprint(w io.Writer) {
 	_, _ = fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
+		_, _ = fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	printRow := func(cells []string) {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(widths) {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		_, _ = fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-	}
-	printRow(t.Header)
-	for _, row := range t.Rows {
-		printRow(row)
+	_ = tw.Flush()
+	for _, note := range t.Notes {
+		_, _ = fmt.Fprintln(w, note)
 	}
 	_, _ = fmt.Fprintln(w)
+}
+
+// Fcsv renders the table as CSV (header + rows), for plotting pipelines.
+func (t *Table) Fcsv(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Header); err != nil {
+		return err
+	}
+	return cw.WriteAll(t.Rows)
 }
 
 // ms renders a duration in milliseconds with two decimals.
@@ -131,33 +109,11 @@ func pct(f float64) string {
 	return fmt.Sprintf("%.2f%%", f*100)
 }
 
-// Fcsv renders the table as CSV (header + rows), for plotting pipelines.
-func (t *Table) Fcsv(w io.Writer) error {
-	write := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			// Cells are numeric or simple labels; quote only if needed.
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
+// speedup renders base/x as a factor ("0.0x" when x is zero).
+func speedup(base, x time.Duration) string {
+	f := 0.0
+	if x > 0 {
+		f = float64(base) / float64(x)
 	}
-	if err := write(t.Header); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := write(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fmt.Sprintf("%.1fx", f)
 }

@@ -34,7 +34,7 @@ func TestTablePrinting(t *testing.T) {
 
 func TestFig3Shape(t *testing.T) {
 	d := tiny(t)
-	tab, err := Fig3(d)
+	tab, err := Fig3(d).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFig3Shape(t *testing.T) {
 
 func TestFig4Shape(t *testing.T) {
 	d := tiny(t)
-	tab, err := Fig4(d)
+	tab, err := Fig4(d).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestTable1ObservedStrata(t *testing.T) {
 
 func TestFig6Shape(t *testing.T) {
 	d := tiny(t)
-	tab, err := Fig6(d)
+	tab, err := Fig6(d).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,23 +89,32 @@ func TestFig6Shape(t *testing.T) {
 
 func TestFig8Shapes(t *testing.T) {
 	d := tiny(t)
-	for _, fn := range []func(*Data) (*Table, error){Fig8a, Fig8b, Fig8c} {
-		tab, err := fn(d)
+	for i, f := range Fig8(d) {
+		tab, err := f.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tab.Rows) == 0 || len(tab.Header) != 3 {
-			t.Fatalf("%s malformed", tab.ID)
+		if tab.ID != "fig8"+string(rune('a'+i)) || len(tab.Rows) != len(f.Cases)/2 || len(tab.Header) != 3 {
+			t.Fatalf("%s malformed: %d rows from %d cases", tab.ID, len(tab.Rows), len(f.Cases))
+		}
+		for _, row := range tab.Rows {
+			if len(row) != 3 {
+				t.Fatalf("%s row %v", tab.ID, row)
+			}
 		}
 	}
 }
 
 func TestFig9And10Selectivities(t *testing.T) {
 	d := tiny(t)
-	for _, long := range []bool{true, false} {
-		t9 := Fig9(d, long)
+	for _, seq := range []Sequence{Long, Short} {
+		r, err := RunSequence(d, seq, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t9 := Fig9(r)
 		wantLen := 50
-		if !long {
+		if seq == Short {
 			wantLen = 60
 		}
 		if len(t9.Rows) != wantLen {
@@ -119,7 +128,7 @@ func TestFig9And10Selectivities(t *testing.T) {
 				t.Fatalf("laqy sel %v > online sel %v", lz, on)
 			}
 		}
-		t10 := Fig10(d, long)
+		t10 := Fig10(r)
 		last := t10.Rows[len(t10.Rows)-1]
 		onCum := parsePct(t, last[1])
 		lzCum := parsePct(t, last[2])
@@ -143,7 +152,7 @@ func parsePct(t *testing.T, s string) float64 {
 
 func TestRunSequenceQ1(t *testing.T) {
 	d := tiny(t)
-	r, err := RunSequence(d, true, false)
+	r, err := RunSequence(d, Long, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +185,14 @@ func TestRunSequenceQ1(t *testing.T) {
 
 func TestRunSequenceQ2Short(t *testing.T) {
 	d := tiny(t)
-	r, err := RunSequence(d, false, true)
+	r, err := RunSequence(d, Short, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Recs) != 60 {
 		t.Fatalf("%d records", len(r.Recs))
 	}
-	if !r.Q2 || r.Long {
+	if !r.Q2 || r.Seq != Short {
 		t.Fatal("flags wrong")
 	}
 	tab := PerQueryTable(r)
@@ -201,7 +210,7 @@ func TestRunSequenceQ2Short(t *testing.T) {
 
 func TestLazyNeverScansMoreThanOnline(t *testing.T) {
 	d := tiny(t)
-	r, err := RunSequence(d, true, false)
+	r, err := RunSequence(d, Long, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +301,11 @@ func TestReuseSweep(t *testing.T) {
 
 func TestDriftExperiment(t *testing.T) {
 	d := tiny(t)
-	tab, err := Drift(d)
+	r, err := RunSequence(d, Drift, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := DriftTable(r)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -311,5 +321,18 @@ func TestDriftExperiment(t *testing.T) {
 	}
 	if part < 20 {
 		t.Fatalf("drift should be dominated by partial reuse: %s", last[4])
+	}
+}
+
+// TestTableAlignment pins Fprint's layout: columns padded to their widest
+// cell and two spaces apart, no trailing blanks, notes under the rows.
+func TestTableAlignment(t *testing.T) {
+	tab := &Table{ID: "x", Title: "demo", Header: []string{"a", "bbbb", "c"}, Notes: []string{"note"}}
+	tab.Append("333", "4", "5")
+	var sb strings.Builder
+	tab.Fprint(&sb)
+	want := "== x: demo ==\na    bbbb  c\n333  4     5\nnote\n\n"
+	if sb.String() != want {
+		t.Fatalf("Fprint = %q, want %q", sb.String(), want)
 	}
 }

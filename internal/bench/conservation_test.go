@@ -1,0 +1,184 @@
+package bench
+
+import (
+	"fmt"
+	"testing"
+
+	"laqy/internal/algebra"
+	"laqy/internal/core"
+	"laqy/internal/engine"
+	"laqy/internal/rng"
+	"laqy/internal/sample"
+	"laqy/internal/storage"
+	"laqy/internal/store"
+)
+
+// countOracle counts fact rows per stratum under a predicate with a naive
+// row loop. It reads each column from the fact table or, through the SSB
+// foreign key, from the dimension row the key names — its own lookups, not
+// the engine's joins, zone maps or kernels.
+type countOracle struct {
+	d    *Data
+	vals map[string][]int64 // column → its value on every fact row
+}
+
+// column returns col's value on every fact row.
+func (o *countOracle) column(t *testing.T, col string) []int64 {
+	if v, ok := o.vals[col]; ok {
+		return v
+	}
+	if c := o.d.Lineorder.Column(col); c != nil {
+		o.vals[col] = c.Ints
+		return c.Ints
+	}
+	for _, j := range []struct {
+		dim    *storage.Table
+		fk, pk string
+	}{
+		{o.d.SSB.Date, "lo_orderdate", "d_datekey"},
+		{o.d.SSB.Supplier, "lo_suppkey", "s_suppkey"},
+		{o.d.SSB.Part, "lo_partkey", "p_partkey"},
+		{o.d.SSB.Customer, "lo_custkey", "c_custkey"},
+	} {
+		c := j.dim.Column(col)
+		if c == nil {
+			continue
+		}
+		row := map[int64]int{}
+		for r, k := range j.dim.Column(j.pk).Ints {
+			row[k] = r
+		}
+		v := make([]int64, o.d.Lineorder.NumRows())
+		for i, k := range o.d.Lineorder.Column(j.fk).Ints {
+			r, ok := row[k]
+			if !ok {
+				t.Fatalf("fact row %d: %s %d has no %s row", i, j.fk, k, j.pk)
+			}
+			v[i] = c.Ints[r]
+		}
+		o.vals[col] = v
+		return v
+	}
+	t.Fatalf("column %q is in no SSB table", col)
+	return nil
+}
+
+// check compares every stratum's weight in sam with the exact COUNT(*) of
+// its rows under pred, bitwise, and describes the first mismatch ("" when
+// weight is conserved). Strata present on one side only count as
+// mismatches too.
+func (o *countOracle) check(t *testing.T, pred algebra.Predicate, qcs []string, sam *sample.Stratified) string {
+	want := map[sample.StratumKey]int64{}
+	cols := pred.Columns()
+	sets := make([]algebra.Set, len(cols))
+	vals := make([][]int64, len(cols))
+	for c, name := range cols {
+		sets[c], _ = pred.Constraint(name)
+		vals[c] = o.column(t, name)
+	}
+	keys := make([][]int64, len(qcs))
+	for c, name := range qcs {
+		keys[c] = o.column(t, name)
+	}
+rows:
+	for i := range o.d.Lineorder.NumRows() {
+		for c := range cols {
+			if !sets[c].Contains(vals[c][i]) {
+				continue rows
+			}
+		}
+		var key sample.StratumKey
+		for c := range keys {
+			key[c] = keys[c][i]
+		}
+		want[key]++
+	}
+	bad := ""
+	sam.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
+		if r.Weight() != float64(want[key]) && bad == "" {
+			bad = fmt.Sprintf("stratum %v weighs %v, exact count %d", key[:len(qcs)], r.Weight(), want[key])
+		}
+		delete(want, key)
+	})
+	for key, n := range want {
+		if bad == "" {
+			bad = fmt.Sprintf("stratum %v with %d rows missing from the sample", key[:len(qcs)], n)
+		}
+	}
+	return bad
+}
+
+// TestWeightConservation is the first rung of weight conservation as a
+// machine-checked invariant: a reservoir's weight is the exact number of
+// base rows offered to it (admission counts every row; Algorithms 2 and 3
+// add weights). So after every step of the long, short and drifting
+// sequences, in the Q1 (scan) and Q2 (three-join) shapes, every store
+// entry's every stratum weighs exactly the COUNT(*) of its rows under the
+// entry's predicate — across online builds, Δ-merges and offline hits.
+func TestWeightConservation(t *testing.T) {
+	d, err := NewData(Config{Rows: 100_000, Seed: 3, K: 64, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &countOracle{d: d, vals: map[string][]int64{}}
+	for _, seq := range []Sequence{Long, Short, Drift} {
+		for _, q2 := range []bool{false, true} {
+			lazy := core.New(store.New(0), d.Cfg.Seed)
+			modes := map[core.Mode]int{}
+			for i, step := range seq.Steps(d.Cfg) {
+				sh, err := d.shape(step, q2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := lazy.Sample(d.request(sh, d.Cfg.Seed+uint64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				modes[res.Mode]++
+				for _, m := range lazy.Store().List() {
+					if bad := o.check(t, m.Meta.Predicate, m.Meta.QCS(), m.Sample); bad != "" {
+						t.Fatalf("%s (q2=%v) step %d (%s): entry %s: %s", seq, q2, i, res.Mode, m.Meta.Predicate, bad)
+					}
+				}
+			}
+			if modes[core.ModePartial] == 0 {
+				t.Fatalf("%s: modes %v — the sequence must exercise Δ-merges", seq, modes)
+			}
+		}
+	}
+}
+
+// TestWeightConservationCheckerCatchesDoubleMerge keeps the checker from
+// passing vacuously: a sample that merged a Δ once conserves weight under
+// the widened predicate; merging the same Δ a second time must fail it.
+func TestWeightConservationCheckerCatchesDoubleMerge(t *testing.T) {
+	d := tiny(t)
+	o := &countOracle{d: d, vals: map[string][]int64{}}
+	build := func(lo, hi int64) *sample.Stratified {
+		sh := d.q1(lo, hi)
+		s, _, err := engine.RunStratified(sh.Query, sh.Schema, sh.QCSWidth, 16, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base, delta := build(0, 9_999), build(10_000, 19_999)
+	if bad := o.check(t, d.q1(0, 9_999).Predicate, []string{"lo_orderdate"}, base); bad != "" {
+		t.Fatalf("fresh build: %s", bad)
+	}
+	once, err := sample.MergeStratified(base, delta.Clone(), rng.NewLehmer64(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	widened := d.q1(0, 19_999).Predicate
+	if bad := o.check(t, widened, []string{"lo_orderdate"}, once); bad != "" {
+		t.Fatalf("one merge: %s", bad)
+	}
+	twice, err := sample.MergeStratified(once, delta, rng.NewLehmer64(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := o.check(t, widened, []string{"lo_orderdate"}, twice); bad == "" {
+		t.Fatal("a Δ merged twice passed the weight-conservation check")
+	}
+}

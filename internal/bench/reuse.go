@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"laqy/internal/algebra"
 	"laqy/internal/core"
 	"laqy/internal/engine"
-	"laqy/internal/sample"
 	"laqy/internal/store"
 )
 
@@ -26,61 +24,32 @@ func ReuseSweep(d *Data) (*Table, error) {
 		Header: []string{"overlap", "laqy mode", "delta rows", "online (ms)", "laqy (ms)", "speedup"},
 	}
 	width := int64(d.Cfg.Rows) / 4 // each query covers 25% of the data
-	schema := sample.Schema{"lo_orderdate", "lo_revenue", "lo_intkey"}
-	k := d.seqK()
 
 	for _, pct := range []int{0, 25, 50, 75, 100} {
-		overlap := width * int64(pct) / 100
-		baseLo, baseHi := int64(0), width-1
-		qLo := baseHi + 1 - overlap
-		qHi := qLo + width - 1
-
 		lazy := core.New(store.New(0), d.Cfg.Seed+uint64(pct))
 		lazy.SetObs(d.Obs)
-		basePred := algebra.NewPredicate().WithRange("lo_intkey", baseLo, baseHi)
-		if _, err := lazy.Sample(core.Request{
-			Query:     &engine.Query{Fact: d.Lineorder, Filter: basePred},
-			Predicate: basePred,
-			Schema:    schema,
-			QCSWidth:  1,
-			K:         k,
-			Seed:      d.Cfg.Seed + 100,
-			Workers:   d.Cfg.Workers,
-		}); err != nil {
+		if _, err := lazy.Sample(d.request(d.q1(0, width-1), d.Cfg.Seed+100)); err != nil {
 			return nil, err
 		}
-
-		qPred := algebra.NewPredicate().WithRange("lo_intkey", qLo, qHi)
-		qQuery := &engine.Query{Fact: d.Lineorder, Filter: qPred}
+		qLo := width - width*int64(pct)/100
+		q := d.q1(qLo, qLo+width-1)
 
 		// Workload-oblivious online sampling of the follow-up query.
-		_, onStats, err := engine.RunStratified(qQuery, schema, 1, k, d.Cfg.Seed+200, d.Cfg.Workers)
+		_, onStats, err := engine.RunStratified(q.Query, q.Schema, 1, d.seqK(), d.Cfg.Seed+200, d.Cfg.Workers)
 		if err != nil {
 			return nil, err
 		}
 		// LAQy.
-		res, err := lazy.Sample(core.Request{
-			Query:     qQuery,
-			Predicate: qPred,
-			Schema:    schema,
-			QCSWidth:  1,
-			K:         k,
-			Seed:      d.Cfg.Seed + 300,
-			Workers:   d.Cfg.Workers,
-		})
+		res, err := lazy.Sample(d.request(q, d.Cfg.Seed+300))
 		if err != nil {
 			return nil, err
-		}
-		speedup := 0.0
-		if res.Total > 0 {
-			speedup = float64(onStats.Wall) / float64(res.Total)
 		}
 		deltaRows := int64(0)
 		if res.Mode != core.ModeOffline {
 			deltaRows = res.Missing.Count()
 		}
 		t.Append(fmt.Sprintf("%d%%", pct), res.Mode.String(), fmt.Sprint(deltaRows),
-			ms(onStats.Wall), ms(res.Total), fmt.Sprintf("%.1fx", speedup))
+			ms(onStats.Wall), ms(res.Total), speedup(onStats.Wall, res.Total))
 	}
 	return t, nil
 }

@@ -12,8 +12,9 @@ import (
 	"laqy/internal/workload"
 )
 
-// Sequence experiments: the exploratory workloads of Figures 9–15. A
-// sequence of range queries on lo_intkey runs under five strategies:
+// Sequence experiments: the exploratory workloads of Figures 9–15 and the
+// §8 drift extension. A sequence of range queries on lo_intkey runs under
+// five strategies:
 //
 //	exact     — the optimized exact GroupBy (same access pattern as sampling);
 //	online    — workload-oblivious online sampling (fresh sample per query);
@@ -26,35 +27,58 @@ import (
 // table); Q2 places it after three dimension joins (GROUP BY d_year,
 // p_brand1 with region and category filters).
 
-// steps generates the paper's two sequence shapes over the fact key domain.
-func (d *Data) steps(long bool) []workload.Step {
-	wcfg := workload.Config{Domain: int64(d.Cfg.Rows), Seed: d.Cfg.Seed + 0xA11CE}
-	if long {
-		return workload.LongRunning(wcfg, 50)
-	}
-	return workload.ShortRunning(wcfg, 3, 20)
+// Sequence names one of the harness's exploratory query sequences.
+type Sequence int
+
+const (
+	// Long is the paper's long-running sequence: 50 queries over one focus
+	// region (Figures 9a, 10a, 11, 12 and 14).
+	Long Sequence = iota
+	// Short is the short-running sequence: 3×20 queries, each batch a
+	// fresh focus region (Figures 9b, 10b, 13 and 15).
+	Short
+	// Drift is the concept-drift extension (the paper's Section 8
+	// discussion): a 10%-wide focus window sliding by 25% of its width per
+	// query, 30 queries. A full-match-only cache almost never hits, while
+	// LAQy pays a bounded Δ per query.
+	Drift
+)
+
+// String returns the sequence's name as the tables print it.
+func (s Sequence) String() string {
+	return [...]string{"long-running", "short-running", "drifting"}[s]
 }
 
-// queryShape builds the Q1 or Q2 engine query and sampler description for
-// one step of the sequence.
+// Steps generates the sequence over the fact key domain.
+func (s Sequence) Steps(cfg Config) []workload.Step {
+	wcfg := workload.Config{Domain: int64(cfg.Rows), Seed: cfg.Seed + 0xA11CE}
+	switch s {
+	case Long:
+		return workload.LongRunning(wcfg, 50)
+	case Short:
+		return workload.ShortRunning(wcfg, 3, 20)
+	default:
+		wcfg.Seed = cfg.Seed + 0xD81F
+		return workload.Drifting(wcfg, 30, 0.10, 0.25)
+	}
+}
+
+// queryShape is the Q1 or Q2 query of one step: the sampler's request
+// (query, predicate, schema, QCS width) and the exact baseline's groups.
 type queryShape struct {
-	query    *engine.Query
-	pred     algebra.Predicate
-	groupBy  []string
-	schema   sample.Schema
-	qcsWidth int
+	core.Request
+	groupBy []string
 }
 
 func (d *Data) shape(step workload.Step, q2 bool) (queryShape, error) {
 	keyRange := algebra.NewPredicate().WithRange("lo_intkey", step.Lo, step.Hi)
 	if !q2 {
-		return queryShape{
-			query:    &engine.Query{Fact: d.Lineorder, Filter: keyRange},
-			pred:     keyRange,
-			groupBy:  []string{"lo_orderdate"},
-			schema:   sample.Schema{"lo_orderdate", "lo_revenue", "lo_intkey"},
-			qcsWidth: 1,
-		}, nil
+		return queryShape{core.Request{
+			Query:     &engine.Query{Fact: d.Lineorder, Filter: keyRange},
+			Predicate: keyRange,
+			Schema:    sample.Schema{"lo_orderdate", "lo_revenue", "lo_intkey"},
+			QCSWidth:  1,
+		}, []string{"lo_orderdate"}}, nil
 	}
 	region, ok := d.SSB.Supplier.Column("s_region").Dict.Code("AMERICA")
 	if !ok {
@@ -75,14 +99,18 @@ func (d *Data) shape(step workload.Step, q2 bool) (queryShape, error) {
 				Filter: algebra.NewPredicate().WithPoint("p_category", category)},
 		},
 	}
-	pred := keyRange.WithPoint("s_region", region).WithPoint("p_category", category)
-	return queryShape{
-		query:    q,
-		pred:     pred,
-		groupBy:  []string{"d_year", "p_brand1"},
-		schema:   sample.Schema{"d_year", "p_brand1", "lo_revenue", "lo_intkey"},
-		qcsWidth: 2,
-	}, nil
+	return queryShape{core.Request{
+		Query:     q,
+		Predicate: keyRange.WithPoint("s_region", region).WithPoint("p_category", category),
+		Schema:    sample.Schema{"d_year", "p_brand1", "lo_revenue", "lo_intkey"},
+		QCSWidth:  2,
+	}, []string{"d_year", "p_brand1"}}, nil
+}
+
+// q1 is the Q1 shape over lo_intkey ∈ [lo, hi].
+func (d *Data) q1(lo, hi int64) queryShape {
+	sh, _ := d.shape(workload.Step{Lo: lo, Hi: hi}, false) // only Q2 can fail
+	return sh
 }
 
 // scanFloor runs the ungrouped exact SUM(lo_revenue) the way db.Query
@@ -107,10 +135,8 @@ type SeqRecord struct {
 	Scan   engine.Stats
 	// FullMatchTotal is the end-to-end time under full-match-only reuse.
 	FullMatchTotal time.Duration
-	// FullMatchMode is the reuse path full-match-only caching took.
-	FullMatchMode core.Mode
-	Lazy          engine.Stats // Δ/online execution share of the lazy path
-	LazyMode      core.Mode
+	Lazy           engine.Stats // Δ/online execution share of the lazy path
+	LazyMode       core.Mode
 	// LazyMergeTime is the sample merge/tighten share of the lazy path.
 	LazyMergeTime time.Duration
 	// LazyTotal is the end-to-end lazy request time.
@@ -121,11 +147,24 @@ type SeqRecord struct {
 
 // SeqResult is a full sequence run.
 type SeqResult struct {
-	Long bool
+	Seq  Sequence
 	Q2   bool
 	Recs []SeqRecord
 	// Domain is the key-domain size for selectivity conversion.
 	Domain int64
+}
+
+// Name labels the run: the sequence and the query shape.
+func (r *SeqResult) Name() string { return r.Seq.String() + " " + r.query() }
+
+func (r *SeqResult) query() string { return pick(r.Q2, "Q2", "Q1") }
+
+// pick returns a if c holds, b otherwise: panel letters and labels.
+func pick(c bool, a, b string) string {
+	if c {
+		return a
+	}
+	return b
 }
 
 // seqK scales the per-stratum capacity so the sample footprint stays a
@@ -135,30 +174,28 @@ type SeqResult struct {
 // larger than the dataset and inflate sample-side (merge/tighten) costs
 // beyond anything the paper's setup exhibits.
 func (d *Data) seqK() int {
-	k := d.Cfg.Rows / 25_000 // ≈2500 strata → sample ≈ 10% of rows
-	if k < 16 {
-		k = 16
-	}
-	if k > d.Cfg.K {
-		k = d.Cfg.K
-	}
-	return k
+	return min(max(d.Cfg.Rows/25_000, 16), d.Cfg.K) // ≈2500 strata → sample ≈ 10% of rows
 }
 
-// RunSequence executes the paper's exploratory sequence under all four
-// strategies. The lazy strategy's sample store persists across the whole
-// sequence (including short-sequence batch changes, where cold starts
-// appear at queries 0, 20 and 40 only on first contact with a region).
-func RunSequence(d *Data, long, q2 bool) (*SeqResult, error) {
-	steps := d.steps(long)
-	k := d.seqK()
+// request is the lazy sampler's request for one step's query shape.
+func (d *Data) request(sh queryShape, seed uint64) core.Request {
+	req := sh.Request
+	req.K, req.Seed, req.Workers = d.seqK(), seed, d.Cfg.Workers
+	return req
+}
+
+// RunSequence executes an exploratory sequence under all five strategies.
+// The lazy strategy's sample store persists across the whole sequence
+// (including short-sequence batch changes, where cold starts appear at
+// queries 0, 20 and 40 only on first contact with a region).
+func RunSequence(d *Data, seq Sequence, q2 bool) (*SeqResult, error) {
 	lazy := core.New(store.New(0), d.Cfg.Seed+7)
 	lazy.SetObs(d.Obs)
 	fullMatch := core.New(store.New(0), d.Cfg.Seed+8)
 	fullMatch.SetObs(d.Obs)
-	out := &SeqResult{Long: long, Q2: q2, Domain: int64(d.Cfg.Rows)}
+	out := &SeqResult{Seq: seq, Q2: q2, Domain: int64(d.Cfg.Rows)}
 
-	for i, step := range steps {
+	for i, step := range seq.Steps(d.Cfg) {
 		sh, err := d.shape(step, q2)
 		if err != nil {
 			return nil, err
@@ -166,50 +203,28 @@ func RunSequence(d *Data, long, q2 bool) (*SeqResult, error) {
 		rec := SeqRecord{Step: step}
 
 		// Exact GroupBy baseline.
-		if _, st, err := engine.RunGroupBy(sh.query, sh.groupBy, "lo_revenue", d.Cfg.Workers); err != nil {
+		if _, rec.Exact, err = engine.RunGroupBy(sh.Query, sh.groupBy, "lo_revenue", d.Cfg.Workers); err != nil {
 			return nil, err
-		} else {
-			rec.Exact = st
 		}
 		// Workload-oblivious online sampling.
-		if _, st, err := engine.RunStratified(sh.query, sh.schema, sh.qcsWidth, k,
+		if _, rec.Online, err = engine.RunStratified(sh.Query, sh.Schema, sh.QCSWidth, d.seqK(),
 			d.Cfg.Seed+uint64(1000+i), d.Cfg.Workers); err != nil {
 			return nil, err
-		} else {
-			rec.Online = st
 		}
 		// Scan floor.
-		if st, err := scanFloor(sh.query, d.Cfg.Workers); err != nil {
+		if rec.Scan, err = scanFloor(sh.Query, d.Cfg.Workers); err != nil {
 			return nil, err
-		} else {
-			rec.Scan = st
 		}
 		// Taster-style full-match-only caching.
-		fm, err := fullMatch.Sample(core.Request{
-			Query:          sh.query,
-			Predicate:      sh.pred,
-			Schema:         sh.schema,
-			QCSWidth:       sh.qcsWidth,
-			K:              k,
-			Seed:           d.Cfg.Seed + uint64(3000+i),
-			Workers:        d.Cfg.Workers,
-			DisablePartial: true,
-		})
+		fmReq := d.request(sh, d.Cfg.Seed+uint64(3000+i))
+		fmReq.DisablePartial = true
+		fm, err := fullMatch.Sample(fmReq)
 		if err != nil {
 			return nil, err
 		}
 		rec.FullMatchTotal = fm.Total
-		rec.FullMatchMode = fm.Mode
 		// LAQy.
-		res, err := lazy.Sample(core.Request{
-			Query:     sh.query,
-			Predicate: sh.pred,
-			Schema:    sh.schema,
-			QCSWidth:  sh.qcsWidth,
-			K:         k,
-			Seed:      d.Cfg.Seed + uint64(2000+i),
-			Workers:   d.Cfg.Workers,
-		})
+		res, err := lazy.Sample(d.request(sh, d.Cfg.Seed+uint64(2000+i)))
 		if err != nil {
 			return nil, err
 		}
@@ -225,41 +240,19 @@ func RunSequence(d *Data, long, q2 bool) (*SeqResult, error) {
 	return out, nil
 }
 
-func seqName(long bool) string {
-	if long {
-		return "long-running"
-	}
-	return "short-running"
-}
-
-func queryName(q2 bool) string {
-	if q2 {
-		return "Q2"
-	}
-	return "Q1"
-}
-
 // Fig9 reproduces Figures 9a/9b: per-query effective input selectivity —
-// the full range for workload-oblivious strategies vs only the Δ-range for
-// LAQy. Pure predicate simulation, no engine time.
-func Fig9(d *Data, long bool) *Table {
-	id := "fig9a"
-	if !long {
-		id = "fig9b"
-	}
+// the full range for workload-oblivious strategies vs only the Δ-range the
+// run's LAQy strategy sampled.
+func Fig9(r *SeqResult) *Table {
 	t := &Table{
-		ID:     id,
-		Title:  seqName(long) + " sequence: per-query selectivity, online vs LAQy",
+		ID:     "fig9" + pick(r.Seq == Long, "a", "b"),
+		Title:  r.Seq.String() + " sequence: per-query selectivity, online vs LAQy",
 		Header: []string{"query", "kind", "online sel", "laqy sel"},
 	}
-	covered := algebra.Set{}
-	for i, step := range d.steps(long) {
-		rng := algebra.SetOf(step.Interval())
-		missing := rng.Subtract(covered)
-		covered = covered.Union(rng)
-		t.Append(fmt.Sprint(i), step.Kind.String(),
-			pct(float64(rng.Count())/float64(d.Cfg.Rows)),
-			pct(float64(missing.Count())/float64(d.Cfg.Rows)))
+	for i, rec := range r.Recs {
+		t.Append(fmt.Sprint(i), rec.Step.Kind.String(),
+			pct(float64(rec.Step.Width())/float64(r.Domain)),
+			pct(float64(rec.LazyMissing)/float64(r.Domain)))
 	}
 	return t
 }
@@ -267,24 +260,16 @@ func Fig9(d *Data, long bool) *Table {
 // Fig10 reproduces Figure 10: cumulative selectivity processed across the
 // sequence. Online sampling re-processes overlapping ranges and exceeds
 // 100%; LAQy is bounded by 100% of the data.
-func Fig10(d *Data, long bool) *Table {
-	suffix := "a"
-	if !long {
-		suffix = "b"
-	}
+func Fig10(r *SeqResult) *Table {
 	t := &Table{
-		ID:     "fig10" + suffix,
-		Title:  seqName(long) + " sequence: cumulative selectivity processed",
+		ID:     "fig10" + pick(r.Seq == Long, "a", "b"),
+		Title:  r.Seq.String() + " sequence: cumulative selectivity processed",
 		Header: []string{"query", "online cumulative", "laqy cumulative"},
 	}
-	covered := algebra.Set{}
 	var onlineCum, lazyCum float64
-	for i, step := range d.steps(long) {
-		rng := algebra.SetOf(step.Interval())
-		missing := rng.Subtract(covered)
-		covered = covered.Union(rng)
-		onlineCum += float64(rng.Count()) / float64(d.Cfg.Rows)
-		lazyCum += float64(missing.Count()) / float64(d.Cfg.Rows)
+	for i, rec := range r.Recs {
+		onlineCum += float64(rec.Step.Width()) / float64(r.Domain)
+		lazyCum += float64(rec.LazyMissing) / float64(r.Domain)
 		t.Append(fmt.Sprint(i), pct(onlineCum), pct(lazyCum))
 	}
 	return t
@@ -297,7 +282,7 @@ func Fig10(d *Data, long bool) *Table {
 func Fig11(r *SeqResult) *Table {
 	t := &Table{
 		ID:     "fig11",
-		Title:  fmt.Sprintf("%s %s: cumulative processing-time breakdown (ms)", seqName(r.Long), queryName(r.Q2)),
+		Title:  r.Name() + ": cumulative processing-time breakdown (ms)",
 		Header: []string{"strategy", "scan", "process", "merge", "total"},
 	}
 	var onScan, onProc, onMerge time.Duration
@@ -320,18 +305,9 @@ func Fig11(r *SeqResult) *Table {
 // online everywhere, dipping to ~0 on full reuse; cold starts (short
 // sequences: queries 0/20/40) run at online cost.
 func PerQueryTable(r *SeqResult) *Table {
-	id := "fig12"
-	if !r.Long {
-		id = "fig13"
-	}
-	if r.Q2 {
-		id += "b"
-	} else {
-		id += "a"
-	}
 	t := &Table{
-		ID:     id,
-		Title:  fmt.Sprintf("%s %s: per-query execution time (ms)", seqName(r.Long), queryName(r.Q2)),
+		ID:     pick(r.Seq == Long, "fig12", "fig13") + pick(r.Q2, "b", "a"),
+		Title:  r.Name() + ": per-query execution time (ms)",
 		Header: []string{"query", "kind", "exact", "online", "laqy", "scan", "laqy mode"},
 	}
 	for i, rec := range r.Recs {
@@ -345,18 +321,9 @@ func PerQueryTable(r *SeqResult) *Table {
 // CumulativeTable reproduces Figures 14 (long) and 15 (short): cumulative
 // execution time per strategy across the sequence.
 func CumulativeTable(r *SeqResult) *Table {
-	id := "fig14"
-	if !r.Long {
-		id = "fig15"
-	}
-	if r.Q2 {
-		id += "b"
-	} else {
-		id += "a"
-	}
 	t := &Table{
-		ID:     id,
-		Title:  fmt.Sprintf("%s %s: cumulative execution time (ms)", seqName(r.Long), queryName(r.Q2)),
+		ID:     pick(r.Seq == Long, "fig14", "fig15") + pick(r.Q2, "b", "a"),
+		Title:  r.Name() + ": cumulative execution time (ms)",
 		Header: []string{"query", "exact", "online", "fullmatch", "laqy", "scan"},
 	}
 	var ex, on, fm, lz, sc time.Duration
@@ -371,14 +338,46 @@ func CumulativeTable(r *SeqResult) *Table {
 	return t
 }
 
+// DriftTable reports the drift sequence every 10 queries: each strategy's
+// cumulative cost and how LAQy's queries were served. Expected shape:
+// full-match-only caching degenerates to online cost while LAQy serves
+// nearly every query with a bounded Δ.
+func DriftTable(r *SeqResult) *Table {
+	t := &Table{
+		ID:    "drift",
+		Title: "drifting focus window: per-strategy cumulative cost (ms)",
+		Header: []string{"queries", "online", "fullmatch", "laqy",
+			"laqy offline/partial/online"},
+	}
+	var on, fm, lz time.Duration
+	modes := map[core.Mode]int{}
+	for i, rec := range r.Recs {
+		on += rec.Online.Wall
+		fm += rec.FullMatchTotal
+		lz += rec.LazyTotal
+		modes[rec.LazyMode]++
+		if (i+1)%10 == 0 {
+			t.Append(fmt.Sprint(i+1), ms(on), ms(fm), ms(lz), fmt.Sprintf("%d/%d/%d",
+				modes[core.ModeOffline], modes[core.ModePartial], i+1-modes[core.ModeOffline]-modes[core.ModePartial]))
+		}
+	}
+	return t
+}
+
+// totals sums the run's online, full-match-only and LAQy times.
+func (r *SeqResult) totals() (online, fullMatch, lazy time.Duration) {
+	for _, rec := range r.Recs {
+		online += rec.Online.Wall
+		fullMatch += rec.FullMatchTotal
+		lazy += rec.LazyTotal
+	}
+	return online, fullMatch, lazy
+}
+
 // Speedup returns cumulative online time divided by cumulative LAQy time —
 // the paper's headline metric (2.5×–19.3× in its exploratory workloads).
 func (r *SeqResult) Speedup() float64 {
-	var on, lz time.Duration
-	for _, rec := range r.Recs {
-		on += rec.Online.Wall
-		lz += rec.LazyTotal
-	}
+	on, _, lz := r.totals()
 	if lz == 0 {
 		return 0
 	}
@@ -394,18 +393,9 @@ func Headline(results []*SeqResult) *Table {
 			"vs online", "vs fullmatch"},
 	}
 	for _, r := range results {
-		var on, fm, lz time.Duration
-		for _, rec := range r.Recs {
-			on += rec.Online.Wall
-			fm += rec.FullMatchTotal
-			lz += rec.LazyTotal
-		}
-		vsFM := 0.0
-		if lz > 0 {
-			vsFM = float64(fm) / float64(lz)
-		}
-		t.Append(seqName(r.Long), queryName(r.Q2), ms(on), ms(fm), ms(lz),
-			fmt.Sprintf("%.1fx", r.Speedup()), fmt.Sprintf("%.1fx", vsFM))
+		on, fm, lz := r.totals()
+		t.Append(r.Seq.String(), r.query(), ms(on), ms(fm), ms(lz),
+			speedup(on, lz), speedup(fm, lz))
 	}
 	return t
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,4 +334,77 @@ func TestDistributedSegments(t *testing.T) {
 			t.Fatalf("shards probe missing breaker state: %s", body)
 		}
 	})
+}
+
+// TestRequestIDReachesShardBuilds: a coordinator query's request id travels
+// with its segment builds — every shard build response echoes the id the
+// client sent — and an oversized or malformed inbound id is replaced by a
+// minted one, which the builds then carry instead.
+func TestRequestIDReachesShardBuilds(t *testing.T) {
+	const rows = 70_000 // segments of ≤64Ki rows
+	shardSrv, err := New(Config{Tenants: []Tenant{{Name: "main", DB: ssbDB(t, rows)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var echoed []string
+	shardHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		shardSrv.Handler().ServeHTTP(w, r)
+		if r.URL.Path == shard.BuildPath {
+			mu.Lock()
+			echoed = append(echoed, w.Header().Get("X-Laqy-Request-Id"))
+			mu.Unlock()
+		}
+	}))
+	t.Cleanup(shardHS.Close)
+	_, coordHS := newTestServer(t, Config{
+		Tenants:      []Tenant{{Name: "main", DB: ssbDB(t, rows)}},
+		Shards:       []shard.NodeConfig{{Name: "s", BaseURL: shardHS.URL}},
+		ShardOptions: shard.Options{HedgeAfter: -1},
+	})
+
+	for _, tc := range []struct {
+		col, sent string
+		adopted   bool
+	}{
+		{"lo_discount", "trace-7f3a.client:42_x", true},
+		{"lo_quantity", strings.Repeat("a", 65), false},
+		{"lo_tax", "bad id/with spaces", false},
+	} {
+		mu.Lock()
+		echoed = nil
+		mu.Unlock()
+		// A QCS per case, so no case answers from a sample an earlier one stored.
+		body, err := json.Marshal(QueryRequest{SQL: fmt.Sprintf(
+			"SELECT %s, SUM(lo_revenue) FROM lineorder GROUP BY %s APPROX", tc.col, tc.col)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, coordHS.URL+"/v1/query", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Laqy-Request-Id", tc.sent)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		id := resp.Header.Get("X-Laqy-Request-Id")
+		if resp.StatusCode != http.StatusOK || (id == tc.sent) != tc.adopted || !tc.adopted && !strings.HasPrefix(id, "laqy-") {
+			t.Fatalf("sent %q: status %d, coordinator id %q (adopt = %v)", tc.sent, resp.StatusCode, id, tc.adopted)
+		}
+		mu.Lock()
+		got := append([]string(nil), echoed...)
+		mu.Unlock()
+		if len(got) == 0 {
+			t.Fatalf("sent %q: no segment was built on the shard", tc.sent)
+		}
+		for _, e := range got {
+			if e != id {
+				t.Fatalf("sent %q: shard builds echoed %q, want the coordinator's %q", tc.sent, got, id)
+			}
+		}
+	}
 }

@@ -362,15 +362,37 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// validRequestID reports whether an inbound X-Laqy-Request-Id may be
+// adopted: 1–64 bytes of [A-Za-z0-9._:-]. The header is client input that
+// lands in logs, spans and response headers, so anything else is replaced.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c == '.' || c == '_' || c == ':' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
+
 // wrap is the daemon middleware: request-ID assignment, panic isolation,
-// and request metrics. Every response carries X-Laqy-Request-Id.
+// and request metrics. Every response carries X-Laqy-Request-Id: the
+// inbound one when it is well formed — a coordinator's, so one id names a
+// query and its shard builds — and a minted one otherwise.
 func (s *Server) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := obs.Clock()
-		s.mu.Lock()
-		s.nextID++
-		reqID := fmt.Sprintf("laqy-%s-%08d", s.idBase, s.nextID)
-		s.mu.Unlock()
+		reqID := r.Header.Get("X-Laqy-Request-Id")
+		if !validRequestID(reqID) {
+			s.mu.Lock()
+			s.nextID++
+			reqID = fmt.Sprintf("laqy-%s-%08d", s.idBase, s.nextID)
+			s.mu.Unlock()
+		}
 		s.met.requests.Inc()
 		s.met.inflight.Add(1)
 		sw := &statusWriter{ResponseWriter: w}

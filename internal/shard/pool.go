@@ -362,6 +362,9 @@ func (p *Pool) doBuild(ctx context.Context, n *node, body []byte, seed uint64) (
 	if n.tenant != "" {
 		req.Header.Set("X-Laqy-Tenant", n.tenant)
 	}
+	if id := obs.RequestIDFrom(ctx); id != "" {
+		req.Header.Set("X-Laqy-Request-Id", id)
+	}
 	resp, err := p.client.Do(req)
 	if err != nil {
 		return nil, zero, err

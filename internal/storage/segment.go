@@ -249,13 +249,3 @@ func AppendColumns(old *Table, grown []*Column, segmentRows int) (*Table, error)
 	nt.setSegments(segs)
 	return nt, nil
 }
-
-// Segments returns the named table's segment list — the planning unit for
-// segment-scoped scans and Δ-builds (engine.SegmentSource wraps these).
-func (c *Catalog) Segments(name string) ([]*Segment, error) {
-	t, err := c.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.Segments(), nil
-}

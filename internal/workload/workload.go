@@ -95,11 +95,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Selectivity returns the fraction of the domain a step covers.
-func (c Config) Selectivity(s Step) float64 {
-	return float64(s.Width()) / float64(c.Domain)
-}
-
 // LongRunning generates an n-query single-focus analysis sequence
 // (the paper uses n = 50).
 func LongRunning(cfg Config, n int) []Step {

@@ -102,13 +102,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSelectivity(t *testing.T) {
-	s := Step{Lo: 0, Hi: 9999}
-	if got := cfg.Selectivity(s); got != 0.01 {
-		t.Fatalf("selectivity = %v", got)
-	}
-}
-
 func TestRangesGrowOverLongAnalysis(t *testing.T) {
 	// Extends outnumber narrows, so the final range is typically much
 	// wider than the first — the paper's increasing reuse opportunity.
