@@ -247,6 +247,56 @@ func BenchmarkReuseHit(b *testing.B) {
 	})
 }
 
+// BenchmarkAppend times one 2 500-row append to a 0.5 M- and a 2 M-row
+// table of four int64 columns with no stored samples: the storage share of
+// an append, with the columns' amortized growth in its bytes per op. Every
+// 50 appends the table is loaded afresh, off the clock, so its size stays
+// near the label; the first append after a load moves the loaded columns
+// into vectors with spare capacity, as every table's first append does.
+func BenchmarkAppend(b *testing.B) {
+	const batch, lap = 2500, 50
+	cols := []string{"a", "b", "c", "d"}
+	for _, rows := range []int{500_000, 2_000_000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			loaded := make([]int64, rows)
+			for i := range loaded {
+				loaded[i] = int64(i)
+			}
+			batches := make([]*laqy.TableBuilder, lap)
+			for i := range batches {
+				vals := make([]int64, batch)
+				for j := range vals {
+					vals[j] = int64(rows + i*batch + j)
+				}
+				batches[i] = laqy.NewTable("t")
+				for _, c := range cols {
+					batches[i].Int64(c, vals)
+				}
+			}
+			var db *laqy.DB
+			b.SetBytes(int64(batch * len(cols) * 8))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%lap == 0 {
+					b.StopTimer()
+					db = laqy.Open(laqy.Config{})
+					tb := laqy.NewTable("t")
+					for _, c := range cols {
+						tb.Int64(c, loaded)
+					}
+					if err := db.Register(tb); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := db.Append("t", batches[i%lap]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblation_RNG compares the paper's inlined Lehmer generators
 // with math/rand in the admission-control hot path (§6.2).
 func BenchmarkAblation_RNG(b *testing.B) {

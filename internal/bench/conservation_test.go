@@ -9,6 +9,7 @@ import (
 	"laqy/internal/engine"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
+	"laqy/internal/ssb"
 	"laqy/internal/storage"
 	"laqy/internal/store"
 )
@@ -108,41 +109,133 @@ rows:
 	return bad
 }
 
+// growth appends batches of extra fact rows to a dataset's lineorder the
+// way laqy.DB.Append does: through a storage.Catalog appender (rows written
+// in place, segments sealed as the DB lays them out) and the sampler's
+// MaintainAppend, while it holds the append lock.
+type growth struct {
+	cat   *storage.Catalog
+	extra *storage.Table
+	next  int // the first extra row not yet appended
+}
+
+// appendBatchRows is the size of one interleaved append.
+const appendBatchRows = 800
+
+// newGrowth registers d's tables in a fresh catalog and generates the rows
+// to append: an SSB fact table over the same dimensions (whose sizes do not
+// depend on the row count), its lo_intkey spread over d's key domain so
+// the appended rows land inside the sequences' key ranges.
+func newGrowth(t *testing.T, d *Data, rows int) *growth {
+	t.Helper()
+	g := &growth{cat: storage.NewCatalog()}
+	for _, tab := range []*storage.Table{d.Lineorder, d.SSB.Date, d.SSB.Supplier, d.SSB.Part, d.SSB.Customer} {
+		laid, err := storage.Resegment(tab, 4*storage.DefaultMorselSize)
+		if err == nil {
+			laid, err = storage.Seal(laid)
+		}
+		if err == nil {
+			err = g.cat.Register(laid)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	extra, err := ssb.Generate(ssb.Config{LineorderRows: rows, Seed: d.Cfg.Seed + 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spread := int64(d.Cfg.Rows / rows)
+	for i := range extra.Lineorder.Column("lo_intkey").Ints {
+		extra.Lineorder.Column("lo_intkey").Ints[i] *= spread
+	}
+	g.extra = extra.Lineorder
+	return g
+}
+
+// appendBatch appends the next appendBatchRows extra rows to lineorder and
+// maintains lazy's store with seed; before maintenance, it reports whether
+// stale held — whether the oracle, reading the grown table, already
+// disagreed with some entry (the checker cannot pass vacuously).
+func (g *growth) appendBatch(t *testing.T, o *countOracle, lazy *core.LazySampler, seed uint64) (stale bool) {
+	t.Helper()
+	app, err := g.cat.BeginAppend("lineorder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	old := app.Table()
+	batch := make([][]int64, len(old.Columns()))
+	for i, c := range old.Columns() {
+		batch[i] = g.extra.Column(c.Name).Ints[g.next : g.next+appendBatchRows]
+	}
+	g.next += appendBatchRows
+	grown, err := app.Append(batch, 4*storage.DefaultMorselSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.d.Lineorder, o.vals = grown, map[string][]int64{}
+	for _, m := range lazy.Store().List() {
+		stale = stale || o.check(t, m.Meta.Predicate, m.Meta.QCS(), m.Sample) != ""
+	}
+	if _, err := lazy.MaintainAppend(grown, old.NumRows(), g.cat.Table, seed, 2); err != nil {
+		t.Fatal(err)
+	}
+	return stale
+}
+
 // TestWeightConservation is the first rung of weight conservation as a
 // machine-checked invariant: a reservoir's weight is the exact number of
 // base rows offered to it (admission counts every row; Algorithms 2 and 3
 // add weights). So after every step of the long, short and drifting
 // sequences, in the Q1 (scan) and Q2 (three-join) shapes, every store
 // entry's every stratum weighs exactly the COUNT(*) of its rows under the
-// entry's predicate — across online builds, Δ-merges and offline hits.
+// entry's predicate — across online builds, Δ-merges and offline hits, and
+// across fact appends every fifth step, which Δ-maintain every entry (Q2's
+// joined ones included) through the sampler entry point laqy.DB.Append
+// uses. The oracle then reads the grown table.
 func TestWeightConservation(t *testing.T) {
 	d, err := NewData(Config{Rows: 100_000, Seed: 3, K: 64, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &countOracle{d: d, vals: map[string][]int64{}}
+	const appendEvery = 5
 	for _, seq := range []Sequence{Long, Short, Drift} {
 		for _, q2 := range []bool{false, true} {
+			steps := seq.Steps(d.Cfg)
+			g := newGrowth(t, d, (len(steps)/appendEvery+1)*appendBatchRows)
+			grown := *d // each case starts from the loaded table, as registered
+			if grown.Lineorder, err = g.cat.Table("lineorder"); err != nil {
+				t.Fatal(err)
+			}
+			o := &countOracle{d: &grown, vals: map[string][]int64{}}
 			lazy := core.New(store.New(0), d.Cfg.Seed)
 			modes := map[core.Mode]int{}
-			for i, step := range seq.Steps(d.Cfg) {
-				sh, err := d.shape(step, q2)
+			staleSeen := false
+			for i, step := range steps {
+				if i > 0 && i%appendEvery == 0 {
+					staleSeen = g.appendBatch(t, o, lazy, d.Cfg.Seed+uint64(5000+i)) || staleSeen
+				}
+				sh, err := grown.shape(step, q2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := lazy.Sample(d.request(sh, d.Cfg.Seed+uint64(i)))
+				res, err := lazy.Sample(grown.request(sh, d.Cfg.Seed+uint64(i)))
 				if err != nil {
 					t.Fatal(err)
 				}
 				modes[res.Mode]++
 				for _, m := range lazy.Store().List() {
 					if bad := o.check(t, m.Meta.Predicate, m.Meta.QCS(), m.Sample); bad != "" {
-						t.Fatalf("%s (q2=%v) step %d (%s): entry %s: %s", seq, q2, i, res.Mode, m.Meta.Predicate, bad)
+						t.Fatalf("%s (q2=%v) step %d (%s): entry %s over %s: %s", seq, q2, i, res.Mode, m.Meta.Predicate, m.Meta.Input, bad)
 					}
 				}
 			}
 			if modes[core.ModePartial] == 0 {
 				t.Fatalf("%s: modes %v — the sequence must exercise Δ-merges", seq, modes)
+			}
+			if !staleSeen {
+				t.Fatalf("%s (q2=%v): no append left an entry stale before maintenance — the appends test nothing", seq, q2)
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"laqy/internal/algebra"
 	"laqy/internal/engine"
 	"laqy/internal/sample"
+	"laqy/internal/storage"
 	"laqy/internal/store"
 )
 
@@ -75,10 +76,84 @@ func (l *LazySampler) Maintain(q *engine.Query, fromRow int, seed uint64, worker
 	return res, nil
 }
 
+// MaintainAppend brings the store up to date after rows [fromRow,
+// grown.NumRows()) were appended to one table, of which grown is the new
+// version (no rows: nothing changes). It is the store's one response to an
+// append, called once per batch, and it must not run twice over one batch
+// (the caller serializes appends per table):
+//
+//   - entries that join the table as a dimension are removed: a dimension
+//     append can change which fact rows join, which no Δ of fact rows
+//     repairs;
+//   - every other entry whose fact is the table is Δ-maintained (Maintain),
+//     joined or not. Joins here are key–foreign-key joins with unique kept
+//     dimension keys, and a fact append leaves every dimension unchanged,
+//     so the rows the join gains are exactly the appended rows joined to
+//     the same dimensions; their sample merged by Algorithm 3 is a fresh
+//     sample of the grown join (in the sampling algebra, a GUS sample
+//     joined with an unsampled relation is GUS with the same parameters).
+//
+// The join list of each entry is rebuilt from its input signature against
+// tables (the catalog's lookup), so entries restored by a store load are
+// maintained too; an input that no longer resolves is removed instead.
+// Every Maintain pass takes the same seed, which it varies per entry by the
+// entry's store position.
+func (l *LazySampler) MaintainAppend(grown *storage.Table, fromRow int, tables func(string) (*storage.Table, error), seed uint64, workers int) (*MaintainResult, error) {
+	res := &MaintainResult{RowsConsidered: int64(grown.NumRows() - fromRow)}
+	if res.RowsConsidered == 0 {
+		return res, nil
+	}
+	name := grown.Name
+	l.store.RemoveWhere(func(m store.Meta) bool { return joinsAsDimension(m.Input, name) })
+	var inputs []string
+	for _, m := range l.store.List() {
+		if inputFact(m.Meta.Input) == name && !slices.Contains(inputs, m.Meta.Input) {
+			inputs = append(inputs, m.Meta.Input)
+		}
+	}
+	for _, input := range inputs {
+		q, err := inputQuery(input, grown, tables)
+		if err != nil {
+			l.store.RemoveWhere(func(m store.Meta) bool { return m.Input == input })
+			continue
+		}
+		r, err := l.Maintain(q, fromRow, seed, workers)
+		if err != nil {
+			return nil, err
+		}
+		res.Maintained += r.Maintained
+	}
+	return res, nil
+}
+
+// inputQuery inverts InputSignature: the filterless query over fact (the
+// signature's fact table) and the joins the signature names, each
+// dimension resolved through tables. It fails when a piece does not parse
+// or resolve, or when the result would not carry the same signature.
+func inputQuery(signature string, fact *storage.Table, tables func(string) (*storage.Table, error)) (*engine.Query, error) {
+	pieces := strings.Split(signature, "⋈")
+	q := &engine.Query{Fact: fact}
+	for _, piece := range pieces[1:] {
+		dim, keys, ok := strings.Cut(strings.TrimSuffix(piece, ")"), "(")
+		factKey, dimKey, ok2 := strings.Cut(keys, "=")
+		if !ok || !ok2 {
+			return nil, fmt.Errorf("core: input %q: bad join %q", signature, piece)
+		}
+		t, err := tables(dim)
+		if err != nil {
+			return nil, err
+		}
+		q.Joins = append(q.Joins, engine.Join{Dim: t, FactKey: factKey, DimKey: dimKey})
+	}
+	if got := InputSignature(q); got != signature {
+		return nil, fmt.Errorf("core: input %q resolves to %q", signature, got)
+	}
+	return q, nil
+}
+
 // Invalidate removes every stored sample whose input involves the named
 // table (as fact or joined dimension) — the conservative response when a
-// table changes in a way maintenance cannot repair (deletes, updates, or
-// dimension changes).
+// table changes in a way maintenance cannot repair (deletes or updates).
 func (l *LazySampler) Invalidate(table string) int {
 	return l.store.RemoveWhere(func(m store.Meta) bool {
 		return inputMentionsTable(m.Input, table)
@@ -86,11 +161,21 @@ func (l *LazySampler) Invalidate(table string) int {
 }
 
 // inputMentionsTable reports whether an input signature references the
-// table as its fact (prefix) or one of its join dimensions ("⋈name(").
+// table as its fact or one of its join dimensions.
 func inputMentionsTable(signature, table string) bool {
-	return signature == table ||
-		strings.HasPrefix(signature, table+"⋈") ||
-		strings.Contains(signature, "⋈"+table+"(")
+	return inputFact(signature) == table || joinsAsDimension(signature, table)
+}
+
+// inputFact is the fact table an input signature names (its prefix).
+func inputFact(signature string) string {
+	fact, _, _ := strings.Cut(signature, "⋈")
+	return fact
+}
+
+// joinsAsDimension reports whether an input signature joins the table as
+// a dimension ("⋈name(").
+func joinsAsDimension(signature, table string) bool {
+	return strings.Contains(signature, "⋈"+table+"(")
 }
 
 // entryQuery is q's fact table and joins under pred alone: q's own filters
@@ -123,13 +208,4 @@ func pushDown(q *engine.Query, pred algebra.Predicate) (*engine.Query, error) {
 		out.Joins[i].Filter = out.Joins[i].Filter.With(col, set)
 	}
 	return out, nil
-}
-
-// InvalidateJoins removes samples whose input joins the named table with
-// others, keeping pure scan-level samples over the table itself (those are
-// maintainable via Maintain).
-func (l *LazySampler) InvalidateJoins(table string) int {
-	return l.store.RemoveWhere(func(m store.Meta) bool {
-		return m.Input != table && inputMentionsTable(m.Input, table)
-	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -167,12 +168,32 @@ func TestInvalidate(t *testing.T) {
 	if l.Store().Len() != 2 {
 		t.Fatalf("store len = %d", l.Store().Len())
 	}
-	// InvalidateJoins keeps the scan-level sample.
-	if n := l.InvalidateJoins("fact"); n != 1 {
-		t.Fatalf("InvalidateJoins removed %d, want 1", n)
+	tables := func(name string) (*storage.Table, error) {
+		if name == "dim" {
+			return dim, nil
+		}
+		return nil, fmt.Errorf("no table %q", name)
 	}
-	if l.Store().Len() != 1 {
-		t.Fatalf("store len = %d after join invalidation", l.Store().Len())
+	// An append to the fact keeps both: the join is maintained, not dropped.
+	res, err := l.MaintainAppend(growFact(5000, 100, 2), fact.NumRows(), tables, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Maintained != 2 || l.Store().Len() != 2 {
+		t.Fatalf("a fact append maintained %d samples, left %d", res.Maintained, l.Store().Len())
+	}
+	// An append to the dimension removes the join-level sample only.
+	grownDim, err := storage.AppendColumns(dim, []*storage.Column{
+		{Name: "d_key", Kind: storage.KindInt64, Ints: []int64{0, 1, 2}},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.MaintainAppend(grownDim, dim.NumRows(), tables, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if l.Store().Len() != 1 || l.Store().List()[0].Meta.Input != "fact" {
+		t.Fatalf("store after a dimension append: %d entries", l.Store().Len())
 	}
 	// Invalidate removes everything touching the table.
 	if n := l.Invalidate("fact"); n != 1 {
@@ -180,6 +201,33 @@ func TestInvalidate(t *testing.T) {
 	}
 	if l.Store().Len() != 0 {
 		t.Fatal("store not empty")
+	}
+}
+
+// TestInputQueryInvertsInputSignature: a stored input signature resolves
+// back to its fact and joins, and a signature that does not parse or names
+// an unknown table fails (MaintainAppend then removes its entries).
+func TestInputQueryInvertsInputSignature(t *testing.T) {
+	fact := testFact(10, 2)
+	dim := storage.MustNewTable("dim", &storage.Column{Name: "d_key", Kind: storage.KindInt64, Ints: []int64{0, 1}})
+	tables := func(name string) (*storage.Table, error) {
+		if name == "dim" {
+			return dim, nil
+		}
+		return nil, fmt.Errorf("no table %q", name)
+	}
+	sig := InputSignature(&engine.Query{Fact: fact, Joins: []engine.Join{
+		{Dim: dim, FactKey: "f_group", DimKey: "d_key"},
+		{Dim: dim, FactKey: "f_key", DimKey: "d_key"},
+	}})
+	q, err := inputQuery(sig, fact, tables)
+	if err != nil || InputSignature(q) != sig || q.Joins[1].Dim != dim || q.Joins[1].FactKey != "f_key" {
+		t.Fatalf("inputQuery(%q) = %+v, %v", sig, q, err)
+	}
+	for _, bad := range []string{"fact⋈dim", "fact⋈dim(f_group)", "fact⋈other(f_group=o_key)"} {
+		if _, err := inputQuery(bad, fact, tables); err == nil {
+			t.Errorf("inputQuery(%q) resolved", bad)
+		}
 	}
 }
 

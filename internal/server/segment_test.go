@@ -349,12 +349,19 @@ func TestRequestIDReachesShardBuilds(t *testing.T) {
 	var mu sync.Mutex
 	var echoed []string
 	shardHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		shardSrv.Handler().ServeHTTP(w, r)
-		if r.URL.Path == shard.BuildPath {
-			mu.Lock()
-			echoed = append(echoed, w.Header().Get("X-Laqy-Request-Id"))
-			mu.Unlock()
+		if r.URL.Path != shard.BuildPath {
+			shardSrv.Handler().ServeHTTP(w, r)
+			return
 		}
+		// Record the echoed id when the build's header goes out, before the
+		// coordinator can read the response: a record taken after ServeHTTP
+		// returns can land after the coordinator answered the client, and
+		// so inside the next case.
+		shardSrv.Handler().ServeHTTP(&headerTap{ResponseWriter: w, tap: func(h http.Header) {
+			mu.Lock()
+			echoed = append(echoed, h.Get("X-Laqy-Request-Id"))
+			mu.Unlock()
+		}}, r)
 	}))
 	t.Cleanup(shardHS.Close)
 	_, coordHS := newTestServer(t, Config{
@@ -406,5 +413,34 @@ func TestRequestIDReachesShardBuilds(t *testing.T) {
 				t.Fatalf("sent %q: shard builds echoed %q, want the coordinator's %q", tc.sent, got, id)
 			}
 		}
+	}
+}
+
+// headerTap is a ResponseWriter that hands the response header to tap once,
+// when it is written (explicitly or by the first Write).
+type headerTap struct {
+	http.ResponseWriter
+	tap   func(http.Header)
+	wrote bool
+}
+
+func (w *headerTap) WriteHeader(code int) {
+	if !w.wrote {
+		w.wrote = true
+		w.tap(w.Header())
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *headerTap) Write(p []byte) (int, error) {
+	if !w.wrote {
+		w.WriteHeader(http.StatusOK)
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *headerTap) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
 	}
 }

@@ -6,13 +6,15 @@
 // shape: sealed segments are immutable and carry their summaries forward
 // across appends; only the open (last) segment ever changes.
 //
-// Tables stay copy-on-append: Append-style growth constructs a new Table.
-// What segmentation adds is that the new version *shares* the sealed
-// segments' zone-map caches with the old version (their rows are copied
-// verbatim). The per-segment maps are the only zone maps there are — a scan
-// that crosses segments folds the maps of the segments it overlaps — so the
-// summary cost of an append is one read of the open segment, whatever the
-// table's size. See docs/SHARDING.md.
+// Every append constructs a new Table version; its columns extend the old
+// version's vectors in place where the catalog holds spare capacity
+// (Appender), so old versions keep reading the same prefix. What
+// segmentation adds is that the new version *shares* the sealed segments'
+// zone-map caches with the old version (their rows are unchanged). The
+// per-segment maps are the only zone maps there are — a scan that crosses
+// segments folds the maps of the segments it overlaps — so the summary cost
+// of an append is one read of the open segment, whatever the table's size.
+// See docs/SHARDING.md.
 package storage
 
 import "fmt"
@@ -185,8 +187,8 @@ func Seal(t *Table) (*Table, error) {
 // routing the appended rows to the open segment:
 //
 //   - sealed segments (every segment but the last) carry their zone-map
-//     caches and versions into the new table — their rows were copied
-//     verbatim, so the summaries stay exact;
+//     caches and versions into the new table — their rows are unchanged,
+//     so the summaries stay exact;
 //   - the open segment absorbs rows up to segmentRows, bumping its version
 //     and dropping its cache (it alone re-summarizes);
 //   - overflow seals the open segment and spills into fresh segments of up
@@ -214,14 +216,20 @@ func AppendColumns(old *Table, grown []*Column, segmentRows int) (*Table, error)
 		return nil, fmt.Errorf("storage: append to %q: shrank from %d to %d rows",
 			old.Name, old.rows, nt.rows)
 	}
-	segRows := normalizeSegmentRows(segmentRows)
+	nt.setSegments(appendSegments(old, nt.rows, normalizeSegmentRows(segmentRows)))
+	return nt, nil
+}
+
+// appendSegments is the segment layout of old grown to rows rows, segRows
+// (normalized) at most per segment; see AppendColumns.
+func appendSegments(old *Table, rows, segRows int) []*Segment {
 	oldSegs := old.Segments()
-	segs := make([]*Segment, 0, len(oldSegs)+1+(nt.rows-old.rows)/segRows)
+	segs := make([]*Segment, 0, len(oldSegs)+1+(rows-old.rows)/segRows)
 	for _, s := range oldSegs[:len(oldSegs)-1] {
 		segs = append(segs, &Segment{start: s.start, end: s.end, version: s.version, zone: s.zone})
 	}
 	open := oldSegs[len(oldSegs)-1]
-	pending := nt.rows - old.rows
+	pending := rows - old.rows
 	row := open.start
 	if capacity := segRows - open.Rows(); capacity <= 0 || pending == 0 {
 		// The open segment is already at (or past) capacity, or nothing was
@@ -246,6 +254,5 @@ func AppendColumns(old *Table, grown []*Column, segmentRows int) (*Table, error)
 		row += take
 		pending -= take
 	}
-	nt.setSegments(segs)
-	return nt, nil
+	return segs
 }

@@ -12,6 +12,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -144,6 +145,12 @@ type Table struct {
 
 // NewTable assembles a table from columns. All columns must have equal
 // length; names must be unique.
+//
+// Every column vector is clipped to its length (cap == len; a column with
+// spare capacity gets a clipped header of its own): a reader's append to a
+// column can never write past the table's rows, where Appender.Append
+// writes the next version's rows, and no append writes through a caller's
+// vector.
 func NewTable(name string, columns ...*Column) (*Table, error) {
 	t := &Table{Name: name, byName: make(map[string]*Column, len(columns))}
 	for _, c := range columns {
@@ -158,6 +165,9 @@ func NewTable(name string, columns ...*Column) (*Table, error) {
 				name, c.Name, c.Len(), t.rows)
 		}
 		t.rows = c.Len()
+		if cap(c.Ints) > t.rows {
+			c = &Column{Name: c.Name, Kind: c.Kind, Ints: c.Ints[:t.rows:t.rows], Dict: c.Dict}
+		}
 		t.columns = append(t.columns, c)
 		t.byName[c.Name] = c
 	}
@@ -195,16 +205,34 @@ func (t *Table) Schema() Schema {
 }
 
 // Catalog is a named collection of tables, safe for concurrent use: an
-// append replaces a table's version (Replace) beside queries planning
-// against the catalog (Table).
+// append publishes a table's next version (Replace) beside queries planning
+// against the catalog (Table). The catalog also owns each table's spare
+// column capacity and the lock that lets one appender at a time write into
+// it (BeginAppend).
 type Catalog struct {
 	mu     sync.RWMutex
-	tables map[string]*Table
+	tables map[string]*catalogEntry
+}
+
+// catalogEntry is one registered table: its current version, its append
+// lock, and the spare capacity behind its columns.
+type catalogEntry struct {
+	t *Table
+	// appendMu serializes appends to the table: an Appender holds it from
+	// BeginAppend to Close.
+	appendMu sync.Mutex
+	// vecs are the full-capacity vectors behind spareOf's columns:
+	// vecs[i][:spareOf.NumRows()] is spareOf's column i, and the capacity
+	// past it is written only by the holder of appendMu. They serve an
+	// append only while spareOf is the current version; nil until the
+	// table's first append.
+	spareOf *Table
+	vecs    [][]int64
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*Table)}
+	return &Catalog{tables: make(map[string]*catalogEntry)}
 }
 
 // Register adds a table, rejecting duplicate names.
@@ -214,7 +242,7 @@ func (c *Catalog) Register(t *Table) error {
 	if _, dup := c.tables[t.Name]; dup {
 		return fmt.Errorf("storage: table %q already registered", t.Name)
 	}
-	c.tables[t.Name] = t
+	c.tables[t.Name] = &catalogEntry{t: t}
 	return nil
 }
 
@@ -222,11 +250,11 @@ func (c *Catalog) Register(t *Table) error {
 func (c *Catalog) Table(name string) (*Table, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	t, ok := c.tables[name]
+	e, ok := c.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown table %q", name)
 	}
-	return t, nil
+	return e.t, nil
 }
 
 // Names returns the registered table names in sorted order.
@@ -285,14 +313,24 @@ func MorselsRange(from, to, size int) []Morsel {
 	return out
 }
 
-// Replace swaps a registered table for a new version under the same name
-// (e.g. after appending rows). The table must already be registered.
-func (c *Catalog) Replace(t *Table) error {
+// ErrTableChanged reports a Replace whose table is no longer at the
+// version the replacement grew from.
+var ErrTableChanged = errors.New("storage: table changed since the replaced version")
+
+// Replace publishes to as the next version of a registered table: a
+// compare-and-swap that succeeds only while from is still the current
+// version, so a version grown from a stale one can never drop rows
+// published in between (ErrTableChanged).
+func (c *Catalog) Replace(from, to *Table) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.tables[t.Name]; !ok {
-		return fmt.Errorf("storage: cannot replace unregistered table %q", t.Name)
+	e, ok := c.tables[to.Name]
+	if !ok {
+		return fmt.Errorf("storage: cannot replace unregistered table %q", to.Name)
 	}
-	c.tables[t.Name] = t
+	if e.t != from {
+		return fmt.Errorf("%w: %q", ErrTableChanged, to.Name)
+	}
+	e.t = to
 	return nil
 }

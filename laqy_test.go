@@ -2,12 +2,16 @@ package laqy
 
 import (
 	"context"
+	"maps"
 	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"laqy/internal/sample"
+	"laqy/internal/storage"
 )
 
 func openSSB(t *testing.T, rows int) *DB {
@@ -729,15 +733,47 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-func TestAppendInvalidatesJoinSamples(t *testing.T) {
-	db := openSSB(t, 20000)
-	// Build a join-level sample.
-	if _, err := db.Query(`SELECT d_year, SUM(lo_revenue) FROM lineorder, date
+// joinedYearQuery is a d_year join over a lo_intkey range; aggs is its
+// select list past d_year.
+func joinedYearQuery(aggs string) string {
+	return `SELECT d_year, ` + aggs + ` FROM lineorder, date
 		WHERE lo_orderdate = d_datekey AND lo_intkey BETWEEN 0 AND 9999
-		GROUP BY d_year APPROX WITH K 64`); err != nil {
+		GROUP BY d_year`
+}
+
+// appendCopiedRows appends copies of the table's first n rows.
+func appendCopiedRows(t *testing.T, db *DB, table string, n int) {
+	t.Helper()
+	tab, err := db.catalog.Table(table)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// And a scan-level one.
+	b := NewTable(table)
+	for _, c := range tab.Columns() {
+		if c.Kind == storage.KindString {
+			vals := make([]string, n)
+			for i := range vals {
+				vals[i] = c.StringAt(i)
+			}
+			b.String(c.Name, vals)
+			continue
+		}
+		b.Int64(c.Name, append([]int64(nil), c.Ints[:n]...))
+	}
+	if err := db.Append(table, b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendMaintainsJoinSamples: a fact append Δ-maintains the samples
+// that join the fact with dimensions, not only the scan-level ones. The
+// join query then answers offline with no rows scanned, and the maintained
+// entry's stratum weights are the exact joined counts of the grown table.
+func TestAppendMaintainsJoinSamples(t *testing.T) {
+	db := openSSB(t, 20000)
+	if _, err := db.Query(joinedYearQuery("SUM(lo_revenue)") + " APPROX WITH K 64"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := db.Query(`SELECT lo_quantity, SUM(lo_revenue) FROM lineorder
 		WHERE lo_intkey BETWEEN 0 AND 9999 GROUP BY lo_quantity APPROX WITH K 64`); err != nil {
 		t.Fatal(err)
@@ -745,21 +781,80 @@ func TestAppendInvalidatesJoinSamples(t *testing.T) {
 	if db.SampleStoreStats().Samples != 2 {
 		t.Fatalf("samples = %d", db.SampleStoreStats().Samples)
 	}
-	// Append one row to lineorder: the join sample must be invalidated,
-	// the scan sample maintained.
-	lo, err := db.catalog.Table("lineorder")
+	appendCopiedRows(t, db, "lineorder", 2000)
+	if got := db.SampleStoreStats().Samples; got != 2 {
+		t.Fatalf("samples after a fact append = %d, want 2 (both maintained)", got)
+	}
+	res, err := db.Query(joinedYearQuery("SUM(lo_revenue)") + " APPROX WITH K 64")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewTable("lineorder")
-	for _, c := range lo.Columns() {
-		b.Int64(c.Name, []int64{c.Ints[0]})
+	if res.Mode != ModeOffline || res.Stats.RowsScanned != 0 {
+		t.Fatalf("join query after a fact append: mode %q, %d rows scanned; want offline, 0",
+			res.Mode, res.Stats.RowsScanned)
 	}
-	if err := db.Append("lineorder", b); err != nil {
+	exact, err := db.Query(joinedYearQuery("COUNT(*)"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.SampleStoreStats().Samples; got != 1 {
-		t.Fatalf("samples after append = %d, want 1 (join sample invalidated)", got)
+	want := map[int64]float64{}
+	for _, row := range exact.Rows {
+		want[row.Groups[0].Int] = row.Aggs[0].Value
+	}
+	for _, m := range db.lazy.Store().List() {
+		if !strings.Contains(m.Meta.Input, "⋈date(") {
+			continue
+		}
+		got := map[int64]float64{}
+		m.Sample.ForEach(func(key sample.StratumKey, r *sample.Reservoir) { got[key[0]] = r.Weight() })
+		if !maps.Equal(got, want) {
+			t.Fatalf("maintained join entry weights %v, exact joined counts %v", got, want)
+		}
+		return
+	}
+	t.Fatal("no join-level entry in the store")
+}
+
+// TestDimensionAppendInvalidatesJoinSamples: an append to a dimension can
+// change which fact rows join, which no Δ of fact rows repairs, so the
+// samples that join it are removed; scan-level samples over the fact stay.
+func TestDimensionAppendInvalidatesJoinSamples(t *testing.T) {
+	db := openSSB(t, 20000)
+	if _, err := db.Query(joinedYearQuery("SUM(lo_revenue)") + " APPROX WITH K 64"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(`SELECT lo_quantity, SUM(lo_revenue) FROM lineorder
+		WHERE lo_intkey BETWEEN 0 AND 9999 GROUP BY lo_quantity APPROX WITH K 64`); err != nil {
+		t.Fatal(err)
+	}
+	date, err := db.catalog.Table("date")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewTable("date")
+	for _, c := range date.Columns() {
+		switch {
+		case c.Name == "d_datekey":
+			b.Int64(c.Name, []int64{29991231}) // a key no fact row references
+		case c.Kind == storage.KindString:
+			b.String(c.Name, []string{c.StringAt(0)})
+		default:
+			b.Int64(c.Name, []int64{c.Ints[0]})
+		}
+	}
+	if err := db.Append("date", b); err != nil {
+		t.Fatal(err)
+	}
+	samples := db.lazy.Store().List()
+	if len(samples) != 1 || samples[0].Meta.Input != "lineorder" {
+		t.Fatalf("samples after a dimension append: %d, want the scan-level one alone", len(samples))
+	}
+	res, err := db.Query(joinedYearQuery("SUM(lo_revenue)") + " APPROX WITH K 64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != ModeOnline {
+		t.Fatalf("join query after a dimension append: mode %q, want online", res.Mode)
 	}
 }
 
