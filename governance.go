@@ -14,27 +14,7 @@ import (
 // deadline degradation ladder. The governor is always on; the zero value
 // gives production-safe defaults (generous slot pool, deep queue, no queue
 // timeout, no memory limits).
-type GovernorConfig struct {
-	// Slots is the total admission weight available concurrently (an
-	// exact query holds 2 slots, an approximate query 1). 0 defaults to
-	// 2×GOMAXPROCS, floor 4.
-	Slots int
-	// QueueDepth bounds the admission wait queue; arrivals beyond it are
-	// rejected immediately with an *OverloadedError (reason "queue
-	// full"). 0 defaults to 8×Slots.
-	QueueDepth int
-	// QueueTimeout bounds how long an admission may wait for a slot
-	// before rejection (reason "queue timeout"). 0 waits as long as the
-	// query's context allows.
-	QueueTimeout time.Duration
-	// MemoryBytes is the global soft budget for transient query memory —
-	// reservoir builds and group-by hash tables. 0 disables global
-	// accounting.
-	MemoryBytes int64
-	// QueryMemoryBytes is the per-query soft budget. 0 disables
-	// per-query accounting.
-	QueryMemoryBytes int64
-}
+type GovernorConfig = governor.Config
 
 // ErrOverloaded identifies queries refused (or timed out) at the
 // admission door rather than failed while executing: errors.Is(err,

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -193,13 +194,17 @@ func (g *growth) appendBatch(t *testing.T, o *countOracle, lazy *core.LazySample
 // entry's predicate — across online builds, Δ-merges and offline hits, and
 // across fact appends every fifth step, which Δ-maintain every entry (Q2's
 // joined ones included) through the sampler entry point laqy.DB.Append
-// uses. The oracle then reads the grown table.
+// uses. The oracle then reads the grown table. Every seventh step the store
+// is saved and loaded into a fresh store under a fresh sampler, which the
+// sequence then continues on: a restored entry's segment watermarks must
+// still say which rows it holds, or a later Δ-merge or maintenance pass
+// double-counts them.
 func TestWeightConservation(t *testing.T) {
 	d, err := NewData(Config{Rows: 100_000, Seed: 3, K: 64, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const appendEvery = 5
+	const appendEvery, reloadEvery = 5, 7
 	for _, seq := range []Sequence{Long, Short, Drift} {
 		for _, q2 := range []bool{false, true} {
 			steps := seq.Steps(d.Cfg)
@@ -212,9 +217,17 @@ func TestWeightConservation(t *testing.T) {
 			lazy := core.New(store.New(0), d.Cfg.Seed)
 			modes := map[core.Mode]int{}
 			staleSeen := false
+			// restored maps each entry of the last load to the sample it
+			// was loaded with; an entry whose sample later changed was
+			// Δ-merged or maintained after the load.
+			var restored map[*store.Entry]*sample.Stratified
+			restoredUsed := false
 			for i, step := range steps {
 				if i > 0 && i%appendEvery == 0 {
 					staleSeen = g.appendBatch(t, o, lazy, d.Cfg.Seed+uint64(5000+i)) || staleSeen
+				}
+				if i > 0 && i%reloadEvery == 0 {
+					lazy, restored = reload(t, lazy, d.Cfg.Seed+uint64(7000+i))
 				}
 				sh, err := grown.shape(step, q2)
 				if err != nil {
@@ -229,6 +242,9 @@ func TestWeightConservation(t *testing.T) {
 					if bad := o.check(t, m.Meta.Predicate, m.Meta.QCS(), m.Sample); bad != "" {
 						t.Fatalf("%s (q2=%v) step %d (%s): entry %s over %s: %s", seq, q2, i, res.Mode, m.Meta.Predicate, m.Meta.Input, bad)
 					}
+					if was, ok := restored[m.Entry]; ok && was != m.Sample {
+						restoredUsed = true
+					}
 				}
 			}
 			if modes[core.ModePartial] == 0 {
@@ -237,8 +253,34 @@ func TestWeightConservation(t *testing.T) {
 			if !staleSeen {
 				t.Fatalf("%s (q2=%v): no append left an entry stale before maintenance — the appends test nothing", seq, q2)
 			}
+			if !restoredUsed {
+				t.Fatalf("%s (q2=%v): no restored entry was Δ-merged or maintained — the reloads test nothing", seq, q2)
+			}
 		}
 	}
+}
+
+// reload saves lazy's store to a buffer and loads it into a fresh store
+// under a fresh sampler seeded with seed, returning that sampler and its
+// entries, each mapped to the sample it was loaded with.
+func reload(t *testing.T, lazy *core.LazySampler, seed uint64) (*core.LazySampler, map[*store.Entry]*sample.Stratified) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := lazy.Store().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st := store.New(0)
+	if err := st.Load(&buf, seed); err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != lazy.Store().Len() {
+		t.Fatalf("reload kept %d of %d entries", st.Len(), lazy.Store().Len())
+	}
+	restored := map[*store.Entry]*sample.Stratified{}
+	for _, m := range st.List() {
+		restored[m.Entry] = m.Sample
+	}
+	return core.New(st, seed), restored
 }
 
 // TestWeightConservationCheckerCatchesDoubleMerge keeps the checker from
@@ -249,7 +291,7 @@ func TestWeightConservationCheckerCatchesDoubleMerge(t *testing.T) {
 	o := &countOracle{d: d, vals: map[string][]int64{}}
 	build := func(lo, hi int64) *sample.Stratified {
 		sh := d.q1(lo, hi)
-		s, _, err := engine.RunStratified(sh.Query, sh.Schema, sh.QCSWidth, 16, 1, 2)
+		s, _, err := engine.RunStratifiedExprs(sh.Query, engine.ExprsFromNames(sh.Schema), sh.QCSWidth, 16, 1, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,7 +107,7 @@ func (d *Data) stratifiedCase(row, col string, filter algebra.Predicate, strata 
 			return 0, err
 		}
 		q := &engine.Query{Fact: d.Lineorder, Filter: filter}
-		_, st, err := engine.RunStratified(q, schema, len(schema)-1, d.Cfg.K, seed, d.Cfg.Workers)
+		_, st, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), len(schema)-1, d.Cfg.K, seed, d.Cfg.Workers, nil)
 		return st.Wall, err
 	}}
 }
@@ -242,7 +242,7 @@ func Fig8(d *Data) []Figure {
 		for _, p := range points {
 			q := &engine.Query{Fact: d.Lineorder, Filter: p.pred}
 			f.Cases = append(f.Cases, Case{Row: p.label, Col: "groupby", Run: func() (time.Duration, error) {
-				_, st, err := engine.RunGroupBy(q, qcs, "lo_revenue", d.Cfg.Workers)
+				_, st, err := engine.RunExact(q, qcs, sumRevenue, d.Cfg.Workers)
 				return st.Wall, err
 			}}, d.stratifiedCase(p.label, "stratified", p.pred, 4950, d.Cfg.Seed))
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"laqy/internal/algebra"
+	"laqy/internal/approx"
 	"laqy/internal/core"
 	"laqy/internal/engine"
 	"laqy/internal/sample"
@@ -114,18 +115,17 @@ func (d *Data) q1(lo, hi int64) queryShape {
 }
 
 // scanFloor runs the ungrouped exact SUM(lo_revenue) the way db.Query
-// routes it — the fused scan over the bare fact table, the group-by sink
-// with no group columns behind joins — and returns its stats: the exact-scan
-// floor that approximation methods try to dip below (the "scan" series of
-// Figures 14 and 15).
+// does — engine.RunExact, which folds it into the scan over the bare fact
+// table and runs the group-by sink behind joins — and returns its stats:
+// the exact-scan floor that approximation methods try to dip below (the
+// "scan" series of Figures 14 and 15).
 func scanFloor(q *engine.Query, workers int) (engine.Stats, error) {
-	if len(q.Joins) == 0 {
-		_, st, err := engine.RunAggregate(q, engine.Cols([]string{"lo_revenue"}), workers)
-		return st, err
-	}
-	_, st, err := engine.RunGroupBy(q, nil, "lo_revenue", workers)
+	_, st, err := engine.RunExact(q, nil, sumRevenue, workers)
 	return st, err
 }
+
+// sumRevenue is the one output of the exact baselines: SUM(lo_revenue).
+var sumRevenue = []engine.Agg{{Expr: engine.Col("lo_revenue"), Kind: approx.Sum}}
 
 // SeqRecord is one query's measurements under all strategies.
 type SeqRecord struct {
@@ -203,12 +203,12 @@ func RunSequence(d *Data, seq Sequence, q2 bool) (*SeqResult, error) {
 		rec := SeqRecord{Step: step}
 
 		// Exact GroupBy baseline.
-		if _, rec.Exact, err = engine.RunGroupBy(sh.Query, sh.groupBy, "lo_revenue", d.Cfg.Workers); err != nil {
+		if _, rec.Exact, err = engine.RunExact(sh.Query, sh.groupBy, sumRevenue, d.Cfg.Workers); err != nil {
 			return nil, err
 		}
 		// Workload-oblivious online sampling.
-		if _, rec.Online, err = engine.RunStratified(sh.Query, sh.Schema, sh.QCSWidth, d.seqK(),
-			d.Cfg.Seed+uint64(1000+i), d.Cfg.Workers); err != nil {
+		if _, rec.Online, err = engine.RunStratifiedExprs(sh.Query, engine.ExprsFromNames(sh.Schema), sh.QCSWidth,
+			d.seqK(), d.Cfg.Seed+uint64(1000+i), d.Cfg.Workers, nil); err != nil {
 			return nil, err
 		}
 		// Scan floor.

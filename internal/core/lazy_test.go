@@ -302,9 +302,9 @@ func TestEstimatesFromLazySamplesMatchExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, _, err := engine.RunGroupBy(
+	exact, _, err := engine.RunExact(
 		&engine.Query{Fact: fact, Filter: algebra.NewPredicate().WithRange("f_key", 0, 24999)},
-		[]string{"f_group"}, "f_val", 2)
+		[]string{"f_group"}, []engine.Agg{{Expr: engine.Col("f_val"), Kind: approx.Sum}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestEstimatesFromLazySamplesMatchExact(t *testing.T) {
 		t.Fatalf("%d group estimates", len(ests))
 	}
 	for key, e := range ests {
-		want, ok := exact.Value(key, approx.Sum)
+		want, ok := exact.Value(key, 0)
 		if !ok {
 			t.Fatalf("group %v missing from exact", key)
 		}

@@ -151,21 +151,6 @@ func inputQuery(signature string, fact *storage.Table, tables func(string) (*sto
 	return q, nil
 }
 
-// Invalidate removes every stored sample whose input involves the named
-// table (as fact or joined dimension) — the conservative response when a
-// table changes in a way maintenance cannot repair (deletes or updates).
-func (l *LazySampler) Invalidate(table string) int {
-	return l.store.RemoveWhere(func(m store.Meta) bool {
-		return inputMentionsTable(m.Input, table)
-	})
-}
-
-// inputMentionsTable reports whether an input signature references the
-// table as its fact or one of its join dimensions.
-func inputMentionsTable(signature, table string) bool {
-	return inputFact(signature) == table || joinsAsDimension(signature, table)
-}
-
 // inputFact is the fact table an input signature names (its prefix).
 func inputFact(signature string) string {
 	fact, _, _ := strings.Cut(signature, "⋈")

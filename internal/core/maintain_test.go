@@ -68,12 +68,12 @@ func TestMaintainExtendsStoredSamples(t *testing.T) {
 		t.Fatalf("maintained weight = %v, want %d", out.Sample.TotalWeight(), initial+extra)
 	}
 	// Estimates reflect the appended data.
-	exact, _, err := engine.RunGroupBy(&engine.Query{Fact: grown}, []string{"f_group"}, "f_val", 2)
+	exact, _, err := engine.RunExact(&engine.Query{Fact: grown}, []string{"f_group"}, []engine.Agg{{Expr: engine.Col("f_val"), Kind: approx.Sum}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for key, e := range approx.GroupEstimates(out.Sample, 2, approx.Sum) {
-		want, _ := exact.Value(key, approx.Sum)
+		want, _ := exact.Value(key, 0)
 		if approx.RelativeError(e.Value, want) > 0.15 {
 			t.Fatalf("group %v: %v vs exact %v", key, e.Value, want)
 		}
@@ -145,7 +145,10 @@ func TestMaintainValidation(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
+// TestMaintainAppendByTableRole: an append to a fact table maintains its
+// scan-level and join-level samples alike, and an append to a dimension
+// removes the samples that join it, leaving the scan-level one.
+func TestMaintainAppendByTableRole(t *testing.T) {
 	fact := testFact(5000, 2)
 	dim := storage.MustNewTable("dim",
 		&storage.Column{Name: "d_key", Kind: storage.KindInt64, Ints: []int64{0, 1}},
@@ -195,13 +198,6 @@ func TestInvalidate(t *testing.T) {
 	if l.Store().Len() != 1 || l.Store().List()[0].Meta.Input != "fact" {
 		t.Fatalf("store after a dimension append: %d entries", l.Store().Len())
 	}
-	// Invalidate removes everything touching the table.
-	if n := l.Invalidate("fact"); n != 1 {
-		t.Fatalf("Invalidate removed %d, want 1", n)
-	}
-	if l.Store().Len() != 0 {
-		t.Fatal("store not empty")
-	}
 }
 
 // TestInputQueryInvertsInputSignature: a stored input signature resolves
@@ -231,22 +227,30 @@ func TestInputQueryInvertsInputSignature(t *testing.T) {
 	}
 }
 
+// TestInputMentionsTable: an input signature names a table as its fact
+// (inputFact, which MaintainAppend matches against the grown table) or as a
+// joined dimension (joinsAsDimension, whose entries an append to that table
+// removes) — never by a name prefix.
 func TestInputMentionsTable(t *testing.T) {
 	cases := []struct {
-		sig, table string
-		want       bool
+		sig, table   string
+		fact, asJoin bool
 	}{
-		{"lineorder", "lineorder", true},
-		{"lineorder⋈date(a=b)", "lineorder", true},
-		{"lineorder⋈date(a=b)", "date", true},
-		{"lineorder⋈date(a=b)", "supplier", false},
-		{"lineorder", "line", false},
-		{"lineorder2", "lineorder", false},
-		{"fact⋈dim(x=y)⋈dim2(u=v)", "dim2", true},
+		{"lineorder", "lineorder", true, false},
+		{"lineorder⋈date(a=b)", "lineorder", true, false},
+		{"lineorder⋈date(a=b)", "date", false, true},
+		{"lineorder⋈date(a=b)", "supplier", false, false},
+		{"lineorder", "line", false, false},
+		{"lineorder2", "lineorder", false, false},
+		{"fact⋈dim(x=y)⋈dim2(u=v)", "dim2", false, true},
+		{"fact⋈dim2(u=v)", "dim", false, false},
 	}
 	for _, c := range cases {
-		if got := inputMentionsTable(c.sig, c.table); got != c.want {
-			t.Errorf("inputMentionsTable(%q, %q) = %v", c.sig, c.table, got)
+		if got := inputFact(c.sig) == c.table; got != c.fact {
+			t.Errorf("inputFact(%q) = %q, fact %q: %v", c.sig, inputFact(c.sig), c.table, got)
+		}
+		if got := joinsAsDimension(c.sig, c.table); got != c.asJoin {
+			t.Errorf("joinsAsDimension(%q, %q) = %v", c.sig, c.table, got)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func BenchmarkPrunedScan(b *testing.B) {
 }
 
 // BenchmarkFusedAggregate measures the fused scan→filter→aggregate path
-// (RunAggregate) against materialize-then-aggregate — the pipeline that
+// (RunExact's fold) against materialize-then-aggregate — the pipeline that
 // fills a selection vector and feeds it to a sink (RunScan, the exact path
 // before fusion) — under the same zone-map verdicts. Cases:
 //
@@ -130,12 +130,12 @@ func BenchmarkFusedAggregate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				q := &Query{Fact: fact, Filter: tc.pred}
-				aggs, st, err := RunAggregate(q, ExprsFromNames([]string{"lo_extendedprice"}), 4)
+				res, st, err := RunExact(q, nil, sums(Col("lo_extendedprice")), 4)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(aggs) != 1 {
-					b.Fatalf("got %d aggregates", len(aggs))
+				if res.NumGroups() != 1 {
+					b.Fatalf("got %d groups", res.NumGroups())
 				}
 				last = st
 			}
@@ -210,7 +210,7 @@ func BenchmarkSegmentParallelBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				q := &Query{Fact: tab, Filter: q11Predicate()}
-				_, st, err := RunStratified(q, schema, 1, 256, uint64(i)+1, 4)
+				_, st, err := RunStratifiedExprs(q, ExprsFromNames(schema), 1, 256, uint64(i)+1, 4, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -313,7 +313,7 @@ func BenchmarkStarJoin(b *testing.B) {
 			b.ResetTimer()
 			var last Stats
 			for i := 0; i < b.N; i++ {
-				_, st, err := RunGroupBy(q, []string{"d_year", "p_brand1"}, "lo_revenue", 2)
+				_, st, err := RunExact(q, []string{"d_year", "p_brand1"}, sums(Col("lo_revenue")), 2)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -14,7 +14,7 @@ import (
 func TestGroupByBudgetAccounting(t *testing.T) {
 	gov := governor.New(governor.Config{QueryMemoryBytes: 1 << 20})
 	budget := gov.NewQueryBudget()
-	res, _, err := RunGroupBy(&Query{Fact: buildFact(50000, 7, 10), Budget: budget}, []string{"f_group"}, "f_val", 4)
+	res, _, err := RunExact(&Query{Fact: buildFact(50000, 7, 10), Budget: budget}, []string{"f_group"}, sums(Col("f_val")), 4)
 	if err != nil {
 		t.Fatalf("budgeted small group-by: %v", err)
 	}
@@ -35,7 +35,7 @@ func TestGroupByBudgetAccounting(t *testing.T) {
 func TestGroupByNilBudgetUnlimited(t *testing.T) {
 	fact := buildFact(20000, 20000, 10)
 	q := &Query{Fact: fact, Budget: nil}
-	res, _, err := RunGroupBy(q, []string{"f_key"}, "f_val", 4)
+	res, _, err := RunExact(q, []string{"f_key"}, sums(Col("f_val")), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,15 +31,6 @@ func Col(name string) ColumnExpr {
 	return ColumnExpr{Name: name, Left: name}
 }
 
-// Cols wraps a list of plain column references.
-func Cols(names []string) []ColumnExpr {
-	out := make([]ColumnExpr, len(names))
-	for i, n := range names {
-		out[i] = Col(n)
-	}
-	return out
-}
-
 // exprSource is the compiled form: operand sources plus the combine op.
 type exprSource struct {
 	left  columnSource

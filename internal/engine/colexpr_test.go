@@ -35,8 +35,8 @@ func TestExprNameRoundtrip(t *testing.T) {
 func TestGroupByComputedFactColumns(t *testing.T) {
 	fact := buildFact(5000, 4, 10) // f_val = key*3
 	q := &Query{Fact: fact}
-	res, _, err := RunGroupByExprs(q, []string{"f_group"},
-		[]ColumnExpr{{Name: "f_val*f_key", Left: "f_val", Op: '*', Right: "f_key"}}, 2)
+	res, _, err := RunExact(q, []string{"f_group"},
+		sums(ColumnExpr{Name: "f_val*f_key", Left: "f_val", Op: '*', Right: "f_key"}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGroupByComputedFactColumns(t *testing.T) {
 	for g := int64(0); g < 4; g++ {
 		var key GroupKey
 		key[0] = g
-		got, ok := res.Value(key, approx.Sum)
+		got, ok := res.Value(key, 0)
 		if !ok || got != want[g] {
 			t.Fatalf("group %d: %v, want %v", g, got, want[g])
 		}
@@ -57,8 +57,8 @@ func TestGroupByComputedFactColumns(t *testing.T) {
 func TestGroupByComputedWithLiteral(t *testing.T) {
 	fact := buildFact(1000, 2, 10)
 	q := &Query{Fact: fact}
-	res, _, err := RunGroupByExprs(q, []string{"f_group"},
-		[]ColumnExpr{{Name: "f_key+100", Left: "f_key", Op: '+', RightLit: 100, RightIsLit: true}}, 2)
+	res, _, err := RunExact(q, []string{"f_group"},
+		sums(ColumnExpr{Name: "f_key+100", Left: "f_key", Op: '+', RightLit: 100, RightIsLit: true}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestGroupByComputedWithLiteral(t *testing.T) {
 	for g := int64(0); g < 2; g++ {
 		var key GroupKey
 		key[0] = g
-		if got, _ := res.Value(key, approx.Sum); got != want[g] {
+		if got, _ := res.Value(key, 0); got != want[g] {
 			t.Fatalf("group %d: %v, want %v", g, got, want[g])
 		}
 	}
@@ -83,8 +83,8 @@ func TestComputedWithDimensionOperand(t *testing.T) {
 		Fact:  fact,
 		Joins: []Join{{Dim: dim, FactKey: "f_dimfk", DimKey: "d_key"}},
 	}
-	res, _, err := RunGroupByExprs(q, []string{"f_group"},
-		[]ColumnExpr{{Name: "f_val-d_attr", Left: "f_val", Op: '-', Right: "d_attr"}}, 3)
+	res, _, err := RunExact(q, []string{"f_group"},
+		sums(ColumnExpr{Name: "f_val-d_attr", Left: "f_val", Op: '-', Right: "d_attr"}), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestComputedWithDimensionOperand(t *testing.T) {
 	for g := int64(0); g < 2; g++ {
 		var key GroupKey
 		key[0] = g
-		if got, _ := res.Value(key, approx.Sum); got != want[g] {
+		if got, _ := res.Value(key, 0); got != want[g] {
 			t.Fatalf("group %d: %v, want %v", g, got, want[g])
 		}
 	}
@@ -131,16 +131,16 @@ func TestStratifiedComputedCapture(t *testing.T) {
 func TestComputedExprErrors(t *testing.T) {
 	fact := buildFact(100, 2, 10)
 	q := &Query{Fact: fact}
-	if _, _, err := RunGroupByExprs(q, []string{"f_group"},
-		[]ColumnExpr{{Name: "x", Left: "missing", Op: '*', Right: "f_val"}}, 1); err == nil {
+	if _, _, err := RunExact(q, []string{"f_group"},
+		sums(ColumnExpr{Name: "x", Left: "missing", Op: '*', Right: "f_val"}), 1); err == nil {
 		t.Fatal("unknown left operand must error")
 	}
-	if _, _, err := RunGroupByExprs(q, []string{"f_group"},
-		[]ColumnExpr{{Name: "x", Left: "f_val", Op: '*', Right: "missing"}}, 1); err == nil {
+	if _, _, err := RunExact(q, []string{"f_group"},
+		sums(ColumnExpr{Name: "x", Left: "f_val", Op: '*', Right: "missing"}), 1); err == nil {
 		t.Fatal("unknown right operand must error")
 	}
-	if _, _, err := RunGroupByExprs(q, []string{"f_group"},
-		[]ColumnExpr{{Name: "x", Left: "f_val", Op: '/', Right: "f_key"}}, 1); err == nil {
+	if _, _, err := RunExact(q, []string{"f_group"},
+		sums(ColumnExpr{Name: "x", Left: "f_val", Op: '/', Right: "f_key"}), 1); err == nil {
 		t.Fatal("unsupported operator must error")
 	}
 }

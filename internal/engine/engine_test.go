@@ -54,7 +54,7 @@ func TestRunGroupByExact(t *testing.T) {
 	const n, groups = 10000, 7
 	fact := buildFact(n, groups, 10)
 	q := &Query{Fact: fact}
-	res, stats, err := RunGroupBy(q, []string{"f_group"}, "f_val", 4)
+	res, stats, err := RunExact(q, []string{"f_group"}, allKinds("f_val"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +75,13 @@ func TestRunGroupByExact(t *testing.T) {
 	for g := 0; g < groups; g++ {
 		var key GroupKey
 		key[0] = int64(g)
-		if got, ok := res.Value(key, approx.Sum); !ok || got != wantSum[g] {
+		if got, ok := res.Value(key, int(approx.Sum)); !ok || got != wantSum[g] {
 			t.Fatalf("group %d sum = %v, want %v", g, got, wantSum[g])
 		}
-		if got, _ := res.Value(key, approx.Count); got != float64(wantCount[g]) {
+		if got, _ := res.Value(key, int(approx.Count)); got != float64(wantCount[g]) {
 			t.Fatalf("group %d count = %v", g, got)
 		}
-		if got, _ := res.Value(key, approx.Avg); got != wantSum[g]/float64(wantCount[g]) {
+		if got, _ := res.Value(key, int(approx.Avg)); got != wantSum[g]/float64(wantCount[g]) {
 			t.Fatalf("group %d avg = %v", g, got)
 		}
 	}
@@ -93,7 +93,7 @@ func TestRunGroupByWithFilter(t *testing.T) {
 		Fact:   fact,
 		Filter: algebra.NewPredicate().WithRange("f_key", 100, 299),
 	}
-	res, stats, err := RunGroupBy(q, []string{"f_group"}, "f_val", 2)
+	res, stats, err := RunExact(q, []string{"f_group"}, sums(Col("f_val")), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunGroupByWithFilter(t *testing.T) {
 	}
 	var total float64
 	for _, k := range res.Keys() {
-		v, _ := res.Value(k, approx.Sum)
+		v, _ := res.Value(k, 0)
 		total += v
 	}
 	var want float64
@@ -128,7 +128,7 @@ func TestRunGroupByJoin(t *testing.T) {
 			Filter:  algebra.NewPredicate().WithPoint("d_attr", 1),
 		}},
 	}
-	res, stats, err := RunGroupBy(q, []string{"d_attr"}, "f_val", 3)
+	res, stats, err := RunExact(q, []string{"d_attr"}, sums(Col("f_val")), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRunGroupByJoin(t *testing.T) {
 	}
 	var key GroupKey
 	key[0] = 1
-	if got, ok := res.Value(key, approx.Sum); !ok || got != wantSum {
+	if got, ok := res.Value(key, 0); !ok || got != wantSum {
 		t.Fatalf("sum = %v, want %v", got, wantSum)
 	}
 }
@@ -158,18 +158,18 @@ func TestRunGroupByValidation(t *testing.T) {
 	fact := buildFact(10, 2, 2)
 	q := &Query{Fact: fact}
 	// Zero group columns is a global aggregate over one implicit group.
-	res, _, err := RunGroupBy(q, nil, "f_val", 1)
+	res, _, err := RunExact(q, nil, allKinds("f_val"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var zero GroupKey
-	if got, ok := res.Value(zero, approx.Count); !ok || got != 10 {
+	if got, ok := res.Value(zero, int(approx.Count)); !ok || got != 10 {
 		t.Fatalf("global count = %v", got)
 	}
-	if _, _, err := RunGroupBy(q, []string{"a", "b", "c", "d", "e"}, "f_val", 1); err == nil {
+	if _, _, err := RunExact(q, []string{"a", "b", "c", "d", "e"}, sums(Col("f_val")), 1); err == nil {
 		t.Fatal("too many group columns must error")
 	}
-	if _, _, err := RunGroupBy(q, []string{"missing"}, "f_val", 1); err == nil {
+	if _, _, err := RunExact(q, []string{"missing"}, sums(Col("f_val")), 1); err == nil {
 		t.Fatal("unknown column must error")
 	}
 }
@@ -178,7 +178,7 @@ func TestRunStratified(t *testing.T) {
 	const n, groups, k = 50000, 10, 100
 	fact := buildFact(n, groups, 10)
 	q := &Query{Fact: fact}
-	sam, stats, err := RunStratified(q, sample.Schema{"f_group", "f_val"}, 1, k, 42, 4)
+	sam, stats, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,17 +212,17 @@ func TestRunStratifiedEstimatesMatchExact(t *testing.T) {
 	const n, groups, k = 100000, 5, 2000
 	fact := buildFact(n, groups, 10)
 	q := &Query{Fact: fact}
-	sam, _, err := RunStratified(q, sample.Schema{"f_group", "f_val"}, 1, k, 7, 4)
+	sam, _, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 7, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, _, err := RunGroupBy(q, []string{"f_group"}, "f_val", 4)
+	exact, _, err := RunExact(q, []string{"f_group"}, sums(Col("f_val")), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ests := approx.GroupEstimates(sam, 1, approx.Sum)
 	for key, e := range ests {
-		want, ok := exact.Value(key, approx.Sum)
+		want, ok := exact.Value(key, 0)
 		if !ok {
 			t.Fatalf("group %v missing from exact result", key)
 		}
@@ -241,7 +241,7 @@ func TestRunStratifiedWithJoinQCS(t *testing.T) {
 		Fact:  fact,
 		Joins: []Join{{Dim: dim, FactKey: "f_dimfk", DimKey: "d_key"}},
 	}
-	sam, _, err := RunStratified(q, sample.Schema{"d_attr", "f_val", "f_key"}, 1, 50, 9, 4)
+	sam, _, err := RunStratifiedExprs(q, ExprsFromNames([]string{"d_attr", "f_val", "f_key"}), 1, 50, 9, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestStatsAdd(t *testing.T) {
 func TestWorkerCountOne(t *testing.T) {
 	fact := buildFact(5000, 3, 10)
 	q := &Query{Fact: fact}
-	sam, _, err := RunStratified(q, sample.Schema{"f_group", "f_val"}, 1, 10, 1, 1)
+	sam, _, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, 10, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,14 +347,14 @@ func TestEmptyAndTinyTables(t *testing.T) {
 		&storage.Column{Name: "v", Kind: storage.KindInt64},
 	)
 	q := &Query{Fact: empty}
-	res, stats, err := RunGroupBy(q, []string{"g"}, "v", 2)
+	res, stats, err := RunExact(q, []string{"g"}, sums(Col("v")), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumGroups() != 0 || stats.RowsScanned != 0 {
 		t.Fatalf("empty table: groups=%d scanned=%d", res.NumGroups(), stats.RowsScanned)
 	}
-	sam, _, err := RunStratified(q, sample.Schema{"g", "v"}, 1, 10, 1, 2)
+	sam, _, err := RunStratifiedExprs(q, ExprsFromNames([]string{"g", "v"}), 1, 10, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,21 +366,21 @@ func TestEmptyAndTinyTables(t *testing.T) {
 		&storage.Column{Name: "g", Kind: storage.KindInt64, Ints: []int64{7}},
 		&storage.Column{Name: "v", Kind: storage.KindInt64, Ints: []int64{42}},
 	)
-	res2, _, err := RunGroupBy(&Query{Fact: one}, []string{"g"}, "v", 4)
+	res2, _, err := RunExact(&Query{Fact: one}, []string{"g"}, sums(Col("v")), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var key GroupKey
 	key[0] = 7
-	if got, ok := res2.Value(key, approx.Sum); !ok || got != 42 {
+	if got, ok := res2.Value(key, 0); !ok || got != 42 {
 		t.Fatalf("single row sum = %v", got)
 	}
 	// More workers than morsels must not deadlock or double-count.
-	res3, _, err := RunGroupBy(&Query{Fact: one}, []string{"g"}, "v", 16)
+	res3, _, err := RunExact(&Query{Fact: one}, []string{"g"}, allKinds("v"), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := res3.Value(key, approx.Count); got != 1 {
+	if got, _ := res3.Value(key, int(approx.Count)); got != 1 {
 		t.Fatalf("over-parallel count = %v", got)
 	}
 }
@@ -388,7 +388,7 @@ func TestEmptyAndTinyTables(t *testing.T) {
 func TestScanFromBeyondEnd(t *testing.T) {
 	fact := buildFact(100, 2, 2)
 	q := &Query{Fact: fact, ScanFrom: 100}
-	_, stats, err := RunGroupBy(q, []string{"f_group"}, "f_val", 2)
+	_, stats, err := RunExact(q, []string{"f_group"}, sums(Col("f_val")), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestScanFromBeyondEnd(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 	q2 := &Query{Fact: fact, ScanFrom: 50}
-	_, stats2, err := RunGroupBy(q2, []string{"f_group"}, "f_val", 2)
+	_, stats2, err := RunExact(q2, []string{"f_group"}, sums(Col("f_val")), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

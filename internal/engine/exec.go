@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"laqy/internal/approx"
 	"laqy/internal/expr"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
@@ -184,15 +185,6 @@ func (s *stratifiedSink) consume(cols [][]int64, n int) {
 	s.sam.ConsiderColumns(cols, n)
 }
 
-// RunStratified executes q and builds a stratified sample over the
-// qualifying rows: schema lists the captured columns with the first
-// qcsWidth being the stratification (QCS) columns, k is the per-stratum
-// reservoir capacity. It is RunStratifiedExprs over plain columns and the
-// whole scan range.
-func RunStratified(q *Query, schema sample.Schema, qcsWidth, k int, seed uint64, workers int) (*sample.Stratified, Stats, error) {
-	return RunStratifiedExprs(q, Cols(schema), qcsWidth, k, seed, workers, nil)
-}
-
 // BuildSegmentSample is the leaf every stratified build bottoms out in:
 // one morsel-parallel pipeline over q's scan range [ScanFrom, ScanTo) with
 // a stratified-sampling sink per worker, the per-worker partials tree-merged
@@ -282,31 +274,63 @@ func treeMergeStratified(partials []*sample.Stratified, gen *rng.Lehmer64) (*sam
 	return partials[0], nil
 }
 
-// RunGroupBy executes q as an exact group-by aggregation on aggCol grouped
-// by groupCols — the optimized exact baseline sharing stratified sampling's
-// access pattern (Figure 8).
-func RunGroupBy(q *Query, groupCols []string, aggCol string, workers int) (*GroupResult, Stats, error) {
-	return RunGroupByMulti(q, groupCols, []string{aggCol}, workers)
+// Agg is one output of an exact aggregation: an aggregate kind over a value
+// expression, as the SQL names it.
+type Agg struct {
+	Expr ColumnExpr
+	Kind approx.AggKind
 }
 
-// RunGroupByMulti is RunGroupBy over several value columns at once, each
-// aggregated independently (read results with ValueAt).
-func RunGroupByMulti(q *Query, groupCols, aggCols []string, workers int) (*GroupResult, Stats, error) {
-	return RunGroupByExprs(q, groupCols, Cols(aggCols), workers)
-}
-
-// RunGroupByExprs is RunGroupByMulti with computed aggregate expressions.
-func RunGroupByExprs(q *Query, groupCols []string, aggExprs []ColumnExpr, workers int) (*GroupResult, Stats, error) {
+// RunExact is the engine's one exact aggregation: q's qualifying rows
+// grouped by groupCols, one output per agg. It picks its own body:
+//
+//   - the fused fold (fused.go) when there are no group columns, no joins
+//     and only SUM/COUNT/AVG — aggregation folded into the scan, no hash
+//     table, no gather, zone-map-full morsels folded without a selection
+//     vector;
+//   - otherwise the materializing group-by sink (groupby.go) — the
+//     optimized exact baseline sharing stratified sampling's access pattern
+//     (Figure 8); joins, grouping and MIN/MAX need it.
+//
+// Either way the result has one group per distinct key among the rows that
+// qualify, so a selection of no rows has no groups.
+func RunExact(q *Query, groupCols []string, aggs []Agg, workers int) (*GroupResult, Stats, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
 	if len(groupCols) > sample.MaxQCS {
 		return nil, Stats{}, fmt.Errorf("engine: %d group columns (max %d)", len(groupCols), sample.MaxQCS)
 	}
-	if len(aggExprs) == 0 {
-		return nil, Stats{}, fmt.Errorf("engine: no aggregate columns")
+	if len(aggs) == 0 {
+		return nil, Stats{}, fmt.Errorf("engine: no aggregates")
 	}
-	needed := append(Cols(groupCols), aggExprs...)
+	exprs := make([]ColumnExpr, len(aggs))
+	kinds := make([]approx.AggKind, len(aggs))
+	foldable := len(groupCols) == 0 && len(q.Joins) == 0
+	for i, a := range aggs {
+		exprs[i], kinds[i] = a.Expr, a.Kind
+		foldable = foldable && (a.Kind == approx.Sum || a.Kind == approx.Count || a.Kind == approx.Avg)
+	}
+	var res *GroupResult
+	var stats Stats
+	var err error
+	if foldable {
+		res, stats, err = runFold(q, exprs, workers)
+	} else {
+		res, stats, err = runGroupBy(q, groupCols, exprs, workers)
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	res.kinds = kinds
+	return res, stats, nil
+}
+
+// runGroupBy is RunExact's materializing body: one group-by sink per
+// worker behind the full select → probe → gather pipeline, merged into the
+// result.
+func runGroupBy(q *Query, groupCols []string, aggExprs []ColumnExpr, workers int) (*GroupResult, Stats, error) {
+	needed := append(ExprsFromNames(groupCols), aggExprs...)
 	sinks := make([]rowSink, workers)
 	partials := make([]*groupBySink, workers)
 	for w := 0; w < workers; w++ {

@@ -1,22 +1,11 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
+	"laqy/internal/sample"
 	"laqy/internal/storage"
 )
-
-// AggResult is one expression's fused aggregate: the exact SUM over the
-// qualifying rows and the qualifying-row COUNT (shared by all expressions
-// of a run; AVG is Sum/Count). Sum accumulates exactly like the
-// materializing sinks — a per-morsel int64 partial converted to float64 —
-// so single-worker fused answers are bitwise identical to the materializing
-// reference scan the equivalence suites compare against.
-type AggResult struct {
-	Sum   float64
-	Count int64
-}
 
 // fusedExpr is one aggregate expression resolved for the fused path.
 type fusedExpr struct {
@@ -26,9 +15,9 @@ type fusedExpr struct {
 	op    byte
 }
 
-// RunAggregate executes q computing exact SUM and COUNT for each expression
-// over the qualifying rows in one fused scan — aggregation folded into the
-// scan itself, as a per-morsel body of the morsel driver (scan.go):
+// runFold is RunExact's fused body: the exact SUM and COUNT of each
+// expression over the qualifying rows in one scan — aggregation folded into
+// the scan itself, as a per-morsel body of the morsel driver (scan.go):
 //
 //   - zone-map-full morsels fold straight into the partial accumulators —
 //     no selection vector at all;
@@ -36,20 +25,14 @@ type fusedExpr struct {
 //     operand vectors — no gather materialization.
 //
 // All of a fused morsel's time is Stats.Scan (there is no phase past the
-// scan). Queries with joins are not fused (the probe needs materialized
-// selections); callers route those through RunGroupByExprs. This is the
-// exact path's replacement for materialize-then-aggregate
-// (BenchmarkFusedAggregate measures the gap).
-func RunAggregate(q *Query, exprs []ColumnExpr, workers int) ([]AggResult, Stats, error) {
-	if len(q.Joins) > 0 {
-		return nil, Stats{}, fmt.Errorf("engine: fused aggregation does not support joins")
-	}
-	if len(exprs) == 0 {
-		return nil, Stats{}, fmt.Errorf("engine: no aggregate expressions")
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
+// scan). Sums accumulate a per-morsel int64 partial converted to float64,
+// the materializing reference scan's rounding, so single-worker folds are
+// bitwise identical to the reference the equivalence suites pin them to.
+// The result has no group when no row qualifies, and otherwise one, keyed
+// by the empty key, whose states carry SUM and COUNT only: RunExact routes
+// MIN and MAX, which the fold never computes, to the group-by sink.
+// BenchmarkFusedAggregate measures the gap to materialize-then-aggregate.
+func runFold(q *Query, exprs []ColumnExpr, workers int) (*GroupResult, Stats, error) {
 	sources, err := q.resolveExprs(exprs)
 	if err != nil {
 		return nil, Stats{}, err
@@ -101,13 +84,17 @@ func RunAggregate(q *Query, exprs []ColumnExpr, workers int) ([]AggResult, Stats
 		return nil, Stats{}, err
 	}
 
-	// All expressions share the selection, so every Count is the same.
-	out := make([]AggResult, len(fes))
-	for e := range out {
-		out[e].Count = stats.RowsSelected
-		for _, ws := range sums {
-			if ws != nil {
-				out[e].Sum += ws[e]
+	// All expressions share the selection, so every count is the same.
+	out := &GroupResult{index: sample.NewKeyIndex(0)}
+	if stats.RowsSelected > 0 {
+		out.index.Insert(&GroupKey{})
+		out.states = make([]aggState, len(fes))
+		for e := range out.states {
+			out.states[e].count = stats.RowsSelected
+			for _, ws := range sums {
+				if ws != nil {
+					out.states[e].sum += ws[e]
+				}
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"laqy/internal/algebra"
+	"laqy/internal/approx"
 	"laqy/internal/sample"
 	"laqy/internal/storage"
 )
@@ -123,7 +124,7 @@ func TestZoneMapDeltaBounds(t *testing.T) {
 	}
 }
 
-// TestFusedAggregateMatchesScan pins the fused path bitwise to RunScan (the
+// TestFusedAggregateMatchesScan pins the fused fold bitwise to RunScan (the
 // materializing reference shares its per-morsel int64 accumulation) at one
 // worker, with zone-map verdicts and without.
 func TestFusedAggregateMatchesScan(t *testing.T) {
@@ -131,7 +132,7 @@ func TestFusedAggregateMatchesScan(t *testing.T) {
 	for pi, p := range clusteredPredicates() {
 		for _, disable := range []bool{false, true} {
 			q := func() *Query { return &Query{Fact: fact, Filter: p, DisableZoneMaps: disable} }
-			aggs, stats, err := RunAggregate(q(), ExprsFromNames([]string{"e_val"}), 1)
+			got, count, stats, err := foldSums(q(), ExprsFromNames([]string{"e_val"}), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,11 +140,11 @@ func TestFusedAggregateMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if aggs[0].Sum != want {
-				t.Fatalf("pred %d disable=%v: fused sum %v != scan %v", pi, disable, aggs[0].Sum, want)
+			if got[0] != want {
+				t.Fatalf("pred %d disable=%v: fused sum %v != scan %v", pi, disable, got[0], want)
 			}
-			if aggs[0].Count != refStats.RowsSelected {
-				t.Fatalf("pred %d: fused count %d != selected %d", pi, aggs[0].Count, refStats.RowsSelected)
+			if count != refStats.RowsSelected {
+				t.Fatalf("pred %d: fused count %d != selected %d", pi, count, refStats.RowsSelected)
 			}
 			// Exactly the zone-map-full morsels fold without a selection
 			// vector; with no verdicts there are none.
@@ -154,14 +155,14 @@ func TestFusedAggregateMatchesScan(t *testing.T) {
 	}
 	// A date range wide enough to contain a whole morsel must fold it.
 	q := &Query{Fact: fact, Filter: algebra.NewPredicate().WithRange("e_date", 20070010, 20070390)}
-	aggs, stats, err := RunAggregate(q, ExprsFromNames([]string{"e_val"}), 2)
+	_, count, stats, err := foldSums(q, ExprsFromNames([]string{"e_val"}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.MorselsFused == 0 || stats.MorselsFused != stats.MorselsFull {
 		t.Fatalf("no zone-map-full folds: %+v", stats)
 	}
-	if aggs[0].Count == 0 {
+	if count == 0 {
 		t.Fatal("predicate selected nothing")
 	}
 }
@@ -200,7 +201,7 @@ func TestFusedAggregateExprs(t *testing.T) {
 		if !tc.wantFull {
 			p = p.WithRange("e_flag", tc.flagLo, tc.flagHi)
 		}
-		aggs, stats, err := RunAggregate(&Query{Fact: fact, Filter: p}, exprs, 3)
+		got, count, stats, err := foldSums(&Query{Fact: fact, Filter: p}, exprs, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,12 +209,12 @@ func TestFusedAggregateExprs(t *testing.T) {
 			t.Fatalf("%s: fused %d morsels: %+v", tc.name, stats.MorselsFused, stats)
 		}
 		want := make([]int64, len(exprs))
-		var count int64
+		var wantCount int64
 		for i := 0; i < fact.NumRows(); i++ {
 			if date[i] < tc.dateLo || date[i] > tc.dateHi || flag[i] < tc.flagLo || flag[i] > tc.flagHi {
 				continue
 			}
-			count++
+			wantCount++
 			want[0] += val[i]
 			want[1] += val[i] * 3
 			want[2] += val[i] + 7
@@ -224,37 +225,76 @@ func TestFusedAggregateExprs(t *testing.T) {
 			want[7] += date[i] - 20070000
 		}
 		for e := range exprs {
-			if aggs[e].Sum != float64(want[e]) {
-				t.Fatalf("%s expr %s: %v, want %d", tc.name, exprs[e].Name, aggs[e].Sum, want[e])
+			if got[e] != float64(want[e]) {
+				t.Fatalf("%s expr %s: %v, want %d", tc.name, exprs[e].Name, got[e], want[e])
 			}
-			if aggs[e].Count != count {
-				t.Fatalf("%s expr %s: count %d, want %d", tc.name, exprs[e].Name, aggs[e].Count, count)
-			}
+		}
+		if count != wantCount {
+			t.Fatalf("%s: count %d, want %d", tc.name, count, wantCount)
 		}
 	}
 }
 
+// TestFusedAggregateEmptyAndErrors pins RunExact's choice of body: only an
+// ungrouped, join-free SUM/COUNT/AVG folds, and every other shape takes the
+// group-by sink even where zone-map-full morsels were there to fold. Both
+// bodies agree on the answer, and both return no group for a selection of
+// no rows.
 func TestFusedAggregateEmptyAndErrors(t *testing.T) {
-	fact := buildClusteredFact(t, storage.DefaultMorselSize, 5)
-	// Nothing qualifies.
-	aggs, _, err := RunAggregate(&Query{Fact: fact, Filter: algebra.NewPredicate().WithRange("e_one", 5, 6)},
-		ExprsFromNames([]string{"e_val"}), 2)
-	if err != nil {
-		t.Fatal(err)
+	fact := buildClusteredFact(t, 2*storage.DefaultMorselSize+500, 5)
+	full := algebra.NewPredicate().WithRange("e_date", 20070000, 20070399)  // every morsel zone-map-full
+	none := algebra.NewPredicate().WithRange("e_one", 5, 6)                 // no row qualifies
+	join := []Join{{Dim: buildDim(50), FactKey: "e_flag", DimKey: "d_key"}} // e_flag < 50: keeps every row
+	val := Col("e_val")
+	sumCountAvg := []Agg{{Expr: val, Kind: approx.Sum}, {Expr: val, Kind: approx.Count}, {Expr: val, Kind: approx.Avg}}
+	cases := []struct {
+		name   string
+		joins  []Join
+		groups []string
+		aggs   []Agg
+		fuses  bool
+	}{
+		{"ungrouped join-free SUM+COUNT+AVG", nil, nil, sumCountAvg, true},
+		{"join", join, nil, sumCountAvg, false},
+		{"GROUP BY", nil, []string{"e_one"}, sumCountAvg, false},
+		{"MIN", nil, nil, append(sums(val), Agg{Expr: val, Kind: approx.Min}), false},
+		{"MAX", nil, nil, append(sums(val), Agg{Expr: val, Kind: approx.Max}), false},
 	}
-	if aggs[0].Count != 0 || aggs[0].Sum != 0 {
-		t.Fatalf("empty selection: %+v", aggs[0])
+	var wantSum float64
+	for _, c := range cases {
+		res, stats, err := RunExact(&Query{Fact: fact, Filter: full, Joins: c.joins}, c.groups, c.aggs, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if stats.MorselsFull == 0 || (stats.MorselsFused > 0) != c.fuses {
+			t.Fatalf("%s: fused %d of %d full morsels, want fused=%v", c.name, stats.MorselsFused, stats.MorselsFull, c.fuses)
+		}
+		keys := res.Keys()
+		if len(keys) != 1 {
+			t.Fatalf("%s: %d groups, want 1", c.name, len(keys))
+		}
+		sum, ok := res.Value(keys[0], 0)
+		if wantSum == 0 {
+			wantSum = sum
+		}
+		if !ok || sum != wantSum {
+			t.Fatalf("%s: SUM %v (ok=%v), fold %v", c.name, sum, ok, wantSum)
+		}
+
+		res, stats, err = RunExact(&Query{Fact: fact, Filter: none, Joins: c.joins}, c.groups, c.aggs, 2)
+		if err != nil {
+			t.Fatalf("%s, empty: %v", c.name, err)
+		}
+		if res.NumGroups() != 0 || stats.RowsSelected != 0 {
+			t.Fatalf("%s, empty selection: %d groups over %d rows", c.name, res.NumGroups(), stats.RowsSelected)
+		}
+		if _, ok := res.Value(GroupKey{}, 0); ok {
+			t.Fatalf("%s, empty selection: the empty key has a value", c.name)
+		}
 	}
-	// Joins are not fused.
-	dim := buildDim(10)
-	_, _, err = RunAggregate(&Query{Fact: fact, Joins: []Join{{Dim: dim, FactKey: "e_flag", DimKey: "d_key"}}},
-		ExprsFromNames([]string{"e_val"}), 1)
-	if err == nil {
-		t.Fatal("join query must be rejected")
-	}
-	// No expressions.
-	if _, _, err = RunAggregate(&Query{Fact: fact}, nil, 1); err == nil {
-		t.Fatal("empty expression list must be rejected")
+	// No outputs.
+	if _, _, err := RunExact(&Query{Fact: fact}, nil, nil, 1); err == nil {
+		t.Fatal("an empty output list must be rejected")
 	}
 }
 

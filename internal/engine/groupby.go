@@ -55,16 +55,16 @@ func (a *aggState) merge(b *aggState) {
 	}
 }
 
-// GroupResult is the exact answer of a group-by aggregation query: the
-// baseline LAQy's approximate answers are compared against, and the engine
-// operation whose access pattern stratified sampling shares (Figure 8).
-// Each group carries one aggState per requested value column: the index
-// gives a group its dense id, and states holds its valueCols aggStates at
-// id*valueCols.
+// GroupResult is RunExact's answer: the baseline LAQy's approximate
+// answers are compared against, and the engine operation whose access
+// pattern stratified sampling shares (Figure 8). Each group carries one
+// aggState per output: the index gives a group its dense id, states holds
+// its len(kinds) aggStates from id*len(kinds), and output i reads kinds[i]
+// from its state.
 type GroupResult struct {
-	valueCols int
-	index     sample.KeyIndex
-	states    []aggState
+	kinds  []approx.AggKind
+	index  sample.KeyIndex
+	states []aggState
 }
 
 // NumGroups returns the number of distinct groups.
@@ -80,24 +80,17 @@ func (r *GroupResult) Keys() []GroupKey {
 	return out
 }
 
-// Value returns the requested aggregate of the first value column for a
-// group and whether the group exists.
-func (r *GroupResult) Value(key GroupKey, kind approx.AggKind) (float64, bool) {
-	return r.ValueAt(key, 0, kind)
-}
-
-// ValueAt returns the requested aggregate of the col-th value column for a
-// group and whether the group exists.
-func (r *GroupResult) ValueAt(key GroupKey, col int, kind approx.AggKind) (float64, bool) {
+// Value returns output i of a group and whether the group exists.
+func (r *GroupResult) Value(key GroupKey, i int) (float64, bool) {
 	id := r.index.Find(&key)
-	if id < 0 || col < 0 || col >= r.valueCols {
+	if id < 0 || i < 0 || i >= len(r.kinds) {
 		return 0, false
 	}
-	a := &r.states[int(id)*r.valueCols+col]
+	a := &r.states[int(id)*len(r.kinds)+i]
 	if a.count == 0 {
 		return 0, false
 	}
-	switch kind {
+	switch r.kinds[i] {
 	case approx.Sum:
 		return a.sum, true
 	case approx.Count:
@@ -197,8 +190,8 @@ func (s *groupBySink) consume(cols [][]int64, n int) {
 // sink's groups fold into them.
 func mergeGroupBySinks(sinks []*groupBySink) *GroupResult {
 	first := sinks[0]
-	out := &GroupResult{valueCols: first.valueCols, index: first.index, states: first.states}
-	w := out.valueCols
+	out := &GroupResult{index: first.index, states: first.states}
+	w := first.valueCols
 	for _, s := range sinks[1:] {
 		for id := 0; id < s.index.Len(); id++ {
 			key := s.index.Key(int32(id))

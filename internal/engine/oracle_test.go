@@ -202,7 +202,7 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 			}
 		}
 
-		got, _, err := RunGroupBy(q, groupCols, "val", 3)
+		got, _, err := RunExact(q, groupCols, allKinds("val"), 3)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -255,16 +255,16 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 				trial, got.NumGroups(), len(oracle), pred, slots, groupCols)
 		}
 		for k, want := range oracle {
-			if v, ok := got.Value(k, approx.Sum); !ok || v != want.sum {
+			if v, ok := got.Value(k, int(approx.Sum)); !ok || v != want.sum {
 				t.Fatalf("trial %d group %v: sum %v, oracle %v", trial, k, v, want.sum)
 			}
-			if v, _ := got.Value(k, approx.Count); v != float64(want.count) {
+			if v, _ := got.Value(k, int(approx.Count)); v != float64(want.count) {
 				t.Fatalf("trial %d group %v: count %v, oracle %d", trial, k, v, want.count)
 			}
-			if v, _ := got.Value(k, approx.Min); v != float64(want.minv) {
+			if v, _ := got.Value(k, int(approx.Min)); v != float64(want.minv) {
 				t.Fatalf("trial %d group %v: min %v, oracle %d", trial, k, v, want.minv)
 			}
-			if v, _ := got.Value(k, approx.Max); v != float64(want.maxv) {
+			if v, _ := got.Value(k, int(approx.Max)); v != float64(want.maxv) {
 				t.Fatalf("trial %d group %v: max %v, oracle %d", trial, k, v, want.maxv)
 			}
 		}
@@ -272,7 +272,7 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 		// The stratified sampler over the same query must see exactly the
 		// qualifying rows (weights are exact even when values are sampled).
 		schema := append(append([]string{}, groupCols...), "val")
-		sam, _, err := RunStratified(q, schema, len(groupCols), 64, uint64(trial), 3)
+		sam, _, err := RunStratifiedExprs(q, ExprsFromNames(schema), len(groupCols), 64, uint64(trial), 3, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

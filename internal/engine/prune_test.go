@@ -40,8 +40,8 @@ func groupBySnapshot(t *testing.T, res *GroupResult) map[GroupKey][2]float64 {
 	t.Helper()
 	out := make(map[GroupKey][2]float64, res.NumGroups())
 	for _, k := range res.Keys() {
-		sum, _ := res.Value(k, approx.Sum)
-		cnt, _ := res.Value(k, approx.Count)
+		sum, _ := res.Value(k, int(approx.Sum))
+		cnt, _ := res.Value(k, int(approx.Count))
 		out[k] = [2]float64{sum, cnt}
 	}
 	return out
@@ -54,11 +54,11 @@ func runBoth(t *testing.T, fact *storage.Table, pred algebra.Predicate, scanFrom
 	qp := &Query{Fact: fact, Filter: pred, ScanFrom: scanFrom}
 	qr := &Query{Fact: fact, Filter: pred, ScanFrom: scanFrom, DisableZoneMaps: true}
 	var err error
-	pruned, ps, err = RunGroupBy(qp, []string{"p_group"}, "p_val", 1)
+	pruned, ps, err = RunExact(qp, []string{"p_group"}, allKinds("p_val"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, rs, err = RunGroupBy(qr, []string{"p_group"}, "p_val", 1)
+	ref, rs, err = RunExact(qr, []string{"p_group"}, allKinds("p_val"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,17 +320,17 @@ func TestStraddlingMorselVerdicts(t *testing.T) {
 				assertSameResult(t, pruned, ref, ps, rs)
 
 				exprs := ExprsFromNames([]string{"p_seq", "p_val"})
-				got, gs, err := RunAggregate(&Query{Fact: tab, Filter: sh.pred, ScanFrom: from}, exprs, 1)
+				got, gotCount, gs, err := foldSums(&Query{Fact: tab, Filter: sh.pred, ScanFrom: from}, exprs, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, ws, err := RunAggregate(&Query{Fact: tab, Filter: sh.pred, ScanFrom: from, DisableZoneMaps: true}, exprs, 1)
+				want, wantCount, ws, err := foldSums(&Query{Fact: tab, Filter: sh.pred, ScanFrom: from, DisableZoneMaps: true}, exprs, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if gs.RowsSelected != ws.RowsSelected || got[0] != want[0] || got[1] != want[1] {
-					t.Fatalf("append %d from %d, %s: fused %+v over %d rows, reference %+v over %d",
-						ai, from, sh.name, got, gs.RowsSelected, want, ws.RowsSelected)
+				if gs.RowsSelected != ws.RowsSelected || gotCount != wantCount || got[0] != want[0] || got[1] != want[1] {
+					t.Fatalf("append %d from %d, %s: fused %v over %d rows, reference %v over %d",
+						ai, from, sh.name, got, gotCount, want, wantCount)
 				}
 				if gs.MorselsFused != gs.MorselsFull || ws.MorselsFused != 0 {
 					t.Fatalf("append %d from %d, %s: fused %d of %d full morsels (reference fused %d)",

@@ -10,7 +10,6 @@ import (
 	"laqy/internal/algebra"
 	"laqy/internal/governor"
 	"laqy/internal/rng"
-	"laqy/internal/sample"
 	"laqy/internal/storage"
 )
 
@@ -45,7 +44,7 @@ func randomScanPredicate(g *rng.Lehmer64) algebra.Predicate {
 }
 
 // TestScanDriverBodiesAgree runs the driver's two bodies — the
-// materializing sink pipeline (RunScan) and the fused fold (RunAggregate) —
+// materializing sink pipeline (RunScan) and the fused fold (RunExact) —
 // over the same randomized predicates and storage layouts and requires the
 // same answer and the same morsel verdicts from both: they consume one
 // morsel plan, so they cannot disagree about which morsels were skipped or
@@ -85,7 +84,7 @@ func TestScanDriverBodiesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			aggs, foldStats, err := RunAggregate(q(), val, workers)
+			fold, foldCount, foldStats, err := foldSums(q(), val, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,13 +96,13 @@ func TestScanDriverBodiesAgree(t *testing.T) {
 			}
 			// e_val < 1000, so every partial sum is an exact float64 and the
 			// answers are equal for any worker count.
-			if sum != want || aggs[0].Sum != want {
-				t.Fatalf("%s %v: sink %v, fold %v, reference %v", lay.name, p, sum, aggs[0].Sum, want)
+			if sum != want || fold[0] != want {
+				t.Fatalf("%s %v: sink %v, fold %v, reference %v", lay.name, p, sum, fold[0], want)
 			}
-			if sinkStats.RowsSelected != refStats.RowsSelected || aggs[0].Count != refStats.RowsSelected ||
+			if sinkStats.RowsSelected != refStats.RowsSelected || foldCount != refStats.RowsSelected ||
 				foldStats.RowsSelected != refStats.RowsSelected {
 				t.Fatalf("%s %v: selected sink %d, fold %d/%d, reference %d", lay.name, p,
-					sinkStats.RowsSelected, foldStats.RowsSelected, aggs[0].Count, refStats.RowsSelected)
+					sinkStats.RowsSelected, foldStats.RowsSelected, foldCount, refStats.RowsSelected)
 			}
 			if sinkStats.RowsScanned != foldStats.RowsScanned || sinkStats.RowsScanned != refStats.RowsScanned {
 				t.Fatalf("%s: rows scanned %d / %d / %d", lay.name, sinkStats.RowsScanned, foldStats.RowsScanned, refStats.RowsScanned)
@@ -183,20 +182,20 @@ func TestScanDriverFailures(t *testing.T) {
 		check func(*testing.T, error)
 	}{
 		{"cancel/sink body", func() error {
-			_, _, err := RunGroupBy(&Query{Fact: fact, Ctx: canceled}, []string{"f_group"}, "f_val", 2)
+			_, _, err := RunExact(&Query{Fact: fact, Ctx: canceled}, []string{"f_group"}, sums(Col("f_val")), 2)
 			return err
 		}, is(context.Canceled)},
 		{"cancel/fold body", func() error {
-			_, _, err := RunAggregate(&Query{Fact: fact, Ctx: canceled}, val, 2)
+			_, _, _, err := foldSums(&Query{Fact: fact, Ctx: canceled}, val, 2)
 			return err
 		}, is(context.Canceled)},
 		{"expired deadline/sample build", func() error {
-			_, _, err := RunStratified(&Query{Fact: fact, Ctx: expired}, sample.Schema{"f_group", "f_val"}, 1, 10, 1, 2)
+			_, _, err := RunStratifiedExprs(&Query{Fact: fact, Ctx: expired}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 10, 1, 2, nil)
 			return err
 		}, is(context.DeadlineExceeded)},
 		{"panic/poisoned sink", func() error {
 			sinks := []rowSink{&panicSink{}, &panicSink{}, &panicSink{}, &panicSink{}}
-			_, err := runPipeline(&Query{Fact: fact}, Cols(sample.Schema{"f_group", "f_val"}), len(sinks), sinks)
+			_, err := runPipeline(&Query{Fact: fact}, ExprsFromNames([]string{"f_group", "f_val"}), len(sinks), sinks)
 			return err
 		}, isPanic("poisoned sink kernel", "scan_test.go")},
 		{"panic/sink body over a corrupt column", func() error {
@@ -204,13 +203,13 @@ func TestScanDriverFailures(t *testing.T) {
 			return err
 		}, isPanic("index out of range")},
 		{"panic/fold body over a corrupt column", func() error {
-			_, _, err := RunAggregate(&Query{Fact: corrupt}, val, 2)
+			_, _, _, err := foldSums(&Query{Fact: corrupt}, val, 2)
 			return err
 		}, isPanic("index out of range")},
 		{"denial/failable sink", func() error {
 			// Grouping by the unique key needs ~50k hash entries across the
 			// workers — far past the 1 MiB per-query budget.
-			_, _, err := RunGroupBy(&Query{Fact: buildFact(50000, 50000, 10), Budget: budget}, []string{"f_key"}, "f_val", 4)
+			_, _, err := RunExact(&Query{Fact: buildFact(50000, 50000, 10), Budget: budget}, []string{"f_key"}, sums(Col("f_val")), 4)
 			budget.ReleaseAll()
 			return err
 		}, func(t *testing.T, err error) {
@@ -256,14 +255,14 @@ func TestScanDriverFailures(t *testing.T) {
 
 	// The engine is still fully functional: a healthy query of each body
 	// runs cleanly afterwards.
-	sam, _, err := RunStratified(&Query{Fact: fact, Ctx: context.Background()}, sample.Schema{"f_group", "f_val"}, 1, 16, 1, 4)
+	sam, _, err := RunStratifiedExprs(&Query{Fact: fact, Ctx: context.Background()}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 16, 1, 4, nil)
 	if err != nil {
 		t.Fatalf("sample build after the failed runs: %v", err)
 	}
 	if sam.TotalWeight() != 500000 {
 		t.Fatalf("sample build after the failed runs: weight %v", sam.TotalWeight())
 	}
-	if aggs, _, err := RunAggregate(&Query{Fact: fact}, val, 4); err != nil || aggs[0].Count != 500000 {
-		t.Fatalf("fused aggregate after the failed runs: %+v, err %v", aggs, err)
+	if _, count, _, err := foldSums(&Query{Fact: fact}, val, 4); err != nil || count != 500000 {
+		t.Fatalf("fused aggregate after the failed runs: count %d, err %v", count, err)
 	}
 }

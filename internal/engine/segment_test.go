@@ -212,12 +212,12 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 	if got := merged.TotalWeight(); got != float64(n+extra) {
 		t.Fatalf("merged weight = %v, want %d", got, n+extra)
 	}
-	exact, _, err := RunGroupBy(&Query{Fact: grown}, []string{"f_group"}, "f_val", 2)
+	exact, _, err := RunExact(&Query{Fact: grown}, []string{"f_group"}, sums(Col("f_val")), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for key, e := range approx.GroupEstimates(merged, 1, approx.Sum) {
-		want, _ := exact.Value(key, approx.Sum)
+		want, _ := exact.Value(key, 0)
 		if approx.RelativeError(e.Value, want) > 0.10 {
 			t.Fatalf("group %v estimate %.0f vs exact %.0f", key, e.Value, want)
 		}

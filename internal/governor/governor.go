@@ -27,12 +27,12 @@ import (
 )
 
 // Config tunes a Governor. The zero value of every field selects a
-// production-safe default; see Normalize.
+// production-safe default; see normalize.
 type Config struct {
 	// Slots is the total admission weight available concurrently. An exact
-	// query holds WeightExact slots, an approximate query WeightApprox, so
-	// Slots bounds the number of simultaneously executing queries by cost.
-	// Default: 2×GOMAXPROCS, floor 4.
+	// query holds WeightExact (2) slots, an approximate query WeightApprox
+	// (1), so Slots bounds the number of simultaneously executing queries
+	// by cost. Default: 2×GOMAXPROCS, floor 4.
 	Slots int
 	// QueueDepth bounds the admission wait queue. A query arriving when
 	// the queue is full is rejected immediately with an *OverloadedError
@@ -60,8 +60,8 @@ const (
 	WeightApprox = 1
 )
 
-// Normalize fills zero fields with defaults and returns the result.
-func (c Config) Normalize() Config {
+// normalize fills zero fields with defaults and returns the result.
+func (c Config) normalize() Config {
 	if c.Slots <= 0 {
 		c.Slots = 2 * runtime.GOMAXPROCS(0)
 		if c.Slots < 4 {
@@ -134,7 +134,7 @@ type Governor struct {
 
 // New builds a Governor from cfg (normalized).
 func New(cfg Config) *Governor {
-	cfg = cfg.Normalize()
+	cfg = cfg.normalize()
 	return &Governor{
 		slots:         cfg.Slots,
 		queueDepth:    cfg.QueueDepth,

@@ -141,13 +141,7 @@ func Open(cfg Config) *DB {
 		catalog: storage.NewCatalog(),
 		lazy:    core.New(store.New(cfg.StoreBudgetBytes), mergeSeed(cfg.Seed)),
 		reg:     reg,
-		gov: governor.New(governor.Config{
-			Slots:            cfg.Governor.Slots,
-			QueueDepth:       cfg.Governor.QueueDepth,
-			QueueTimeout:     cfg.Governor.QueueTimeout,
-			MemoryBytes:      cfg.Governor.MemoryBytes,
-			QueryMemoryBytes: cfg.Governor.QueryMemoryBytes,
-		}),
+		gov:     governor.New(cfg.Governor),
 	}
 	db.gov.SetObs(reg)
 	db.met = newDBMetrics(reg)

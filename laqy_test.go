@@ -89,6 +89,21 @@ func TestExactQuery(t *testing.T) {
 	if totalSum != 999*1000/2 || totalCount != 1000 {
 		t.Fatalf("sum=%v count=%v", totalSum, totalCount)
 	}
+	// An ungrouped query whose WHERE selects nothing answers with zero
+	// rows, not one row of zeros, whether it folds into the scan (SUM) or
+	// runs the group-by sink (MIN).
+	for _, q := range []string{
+		"SELECT SUM(v) FROM t WHERE v BETWEEN 5000 AND 6000",
+		"SELECT MIN(v) FROM t WHERE v BETWEEN 5000 AND 6000",
+	} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != ModeExact || len(res.Rows) != 0 {
+			t.Fatalf("%s: mode %q, %d rows, want exact with none", q, res.Mode, len(res.Rows))
+		}
+	}
 }
 
 func TestApproxAccuracy(t *testing.T) {

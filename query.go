@@ -375,81 +375,29 @@ func decodeGroup(dict *storage.Dict, v int64) GroupValue {
 	return GroupValue{Int: v}
 }
 
-// fusedEligible reports whether the exact plan can run as one fused
-// scan→filter→aggregate pipeline: no grouping, no dimension joins, and
-// only SUM/COUNT/AVG aggregates (MIN/MAX need the per-row group-by sink).
-func fusedEligible(plan *sql.Plan) bool {
-	if len(plan.GroupBy) > 0 || len(plan.Query.Joins) > 0 {
-		return false
-	}
-	for _, a := range plan.Aggs {
-		switch a.Kind {
-		case approx.Sum, approx.Count, approx.Avg:
-		default:
-			return false
-		}
-	}
-	return len(plan.Aggs) > 0
-}
-
 func (db *DB) runExact(plan *sql.Plan) (*Result, error) {
 	start := obs.Clock()
 	// Each aggregate reads its own value column; COUNT(*) rides on the
 	// first captured value column.
 	rideOn := plan.Schema[len(plan.GroupBy)]
-	aggCols := make([]string, len(plan.Aggs))
+	aggs := make([]engine.Agg, len(plan.Aggs))
 	for i, a := range plan.Aggs {
-		if a.Column == "" {
-			aggCols[i] = rideOn
-		} else {
-			aggCols[i] = a.Column
+		col := a.Column
+		if col == "" {
+			col = rideOn
 		}
+		aggs[i] = engine.Agg{Expr: engine.ParseExprName(col), Kind: a.Kind}
 	}
-	exprs := engine.ExprsFromNames(aggCols)
-	// Either engine call yields ordered group keys and an aggregate reader.
-	var keys []engine.GroupKey
-	var value func(key engine.GroupKey, i int, kind approx.AggKind) (float64, bool)
-	var stats engine.Stats
-	if fusedEligible(plan) {
-		// Ungrouped SUM/COUNT/AVG queries over the bare fact table take the
-		// fused scan→filter→aggregate path: no group hash table, no gather,
-		// and zone-map-full morsels fold without a selection vector
-		// (engine.RunAggregate).
-		// Joins, GROUP BY, and MIN/MAX need the materializing group-by sink.
-		aggs, st, err := engine.RunAggregate(plan.Query, exprs, db.engineWorkers())
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		// Count == 0 means no qualifying rows: zero result rows, matching
-		// the group-by sink's empty hash table.
-		if aggs[0].Count > 0 {
-			keys = []engine.GroupKey{{}}
-		}
-		value = func(_ engine.GroupKey, i int, kind approx.AggKind) (float64, bool) {
-			switch kind {
-			case approx.Sum:
-				return aggs[i].Sum, true
-			case approx.Count:
-				return float64(aggs[i].Count), true
-			default: // approx.Avg, per fusedEligible
-				return aggs[i].Sum / float64(aggs[i].Count), true
-			}
-		}
-	} else {
-		res, st, err := engine.RunGroupByExprs(plan.Query, plan.GroupBy, exprs, db.engineWorkers())
-		if err != nil {
-			return nil, err
-		}
-		stats = st
-		keys, value = res.Keys(), res.ValueAt
+	res, stats, err := engine.RunExact(plan.Query, plan.GroupBy, aggs, db.engineWorkers())
+	if err != nil {
+		return nil, err
 	}
 	db.gov.ObserveScan(stats.RowsScanned, stats.Scan)
 	out := newResult(plan, false, ModeExact)
-	for _, key := range keys {
+	for _, key := range res.Keys() {
 		row := Row{Groups: decodeGroups(plan, key), Aggs: make([]AggValue, len(plan.Aggs))}
-		for i, a := range plan.Aggs {
-			v, _ := value(key, i, a.Kind)
+		for i := range plan.Aggs {
+			v, _ := res.Value(key, i)
 			row.Aggs[i] = AggValue{Value: v, Exact: true}
 		}
 		out.Rows = append(out.Rows, row)
