@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPlan -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sql
 	$(GO) test -fuzz=FuzzSetAlgebra -fuzztime=$(FUZZTIME) -run '^$$' ./internal/algebra
 	$(GO) test -fuzz=FuzzStoreLoad -fuzztime=$(FUZZTIME) -run '^$$' ./internal/store
+	$(GO) test -fuzz=FuzzReservoirDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard
 
 clean:
 	$(GO) clean ./...

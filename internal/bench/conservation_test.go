@@ -3,11 +3,13 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"laqy/internal/algebra"
 	"laqy/internal/core"
 	"laqy/internal/engine"
+	"laqy/internal/governor"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
 	"laqy/internal/ssb"
@@ -185,6 +187,28 @@ func (g *growth) appendBatch(t *testing.T, o *countOracle, lazy *core.LazySample
 	return stale
 }
 
+// dropPlanner is an engine.SegmentPlanner that makes the first of two or
+// more segment sources unavailable (a shard down), leaving the others to
+// survive.
+type dropPlanner struct{}
+
+func (dropPlanner) PlanSegments(_ *engine.Query, _ []engine.ColumnExpr, _, _ int, local []engine.SegmentSource) []engine.SegmentSource {
+	if len(local) < 2 {
+		return local
+	}
+	out := slices.Clone(local)
+	out[0] = unavailableSegment{out[0]}
+	return out
+}
+
+// unavailableSegment is a segment source whose build always fails as
+// unavailable.
+type unavailableSegment struct{ engine.SegmentSource }
+
+func (unavailableSegment) Build(int, uint64) (*sample.Stratified, engine.Stats, error) {
+	return nil, engine.Stats{}, engine.ErrSegmentUnavailable
+}
+
 // TestWeightConservation is the first rung of weight conservation as a
 // machine-checked invariant: a reservoir's weight is the exact number of
 // base rows offered to it (admission counts every row; Algorithms 2 and 3
@@ -198,13 +222,20 @@ func (g *growth) appendBatch(t *testing.T, o *countOracle, lazy *core.LazySample
 // is saved and loaded into a fresh store under a fresh sampler, which the
 // sequence then continues on: a restored entry's segment watermarks must
 // still say which rows it holds, or a later Δ-merge or maintenance pass
-// double-counts them.
+// double-counts them. Every third step runs under a planner that makes a
+// segment unavailable once the first append has split the table in two: a
+// build that dropped a segment answers labeled but must never be stored,
+// nor a Δ-build that dropped one merged.
 func TestWeightConservation(t *testing.T) {
 	d, err := NewData(Config{Rows: 100_000, Seed: 3, K: 64, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const appendEvery, reloadEvery = 5, 7
+	const appendEvery, reloadEvery, dropEvery = 5, 7, 3
+	// truncated counts the steps whose build dropped a segment, by the
+	// mode that answered: online for a truncated online build, offline for
+	// the stored serve that replaces a truncated Δ.
+	truncated := map[core.Mode]int{}
 	for _, seq := range []Sequence{Long, Short, Drift} {
 		for _, q2 := range []bool{false, true} {
 			steps := seq.Steps(d.Cfg)
@@ -222,6 +253,7 @@ func TestWeightConservation(t *testing.T) {
 			// Δ-merged or maintained after the load.
 			var restored map[*store.Entry]*sample.Stratified
 			restoredUsed := false
+			drops := 0
 			for i, step := range steps {
 				if i > 0 && i%appendEvery == 0 {
 					staleSeen = g.appendBatch(t, o, lazy, d.Cfg.Seed+uint64(5000+i)) || staleSeen
@@ -233,11 +265,23 @@ func TestWeightConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := lazy.Sample(grown.request(sh, d.Cfg.Seed+uint64(i)))
+				req := grown.request(sh, d.Cfg.Seed+uint64(i))
+				if i%dropEvery == 0 {
+					q := *req.Query
+					q.Planner = dropPlanner{}
+					req.Query = &q
+				}
+				res, err := lazy.Sample(req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				modes[res.Mode]++
+				for _, deg := range res.Degradations {
+					if deg.Step == governor.DegradeDropSegments {
+						truncated[res.Mode]++
+						drops++
+					}
+				}
 				for _, m := range lazy.Store().List() {
 					if bad := o.check(t, m.Meta.Predicate, m.Meta.QCS(), m.Sample); bad != "" {
 						t.Fatalf("%s (q2=%v) step %d (%s): entry %s over %s: %s", seq, q2, i, res.Mode, m.Meta.Predicate, m.Meta.Input, bad)
@@ -256,7 +300,13 @@ func TestWeightConservation(t *testing.T) {
 			if !restoredUsed {
 				t.Fatalf("%s (q2=%v): no restored entry was Δ-merged or maintained — the reloads test nothing", seq, q2)
 			}
+			if drops == 0 {
+				t.Fatalf("%s (q2=%v): no build dropped a segment — the drops test nothing", seq, q2)
+			}
 		}
+	}
+	if truncated[core.ModeOnline] == 0 || truncated[core.ModeOffline] == 0 {
+		t.Fatalf("builds that dropped a segment, by mode: %v — want both a truncated online build and a truncated Δ", truncated)
 	}
 }
 

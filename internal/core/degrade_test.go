@@ -48,8 +48,7 @@ func TestServeStoredFullMatchIsNormalOffline(t *testing.T) {
 
 // TestServeStoredPartialIsStale: reuse-only mode with a partial overlap
 // serves the stored sample as-is — zero rows scanned — labeled stale with
-// a skip_delta degradation, a coverage estimate, and matching
-// extrapolation/CI factors.
+// a skip_delta degradation and the inverse of its coverage as Scale.
 func TestServeStoredPartialIsStale(t *testing.T) {
 	fact := testFact(factRows, groups)
 	l := New(store.New(0), 1)
@@ -69,18 +68,15 @@ func TestServeStoredPartialIsStale(t *testing.T) {
 	if res.Stats.RowsScanned != 0 {
 		t.Fatalf("scanned %d rows, want 0 (no Δ-scan)", res.Stats.RowsScanned)
 	}
-	if res.Coverage < 0.45 || res.Coverage > 0.55 {
-		t.Fatalf("coverage = %v, want ~0.5", res.Coverage)
-	}
-	if res.Extrapolate < 1.8 || res.Extrapolate > 2.2 || res.CIScale != res.Extrapolate {
-		t.Fatalf("extrapolate = %v, ciscale = %v, want ~2", res.Extrapolate, res.CIScale)
+	if res.Scale < 1.8 || res.Scale > 2.2 {
+		t.Fatalf("scale = %v, want ~2 (half the range covered)", res.Scale)
 	}
 	if len(res.Degradations) != 1 || res.Degradations[0].Step != governor.DegradeSkipDelta {
 		t.Fatalf("degradations = %v, want one skip_delta", res.Degradations)
 	}
 	// The extrapolated COUNT estimate should land near the true 20000
 	// qualifying rows even though only [0,9999] was sampled.
-	est := res.Sample.TotalWeight() * res.Extrapolate
+	est := res.Sample.TotalWeight() * res.Scale
 	if est < 15000 || est > 25000 {
 		t.Fatalf("extrapolated weight = %v, want ~20000", est)
 	}

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -159,24 +160,28 @@ type Result struct {
 	// SupportFallback reports that a reuse opportunity was abandoned
 	// because a tightened stratum lacked support (§5.2.3).
 	SupportFallback bool
-	// Stale reports a ServeStored answer: the sample covers only part of
-	// the request predicate and no Δ-scan repaired it. Estimates must be
-	// labeled and widened via Coverage/Extrapolate/CIScale.
+	// Stale reports a stored sample served without the Δ-scan that would
+	// have completed it (the skip_delta rung, or a Δ-build that dropped
+	// segments); Scale discloses the range it misses.
 	Stale bool
-	// Coverage estimates the fraction of the request's predicate domain
-	// the served sample covers on the delta column (1 when not stale).
-	// It is a value-domain estimate assuming uniform density.
-	Coverage float64
-	// Extrapolate is the factor extensive estimates (SUM, COUNT) must be
-	// scaled by to compensate for the uncovered range (1/Coverage; zero
-	// means "not set", treat as 1).
-	Extrapolate float64
-	// CIScale inflates reported standard errors on stale serves (zero
-	// means "not set", treat as 1).
-	CIScale float64
+	// Scale is the answer's partial-coverage factor, written only by
+	// underCover: at most 1 (the zero value included) means the sample
+	// covers the request; above 1 it is the inverse of the covered share,
+	// by which extensive estimates (SUM, COUNT) are extrapolated and every
+	// standard error is widened.
+	Scale float64
 	// Degradations lists the governance steps taken while serving this
 	// request (shrunk reservoirs, skipped Δ-builds).
 	Degradations []governor.Degradation
+}
+
+// underCover records that r's sample covers only part of the request: deg
+// labels the answer and scale becomes r.Scale. It is the one writer of
+// Scale: serveStored passes 1/coverage and dropDegradation the inverse of
+// the share of rows a build scanned.
+func (r *Result) underCover(scale float64, deg governor.Degradation) {
+	r.Scale = scale
+	r.Degradations = append(r.Degradations, deg)
 }
 
 // LazySampler binds a sample store to an execution engine.
@@ -409,21 +414,14 @@ func (l *LazySampler) online(req Request, input string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var degradations []governor.Degradation
-	if shrink != nil {
-		degradations = append(degradations, *shrink)
-	}
-	q := spanQuery(req.Query, "online sample")
-	sam, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(req.Schema), req.QCSWidth, k, req.Seed, req.Workers, nil)
-	endSpanQuery(q, &stats)
+	res, dropped, err := buildSample(req.Query, req.Schema, req.QCSWidth, k, req.Seed, req.Workers, "online sample")
 	if err != nil {
 		return nil, err
 	}
-	// A sample that dropped trailing segments under pressure still answers
-	// this query (extrapolated, disclosed below) but is not stored: its
-	// actual coverage is narrower than its predicate claims, which would
-	// poison future reuse.
-	if stats.RowsDropped == 0 {
+	// A sample that dropped segments still answers this query (labeled and
+	// scaled by buildSample) but is not stored: its actual coverage is
+	// narrower than its predicate claims, which would poison future reuse.
+	if !dropped {
 		_, err = l.store.Put(store.Meta{
 			Input:     input,
 			Predicate: req.Predicate,
@@ -431,7 +429,7 @@ func (l *LazySampler) online(req Request, input string) (*Result, error) {
 			QCSWidth:  req.QCSWidth,
 			K:         k,
 			Segments:  segmentWatermarks(req.Query.Fact),
-		}, sam)
+		}, res.Sample)
 		if err != nil {
 			return nil, err
 		}
@@ -444,41 +442,11 @@ func (l *LazySampler) online(req Request, input string) (*Result, error) {
 		col = cols[0]
 		missing, _ = req.Predicate.Constraint(col)
 	}
-	res := &Result{
-		Sample:       sam,
-		Mode:         ModeOnline,
-		Missing:      missing,
-		DeltaColumn:  col,
-		Stats:        stats,
-		Degradations: degradations,
+	res.Mode, res.Missing, res.DeltaColumn = ModeOnline, missing, col
+	if shrink != nil {
+		res.Degradations = slices.Insert(res.Degradations, 0, *shrink)
 	}
-	dropDegradation(stats, res)
 	return res, nil
-}
-
-// spanQuery returns a copy of q whose context carries a fresh child span
-// named name, so the engine's own pipeline spans nest under the sampler
-// phase that triggered them. When tracing is off it returns q unchanged.
-func spanQuery(q *engine.Query, name string) *engine.Query {
-	sp := obs.SpanFrom(q.Ctx).Start(name)
-	if sp == nil {
-		return q
-	}
-	out := *q
-	out.Ctx = obs.WithSpan(q.Ctx, sp)
-	return &out
-}
-
-// endSpanQuery closes the span opened by spanQuery, annotating it with the
-// engine's row counts.
-func endSpanQuery(q *engine.Query, stats *engine.Stats) {
-	sp := obs.SpanFrom(q.Ctx)
-	if sp == nil {
-		return
-	}
-	sp.SetAttrInt("rows_scanned", stats.RowsScanned)
-	sp.SetAttrInt("rows_selected", stats.RowsSelected)
-	sp.End()
 }
 
 // offline serves a request from a fully subsuming stored sample, tightening
@@ -557,27 +525,20 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	deltaQuery = spanQuery(deltaQuery, "Δ-sample")
-	obs.SpanFrom(deltaQuery.Ctx).SetAttr("missing", delta.Column+"∈"+delta.Missing.String())
-	deltaSample, stats, err := engine.RunStratifiedExprs(deltaQuery, engine.ExprsFromNames(meta.Schema), req.QCSWidth, meta.K, req.Seed, req.Workers, nil)
-	endSpanQuery(deltaQuery, &stats)
+	deltaRes, dropped, err := buildSample(deltaQuery, meta.Schema, req.QCSWidth, meta.K, req.Seed, req.Workers,
+		"Δ-sample", obs.Attr{Key: "missing", Value: delta.Column + "∈" + delta.Missing.String()})
 	if err != nil {
 		return nil, err
 	}
 	l.met.deltaBuilds.Inc()
-	if stats.RowsDropped > 0 {
-		// The Δ-build dropped segments (pressure, or an unavailable
-		// shard); a truncated Δ cannot be merged — it under-represents the
-		// missing range relative to the coverage the merged entry would
-		// claim. Serve the stored sample as-is with coverage accounting
-		// instead: serveStored guarantees a finite 1/coverage scale, so a
-		// drop after a partial merge can never surface NaN/Inf estimates.
-		reason, detail := dropAttribution(stats)
-		return l.serveStored(req, match, governor.Degradation{
-			Step:   governor.DegradeDropSegments,
-			Reason: reason,
-			Detail: "Δ-build: " + detail,
-		})
+	if dropped {
+		// A truncated Δ cannot be merged: it under-represents the missing
+		// range relative to the coverage the merged entry would claim.
+		// Serve the stored sample as-is under its coverage scale instead,
+		// labeled with the Δ-build's drops.
+		deg := deltaRes.Degradations[0]
+		deg.Detail = "Δ-build: " + deg.Detail
+		return l.serveStored(req, match, deg)
 	}
 
 	// Merge Δ with a clone of the stored sample (Algorithm 3) and expand
@@ -589,7 +550,7 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 	// not retained.
 	mergeStart := obs.Clock()
 	msp := obs.SpanFrom(req.Query.Ctx).Start("merge")
-	merged, err := sample.MergeStratified(match.Sample.Clone(), deltaSample, l.nextMergeGen())
+	merged, err := sample.MergeStratified(match.Sample.Clone(), deltaRes.Sample, l.nextMergeGen())
 	if err != nil {
 		msp.End()
 		return nil, err
@@ -613,9 +574,9 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 	if res == nil {
 		return &Result{Mode: ModePartial, SupportFallback: true}, nil
 	}
-	stats.Add(res.Stats)
+	deltaRes.Stats.Add(res.Stats)
 	res.Mode, res.Missing, res.DeltaColumn = ModePartial, delta.Missing, delta.Column
-	res.Stats, res.MergeTime = stats, mergeTime
+	res.Stats, res.MergeTime = deltaRes.Stats, mergeTime
 	return res, nil
 }
 
@@ -627,8 +588,8 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 // instead of physically: extensive estimates (SUM, COUNT) are extrapolated
 // by 1/coverage and standard errors inflated by the same factor, under a
 // uniform-density assumption over the predicate's value domain. The answer
-// is always labeled (Result.Stale + a skip_delta degradation) — a degraded
-// answer may be wrong-er, but never silently so.
+// is always labeled (Result.Stale + deg, the rung that skipped the Δ) — a
+// degraded answer may be wrong-er, but never silently so.
 func (l *LazySampler) serveStored(req Request, match *store.Match, deg governor.Degradation) (*Result, error) {
 	meta, delta := match.Meta, match.Delta
 	sp := obs.SpanFrom(req.Query.Ctx).Start("serve stored")
@@ -646,23 +607,20 @@ func (l *LazySampler) serveStored(req Request, match *store.Match, deg governor.
 		// of its range: unservable.
 		return nil, governor.ErrNoStoredSample
 	}
-	scale := 1 / cov // coverage is in (0,1]
 	if deg.Detail == "" {
 		deg.Detail = fmt.Sprintf("coverage %.0f%%", cov*100)
 	}
 	sp.SetAttr("degraded", deg.String())
-	return &Result{
-		Sample:       res.Sample,
-		Keep:         res.Keep,
-		Mode:         ModeOffline,
-		Missing:      delta.Missing,
-		DeltaColumn:  delta.Column,
-		Stale:        true,
-		Coverage:     cov,
-		Extrapolate:  scale,
-		CIScale:      scale,
-		Degradations: []governor.Degradation{deg},
-	}, nil
+	out := &Result{
+		Sample:      res.Sample,
+		Keep:        res.Keep,
+		Mode:        ModeOffline,
+		Missing:     delta.Missing,
+		DeltaColumn: delta.Column,
+		Stale:       true,
+	}
+	out.underCover(1/cov, deg) // coverage is in (0,1]
+	return out, nil
 }
 
 // coverageEstimate estimates the fraction of the query constraint on col

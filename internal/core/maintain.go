@@ -163,23 +163,28 @@ func joinsAsDimension(signature, table string) bool {
 	return strings.Contains(signature, "⋈"+table+"(")
 }
 
-// entryQuery is q's fact table and joins under pred alone: q's own filters
-// are dropped and pred is pushed down in their place, so a sample built from
-// it covers exactly what a store entry claiming pred covers.
+// entryQuery is q under pred alone: q's fact and join filters are dropped
+// and pred is pushed down in their place, so a sample built from it covers
+// exactly what a store entry claiming pred covers.
 func entryQuery(q *engine.Query, pred algebra.Predicate) (*engine.Query, error) {
-	bare := &engine.Query{Fact: q.Fact, Joins: append([]engine.Join(nil), q.Joins...), Ctx: q.Ctx}
+	bare := *q
+	bare.Filter = algebra.NewPredicate()
+	bare.Joins = slices.Clone(q.Joins)
 	for i := range bare.Joins {
 		bare.Joins[i].Filter = algebra.NewPredicate()
 	}
-	return pushDown(bare, pred)
+	return pushDown(&bare, pred)
 }
 
-// pushDown clones q with each of pred's column constraints intersected into
-// the filter of the table owning the column: the fact filter for fact
-// columns, the owning dimension's join filter otherwise (the filter pushdown
-// below the Δ-sampler of Figure 7, step 3).
+// pushDown clones q — its context, memory budget and segment planner
+// included, so the build it feeds is charged and dispatched like q's own —
+// with each of pred's column constraints intersected into the filter of the
+// table owning the column: the fact filter for fact columns, the owning
+// dimension's join filter otherwise (the filter pushdown below the
+// Δ-sampler of Figure 7, step 3).
 func pushDown(q *engine.Query, pred algebra.Predicate) (*engine.Query, error) {
-	out := &engine.Query{Fact: q.Fact, Filter: q.Filter, Joins: append([]engine.Join(nil), q.Joins...), Ctx: q.Ctx}
+	out := *q
+	out.Joins = slices.Clone(q.Joins)
 	for _, col := range pred.Columns() {
 		set, _ := pred.Constraint(col)
 		if q.Fact.Column(col) != nil {
@@ -192,5 +197,5 @@ func pushDown(q *engine.Query, pred algebra.Predicate) (*engine.Query, error) {
 		}
 		out.Joins[i].Filter = out.Joins[i].Filter.With(col, set)
 	}
-	return out, nil
+	return &out, nil
 }

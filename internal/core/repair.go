@@ -27,7 +27,7 @@ import (
 // column (the common case; multi-column keys would need disjunctive
 // predicates the engine does not express). It returns nil when the shape is
 // not repairable, in which case the caller falls back to full online
-// sampling.
+// sampling; so does a repair that dropped segments.
 func (l *LazySampler) repairSupport(req Request, schema sample.Schema, from *sample.Stratified,
 	keep *expr.TupleFilter, fails []sample.StratumKey) (*Result, error) {
 
@@ -49,14 +49,17 @@ func (l *LazySampler) repairSupport(req Request, schema sample.Schema, from *sam
 		// (should not happen for planned queries); not repairable.
 		return nil, nil
 	}
-	repaired, stats, err := engine.RunStratifiedExprs(repairQuery, engine.ExprsFromNames(schema),
-		req.QCSWidth, req.effectiveK(), req.Seed^0x5EFA, req.Workers, nil)
-	if err != nil {
+	repaired, dropped, err := buildSample(repairQuery, schema, req.QCSWidth, req.effectiveK(), req.Seed^0x5EFA, req.Workers,
+		"support repair")
+	if err != nil || dropped {
+		// A repair that dropped segments samples only part of each
+		// stratum's rows, and its weights would under-count them: not
+		// repairable. The online fallback labels its own drops.
 		return nil, err
 	}
-	res := &Result{Sample: from, Keep: keep, Stats: stats}
+	res := &Result{Sample: from, Keep: keep, Stats: repaired.Stats}
 	for _, k := range fails {
-		r := repaired.Stratum(k)
+		r := repaired.Sample.Stratum(k)
 		if r == nil {
 			// Strata absent from the repair have genuinely few qualifying
 			// rows; the tightened (near-exact) contents stand.

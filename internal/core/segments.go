@@ -6,6 +6,8 @@ import (
 
 	"laqy/internal/engine"
 	"laqy/internal/governor"
+	"laqy/internal/obs"
+	"laqy/internal/sample"
 	"laqy/internal/storage"
 	"laqy/internal/store"
 )
@@ -96,39 +98,66 @@ func dropAttribution(stats engine.Stats) (reason, detail string) {
 	return reason, detail
 }
 
-// dropDegradation converts the segment coordinator's dropped-segments
-// report into the query's governance record: the answer is labeled with
-// the drop_segments rung (attributing shard faults per segment), and
-// extensive estimates are extrapolated over the unscanned weight (with the
-// CI widened by the same factor), mirroring the stale-serve accounting of
-// serveStored.
+// buildSample runs one stratified sample build of q — schema captured, the
+// first qcsWidth columns stratifying, k per stratum — under a child span
+// named span carrying attrs and the build's row counts, so the engine's own
+// pipeline spans nest under the sampler phase that triggered them. It
+// returns the build as an answer (Sample and Stats) and reports whether the
+// build dropped segments (deadline or memory pressure, an unavailable
+// shard): such a sample covers only part of q's rows, the answer carries
+// dropDegradation's label and scale, and no caller stores, merges or
+// installs it. Online builds, Δ-builds and support repairs all go through
+// here.
+func buildSample(q *engine.Query, schema sample.Schema, qcsWidth, k int, seed uint64, workers int,
+	span string, attrs ...obs.Attr) (res *Result, dropped bool, err error) {
+
+	sp := obs.SpanFrom(q.Ctx).Start(span) // nil when tracing is off
+	if sp != nil {
+		for _, a := range attrs {
+			sp.SetAttr(a.Key, a.Value)
+		}
+		traced := *q
+		traced.Ctx = obs.WithSpan(q.Ctx, sp)
+		q = &traced
+	}
+	sam, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), qcsWidth, k, seed, workers, nil)
+	if sp != nil {
+		sp.SetAttrInt("rows_scanned", stats.RowsScanned)
+		sp.SetAttrInt("rows_selected", stats.RowsSelected)
+		sp.End()
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	res = &Result{Sample: sam, Stats: stats}
+	return res, dropDegradation(stats, res), nil
+}
+
+// dropDegradation is the dropped-segment rule, and the one place core
+// decides that a build dropped segments: when stats report dropped rows it
+// labels res with the drop_segments rung (attributing shard faults per
+// segment), scales it by (scanned+dropped)/scanned — the inverse of the
+// share of rows the build scanned — and reports true.
 //
-// Boundary cases keep the scales finite: when nothing scanned survived
+// Boundary cases keep the scale finite: when nothing scanned survived
 // (every surviving segment was empty — e.g. a zero-row open segment — or
 // the drop report arrived with no scan basis at all) there is nothing to
-// extrapolate from, so the answer stays at face value with unit scales and
-// zero coverage, labeled; it is never scaled by Inf or NaN.
-func dropDegradation(stats engine.Stats, res *Result) {
+// extrapolate from, so the answer stays at face value (scale 1), labeled;
+// it is never scaled by Inf or NaN.
+func dropDegradation(stats engine.Stats, res *Result) bool {
 	if stats.RowsDropped <= 0 {
-		return
+		return false
 	}
 	reason, detail := dropAttribution(stats)
-	res.Degradations = append(res.Degradations, governor.Degradation{
+	covered := float64(stats.RowsScanned)
+	scale := (covered + float64(stats.RowsDropped)) / covered
+	if covered <= 0 || !(scale > 1) || math.IsInf(scale, 0) {
+		scale = 1 // no finite extrapolation basis: label-only degradation
+	}
+	res.underCover(scale, governor.Degradation{
 		Step:   governor.DegradeDropSegments,
 		Reason: reason,
 		Detail: detail,
 	})
-	covered := float64(stats.RowsScanned)
-	total := covered + float64(stats.RowsDropped)
-	scale := total / covered
-	if covered <= 0 || !(scale > 1) || math.IsInf(scale, 0) {
-		// No finite extrapolation basis: label-only degradation.
-		res.Coverage = 0
-		res.Extrapolate = 1
-		res.CIScale = 1
-		return
-	}
-	res.Coverage = covered / total
-	res.Extrapolate = scale
-	res.CIScale = scale
+	return true
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"laqy/internal/engine"
 	"laqy/internal/governor"
+	"laqy/internal/sample"
 	"laqy/internal/storage"
 	"laqy/internal/store"
 )
@@ -125,16 +127,104 @@ func TestDropDegradationExtrapolates(t *testing.T) {
 	if len(res.Degradations) != 1 || res.Degradations[0].Step != governor.DegradeDropSegments {
 		t.Fatalf("degradations = %+v", res.Degradations)
 	}
-	if math.Abs(res.Coverage-0.75) > 1e-9 {
-		t.Fatalf("coverage = %v, want 0.75", res.Coverage)
-	}
-	if math.Abs(res.Extrapolate-4.0/3.0) > 1e-9 || res.Extrapolate != res.CIScale {
-		t.Fatalf("extrapolate = %v ciscale = %v", res.Extrapolate, res.CIScale)
+	if math.Abs(res.Scale-4.0/3.0) > 1e-9 {
+		t.Fatalf("scale = %v, want 4/3 (three quarters scanned)", res.Scale)
 	}
 	// No drops: untouched.
 	clean := &Result{}
 	dropDegradation(engine.Stats{RowsScanned: 3000}, clean)
-	if len(clean.Degradations) != 0 || clean.Extrapolate != 0 {
+	if len(clean.Degradations) != 0 || clean.Scale != 0 {
 		t.Fatalf("clean result mutated: %+v", clean)
+	}
+}
+
+// segmentPlanner is a test engine.SegmentPlanner: it counts the builds it
+// plans and, when drop is set, makes the last of two or more segment
+// sources unavailable (a shard down), leaving the others to survive.
+type segmentPlanner struct {
+	calls int
+	drop  bool
+}
+
+func (p *segmentPlanner) PlanSegments(_ *engine.Query, _ []engine.ColumnExpr, _, _ int, local []engine.SegmentSource) []engine.SegmentSource {
+	p.calls++
+	if !p.drop || len(local) < 2 {
+		return local
+	}
+	out := slices.Clone(local)
+	out[len(out)-1] = unavailableSegment{out[len(out)-1]}
+	return out
+}
+
+// unavailableSegment is a segment source whose build always fails as
+// unavailable.
+type unavailableSegment struct{ engine.SegmentSource }
+
+func (unavailableSegment) Build(int, uint64) (*sample.Stratified, engine.Stats, error) {
+	return nil, engine.Stats{}, engine.ErrSegmentUnavailable
+}
+
+// withPlanner returns req with its query copied under planner p.
+func withPlanner(req Request, p engine.SegmentPlanner) Request {
+	q := *req.Query
+	q.Planner = p
+	req.Query = &q
+	return req
+}
+
+// TestDeltaBuildKeepsPlanner: a partial reuse's Δ-build is dispatched
+// through the query's segment planner, as the online build before it was.
+func TestDeltaBuildKeepsPlanner(t *testing.T) {
+	fact := testFact(factRows, groups)
+	l := New(store.New(0), 1)
+	p := &segmentPlanner{}
+	if res, err := l.Sample(withPlanner(request(fact, 0, 9999), p)); err != nil || res.Mode != ModeOnline {
+		t.Fatalf("first request: res %+v, err %v", res, err)
+	}
+	if p.calls != 1 {
+		t.Fatalf("online build planned %d times, want 1", p.calls)
+	}
+	res, err := l.Sample(withPlanner(request(fact, 0, 19999), p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != ModePartial {
+		t.Fatalf("mode = %v, want partial", res.Mode)
+	}
+	if p.calls != 2 {
+		t.Fatalf("planner saw %d builds, want 2: the Δ-build bypassed it", p.calls)
+	}
+}
+
+// TestSupportRepairThatDroppedSegmentsIsRefused: a support repair whose
+// build loses a segment holds only part of each failing stratum's rows, so
+// it must not be installed; the request falls back to online sampling,
+// whose answer discloses its own drop.
+func TestSupportRepairThatDroppedSegmentsIsRefused(t *testing.T) {
+	// The cut at 110 splits the narrowed range [100,120] across the two
+	// segments; the planner drops the second.
+	fact := segFact(t, factRows, groups, 110)
+	l := New(store.New(0), 1)
+	if _, err := l.Sample(request(fact, 0, 19999)); err != nil {
+		t.Fatal(err)
+	}
+	req := request(fact, 100, 120)
+	req.MinSupport = 30
+	res, err := l.Sample(withPlanner(req, &segmentPlanner{drop: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	labeled := false
+	for _, d := range res.Degradations {
+		labeled = labeled || d.Step == governor.DegradeDropSegments
+	}
+	if !labeled {
+		t.Fatalf("answer not labeled drop_segments: mode %v, degradations %v", res.Mode, res.Degradations)
+	}
+	if !res.SupportFallback || res.Mode != ModeOnline {
+		t.Fatalf("mode = %v, fallback = %v: a truncated repair was installed", res.Mode, res.SupportFallback)
+	}
+	if res.Scale <= 1 {
+		t.Fatalf("scale = %v, want the online build's extrapolation > 1", res.Scale)
 	}
 }

@@ -4,10 +4,10 @@
 // The paper (Section 6.2) observes that calls into the standard library's
 // random number generator dominate the admission-control hot loop of
 // reservoir sampling, and replaces them with an inlined Lehmer
-// (Park–Miller) multiplicative congruential generator whose state fits in a
-// register. This package reproduces that choice: Lehmer is the 31-bit
-// Park–Miller generator from the paper's reference [31], and Lehmer64 is the
-// modern 128-bit-multiply variant used when a full 64-bit stream is needed.
+// multiplicative congruential generator whose state fits in registers
+// (its reference [31]). This package reproduces that choice with Lehmer64,
+// the 128-bit-state variant with a full 64-bit output: admission, merges
+// and segment seeds all draw from it.
 //
 // The generators are deliberately NOT safe for concurrent use; every
 // parallel operator instance owns a private stream obtained via Split, which
@@ -16,74 +16,6 @@
 package rng
 
 import "math/bits"
-
-// Park–Miller "minimal standard" constants: a Lehmer generator over the
-// multiplicative group modulo the Mersenne prime 2^31-1 with the
-// full-period multiplier 48271 (the revised constant from Park & Miller).
-const (
-	lehmerModulus    = 2147483647 // 2^31 - 1
-	lehmerMultiplier = 48271
-)
-
-// Lehmer is the Park–Miller minimal-standard generator: x' = a*x mod (2^31-1).
-// Its single-word state is what allows the admission-control loop of a
-// reservoir sampler to keep the generator in a register.
-type Lehmer struct {
-	state uint64
-}
-
-// NewLehmer returns a Lehmer generator seeded from seed. Any seed value is
-// accepted; it is folded into the generator's valid state range [1, 2^31-2].
-func NewLehmer(seed uint64) *Lehmer {
-	l := &Lehmer{}
-	l.Seed(seed)
-	return l
-}
-
-// Seed resets the generator state. The zero and modulus-multiple seeds are
-// fixed points of the recurrence, so they are remapped to a valid state.
-func (l *Lehmer) Seed(seed uint64) {
-	s := seed % lehmerModulus
-	if s == 0 {
-		// 0 is an absorbing state for a multiplicative generator.
-		s = 0x2545F491 % lehmerModulus
-	}
-	l.state = s
-}
-
-// Next advances the generator and returns a value in [1, 2^31-2].
-func (l *Lehmer) Next() uint32 {
-	l.state = l.state * lehmerMultiplier % lehmerModulus
-	return uint32(l.state)
-}
-
-// Float64 returns a uniform value in [0, 1).
-func (l *Lehmer) Float64() float64 {
-	// Next() is in [1, m-1]; subtract 1 for a [0, m-2] range so that 0 is
-	// reachable and 1 is not.
-	return float64(l.Next()-1) / float64(lehmerModulus-1)
-}
-
-// Uint32n returns a uniform value in [0, n). n must be > 0.
-func (l *Lehmer) Uint32n(n uint32) uint32 {
-	if n == 0 {
-		// invariant: callers request ranges over nonempty domains
-		panic("rng: Uint32n with n == 0")
-	}
-	// Lemire's multiply-shift range reduction with rejection to remove the
-	// modulo bias; the rejection loop runs ~once on average.
-	for {
-		v := uint64(l.Next() - 1) // [0, m-2]
-		prod := v * uint64(n)
-		frac := prod % (lehmerModulus - 1)
-		if frac >= uint64(n) || frac >= (lehmerModulus-1)%uint64(n) {
-			return uint32(prod / (lehmerModulus - 1))
-		}
-		if (lehmerModulus-1)%uint64(n) == 0 {
-			return uint32(prod / (lehmerModulus - 1))
-		}
-	}
-}
 
 // Lehmer64 is a 64-bit Lehmer generator: 128-bit state-free multiplicative
 // congruential generator x' = a*x mod 2^128 returning the high 64 bits. It

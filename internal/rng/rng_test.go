@@ -6,59 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestLehmerSeedFixedPoints(t *testing.T) {
-	for _, seed := range []uint64{0, lehmerModulus, 2 * lehmerModulus} {
-		l := NewLehmer(seed)
-		if l.state == 0 {
-			t.Fatalf("seed %d produced absorbing zero state", seed)
-		}
-		v := l.Next()
-		if v == 0 || v >= lehmerModulus {
-			t.Fatalf("seed %d: Next() = %d out of [1, m-1]", seed, v)
-		}
-	}
-}
-
-func TestLehmerKnownSequence(t *testing.T) {
-	// Park–Miller with a=48271: from x0=1 the sequence is deterministic.
-	l := NewLehmer(1)
-	want := []uint32{48271}
-	got := l.Next()
-	if got != want[0] {
-		t.Fatalf("first output from seed 1 = %d, want %d", got, want[0])
-	}
-	// Full-period generator: state never repeats within a short prefix.
-	seen := map[uint32]bool{got: true}
-	for i := 0; i < 10000; i++ {
-		v := l.Next()
-		if seen[v] {
-			t.Fatalf("state repeated after %d steps", i)
-		}
-		seen[v] = true
-	}
-}
-
-func TestLehmerFloat64Range(t *testing.T) {
-	l := NewLehmer(42)
-	for i := 0; i < 100000; i++ {
-		f := l.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64() = %v out of [0,1)", f)
-		}
-	}
-}
-
-func TestLehmerUint32nBounds(t *testing.T) {
-	l := NewLehmer(7)
-	for _, n := range []uint32{1, 2, 3, 10, 1000, 1 << 20} {
-		for i := 0; i < 1000; i++ {
-			if v := l.Uint32n(n); v >= n {
-				t.Fatalf("Uint32n(%d) = %d", n, v)
-			}
-		}
-	}
-}
-
 func TestLehmer64Determinism(t *testing.T) {
 	a, b := NewLehmer64(123), NewLehmer64(123)
 	for i := 0; i < 1000; i++ {
@@ -186,15 +133,6 @@ func TestIntnPanics(t *testing.T) {
 		}
 	}()
 	NewLehmer64(1).Intn(0)
-}
-
-func BenchmarkLehmerNext(b *testing.B) {
-	l := NewLehmer(1)
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink = l.Next()
-	}
-	_ = sink
 }
 
 func BenchmarkLehmer64Next(b *testing.B) {

@@ -137,7 +137,7 @@ func (s *Server) handleSegmentBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	frame := shard.EncodeFrame(sam, shard.FromEngine(stats))
+	frame := shard.EncodeFrame(sam, stats)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.Header().Set("Content-Length", fmt.Sprintf("%d", len(frame)))

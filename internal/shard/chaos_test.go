@@ -294,7 +294,7 @@ func TestShardChaos(t *testing.T) {
 	}
 
 	// 3. Confidence intervals widened vs the healthy run of the same
-	// query (the CIScale that accompanies coverage extrapolation).
+	// query (the partial-coverage scale widens every standard error).
 	if degraded, base := meanStdErr(t, res), meanStdErr(t, healthy); degraded <= base {
 		t.Fatalf("CI did not widen: stderr %v (degraded) vs %v (healthy)", degraded, base)
 	}

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"time"
 
 	"laqy/internal/engine"
 	"laqy/internal/sample"
@@ -47,52 +46,12 @@ const maxFramePayload = 1 << 28
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// BuildStats is the subset of engine.Stats a shard reports back with its
-// partial reservoir — what the coordinator folds into the query's
-// accounting (coverage arithmetic needs RowsScanned; EXPLAIN ANALYZE
-// shows the rest).
-type BuildStats struct {
-	RowsScanned   int64
-	RowsSelected  int64
-	MorselsPruned int64
-	MorselsFull   int64
-	Scan          time.Duration
-	Process       time.Duration
-	Merge         time.Duration
-	Wall          time.Duration
-}
-
-// FromEngine extracts the wire subset of st.
-func FromEngine(st engine.Stats) BuildStats {
-	return BuildStats{
-		RowsScanned:   st.RowsScanned,
-		RowsSelected:  st.RowsSelected,
-		MorselsPruned: st.MorselsPruned,
-		MorselsFull:   st.MorselsFull,
-		Scan:          st.Scan,
-		Process:       st.Process,
-		Merge:         st.Merge,
-		Wall:          st.Wall,
-	}
-}
-
-// ToEngine widens the wire stats back into an engine.Stats.
-func (b BuildStats) ToEngine() engine.Stats {
-	return engine.Stats{
-		RowsScanned:   b.RowsScanned,
-		RowsSelected:  b.RowsSelected,
-		MorselsPruned: b.MorselsPruned,
-		MorselsFull:   b.MorselsFull,
-		Scan:          b.Scan,
-		Process:       b.Process,
-		Merge:         b.Merge,
-		Wall:          b.Wall,
-	}
-}
-
 // EncodeFrame serializes one per-segment build result as a versioned,
-// CRC-protected reservoir frame.
-func EncodeFrame(sam *sample.Stratified, st BuildStats) []byte {
+// CRC-protected reservoir frame. Of st it carries the eight fields the
+// frame header lists — what the coordinator folds into the query's
+// accounting (coverage arithmetic needs RowsScanned; EXPLAIN ANALYZE shows
+// the rest).
+func EncodeFrame(sam *sample.Stratified, st engine.Stats) []byte {
 	var payload bytes.Buffer
 	putUvarint(&payload, uint64(clampNonNeg(st.RowsScanned)))
 	putUvarint(&payload, uint64(clampNonNeg(st.RowsSelected)))
@@ -120,9 +79,10 @@ func EncodeFrame(sam *sample.Stratified, st BuildStats) []byte {
 // derives the restored reservoirs' RNG substreams and must match the
 // build seed for deterministic downstream merging. Trailing bytes after
 // the frame, a truncated payload, or any CRC mismatch are errors — a
-// byzantine shard cannot smuggle a half-frame past the coordinator.
-func DecodeFrame(data []byte, seed uint64) (*sample.Stratified, BuildStats, error) {
-	var st BuildStats
+// byzantine shard cannot smuggle a half-frame past the coordinator. Of the
+// returned stats only the eight header fields are set.
+func DecodeFrame(data []byte, seed uint64) (*sample.Stratified, engine.Stats, error) {
+	var st engine.Stats
 	if len(data) < len(frameMagic) || string(data[:len(frameMagic)]) != frameMagic {
 		return nil, st, fmt.Errorf("shard: bad reservoir frame magic")
 	}

@@ -2,9 +2,11 @@ package shard
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
+	"laqy/internal/engine"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
 )
@@ -19,8 +21,9 @@ func testSample(seed uint64, qcsWidth, k int, n int64) *sample.Stratified {
 	return s
 }
 
-func testStats() BuildStats {
-	return BuildStats{
+// testStats sets exactly the eight stats fields a frame carries.
+func testStats() engine.Stats {
+	return engine.Stats{
 		RowsScanned:   12345,
 		RowsSelected:  678,
 		MorselsPruned: 9,
@@ -41,7 +44,7 @@ func TestFrameRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
-		if got != st {
+		if !reflect.DeepEqual(got, st) {
 			t.Fatalf("n=%d: stats changed: %+v vs %+v", n, got, st)
 		}
 		if dec.NumStrata() != orig.NumStrata() || dec.TotalWeight() != orig.TotalWeight() {
@@ -56,20 +59,25 @@ func TestFrameRoundtrip(t *testing.T) {
 }
 
 func TestFrameStatsRoundtripToEngine(t *testing.T) {
-	st := testStats()
-	es := st.ToEngine()
-	if es.RowsScanned != st.RowsScanned || es.Wall != st.Wall {
-		t.Fatalf("ToEngine lost fields: %+v", es)
+	// A build's full stats travel as their eight frame fields; the rest
+	// (worker and segment counts, drops) are the coordinator's own and
+	// decode as zero.
+	full := testStats()
+	full.Workers, full.Segments, full.SegmentsBuilt, full.RowsDropped = 4, 3, 2, 99
+	full.SegmentDrops = []engine.SegmentDrop{{ID: 1, Rows: 99, Reason: "pressure"}}
+	_, got, err := DecodeFrame(EncodeFrame(testSample(1, 1, 4, 10), full), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FromEngine(es) != st {
-		t.Fatalf("FromEngine(ToEngine()) != identity")
+	if !reflect.DeepEqual(got, testStats()) {
+		t.Fatalf("decoded stats = %+v, want the frame fields of %+v", got, full)
 	}
 	// Negative stats (should never happen, but a hostile peer could try
 	// crafting them) clamp to zero on encode rather than wrapping around
 	// the uvarint into garbage.
-	neg := BuildStats{RowsScanned: -5, Scan: -time.Second}
+	neg := engine.Stats{RowsScanned: -5, Scan: -time.Second}
 	frame := EncodeFrame(testSample(1, 1, 4, 10), neg)
-	_, got, err := DecodeFrame(frame, 1)
+	_, got, err = DecodeFrame(frame, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +132,7 @@ func TestFrameCorruption(t *testing.T) {
 // would break the coordinator's byte-identity checks.
 func FuzzReservoirDecode(f *testing.F) {
 	f.Add(EncodeFrame(testSample(1, 1, 8, 100), testStats()), uint64(1))
-	f.Add(EncodeFrame(testSample(2, 2, 4, 0), BuildStats{}), uint64(2))
+	f.Add(EncodeFrame(testSample(2, 2, 4, 0), engine.Stats{}), uint64(2))
 	f.Add(EncodeFrame(testSample(3, 0, 1, 5000), testStats()), uint64(3))
 	f.Add([]byte(frameMagic), uint64(0))
 	f.Add([]byte("LAQYRSV2junk"), uint64(0))

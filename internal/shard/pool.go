@@ -380,11 +380,7 @@ func (p *Pool) doBuild(ctx context.Context, n *node, body []byte, seed uint64) (
 	if err != nil {
 		return nil, zero, fmt.Errorf("reading reservoir frame: %w", err)
 	}
-	sam, st, err := DecodeFrame(data, seed)
-	if err != nil {
-		return nil, zero, err
-	}
-	return sam, st.ToEngine(), nil
+	return DecodeFrame(data, seed)
 }
 
 // decodeWireError maps a non-200 segment-build response to an error,

@@ -54,7 +54,7 @@ func shardHandler(t *testing.T, hook func(w http.ResponseWriter, r *http.Request
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
-		frame := EncodeFrame(testSample(spec.Seed, 1, 8, 200), BuildStats{RowsScanned: 200, RowsSelected: 200})
+		frame := EncodeFrame(testSample(spec.Seed, 1, 8, 200), engine.Stats{RowsScanned: 200, RowsSelected: 200})
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(frame) //laqy:allow errchecklite test handler write
 	})

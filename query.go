@@ -508,11 +508,12 @@ const approxRetryAttempts = 2
 // rides on the first captured value column), plus stats, staleness and
 // degradations.
 //
-// A stale serve (degraded stored sample covering only part of the
-// predicate) is adjusted here: extensive aggregates (SUM, COUNT) scale by
-// the coverage extrapolation factor — their standard errors with them —
-// and every standard error is additionally widened by CIScale, so the
-// reported uncertainty discloses the unobserved range.
+// A sample covering only part of the request (a stale serve, or a build
+// that dropped segments) is adjusted here by its one partial-coverage
+// factor, core.Result.Scale: extensive aggregates (SUM, COUNT) are
+// extrapolated by it — their standard errors with them — and every
+// standard error is widened by it once more, so the reported uncertainty
+// discloses the unobserved range. A covering sample's factor is 1.
 //
 //laqy:hot per-stratum estimate loop of every approximate answer
 func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time) *Result {
@@ -520,18 +521,7 @@ func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time) *Result
 	out.Stats = toExecStats(res.Stats, res.MergeTime, obs.Since(start))
 	out.Stale = res.Stale
 	out.Degradations = append(out.Degradations, res.Degradations...)
-	// Coverage accounting applies to stale serves and to builds that
-	// dropped trailing segments under pressure: either way the sample
-	// under-covers the predicate and Extrapolate/CIScale disclose it.
-	extrapolate, ciScale := 1.0, 1.0
-	if res.Stale || res.Extrapolate > 1 {
-		if res.Extrapolate > 0 {
-			extrapolate = res.Extrapolate
-		}
-		if res.CIScale > 0 {
-			ciScale = res.CIScale
-		}
-	}
+	scale := max(res.Scale, 1)
 	// Resolved once, not per stratum: each aggregate's tuple column and each
 	// grouping column's dictionary. Rows cut Groups and Aggs from two slabs.
 	nGroups, nAggs := len(plan.GroupBy), len(plan.Aggs)
@@ -563,10 +553,10 @@ func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time) *Result
 		for i, a := range plan.Aggs {
 			e := sel.Estimate(cols[i], a.Kind)
 			if a.Kind == approx.Sum || a.Kind == approx.Count {
-				e.Value *= extrapolate
-				e.StdErr *= extrapolate
+				e.Value *= scale
+				e.StdErr *= scale
 			}
-			e.StdErr *= ciScale
+			e.StdErr *= scale
 			row.Aggs[i] = AggValue{Value: e.Value, StdErr: e.StdErr, Support: e.Support}
 		}
 		out.Rows = append(out.Rows, row)

@@ -1,5 +1,5 @@
 // Package rngsource forbids standard-library randomness in favour of the
-// project's inlined Lehmer generators.
+// project's inlined Lehmer generator.
 //
 // The paper's performance results depend on every sampling operator drawing
 // from internal/rng (DESIGN.md §1: the admission-control loop keeps the
