@@ -269,7 +269,10 @@ func sparseKeys(data *ssb.Dataset) *ssb.Dataset {
 // BenchmarkStarJoin runs the SSB Q2.1-shaped star as an exact group-by by
 // d_year and p_brand1, once over the generator's dense dimension keys, whose
 // join tables are direct-address arrays, and once over the same rows with
-// keys 10⁹ apart, whose tables are hash maps. Each case asserts the
+// keys 10⁹ apart, whose tables are hash maps. Q2.1 has no fact predicate, so
+// its first probe reads whole morsels off the key column (probeRange); the
+// -filtered cases add lo_quantity BETWEEN 1 AND 25, which no zone map
+// decides, so every probe runs over a selection vector. Each case asserts the
 // representation every join took and the joined row count, which a naive
 // pass over the fact rows gives.
 func BenchmarkStarJoin(b *testing.B) {
@@ -277,28 +280,40 @@ func BenchmarkStarJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	quantity := algebra.NewPredicate().WithRange("lo_quantity", 1, 25)
 	// The naive join: SSB keys are 1..N, row k−1 holds key k.
 	q := starJoinQuery(data)
 	part, supp := q.Joins[1], q.Joins[2]
-	var want int64
+	var want, wantFiltered int64
 	for i := 0; i < data.Lineorder.NumRows(); i++ {
 		p := data.Lineorder.Column("lo_partkey").Ints[i] - 1
 		s := data.Lineorder.Column("lo_suppkey").Ints[i] - 1
 		if part.Filter.Matches(map[string]int64{"p_category": data.Part.Column("p_category").Ints[p]}) &&
 			supp.Filter.Matches(map[string]int64{"s_region": data.Supplier.Column("s_region").Ints[s]}) {
 			want++
+			if quantity.Matches(map[string]int64{"lo_quantity": data.Lineorder.Column("lo_quantity").Ints[i]}) {
+				wantFiltered++
+			}
 		}
 	}
-	if want == 0 {
-		b.Fatal("the star joins no row")
+	if wantFiltered == 0 || wantFiltered == want {
+		b.Fatalf("the star joins %d rows, %d of them filtered", want, wantFiltered)
 	}
 	for _, tc := range []struct {
-		name  string
-		data  *ssb.Dataset
-		array bool
-	}{{"dense", data, true}, {"sparse", sparseKeys(data), false}} {
+		name   string
+		data   *ssb.Dataset
+		array  bool
+		filter algebra.Predicate
+		want   int64
+	}{
+		{"dense", data, true, algebra.NewPredicate(), want},
+		{"sparse", sparseKeys(data), false, algebra.NewPredicate(), want},
+		{"dense-filtered", data, true, quantity, wantFiltered},
+		{"sparse-filtered", sparseKeys(data), false, quantity, wantFiltered},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			q := starJoinQuery(tc.data)
+			q.Filter = tc.filter
 			tables, err := buildJoinTables(q)
 			if err != nil {
 				b.Fatal(err)
@@ -320,8 +335,11 @@ func BenchmarkStarJoin(b *testing.B) {
 				last = st
 			}
 			b.StopTimer()
-			if last.RowsSelected != want {
-				b.Fatalf("joined %d rows, want %d", last.RowsSelected, want)
+			if last.RowsSelected != tc.want {
+				b.Fatalf("joined %d rows, want %d", last.RowsSelected, tc.want)
+			}
+			if !tc.filter.IsTrue() && last.MorselsFull != 0 {
+				b.Fatalf("%d zone-map-full morsels: the filtered case must probe selection vectors", last.MorselsFull)
 			}
 		})
 	}

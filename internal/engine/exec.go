@@ -23,7 +23,10 @@ type Stats struct {
 	// fact columns producing selection vectors).
 	Scan time.Duration
 	// Process is the time spent past the scan: join probes, gathers, and
-	// sink work (aggregation or reservoir admission).
+	// sink work (aggregation or reservoir admission). The first join probe
+	// of a whole morsel (morselPlan.whole) counts here too: it reads the
+	// fact keys itself and produces the selection vector, and the morsel
+	// has no selection pass.
 	Process time.Duration
 	// Merge is the time to fold per-worker partial states (and, for LAQy,
 	// to merge Δ-samples with stored ones; the caller adds that share).
@@ -43,8 +46,9 @@ type Stats struct {
 	// proved no row could match the scan filter.
 	MorselsPruned int64
 	// MorselsFull counts morsels that took the full-morsel fast path: the
-	// zone map proved every row matches, so the selection vector was
-	// range-filled with no per-row compares.
+	// zone map proved every row matches, so no per-row compares ran. (A
+	// trivial filter makes every morsel whole too, but only zone-map-proven
+	// morsels count here.)
 	MorselsFull int64
 	// MorselsFused counts morsels the fused aggregate path folded straight
 	// into partial accumulators — the zone-map-full ones — without
@@ -147,15 +151,25 @@ func runPipeline(q *Query, exprs []ColumnExpr, workers int, sinks []rowSink) (St
 			failed = fs.sinkErr
 		}
 		return func(ws *scanWorker, mo storage.Morsel, v morselVerdict) (int, time.Duration) {
-			if v == morselFull {
+			// The first join of a whole morsel reads the fact keys in order
+			// and writes the selection vector itself: no selection pass, and
+			// its time counts as Process.
+			probeRange := len(joinTables) > 0 && plan.whole(v)
+			switch {
+			case probeRange:
+				ws.sel = ws.sel[:mo.Len()] // no morsel exceeds the leased DefaultMorselSize
+			case plan.whole(v):
 				ws.sel = expr.FillRange(ws.sel[:0], mo.Start, mo.End)
-			} else {
+			default:
 				ws.sel = plan.filter.SelectInto(mo.Start, mo.End, ws.sel[:0])
 			}
 			t1 := time.Now()
 			sel, dimRows, gathered := ws.sel, ws.dimRows[:len(joinTables)], ws.gathered[:len(sources)]
-			n := len(sel)
-			for j := range joinTables { //laqy:allow ctxpoll per-morsel body; the morsel driver polls per morsel
+			n, j0 := len(sel), 0
+			if probeRange {
+				n, j0 = joinTables[0].probeRange(mo.Start, mo.End, sel, dimRows), 1
+			}
+			for j := j0; j < len(joinTables); j++ { //laqy:allow ctxpoll per-morsel body; the morsel driver polls per morsel
 				n = joinTables[j].probe(sel[:n], dimRows)
 			}
 			if n > 0 {

@@ -39,7 +39,7 @@ const (
 //
 // It is the only reader of Query.DisableZoneMaps (the oracle switch of the
 // equivalence suites): both scan bodies consume the same verdicts, so they
-// cannot disagree about a morsel.
+// cannot disagree about a morsel, and under the switch no morsel is whole.
 type morselPlan struct {
 	from, to int
 	morsels  []storage.Morsel
@@ -48,6 +48,11 @@ type morselPlan struct {
 	zms []*storage.ZoneMap // in row order; empty = no pruning: every morsel is partial
 	ivs []expr.IntervalConjunct
 	all bool // every filter conjunct is single-interval
+
+	// trivial: the filter keeps every row, so every morsel is whole (see
+	// whole). Off under DisableZoneMaps, where every morsel goes through
+	// the selection vector as the reference scan does.
+	trivial bool
 }
 
 // newMorselPlan compiles q's filter and plans its scan range.
@@ -63,6 +68,7 @@ func newMorselPlan(q *Query) (*morselPlan, error) {
 	from, to := q.scanBounds()
 	p := &morselPlan{from: from, to: to, morsels: storage.MorselsRange(from, to, 0), filter: filter}
 	if filter.Trivial() || q.DisableZoneMaps {
+		p.trivial = filter.Trivial() && !q.DisableZoneMaps
 		return p, nil
 	}
 	if p.ivs, p.all = filter.IntervalConjuncts(); len(p.ivs) == 0 {
@@ -108,6 +114,13 @@ func (p *morselPlan) lookup(start, end int) morselVerdict {
 	}
 	return v
 }
+
+// whole reports whether the scan filter keeps every row of a morsel with
+// verdict v: the zone map proved it (morselFull), or the filter is trivial.
+// Only morselFull counts in Stats.MorselsFull; a whole morsel's rows need no
+// selection pass, so a pipeline hands them to its first join probe as a
+// range.
+func (p *morselPlan) whole(v morselVerdict) bool { return v == morselFull || p.trivial }
 
 // bounds folds the named column's value bounds over the segments the morsel
 // [start, end) overlaps. The plan's maps tile the scan range, so a morsel
@@ -183,10 +196,10 @@ type scanWorker struct {
 }
 
 // morselBody is what one worker does with a morsel the plan did not skip:
-// select (unless the verdict is full), then consume. It returns the rows
-// surviving filter and joins and the share of its time spent past the
-// scan, which the driver books as Stats.Process; the rest of the morsel's
-// time is Stats.Scan. Bodies that fold a morsel without a selection vector
+// select (a body may skip that for a whole morsel, see morselPlan.whole),
+// then consume. It returns the rows surviving filter and joins and the
+// share of its time spent past the scan, which the driver books as
+// Stats.Process; the rest of the morsel's time is Stats.Scan. Bodies that fold a morsel without a selection vector
 // count it in ws.st.MorselsFused.
 type morselBody func(ws *scanWorker, mo storage.Morsel, v morselVerdict) (selected int, process time.Duration)
 
