@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint vet laqy-vet benchmark-check race stress servestress shardchaos faults fuzz-smoke bench-smoke bench-pair clean
+.PHONY: all build test lint vet laqy-vet benchmark-check race stress servestress shardchaos faults fuzz-smoke bench-smoke bench-pair lines clean
 
 all: build lint test
 
@@ -68,6 +68,14 @@ WORKLOADS ?=
 SEEDS ?= 1
 bench-pair:
 	bash tools/benchpair.sh -n $(PAIRS) -seed $(SEEDS) $(if $(WORKLOADS),-w $(WORKLOADS)) $(BASE) $(NEW)
+
+# The north star's size metric: lines of the tracked non-test Go files
+# outside benchmark/ and testdata/, per top-level directory ("." is the
+# root package) and in total. A report, not a gate.
+lines:
+	@git grep -c '' -- '*.go' ':!:*_test.go' ':!:benchmark/' ':!:**/testdata/**' | awk -F: '\
+		{ d = $$1 ~ /\// ? substr($$1, 1, index($$1, "/") - 1) : "."; n[d] += $$2; total += $$2 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
 
 # The sampling engine is morsel-parallel; every PR must pass under the race
 # detector. -short skips the statistical long-haul tests.

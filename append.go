@@ -50,8 +50,7 @@ func (db *DB) Append(table string, b *TableBuilder) error {
 		return err
 	}
 	db.reg.Gauge(obs.MStorageLogicalBytes).Add(tableBytes(grown, grown.NumRows()-old.NumRows()))
-	_, err = db.lazy.MaintainAppend(grown, old.NumRows(), db.catalog.Table, db.nextSeed(), db.engineWorkers())
-	return err
+	return db.lazy.MaintainAppend(grown, old.NumRows(), db.catalog.Table, db.nextSeed(), db.engineWorkers())
 }
 
 // batchColumns validates the builder's columns against the table's schema

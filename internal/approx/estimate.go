@@ -226,53 +226,6 @@ func (s *Selection) Estimate(col int, kind AggKind) Estimate {
 	return est
 }
 
-// GroupEstimates estimates the aggregate per stratum — the approximate
-// answer to a GROUP BY query whose grouping columns equal the sample's QCS.
-// The map is keyed by stratum key; use the sample's schema to decode keys.
-func GroupEstimates(s *sample.Stratified, col int, kind AggKind) map[sample.StratumKey]Estimate {
-	out := make(map[sample.StratumKey]Estimate, s.NumStrata())
-	s.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
-		out[key] = FromReservoir(r, col, kind)
-	})
-	return out
-}
-
-// TotalEstimate estimates the aggregate over all strata combined: sums for
-// Sum/Count (stratified estimators add, variances add under independence),
-// a weight-weighted mean for Avg, and the extrema for Min/Max.
-func TotalEstimate(s *sample.Stratified, col int, kind AggKind) Estimate {
-	var total Estimate
-	first := true
-	s.ForEach(func(_ sample.StratumKey, r *sample.Reservoir) {
-		e := FromReservoir(r, col, kind)
-		switch kind {
-		case Sum, Count:
-			total.Value += e.Value
-			total.StdErr = math.Sqrt(total.StdErr*total.StdErr + e.StdErr*e.StdErr)
-		case Avg:
-			// Combine as weighted mean of stratum means.
-			total.Value += e.Value * e.Weight
-			total.StdErr = math.Sqrt(total.StdErr*total.StdErr + (e.StdErr*e.Weight)*(e.StdErr*e.Weight))
-		case Min:
-			if first || e.Value < total.Value {
-				total.Value = e.Value
-			}
-		case Max:
-			if first || e.Value > total.Value {
-				total.Value = e.Value
-			}
-		}
-		total.Support += e.Support
-		total.Weight += e.Weight
-		first = false
-	})
-	if kind == Avg && total.Weight > 0 {
-		total.Value /= total.Weight
-		total.StdErr /= total.Weight
-	}
-	return total
-}
-
 // MinSupport is the default per-stratum support below which LAQy considers
 // an estimate unreliable and falls back to online sampling for that
 // stratum (§5.2.3).

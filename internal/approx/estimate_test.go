@@ -157,78 +157,6 @@ func TestRelativeErrorBound(t *testing.T) {
 	}
 }
 
-func buildStratified(seed uint64, n int64, groups int64, k int) *sample.Stratified {
-	s := sample.NewStratified(sample.Schema{"g", "v"}, 1, k, newGen(seed))
-	vals := iota64(0, n)
-	keys := make([]int64, n)
-	for i, v := range vals {
-		keys[i] = v % groups
-	}
-	s.ConsiderColumns([][]int64{keys, vals}, int(n))
-	return s
-}
-
-func TestGroupEstimatesCounts(t *testing.T) {
-	s := buildStratified(1, 10000, 4, 100)
-	ests := GroupEstimates(s, 1, Count)
-	if len(ests) != 4 {
-		t.Fatalf("%d group estimates", len(ests))
-	}
-	for key, e := range ests {
-		if e.Value != 2500 {
-			t.Fatalf("group %v count = %v, want exact 2500", key, e.Value)
-		}
-	}
-}
-
-func TestGroupEstimatesSumAccuracy(t *testing.T) {
-	const n, groups, k = 100000, 5, 1000
-	s := buildStratified(2, n, groups, k)
-	ests := GroupEstimates(s, 1, Sum)
-	for key, e := range ests {
-		g := key[0]
-		// True sum of {v : v ≡ g mod 5, 0 <= v < n}: 20000 terms g, g+5, ...
-		count := int64(n / groups)
-		trueSum := float64(count)*float64(g) + 5*float64(count*(count-1)/2)
-		if RelativeError(e.Value, trueSum) > 0.10 {
-			t.Fatalf("group %d SUM = %.0f, true %.0f", g, e.Value, trueSum)
-		}
-		if e.StdErr <= 0 {
-			t.Fatalf("group %d has zero stderr on a sampled estimate", g)
-		}
-	}
-}
-
-func TestTotalEstimate(t *testing.T) {
-	const n = 50000
-	s := buildStratified(3, n, 10, 500)
-	trueSum := float64(n) * float64(n-1) / 2
-
-	total := TotalEstimate(s, 1, Sum)
-	if RelativeError(total.Value, trueSum) > 0.05 {
-		t.Fatalf("total SUM = %.0f, true %.0f", total.Value, trueSum)
-	}
-	if total.Weight != n {
-		t.Fatalf("total weight = %v", total.Weight)
-	}
-
-	cnt := TotalEstimate(s, 1, Count)
-	if cnt.Value != n {
-		t.Fatalf("total COUNT = %v", cnt.Value)
-	}
-
-	avg := TotalEstimate(s, 1, Avg)
-	if RelativeError(avg.Value, float64(n-1)/2) > 0.05 {
-		t.Fatalf("total AVG = %v, want ~%v", avg.Value, float64(n-1)/2)
-	}
-
-	mn := TotalEstimate(s, 1, Min)
-	mx := TotalEstimate(s, 1, Max)
-	if mn.Value > 1000 || mx.Value < n-1000 {
-		t.Fatalf("extrema: min=%v max=%v", mn.Value, mx.Value)
-	}
-}
-
 func TestSupportFailures(t *testing.T) {
 	// Group 0 has many tuples; group 1 has only 3.
 	s := sample.NewStratified(sample.Schema{"g", "v"}, 1, 100, newGen(4))

@@ -181,7 +181,7 @@ func (g *growth) appendBatch(t *testing.T, o *countOracle, lazy *core.LazySample
 	for _, m := range lazy.Store().List() {
 		stale = stale || o.check(t, m.Meta.Predicate, m.Meta.QCS(), m.Sample) != ""
 	}
-	if _, err := lazy.MaintainAppend(grown, old.NumRows(), g.cat.Table, seed, 2); err != nil {
+	if err := lazy.MaintainAppend(grown, old.NumRows(), g.cat.Table, seed, 2); err != nil {
 		t.Fatal(err)
 	}
 	return stale

@@ -414,7 +414,7 @@ func (l *LazySampler) online(req Request, input string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, dropped, err := buildSample(req.Query, req.Schema, req.QCSWidth, k, req.Seed, req.Workers, "online sample")
+	res, dropped, err := buildSample(req.Query, req.Schema, req.QCSWidth, k, req.Seed, req.Workers, nil, "online sample")
 	if err != nil {
 		return nil, err
 	}
@@ -517,54 +517,32 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 		return nil, err
 	}
 
-	// Build the Δ-query under the entry's predicate with the delta column
-	// restricted to the missing range. The merged sample then covers exactly
-	// what the widened entry claims; where the request is narrower on another
-	// column, tighten reads the merged sample through that constraint.
-	deltaQuery, err := entryQuery(req.Query, replaceConstraint(meta.Predicate, delta.Column, delta.Missing))
-	if err != nil {
-		return nil, err
-	}
-	deltaRes, dropped, err := buildSample(deltaQuery, meta.Schema, req.QCSWidth, meta.K, req.Seed, req.Workers,
-		"Δ-sample", obs.Attr{Key: "missing", Value: delta.Column + "∈" + delta.Missing.String()})
+	// Extend the entry under its own predicate with the delta column
+	// restricted to the missing range, to cover the union of predicates.
+	// The merged sample then covers exactly what the widened entry claims;
+	// where the request is narrower on another column, tighten reads it
+	// through that constraint.
+	storedSet, _ := meta.Predicate.Constraint(delta.Column)
+	newPred := replaceConstraint(meta.Predicate, delta.Column, storedSet.Union(delta.Missing))
+	ext, dropped, err := l.extend(req.Query, match, replaceConstraint(meta.Predicate, delta.Column, delta.Missing),
+		newPred, nil, req.Seed, req.Workers, obs.Attr{Key: "missing", Value: delta.Column + "∈" + delta.Missing.String()})
 	if err != nil {
 		return nil, err
 	}
 	l.met.deltaBuilds.Inc()
 	if dropped {
-		// A truncated Δ cannot be merged: it under-represents the missing
-		// range relative to the coverage the merged entry would claim.
 		// Serve the stored sample as-is under its coverage scale instead,
 		// labeled with the Δ-build's drops.
-		deg := deltaRes.Degradations[0]
+		deg := ext.Degradations[0]
 		deg.Detail = "Δ-build: " + deg.Detail
 		return l.serveStored(req, match, deg)
 	}
 
-	// Merge Δ with a clone of the stored sample (Algorithm 3) and expand
-	// the stored entry's coverage to the union of predicates. The clone
-	// keeps published samples immutable: concurrent readers holding the
-	// old snapshot stay valid, and Update swaps the pointer atomically
-	// under the store lock. Two racing partial merges on one entry both
-	// answer correctly; the later Update wins and the other Δ is simply
-	// not retained.
-	mergeStart := obs.Clock()
-	msp := obs.SpanFrom(req.Query.Ctx).Start("merge")
-	merged, err := sample.MergeStratified(match.Sample.Clone(), deltaRes.Sample, l.nextMergeGen())
-	if err != nil {
-		msp.End()
-		return nil, err
-	}
-	storedSet, _ := meta.Predicate.Constraint(delta.Column)
-	newPred := replaceConstraint(meta.Predicate, delta.Column, storedSet.Union(delta.Missing))
-	l.store.Update(match.Entry, merged, newPred, segmentWatermarks(req.Query.Fact))
-
 	// The logical sample for the query: tighten when the merged sample is
-	// wider than the request.
-	res, err := l.tighten(req, meta.Schema, newPred, merged)
-	mergeTime := obs.Since(mergeStart)
-	msp.SetAttrInt("strata", int64(merged.NumStrata()))
-	msp.End()
+	// wider than the request. The merge time covers the tightening.
+	tightenStart := obs.Clock()
+	res, err := l.tighten(req, meta.Schema, newPred, ext.Sample)
+	mergeTime := ext.MergeTime + obs.Since(tightenStart)
 	if err != nil {
 		return nil, err
 	}
@@ -574,9 +552,9 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 	if res == nil {
 		return &Result{Mode: ModePartial, SupportFallback: true}, nil
 	}
-	deltaRes.Stats.Add(res.Stats)
+	ext.Stats.Add(res.Stats)
 	res.Mode, res.Missing, res.DeltaColumn = ModePartial, delta.Missing, delta.Column
-	res.Stats, res.MergeTime = deltaRes.Stats, mergeTime
+	res.Stats, res.MergeTime = ext.Stats, mergeTime
 	return res, nil
 }
 

@@ -8,6 +8,8 @@ import (
 	"laqy/internal/algebra"
 	"laqy/internal/approx"
 	"laqy/internal/engine"
+	"laqy/internal/obs"
+	"laqy/internal/sample"
 	"laqy/internal/storage"
 	"laqy/internal/store"
 )
@@ -31,27 +33,37 @@ func growFact(n, extra, groups int) *storage.Table {
 	)
 }
 
+// observedSampler is a sampler whose store counts its Updates.
+func observedSampler(seed uint64) (*LazySampler, *obs.Counter) {
+	st := store.New(0)
+	reg := obs.NewRegistry()
+	st.SetObs(reg)
+	return New(st, seed), reg.Counter(obs.MStoreUpdates)
+}
+
 func TestMaintainExtendsStoredSamples(t *testing.T) {
 	// Build a sample over all rows of the initial table, then "append"
 	// rows (same table name, more rows) and maintain.
 	const initial, extra, groups = 20000, 10000, 5
 	oldFact := testFact(initial, groups)
-	l := New(store.New(0), 1)
+	l, updates := observedSampler(1)
 	wide := request(oldFact, 0, initial+extra) // covers future keys too
 	if _, err := l.Sample(wide); err != nil {
 		t.Fatal(err)
 	}
 
 	grown := growFact(initial, extra, groups)
-	res, err := l.Maintain(&engine.Query{Fact: grown}, initial, 9, 2)
-	if err != nil {
+	if err := l.MaintainAppend(grown, initial, nil, 9, 2); err != nil {
 		t.Fatal(err)
 	}
-	if res.Maintained != 1 {
-		t.Fatalf("maintained %d samples, want 1", res.Maintained)
+	if updates.Value() != 1 {
+		t.Fatalf("maintained %d samples, want 1", updates.Value())
 	}
-	if res.RowsConsidered != extra {
-		t.Fatalf("considered %d rows, want %d", res.RowsConsidered, extra)
+	// The entry now covers every grown row, and absorbed only the appended
+	// ones: its weight is initial+extra (checked below), not that plus a
+	// rescan of the first initial rows.
+	if marks := l.Store().List()[0].Meta.Segments; len(marks) != 1 || marks[0].Rows != initial+extra {
+		t.Fatalf("watermarks after maintenance = %+v, want one of %d rows", marks, initial+extra)
 	}
 
 	// The stored sample now represents all initial+extra rows: a covering
@@ -72,12 +84,12 @@ func TestMaintainExtendsStoredSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, e := range approx.GroupEstimates(out.Sample, 2, approx.Sum) {
-		want, _ := exact.Value(key, 0)
-		if approx.RelativeError(e.Value, want) > 0.15 {
-			t.Fatalf("group %v: %v vs exact %v", key, e.Value, want)
+	out.Sample.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
+		got := approx.FromReservoir(r, 2, approx.Sum).Value
+		if want, _ := exact.Value(key, 0); approx.RelativeError(got, want) > 0.15 {
+			t.Fatalf("group %v: %v vs exact %v", key, got, want)
 		}
-	}
+	})
 }
 
 func TestMaintainRespectsPredicates(t *testing.T) {
@@ -92,7 +104,7 @@ func TestMaintainRespectsPredicates(t *testing.T) {
 	}
 
 	grown := growFact(initial, extra, 4)
-	if _, err := l.Maintain(&engine.Query{Fact: grown}, initial, 5, 2); err != nil {
+	if err := l.MaintainAppend(grown, initial, nil, 5, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Qualifying rows: keys 2000..9999 initially, plus appended keys
@@ -116,32 +128,27 @@ func TestMaintainIgnoresOtherInputs(t *testing.T) {
 		&storage.Column{Name: "f_group", Kind: storage.KindInt64, Ints: []int64{0, 1, 0}},
 		&storage.Column{Name: "f_val", Kind: storage.KindInt64, Ints: []int64{1, 2, 3}},
 	)
-	l := New(store.New(0), 3)
+	l, updates := observedSampler(3)
 	if _, err := l.Sample(request(factA, 0, 999)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := l.Maintain(&engine.Query{Fact: factB}, 0, 1, 1)
-	if err != nil {
+	if err := l.MaintainAppend(factB, 0, nil, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if res.Maintained != 0 {
-		t.Fatalf("maintained %d samples of an unrelated input", res.Maintained)
+	if updates.Value() != 0 || l.Store().List()[0].Sample.TotalWeight() != 1000 {
+		t.Fatalf("maintained %d samples of an unrelated input", updates.Value())
 	}
 }
 
 func TestMaintainValidation(t *testing.T) {
-	l := New(store.New(0), 4)
-	if _, err := l.Maintain(nil, 0, 1, 1); err == nil {
-		t.Fatal("nil query must error")
-	}
+	l, updates := observedSampler(4)
 	fact := testFact(100, 2)
-	if _, err := l.Maintain(&engine.Query{Fact: fact}, 200, 1, 1); err == nil {
-		t.Fatal("fromRow beyond table must error")
+	if _, err := l.Sample(request(fact, 0, 99)); err != nil {
+		t.Fatal(err)
 	}
 	// No-op maintenance (nothing appended).
-	res, err := l.Maintain(&engine.Query{Fact: fact}, 100, 1, 1)
-	if err != nil || res.Maintained != 0 || res.RowsConsidered != 0 {
-		t.Fatalf("no-op maintain = %+v, %v", res, err)
+	if err := l.MaintainAppend(fact, 100, nil, 1, 1); err != nil || updates.Value() != 0 {
+		t.Fatalf("no-op maintain: %d updates, %v", updates.Value(), err)
 	}
 }
 
@@ -153,7 +160,7 @@ func TestMaintainAppendByTableRole(t *testing.T) {
 	dim := storage.MustNewTable("dim",
 		&storage.Column{Name: "d_key", Kind: storage.KindInt64, Ints: []int64{0, 1}},
 	)
-	l := New(store.New(0), 5)
+	l, updates := observedSampler(5)
 	// Scan-level sample.
 	if _, err := l.Sample(request(fact, 0, 999)); err != nil {
 		t.Fatal(err)
@@ -178,12 +185,11 @@ func TestMaintainAppendByTableRole(t *testing.T) {
 		return nil, fmt.Errorf("no table %q", name)
 	}
 	// An append to the fact keeps both: the join is maintained, not dropped.
-	res, err := l.MaintainAppend(growFact(5000, 100, 2), fact.NumRows(), tables, 1, 1)
-	if err != nil {
+	if err := l.MaintainAppend(growFact(5000, 100, 2), fact.NumRows(), tables, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if res.Maintained != 2 || l.Store().Len() != 2 {
-		t.Fatalf("a fact append maintained %d samples, left %d", res.Maintained, l.Store().Len())
+	if updates.Value() != 2 || l.Store().Len() != 2 {
+		t.Fatalf("a fact append maintained %d samples, left %d", updates.Value(), l.Store().Len())
 	}
 	// An append to the dimension removes the join-level sample only.
 	grownDim, err := storage.AppendColumns(dim, []*storage.Column{
@@ -192,7 +198,7 @@ func TestMaintainAppendByTableRole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.MaintainAppend(grownDim, dim.NumRows(), tables, 1, 1); err != nil {
+	if err := l.MaintainAppend(grownDim, dim.NumRows(), tables, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if l.Store().Len() != 1 || l.Store().List()[0].Meta.Input != "fact" {

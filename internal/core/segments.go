@@ -99,17 +99,18 @@ func dropAttribution(stats engine.Stats) (reason, detail string) {
 }
 
 // buildSample runs one stratified sample build of q — schema captured, the
-// first qcsWidth columns stratifying, k per stratum — under a child span
+// first qcsWidth columns stratifying, k per stratum, each fact segment
+// resumed at from (nil: at its start) — under a child span
 // named span carrying attrs and the build's row counts, so the engine's own
 // pipeline spans nest under the sampler phase that triggered them. It
 // returns the build as an answer (Sample and Stats) and reports whether the
 // build dropped segments (deadline or memory pressure, an unavailable
 // shard): such a sample covers only part of q's rows, the answer carries
 // dropDegradation's label and scale, and no caller stores, merges or
-// installs it. Online builds, Δ-builds and support repairs all go through
-// here.
+// installs it. Online builds, Δ-builds (partial reuse and append
+// maintenance alike) and support repairs all go through here.
 func buildSample(q *engine.Query, schema sample.Schema, qcsWidth, k int, seed uint64, workers int,
-	span string, attrs ...obs.Attr) (res *Result, dropped bool, err error) {
+	from map[int]int, span string, attrs ...obs.Attr) (res *Result, dropped bool, err error) {
 
 	sp := obs.SpanFrom(q.Ctx).Start(span) // nil when tracing is off
 	if sp != nil {
@@ -120,7 +121,7 @@ func buildSample(q *engine.Query, schema sample.Schema, qcsWidth, k int, seed ui
 		traced.Ctx = obs.WithSpan(q.Ctx, sp)
 		q = &traced
 	}
-	sam, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), qcsWidth, k, seed, workers, nil)
+	sam, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), qcsWidth, k, seed, workers, from)
 	if sp != nil {
 		sp.SetAttrInt("rows_scanned", stats.RowsScanned)
 		sp.SetAttrInt("rows_selected", stats.RowsSelected)

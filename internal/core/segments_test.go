@@ -54,7 +54,7 @@ func TestMaintainResumesFromSegmentWatermarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := New(store.New(0), 12)
+	l, updates := observedSampler(12)
 	if _, err := l.Sample(request(fact, 0, initial+extra)); err != nil {
 		t.Fatal(err)
 	}
@@ -64,16 +64,15 @@ func TestMaintainResumesFromSegmentWatermarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := l.Maintain(&engine.Query{Fact: grown}, initial, 9, 2)
-	if err != nil {
+	if err := l.MaintainAppend(grown, initial, nil, 9, 2); err != nil {
 		t.Fatal(err)
 	}
-	if res.Maintained != 1 {
-		t.Fatalf("maintained %d samples, want 1", res.Maintained)
+	if updates.Value() != 1 {
+		t.Fatalf("maintained %d samples, want 1", updates.Value())
 	}
-	if res.RowsConsidered != extra {
-		t.Fatalf("considered %d rows, want %d (watermark resume)", res.RowsConsidered, extra)
-	}
+	// The weight below is initial+extra only if the Δ resumed the grown
+	// segment after its watermark (a rescan from its start would add the
+	// segment's first 5000 rows again).
 	out, err := l.Sample(request(grown, 0, initial+extra))
 	if err != nil {
 		t.Fatal(err)
@@ -85,14 +84,19 @@ func TestMaintainResumesFromSegmentWatermarks(t *testing.T) {
 		t.Fatalf("weight = %v, want %d", out.Sample.TotalWeight(), initial+extra)
 	}
 
-	// Maintaining again without new appends is a no-op: the watermarks
-	// already cover every segment's rows.
-	res, err = l.Maintain(&engine.Query{Fact: grown}, grown.NumRows(), 10, 2)
-	if err != nil {
+	// Maintaining again without new appends is a no-op, and the
+	// watermarks already cover every segment's rows.
+	if err := l.MaintainAppend(grown, grown.NumRows(), nil, 10, 2); err != nil {
 		t.Fatal(err)
 	}
-	if res.Maintained != 0 || res.RowsConsidered != 0 {
-		t.Fatalf("repeat maintain = %+v, want no-op", res)
+	if updates.Value() != 1 {
+		t.Fatalf("repeat maintain updated %d more samples, want none", updates.Value()-1)
+	}
+	marks := l.Store().List()[0].Meta.Segments
+	for _, s := range grown.Segments() {
+		if from := watermarkFrom(grown, marks)[s.ID()]; from != s.End() {
+			t.Fatalf("segment %d resumes at %d after maintenance, want its end %d", s.ID(), from, s.End())
+		}
 	}
 }
 

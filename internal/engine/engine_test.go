@@ -220,16 +220,16 @@ func TestRunStratifiedEstimatesMatchExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ests := approx.GroupEstimates(sam, 1, approx.Sum)
-	for key, e := range ests {
+	sam.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
+		got := approx.FromReservoir(r, 1, approx.Sum).Value
 		want, ok := exact.Value(key, 0)
 		if !ok {
 			t.Fatalf("group %v missing from exact result", key)
 		}
-		if approx.RelativeError(e.Value, want) > 0.10 {
-			t.Fatalf("group %v estimate %.0f vs exact %.0f", key, e.Value, want)
+		if approx.RelativeError(got, want) > 0.10 {
+			t.Fatalf("group %v estimate %.0f vs exact %.0f", key, got, want)
 		}
-	}
+	})
 }
 
 func TestRunStratifiedWithJoinQCS(t *testing.T) {

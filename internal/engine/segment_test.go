@@ -216,12 +216,12 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, e := range approx.GroupEstimates(merged, 1, approx.Sum) {
-		want, _ := exact.Value(key, 0)
-		if approx.RelativeError(e.Value, want) > 0.10 {
-			t.Fatalf("group %v estimate %.0f vs exact %.0f", key, e.Value, want)
+	merged.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
+		got := approx.FromReservoir(r, 1, approx.Sum).Value
+		if want, _ := exact.Value(key, 0); approx.RelativeError(got, want) > 0.10 {
+			t.Fatalf("group %v estimate %.0f vs exact %.0f", key, got, want)
 		}
-	}
+	})
 
 	// A second pass with up-to-date marks is an empty delta.
 	for _, s := range grown.Segments() {

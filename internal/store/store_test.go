@@ -186,10 +186,9 @@ func TestUpdateExpandsPredicate(t *testing.T) {
 
 func TestRemoveAndClear(t *testing.T) {
 	s := New(0)
-	e, _ := s.Put(meta(algebra.NewPredicate()), makeSample(12, testSchema, 1, 10, 100))
-	s.Remove(e)
-	if s.Len() != 0 {
-		t.Fatal("Remove failed")
+	s.Put(meta(algebra.NewPredicate()), makeSample(12, testSchema, 1, 10, 100))
+	if n := s.RemoveWhere(func(Meta) bool { return true }); n != 1 || s.Len() != 0 {
+		t.Fatalf("RemoveWhere removed %d, left %d", n, s.Len())
 	}
 	s.Put(meta(algebra.NewPredicate()), makeSample(13, testSchema, 1, 10, 100))
 	s.Clear()
@@ -270,10 +269,13 @@ func TestBudgetEviction(t *testing.T) {
 	s.Update(c, makeSample(21, testSchema, 1, 10, 1000), c.Predicate, nil)
 	checkBytes("after Update of an evicted entry")
 
-	d, _ := s.Put(meta(algebra.NewPredicate().WithRange("key", 60, 70)), makeSample(22, testSchema, 1, 2, 1000))
+	dPred := algebra.NewPredicate().WithRange("key", 60, 70)
+	s.Put(meta(dPred), makeSample(22, testSchema, 1, 2, 1000))
 	checkBytes("after Put")
-	s.Remove(d)
-	checkBytes("after Remove")
+	if n := s.RemoveWhere(func(m Meta) bool { return m.Predicate.Equal(dPred) }); n != 1 {
+		t.Fatalf("RemoveWhere removed %d", n)
+	}
+	checkBytes("after removing it")
 	s.Put(meta(algebra.NewPredicate().WithRange("key", 80, 90)), makeSample(23, testSchema, 1, 2, 1000))
 	if n := s.RemoveWhere(func(m Meta) bool { return m.K == 10 }); n != 2 {
 		t.Fatalf("RemoveWhere removed %d", n)
