@@ -43,7 +43,8 @@ benchmark-check:
 # one iteration of every kernel bench — the selection kernels, the fused
 # aggregate and the star-join probes — so their fixtures and structural
 # assertions (which cases fuse, which join tables are arrays) cannot rot
-# unseen, one reuse hit of each kind (BenchmarkReuseHit),
+# unseen, one reuse hit of each kind (BenchmarkReuseHit) at GOMAXPROCS 1
+# and 2 — its estimate loop and merges inline, then spread over a helper —
 # whose allocs/op column is the per-hit allocation count, one served
 # hit over loopback HTTP of each kind (BenchmarkServeHit: the same hit plus
 # the response encoder and the wire), and the admission benches (the
@@ -52,7 +53,7 @@ bench-smoke:
 	$(GO) run ./cmd/laqy-bench -smoke -exp all -replay short -metricsout bench-metrics.json
 	$(GO) test -run '^$$' -bench 'Select|FusedAggregate|StarJoin' -benchtime 1x \
 		./internal/expr ./internal/engine
-	$(GO) test -run '^$$' -bench 'ReuseHit' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'ReuseHit' -benchtime 1x -cpu 1,2 .
 	$(GO) test -run '^$$' -bench 'ServeHit' -benchtime 1x -benchmem ./internal/server
 	$(GO) test -run '^$$' -bench 'Admission' -benchtime 1x ./internal/sample
 

@@ -59,6 +59,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		"  store lookup <dur> [reuse=miss]",
 		"  online sample <dur> [rows_scanned=30000 rows_selected=10001]",
 		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 rows_scanned=30000 rows_selected=10001]",
+		"  estimate <dur> [strata=7 workers=1]",
 	}, "\n")
 	if got := scrubTrace(res.Explain); got != wantOnline {
 		t.Errorf("first EXPLAIN ANALYZE trace:\n%s\nwant:\n%s", got, wantOnline)
@@ -79,7 +80,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		"  store lookup <dur> [reuse=partial matched=lo_intkey ∈ [0,10000] delta=lo_intkey∈[10001,20000]]",
 		"  Δ-sample <dur> [missing=lo_intkey∈[10001,20000] rows_scanned=30000 rows_selected=10000]",
 		"    pipeline <dur> [workers=1 morsels=1 pruned=0 full=0 rows_scanned=30000 rows_selected=10000]",
-		"  merge <dur> [strata=7]",
+		"  merge <dur> [strata=7 workers=1]",
+		"  estimate <dur> [strata=7 workers=1]",
 	}, "\n")
 	if got := scrubTrace(res2.Explain); got != wantPartial {
 		t.Errorf("second EXPLAIN ANALYZE trace:\n%s\nwant:\n%s", got, wantPartial)
@@ -93,7 +95,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	for _, c := range res2.Trace.Root.Children {
 		names = append(names, c.Name)
 	}
-	want := []string{"parse", "plan", "admission", "store lookup", "Δ-sample", "merge"}
+	want := []string{"parse", "plan", "admission", "store lookup", "Δ-sample", "merge", "estimate"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Errorf("typed trace children = %v, want %v", names, want)
 	}

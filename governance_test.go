@@ -83,6 +83,7 @@ func TestDeadlineDegradesExactToApproxGolden(t *testing.T) {
 		"  admission <dur>",
 		"  store lookup <dur> [reuse=full matched=lo_intkey ∈ [0,10000]]",
 		"  tighten <dur>",
+		"  estimate <dur> [strata=7 workers=1]",
 	}, "\n")
 	if got := scrubTrace(res.Explain); got != want {
 		t.Errorf("degraded EXPLAIN ANALYZE trace:\n%s\nwant:\n%s", got, want)
@@ -124,6 +125,7 @@ func TestDeadlineReuseOnlyServesStaleGolden(t *testing.T) {
 		"  admission <dur>",
 		"  store lookup <dur> [reuse=partial matched=lo_intkey ∈ [0,10000] delta=lo_intkey∈[10001,20000]]",
 		"  serve stored <dur> [missing=lo_intkey∈[10001,20000] degraded=skip_delta (deadline pressure; coverage 50%)]",
+		"  estimate <dur> [strata=7 workers=1]",
 	}, "\n")
 	if got := scrubTrace(res.Explain); got != want {
 		t.Errorf("stale EXPLAIN ANALYZE trace:\n%s\nwant:\n%s", got, want)

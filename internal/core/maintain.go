@@ -43,12 +43,13 @@ func (l *LazySampler) extend(base *engine.Query, m *store.Match, deltaPred, pred
 	mergeStart := obs.Clock()
 	msp := obs.SpanFrom(base.Ctx).Start("merge")
 	defer msp.End()
-	merged, err := sample.MergeStratified(m.Sample.Clone(), delta.Sample, l.nextMergeGen())
+	merged, err := sample.MergeStratified(m.Sample.Clone(), delta.Sample, l.nextMergeGen(), workers)
 	if err != nil {
 		return nil, false, err
 	}
 	l.store.Update(m.Entry, merged, pred, segmentWatermarks(base.Fact))
 	msp.SetAttrInt("strata", int64(merged.NumStrata()))
+	msp.SetAttrInt("workers", int64(workers))
 	return &Result{Sample: merged, Stats: delta.Stats, MergeTime: obs.Since(mergeStart)}, false, nil
 }
 

@@ -231,7 +231,7 @@ func BuildSegmentSample(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint
 		return nil, stats, err
 	}
 	mergeStart := time.Now()
-	merged, err := treeMergeStratified(partials, root.Split(1<<32))
+	merged, err := treeMergeStratified(partials, root.Split(1<<32), workers)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -247,11 +247,15 @@ var mergeStratifiedFn = sample.MergeStratified
 
 // treeMergeStratified folds per-worker partial samples pairwise in
 // parallel (log-depth), the exchange-collection step of the paper's §6.3:
-// reservoirs carry their full state, so partials merge independently.
-func treeMergeStratified(partials []*sample.Stratified, gen *rng.Lehmer64) (*sample.Stratified, error) {
+// reservoirs carry their full state, so partials merge independently. The
+// workers are shared among a round's merges, each spreading its strata
+// over its share (sample.MergeStratified): the last round's one merge gets
+// them all.
+func treeMergeStratified(partials []*sample.Stratified, gen *rng.Lehmer64, workers int) (*sample.Stratified, error) {
 	round := uint64(0)
 	for len(partials) > 1 {
 		half := (len(partials) + 1) / 2
+		share := max(workers/(len(partials)/2), 1)
 		next := make([]*sample.Stratified, half)
 		errs := make([]error, half)
 		var wg sync.WaitGroup
@@ -272,7 +276,7 @@ func treeMergeStratified(partials []*sample.Stratified, gen *rng.Lehmer64) (*sam
 						errs[i] = panicError("sample merge", r)
 					}
 				}()
-				next[i], errs[i] = mergeStratifiedFn(partials[i], partials[j], g)
+				next[i], errs[i] = mergeStratifiedFn(partials[i], partials[j], g, share)
 			}(i, j, gen.Split(round<<32|uint64(i)))
 		}
 		wg.Wait()

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"laqy/internal/rng"
 	"laqy/internal/sample"
@@ -24,11 +27,11 @@ func TestMergePanicFailsQueryNotProcess(t *testing.T) {
 	}
 	orig := mergeStratifiedFn
 	defer func() { mergeStratifiedFn = orig }()
-	mergeStratifiedFn = func(a, b *sample.Stratified, g *rng.Lehmer64) (*sample.Stratified, error) {
+	mergeStratifiedFn = func(a, b *sample.Stratified, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
 		panic("poisoned merge: deliberate test explosion")
 	}
 	partials := []*sample.Stratified{healthy(1), healthy(2), healthy(3), healthy(4)}
-	_, err := treeMergeStratified(partials, gen)
+	_, err := treeMergeStratified(partials, gen, 2)
 	if err == nil {
 		t.Fatal("a panicking merge must fail the query")
 	}
@@ -40,12 +43,62 @@ func TestMergePanicFailsQueryNotProcess(t *testing.T) {
 	// panic poisoned one query, not the engine.
 	mergeStratifiedFn = orig
 	merged, err := treeMergeStratified(
-		[]*sample.Stratified{healthy(4), healthy(5), healthy(6)}, gen)
+		[]*sample.Stratified{healthy(4), healthy(5), healthy(6)}, gen, 2)
 	if err != nil {
 		t.Fatalf("merge after a panic-failed merge: %v", err)
 	}
 	if merged.TotalWeight() != 3 {
 		t.Fatalf("post-panic merge weight = %v", merged.TotalWeight())
+	}
+}
+
+// TestMergeChunkPanicFailsQueryNotProcess: a panic in a chunk that a
+// merge's helper goroutine walks (sample.Stratified.Walk, the driver of
+// MergeStratified's parallel strata) reaches the exchange step's recover
+// and fails the merge with an error naming it, instead of killing the
+// process from the helper goroutine.
+func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	goid := func() string {
+		buf := make([]byte, 64)
+		return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+	}
+	// k = 1<<14 makes every stratum a chunk of its own.
+	partial := func(seed uint64) *sample.Stratified {
+		s := sample.NewStratified(sample.Schema{"g", "v"}, 1, 1<<14, rng.NewLehmer64(seed))
+		s.ConsiderColumns([][]int64{{1, 2, 3, 4, 5, 6}, {1, 2, 3, 4, 5, 6}}, 6)
+		return s
+	}
+	orig := mergeStratifiedFn
+	defer func() { mergeStratifiedFn = orig }()
+	mergeStratifiedFn = func(a, b *sample.Stratified, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
+		caller := goid()
+		helperRan := make(chan struct{})
+		var once sync.Once
+		a.Walk(workers, func() func(lo, hi int) {
+			onHelper := goid() != caller
+			return func(lo, hi int) {
+				if onHelper {
+					once.Do(func() { close(helperRan) })
+					panic("poisoned stratum chunk")
+				}
+				select {
+				case <-helperRan:
+				case <-time.After(10 * time.Second):
+				}
+			}
+		})
+		return orig(a, b, g, workers)
+	}
+	_, err := treeMergeStratified([]*sample.Stratified{partial(1), partial(2)}, rng.NewLehmer64(1), 2)
+	if err == nil {
+		t.Fatal("a panic in a merge helper's chunk must fail the merge")
+	}
+	if !strings.Contains(err.Error(), "sample merge") || !strings.Contains(err.Error(), "poisoned stratum chunk") {
+		t.Fatalf("error %q does not name the merge step and the helper's panic", err)
 	}
 }
 

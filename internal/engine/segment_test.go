@@ -205,7 +205,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 		t.Fatalf("Δ segments = %d, want 2", dstats.Segments)
 	}
 
-	merged, err := sample.MergeStratified(base, delta, rng.NewLehmer64(23))
+	merged, err := sample.MergeStratified(base, delta, rng.NewLehmer64(23), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

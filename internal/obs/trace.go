@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -79,9 +80,13 @@ func (s *Span) SetAttr(key, value string) {
 	s.mu.Unlock()
 }
 
-// SetAttrInt annotates the span with an integer value.
+// SetAttrInt annotates the span with an integer value. On a nil receiver it
+// formats nothing, so an untraced query pays no allocation for it.
 func (s *Span) SetAttrInt(key string, value int64) {
-	s.SetAttr(key, fmt.Sprintf("%d", value))
+	if s == nil {
+		return
+	}
+	s.SetAttr(key, strconv.FormatInt(value, 10))
 }
 
 // Name returns the span's name ("" for nil).

@@ -294,7 +294,7 @@ func TestConsiderColumnsInterleavedWithMerge(t *testing.T) {
 				a.ConsiderColumns([][]int64{vals[:cut]}, cut)
 				b := NewStratified(Schema{"v"}, 0, k, newGen(3*trial+6))
 				b.ConsiderColumns([][]int64{vals[cut : cut+tc.rest]}, tc.rest)
-				m, err := MergeStratified(a, b, newGen(3*trial+7))
+				m, err := MergeStratified(a, b, newGen(3*trial+7), 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -140,7 +140,7 @@ func BenchmarkStratifiedAdmission(b *testing.B) {
 				right := NewStratified(schema, shape.qcs, shape.k, root.Split(2))
 				feed(left, 0, n/2)
 				feed(right, n/2, n)
-				s, err := MergeStratified(left, right, root.Split(3))
+				s, err := MergeStratified(left, right, root.Split(3), 1)
 				if err != nil {
 					b.Fatal(err)
 				}

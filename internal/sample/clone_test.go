@@ -138,7 +138,7 @@ func TestStratifiedCloneIsolation(t *testing.T) {
 	orig.ForEach(func(key StratumKey, r *Reservoir) { before = append(before, strat{key, snap(r)}) })
 	wantWeight := orig.TotalWeight()
 
-	merged, err := MergeStratified(orig.Clone(), build(2, 10_000, 300), newGen(3))
+	merged, err := MergeStratified(orig.Clone(), build(2, 10_000, 300), newGen(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSortedKeyCache(t *testing.T) {
 	other := NewStratified(Schema{"g", "v"}, 1, 4, newGen(3))
 	addRow(other, 0, 0)
 	addRow(other, 3, 9)
-	m, err := MergeStratified(c, other, newGen(4))
+	m, err := MergeStratified(c, other, newGen(4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

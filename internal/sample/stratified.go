@@ -213,6 +213,24 @@ func (s *Stratified) ForEach(fn func(key StratumKey, r *Reservoir)) {
 	}
 }
 
+// Walk spreads the positions [0, NumStrata()) of the strata in key order
+// (the order ForEach visits; At reads them) over up to workers goroutines,
+// in chunks of whole strata (forChunks): worker is called once per
+// goroutine and returns that goroutine's chunk body. Chunks run
+// concurrently and in no fixed order, so a body may write only what
+// belongs to its own positions; a walk of one chunk, or with one worker,
+// is one body call over every position, on the caller's goroutine.
+func (s *Stratified) Walk(workers int, worker func() func(lo, hi int)) {
+	forChunks(len(s.res), chunkStrata(s.k), workers, worker)
+}
+
+// At returns the key and reservoir of the stratum at position pos in key
+// order.
+func (s *Stratified) At(pos int) (StratumKey, *Reservoir) {
+	id := s.sortedIDs()[pos]
+	return s.index.Key(id), s.res[id]
+}
+
 // Filter returns a new stratified sample whose reservoirs hold only tuples
 // accepted by keep, with weights rescaled per stratum (predicate
 // tightening, §5.2.1). Strata whose reservoirs become empty are dropped.
@@ -258,7 +276,15 @@ func (s *Stratified) Clone() *Stratified {
 // may differ (Algorithm 2 handles the scaled case). MergeStratified also
 // serves the engine's exchange step: per-worker partial samples merge into
 // the final sample the same way Δ-samples merge with stored ones.
-func MergeStratified(a, b *Stratified, gen *rng.Lehmer64) (*Stratified, error) {
+//
+// The strata both samples hold merge on up to workers goroutines, in
+// chunks (forChunks); then the strata only one of them holds join the
+// result serially, in source-id order, so stratum ids are the same however
+// many workers ran. The result does not depend on the order the shared
+// strata merge in: each merge touches only its own stratum's reservoirs and
+// draws from gen's substream numbered by key.splitIndex(), a pure function
+// of the key and of gen's state, which no merge advances.
+func MergeStratified(a, b *Stratified, gen *rng.Lehmer64, workers int) (*Stratified, error) {
 	if a == nil {
 		return b, nil
 	}
@@ -276,11 +302,23 @@ func MergeStratified(a, b *Stratified, gen *rng.Lehmer64) (*Stratified, error) {
 	if len(b.res) > len(a.res) {
 		dst, src = b, a
 	}
+	// A shared stratum's source reservoir is cleared once merged, which
+	// leaves the ones the destination lacks.
+	forChunks(len(src.res), chunkStrata(max(a.k, b.k)), workers, func() func(lo, hi int) {
+		return func(lo, hi int) {
+			for id := lo; id < hi; id++ {
+				key := src.index.Key(int32(id))
+				if did := dst.index.Find(&key); did >= 0 {
+					g := gen.Substream(key.splitIndex()) // gen.Split's stream, on the stack
+					dst.res[did] = Merge(dst.res[did], src.res[id], &g)
+					src.res[id] = nil
+				}
+			}
+		}
+	})
 	for id, r := range src.res {
-		key := src.index.Key(int32(id))
-		if did := dst.index.Find(&key); did >= 0 {
-			dst.res[did] = Merge(dst.res[did], r, gen.Split(key.splitIndex()))
-		} else {
+		if r != nil {
+			key := src.index.Key(int32(id))
 			dst.add(&key, r)
 		}
 	}

@@ -169,7 +169,7 @@ func TestMergeStratifiedDisjointStrata(t *testing.T) {
 	for v := int64(0); v < 100; v++ {
 		addRow(b, 1, v)
 	}
-	m, err := MergeStratified(a, b, newGen(10))
+	m, err := MergeStratified(a, b, newGen(10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestMergeStratifiedSharedStrata(t *testing.T) {
 	fillStratified(a, 0, 1000, 4)
 	b := NewStratified(Schema{"g", "v"}, 1, 50, newGen(12))
 	fillStratified(b, 10000, 2000, 4)
-	m, err := MergeStratified(a, b, newGen(13))
+	m, err := MergeStratified(a, b, newGen(13), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +206,10 @@ func TestMergeStratifiedSharedStrata(t *testing.T) {
 
 func TestMergeStratifiedNilInputs(t *testing.T) {
 	a := NewStratified(Schema{"g", "v"}, 1, 10, newGen(14))
-	if m, err := MergeStratified(nil, a, newGen(15)); err != nil || m != a {
+	if m, err := MergeStratified(nil, a, newGen(15), 1); err != nil || m != a {
 		t.Fatal("nil merge should return the other sample")
 	}
-	if m, err := MergeStratified(a, nil, newGen(15)); err != nil || m != a {
+	if m, err := MergeStratified(a, nil, newGen(15), 1); err != nil || m != a {
 		t.Fatal("nil merge should return the other sample")
 	}
 }
@@ -217,11 +217,11 @@ func TestMergeStratifiedNilInputs(t *testing.T) {
 func TestMergeStratifiedSchemaMismatch(t *testing.T) {
 	a := NewStratified(Schema{"g", "v"}, 1, 10, newGen(16))
 	b := NewStratified(Schema{"g", "w"}, 1, 10, newGen(17))
-	if _, err := MergeStratified(a, b, newGen(18)); err == nil {
+	if _, err := MergeStratified(a, b, newGen(18), 1); err == nil {
 		t.Fatal("schema mismatch must error")
 	}
 	c := NewStratified(Schema{"g", "v"}, 2, 10, newGen(19))
-	if _, err := MergeStratified(a, c, newGen(18)); err == nil {
+	if _, err := MergeStratified(a, c, newGen(18), 1); err == nil {
 		t.Fatal("QCS width mismatch must error")
 	}
 }
@@ -238,7 +238,7 @@ func TestMergeStratifiedEquivalenceToDirectSample(t *testing.T) {
 	fillStratified(left, 0, n/2, groups)
 	right := NewStratified(Schema{"g", "v"}, 1, k, newGen(22))
 	fillStratified(right, n/2, n/2, groups)
-	merged, err := MergeStratified(left, right, newGen(23))
+	merged, err := MergeStratified(left, right, newGen(23), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,12 +308,12 @@ func TestMergeAssociativityInDistribution(t *testing.T) {
 		}
 		// Left-assoc.
 		a1, b1, c1 := mk(0, seedBase), mk(n, seedBase+1), mk(2*n, seedBase+2)
-		ab, _ := MergeStratified(a1, b1, newGen(seedBase+3))
-		abc, _ := MergeStratified(ab, c1, newGen(seedBase+4))
+		ab, _ := MergeStratified(a1, b1, newGen(seedBase+3), 1)
+		abc, _ := MergeStratified(ab, c1, newGen(seedBase+4), 1)
 		// Right-assoc with fresh independent samples.
 		a2, b2, c2 := mk(0, seedBase+5), mk(n, seedBase+6), mk(2*n, seedBase+7)
-		bc, _ := MergeStratified(b2, c2, newGen(seedBase+8))
-		abc2, _ := MergeStratified(a2, bc, newGen(seedBase+9))
+		bc, _ := MergeStratified(b2, c2, newGen(seedBase+8), 1)
+		abc2, _ := MergeStratified(a2, bc, newGen(seedBase+9), 1)
 		if abc.TotalWeight() != 3*n || abc2.TotalWeight() != 3*n {
 			t.Fatalf("weights: %v, %v", abc.TotalWeight(), abc2.TotalWeight())
 		}

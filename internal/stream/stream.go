@@ -235,7 +235,7 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 		} else {
 			part = part.Clone()
 		}
-		merged, err = sample.MergeStratified(merged, part, w.gen.Split(uint64(i)+0x3E6))
+		merged, err = sample.MergeStratified(merged, part, w.gen.Split(uint64(i)+0x3E6), 1)
 		if err != nil {
 			return nil, err
 		}

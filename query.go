@@ -13,7 +13,6 @@ import (
 	"laqy/internal/engine"
 	"laqy/internal/governor"
 	"laqy/internal/obs"
-	"laqy/internal/sample"
 	"laqy/internal/sql"
 	"laqy/internal/storage"
 )
@@ -435,7 +434,7 @@ func (db *DB) runApprox(plan *sql.Plan, serveStored bool) (*Result, error) {
 		return nil, err
 	}
 	db.gov.ObserveScan(res.Stats.RowsScanned, res.Stats.Scan)
-	out := resultFromSample(plan, res, start)
+	out := resultFromSample(plan, res, start, db.engineWorkers())
 
 	// APPROX ERROR e [CONFIDENCE c]: when an estimate's realized bound
 	// exceeds the target, retry with a reservoir capacity sized from the
@@ -466,7 +465,7 @@ func (db *DB) runApprox(plan *sql.Plan, serveStored bool) (*Result, error) {
 				return true, err
 			}
 			db.gov.ObserveScan(res.Stats.RowsScanned, res.Stats.Scan)
-			out = resultFromSample(plan, res, start)
+			out = resultFromSample(plan, res, start, db.engineWorkers())
 			return boundsMet(out, plan.ErrorBound, conf), nil
 		})
 		if rerr != nil {
@@ -508,6 +507,13 @@ const approxRetryAttempts = 2
 // rides on the first captured value column), plus stats, staleness and
 // degradations.
 //
+// The strata are estimated on up to workers goroutines (Stratified.Walk).
+// A stratum's row depends on that stratum alone, and it is written at the
+// stratum's position in key order, so the rows — once the strata the
+// tightening emptied are removed, keeping order — do not depend on which
+// goroutine estimated which stratum, or when. Each goroutine has its own
+// selection scratch, allocated apart from the others'.
+//
 // A sample covering only part of the request (a stale serve, or a build
 // that dropped segments) is adjusted here by its one partial-coverage
 // factor, core.Result.Scale: extensive aggregates (SUM, COUNT) are
@@ -516,7 +522,7 @@ const approxRetryAttempts = 2
 // discloses the unobserved range. A covering sample's factor is 1.
 //
 //laqy:hot per-stratum estimate loop of every approximate answer
-func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time) *Result {
+func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time, workers int) *Result {
 	out := newResult(plan, true, modeFromCore(res.Mode))
 	out.Stats = toExecStats(res.Stats, res.MergeTime, obs.Since(start))
 	out.Stale = res.Stale
@@ -537,30 +543,47 @@ func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time) *Result
 		dicts[i] = plan.Dicts[col]
 	}
 	strata := res.Sample.NumStrata()
-	out.Rows = make([]Row, 0, strata)
+	sp := obs.SpanFrom(plan.Query.Ctx).Start("estimate")
+	rows := make([]Row, strata)
 	groups := make([]GroupValue, strata*nGroups)
 	aggs := make([]AggValue, strata*nAggs)
-	var sel approx.Selection
-	res.Sample.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
-		if !sel.Select(r, res.Keep) {
-			return // tightening left this stratum no tuple
-		}
-		row := Row{Groups: groups[:nGroups:nGroups], Aggs: aggs[:nAggs:nAggs]}
-		groups, aggs = groups[nGroups:], aggs[nAggs:]
-		for i, dict := range dicts {
-			row.Groups[i] = decodeGroup(dict, key[i])
-		}
-		for i, a := range plan.Aggs {
-			e := sel.Estimate(cols[i], a.Kind)
-			if a.Kind == approx.Sum || a.Kind == approx.Count {
-				e.Value *= scale
-				e.StdErr *= scale
+	res.Sample.Walk(workers, func() func(lo, hi int) {
+		sel := new(approx.Selection)
+		return func(lo, hi int) {
+			for pos := lo; pos < hi; pos++ {
+				key, r := res.Sample.At(pos)
+				if !sel.Select(r, res.Keep) {
+					continue // tightening left this stratum no tuple
+				}
+				g, a := pos*nGroups, pos*nAggs
+				row := Row{Groups: groups[g : g+nGroups : g+nGroups], Aggs: aggs[a : a+nAggs : a+nAggs]}
+				for i, dict := range dicts {
+					row.Groups[i] = decodeGroup(dict, key[i])
+				}
+				for i, agg := range plan.Aggs {
+					e := sel.Estimate(cols[i], agg.Kind)
+					if agg.Kind == approx.Sum || agg.Kind == approx.Count {
+						e.Value *= scale
+						e.StdErr *= scale
+					}
+					e.StdErr *= scale
+					row.Aggs[i] = AggValue{Value: e.Value, StdErr: e.StdErr, Support: e.Support}
+				}
+				rows[pos] = row
 			}
-			e.StdErr *= scale
-			row.Aggs[i] = AggValue{Value: e.Value, StdErr: e.StdErr, Support: e.Support}
 		}
-		out.Rows = append(out.Rows, row)
 	})
+	// A stratum the tightening emptied left its row zero; every kept row has
+	// Aggs, since every plan has an aggregate.
+	out.Rows = rows[:0]
+	for _, row := range rows {
+		if row.Aggs != nil {
+			out.Rows = append(out.Rows, row)
+		}
+	}
+	sp.SetAttrInt("strata", int64(strata))
+	sp.SetAttrInt("workers", int64(workers))
+	sp.End()
 	finishRows(plan, out)
 	return out
 }
