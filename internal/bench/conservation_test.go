@@ -351,7 +351,7 @@ func TestWeightConservationCheckerCatchesDoubleMerge(t *testing.T) {
 	if bad := o.check(t, d.q1(0, 9_999).Predicate, []string{"lo_orderdate"}, base); bad != "" {
 		t.Fatalf("fresh build: %s", bad)
 	}
-	once, err := sample.MergeStratified(base, delta.Clone(), rng.NewLehmer64(2), 1)
+	once, err := sample.MergeStratified(base, delta, rng.NewLehmer64(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

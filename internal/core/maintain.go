@@ -16,12 +16,12 @@ import (
 // extend is the one step that grows a stored sample (Algorithm 3): it
 // Δ-samples base under deltaPred — m's predicate over the piece of input
 // m lacks — through buildSample, resuming each fact segment at from (nil:
-// at its start), merges the Δ into a clone of m's sample, and publishes the
-// merge as m's entry under pred, covering the fact's current segments. A
-// partial reuse extends an entry over a missing predicate range and an
-// append over the appended rows; in the sampling algebra both are a union
-// of samples over disjoint inputs. The clone keeps published samples
-// immutable: readers holding the old snapshot stay valid, and of two racing
+// at its start), merges the Δ with m's sample, and publishes the merge as
+// m's entry under pred, covering the fact's current segments. A partial
+// reuse extends an entry over a missing predicate range and an append over
+// the appended rows; in the sampling algebra both are a union of samples
+// over disjoint inputs. The merge writes a new sealed sample and leaves m's
+// as it was: readers holding the old snapshot stay valid, and of two racing
 // extensions of one entry the later Update wins.
 //
 // It returns the merged sample as a Result carrying the Δ build's Stats and
@@ -43,7 +43,12 @@ func (l *LazySampler) extend(base *engine.Query, m *store.Match, deltaPred, pred
 	mergeStart := obs.Clock()
 	msp := obs.SpanFrom(base.Ctx).Start("merge")
 	defer msp.End()
-	merged, err := sample.MergeStratified(m.Sample.Clone(), delta.Sample, l.nextMergeGen(), workers)
+	// The stored side is read through a fork: its strata draw from their
+	// Substream(0x5C) and the sample from its Split(0xC1), the streams of
+	// the copy a stored sample was once merged into. Merged samples, and
+	// with them the answers TestReuseAnswerPins and TestAppendAnswerPins
+	// record, keep the bits they had.
+	merged, err := sample.MergeStratified(m.Sample.Fork(), delta.Sample, l.nextMergeGen(), workers)
 	if err != nil {
 		return nil, false, err
 	}

@@ -28,8 +28,9 @@ func algorithmR(r *Reservoir, tuple []int64) {
 // Stratified.ConsiderColumns, with r as the one stratum of a keyless sample.
 func admit(r *Reservoir, cols [][]int64, n int) {
 	s := NewStratified(make(Schema, r.width), 0, r.k, nil)
-	s.add(&StratumKey{}, r)
+	s.add(&StratumKey{}, *r)
 	s.ConsiderColumns(cols, n)
+	*r = s.res[0]
 }
 
 // addRow offers one tuple to s as a batch of one, the shape of a streamed
@@ -206,7 +207,7 @@ func TestAlgorithmLDrawSavings(t *testing.T) {
 // thousands of sparse strata could not afford — and at most k once full;
 // every row offered before saturation is kept verbatim, in order, also when
 // the fill continues on storage whose capacity is no multiple of the width
-// (a clone, a restored reservoir).
+// (a restored reservoir).
 func TestRowFillGrowsInTuples(t *testing.T) {
 	const k, width, n = 1024, 3, 1500
 	cols := make([][]int64, width)
@@ -238,13 +239,13 @@ func TestRowFillGrowsInTuples(t *testing.T) {
 	}
 	r := NewReservoir(k, width, rng.NewLehmer64(3))
 	check(r, 0, 700)
-	clone := r.Clone()
-	clone.data = append(clone.data[:len(clone.data):len(clone.data)], 0)[:len(clone.data)] // capacity now off the tuple grid
-	for _, r := range []*Reservoir{clone, r} {
+	offGrid := &Reservoir{k: k, width: width, weight: r.weight, gen: r.gen.Substream(0x5C)}
+	offGrid.data = append(r.data[:len(r.data):len(r.data)], 0)[:len(r.data)] // capacity off the tuple grid
+	for _, r := range []*Reservoir{offGrid, r} {
 		check(r, 700, k)
 		check(r, k, n)
 	}
-	for _, full := range []*Reservoir{r, clone} {
+	for _, full := range []*Reservoir{r, offGrid} {
 		if full.Len() != k || full.Weight() != n || cap(full.data) > 2*k*width {
 			t.Fatalf("saturated: Len=%d Weight=%v cap=%d", full.Len(), full.Weight(), cap(full.data))
 		}

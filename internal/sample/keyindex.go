@@ -48,8 +48,15 @@ const keyIndexMinSlots = 8
 
 // NewKeyIndex returns an empty index over keys of the given width (number of
 // leading StratumKey words that identify a key, 0 to MaxQCS).
-func NewKeyIndex(width int) KeyIndex {
-	return KeyIndex{width: width, shift: 64 - 3, slots: make([]int32, keyIndexMinSlots)}
+func NewKeyIndex(width int) KeyIndex { return newKeyIndex(width, 0) }
+
+// newKeyIndex returns an empty index with room for n keys before it grows.
+func newKeyIndex(width, n int) KeyIndex {
+	slots, shift := keyIndexMinSlots, uint(64-3)
+	for slots < 2*n {
+		slots, shift = 2*slots, shift-1
+	}
+	return KeyIndex{width: width, shift: shift, slots: make([]int32, slots), keys: make([]int64, 0, n*width)}
 }
 
 // Len returns the number of keys, which is also the next id.
@@ -132,15 +139,6 @@ func (x *KeyIndex) grow() {
 		key := x.Key(id)
 		x.place(id, x.hash(&key))
 	}
-}
-
-// Clone returns an independent copy: inserts into either side are not seen
-// by the other.
-func (x *KeyIndex) Clone() KeyIndex {
-	out := *x
-	out.slots = slices.Clone(x.slots)
-	out.keys = slices.Clone(x.keys)
-	return out
 }
 
 // SortedIDs returns every id, ordered by its key (StratumKey.Compare).

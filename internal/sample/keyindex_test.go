@@ -90,35 +90,41 @@ func TestKeyIndexAgainstMap(t *testing.T) {
 	}
 }
 
-// TestKeyIndexCloneIndependence: inserts into a clone or its origin are not
-// seen by the other side, and both go on assigning their own dense ids.
+// TestKeyIndexCloneIndependence: the index a merge writes — sized for its
+// keys up front and filled in key order — is the result's own: inserts
+// into the result or into its input are not seen by the other side, and
+// both go on assigning their own dense ids, the result's past a resize.
 func TestKeyIndexCloneIndependence(t *testing.T) {
-	x := NewKeyIndex(2)
+	s := NewStratified(Schema{"a", "b", "v"}, 2, 4, newGen(1))
 	for i := int64(0); i < 100; i++ {
-		x.Insert(&StratumKey{i, -i})
+		addRow(s, i, -i, 0)
 	}
-	c := x.Clone()
+	m, err := MergeStratified(s, NewStratified(Schema{"a", "b", "v"}, 2, 4, newGen(2)), newGen(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, c := &s.index, &m.index
 	if &c.slots[0] == &x.slots[0] || &c.keys[0] == &x.keys[0] {
-		t.Fatal("the clone shares the origin's slots or keys")
+		t.Fatal("the merge result shares its input's slots or keys")
 	}
-	for i := int64(100); i < 300; i++ { // past a resize on the clone's side
+	for i := int64(100); i < 300; i++ { // past a resize on the result's side
 		if id := c.Insert(&StratumKey{i, -i}); id != int32(i) {
-			t.Fatalf("clone insert id %d, want %d", id, i)
+			t.Fatalf("result insert id %d, want %d", id, i)
 		}
 	}
 	if id := x.Insert(&StratumKey{-1, -1}); id != 100 {
-		t.Fatalf("origin insert id %d, want 100", id)
+		t.Fatalf("input insert id %d, want 100", id)
 	}
 	if x.Len() != 101 || c.Len() != 300 {
-		t.Fatalf("Len origin %d clone %d, want 101 and 300", x.Len(), c.Len())
+		t.Fatalf("Len input %d result %d, want 101 and 300", x.Len(), c.Len())
 	}
 	for i := int64(100); i < 300; i++ {
 		if x.Find(&StratumKey{i, -i}) != -1 {
-			t.Fatalf("the clone's key %d is visible in the origin", i)
+			t.Fatalf("the result's key %d is visible in the input", i)
 		}
 	}
 	if c.Find(&StratumKey{-1, -1}) != -1 {
-		t.Fatal("the origin's insert is visible in the clone")
+		t.Fatal("the input's insert is visible in the result")
 	}
 	for i := int64(0); i < 100; i++ {
 		if x.Find(&StratumKey{i, -i}) != int32(i) || c.Find(&StratumKey{i, -i}) != int32(i) {

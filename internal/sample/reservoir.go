@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"laqy/internal/rng"
 )
@@ -55,22 +54,16 @@ func (s Schema) Equal(o Schema) bool {
 // Reservoir is a uniform fixed-capacity sample of a tuple stream.
 //
 // The admission-control state (weight, capacity, RNG) is small and hot; the
-// tuple storage is a separately allocated flat buffer reached through a
-// slice header, reproducing the paper's pointer-decoupled layout (§6.3).
+// tuple storage is a flat buffer reached through a slice header,
+// reproducing the paper's pointer-decoupled layout (§6.3). A stratum that
+// admits owns its buffer; in a packed stratified sample the buffer is the
+// stratum's range of the sample's one tuple slab.
 type Reservoir struct {
 	k      int          // capacity in tuples
 	width  int          // ints per tuple
 	weight float64      // number of tuples considered (importance weight)
 	data   []int64      // row-major tuple storage, len = min(n, k) * width
-	gen    rng.Lehmer64 // held by value: a stratum costs one allocation, not two
-
-	// shared: data may also be referenced by another reservoir. Clone sets
-	// it on both sides, and whichever side first overwrites a stored slot
-	// copies the storage beforehand (own). Appends need no copy: a clone's
-	// slice has cap == len, so its append reallocates, and the original
-	// appends past every clone's len. Atomic because readers of a published
-	// sample may clone it concurrently.
-	shared atomic.Bool
+	gen    rng.Lehmer64 // held by value, in the header
 
 	// Algorithm L skip-ahead state (Li 1994) of admission
 	// (considerRowColumns). After the reservoir saturates, instead of one
@@ -81,7 +74,7 @@ type Reservoir struct {
 	// pass over untouched, lValid whether the state reflects the current
 	// stream. L starts only on a reservoir that holds its whole stream (k
 	// tuples of weight k); one that represents more — after a merge, a
-	// weighted step, a Filter, a Clone or a Restore — admits each further
+	// weighted step, a Filter or a Restore — admits each further
 	// row by A-Chao's weighted step at weight 1 instead (considerRowColumns).
 	lW     float64
 	lSkip  int64
@@ -97,11 +90,13 @@ type Reservoir struct {
 // given width, drawing randomness from gen. gen must not be shared across
 // concurrently used reservoirs.
 func NewReservoir(k, width int, gen *rng.Lehmer64) *Reservoir {
-	return newReservoir(k, width, *gen)
+	r := newReservoir(k, width, *gen)
+	return &r
 }
 
-// newReservoir is NewReservoir taking the generator by value.
-func newReservoir(k, width int, gen rng.Lehmer64) *Reservoir {
+// newReservoir is NewReservoir taking the generator and returning the
+// reservoir by value, for a sample that keeps its strata in one slice.
+func newReservoir(k, width int, gen rng.Lehmer64) Reservoir {
 	if k <= 0 {
 		// invariant: capacities are validated at the API boundary (core.validate, store load)
 		panic(fmt.Sprintf("sample: reservoir capacity %d", k))
@@ -110,7 +105,7 @@ func newReservoir(k, width int, gen rng.Lehmer64) *Reservoir {
 		// invariant: widths derive from non-empty capture schemas
 		panic(fmt.Sprintf("sample: tuple width %d", width))
 	}
-	return &Reservoir{k: k, width: width, gen: gen}
+	return Reservoir{k: k, width: width, gen: gen}
 }
 
 // K returns the reservoir capacity.
@@ -232,7 +227,6 @@ func (r *Reservoir) considerRowColumns(cols [][]int64, i int) {
 
 // storeRow overwrites stored tuple slot with row i of a column-major batch.
 func (r *Reservoir) storeRow(slot int, cols [][]int64, i int) {
-	r.own()
 	dst := r.data[slot*r.width : (slot+1)*r.width]
 	for c := range dst { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
 		dst[c] = cols[c][i]
@@ -250,24 +244,9 @@ const fillChunkTuples = 8
 // tuples, doubling from fillChunkTuples, capped at k — one allocation per
 // doubling of the stratum, not one per doubling of every int64 appended.
 func (r *Reservoir) growFill() {
-	r.regrow(min(max(2*r.Len(), fillChunkTuples), r.k))
-}
-
-// regrow moves the stored tuples into fresh storage, this reservoir's alone,
-// with room for the given number of tuples.
-func (r *Reservoir) regrow(tuples int) {
-	nd := make([]int64, len(r.data), tuples*r.width)
+	nd := make([]int64, len(r.data), min(max(2*r.Len(), fillChunkTuples), r.k)*r.width)
 	copy(nd, r.data)
 	r.data = nd
-	r.shared.Store(false)
-}
-
-// own makes the tuple storage private before a stored slot is overwritten: a
-// no-op unless a Clone may still share it.
-func (r *Reservoir) own() {
-	if r.shared.Load() {
-		r.regrow(r.Len())
-	}
 }
 
 // considerWeighted offers a tuple carrying an importance weight w, using
@@ -283,7 +262,6 @@ func (r *Reservoir) considerWeighted(tuple []int64, w float64) {
 		return
 	}
 	if slot := r.chaoSlot(w); slot >= 0 {
-		r.own()
 		copy(r.data[slot*r.width:], tuple)
 	}
 }
@@ -303,22 +281,6 @@ func (r *Reservoir) chaoSlot(w float64) int {
 	}
 	r.rngDraws++
 	return r.gen.Intn(r.k)
-}
-
-// Clone returns an independent copy of the reservoir with its own RNG
-// substream. Tuple storage is shared until either side overwrites a stored
-// slot (see shared): merging a small Δ into a clone copies only the strata
-// the Δ rewrites.
-func (r *Reservoir) Clone() *Reservoir {
-	out := &Reservoir{k: r.k, width: r.width, weight: r.weight, gen: r.gen.Substream(0x5C)}
-	if len(r.data) > 0 {
-		out.data = r.data[:len(r.data):len(r.data)]
-		out.shared.Store(true)
-		if !r.shared.Load() { // write once: concurrent readers share r's cache line
-			r.shared.Store(true)
-		}
-	}
-	return out
 }
 
 // TupleSelector is a compiled tightening predicate (expr.TupleFilter, which
@@ -367,22 +329,11 @@ func (r *Reservoir) Filter(keep TupleSelector) *Reservoir {
 // Merge combines two reservoirs over disjoint inputs into a reservoir
 // distributed as a direct sample of the combined input, implementing the
 // paper's Algorithm 2. Inputs may be nil (the "only single reservoir
-// defined" case). The result's weight is the sum of the input weights. The
-// inputs are consumed: they must not be used afterwards, as the merge may
-// reuse their storage.
-//
-// Case selection follows the paper:
-//   - a nil input returns the other (DefinedReservoir);
-//   - a not-full input holds its entire subpopulation verbatim, so its
-//     tuples are streamed into the other reservoir's admission control
-//     (ReservoirSampling);
-//   - two full reservoirs of equal capacity merge slot-by-slot, each slot
-//     taken from R1 with probability w1/(w1+w2) (ProportionalSampling);
-//   - two full reservoirs of different capacities merge by weighted
-//     reservoir sampling where each tuple of Ri carries importance wi/ki
-//     (ScaledPropSampling).
+// defined" case): Merge then returns the other. The result's weight is the
+// sum of the input weights. Merge reads its inputs and writes neither: the
+// result's tuples are fresh storage, written by mergeInto, the per-stratum
+// writer of MergeStratified.
 func Merge(r1, r2 *Reservoir, gen *rng.Lehmer64) *Reservoir {
-	// DefinedReservoir: single input defined.
 	if r1 == nil {
 		return r2
 	}
@@ -393,42 +344,86 @@ func Merge(r1, r2 *Reservoir, gen *rng.Lehmer64) *Reservoir {
 		// invariant: MergeStratified checks schema equality before merging reservoirs
 		panic(fmt.Sprintf("sample: merging width %d with width %d", r1.width, r2.width))
 	}
+	out := new(Reservoir)
+	mergeInto(out, make([]int64, 0, mergedLen(r1, r2)*r1.width), r1, r2, gen)
+	return out
+}
 
-	// ReservoirSampling: a not-full reservoir is its whole subpopulation.
-	if !r1.Full() || !r2.Full() {
-		return mergeNotFull(r1, r2)
+// mergedLen is the number of tuples the merge of r1 and r2 holds (either may
+// be nil): each case of Algorithm 2 fixes it from the inputs' lengths and
+// capacities, so the writer sizes every stratum before it merges any.
+func mergedLen(r1, r2 *Reservoir) int {
+	switch {
+	case r1 == nil:
+		return r2.Len()
+	case r2 == nil:
+		return r1.Len()
+	case !r1.Full() || !r2.Full():
+		acc, streamed := notFullSides(r1, r2)
+		return min(acc.Len()+streamed.Len(), acc.k)
 	}
-	if r1.k == r2.k {
-		return mergeProportional(r1, r2, gen)
+	return min(r1.k, r2.k)
+}
+
+// mergeInto writes the merge of r1 and r2 into out, its tuples into data:
+// an empty slice over fresh storage with room for exactly mergedLen(r1, r2)
+// tuples. It reads r1 and r2 and writes neither.
+//
+// Case selection follows the paper (a nil input — DefinedReservoir — is
+// the caller's: Merge returns the other input, the stratified writer
+// copies it):
+//   - a not-full input holds its entire subpopulation verbatim, so its
+//     tuples are streamed into the other reservoir's admission control
+//     (ReservoirSampling);
+//   - two full reservoirs of equal capacity merge slot-by-slot, each slot
+//     taken from R1 with probability w1/(w1+w2) (ProportionalSampling);
+//   - two full reservoirs of different capacities merge by weighted
+//     reservoir sampling where each tuple of Ri carries importance wi/ki
+//     (ScaledPropSampling).
+func mergeInto(out *Reservoir, data []int64, r1, r2 *Reservoir, gen *rng.Lehmer64) {
+	switch {
+	case !r1.Full() || !r2.Full():
+		mergeNotFull(out, data, r1, r2)
+	case r1.k == r2.k:
+		mergeProportional(out, data, r1, r2, gen)
+	default:
+		mergeScaledProportional(out, data, r1, r2, gen)
 	}
-	return mergeScaledProportional(r1, r2, gen)
+}
+
+// notFullSides orders the inputs of the not-full case: the accumulator, into
+// whose admission control the other's tuples stream, is a full side, or of
+// two partial sides the larger capacity.
+func notFullSides(r1, r2 *Reservoir) (acc, streamed *Reservoir) {
+	acc, streamed = r1, r2
+	if !r1.Full() {
+		acc, streamed = r2, r1
+	}
+	if !acc.Full() && acc.k < streamed.k {
+		acc, streamed = streamed, acc
+	}
+	return acc, streamed
 }
 
 // mergeNotFull handles the case where at least one reservoir is not full.
-// The not-full reservoir's tuples are streamed into the other reservoir's
-// admission control carrying their per-tuple importance weight (weight/len,
-// which is 1 for a reservoir that never entered the probabilistic regime
-// but may differ after a Filter), continuing weighted reservoir sampling on
-// the combined stream.
-func mergeNotFull(r1, r2 *Reservoir) *Reservoir {
-	full, partial := r1, r2
-	if !r1.Full() {
-		full, partial = r2, r1
-	}
-	if !full.Full() && full.k < partial.k {
-		// Both partial: keep the larger capacity as the accumulator.
-		full, partial = partial, full
-	}
-	n := partial.Len()
+// The not-full reservoir's tuples are streamed into a copy of the other
+// reservoir's admission control carrying their per-tuple importance weight
+// (weight/len, which is 1 for a reservoir that never entered the
+// probabilistic regime but may differ after a Filter), continuing weighted
+// reservoir sampling on the combined stream.
+func mergeNotFull(out *Reservoir, data []int64, r1, r2 *Reservoir) {
+	acc, streamed := notFullSides(r1, r2)
+	*out = *acc
+	out.data = append(data, acc.data...)
+	n := streamed.Len()
 	if n == 0 {
-		full.weight += partial.weight
-		return full
+		out.weight += streamed.weight
+		return
 	}
-	perTuple := partial.weight / float64(n)
+	perTuple := streamed.weight / float64(n)
 	for i := 0; i < n; i++ {
-		full.considerWeighted(partial.Tuple(i), perTuple)
+		out.considerWeighted(streamed.Tuple(i), perTuple)
 	}
-	return full
 }
 
 // mergeProportional merges two full, equal-capacity reservoirs by the
@@ -436,20 +431,21 @@ func mergeNotFull(r1, r2 *Reservoir) *Reservoir {
 // probability w1/(w1+w2), else slot i of r2. Because each slot of a full
 // reservoir is marginally a uniform draw from its subpopulation, the result
 // is marginally a uniform draw from the weighted union.
-func mergeProportional(r1, r2 *Reservoir, gen *rng.Lehmer64) *Reservoir {
+func mergeProportional(out *Reservoir, data []int64, r1, r2 *Reservoir, gen *rng.Lehmer64) {
 	w1, w2 := r1.weight, r2.weight
 	p1 := w1 / (w1 + w2)
-	out := r1 // reuse r1's storage
-	out.own()
+	*out = *r1
+	out.data = data[:len(r1.data)]
 	for i := 0; i < out.k; i++ {
+		src := r1
 		if gen.Float64() >= p1 {
-			copy(out.data[i*out.width:], r2.Tuple(i))
+			src = r2
 		}
+		copy(out.data[i*out.width:], src.Tuple(i))
 	}
 	out.weight = w1 + w2
 	out.gen = *gen
 	out.lValid = false // the merged stream has no skip schedule
-	return out
 }
 
 // mergeScaledProportional merges two full reservoirs of different
@@ -458,18 +454,14 @@ func mergeProportional(r1, r2 *Reservoir, gen *rng.Lehmer64) *Reservoir {
 // number of input tuples it represents), and the min(k1,k2) highest-priority
 // tuples form the merged reservoir. The scaled weight factor wi/ki is the
 // paper's k_scaled/w bias adjustment.
-func mergeScaledProportional(r1, r2 *Reservoir, gen *rng.Lehmer64) *Reservoir {
-	kOut := r1.k
-	if r2.k < kOut {
-		kOut = r2.k
-	}
+func mergeScaledProportional(out *Reservoir, data []int64, r1, r2 *Reservoir, gen *rng.Lehmer64) {
 	type cand struct {
-		src  *Reservoir
-		idx  int
+		idx  int // tuple idx of r1, or idx − len1 of r2
 		prio float64
 	}
-	cands := make([]cand, 0, r1.Len()+r2.Len())
-	add := func(r *Reservoir) {
+	len1 := r1.Len()
+	cands := make([]cand, 0, len1+r2.Len())
+	for _, r := range [2]*Reservoir{r1, r2} {
 		perTuple := r.weight / float64(r.Len())
 		for i := 0; i < r.Len(); i++ {
 			u := gen.Float64()
@@ -477,19 +469,17 @@ func mergeScaledProportional(r1, r2 *Reservoir, gen *rng.Lehmer64) *Reservoir {
 				u = math.SmallestNonzeroFloat64
 			}
 			// E–S key: u^(1/w); larger keys win.
-			cands = append(cands, cand{src: r, idx: i, prio: math.Pow(u, 1/perTuple)})
+			cands = append(cands, cand{idx: len(cands), prio: math.Pow(u, 1/perTuple)})
 		}
 	}
-	add(r1)
-	add(r2)
 	sort.Slice(cands, func(i, j int) bool { return cands[i].prio > cands[j].prio })
-	if kOut > len(cands) {
-		kOut = len(cands)
-	}
-	out := &Reservoir{k: kOut, width: r1.width, weight: r1.weight + r2.weight, gen: *gen}
-	out.data = make([]int64, 0, kOut*out.width)
+	kOut := min(r1.k, r2.k) // both are full, so cands holds k1 + k2 tuples
+	*out = Reservoir{k: kOut, width: r1.width, weight: r1.weight + r2.weight, gen: *gen, data: data}
 	for _, c := range cands[:kOut] {
-		out.data = append(out.data, c.src.Tuple(c.idx)...)
+		if c.idx < len1 {
+			out.data = append(out.data, r1.Tuple(c.idx)...)
+		} else {
+			out.data = append(out.data, r2.Tuple(c.idx-len1)...)
+		}
 	}
-	return out
 }

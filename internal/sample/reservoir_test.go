@@ -2,6 +2,8 @@ package sample
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"laqy/internal/rng"
@@ -95,17 +97,39 @@ func TestNewReservoirValidation(t *testing.T) {
 	}
 }
 
+// TestReservoirClone: a stratum only one merge input holds — Algorithm 2's
+// case of a single defined reservoir — reaches the result as a whole copy:
+// tuples, weight and admission state (generator, skip-ahead, draw count)
+// in storage of the result's own. Admitting into the copy leaves the
+// original as it was, and the original, given the same rows, then admits
+// exactly as the copy did.
 func TestReservoirClone(t *testing.T) {
-	r := NewReservoir(10, 1, newGen(3))
-	fill(r, 0, 100)
-	c := r.Clone()
-	if c.Len() != r.Len() || c.Weight() != r.Weight() {
-		t.Fatal("clone state mismatch")
+	s := NewStratified(Schema{"v"}, 0, 10, newGen(3))
+	s.ConsiderColumns([][]int64{iota64(0, 100)}, 100)
+	c, err := MergeStratified(s, NewStratified(Schema{"v"}, 0, 10, newGen(4)), newGen(5), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Mutating the clone must not affect the original.
-	admit(c, [][]int64{{-1}}, 1)
-	if r.Weight() == c.Weight() {
-		t.Fatal("clone shares state with original")
+	r, cr := s.Stratum(StratumKey{}), c.Stratum(StratumKey{})
+	if !reflect.DeepEqual(*cr, *r) {
+		t.Fatalf("copy %+v, want %+v", *cr, *r)
+	}
+	if &cr.data[0] == &r.data[0] {
+		t.Fatal("the copy shares the original's tuple storage")
+	}
+	was := *r
+	was.data = slices.Clone(r.data)
+	rows := [][]int64{iota64(-500, 0)}
+	c.ConsiderColumns(rows, 500)
+	if cr = c.Stratum(StratumKey{}); cr.Weight() == r.Weight() {
+		t.Fatal("admission into the copy did not run")
+	}
+	if !reflect.DeepEqual(*r, was) {
+		t.Fatal("admission into the copy changed the original")
+	}
+	s.ConsiderColumns(rows, 500)
+	if r = s.Stratum(StratumKey{}); !reflect.DeepEqual(*cr, *r) {
+		t.Fatalf("after the same rows the original is %+v, the copy %+v", *r, *cr)
 	}
 }
 

@@ -28,16 +28,17 @@ func RestoreReservoir(k, width int, weight float64, data []int64, gen *rng.Lehme
 
 // Restore installs a reservoir as the stratum for key, replacing any
 // existing one and adjusting the sample's total weight. The reservoir's
-// width must match the sample schema.
+// width must match the sample schema, and s must not be sealed.
 func (s *Stratified) Restore(key StratumKey, r *Reservoir) error {
 	if r.Width() != len(s.schema) {
 		return fmt.Errorf("sample: restoring width-%d reservoir into %d-column sample", r.Width(), len(s.schema))
 	}
+	s.admit()
 	if id := s.index.Find(&key); id >= 0 {
 		s.weight -= s.res[id].Weight()
-		s.res[id] = r
+		s.res[id] = *r
 	} else {
-		s.add(&key, r)
+		s.add(&key, *r)
 	}
 	s.weight += r.Weight()
 	return nil

@@ -40,23 +40,40 @@ func (k StratumKey) splitIndex() uint64 {
 //
 // A KeyIndex gives each stratum key a dense id, and res holds the stratum's
 // reservoir at that id: the admission table a row probes is a slot array
-// and the key words (the decoupled layout of §6.3), and the reservoir's
-// admission state and tuple storage lie behind one pointer. A Stratified is
-// not safe for concurrent use; parallel builds use one instance per worker
-// and merge.
+// and the key words, and the reservoirs' admission state lies in one slice
+// of headers, each pointing at its own tuple storage (the decoupled layout
+// of §6.3). A Stratified is not safe for concurrent use while it admits;
+// parallel builds use one instance per worker and merge.
+//
+// A sample the writer produced (MergeStratified, Seal) is packed: ids are
+// key order, so the header slice is in key order, and every stratum's
+// tuples lie in one tuple slab, stratum after stratum, each with no spare
+// capacity. A packed sample is its own storage — the writer copies every
+// stratum it keeps — and a hit streams through its two slabs. Seal
+// publishes a sample: the store keeps only sealed samples, and admission
+// into one panics, so readers share it without copies or locks.
 type Stratified struct {
 	schema   Schema
 	qcsWidth int
 	k        int
 	index    KeyIndex
-	res      []*Reservoir // by stratum id
+	res      []Reservoir // by stratum id
 	gen      *rng.Lehmer64
 	weight   float64 // total tuples considered across all strata
 
-	// sorted caches the stratum ids in key order, so the ordered walk behind
-	// every answer sorts once per sample, not once per query. Built on first
-	// use (atomically: readers of a published sample may race to build it),
-	// dropped wherever a stratum is inserted, never written once stored.
+	// packed: the writer laid the strata out and nothing was admitted
+	// since; bytes is then SizeBytes, recorded by the writer.
+	packed bool
+	bytes  int64
+	sealed bool
+	// fork is nonzero on a Fork: a merge reads each stratum's generator as
+	// the stratum's Substream(fork).
+	fork uint64
+
+	// sorted caches the stratum ids in key order of a sample that is not
+	// packed, so the ordered walk sorts once per sample, not once per
+	// query. Built on first use (atomically: concurrent readers may race
+	// to build it), dropped wherever a stratum is inserted.
 	sorted atomic.Pointer[[]int32]
 }
 
@@ -96,8 +113,19 @@ func (s *Stratified) NumStrata() int { return len(s.res) }
 // represented input size).
 func (s *Stratified) TotalWeight() float64 { return s.weight }
 
+// admit readies s for a write to its strata: a packed sample unpacks, since
+// admission grows strata out of the slab and inserts keys out of order.
+func (s *Stratified) admit() {
+	if s.sealed {
+		// invariant: published samples are never written; a merge writes
+		// a new sample instead (MergeStratified).
+		panic("sample: admission into a sealed sample")
+	}
+	s.packed = false
+}
+
 // add installs r as the reservoir of a key the index does not hold yet.
-func (s *Stratified) add(key *StratumKey, r *Reservoir) {
+func (s *Stratified) add(key *StratumKey, r Reservoir) {
 	s.index.Insert(key)
 	s.res = append(s.res, r)
 	s.sorted.Store(nil)
@@ -106,9 +134,8 @@ func (s *Stratified) add(key *StratumKey, r *Reservoir) {
 // insert allocates the reservoir of a stratum seen for the first time. Its
 // generator is the sample's substream numbered by the stratum's id.
 func (s *Stratified) insert(key *StratumKey) *Reservoir {
-	res := newReservoir(s.k, len(s.schema), s.gen.Substream(uint64(len(s.res))))
-	s.add(key, res)
-	return res
+	s.add(key, newReservoir(s.k, len(s.schema), s.gen.Substream(uint64(len(s.res)))))
+	return &s.res[len(s.res)-1]
 }
 
 // ConsiderColumns offers n tuples laid out column-major (cols[c][i] is
@@ -130,6 +157,7 @@ func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {
 		// invariant: sinks gather exactly the sample's schema width
 		panic(fmt.Sprintf("sample: %d columns, schema has %d", len(cols), len(s.schema)))
 	}
+	s.admit()
 	var key StratumKey
 	var res *Reservoir
 	for i := 0; i < n; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
@@ -141,7 +169,7 @@ func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {
 		}
 		if !same {
 			if id := s.index.Find(&key); id >= 0 {
-				res = s.res[id]
+				res = &s.res[id]
 			} else {
 				res = s.insert(&key)
 			}
@@ -160,19 +188,23 @@ func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {
 // strata (see Reservoir.RNGDraws).
 func (s *Stratified) RNGDraws() int64 {
 	var total int64
-	for _, r := range s.res {
-		total += r.rngDraws
+	for i := range s.res {
+		total += s.res[i].rngDraws
 	}
 	return total
 }
 
-// SizeBytes estimates the sample's memory footprint: tuple storage plus
-// per-stratum admission state. The sum is commutative, so the strata are
-// visited in id order — no key sort.
+// SizeBytes estimates the sample's memory footprint: 8 bytes per stored
+// int64 plus 64 per stratum for its admission state. The writer records it
+// for a packed sample; any other is summed over its strata in id order —
+// no key sort.
 func (s *Stratified) SizeBytes() int64 {
+	if s.packed {
+		return s.bytes
+	}
 	var bytes int64
-	for _, r := range s.res {
-		bytes += int64(len(r.data))*8 + 64
+	for i := range s.res {
+		bytes += int64(len(s.res[i].data))*8 + 64
 	}
 	return bytes
 }
@@ -180,19 +212,27 @@ func (s *Stratified) SizeBytes() int64 {
 // Stratum returns the reservoir for key, or nil.
 func (s *Stratified) Stratum(key StratumKey) *Reservoir {
 	if id := s.index.Find(&key); id >= 0 {
-		return s.res[id]
+		return &s.res[id]
 	}
 	return nil
 }
 
 // Keys returns all stratum keys in deterministic (sorted) order.
 func (s *Stratified) Keys() []StratumKey {
-	ids := s.sortedIDs()
-	out := make([]StratumKey, len(ids))
-	for i, id := range ids {
-		out[i] = s.index.Key(id)
+	out := make([]StratumKey, len(s.res))
+	for pos := range out {
+		out[pos] = s.index.Key(s.id(pos))
 	}
 	return out
+}
+
+// id returns the id of the stratum at position pos in key order: pos
+// itself in a packed sample.
+func (s *Stratified) id(pos int) int32 {
+	if s.packed {
+		return int32(pos)
+	}
+	return s.sortedIDs()[pos]
 }
 
 // sortedIDs returns the cached stratum ids in key order (read-only), sorting
@@ -208,8 +248,8 @@ func (s *Stratified) sortedIDs() []int32 {
 
 // ForEach visits every stratum in deterministic (key) order.
 func (s *Stratified) ForEach(fn func(key StratumKey, r *Reservoir)) {
-	for _, id := range s.sortedIDs() {
-		fn(s.index.Key(id), s.res[id])
+	for pos := range s.res {
+		fn(s.At(pos))
 	}
 }
 
@@ -227,8 +267,8 @@ func (s *Stratified) Walk(workers int, worker func() func(lo, hi int)) {
 // At returns the key and reservoir of the stratum at position pos in key
 // order.
 func (s *Stratified) At(pos int) (StratumKey, *Reservoir) {
-	id := s.sortedIDs()[pos]
-	return s.index.Key(id), s.res[id]
+	id := s.id(pos)
+	return s.index.Key(id), &s.res[id]
 }
 
 // Filter returns a new stratified sample whose reservoirs hold only tuples
@@ -236,54 +276,98 @@ func (s *Stratified) At(pos int) (StratumKey, *Reservoir) {
 // tightening, §5.2.1). Strata whose reservoirs become empty are dropped.
 func (s *Stratified) Filter(keep TupleSelector) *Stratified {
 	out := NewStratified(s.schema, s.qcsWidth, s.k, s.gen.Split(0xFE))
-	for id, r := range s.res {
-		f := r.Filter(keep)
+	for id := range s.res {
+		f := s.res[id].Filter(keep)
 		if f.Len() > 0 {
 			key := s.index.Key(int32(id))
-			out.add(&key, f)
+			out.add(&key, *f)
 			out.weight += f.Weight()
 		}
 	}
 	return out
 }
 
-// Clone returns an independent copy of s. Tuple storage is shared per stratum
-// until written (Reservoir.Clone), and so is the immutable sorted-id cache.
-func (s *Stratified) Clone() *Stratified {
-	out := &Stratified{
+// Fork returns s as a merge input that draws as a copy of s with
+// generators of its own would: the sample's generator is s's Split(0xC1)
+// and each stratum's is its own Substream(0x5C), the streams a copy of a
+// stored sample has always been given, so merging a fork writes the bits
+// that merging such a copy wrote. A fork shares s's strata; it is only
+// read — by MergeStratified and Seal, which copy what they keep — and
+// admission into it panics.
+func (s *Stratified) Fork() *Stratified {
+	f := &Stratified{
 		schema:   s.schema,
 		qcsWidth: s.qcsWidth,
 		k:        s.k,
-		index:    s.index.Clone(),
-		res:      make([]*Reservoir, len(s.res)),
+		index:    s.index,
+		res:      s.res,
 		gen:      s.gen.Split(0xC1),
 		weight:   s.weight,
+		packed:   s.packed,
+		bytes:    s.bytes,
+		sealed:   true,
+		fork:     0x5C,
 	}
-	for id, r := range s.res {
-		out.res[id] = r.Clone()
+	f.sorted.Store(s.sorted.Load())
+	return f
+}
+
+// stratum returns the reservoir at id, nil for -1 (on any s, nil included).
+func (s *Stratified) stratum(id int32) *Reservoir {
+	if id < 0 {
+		return nil
 	}
-	out.sorted.Store(s.sorted.Load())
-	return out
+	return &s.res[id]
+}
+
+// read returns s's stratum r as a merge reads it: r itself, or on a fork a
+// header over the same tuples that draws from the fork's substream,
+// written to buf.
+func (s *Stratified) read(r, buf *Reservoir) *Reservoir {
+	if s.fork == 0 {
+		return r
+	}
+	*buf = Reservoir{k: r.k, width: r.width, weight: r.weight, data: r.data, gen: r.gen.Substream(s.fork)}
+	return buf
+}
+
+// copyInto writes into out a copy of s's stratum r as a merge reads it,
+// its tuples into data: the case of Algorithm 2 where only r is defined.
+func (s *Stratified) copyInto(out *Reservoir, data []int64, r *Reservoir) {
+	*out = *s.read(r, out) // a fork's header is written to out itself
+	out.data = append(data, r.data...)
+}
+
+// Seal publishes s: admission into it panics from then on, so readers
+// share it with no copy and no lock. A packed sample seals as it is; any
+// other — one worker's build, a loaded file, a fork — is first rewritten in
+// place by the writer's one-input form, packed in storage of its own.
+// Sealing a sealed sample does nothing.
+func (s *Stratified) Seal() {
+	if s.sealed && s.fork == 0 {
+		return
+	}
+	if !s.packed || s.fork != 0 {
+		p := write(s, nil, nil, 1)
+		s.index, s.res, s.gen, s.bytes, s.fork = p.index, p.res, p.gen, p.bytes, 0
+		s.packed = true
+		s.sorted.Store(nil)
+	}
+	s.sealed = true
 }
 
 // MergeStratified combines two stratified samples over disjoint inputs into
 // one distributed as a direct stratified sample of the combined input — the
 // paper's Algorithm 3: a group-by over the union of strata whose
-// aggregation function is the reservoir merge of Algorithm 2. The inputs
-// are consumed.
+// aggregation function is the reservoir merge of Algorithm 2. It writes
+// the result into fresh storage (write), packed, on up to workers
+// goroutines, and reads its inputs without writing them. A nil input
+// returns the other as it is.
 //
 // Both samples must share the schema and QCS width. Per-stratum capacities
 // may differ (Algorithm 2 handles the scaled case). MergeStratified also
 // serves the engine's exchange step: per-worker partial samples merge into
 // the final sample the same way Δ-samples merge with stored ones.
-//
-// The strata both samples hold merge on up to workers goroutines, in
-// chunks (forChunks); then the strata only one of them holds join the
-// result serially, in source-id order, so stratum ids are the same however
-// many workers ran. The result does not depend on the order the shared
-// strata merge in: each merge touches only its own stratum's reservoirs and
-// draws from gen's substream numbered by key.splitIndex(), a pure function
-// of the key and of gen's state, which no merge advances.
 func MergeStratified(a, b *Stratified, gen *rng.Lehmer64, workers int) (*Stratified, error) {
 	if a == nil {
 		return b, nil
@@ -297,31 +381,97 @@ func MergeStratified(a, b *Stratified, gen *rng.Lehmer64, workers int) (*Stratif
 	if a.qcsWidth != b.qcsWidth {
 		return nil, fmt.Errorf("sample: merging QCS widths %d and %d", a.qcsWidth, b.qcsWidth)
 	}
-	// Accumulate into the sample with more strata: fewer inserts.
-	dst, src := a, b
+	// The sample with more strata leads: its capacity and generator are the
+	// result's, and its reservoir is the first input of every shared
+	// stratum's merge.
 	if len(b.res) > len(a.res) {
-		dst, src = b, a
+		a, b = b, a
 	}
-	// A shared stratum's source reservoir is cleared once merged, which
-	// leaves the ones the destination lacks.
-	forChunks(len(src.res), chunkStrata(max(a.k, b.k)), workers, func() func(lo, hi int) {
+	return write(a, b, gen, workers), nil
+}
+
+// write is the one writer of packed samples. It lays the union of a's and
+// b's strata out in key order, sizes every stratum (mergedLen), allocates
+// the header slab and the tuple slab once, and then fills them in chunks
+// of strata (forChunks) on up to workers goroutines, each chunk writing
+// only its own ranges of both slabs. A stratum both hold merges by
+// Algorithm 2, a's reservoir first, drawing from gen's substream numbered
+// by key.splitIndex() — a pure function of the key and of gen's state,
+// which no merge advances — so the result is the same however many workers
+// ran; a stratum one holds is copied. The result takes a's capacity and
+// generator. b nil is the one-input form: a packed copy of a (Seal). It
+// reads a and b and writes neither.
+func write(a, b *Stratified, gen *rng.Lehmer64, workers int) *Stratified {
+	type stratum struct {
+		key  StratumKey
+		a, b int32 // ids in a and b, -1 where absent
+		off  int   // offset of its tuples in the tuple slab
+	}
+	na, nb, k, weight := len(a.res), 0, a.k, a.weight
+	if b != nil {
+		nb, k, weight = len(b.res), max(k, b.k), weight+b.weight
+	}
+	plan := make([]stratum, 0, na+nb)
+	for i, j := 0, 0; i < na || j < nb; {
+		p, c := stratum{a: -1, b: -1}, 1 // c: the next key is a's (< 0), both's (0) or b's
+		if j == nb {
+			c = -1
+		} else if i < na {
+			c = a.index.Key(a.id(i)).Compare(b.index.Key(b.id(j)))
+		}
+		if c <= 0 {
+			p.a = a.id(i)
+			p.key = a.index.Key(p.a)
+			i++
+		}
+		if c >= 0 {
+			p.b = b.id(j)
+			p.key = b.index.Key(p.b)
+			j++
+		}
+		plan = append(plan, p)
+	}
+	width, total := len(a.schema), 0
+	for pos := range plan {
+		plan[pos].off = total
+		total += mergedLen(a.stratum(plan[pos].a), b.stratum(plan[pos].b)) * width
+	}
+	out := &Stratified{
+		schema:   a.schema,
+		qcsWidth: a.qcsWidth,
+		k:        a.k,
+		index:    newKeyIndex(a.qcsWidth, len(plan)),
+		res:      make([]Reservoir, len(plan)),
+		gen:      a.gen,
+		weight:   weight,
+		packed:   true,
+		bytes:    int64(total)*8 + int64(len(plan))*64,
+	}
+	for pos := range plan {
+		out.index.Insert(&plan[pos].key)
+	}
+	tuples := make([]int64, total)
+	forChunks(len(plan), chunkStrata(k), workers, func() func(lo, hi int) {
 		return func(lo, hi int) {
-			for id := lo; id < hi; id++ {
-				key := src.index.Key(int32(id))
-				if did := dst.index.Find(&key); did >= 0 {
-					g := gen.Substream(key.splitIndex()) // gen.Split's stream, on the stack
-					dst.res[did] = Merge(dst.res[did], src.res[id], &g)
-					src.res[id] = nil
+			var bufA, bufB Reservoir
+			for pos := lo; pos < hi; pos++ {
+				p := &plan[pos]
+				end := total
+				if pos+1 < len(plan) {
+					end = plan[pos+1].off
+				}
+				data := tuples[p.off:p.off:end]
+				switch r1, r2 := a.stratum(p.a), b.stratum(p.b); {
+				case r2 == nil:
+					a.copyInto(&out.res[pos], data, r1)
+				case r1 == nil:
+					b.copyInto(&out.res[pos], data, r2)
+				default:
+					g := gen.Substream(p.key.splitIndex()) // gen.Split's stream, on the stack
+					mergeInto(&out.res[pos], data, a.read(r1, &bufA), b.read(r2, &bufB), &g)
 				}
 			}
 		}
 	})
-	for id, r := range src.res {
-		if r != nil {
-			key := src.index.Key(int32(id))
-			dst.add(&key, r)
-		}
-	}
-	dst.weight = a.weight + b.weight
-	return dst, nil
+	return out
 }

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -147,16 +148,42 @@ func TestStratifiedFilter(t *testing.T) {
 	}
 }
 
+// TestStratifiedClone: a fork of a sealed sample — the copy of a stored
+// sample a Δ-merge reads — holds its origin's strata and weight and draws
+// from the streams a copy was always given (the sample's Split(0xC1), each
+// stratum's Substream(0x5C)); the sample a merge writes from it takes new
+// strata, and admits, without its origin seeing either.
 func TestStratifiedClone(t *testing.T) {
 	s := NewStratified(Schema{"g", "v"}, 1, 10, newGen(7))
 	fillStratified(s, 0, 200, 4)
-	c := s.Clone()
+	s.Seal()
+	before := digest(s)
+	c := s.Fork()
 	if c.NumStrata() != s.NumStrata() || c.TotalWeight() != s.TotalWeight() {
-		t.Fatal("clone mismatch")
+		t.Fatal("fork mismatch")
 	}
-	addRow(c, 99, 99)
-	if s.NumStrata() == c.NumStrata() {
-		t.Fatal("clone shares strata")
+	if *c.gen != s.gen.Substream(0xC1) {
+		t.Fatal("the fork's generator is not its origin's Split(0xC1)")
+	}
+	s.ForEach(func(key StratumKey, r *Reservoir) {
+		var buf Reservoir
+		if got := c.read(c.Stratum(key), &buf); got.gen != r.gen.Substream(0x5C) || !slices.Equal(got.data, r.data) {
+			t.Fatalf("stratum %v of the fork does not read as its origin's on Substream(0x5C)", key)
+		}
+	})
+	other := NewStratified(Schema{"g", "v"}, 1, 10, newGen(8))
+	addRow(other, 99, 99)
+	m, err := MergeStratified(c, other, newGen(9), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addRow(m, 100, 1)
+	addRow(m, 0, -1)
+	if m.NumStrata() != s.NumStrata()+2 || m.Stratum(StratumKey{99}) == nil {
+		t.Fatalf("merged %d strata, want %d", m.NumStrata(), s.NumStrata()+2)
+	}
+	if digest(s) != before || s.Stratum(StratumKey{99}) != nil || s.Stratum(StratumKey{100}) != nil {
+		t.Fatal("the merge of a fork, or admission into its result, changed the origin")
 	}
 }
 

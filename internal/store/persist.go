@@ -323,14 +323,14 @@ func (s *Store) loadInner(r io.Reader, seed uint64, salvage bool, path string) e
 		return err
 	}
 	for _, e := range loaded {
-		e.bytes = e.Sample.SizeBytes()
+		e.Sample.Seal()
 	}
 	s.mu.Lock()
 	for _, e := range loaded {
 		s.clock++
 		e.lastUsed = s.clock
 		s.entries = append(s.entries, e)
-		s.total += e.bytes
+		s.total += e.Sample.SizeBytes()
 	}
 	s.enforceBudgetLocked()
 	s.refreshGaugesLocked()

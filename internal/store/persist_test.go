@@ -131,7 +131,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestLoadedSamplesKeepSamplingCorrectly(t *testing.T) {
 	// A restored reservoir must continue admission control correctly: feed
-	// more tuples and check the weight grows while capacity holds.
+	// more tuples and check the weight grows while capacity holds. A loaded
+	// entry is sealed, so its reservoirs are restored from its encoding —
+	// the way a coordinator decodes a shard's sample before merging it.
 	s := populatedStore(t)
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
@@ -142,7 +144,10 @@ func TestLoadedSamplesKeepSamplingCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := loaded.Lookup("lineorder", testSchema, 1, 10, algebra.NewPredicate().WithRange("key", 0, 9999))
-	sam := m.Entry.Sample
+	sam, err := DecodeStratified(EncodeStratified(m.Entry.Sample), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := sam.TotalWeight()
 	vals := make([]int64, 1000)
 	for v := range vals {

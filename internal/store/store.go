@@ -77,11 +77,6 @@ type Entry struct {
 	Sample *sample.Stratified
 	// lastUsed is the store's logical clock value at last access.
 	lastUsed int64
-	// bytes is Sample.SizeBytes(), taken when the sample was published:
-	// stored samples are immutable, so it stays exact until Update swaps
-	// the sample, and the store's footprint is a running sum of these
-	// instead of a walk over every stratum of every entry.
-	bytes int64
 }
 
 // Match is the result of a store lookup. Meta and Sample are snapshots
@@ -100,9 +95,6 @@ type Match struct {
 	Reuse algebra.Reuse
 	// Delta is non-nil for partial reuse: the missing range to Δ-sample.
 	Delta *algebra.Delta
-	// Bytes is the entry's estimated footprint (Sample.SizeBytes()),
-	// snapshotted under the store lock. Populated by List only.
-	Bytes int64
 }
 
 // Stats counts lookup outcomes, the reuse telemetry behind Figures 9–10.
@@ -118,7 +110,7 @@ type Store struct {
 	mu      sync.Mutex
 	entries []*Entry
 	budget  int64 // bytes; 0 = unbounded
-	total   int64 // sum of the entries' bytes, adjusted wherever entries change
+	total   int64 // sum of the entries' SizeBytes (recorded by the writer of each sealed sample), adjusted wherever entries change
 	clock   int64
 	stats   Stats
 
@@ -254,7 +246,9 @@ func (s *Store) Lookup(input string, schema sample.Schema, qcsWidth, k int, pred
 }
 
 // Put stores a sample under its metadata, evicting least-recently-used
-// entries if the budget is exceeded. It returns the new entry.
+// entries if the budget is exceeded. It returns the new entry. The sample
+// is sealed (sample.Stratified.Seal): a merge's result as it is, any other
+// — a single worker's build — rewritten once into the packed layout.
 func (s *Store) Put(meta Meta, sam *sample.Stratified) (*Entry, error) {
 	if sam == nil {
 		return nil, fmt.Errorf("store: nil sample")
@@ -266,13 +260,13 @@ func (s *Store) Put(meta Meta, sam *sample.Stratified) (*Entry, error) {
 		return nil, fmt.Errorf("store: sample schema %v/%d does not match meta %v/%d",
 			sam.Schema(), sam.QCSWidth(), meta.Schema, meta.QCSWidth)
 	}
-	bytes := sam.SizeBytes() // the per-stratum walk stays outside the lock
+	sam.Seal()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.clock++
-	e := &Entry{Meta: meta, Sample: sam, lastUsed: s.clock, bytes: bytes}
+	e := &Entry{Meta: meta, Sample: sam, lastUsed: s.clock}
 	s.entries = append(s.entries, e)
-	s.total += bytes
+	s.total += sam.SizeBytes()
 	s.met.puts.Inc()
 	s.enforceBudgetLocked()
 	s.refreshGaugesLocked()
@@ -281,15 +275,15 @@ func (s *Store) Put(meta Meta, sam *sample.Stratified) (*Entry, error) {
 
 // Update replaces an entry's sample, predicate and per-segment watermarks
 // (the provenance of the merged sample) after a Δ-merge extended its
-// coverage, keeping the entry's LRU position fresh.
+// coverage, keeping the entry's LRU position fresh. Like Put, it seals the
+// sample it stores.
 func (s *Store) Update(e *Entry, sam *sample.Stratified, pred algebra.Predicate, segs []SegmentWatermark) {
-	bytes := sam.SizeBytes()
+	sam.Seal()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if slices.Contains(s.entries, e) { // an entry evicted since its Lookup no longer counts
-		s.total += bytes - e.bytes
+		s.total += sam.SizeBytes() - e.Sample.SizeBytes()
 	}
-	e.bytes = bytes
 	e.Sample = sam
 	e.Predicate = pred
 	e.Segments = segs
@@ -343,7 +337,7 @@ func (s *Store) enforceBudgetLocked() {
 		if !found {
 			return
 		}
-		s.total -= s.entries[oldest].bytes
+		s.total -= s.entries[oldest].Sample.SizeBytes()
 		s.entries = append(s.entries[:oldest], s.entries[oldest+1:]...)
 		s.stats.Evicted++
 		s.met.evictions.Inc()
@@ -358,7 +352,7 @@ func (s *Store) List() []Match {
 	defer s.mu.Unlock()
 	out := make([]Match, 0, len(s.entries))
 	for _, e := range s.entries {
-		out = append(out, Match{Entry: e, Meta: e.Meta, Sample: e.Sample, Bytes: e.bytes})
+		out = append(out, Match{Entry: e, Meta: e.Meta, Sample: e.Sample})
 	}
 	return out
 }
@@ -374,7 +368,7 @@ func (s *Store) RemoveWhere(pred func(Meta) bool) int {
 	for _, e := range s.entries {
 		if pred(e.Meta) {
 			removed++
-			s.total -= e.bytes
+			s.total -= e.Sample.SizeBytes()
 		} else {
 			kept = append(kept, e)
 		}

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"laqy/internal/algebra"
 	"laqy/internal/obs"
@@ -41,8 +43,8 @@ func walkBytesLocked(t *testing.T, s *Store) int64 {
 		e.Sample.ForEach(func(_ sample.StratumKey, r *sample.Reservoir) {
 			bytes += int64(r.Len()*r.Width())*8 + 64
 		})
-		if bytes != e.bytes {
-			t.Errorf("entry %v: cached %d bytes, walk %d", e.Predicate, e.bytes, bytes)
+		if bytes != e.Sample.SizeBytes() {
+			t.Errorf("entry %v: recorded %d bytes, walk %d", e.Predicate, e.Sample.SizeBytes(), bytes)
 		}
 		total += bytes
 	}
@@ -219,7 +221,7 @@ func TestBudgetEviction(t *testing.T) {
 		}
 		var listed int64
 		for _, m := range s.List() {
-			listed += m.Bytes
+			listed += m.Sample.SizeBytes()
 		}
 		if listed != want {
 			t.Fatalf("%s: List bytes = %d, walk = %d", step, listed, want)
@@ -432,4 +434,81 @@ func TestConcurrentEvictionNeverDropsNewest(t *testing.T) {
 	if total := s.TotalBytes(); total > perEntry*3 {
 		t.Fatalf("final size %d exceeds budget %d", total, perEntry*3)
 	}
+}
+
+// checkSealed fails t unless sam is sealed and packed: its stratum headers
+// lie in key order in one slab, stratum pos's tuples start where stratum
+// pos−1's end, no stratum has spare capacity, and sealing again moves
+// nothing.
+func checkSealed(t *testing.T, what string, sam *sample.Stratified) {
+	t.Helper()
+	if sam.NumStrata() < 2 {
+		t.Fatalf("%s: %d strata, want several", what, sam.NumStrata())
+	}
+	var header, tuples uintptr // where the next header and tuples must start
+	for pos := range sam.NumStrata() {
+		_, r := sam.At(pos)
+		if at := uintptr(unsafe.Pointer(r)); pos > 0 && at != header {
+			t.Fatalf("%s: stratum %d's header is not next to stratum %d's", what, pos, pos-1)
+		}
+		header = uintptr(unsafe.Pointer(r)) + unsafe.Sizeof(*r)
+		tu := r.Tuples()
+		if cap(tu) != len(tu) {
+			t.Fatalf("%s: stratum %d holds %d ints in capacity %d", what, pos, len(tu), cap(tu))
+		}
+		if len(tu) == 0 {
+			continue
+		}
+		if at := uintptr(unsafe.Pointer(&tu[0])); tuples != 0 && at != tuples {
+			t.Fatalf("%s: stratum %d's tuples do not start where the previous stratum's end", what, pos)
+		}
+		tuples = uintptr(unsafe.Pointer(&tu[0])) + uintptr(len(tu))*8
+	}
+	_, first := sam.At(0)
+	sam.Seal()
+	if _, again := sam.At(0); again != first || &again.Tuples()[0] != &first.Tuples()[0] {
+		t.Fatalf("%s: sealing a sealed sample moved it", what)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: admission into a stored sample did not panic", what)
+		}
+	}()
+	sam.ConsiderColumns([][]int64{{0}, {0}, {0}}, 1)
+}
+
+// TestStoredSamplesAreSealedSlabs: whatever reaches the store — a build
+// through Put, a merge through Update, a file through Load — is stored
+// sealed, in the packed layout, with the byte count the writer recorded.
+func TestStoredSamplesAreSealedSlabs(t *testing.T) {
+	s := New(0)
+	e, err := s.Put(meta(algebra.NewPredicate().WithRange("key", 0, 999)), makeSample(1, testSchema, 1, 10, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSealed(t, "Put", e.Sample)
+	delta := makeSample(2, testSchema, 1, 10, 300)
+	merged, err := sample.MergeStratified(e.Sample.Fork(), delta, rng.NewLehmer64(3), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Update(e, merged, algebra.NewPredicate().WithRange("key", 0, 1299), nil)
+	checkSealed(t, "Update", e.Sample)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded := New(0)
+	if err := loaded.Load(&buf, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range loaded.List() {
+		checkSealed(t, "Load", m.Sample)
+	}
+	s.mu.Lock()
+	walkBytesLocked(t, s)
+	s.mu.Unlock()
+	loaded.mu.Lock()
+	walkBytesLocked(t, loaded)
+	loaded.mu.Unlock()
 }

@@ -203,10 +203,11 @@ func (w *WindowedSampler) evict() {
 }
 
 // Window answers a window query [from, to] (closed, event time): the
-// overlapping slides' samples are cloned and merged; boundary slides are
-// first tightened on the timestamp column. The result is distributed as a
-// stratified sample of the window's tuples and can be fed to package
-// approx for estimates.
+// overlapping slides' samples are merged into a new sealed sample, which
+// shares no storage with the slides; boundary slides are first tightened
+// on the timestamp column. The result is distributed as a stratified
+// sample of the window's tuples and can be fed to package approx for
+// estimates.
 func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 	if from > to {
 		return nil, fmt.Errorf("stream: window [%d, %d] is empty", from, to)
@@ -229,11 +230,13 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 		if slEnd < from || sl.start > to {
 			continue
 		}
-		part := sl.sam
+		// A whole slide is read through a fork, drawing from the streams
+		// a copy of the slide always drew from.
+		var part *sample.Stratified
 		if sl.start < from || slEnd > to {
-			part = part.Filter(onTime)
+			part = sl.sam.Filter(onTime)
 		} else {
-			part = part.Clone()
+			part = sl.sam.Fork()
 		}
 		merged, err = sample.MergeStratified(merged, part, w.gen.Split(uint64(i)+0x3E6), 1)
 		if err != nil {
@@ -243,5 +246,6 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 	if merged == nil {
 		merged = sample.NewStratified(w.schema, w.cfg.QCSWidth, w.cfg.K, w.gen.Split(0xE3B))
 	}
+	merged.Seal() // a lone part is not yet a sample of its own
 	return merged, nil
 }

@@ -445,7 +445,7 @@ func (db *DB) Samples() []SampleInfo {
 			K:         m.Meta.K,
 			Strata:    m.Sample.NumStrata(),
 			Weight:    m.Sample.TotalWeight(),
-			Bytes:     m.Bytes,
+			Bytes:     m.Sample.SizeBytes(),
 		}
 		m.Sample.ForEach(func(_ sample.StratumKey, r *sample.Reservoir) {
 			info.Rows += r.Len()

@@ -638,10 +638,10 @@ func TestAppendMaintainsSamples(t *testing.T) {
 // TestAppendBesidePartialReuse: appends maintain the stored samples while
 // widening-range queries Δ-merge into them; both draw their merge RNG
 // substreams from the sampler's one generator. Beside them, narrower queries
-// answer offline from the very entry being merged: each merge works on a
-// clone that shares the entry's tuple storage until it writes, so a write
-// that reached the shared storage would race with these readers. Run with
-// -race (make race).
+// answer offline from the very entry being merged: each merge reads the
+// entry's sealed sample while it writes a new one, so a write that reached
+// the entry's storage would race with these readers. Run with -race (make
+// race).
 func TestAppendBesidePartialReuse(t *testing.T) {
 	db := Open(Config{Workers: 2, Seed: 3})
 	const n, batch, rounds = 8000, 500, 12
