@@ -323,7 +323,7 @@ func BenchmarkAblation_RNG(b *testing.B) {
 // not-full streaming path.
 func BenchmarkAblation_MergePaths(b *testing.B) {
 	build := func(k int, n int64, seed uint64) *sample.Reservoir {
-		s := sample.NewStratified(sample.Schema{"v", "w"}, 0, k, rng.NewLehmer64(seed))
+		s := sample.NewBuilder(sample.Schema{"v", "w"}, 0, k, rng.NewLehmer64(seed))
 		cols := [][]int64{make([]int64, n), make([]int64, n)}
 		for v := range n {
 			cols[0][v], cols[1][v] = v, v*2
@@ -415,7 +415,7 @@ func BenchmarkAblation_ReservoirLayout(b *testing.B) {
 	}
 	b.Run("pointer_decoupled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := sample.NewStratified(sample.Schema{"g", "v"}, 1, k, rng.NewLehmer64(uint64(i)))
+			s := sample.NewBuilder(sample.Schema{"g", "v"}, 1, k, rng.NewLehmer64(uint64(i)))
 			s.ConsiderColumns([][]int64{keys, vals}, n)
 		}
 	})

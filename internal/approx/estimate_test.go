@@ -25,7 +25,7 @@ func iota64(lo, hi int64) []int64 {
 // reservoirOf admits vals, in order, through the engine's admission path: a
 // keyless stratified sample, whose one stratum is the returned reservoir.
 func reservoirOf(k int, seed uint64, vals []int64) *sample.Reservoir {
-	s := sample.NewStratified(sample.Schema{"v"}, 0, k, newGen(seed))
+	s := sample.NewBuilder(sample.Schema{"v"}, 0, k, newGen(seed))
 	s.ConsiderColumns([][]int64{vals}, len(vals))
 	return s.Stratum(sample.StratumKey{})
 }
@@ -159,10 +159,11 @@ func TestRelativeErrorBound(t *testing.T) {
 
 func TestSupportFailures(t *testing.T) {
 	// Group 0 has many tuples; group 1 has only 3.
-	s := sample.NewStratified(sample.Schema{"g", "v"}, 1, 100, newGen(4))
+	b := sample.NewBuilder(sample.Schema{"g", "v"}, 1, 100, newGen(4))
 	keys := append(make([]int64, 1000), 1, 1, 1)
 	vals := append(iota64(0, 1000), 0, 1, 2)
-	s.ConsiderColumns([][]int64{keys, vals}, len(keys))
+	b.ConsiderColumns([][]int64{keys, vals}, len(keys))
+	s := sample.Seal(b)
 	fails := SupportFailures(s, nil, MinSupport)
 	if len(fails) != 1 || fails[0][0] != 1 {
 		t.Fatalf("SupportFailures = %v", fails)
@@ -221,7 +222,7 @@ func TestViewMatchesFilter(t *testing.T) {
 		k := 1 + g.Intn(24)
 		strata := 1 + g.Intn(12)
 		domain := int64(8 + g.Intn(400))
-		s := sample.NewStratified(sample.Schema{"g", "key", "val"}, 1, k, g.Split(uint64(trial)))
+		b := sample.NewBuilder(sample.Schema{"g", "key", "val"}, 1, k, g.Split(uint64(trial)))
 		cols := make([][]int64, 3)
 		for n := g.Intn(40 * strata); n >= 0; n-- {
 			// Skewed groups: stratum 0 overflows k, others hold a tuple or two.
@@ -230,7 +231,8 @@ func TestViewMatchesFilter(t *testing.T) {
 			cols[1] = append(cols[1], int64(g.Uint64n(uint64(domain))))
 			cols[2] = append(cols[2], int64(g.Uint64n(1<<40))-1<<39)
 		}
-		s.ConsiderColumns(cols, len(cols[0]))
+		b.ConsiderColumns(cols, len(cols[0]))
+		s := sample.Seal(b)
 		// A union of 1..4 random intervals over the key domain.
 		ivs := make([]algebra.Interval, 1+g.Intn(4))
 		for i := range ivs {
@@ -276,7 +278,7 @@ func TestViewMatchesFilter(t *testing.T) {
 				}
 			}
 		})
-		if want := copyOf.Keys(); !slices.Equal(viewKeys, want) {
+		if want := sample.Seal(copyOf).Keys(); !slices.Equal(viewKeys, want) {
 			t.Fatalf("trial %d: view emits strata %v, copy holds %v", trial, viewKeys, want)
 		}
 		// The support check reads counts through the same view.

@@ -205,7 +205,7 @@ func (dropPlanner) PlanSegments(_ *engine.Query, _ []engine.ColumnExpr, _, _ int
 // unavailable.
 type unavailableSegment struct{ engine.SegmentSource }
 
-func (unavailableSegment) Build(int, uint64) (*sample.Stratified, engine.Stats, error) {
+func (unavailableSegment) Build(int, uint64) (sample.Part, engine.Stats, error) {
 	return nil, engine.Stats{}, engine.ErrSegmentUnavailable
 }
 

@@ -70,7 +70,7 @@ func strataSchema(strata int) (sample.Schema, error) {
 // sample through the engine's admission path (one ConsiderColumns batch),
 // isolating pure sample-construction time from scan and filter cost — the
 // measurement of the paper's Figures 3 and 4.
-func (d *Data) buildDirect(strata, k, n int, seed uint64) (time.Duration, *sample.Stratified, error) {
+func (d *Data) buildDirect(strata, k, n int, seed uint64) (time.Duration, *sample.Builder, error) {
 	schema, err := strataSchema(strata)
 	if err != nil {
 		return 0, nil, err
@@ -84,7 +84,7 @@ func (d *Data) buildDirect(strata, k, n int, seed uint64) (time.Duration, *sampl
 		}
 		vecs[i] = c.Ints[:n]
 	}
-	s := sample.NewStratified(schema, len(schema)-1, k, rng.NewLehmer64(seed))
+	s := sample.NewBuilder(schema, len(schema)-1, k, rng.NewLehmer64(seed))
 	start := time.Now()
 	s.ConsiderColumns(vecs, n)
 	return time.Since(start), s, nil

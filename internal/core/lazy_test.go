@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"laqy/internal/algebra"
@@ -69,6 +71,52 @@ func TestFirstQueryIsOnline(t *testing.T) {
 	if l.Store().Len() != 1 {
 		t.Fatal("online sample must be stored for future reuse")
 	}
+}
+
+// TestOnlineMissCopiesOnce: a one-worker online miss over a one-segment
+// table copies its sample once on its way into the store — the seal that
+// publishes the worker's builder. What the miss allocates beyond the bare
+// build (the same leaf run alone, not sealed) is one sample's size, give or
+// take the planning and the store entry; a second copy anywhere between the
+// build and the store would make it two.
+func TestOnlineMissCopiesOnce(t *testing.T) {
+	const n = 200_000
+	fact := testFact(n, groups)
+	req := request(fact, 0, n-1)
+	req.K, req.Workers = n, 1 // every row is kept: the sample is what the miss allocates
+	// With the collector off, the scan's pooled morsel scratch, once made,
+	// stays pooled: neither measured run allocates it.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	alloc := func(run func()) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	leaf := func() {
+		if _, _, err := engine.BuildSegmentSample(req.Query, engine.ExprsFromNames(req.Schema), req.QCSWidth, req.K, req.Seed, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf()
+	build := alloc(leaf)
+	l := New(store.New(0), 1)
+	var res *Result
+	miss := alloc(func() {
+		var err error
+		if res, err = l.Sample(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Mode != ModeOnline || l.Store().Len() != 1 || res.Sample.TotalWeight() != n {
+		t.Fatalf("mode %v, %d entries, weight %v", res.Mode, l.Store().Len(), res.Sample.TotalWeight())
+	}
+	size := res.Sample.SizeBytes()
+	if extra := miss - build; extra < size/2 || extra > size*3/2 {
+		t.Fatalf("the miss allocated %d bytes beyond the build's %d, want one copy of the %d-byte sample", extra, build, size)
+	}
+	t.Logf("build %d bytes, miss %d, sample %d", build, miss, size)
 }
 
 func TestRepeatQueryIsOffline(t *testing.T) {
@@ -140,7 +188,7 @@ func answer(res *Result) *sample.Stratified {
 	if res.Keep == nil {
 		return res.Sample
 	}
-	return res.Sample.Filter(res.Keep)
+	return sample.Seal(res.Sample.Filter(res.Keep))
 }
 
 func TestNarrowedRangeTightens(t *testing.T) {

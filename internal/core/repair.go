@@ -20,8 +20,9 @@ import (
 // tightened contents.
 //
 // A replaced stratum holds tuples the stored sample does not, so this is the
-// one place a tightened answer is materialized (from.Filter), and only once
-// the repair has a stratum to install; otherwise the view (from, keep) stands.
+// one place a tightened answer is materialized (from.Filter, restored into
+// and sealed), and only once the repair has a stratum to install; otherwise
+// the view (from, keep) stands.
 //
 // Repair applies when the sample is stratified on a single physical
 // column (the common case; multi-column keys would need disjunctive
@@ -57,7 +58,7 @@ func (l *LazySampler) repairSupport(req Request, schema sample.Schema, from *sam
 		// repairable. The online fallback labels its own drops.
 		return nil, err
 	}
-	res := &Result{Sample: from, Keep: keep, Stats: repaired.Stats}
+	var fixed *sample.Builder
 	for _, k := range fails {
 		r := repaired.Sample.Stratum(k)
 		if r == nil {
@@ -65,12 +66,15 @@ func (l *LazySampler) repairSupport(req Request, schema sample.Schema, from *sam
 			// rows; the tightened (near-exact) contents stand.
 			continue
 		}
-		if res.Sample == from {
-			res.Sample, res.Keep = from.Filter(keep), nil
+		if fixed == nil {
+			fixed = from.Filter(keep)
 		}
-		if err := res.Sample.Restore(k, r); err != nil {
+		if err := fixed.Restore(k, r); err != nil {
 			return nil, err
 		}
 	}
-	return res, nil
+	if fixed == nil {
+		return &Result{Sample: from, Keep: keep, Stats: repaired.Stats}, nil
+	}
+	return &Result{Sample: sample.Seal(fixed), Stats: repaired.Stats}, nil
 }

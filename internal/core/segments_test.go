@@ -164,7 +164,7 @@ func (p *segmentPlanner) PlanSegments(_ *engine.Query, _ []engine.ColumnExpr, _,
 // unavailable.
 type unavailableSegment struct{ engine.SegmentSource }
 
-func (unavailableSegment) Build(int, uint64) (*sample.Stratified, engine.Stats, error) {
+func (unavailableSegment) Build(int, uint64) (sample.Part, engine.Stats, error) {
 	return nil, engine.Stats{}, engine.ErrSegmentUnavailable
 }
 

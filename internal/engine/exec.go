@@ -183,9 +183,9 @@ func runPipeline(q *Query, exprs []ColumnExpr, workers int, sinks []rowSink) (St
 	})
 }
 
-// stratifiedSink feeds gathered rows into a per-worker stratified sample.
+// stratifiedSink feeds gathered rows into a per-worker stratified builder.
 type stratifiedSink struct {
-	sam *sample.Stratified
+	sam *sample.Builder
 }
 
 // consume hands the gathered columns to the sample's batch admission: the
@@ -204,14 +204,16 @@ func (s *stratifiedSink) consume(cols [][]int64, n int) {
 // a stratified-sampling sink per worker, the per-worker partials tree-merged
 // (Algorithm 3) with the merge time reported in Stats.Merge. The sample
 // schema takes each expression's Name, so computed aggregates (e.g.
-// lo_extendedprice*lo_discount) are sampled as materialized values.
+// lo_extendedprice*lo_discount) are sampled as materialized values. On one
+// worker the result is that worker's builder, not yet sealed: a segment
+// merge reads it as it is.
 //
 // The in-process SegmentSource runs it over its segment's clipped range
 // and a shard node runs it for a remote coordinator (DB.BuildSegment); the
 // same query, seed and worker count give the same bytes in both places. It
 // is also the single-reservoir reference the segmented coordinator must
 // stay distribution-equivalent to (TestSegmentedBuildChiSquare).
-func BuildSegmentSample(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int) (*sample.Stratified, Stats, error) {
+func BuildSegmentSample(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int) (sample.Part, Stats, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
@@ -221,10 +223,10 @@ func BuildSegmentSample(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint
 	}
 	root := rng.NewLehmer64(seed)
 	sinks := make([]rowSink, workers)
-	partials := make([]*sample.Stratified, workers)
+	partials := make([]sample.Part, workers)
 	for w := 0; w < workers; w++ {
-		partials[w] = sample.NewStratified(schema, qcsWidth, k, root.Split(uint64(w)))
-		sinks[w] = &stratifiedSink{sam: partials[w]}
+		b := sample.NewBuilder(schema, qcsWidth, k, root.Split(uint64(w)))
+		partials[w], sinks[w] = b, &stratifiedSink{sam: b}
 	}
 	stats, err := runPipeline(q, exprs, workers, sinks)
 	if err != nil {
@@ -251,12 +253,12 @@ var mergeStratifiedFn = sample.MergeStratified
 // workers are shared among a round's merges, each spreading its strata
 // over its share (sample.MergeStratified): the last round's one merge gets
 // them all.
-func treeMergeStratified(partials []*sample.Stratified, gen *rng.Lehmer64, workers int) (*sample.Stratified, error) {
+func treeMergeStratified(partials []sample.Part, gen *rng.Lehmer64, workers int) (sample.Part, error) {
 	round := uint64(0)
 	for len(partials) > 1 {
 		half := (len(partials) + 1) / 2
 		share := max(workers/(len(partials)/2), 1)
-		next := make([]*sample.Stratified, half)
+		next := make([]sample.Part, half)
 		errs := make([]error, half)
 		var wg sync.WaitGroup
 		for i := 0; i < half; i++ {

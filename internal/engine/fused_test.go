@@ -309,7 +309,7 @@ func TestZoneMapSampleBuildEquivalence(t *testing.T) {
 	for _, par := range []int{0, 1} { // 0: the leaf over the whole table; 1: segmented builds, one worker
 		build := func(disable bool) *sample.Stratified {
 			q := &Query{Fact: fact, Filter: p, DisableZoneMaps: disable}
-			var sam *sample.Stratified
+			var sam sample.Part
 			var err error
 			if par == 0 {
 				sam, _, err = BuildSegmentSample(q, exprs, 1, 64, 99, 1)
@@ -319,7 +319,7 @@ func TestZoneMapSampleBuildEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return sam
+			return sample.Seal(sam)
 		}
 		zm, ref := build(false), build(true)
 		if zm.NumStrata() != ref.NumStrata() || zm.TotalWeight() != ref.TotalWeight() {

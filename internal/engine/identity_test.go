@@ -45,12 +45,12 @@ func sampleDigest(s *sample.Stratified) string {
 // build is planned.
 func TestSampleIdentityPins(t *testing.T) {
 	const k, seed = 64, 20230618
-	check := func(name string, s *sample.Stratified, err error, want string) {
+	check := func(name string, s sample.Part, err error, want string) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := sampleDigest(s); got != want {
+		if got := sampleDigest(sample.Seal(s)); got != want {
 			t.Errorf("%s: digest %s, pinned %s", name, got, want)
 		}
 	}

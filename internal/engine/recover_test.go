@@ -20,17 +20,17 @@ import (
 func TestMergePanicFailsQueryNotProcess(t *testing.T) {
 	gen := rng.NewLehmer64(1)
 	schema := sample.Schema{"g", "v"}
-	healthy := func(seed uint64) *sample.Stratified {
-		s := sample.NewStratified(schema, 1, 8, rng.NewLehmer64(seed))
+	healthy := func(seed uint64) sample.Part {
+		s := sample.NewBuilder(schema, 1, 8, rng.NewLehmer64(seed))
 		s.ConsiderColumns([][]int64{{1}, {2}}, 1)
 		return s
 	}
 	orig := mergeStratifiedFn
 	defer func() { mergeStratifiedFn = orig }()
-	mergeStratifiedFn = func(a, b *sample.Stratified, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
+	mergeStratifiedFn = func(a, b sample.Part, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
 		panic("poisoned merge: deliberate test explosion")
 	}
-	partials := []*sample.Stratified{healthy(1), healthy(2), healthy(3), healthy(4)}
+	partials := []sample.Part{healthy(1), healthy(2), healthy(3), healthy(4)}
 	_, err := treeMergeStratified(partials, gen, 2)
 	if err == nil {
 		t.Fatal("a panicking merge must fail the query")
@@ -43,18 +43,18 @@ func TestMergePanicFailsQueryNotProcess(t *testing.T) {
 	// panic poisoned one query, not the engine.
 	mergeStratifiedFn = orig
 	merged, err := treeMergeStratified(
-		[]*sample.Stratified{healthy(4), healthy(5), healthy(6)}, gen, 2)
+		[]sample.Part{healthy(4), healthy(5), healthy(6)}, gen, 2)
 	if err != nil {
 		t.Fatalf("merge after a panic-failed merge: %v", err)
 	}
-	if merged.TotalWeight() != 3 {
-		t.Fatalf("post-panic merge weight = %v", merged.TotalWeight())
+	if w := sample.Seal(merged).TotalWeight(); w != 3 {
+		t.Fatalf("post-panic merge weight = %v", w)
 	}
 }
 
 // TestMergeChunkPanicFailsQueryNotProcess: a panic in a chunk that a
-// merge's helper goroutine walks (sample.Stratified.Walk, the driver of
-// MergeStratified's parallel strata) reaches the exchange step's recover
+// merge's helper goroutine walks (sample.Stratified.Walk, whose driver
+// MergeStratified's parallel strata share) reaches the exchange step's recover
 // and fails the merge with an error naming it, instead of killing the
 // process from the helper goroutine.
 func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
@@ -67,18 +67,18 @@ func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
 		return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 	}
 	// k = 1<<14 makes every stratum a chunk of its own.
-	partial := func(seed uint64) *sample.Stratified {
-		s := sample.NewStratified(sample.Schema{"g", "v"}, 1, 1<<14, rng.NewLehmer64(seed))
+	partial := func(seed uint64) sample.Part {
+		s := sample.NewBuilder(sample.Schema{"g", "v"}, 1, 1<<14, rng.NewLehmer64(seed))
 		s.ConsiderColumns([][]int64{{1, 2, 3, 4, 5, 6}, {1, 2, 3, 4, 5, 6}}, 6)
 		return s
 	}
 	orig := mergeStratifiedFn
 	defer func() { mergeStratifiedFn = orig }()
-	mergeStratifiedFn = func(a, b *sample.Stratified, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
+	mergeStratifiedFn = func(a, b sample.Part, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
 		caller := goid()
 		helperRan := make(chan struct{})
 		var once sync.Once
-		a.Walk(workers, func() func(lo, hi int) {
+		sample.Seal(a).Walk(workers, func() func(lo, hi int) {
 			onHelper := goid() != caller
 			return func(lo, hi int) {
 				if onHelper {
@@ -93,7 +93,7 @@ func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
 		})
 		return orig(a, b, g, workers)
 	}
-	_, err := treeMergeStratified([]*sample.Stratified{partial(1), partial(2)}, rng.NewLehmer64(1), 2)
+	_, err := treeMergeStratified([]sample.Part{partial(1), partial(2)}, rng.NewLehmer64(1), 2)
 	if err == nil {
 		t.Fatal("a panic in a merge helper's chunk must fail the merge")
 	}

@@ -50,8 +50,9 @@ type SegmentSource interface {
 	// query budget before dispatching the segment.
 	MemEstimate(workers int) int64
 	// Build runs the per-segment sample build with the given intra-segment
-	// parallelism and RNG seed, returning the partial sample.
-	Build(workers int, seed uint64) (*sample.Stratified, Stats, error)
+	// parallelism and RNG seed, returning the partial sample as a merge
+	// input: a builder or a sealed sample.
+	Build(workers int, seed uint64) (sample.Part, Stats, error)
 }
 
 // ErrSegmentUnavailable marks a segment whose source could not produce a
@@ -132,7 +133,7 @@ func (s *localSegment) MemEstimate(workers int) int64 {
 	return perSample * int64(workers+1)
 }
 
-func (s *localSegment) Build(workers int, seed uint64) (*sample.Stratified, Stats, error) {
+func (s *localSegment) Build(workers int, seed uint64) (sample.Part, Stats, error) {
 	q := s.q
 	return BuildSegmentSample(&q, s.exprs, s.qcsWidth, s.k, seed, workers)
 }
@@ -195,19 +196,28 @@ func planSegments(q *Query, exprs []ColumnExpr, qcsWidth, k int, fromBySeg map[i
 // is built directly with the caller's seed — a table of one segment costs
 // no coordinator; anything else — several segments, or any plan a Planner
 // rewrote, since even a single remote segment needs the drop/degradation
-// path — fans out through the coordinator and merges N-way.
+// path — fans out through the coordinator and merges N-way. The result is
+// sealed: a merge's as it is, a lone builder (one worker over one segment)
+// written once.
 func RunStratifiedExprs(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int, fromBySeg map[int]int) (*sample.Stratified, Stats, error) {
 	sources := planSegments(q, exprs, qcsWidth, k, fromBySeg)
+	var part sample.Part
+	var stats Stats
+	var err error
 	switch {
 	case len(sources) == 0:
 		empty := *q
 		empty.ScanFrom, empty.ScanTo = q.Fact.NumRows(), q.Fact.NumRows()
-		return BuildSegmentSample(&empty, exprs, qcsWidth, k, seed, workers)
+		part, stats, err = BuildSegmentSample(&empty, exprs, qcsWidth, k, seed, workers)
 	case len(sources) == 1 && q.Planner == nil:
-		return sources[0].Build(workers, seed)
+		part, stats, err = sources[0].Build(workers, seed)
 	default:
-		return runStratifiedSegments(q, sources, seed, workers)
+		part, stats, err = runStratifiedSegments(q, sources, seed, workers)
 	}
+	if err != nil {
+		return nil, stats, err
+	}
+	return sample.Seal(part), stats, nil
 }
 
 // errSegmentsStopped is the internal signal a segment worker leaves when
@@ -220,7 +230,7 @@ var errSegmentsStopped = errors.New("engine: segment dispatch stopped")
 // query's memory budget, drop trailing segments (instead of failing the
 // whole query) when the deadline or budget runs out mid-plan, and merge
 // the per-segment reservoirs with the Algorithm 2/3 algebra.
-func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, workers int) (*sample.Stratified, Stats, error) {
+func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, workers int) (sample.Part, Stats, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
@@ -245,7 +255,7 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 	}
 
 	start := time.Now()
-	partials := make([]*sample.Stratified, len(sources))
+	partials := make([]sample.Part, len(sources))
 	segErrs := make([]error, len(sources))
 	stats := Stats{Workers: workers, Segments: len(sources), SegmentParallelism: par}
 	var statsMu sync.Mutex
@@ -324,7 +334,7 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 	}
 	wg.Wait()
 
-	built := make([]*sample.Stratified, 0, len(partials))
+	built := make([]sample.Part, 0, len(partials))
 	var rowsDropped int64
 	var pressure, unavailable error
 	for i, p := range partials {

@@ -28,7 +28,7 @@ func TestSegmentUnavailableDropsAndContinues(t *testing.T) {
 	sources[1] = &shardedFake{fakeSegment: *sources[1].(*fakeSegment), shard: "node-b"}
 
 	q := &Query{Fact: fact}
-	sam, stats, err := runStratifiedSegments(q, sources, 99, 1)
+	sam, stats, err := sealed(runStratifiedSegments(q, sources, 99, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,8 +45,8 @@ func TestSegmentedMatchesReferenceWeights(t *testing.T) {
 		// The empty segment plans no source.
 		t.Fatalf("segments = %d built = %d, want 3/3", stats.Segments, stats.SegmentsBuilt)
 	}
-	ref, refStats, err := BuildSegmentSample(&Query{Fact: fact},
-		ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4)
+	ref, refStats, err := sealed(BuildSegmentSample(&Query{Fact: fact},
+		ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestSegmentedBuildChiSquare(t *testing.T) {
 	}
 	// The reference: the leaf's single reservoir over the whole table.
 	reference := func(seed uint64) (*sample.Stratified, Stats, error) {
-		return BuildSegmentSample(&Query{Fact: fact}, exprs, 1, k, seed, 2)
+		return sealed(BuildSegmentSample(&Query{Fact: fact}, exprs, 1, k, seed, 2))
 	}
 	if chi2 := chiSquareUniform(t, n, trials, buckets, reference); chi2 > critical {
 		t.Fatalf("reference build chi-square = %.1f > %.1f: reference harness is broken", chi2, critical)
@@ -251,6 +252,46 @@ func TestSegmentWorkerCapAtTotalMorsels(t *testing.T) {
 	}
 }
 
+// TestSegmentMergeReadsBuilders: a segmented build at one worker per
+// segment hands every segment's builder to the segment merge as it is. No
+// per-segment sample is sealed — copied — before the merge writes the one
+// result.
+func TestSegmentMergeReadsBuilders(t *testing.T) {
+	fact := segmentedFact(t, 4000, 4, 1000, 2000, 3000)
+	orig := mergeStratifiedFn
+	defer func() { mergeStratifiedFn = orig }()
+	var mu sync.Mutex
+	builders := 0
+	mergeStratifiedFn = func(a, b sample.Part, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
+		mu.Lock()
+		for _, p := range []sample.Part{a, b} {
+			if _, ok := p.(*sample.Builder); ok {
+				builders++
+			}
+		}
+		mu.Unlock()
+		return orig(a, b, g, workers)
+	}
+	sam, st, err := RunStratifiedExprs(&Query{Fact: fact}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SegmentsBuilt != 4 || sam.TotalWeight() != 4000 {
+		t.Fatalf("%d segments built, weight %v", st.SegmentsBuilt, sam.TotalWeight())
+	}
+	if builders != st.SegmentsBuilt {
+		t.Fatalf("the segment merge read %d builders, want one per segment (%d)", builders, st.SegmentsBuilt)
+	}
+}
+
+// sealed seals a build's merge input, for tests that read it as a sample.
+func sealed(p sample.Part, st Stats, err error) (*sample.Stratified, Stats, error) {
+	if err != nil {
+		return nil, st, err
+	}
+	return sample.Seal(p), st, nil
+}
+
 // fakeSegment scripts one SegmentSource for coordinator tests: successful
 // builds run the real pipeline over a row range of a shared table; failures
 // are injected per ID.
@@ -266,7 +307,7 @@ func (f *fakeSegment) Version() uint64       { return 1 }
 func (f *fakeSegment) Rows() int             { return f.hi - f.lo }
 func (f *fakeSegment) Morsels() int          { return 1 }
 func (f *fakeSegment) MemEstimate(int) int64 { return f.est }
-func (f *fakeSegment) Build(workers int, seed uint64) (*sample.Stratified, Stats, error) {
+func (f *fakeSegment) Build(workers int, seed uint64) (sample.Part, Stats, error) {
 	if f.fail != nil {
 		return nil, Stats{}, f.fail
 	}
@@ -291,7 +332,7 @@ func TestSegmentsDroppedOnDeadline(t *testing.T) {
 	fact := buildFact(2000, 4, 10)
 	sources := fakeSources(fact, map[int]error{2: context.DeadlineExceeded}, 1, 1, 1, 1)
 	q := &Query{Fact: fact}
-	sam, stats, err := runStratifiedSegments(q, sources, 99, 1) // one worker: serialized, deterministic
+	sam, stats, err := sealed(runStratifiedSegments(q, sources, 99, 1)) // one worker: serialized, deterministic
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +355,7 @@ func TestSegmentsDroppedOnBudgetDenial(t *testing.T) {
 	budget := gov.NewQueryBudget()
 	sources := fakeSources(fact, nil, 1, 1, 1<<30, 1) // third segment cannot fit
 	q := &Query{Fact: fact, Budget: budget}
-	sam, stats, err := runStratifiedSegments(q, sources, 7, 1)
+	sam, stats, err := sealed(runStratifiedSegments(q, sources, 7, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

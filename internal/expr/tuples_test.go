@@ -123,7 +123,7 @@ func TestSelectTuplesMatchesSetOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 1 + g.Intn(40)
-		s := sample.NewStratified(schema, 0, k, g.Split(uint64(trial)))
+		s := sample.NewBuilder(schema, 0, k, g.Split(uint64(trial)))
 		cols := make([][]int64, len(schema))
 		for n := g.Intn(2*k + 1); n > 0; n-- {
 			for c := range cols {

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"laqy/internal/rng"
@@ -11,7 +12,7 @@ import (
 // product's admission path is held to: the n-th considered tuple is
 // admitted with probability k/n, replacing a uniformly chosen victim — one
 // RNG draw per tuple past the fill. It lives here, not in the product: the
-// engine admits through Stratified.ConsiderColumns (Algorithm L).
+// engine admits through Builder.ConsiderColumns (Algorithm L).
 func algorithmR(r *Reservoir, tuple []int64) {
 	r.weight++
 	if len(r.data) < r.k*r.width {
@@ -25,9 +26,9 @@ func algorithmR(r *Reservoir, tuple []int64) {
 }
 
 // admit offers n column-major rows to r through the product entry point,
-// Stratified.ConsiderColumns, with r as the one stratum of a keyless sample.
+// Builder.ConsiderColumns, with r as the one stratum of a keyless sample.
 func admit(r *Reservoir, cols [][]int64, n int) {
-	s := NewStratified(make(Schema, r.width), 0, r.k, nil)
+	s := NewBuilder(make(Schema, r.width), 0, r.k, nil)
 	s.add(&StratumKey{}, *r)
 	s.ConsiderColumns(cols, n)
 	*r = s.res[0]
@@ -35,7 +36,7 @@ func admit(r *Reservoir, cols [][]int64, n int) {
 
 // addRow offers one tuple to s as a batch of one, the shape of a streamed
 // event.
-func addRow(s *Stratified, tuple ...int64) {
+func addRow(s *Builder, tuple ...int64) {
 	cols := make([][]int64, len(tuple))
 	for c := range tuple {
 		cols[c] = tuple[c : c+1]
@@ -81,7 +82,7 @@ func chiSquare(counts []int64, expected float64) float64 {
 }
 
 // TestAlgorithmLChiSquareEquivalence holds the product's admission path,
-// Stratified.ConsiderColumns, to the same distributional contract as the
+// Builder.ConsiderColumns, to the same distributional contract as the
 // Algorithm R oracle: every stream position is included with probability
 // k/n. The oracle and four ways of feeding the product path — keyless in one
 // batch, one row per batch (a streamed event), 37-row chunks (skip state
@@ -106,9 +107,9 @@ func TestAlgorithmLChiSquareEquivalence(t *testing.T) {
 		return r.Tuples()
 	}
 	// keyless samples vals in a qcsWidth-0 sample, feeding it through feed.
-	keyless := func(feed func(s *Stratified, vals []int64)) func(*rng.Lehmer64, []int64) []int64 {
+	keyless := func(feed func(s *Builder, vals []int64)) func(*rng.Lehmer64, []int64) []int64 {
 		return func(gen *rng.Lehmer64, vals []int64) []int64 {
-			s := NewStratified(Schema{"v"}, 0, k, gen)
+			s := NewBuilder(Schema{"v"}, 0, k, gen)
 			feed(s, vals)
 			r := s.Stratum(StratumKey{})
 			if s.TotalWeight() != n || r.Weight() != n {
@@ -118,14 +119,14 @@ func TestAlgorithmLChiSquareEquivalence(t *testing.T) {
 		}
 	}
 	keyed := func(gen *rng.Lehmer64, vals []int64) []int64 {
-		s := NewStratified(Schema{"g", "v"}, 1, k, gen)
+		s := NewBuilder(Schema{"g", "v"}, 1, k, gen)
 		g := make([]int64, len(vals))
 		for i := range g {
 			g[i] = int64(i % 2)
 		}
 		s.ConsiderColumns([][]int64{g, vals}, len(vals))
 		var out []int64
-		s.ForEach(func(_ StratumKey, r *Reservoir) {
+		Seal(s).ForEach(func(_ StratumKey, r *Reservoir) {
 			for i := 0; i < r.Len(); i++ {
 				out = append(out, r.Tuple(i)[1])
 			}
@@ -140,15 +141,15 @@ func TestAlgorithmLChiSquareEquivalence(t *testing.T) {
 		draw   func(*rng.Lehmer64, []int64) []int64
 	}{
 		{"algorithmR-oracle", 101, 1, oracle},
-		{"qcs0-batch", 202, 1, keyless(func(s *Stratified, vals []int64) {
+		{"qcs0-batch", 202, 1, keyless(func(s *Builder, vals []int64) {
 			s.ConsiderColumns([][]int64{vals}, len(vals))
 		})},
-		{"qcs0-perRow", 303, 1, keyless(func(s *Stratified, vals []int64) {
+		{"qcs0-perRow", 303, 1, keyless(func(s *Builder, vals []int64) {
 			for i := range vals {
 				s.ConsiderColumns([][]int64{vals[i : i+1]}, 1)
 			}
 		})},
-		{"qcs0-chunked", 404, 1, keyless(func(s *Stratified, vals []int64) {
+		{"qcs0-chunked", 404, 1, keyless(func(s *Builder, vals []int64) {
 			for len(vals) > 0 {
 				c := min(37, len(vals))
 				s.ConsiderColumns([][]int64{vals[:c]}, c)
@@ -188,7 +189,7 @@ func TestAlgorithmLDrawSavings(t *testing.T) {
 	for i := range vals {
 		algorithmR(oracle, vals[i:i+1])
 	}
-	s := NewStratified(Schema{"v"}, 0, k, rng.NewLehmer64(1))
+	s := NewBuilder(Schema{"v"}, 0, k, rng.NewLehmer64(1))
 	s.ConsiderColumns([][]int64{vals}, n)
 
 	if oracle.rngDraws != n-k {
@@ -252,23 +253,24 @@ func TestRowFillGrowsInTuples(t *testing.T) {
 	}
 
 	// The same bound through the stratified entry point, on a sparse key.
-	s := NewStratified(Schema{"g", "a", "b"}, 1, k, rng.NewLehmer64(4))
+	s := NewBuilder(Schema{"g", "a", "b"}, 1, k, rng.NewLehmer64(4))
 	keys := make([]int64, n)
 	for i := range keys {
 		keys[i] = int64(i % 300) // 5 tuples per stratum
 	}
 	s.ConsiderColumns([][]int64{keys, cols[1], cols[2]}, n)
-	s.ForEach(func(key StratumKey, r *Reservoir) {
-		if r.Len() != 5 || cap(r.data) > fillChunkTuples*width {
-			t.Fatalf("stratum %v: %d tuples in cap %d", key, r.Len(), cap(r.data))
+	for id := range s.res {
+		if r := &s.res[id]; r.Len() != 5 || cap(r.data) > fillChunkTuples*width {
+			t.Fatalf("stratum %v: %d tuples in cap %d", s.index.Key(int32(id)), r.Len(), cap(r.data))
 		}
-	})
+	}
 }
 
-// TestConsiderColumnsInterleavedWithMerge admits rows into a merged sample:
-// Algorithm 2 streaming a not-full reservoir through considerWeighted, or
-// rewriting slots proportionally, leaves a reservoir that represents more
-// rows than it holds and no skip schedule. Each trial keeps it consistent
+// TestConsiderColumnsInterleavedWithMerge admits rows into a merged
+// stratum, restored into a builder: Algorithm 2 streaming a not-full
+// reservoir through considerWeighted, or rewriting slots proportionally,
+// leaves a reservoir that represents more rows than it holds and no skip
+// schedule, and Restore keeps it so. Each trial keeps it consistent
 // (correct weight, full, every tuple from the stream, none twice), and over
 // the trials each part of the stream — the first sample's rows, the merged-in
 // rows, the rows admitted after the merge — holds its share of the kept
@@ -291,23 +293,28 @@ func TestConsiderColumnsInterleavedWithMerge(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var parts [3]int64 // kept tuples from [0,cut), [cut,cut+rest), the rest
 			for trial := uint64(0); trial < uint64(trials); trial++ {
-				a := NewStratified(Schema{"v"}, 0, k, newGen(3*trial+5))
+				a := NewBuilder(Schema{"v"}, 0, k, newGen(3*trial+5))
 				a.ConsiderColumns([][]int64{vals[:cut]}, cut)
-				b := NewStratified(Schema{"v"}, 0, k, newGen(3*trial+6))
+				b := NewBuilder(Schema{"v"}, 0, k, newGen(3*trial+6))
 				b.ConsiderColumns([][]int64{vals[cut : cut+tc.rest]}, tc.rest)
 				m, err := MergeStratified(a, b, newGen(3*trial+7), 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := m.Stratum(StratumKey{})
-				if r.lValid {
+				if m.Stratum(StratumKey{}).lValid {
 					t.Fatal("the merge left the skip schedule of the pre-merge stream in place")
 				}
+				c := NewBuilder(Schema{"v"}, 0, k, nil)
+				if err := c.Restore(StratumKey{}, m.Stratum(StratumKey{})); err != nil {
+					t.Fatal(err)
+				}
+				r := c.Stratum(StratumKey{})
+				r.data = slices.Clone(r.data) // storage of the builder's own, not m's slab
 				tail := vals[cut+tc.rest:]
-				m.ConsiderColumns([][]int64{tail}, len(tail))
-				if r.Len() != k || r.Weight() != n || m.TotalWeight() != n {
+				c.ConsiderColumns([][]int64{tail}, len(tail))
+				if r.Len() != k || r.Weight() != n || c.TotalWeight() != n {
 					t.Fatalf("Len=%d Weight=%v TotalWeight=%v, want %d, %d, %d",
-						r.Len(), r.Weight(), m.TotalWeight(), k, n, n)
+						r.Len(), r.Weight(), c.TotalWeight(), k, n, n)
 				}
 				seen := make(map[int64]bool, k)
 				for i := 0; i < k; i++ {

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkReservoirAdmission compares the Algorithm R oracle against the
-// product's admission path, Stratified.ConsiderColumns on a keyless sample,
+// product's admission path, Builder.ConsiderColumns on a keyless sample,
 // on a saturated stream (n >> k, the regime the paper's reservoir
 // aggregation lives in). Both variants report draws/tuple — Algorithm L's
 // headline win is O(k·log(n/k)) RNG draws and admission copies instead of
@@ -51,7 +51,7 @@ func BenchmarkReservoirAdmission(b *testing.B) {
 		b.ReportAllocs()
 		var draws int64
 		for i := 0; i < b.N; i++ {
-			s := NewStratified(make(Schema, width), 0, k, rng.NewLehmer64(uint64(i)))
+			s := NewBuilder(make(Schema, width), 0, k, rng.NewLehmer64(uint64(i)))
 			s.ConsiderColumns(cols, n)
 			if r := s.Stratum(StratumKey{}); r.Len() != k || r.Weight() != n {
 				b.Fatalf("admitted Len=%d Weight=%v, want %d and %d", r.Len(), r.Weight(), k, n)
@@ -121,7 +121,7 @@ func BenchmarkStratifiedAdmission(b *testing.B) {
 		for i := range schema {
 			schema[i] = string(rune('a' + i))
 		}
-		feed := func(s *Stratified, lo, hi int) {
+		feed := func(s *Builder, lo, hi int) {
 			view := make([][]int64, width)
 			for at := lo; at < hi; at += batch {
 				m := min(batch, hi-at)
@@ -136,8 +136,8 @@ func BenchmarkStratifiedAdmission(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				root := rng.NewLehmer64(uint64(i))
-				left := NewStratified(schema, shape.qcs, shape.k, root.Split(1))
-				right := NewStratified(schema, shape.qcs, shape.k, root.Split(2))
+				left := NewBuilder(schema, shape.qcs, shape.k, root.Split(1))
+				right := NewBuilder(schema, shape.qcs, shape.k, root.Split(2))
 				feed(left, 0, n/2)
 				feed(right, n/2, n)
 				s, err := MergeStratified(left, right, root.Split(3), 1)

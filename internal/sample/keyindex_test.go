@@ -95,11 +95,11 @@ func TestKeyIndexAgainstMap(t *testing.T) {
 // into the result or into its input are not seen by the other side, and
 // both go on assigning their own dense ids, the result's past a resize.
 func TestKeyIndexCloneIndependence(t *testing.T) {
-	s := NewStratified(Schema{"a", "b", "v"}, 2, 4, newGen(1))
+	s := NewBuilder(Schema{"a", "b", "v"}, 2, 4, newGen(1))
 	for i := int64(0); i < 100; i++ {
 		addRow(s, i, -i, 0)
 	}
-	m, err := MergeStratified(s, NewStratified(Schema{"a", "b", "v"}, 2, 4, newGen(2)), newGen(3), 1)
+	m, err := MergeStratified(s, NewBuilder(Schema{"a", "b", "v"}, 2, 4, newGen(2)), newGen(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +134,14 @@ func TestKeyIndexCloneIndependence(t *testing.T) {
 }
 
 // TestKeyIndexConcurrentFind reads a published sample from many goroutines
-// — Stratum probes, the ordered walk that builds the sorted-id cache, and
-// Keys — while nothing writes it; run under -race.
+// — Stratum probes, the ordered walk and Keys — while nothing writes it;
+// run under -race.
 func TestKeyIndexConcurrentFind(t *testing.T) {
-	s := NewStratified(Schema{"a", "b", "v"}, 2, 4, newGen(1))
+	b := NewBuilder(Schema{"a", "b", "v"}, 2, 4, newGen(1))
 	for i := int64(0); i < 500; i++ {
-		addRow(s, i%37, i%11, i)
+		addRow(b, i%37, i%11, i)
 	}
+	s := Seal(b)
 	want := s.NumStrata()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

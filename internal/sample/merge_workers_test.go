@@ -28,9 +28,9 @@ func TestMergeStratifiedWorkersBitIdentical(t *testing.T) {
 	schema := sample.Schema{"g", "v"}
 	// build draws a sample of capacity k over keys [lo, hi): key g gets
 	// rows(g) rows of random values.
-	build := func(seed uint64, k int, lo, hi int64, rows func(g int64) int) *sample.Stratified {
+	build := func(seed uint64, k int, lo, hi int64, rows func(g int64) int) *sample.Builder {
 		g := rng.NewLehmer64(seed)
-		s := sample.NewStratified(schema, 1, k, g.Split(1))
+		s := sample.NewBuilder(schema, 1, k, g.Split(1))
 		var keys, vals []int64
 		for key := lo; key < hi; key++ {
 			for i := rows(key); i > 0; i-- {
@@ -56,7 +56,7 @@ func TestMergeStratifiedWorkersBitIdentical(t *testing.T) {
 	}
 	for _, rightK := range []int{32, 48} {
 		t.Run(fmt.Sprintf("k=32+%d", rightK), func(t *testing.T) {
-			inputs := func() (*sample.Stratified, *sample.Stratified) {
+			inputs := func() (*sample.Builder, *sample.Builder) {
 				return build(1, 32, 0, strata, many), build(2, rightK, strata/4, strata+strata/4, some)
 			}
 			left, right := inputs()
@@ -64,7 +64,7 @@ func TestMergeStratifiedWorkersBitIdentical(t *testing.T) {
 				t.Fatalf("%d strata make %d chunks, want at least 3", strata, chunks)
 			}
 			cases := map[string]int{}
-			right.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
+			sample.Seal(right).ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
 				l := left.Stratum(key)
 				switch {
 				case l == nil:

@@ -56,8 +56,8 @@ func (s Schema) Equal(o Schema) bool {
 // The admission-control state (weight, capacity, RNG) is small and hot; the
 // tuple storage is a flat buffer reached through a slice header,
 // reproducing the paper's pointer-decoupled layout (§6.3). A stratum that
-// admits owns its buffer; in a packed stratified sample the buffer is the
-// stratum's range of the sample's one tuple slab.
+// admits owns its buffer; in a Stratified the buffer is the stratum's range
+// of the sample's one tuple slab.
 type Reservoir struct {
 	k      int          // capacity in tuples
 	width  int          // ints per tuple
@@ -82,7 +82,7 @@ type Reservoir struct {
 
 	// rngDraws counts generator calls made by admission control, the
 	// quantity the paper's §6.2 identifies as the sampling bottleneck.
-	// Exposed via Stratified.RNGDraws for the draws-per-tuple benchmarks.
+	// Exposed via Builder.RNGDraws for the draws-per-tuple benchmarks.
 	rngDraws int64
 }
 
@@ -181,7 +181,7 @@ func (r *Reservoir) admitAdvance() {
 
 // considerRowColumns offers row i of a column-major batch (cols[c][i] is
 // column c) to the reservoir: the admission step behind
-// Stratified.ConsiderColumns. Until saturation the row is copied verbatim;
+// Builder.ConsiderColumns. Until saturation the row is copied verbatim;
 // afterwards Algorithm L's skip counter passes over rows with a decrement —
 // no RNG draw, no copy — and only admitted rows are materialized.
 //

@@ -81,7 +81,7 @@ func TestReservoirWidthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on wrong tuple width")
 		}
 	}()
-	addRow(NewStratified(Schema{"a", "b"}, 0, 10, newGen(1)), 1)
+	addRow(NewBuilder(Schema{"a", "b"}, 0, 10, newGen(1)), 1)
 }
 
 func TestNewReservoirValidation(t *testing.T) {
@@ -100,13 +100,13 @@ func TestNewReservoirValidation(t *testing.T) {
 // TestReservoirClone: a stratum only one merge input holds — Algorithm 2's
 // case of a single defined reservoir — reaches the result as a whole copy:
 // tuples, weight and admission state (generator, skip-ahead, draw count)
-// in storage of the result's own. Admitting into the copy leaves the
-// original as it was, and the original, given the same rows, then admits
+// in storage of the result's own. Admitting into the copy (restored into a
+// builder) leaves the original as it was, and the original, given the same rows, then admits
 // exactly as the copy did.
 func TestReservoirClone(t *testing.T) {
-	s := NewStratified(Schema{"v"}, 0, 10, newGen(3))
+	s := NewBuilder(Schema{"v"}, 0, 10, newGen(3))
 	s.ConsiderColumns([][]int64{iota64(0, 100)}, 100)
-	c, err := MergeStratified(s, NewStratified(Schema{"v"}, 0, 10, newGen(4)), newGen(5), 1)
+	c, err := MergeStratified(s, NewBuilder(Schema{"v"}, 0, 10, newGen(4)), newGen(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,12 @@ func TestReservoirClone(t *testing.T) {
 	was := *r
 	was.data = slices.Clone(r.data)
 	rows := [][]int64{iota64(-500, 0)}
-	c.ConsiderColumns(rows, 500)
-	if cr = c.Stratum(StratumKey{}); cr.Weight() == r.Weight() {
+	cb := NewBuilder(Schema{"v"}, 0, 10, nil) // admits on the copy's storage
+	if err := cb.Restore(StratumKey{}, cr); err != nil {
+		t.Fatal(err)
+	}
+	cb.ConsiderColumns(rows, 500)
+	if cr = cb.Stratum(StratumKey{}); cr.Weight() == r.Weight() {
 		t.Fatal("admission into the copy did not run")
 	}
 	if !reflect.DeepEqual(*r, was) {

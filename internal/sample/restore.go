@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"math"
 
 	"laqy/internal/rng"
 )
@@ -20,6 +21,9 @@ func RestoreReservoir(k, width int, weight float64, data []int64, gen *rng.Lehme
 	if len(data) > k*width {
 		return nil, fmt.Errorf("sample: restore data holds %d tuples, capacity is %d", len(data)/width, k)
 	}
+	if math.IsNaN(weight) || math.IsInf(weight, 0) {
+		return nil, fmt.Errorf("sample: restore weight %v is not finite", weight)
+	}
 	if weight < float64(len(data)/width) {
 		return nil, fmt.Errorf("sample: restore weight %v below stored tuple count %d", weight, len(data)/width)
 	}
@@ -28,18 +32,17 @@ func RestoreReservoir(k, width int, weight float64, data []int64, gen *rng.Lehme
 
 // Restore installs a reservoir as the stratum for key, replacing any
 // existing one and adjusting the sample's total weight. The reservoir's
-// width must match the sample schema, and s must not be sealed.
-func (s *Stratified) Restore(key StratumKey, r *Reservoir) error {
-	if r.Width() != len(s.schema) {
-		return fmt.Errorf("sample: restoring width-%d reservoir into %d-column sample", r.Width(), len(s.schema))
+// width must match the sample schema.
+func (b *Builder) Restore(key StratumKey, r *Reservoir) error {
+	if r.Width() != len(b.schema) {
+		return fmt.Errorf("sample: restoring width-%d reservoir into %d-column sample", r.Width(), len(b.schema))
 	}
-	s.admit()
-	if id := s.index.Find(&key); id >= 0 {
-		s.weight -= s.res[id].Weight()
-		s.res[id] = *r
+	if id := b.index.Find(&key); id >= 0 {
+		b.weight -= b.res[id].Weight()
+		b.res[id] = *r
 	} else {
-		s.add(&key, *r)
+		b.add(&key, *r)
 	}
-	s.weight += r.Weight()
+	b.weight += r.Weight()
 	return nil
 }

@@ -2,7 +2,6 @@ package sample
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"laqy/internal/rng"
 )
@@ -33,26 +32,12 @@ func (k StratumKey) splitIndex() uint64 {
 	return h
 }
 
-// Stratified is a stratified reservoir sample: one reservoir per distinct
-// QCS value combination, implemented — as in the paper's engine
-// integration (§6.2) — as a group-by whose aggregation function is
-// reservoir sampling.
-//
-// A KeyIndex gives each stratum key a dense id, and res holds the stratum's
-// reservoir at that id: the admission table a row probes is a slot array
-// and the key words, and the reservoirs' admission state lies in one slice
-// of headers, each pointing at its own tuple storage (the decoupled layout
-// of §6.3). A Stratified is not safe for concurrent use while it admits;
-// parallel builds use one instance per worker and merge.
-//
-// A sample the writer produced (MergeStratified, Seal) is packed: ids are
-// key order, so the header slice is in key order, and every stratum's
-// tuples lie in one tuple slab, stratum after stratum, each with no spare
-// capacity. A packed sample is its own storage — the writer copies every
-// stratum it keeps — and a hit streams through its two slabs. Seal
-// publishes a sample: the store keeps only sealed samples, and admission
-// into one panics, so readers share it without copies or locks.
-type Stratified struct {
+// strata is what a Builder and a Stratified both hold. A KeyIndex gives
+// each stratum key a dense id, and res holds the stratum's reservoir at that
+// id: the admission table a row probes is a slot array and the key words,
+// and the reservoirs' admission state lies in one slice of headers, each
+// pointing at its tuple storage (the decoupled layout of §6.3).
+type strata struct {
 	schema   Schema
 	qcsWidth int
 	k        int
@@ -60,82 +45,87 @@ type Stratified struct {
 	res      []Reservoir // by stratum id
 	gen      *rng.Lehmer64
 	weight   float64 // total tuples considered across all strata
-
-	// packed: the writer laid the strata out and nothing was admitted
-	// since; bytes is then SizeBytes, recorded by the writer.
-	packed bool
-	bytes  int64
-	sealed bool
-	// fork is nonzero on a Fork: a merge reads each stratum's generator as
-	// the stratum's Substream(fork).
-	fork uint64
-
-	// sorted caches the stratum ids in key order of a sample that is not
-	// packed, so the ordered walk sorts once per sample, not once per
-	// query. Built on first use (atomically: concurrent readers may race
-	// to build it), dropped wherever a stratum is inserted.
-	sorted atomic.Pointer[[]int32]
 }
 
-// NewStratified creates an empty stratified sample capturing the columns of
-// schema, of which the first qcsWidth are the stratification (QCS) columns;
-// k is the per-stratum reservoir capacity. A qcsWidth of zero degenerates
-// to a single stratum — grouping without a key, i.e. a simple reservoir
-// sample, exactly the degenerate case the paper notes for Algorithm 3.
-func NewStratified(schema Schema, qcsWidth, k int, gen *rng.Lehmer64) *Stratified {
+// Schema returns the captured columns, QCS columns first.
+func (s *strata) Schema() Schema { return s.schema }
+
+// QCSWidth returns the number of stratification columns.
+func (s *strata) QCSWidth() int { return s.qcsWidth }
+
+// K returns the per-stratum reservoir capacity.
+func (s *strata) K() int { return s.k }
+
+// NumStrata returns the number of materialized strata.
+func (s *strata) NumStrata() int { return len(s.res) }
+
+// TotalWeight returns the total number of tuples considered (the
+// represented input size).
+func (s *strata) TotalWeight() float64 { return s.weight }
+
+// Stratum returns the reservoir for key, or nil.
+func (s *strata) Stratum(key StratumKey) *Reservoir {
+	if id := s.index.Find(&key); id >= 0 {
+		return &s.res[id]
+	}
+	return nil
+}
+
+// Filter returns a new builder whose reservoirs hold only tuples accepted
+// by keep, with weights rescaled per stratum (predicate tightening,
+// §5.2.1). Strata whose reservoirs become empty are dropped.
+func (s *strata) Filter(keep TupleSelector) *Builder {
+	out := NewBuilder(s.schema, s.qcsWidth, s.k, s.gen.Split(0xFE))
+	for id := range s.res {
+		f := s.res[id].Filter(keep)
+		if f.Len() > 0 {
+			key := s.index.Key(int32(id))
+			out.add(&key, *f)
+			out.weight += f.Weight()
+		}
+	}
+	return out
+}
+
+// Builder builds a stratified reservoir sample: one reservoir per distinct
+// QCS value combination, implemented — as in the paper's engine
+// integration (§6.2) — as a group-by whose aggregation function is
+// reservoir sampling. It is the only thing that admits. A Builder is not
+// safe for concurrent use; parallel builds use one per worker and merge
+// them (MergeStratified), and Seal publishes one as a Stratified.
+type Builder struct{ strata }
+
+// NewBuilder creates an empty builder capturing the columns of schema, of
+// which the first qcsWidth are the stratification (QCS) columns; k is the
+// per-stratum reservoir capacity. A qcsWidth of zero degenerates to a
+// single stratum — grouping without a key, i.e. a simple reservoir sample,
+// exactly the degenerate case the paper notes for Algorithm 3.
+func NewBuilder(schema Schema, qcsWidth, k int, gen *rng.Lehmer64) *Builder {
 	if qcsWidth < 0 || qcsWidth > MaxQCS || qcsWidth > len(schema) {
 		// invariant: callers (engine, store) validate QCS width against
 		// the schema before constructing samples.
 		panic(fmt.Sprintf("sample: qcsWidth %d with schema of %d columns", qcsWidth, len(schema)))
 	}
-	return &Stratified{
+	return &Builder{strata{
 		schema:   schema,
 		qcsWidth: qcsWidth,
 		k:        k,
 		index:    NewKeyIndex(qcsWidth),
 		gen:      gen,
-	}
-}
-
-// Schema returns the captured columns, QCS columns first.
-func (s *Stratified) Schema() Schema { return s.schema }
-
-// QCSWidth returns the number of stratification columns.
-func (s *Stratified) QCSWidth() int { return s.qcsWidth }
-
-// K returns the per-stratum reservoir capacity.
-func (s *Stratified) K() int { return s.k }
-
-// NumStrata returns the number of materialized strata.
-func (s *Stratified) NumStrata() int { return len(s.res) }
-
-// TotalWeight returns the total number of tuples considered (the
-// represented input size).
-func (s *Stratified) TotalWeight() float64 { return s.weight }
-
-// admit readies s for a write to its strata: a packed sample unpacks, since
-// admission grows strata out of the slab and inserts keys out of order.
-func (s *Stratified) admit() {
-	if s.sealed {
-		// invariant: published samples are never written; a merge writes
-		// a new sample instead (MergeStratified).
-		panic("sample: admission into a sealed sample")
-	}
-	s.packed = false
+	}}
 }
 
 // add installs r as the reservoir of a key the index does not hold yet.
-func (s *Stratified) add(key *StratumKey, r Reservoir) {
-	s.index.Insert(key)
-	s.res = append(s.res, r)
-	s.sorted.Store(nil)
+func (b *Builder) add(key *StratumKey, r Reservoir) {
+	b.index.Insert(key)
+	b.res = append(b.res, r)
 }
 
 // insert allocates the reservoir of a stratum seen for the first time. Its
 // generator is the sample's substream numbered by the stratum's id.
-func (s *Stratified) insert(key *StratumKey) *Reservoir {
-	s.add(key, newReservoir(s.k, len(s.schema), s.gen.Substream(uint64(len(s.res)))))
-	return &s.res[len(s.res)-1]
+func (b *Builder) insert(key *StratumKey) *Reservoir {
+	b.add(key, newReservoir(b.k, len(b.schema), b.gen.Substream(uint64(len(b.res)))))
+	return &b.res[len(b.res)-1]
 }
 
 // ConsiderColumns offers n tuples laid out column-major (cols[c][i] is
@@ -152,26 +142,25 @@ func (s *Stratified) insert(key *StratumKey) *Reservoir {
 // copy. Shuffled inputs degrade to one probe per row.
 //
 //laqy:hot batch admission on the sampling path
-func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {
-	if len(cols) != len(s.schema) {
+func (b *Builder) ConsiderColumns(cols [][]int64, n int) {
+	if len(cols) != len(b.schema) {
 		// invariant: sinks gather exactly the sample's schema width
-		panic(fmt.Sprintf("sample: %d columns, schema has %d", len(cols), len(s.schema)))
+		panic(fmt.Sprintf("sample: %d columns, schema has %d", len(cols), len(b.schema)))
 	}
-	s.admit()
 	var key StratumKey
 	var res *Reservoir
 	for i := 0; i < n; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
 		same := res != nil
-		for c := 0; c < s.qcsWidth; c++ {
+		for c := 0; c < b.qcsWidth; c++ {
 			v := cols[c][i]
 			same = same && v == key[c]
 			key[c] = v
 		}
 		if !same {
-			if id := s.index.Find(&key); id >= 0 {
-				res = &s.res[id]
+			if id := b.index.Find(&key); id >= 0 {
+				res = &b.res[id]
 			} else {
-				res = s.insert(&key)
+				res = b.insert(&key)
 			}
 		}
 		if res.lValid && res.lSkip > 0 {
@@ -181,69 +170,42 @@ func (s *Stratified) ConsiderColumns(cols [][]int64, n int) {
 		}
 		res.considerRowColumns(cols, i)
 	}
-	s.weight += float64(n)
+	b.weight += float64(n)
 }
 
 // RNGDraws returns the total admission-control generator calls across all
 // strata (see Reservoir.RNGDraws).
-func (s *Stratified) RNGDraws() int64 {
+func (b *Builder) RNGDraws() int64 {
 	var total int64
-	for i := range s.res {
-		total += s.res[i].rngDraws
+	for i := range b.res {
+		total += b.res[i].rngDraws
 	}
 	return total
 }
 
-// SizeBytes estimates the sample's memory footprint: 8 bytes per stored
-// int64 plus 64 per stratum for its admission state. The writer records it
-// for a packed sample; any other is summed over its strata in id order —
-// no key sort.
-func (s *Stratified) SizeBytes() int64 {
-	if s.packed {
-		return s.bytes
-	}
-	var bytes int64
-	for i := range s.res {
-		bytes += int64(len(s.res[i].data))*8 + 64
-	}
-	return bytes
+// Stratified is a published stratified sample, read-only: nothing admits
+// into it, so readers share it with no copy and no lock. The writer
+// (MergeStratified, Seal) is the only thing that makes one, and lays it out
+// packed: ids are key order, so the header slice is in key order, and every
+// stratum's tuples lie in one tuple slab, stratum after stratum, each with
+// no spare capacity. A Stratified is its own storage — the writer copies
+// every stratum it keeps — and a hit streams through its two slabs.
+type Stratified struct {
+	strata
+	bytes int64 // SizeBytes, recorded by the writer
 }
 
-// Stratum returns the reservoir for key, or nil.
-func (s *Stratified) Stratum(key StratumKey) *Reservoir {
-	if id := s.index.Find(&key); id >= 0 {
-		return &s.res[id]
-	}
-	return nil
-}
+// SizeBytes estimates the sample's memory footprint: 8 bytes per stored
+// int64 plus 64 per stratum for its admission state.
+func (s *Stratified) SizeBytes() int64 { return s.bytes }
 
 // Keys returns all stratum keys in deterministic (sorted) order.
 func (s *Stratified) Keys() []StratumKey {
 	out := make([]StratumKey, len(s.res))
 	for pos := range out {
-		out[pos] = s.index.Key(s.id(pos))
+		out[pos] = s.index.Key(int32(pos))
 	}
 	return out
-}
-
-// id returns the id of the stratum at position pos in key order: pos
-// itself in a packed sample.
-func (s *Stratified) id(pos int) int32 {
-	if s.packed {
-		return int32(pos)
-	}
-	return s.sortedIDs()[pos]
-}
-
-// sortedIDs returns the cached stratum ids in key order (read-only), sorting
-// anew when a stratum was inserted since the last walk.
-func (s *Stratified) sortedIDs() []int32 {
-	if p := s.sorted.Load(); p != nil {
-		return *p
-	}
-	ids := s.index.SortedIDs()
-	s.sorted.Store(&ids)
-	return ids
 }
 
 // ForEach visits every stratum in deterministic (key) order.
@@ -267,150 +229,144 @@ func (s *Stratified) Walk(workers int, worker func() func(lo, hi int)) {
 // At returns the key and reservoir of the stratum at position pos in key
 // order.
 func (s *Stratified) At(pos int) (StratumKey, *Reservoir) {
-	id := s.id(pos)
-	return s.index.Key(id), &s.res[id]
+	return s.index.Key(int32(pos)), &s.res[pos]
 }
 
-// Filter returns a new stratified sample whose reservoirs hold only tuples
-// accepted by keep, with weights rescaled per stratum (predicate
-// tightening, §5.2.1). Strata whose reservoirs become empty are dropped.
-func (s *Stratified) Filter(keep TupleSelector) *Stratified {
-	out := NewStratified(s.schema, s.qcsWidth, s.k, s.gen.Split(0xFE))
-	for id := range s.res {
-		f := s.res[id].Filter(keep)
-		if f.Len() > 0 {
-			key := s.index.Key(int32(id))
-			out.add(&key, *f)
-			out.weight += f.Weight()
-		}
-	}
-	return out
+// Part is a merge input: a *Builder, a *Stratified, or the fork of either.
+// MergeStratified and Seal read a part and never write it.
+type Part interface {
+	mergeInput() input
+}
+
+// input is a part as the writer reads it, small enough for the writer's
+// chunk bodies to capture by value.
+type input struct {
+	*strata
+	gen  *rng.Lehmer64 // the sample's generator as read: a fork's is its Split(0xC1)
+	ids  []int32       // stratum ids in key order; nil where the ids are key order
+	fork uint64        // nonzero: each stratum draws as its Substream(fork)
+}
+
+// mergeInput reads a builder in key order: one sort of its keys per write.
+func (b *Builder) mergeInput() input {
+	return input{strata: &b.strata, gen: b.gen, ids: b.index.SortedIDs()}
+}
+
+func (s *Stratified) mergeInput() input { return input{strata: &s.strata, gen: s.gen} }
+
+// fork is the merge input Fork returns.
+type fork struct{ of Part }
+
+func (f fork) mergeInput() input {
+	in := f.of.mergeInput()
+	in.gen, in.fork = in.gen.Split(0xC1), 0x5C
+	return in
 }
 
 // Fork returns s as a merge input that draws as a copy of s with
 // generators of its own would: the sample's generator is s's Split(0xC1)
 // and each stratum's is its own Substream(0x5C), the streams a copy of a
 // stored sample has always been given, so merging a fork writes the bits
-// that merging such a copy wrote. A fork shares s's strata; it is only
-// read — by MergeStratified and Seal, which copy what they keep — and
-// admission into it panics.
-func (s *Stratified) Fork() *Stratified {
-	f := &Stratified{
-		schema:   s.schema,
-		qcsWidth: s.qcsWidth,
-		k:        s.k,
-		index:    s.index,
-		res:      s.res,
-		gen:      s.gen.Split(0xC1),
-		weight:   s.weight,
-		packed:   s.packed,
-		bytes:    s.bytes,
-		sealed:   true,
-		fork:     0x5C,
+// that merging such a copy wrote. A fork shares s's strata.
+func (s *Stratified) Fork() Part { return fork{s} }
+
+// Fork is Stratified.Fork for a builder that keeps admitting after the
+// merge: a sliding window's slide.
+func (b *Builder) Fork() Part { return fork{b} }
+
+// id returns the id of the stratum at position pos in key order.
+func (in input) id(pos int) int32 {
+	if in.ids == nil {
+		return int32(pos)
 	}
-	f.sorted.Store(s.sorted.Load())
-	return f
+	return in.ids[pos]
 }
 
-// stratum returns the reservoir at id, nil for -1 (on any s, nil included).
-func (s *Stratified) stratum(id int32) *Reservoir {
+// stratum returns the reservoir at id, nil for -1.
+func (in input) stratum(id int32) *Reservoir {
 	if id < 0 {
 		return nil
 	}
-	return &s.res[id]
+	return &in.res[id]
 }
 
-// read returns s's stratum r as a merge reads it: r itself, or on a fork a
+// read returns the stratum r as a merge reads it: r itself, or on a fork a
 // header over the same tuples that draws from the fork's substream,
 // written to buf.
-func (s *Stratified) read(r, buf *Reservoir) *Reservoir {
-	if s.fork == 0 {
+func (in input) read(r, buf *Reservoir) *Reservoir {
+	if in.fork == 0 {
 		return r
 	}
-	*buf = Reservoir{k: r.k, width: r.width, weight: r.weight, data: r.data, gen: r.gen.Substream(s.fork)}
+	*buf = Reservoir{k: r.k, width: r.width, weight: r.weight, data: r.data, gen: r.gen.Substream(in.fork)}
 	return buf
 }
 
-// copyInto writes into out a copy of s's stratum r as a merge reads it,
+// copyInto writes into out a copy of the stratum r as a merge reads it,
 // its tuples into data: the case of Algorithm 2 where only r is defined.
-func (s *Stratified) copyInto(out *Reservoir, data []int64, r *Reservoir) {
-	*out = *s.read(r, out) // a fork's header is written to out itself
+func (in input) copyInto(out *Reservoir, data []int64, r *Reservoir) {
+	*out = *in.read(r, out) // a fork's header is written to out itself
 	out.data = append(data, r.data...)
 }
 
-// Seal publishes s: admission into it panics from then on, so readers
-// share it with no copy and no lock. A packed sample seals as it is; any
-// other — one worker's build, a loaded file, a fork — is first rewritten in
-// place by the writer's one-input form, packed in storage of its own.
-// Sealing a sealed sample does nothing.
-func (s *Stratified) Seal() {
-	if s.sealed && s.fork == 0 {
-		return
+// Seal publishes p: a *Stratified as it is, any other part — one worker's
+// build, a loaded file, a fork — written by the writer's one-input form
+// into storage of its own.
+func Seal(p Part) *Stratified {
+	if s, ok := p.(*Stratified); ok {
+		return s
 	}
-	if !s.packed || s.fork != 0 {
-		p := write(s, nil, nil, 1)
-		s.index, s.res, s.gen, s.bytes, s.fork = p.index, p.res, p.gen, p.bytes, 0
-		s.packed = true
-		s.sorted.Store(nil)
-	}
-	s.sealed = true
+	return write(p.mergeInput(), input{strata: &noStrata}, nil, 1)
 }
+
+// noStrata is the empty second input of the writer's one-input form.
+var noStrata strata
 
 // MergeStratified combines two stratified samples over disjoint inputs into
 // one distributed as a direct stratified sample of the combined input — the
 // paper's Algorithm 3: a group-by over the union of strata whose
 // aggregation function is the reservoir merge of Algorithm 2. It writes
-// the result into fresh storage (write), packed, on up to workers
-// goroutines, and reads its inputs without writing them. A nil input
-// returns the other as it is.
+// the result into fresh storage (write), on up to workers goroutines, and
+// reads its inputs without writing them.
 //
 // Both samples must share the schema and QCS width. Per-stratum capacities
 // may differ (Algorithm 2 handles the scaled case). MergeStratified also
 // serves the engine's exchange step: per-worker partial samples merge into
 // the final sample the same way Δ-samples merge with stored ones.
-func MergeStratified(a, b *Stratified, gen *rng.Lehmer64, workers int) (*Stratified, error) {
-	if a == nil {
-		return b, nil
+func MergeStratified(a, b Part, gen *rng.Lehmer64, workers int) (*Stratified, error) {
+	x, y := a.mergeInput(), b.mergeInput()
+	if !x.schema.Equal(y.schema) {
+		return nil, fmt.Errorf("sample: merging stratified samples with schemas %v and %v", x.schema, y.schema)
 	}
-	if b == nil {
-		return a, nil
-	}
-	if !a.schema.Equal(b.schema) {
-		return nil, fmt.Errorf("sample: merging stratified samples with schemas %v and %v", a.schema, b.schema)
-	}
-	if a.qcsWidth != b.qcsWidth {
-		return nil, fmt.Errorf("sample: merging QCS widths %d and %d", a.qcsWidth, b.qcsWidth)
+	if x.qcsWidth != y.qcsWidth {
+		return nil, fmt.Errorf("sample: merging QCS widths %d and %d", x.qcsWidth, y.qcsWidth)
 	}
 	// The sample with more strata leads: its capacity and generator are the
 	// result's, and its reservoir is the first input of every shared
 	// stratum's merge.
-	if len(b.res) > len(a.res) {
-		a, b = b, a
+	if len(y.res) > len(x.res) {
+		x, y = y, x
 	}
-	return write(a, b, gen, workers), nil
+	return write(x, y, gen, workers), nil
 }
 
-// write is the one writer of packed samples. It lays the union of a's and
-// b's strata out in key order, sizes every stratum (mergedLen), allocates
-// the header slab and the tuple slab once, and then fills them in chunks
-// of strata (forChunks) on up to workers goroutines, each chunk writing
-// only its own ranges of both slabs. A stratum both hold merges by
+// write is the one writer of published samples. It lays the union of a's
+// and b's strata out in key order, sizes every stratum (mergedLen),
+// allocates the header slab and the tuple slab once, and then fills them
+// in chunks of strata (forChunks) on up to workers goroutines, each chunk
+// writing only its own ranges of both slabs. A stratum both hold merges by
 // Algorithm 2, a's reservoir first, drawing from gen's substream numbered
 // by key.splitIndex() — a pure function of the key and of gen's state,
 // which no merge advances — so the result is the same however many workers
 // ran; a stratum one holds is copied. The result takes a's capacity and
-// generator. b nil is the one-input form: a packed copy of a (Seal). It
-// reads a and b and writes neither.
-func write(a, b *Stratified, gen *rng.Lehmer64, workers int) *Stratified {
+// generator. An empty b is the one-input form: a packed copy of a (Seal).
+// It reads a and b and writes neither.
+func write(a, b input, gen *rng.Lehmer64, workers int) *Stratified {
 	type stratum struct {
 		key  StratumKey
 		a, b int32 // ids in a and b, -1 where absent
 		off  int   // offset of its tuples in the tuple slab
 	}
-	na, nb, k, weight := len(a.res), 0, a.k, a.weight
-	if b != nil {
-		nb, k, weight = len(b.res), max(k, b.k), weight+b.weight
-	}
+	na, nb := len(a.res), len(b.res)
 	plan := make([]stratum, 0, na+nb)
 	for i, j := 0, 0; i < na || j < nb; {
 		p, c := stratum{a: -1, b: -1}, 1 // c: the next key is a's (< 0), both's (0) or b's
@@ -437,21 +393,22 @@ func write(a, b *Stratified, gen *rng.Lehmer64, workers int) *Stratified {
 		total += mergedLen(a.stratum(plan[pos].a), b.stratum(plan[pos].b)) * width
 	}
 	out := &Stratified{
-		schema:   a.schema,
-		qcsWidth: a.qcsWidth,
-		k:        a.k,
-		index:    newKeyIndex(a.qcsWidth, len(plan)),
-		res:      make([]Reservoir, len(plan)),
-		gen:      a.gen,
-		weight:   weight,
-		packed:   true,
-		bytes:    int64(total)*8 + int64(len(plan))*64,
+		strata: strata{
+			schema:   a.schema,
+			qcsWidth: a.qcsWidth,
+			k:        a.k,
+			index:    newKeyIndex(a.qcsWidth, len(plan)),
+			res:      make([]Reservoir, len(plan)),
+			gen:      a.gen,
+			weight:   a.weight + b.weight,
+		},
+		bytes: int64(total)*8 + int64(len(plan))*64,
 	}
 	for pos := range plan {
 		out.index.Insert(&plan[pos].key)
 	}
 	tuples := make([]int64, total)
-	forChunks(len(plan), chunkStrata(k), workers, func() func(lo, hi int) {
+	forChunks(len(plan), chunkStrata(max(a.k, b.k)), workers, func() func(lo, hi int) {
 		return func(lo, hi int) {
 			var bufA, bufB Reservoir
 			for pos := lo; pos < hi; pos++ {

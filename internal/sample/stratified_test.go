@@ -7,7 +7,7 @@ import (
 )
 
 // fillStratified feeds n tuples of (group, value) with group = value % groups.
-func fillStratified(s *Stratified, start, n int64, groups int64) {
+func fillStratified(s *Builder, start, n int64, groups int64) {
 	vals := iota64(start, start+n)
 	keys := make([]int64, n)
 	for i, v := range vals {
@@ -17,7 +17,7 @@ func fillStratified(s *Stratified, start, n int64, groups int64) {
 }
 
 func TestStratifiedBasics(t *testing.T) {
-	s := NewStratified(Schema{"g", "v"}, 1, 10, newGen(1))
+	s := NewBuilder(Schema{"g", "v"}, 1, 10, newGen(1))
 	fillStratified(s, 0, 1000, 7)
 	if s.NumStrata() != 7 {
 		t.Fatalf("NumStrata = %d, want 7", s.NumStrata())
@@ -45,7 +45,7 @@ func TestStratifiedBasics(t *testing.T) {
 
 func TestStratifiedPerStratumWeights(t *testing.T) {
 	// Uneven groups: group 0 gets 900 tuples, group 1 gets 100.
-	s := NewStratified(Schema{"g", "v"}, 1, 20, newGen(2))
+	s := NewBuilder(Schema{"g", "v"}, 1, 20, newGen(2))
 	for v := int64(0); v < 900; v++ {
 		addRow(s, 0, v)
 	}
@@ -65,13 +65,13 @@ func TestStratifiedPerStratumWeights(t *testing.T) {
 func TestStratifiedSmallGroupsFullyKept(t *testing.T) {
 	// Strata smaller than k must keep every tuple — the property that makes
 	// stratified sampling preserve rare groups in the output.
-	s := NewStratified(Schema{"g", "v"}, 1, 50, newGen(3))
+	s := NewBuilder(Schema{"g", "v"}, 1, 50, newGen(3))
 	for g := int64(0); g < 10; g++ {
 		for v := int64(0); v < 5; v++ {
 			addRow(s, g, g*100+v)
 		}
 	}
-	s.ForEach(func(_ StratumKey, r *Reservoir) {
+	Seal(s).ForEach(func(_ StratumKey, r *Reservoir) {
 		if r.Len() != 5 || r.Full() {
 			t.Fatalf("small stratum should hold all 5 tuples, has %d", r.Len())
 		}
@@ -79,7 +79,7 @@ func TestStratifiedSmallGroupsFullyKept(t *testing.T) {
 }
 
 func TestStratifiedMultiColumnQCS(t *testing.T) {
-	s := NewStratified(Schema{"a", "b", "v"}, 2, 5, newGen(4))
+	s := NewBuilder(Schema{"a", "b", "v"}, 2, 5, newGen(4))
 	for v := int64(0); v < 1000; v++ {
 		addRow(s, v%3, v%5, v)
 	}
@@ -88,10 +88,14 @@ func TestStratifiedMultiColumnQCS(t *testing.T) {
 	}
 }
 
+// TestStratifiedKeysDeterministicOrder: a sealed sample walks its strata in
+// key order — lexicographic over every QCS column, signed — whatever order
+// its builder inserted them in, by admission or by Restore of a new key;
+// ForEach pairs each key with its own stratum, and Keys hands out a copy.
 func TestStratifiedKeysDeterministicOrder(t *testing.T) {
-	s := NewStratified(Schema{"g", "v"}, 1, 5, newGen(5))
-	fillStratified(s, 0, 100, 9)
-	keys := s.Keys()
+	b := NewBuilder(Schema{"g", "v"}, 1, 5, newGen(5))
+	fillStratified(b, 0, 100, 9)
+	keys := Seal(b).Keys()
 	if len(keys) != 9 {
 		t.Fatalf("%d keys", len(keys))
 	}
@@ -101,21 +105,33 @@ func TestStratifiedKeysDeterministicOrder(t *testing.T) {
 		}
 	}
 
-	// Lexicographic over every QCS column, signed.
-	m := NewStratified(Schema{"a", "b", "v"}, 2, 5, newGen(6))
+	inOrder := func(s *Stratified, want ...StratumKey) {
+		t.Helper()
+		var got []StratumKey
+		s.ForEach(func(key StratumKey, r *Reservoir) {
+			if r != s.Stratum(key) {
+				t.Fatalf("ForEach paired key %v with another stratum's reservoir", key)
+			}
+			got = append(got, key)
+		})
+		if !slices.Equal(got, want) || !slices.Equal(s.Keys(), want) {
+			t.Fatalf("walk order %v, keys %v, want %v", got, s.Keys(), want)
+		}
+	}
+	m := NewBuilder(Schema{"a", "b", "v"}, 2, 5, newGen(6))
 	for _, ab := range [][2]int64{{2, -1}, {-3, 7}, {2, -9}, {0, 0}, {-3, -7}, {2, 4}} {
 		addRow(m, ab[0], ab[1], 1)
 	}
-	want := []StratumKey{{-3, -7}, {-3, 7}, {0, 0}, {2, -9}, {2, -1}, {2, 4}}
-	got := m.Keys()
-	if len(got) != len(want) {
-		t.Fatalf("%d keys, want %d", len(got), len(want))
+	r := NewReservoir(5, 3, newGen(7))
+	admit(r, [][]int64{{1}, {-5}, {0}}, 1)
+	if err := m.Restore(StratumKey{1, -5}, r); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("keys = %v, want %v", got, want)
-		}
-	}
+	s := Seal(m)
+	want := []StratumKey{{-3, -7}, {-3, 7}, {0, 0}, {1, -5}, {2, -9}, {2, -1}, {2, 4}}
+	inOrder(s, want...)
+	s.Keys()[0] = StratumKey{99}
+	inOrder(s, want...)
 }
 
 func TestNewStratifiedValidation(t *testing.T) {
@@ -126,13 +142,13 @@ func TestNewStratifiedValidation(t *testing.T) {
 					t.Fatalf("qcsWidth=%d should panic", qcs)
 				}
 			}()
-			NewStratified(Schema{"a", "b"}, qcs, 5, newGen(1))
+			NewBuilder(Schema{"a", "b"}, qcs, 5, newGen(1))
 		}()
 	}
 }
 
 func TestStratifiedFilter(t *testing.T) {
-	s := NewStratified(Schema{"g", "v"}, 1, 100, newGen(6))
+	s := NewBuilder(Schema{"g", "v"}, 1, 100, newGen(6))
 	fillStratified(s, 0, 500, 5) // 100 tuples per stratum, none full
 	f := s.Filter(keepFunc(func(tu []int64) bool { return tu[1] < 250 }))
 	if f.NumStrata() != 5 {
@@ -151,48 +167,48 @@ func TestStratifiedFilter(t *testing.T) {
 // TestStratifiedClone: a fork of a sealed sample — the copy of a stored
 // sample a Δ-merge reads — holds its origin's strata and weight and draws
 // from the streams a copy was always given (the sample's Split(0xC1), each
-// stratum's Substream(0x5C)); the sample a merge writes from it takes new
-// strata, and admits, without its origin seeing either.
+// stratum's Substream(0x5C)), and so does a fork of the builder it was
+// sealed from (a sliding window's slide); the sample a merge writes from a
+// fork takes new strata without its origin seeing them.
 func TestStratifiedClone(t *testing.T) {
-	s := NewStratified(Schema{"g", "v"}, 1, 10, newGen(7))
-	fillStratified(s, 0, 200, 4)
-	s.Seal()
-	before := digest(s)
-	c := s.Fork()
-	if c.NumStrata() != s.NumStrata() || c.TotalWeight() != s.TotalWeight() {
-		t.Fatal("fork mismatch")
-	}
-	if *c.gen != s.gen.Substream(0xC1) {
-		t.Fatal("the fork's generator is not its origin's Split(0xC1)")
-	}
-	s.ForEach(func(key StratumKey, r *Reservoir) {
-		var buf Reservoir
-		if got := c.read(c.Stratum(key), &buf); got.gen != r.gen.Substream(0x5C) || !slices.Equal(got.data, r.data) {
-			t.Fatalf("stratum %v of the fork does not read as its origin's on Substream(0x5C)", key)
+	b := NewBuilder(Schema{"g", "v"}, 1, 10, newGen(7))
+	fillStratified(b, 0, 200, 4)
+	s := Seal(b)
+	before := digest(&s.strata)
+	for _, c := range []input{s.Fork().mergeInput(), b.Fork().mergeInput()} {
+		if c.NumStrata() != s.NumStrata() || c.TotalWeight() != s.TotalWeight() {
+			t.Fatal("fork mismatch")
 		}
-	})
-	other := NewStratified(Schema{"g", "v"}, 1, 10, newGen(8))
+		if *c.gen != s.gen.Substream(0xC1) {
+			t.Fatal("the fork's generator is not its origin's Split(0xC1)")
+		}
+		s.ForEach(func(key StratumKey, r *Reservoir) {
+			var buf Reservoir
+			if got := c.read(c.Stratum(key), &buf); got.gen != r.gen.Substream(0x5C) || !slices.Equal(got.data, r.data) {
+				t.Fatalf("stratum %v of the fork does not read as its origin's on Substream(0x5C)", key)
+			}
+		})
+	}
+	other := NewBuilder(Schema{"g", "v"}, 1, 10, newGen(8))
 	addRow(other, 99, 99)
-	m, err := MergeStratified(c, other, newGen(9), 1)
+	m, err := MergeStratified(s.Fork(), other, newGen(9), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addRow(m, 100, 1)
-	addRow(m, 0, -1)
-	if m.NumStrata() != s.NumStrata()+2 || m.Stratum(StratumKey{99}) == nil {
-		t.Fatalf("merged %d strata, want %d", m.NumStrata(), s.NumStrata()+2)
+	if m.NumStrata() != s.NumStrata()+1 || m.Stratum(StratumKey{99}) == nil {
+		t.Fatalf("merged %d strata, want %d", m.NumStrata(), s.NumStrata()+1)
 	}
-	if digest(s) != before || s.Stratum(StratumKey{99}) != nil || s.Stratum(StratumKey{100}) != nil {
-		t.Fatal("the merge of a fork, or admission into its result, changed the origin")
+	if digest(&s.strata) != before || s.Stratum(StratumKey{99}) != nil {
+		t.Fatal("the merge of a fork changed the origin")
 	}
 }
 
 func TestMergeStratifiedDisjointStrata(t *testing.T) {
-	a := NewStratified(Schema{"g", "v"}, 1, 10, newGen(8))
+	a := NewBuilder(Schema{"g", "v"}, 1, 10, newGen(8))
 	for v := int64(0); v < 100; v++ {
 		addRow(a, 0, v)
 	}
-	b := NewStratified(Schema{"g", "v"}, 1, 10, newGen(9))
+	b := NewBuilder(Schema{"g", "v"}, 1, 10, newGen(9))
 	for v := int64(0); v < 100; v++ {
 		addRow(b, 1, v)
 	}
@@ -210,9 +226,9 @@ func TestMergeStratifiedDisjointStrata(t *testing.T) {
 
 func TestMergeStratifiedSharedStrata(t *testing.T) {
 	// Algorithm 3: shared strata merge via Algorithm 2 and weights add.
-	a := NewStratified(Schema{"g", "v"}, 1, 50, newGen(11))
+	a := NewBuilder(Schema{"g", "v"}, 1, 50, newGen(11))
 	fillStratified(a, 0, 1000, 4)
-	b := NewStratified(Schema{"g", "v"}, 1, 50, newGen(12))
+	b := NewBuilder(Schema{"g", "v"}, 1, 50, newGen(12))
 	fillStratified(b, 10000, 2000, 4)
 	m, err := MergeStratified(a, b, newGen(13), 1)
 	if err != nil {
@@ -231,23 +247,13 @@ func TestMergeStratifiedSharedStrata(t *testing.T) {
 	})
 }
 
-func TestMergeStratifiedNilInputs(t *testing.T) {
-	a := NewStratified(Schema{"g", "v"}, 1, 10, newGen(14))
-	if m, err := MergeStratified(nil, a, newGen(15), 1); err != nil || m != a {
-		t.Fatal("nil merge should return the other sample")
-	}
-	if m, err := MergeStratified(a, nil, newGen(15), 1); err != nil || m != a {
-		t.Fatal("nil merge should return the other sample")
-	}
-}
-
 func TestMergeStratifiedSchemaMismatch(t *testing.T) {
-	a := NewStratified(Schema{"g", "v"}, 1, 10, newGen(16))
-	b := NewStratified(Schema{"g", "w"}, 1, 10, newGen(17))
+	a := NewBuilder(Schema{"g", "v"}, 1, 10, newGen(16))
+	b := NewBuilder(Schema{"g", "w"}, 1, 10, newGen(17))
 	if _, err := MergeStratified(a, b, newGen(18), 1); err == nil {
 		t.Fatal("schema mismatch must error")
 	}
-	c := NewStratified(Schema{"g", "v"}, 2, 10, newGen(19))
+	c := NewBuilder(Schema{"g", "v"}, 2, 10, newGen(19))
 	if _, err := MergeStratified(a, c, newGen(18), 1); err == nil {
 		t.Fatal("QCS width mismatch must error")
 	}
@@ -258,12 +264,12 @@ func TestMergeStratifiedEquivalenceToDirectSample(t *testing.T) {
 	// building two samples over [0,N/2) and [N/2,N) and merging: compare
 	// per-stratum mean estimates.
 	const n, groups, k = 20000, 5, 200
-	direct := NewStratified(Schema{"g", "v"}, 1, k, newGen(20))
+	direct := NewBuilder(Schema{"g", "v"}, 1, k, newGen(20))
 	fillStratified(direct, 0, n, groups)
 
-	left := NewStratified(Schema{"g", "v"}, 1, k, newGen(21))
+	left := NewBuilder(Schema{"g", "v"}, 1, k, newGen(21))
 	fillStratified(left, 0, n/2, groups)
-	right := NewStratified(Schema{"g", "v"}, 1, k, newGen(22))
+	right := NewBuilder(Schema{"g", "v"}, 1, k, newGen(22))
 	fillStratified(right, n/2, n/2, groups)
 	merged, err := MergeStratified(left, right, newGen(23), 1)
 	if err != nil {
@@ -280,7 +286,7 @@ func TestMergeStratifiedEquivalenceToDirectSample(t *testing.T) {
 		}
 		return s / float64(r.Len())
 	}
-	direct.ForEach(func(key StratumKey, dr *Reservoir) {
+	Seal(direct).ForEach(func(key StratumKey, dr *Reservoir) {
 		mr := merged.Stratum(key)
 		if mr == nil {
 			t.Fatalf("stratum %v missing from merged sample", key)
@@ -299,7 +305,7 @@ func TestMergeStratifiedEquivalenceToDirectSample(t *testing.T) {
 
 func TestStratifiedZeroQCSIsSimpleReservoir(t *testing.T) {
 	// qcsWidth 0: grouping without a key — one stratum, a plain reservoir.
-	s := NewStratified(Schema{"v"}, 0, 50, newGen(99))
+	s := NewBuilder(Schema{"v"}, 0, 50, newGen(99))
 	for v := int64(0); v < 5000; v++ {
 		addRow(s, v)
 	}
@@ -319,8 +325,8 @@ func TestMergeAssociativityInDistribution(t *testing.T) {
 	// trials (statistical equivalence, not byte equality).
 	const n, k, trials = 6000, 100, 80
 	build := func(seedBase uint64) (left, right float64) {
-		mk := func(start int64, seed uint64) *Stratified {
-			s := NewStratified(Schema{"g", "v"}, 1, k, newGen(seed))
+		mk := func(start int64, seed uint64) *Builder {
+			s := NewBuilder(Schema{"g", "v"}, 1, k, newGen(seed))
 			fillStratified(s, start, n, 1)
 			return s
 		}

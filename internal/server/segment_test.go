@@ -16,6 +16,7 @@ import (
 
 	"laqy"
 	"laqy/internal/governor"
+	"laqy/internal/sample"
 	"laqy/internal/shard"
 	"laqy/internal/storage"
 	"laqy/internal/store"
@@ -117,7 +118,7 @@ func TestSegmentBuildEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(store.EncodeStratified(remote), store.EncodeStratified(local)) {
+	if !bytes.Equal(store.EncodeStratified(sample.Seal(remote)), store.EncodeStratified(local)) {
 		t.Fatal("remote reservoir differs from local build for the same spec")
 	}
 }

@@ -81,7 +81,7 @@ func EncodeFrame(sam *sample.Stratified, st engine.Stats) []byte {
 // the frame, a truncated payload, or any CRC mismatch are errors — a
 // byzantine shard cannot smuggle a half-frame past the coordinator. Of the
 // returned stats only the eight header fields are set.
-func DecodeFrame(data []byte, seed uint64) (*sample.Stratified, engine.Stats, error) {
+func DecodeFrame(data []byte, seed uint64) (*sample.Builder, engine.Stats, error) {
 	var st engine.Stats
 	if len(data) < len(frameMagic) || string(data[:len(frameMagic)]) != frameMagic {
 		return nil, st, fmt.Errorf("shard: bad reservoir frame magic")

@@ -2,7 +2,11 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,13 +16,13 @@ import (
 )
 
 func testSample(seed uint64, qcsWidth, k int, n int64) *sample.Stratified {
-	s := sample.NewStratified(sample.Schema{"g", "key", "val"}, qcsWidth, k, rng.NewLehmer64(seed))
+	s := sample.NewBuilder(sample.Schema{"g", "key", "val"}, qcsWidth, k, rng.NewLehmer64(seed))
 	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
 	for v := range n {
 		cols[0][v], cols[1][v], cols[2][v] = v%5, v, v*3
 	}
 	s.ConsiderColumns(cols, int(n))
-	return s
+	return sample.Seal(s)
 }
 
 // testStats sets exactly the eight stats fields a frame carries.
@@ -52,7 +56,7 @@ func TestFrameRoundtrip(t *testing.T) {
 				n, orig.NumStrata(), dec.NumStrata(), orig.TotalWeight(), dec.TotalWeight())
 		}
 		// Encoding is deterministic: same sample + stats → same bytes.
-		if !bytes.Equal(frame, EncodeFrame(dec, got)) {
+		if !bytes.Equal(frame, EncodeFrame(sample.Seal(dec), got)) {
 			t.Fatalf("n=%d: re-encode not byte-identical", n)
 		}
 	}
@@ -140,14 +144,48 @@ func FuzzReservoirDecode(f *testing.F) {
 	corrupt := EncodeFrame(testSample(4, 1, 16, 1000), testStats())
 	corrupt[len(corrupt)/2] ^= 0x01
 	f.Add(corrupt, uint64(4))
+	for _, frame := range nonCanonicalFrames(f) {
+		f.Add(frame, uint64(5))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		sam, st, err := DecodeFrame(data, seed)
 		if err != nil {
 			return
 		}
-		re := EncodeFrame(sam, st)
+		re := EncodeFrame(sample.Seal(sam), st)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode accepted non-canonical frame: %d bytes in, %d bytes re-encoded", len(data), len(re))
 		}
 	})
+}
+
+// nonCanonicalFrames returns frames with valid lengths and CRCs around
+// sample blocks the encoder never writes: testSample(5, 1, 4, 10)'s five
+// strata (keys 0…4, two 3-column tuples each) with the first two swapped,
+// with the first written twice, and with a NaN weight.
+func nonCanonicalFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	const strata, rec = 5, 4*8 + 8 + 3 + 2*3*8 // key, weight, three one-byte uvarints, tuples
+	frame := EncodeFrame(testSample(5, 1, 4, 10), engine.Stats{})
+	payloadLen, n := binary.Uvarint(frame[len(frameMagic):])
+	payload := frame[len(frameMagic)+n : len(frameMagic)+n+int(payloadLen)]
+	head := len(payload) - strata*rec // stats header and block header
+	record := func(i int) []byte { return payload[head+i*rec : head+(i+1)*rec] }
+	nan := slices.Clone(record(0))
+	binary.LittleEndian.PutUint64(nan[4*8:], math.Float64bits(math.NaN()))
+	var out [][]byte
+	for _, recs := range [][][]byte{
+		{record(1), record(0), record(2), record(3), record(4)},
+		{record(0), record(0), record(2), record(3), record(4)},
+		{nan, record(1), record(2), record(3), record(4)},
+	} {
+		p := append(slices.Clone(payload[:head]), slices.Concat(recs...)...)
+		f := binary.AppendUvarint([]byte(frameMagic), uint64(len(p)))
+		f = binary.LittleEndian.AppendUint32(append(f, p...), crc32.Checksum(p, castagnoli))
+		if _, _, err := DecodeFrame(f, 5); err == nil {
+			tb.Fatalf("non-canonical frame %d decoded", len(out))
+		}
+		out = append(out, f)
+	}
+	return out
 }

@@ -326,7 +326,7 @@ func (e *staleShardError) Error() string { return e.msg }
 
 // buildOnce runs one RPC attempt against one node: POST the spec, decode
 // the reservoir frame, feed the node's health record either way.
-func (p *Pool) buildOnce(ctx context.Context, n *node, body []byte, seed uint64) (*sample.Stratified, engine.Stats, error) {
+func (p *Pool) buildOnce(ctx context.Context, n *node, body []byte, seed uint64) (*sample.Builder, engine.Stats, error) {
 	actx, cancel := context.WithTimeout(ctx, p.opt.AttemptTimeout)
 	defer cancel()
 	start := obs.Clock()
@@ -352,7 +352,7 @@ func (p *Pool) buildOnce(ctx context.Context, n *node, body []byte, seed uint64)
 	return sam, st, err
 }
 
-func (p *Pool) doBuild(ctx context.Context, n *node, body []byte, seed uint64) (*sample.Stratified, engine.Stats, error) {
+func (p *Pool) doBuild(ctx context.Context, n *node, body []byte, seed uint64) (*sample.Builder, engine.Stats, error) {
 	var zero engine.Stats
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+BuildPath, bytes.NewReader(body))
 	if err != nil {

@@ -30,7 +30,7 @@ func (f fakePlan) Rows() int                     { return f.rows }
 func (f fakePlan) Morsels() int                  { return 1 }
 func (f fakePlan) MemEstimate(workers int) int64 { return 1 << 10 }
 func (f fakePlan) ScanRange() (int, int)         { return 0, f.rows }
-func (f fakePlan) Build(workers int, seed uint64) (*sample.Stratified, engine.Stats, error) {
+func (f fakePlan) Build(workers int, seed uint64) (sample.Part, engine.Stats, error) {
 	panic("remote segment must not run the local build")
 }
 
@@ -90,7 +90,7 @@ func TestRemoteBuildSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sam == nil || sam.NumStrata() == 0 {
+	if sam == nil || sample.Seal(sam).NumStrata() == 0 {
 		t.Fatal("empty sample")
 	}
 	if stats.RowsScanned != 200 {

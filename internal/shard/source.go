@@ -52,7 +52,7 @@ func (r *remoteSegment) Shard() string {
 }
 
 // Build implements engine.SegmentSource over RPC.
-func (r *remoteSegment) Build(workers int, seed uint64) (*sample.Stratified, engine.Stats, error) {
+func (r *remoteSegment) Build(workers int, seed uint64) (sample.Part, engine.Stats, error) {
 	var zero engine.Stats
 	spec := r.spec
 	spec.Seed = seed
@@ -72,7 +72,7 @@ func (r *remoteSegment) Build(workers int, seed uint64) (*sample.Stratified, eng
 	}
 
 	var (
-		sam   *sample.Stratified
+		sam   *sample.Builder
 		stats engine.Stats
 	)
 	retryErr := r.pool.opt.Retry.Do(ctx, func(attempt int) (bool, error) {
@@ -161,9 +161,9 @@ func (r *remoteSegment) hedgeDelay(primary *node) (time.Duration, bool) {
 // hedged duplicate to a follower if the primary has not answered within
 // the hedge delay, first success wins, the loser is canceled and joined
 // before returning — no goroutine outlives the attempt.
-func (r *remoteSegment) attemptHedged(ctx context.Context, primary, hedgeNode *node, body []byte, seed uint64) (*sample.Stratified, engine.Stats, error) {
+func (r *remoteSegment) attemptHedged(ctx context.Context, primary, hedgeNode *node, body []byte, seed uint64) (*sample.Builder, engine.Stats, error) {
 	type outcome struct {
-		sam   *sample.Stratified
+		sam   *sample.Builder
 		st    engine.Stats
 		node  *node
 		err   error

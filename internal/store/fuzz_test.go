@@ -31,8 +31,9 @@ func corpusStore(tb testing.TB) *Store {
 
 // corpusSeeds returns the interesting byte streams shared by the fuzz
 // seeds and the committed corpus: a valid stream, truncations at
-// structural boundaries, a flipped bit, hostile size claims, and magics
-// the loader refuses (the retired v1 and v2 among them).
+// structural boundaries, a flipped bit, hostile size claims, magics the
+// loader refuses (the retired v1 and v2 among them), and entries with
+// valid CRCs around sample blocks the writer never emits.
 func corpusSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	s := corpusStore(tb)
@@ -62,6 +63,9 @@ func corpusSeeds(tb testing.TB) [][]byte {
 		[]byte("LAQYSTO2"),            // retired v2 magic
 		[]byte("LAQYSTO9garbage"),     // unknown version
 		[]byte("not a store at all"),
+		rawStore(nonCanonicalBlocks["unordered-keys"]),
+		rawStore(nonCanonicalBlocks["repeated-key"]),
+		rawStore(nonCanonicalBlocks["nan-weight"]),
 	}
 	return seeds
 }
@@ -93,6 +97,7 @@ func fileNameForSeed(i int) string {
 		"valid-v3", "bitflip-v3", "big-length-claim",
 		"header-only", "footer-cut", "midstream-cut",
 		"bare-v1-magic", "bare-v2-magic", "unknown-version", "garbage",
+		"unordered-keys", "repeated-key", "nan-weight",
 	}
 	if i < len(names) {
 		return names[i]

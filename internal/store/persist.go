@@ -322,9 +322,6 @@ func (s *Store) loadInner(r io.Reader, seed uint64, salvage bool, path string) e
 	if err != nil {
 		return err
 	}
-	for _, e := range loaded {
-		e.Sample.Seal()
-	}
 	s.mu.Lock()
 	for _, e := range loaded {
 		s.clock++
@@ -560,10 +557,11 @@ func EncodeStratified(sam *sample.Stratified) []byte {
 }
 
 // DecodeStratified restores a stratified sample encoded by
-// EncodeStratified. seed derives the restored reservoirs' RNG substreams
-// (matching the Load contract); trailing bytes after the block are an
-// error, so a truncated or padded frame cannot decode silently.
-func DecodeStratified(data []byte, seed uint64) (*sample.Stratified, error) {
+// EncodeStratified, as a builder (sample.Seal publishes it). seed derives
+// the restored reservoirs' RNG substreams (matching the Load contract);
+// trailing bytes after the block are an error, so a truncated or padded
+// frame cannot decode silently.
+func DecodeStratified(data []byte, seed uint64) (*sample.Builder, error) {
 	br := bufio.NewReader(bytes.NewReader(data))
 	gen := rng.NewLehmer64(seed ^ 0x570E)
 	_, _, _, sam, err := readStratifiedBlock(br, gen)
@@ -630,7 +628,6 @@ func decodeEntryPayload(payload []byte, gen *rng.Lehmer64) (*Entry, error) {
 			QCSWidth:  qcsWidth,
 			K:         k,
 		},
-		Sample: sam,
 	}
 	if e.Segments, err = readSegmentMarks(r); err != nil {
 		return nil, err
@@ -638,13 +635,16 @@ func decodeEntryPayload(payload []byte, gen *rng.Lehmer64) (*Entry, error) {
 	if _, err := r.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("trailing bytes after entry payload")
 	}
+	e.Sample = sample.Seal(sam)
 	return e, nil
 }
 
 // readStratifiedBlock mirrors writeStratifiedBlock: schema, QCS width,
 // capacity, then the per-stratum reservoirs, with every decoded length
-// validated against the format caps before allocation.
-func readStratifiedBlock(r *bufio.Reader, gen *rng.Lehmer64) (sample.Schema, int, int, *sample.Stratified, error) {
+// validated against the format caps before allocation. Only the block the
+// writer emits decodes: strata in strictly ascending key order
+// (StratumKey.Compare, so no key twice) with finite weights.
+func readStratifiedBlock(r *bufio.Reader, gen *rng.Lehmer64) (sample.Schema, int, int, *sample.Builder, error) {
 	nSchema, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, 0, 0, nil, err
@@ -673,7 +673,7 @@ func readStratifiedBlock(r *bufio.Reader, gen *rng.Lehmer64) (sample.Schema, int
 		return nil, 0, 0, nil, fmt.Errorf("invalid reservoir capacity %d", k)
 	}
 
-	sam := sample.NewStratified(schema, int(qcsWidth), int(k), gen.Split(0))
+	sam := sample.NewBuilder(schema, int(qcsWidth), int(k), gen.Split(0))
 	nStrata, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, 0, 0, nil, err
@@ -681,6 +681,7 @@ func readStratifiedBlock(r *bufio.Reader, gen *rng.Lehmer64) (sample.Schema, int
 	if nStrata > maxStrata {
 		return nil, 0, 0, nil, fmt.Errorf("implausible strata count %d", nStrata)
 	}
+	var prev sample.StratumKey
 	for i := uint64(0); i < nStrata; i++ {
 		var key sample.StratumKey
 		for c := range key {
@@ -688,6 +689,10 @@ func readStratifiedBlock(r *bufio.Reader, gen *rng.Lehmer64) (sample.Schema, int
 				return nil, 0, 0, nil, err
 			}
 		}
+		if i > 0 && prev.Compare(key) >= 0 {
+			return nil, 0, 0, nil, fmt.Errorf("stratum key %v does not follow %v", key, prev)
+		}
+		prev = key
 		weight, err := readFloat64(r)
 		if err != nil {
 			return nil, 0, 0, nil, err

@@ -246,9 +246,7 @@ func (s *Store) Lookup(input string, schema sample.Schema, qcsWidth, k int, pred
 }
 
 // Put stores a sample under its metadata, evicting least-recently-used
-// entries if the budget is exceeded. It returns the new entry. The sample
-// is sealed (sample.Stratified.Seal): a merge's result as it is, any other
-// — a single worker's build — rewritten once into the packed layout.
+// entries if the budget is exceeded. It returns the new entry.
 func (s *Store) Put(meta Meta, sam *sample.Stratified) (*Entry, error) {
 	if sam == nil {
 		return nil, fmt.Errorf("store: nil sample")
@@ -260,7 +258,6 @@ func (s *Store) Put(meta Meta, sam *sample.Stratified) (*Entry, error) {
 		return nil, fmt.Errorf("store: sample schema %v/%d does not match meta %v/%d",
 			sam.Schema(), sam.QCSWidth(), meta.Schema, meta.QCSWidth)
 	}
-	sam.Seal()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.clock++
@@ -275,10 +272,8 @@ func (s *Store) Put(meta Meta, sam *sample.Stratified) (*Entry, error) {
 
 // Update replaces an entry's sample, predicate and per-segment watermarks
 // (the provenance of the merged sample) after a Δ-merge extended its
-// coverage, keeping the entry's LRU position fresh. Like Put, it seals the
-// sample it stores.
+// coverage, keeping the entry's LRU position fresh.
 func (s *Store) Update(e *Entry, sam *sample.Stratified, pred algebra.Predicate, segs []SegmentWatermark) {
-	sam.Seal()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if slices.Contains(s.entries, e) { // an entry evicted since its Lookup no longer counts

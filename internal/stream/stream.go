@@ -51,7 +51,7 @@ type Config struct {
 // slide is one time slice's sample: [start, start+width).
 type slide struct {
 	start int64
-	sam   *sample.Stratified
+	sam   *sample.Builder
 }
 
 // WindowedSampler maintains per-slide stratified samples over an event
@@ -171,7 +171,7 @@ func (w *WindowedSampler) slideFor(start int64) *slide {
 	}
 	sl := slide{
 		start: start,
-		sam: sample.NewStratified(w.schema, w.cfg.QCSWidth, w.cfg.K,
+		sam: sample.NewBuilder(w.schema, w.cfg.QCSWidth, w.cfg.K,
 			w.gen.Split(uint64(start)+0x51de)),
 	}
 	w.slides = append(w.slides, slide{})
@@ -223,7 +223,7 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 	if err != nil {
 		return nil, err
 	}
-	var merged *sample.Stratified
+	var merged sample.Part
 	for i := range w.slides {
 		sl := &w.slides[i]
 		slEnd := sl.start + w.cfg.SlideWidth - 1
@@ -232,20 +232,20 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 		}
 		// A whole slide is read through a fork, drawing from the streams
 		// a copy of the slide always drew from.
-		var part *sample.Stratified
+		part := sl.sam.Fork()
 		if sl.start < from || slEnd > to {
 			part = sl.sam.Filter(onTime)
-		} else {
-			part = sl.sam.Fork()
 		}
-		merged, err = sample.MergeStratified(merged, part, w.gen.Split(uint64(i)+0x3E6), 1)
-		if err != nil {
+		if merged == nil {
+			merged = part
+			continue
+		}
+		if merged, err = sample.MergeStratified(merged, part, w.gen.Split(uint64(i)+0x3E6), 1); err != nil {
 			return nil, err
 		}
 	}
 	if merged == nil {
-		merged = sample.NewStratified(w.schema, w.cfg.QCSWidth, w.cfg.K, w.gen.Split(0xE3B))
+		merged = sample.NewBuilder(w.schema, w.cfg.QCSWidth, w.cfg.K, w.gen.Split(0xE3B))
 	}
-	merged.Seal() // a lone part is not yet a sample of its own
-	return merged, nil
+	return sample.Seal(merged), nil
 }

@@ -10,7 +10,7 @@ package laqy
 //
 // Sampling identity v2 (scan→sample hot-path overhaul). The seed constants
 // are unchanged, but every reservoir is fed through the one admission path,
-// per-stratum Algorithm L (sample.Stratified.ConsiderColumns), which
+// per-stratum Algorithm L (sample.Builder.ConsiderColumns), which
 // consumes the per-reservoir RNG substream in a different order than the
 // per-row Algorithm R of v1 did. For a fixed seed, samples produced by v2
 // are therefore NOT byte-identical to samples produced by v1 releases —

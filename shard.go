@@ -201,8 +201,13 @@ func (db *DB) BuildSegment(ctx context.Context, spec SegmentBuildSpec) (*sample.
 		workers = db.cfg.Workers
 	}
 	// This IS one segment's build: run the leaf directly, so the bytes match
-	// what a local SegmentSource.Build would produce.
-	return engine.BuildSegmentSample(&q, engine.ExprsFromNames(spec.Schema), spec.QCSWidth, spec.K, spec.Seed, workers)
+	// what a local SegmentSource.Build would produce. A one-worker build is
+	// sealed here, for the frame encoder.
+	part, st, err := engine.BuildSegmentSample(&q, engine.ExprsFromNames(spec.Schema), spec.QCSWidth, spec.K, spec.Seed, workers)
+	if err != nil {
+		return nil, st, err
+	}
+	return sample.Seal(part), st, nil
 }
 
 // SetSegmentPlanner installs (or, with nil, removes) a segment planner
