@@ -81,6 +81,25 @@ func TestSampleIdentityPins(t *testing.T) {
 		}
 	}
 
+	// Three and five sealed segments at one worker per segment: an odd
+	// number of parts leaves one unpaired in the segment merge's first
+	// round, to wait for the next.
+	for _, c := range []struct {
+		name     string
+		segments int
+		want     string
+	}{
+		{"3-segment workers=1", 3, "57aed03da9f19059"},
+		{"5-segment workers=1", 5, "dc73603a45cb5f5d"},
+	} {
+		fact := buildClusteredFact(t, (c.segments-1)*storage.DefaultMorselSize+30000, 9)
+		s, st, err := RunStratifiedExprs(&Query{Fact: fact, Filter: encPred}, encExprs, 1, k, seed, 1, nil)
+		check(c.name, s, err, c.want)
+		if err == nil && st.Segments != c.segments {
+			t.Errorf("%s: %d segments planned, want %d", c.name, st.Segments, c.segments)
+		}
+	}
+
 	// Δ-build: per-segment marks plus a ScanFrom that is not segment-aligned.
 	segRows := storage.DefaultMorselSize
 	n := 2*segRows + 5000
