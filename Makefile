@@ -137,6 +137,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzStoreLoad -fuzztime=$(FUZZTIME) -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzReservoirDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard
 	$(GO) test -fuzz=FuzzJoinProbe -fuzztime=$(FUZZTIME) -run '^$$' ./internal/engine
+	$(GO) test -fuzz=FuzzMergeN -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sample
 
 clean:
 	$(GO) clean ./...

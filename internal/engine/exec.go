@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"laqy/internal/approx"
@@ -201,12 +200,12 @@ func (s *stratifiedSink) consume(cols [][]int64, n int) {
 
 // BuildSegmentSample is the leaf every stratified build bottoms out in:
 // one morsel-parallel pipeline over q's scan range [ScanFrom, ScanTo) with
-// a stratified-sampling sink per worker, the per-worker partials tree-merged
-// (Algorithm 3) with the merge time reported in Stats.Merge. The sample
-// schema takes each expression's Name, so computed aggregates (e.g.
-// lo_extendedprice*lo_discount) are sampled as materialized values. On one
-// worker the result is that worker's builder, not yet sealed: a segment
-// merge reads it as it is.
+// a stratified-sampling sink per worker, the partials of the workers that
+// ran merged (Algorithm 3, mergeParts) with the merge time reported in
+// Stats.Merge. The sample schema takes each expression's Name, so computed
+// aggregates (e.g. lo_extendedprice*lo_discount) are sampled as
+// materialized values. When one worker ran the result is its builder, not
+// yet sealed: a segment merge reads it as it is.
 //
 // The in-process SegmentSource runs it over its segment's clipped range
 // and a shard node runs it for a remote coordinator (DB.BuildSegment); the
@@ -233,7 +232,9 @@ func BuildSegmentSample(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint
 		return nil, stats, err
 	}
 	mergeStart := time.Now()
-	merged, err := treeMergeStratified(partials, root.Split(1<<32), workers)
+	// Only the partials of workers that ran: the driver starts at most one
+	// per morsel, and an empty builder would cost the merge a write.
+	merged, err := mergeParts(partials[:max(stats.Workers, 1)], root.Split(1<<32), workers)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -241,57 +242,24 @@ func BuildSegmentSample(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint
 	return merged, stats, nil
 }
 
-// mergeStratifiedFn is the pairwise merge used by treeMergeStratified.
-// It is a variable only as a test seam: the panic-isolation suite swaps
-// in a panicking merge to prove the recover path converts it to an error
-// (the real merge's panics are all unreachable-invariant checks).
-var mergeStratifiedFn = sample.MergeStratified
+// mergeNFn is the merge of the exchange and of the segment merge. It is a
+// variable only as a test seam: the panic-isolation suite swaps in a
+// panicking merge to prove mergeParts converts it to an error (the real
+// merge's panics are all unreachable-invariant checks).
+var mergeNFn = sample.MergeN
 
-// treeMergeStratified folds per-worker partial samples pairwise in
-// parallel (log-depth), the exchange-collection step of the paper's §6.3:
-// reservoirs carry their full state, so partials merge independently. The
-// workers are shared among a round's merges, each spreading its strata
-// over its share (sample.MergeStratified): the last round's one merge gets
-// them all.
-func treeMergeStratified(partials []sample.Part, gen *rng.Lehmer64, workers int) (sample.Part, error) {
-	round := uint64(0)
-	for len(partials) > 1 {
-		half := (len(partials) + 1) / 2
-		share := max(workers/(len(partials)/2), 1)
-		next := make([]sample.Part, half)
-		errs := make([]error, half)
-		var wg sync.WaitGroup
-		for i := 0; i < half; i++ {
-			j := i + half
-			if j >= len(partials) {
-				next[i] = partials[i]
-				continue
-			}
-			wg.Add(1)
-			go func(i, j int, g *rng.Lehmer64) {
-				defer wg.Done()
-				// Panic isolation for the exchange step: a poisoned
-				// partial fails this query's merge, not the process.
-				// Worker-slot write: each goroutine owns errs[i].
-				defer func() {
-					if r := recover(); r != nil {
-						errs[i] = panicError("sample merge", r)
-					}
-				}()
-				next[i], errs[i] = mergeStratifiedFn(partials[i], partials[j], g, share)
-			}(i, j, gen.Split(round<<32|uint64(i)))
+// mergeParts merges per-worker or per-segment parts (sample.MergeN), the
+// exchange-collection step of the paper's §6.3: reservoirs carry their
+// full state, so the parts merge independently of how they were built. A
+// panic in the merge, on the caller or re-raised there from a helper's
+// chunk, fails this query's merge with an error, not the process.
+func mergeParts(parts []sample.Part, gen *rng.Lehmer64, workers int) (p sample.Part, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, panicError("sample merge", r)
 		}
-		wg.Wait()
-		if err := firstError(errs); err != nil {
-			return nil, err
-		}
-		partials = next
-		round++
-	}
-	if len(partials) == 0 {
-		return nil, fmt.Errorf("engine: no partial samples to merge")
-	}
-	return partials[0], nil
+	}()
+	return mergeNFn(parts, gen, workers)
 }
 
 // Agg is one output of an exact aggregation: an aggregate kind over a value

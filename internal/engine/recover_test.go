@@ -12,8 +12,8 @@ import (
 	"laqy/internal/sample"
 )
 
-// TestMergePanicFailsQueryNotProcess: a panic in the parallel exchange
-// (tree merge) step is converted into an error like a morsel worker's
+// TestMergePanicFailsQueryNotProcess: a panic in the exchange's merge
+// (mergeParts) is converted into an error like a morsel worker's
 // (TestScanDriverFailures). The real merge
 // only panics on unreachable invariants, so the test swaps the merge
 // function through its seam.
@@ -25,13 +25,13 @@ func TestMergePanicFailsQueryNotProcess(t *testing.T) {
 		s.ConsiderColumns([][]int64{{1}, {2}}, 1)
 		return s
 	}
-	orig := mergeStratifiedFn
-	defer func() { mergeStratifiedFn = orig }()
-	mergeStratifiedFn = func(a, b sample.Part, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
+	orig := mergeNFn
+	defer func() { mergeNFn = orig }()
+	mergeNFn = func(parts []sample.Part, g *rng.Lehmer64, workers int) (sample.Part, error) {
 		panic("poisoned merge: deliberate test explosion")
 	}
 	partials := []sample.Part{healthy(1), healthy(2), healthy(3), healthy(4)}
-	_, err := treeMergeStratified(partials, gen, 2)
+	_, err := mergeParts(partials, gen, 2)
 	if err == nil {
 		t.Fatal("a panicking merge must fail the query")
 	}
@@ -41,8 +41,8 @@ func TestMergePanicFailsQueryNotProcess(t *testing.T) {
 
 	// With the real merge restored, the same partials merge cleanly: the
 	// panic poisoned one query, not the engine.
-	mergeStratifiedFn = orig
-	merged, err := treeMergeStratified(
+	mergeNFn = orig
+	merged, err := mergeParts(
 		[]sample.Part{healthy(4), healthy(5), healthy(6)}, gen, 2)
 	if err != nil {
 		t.Fatalf("merge after a panic-failed merge: %v", err)
@@ -54,7 +54,7 @@ func TestMergePanicFailsQueryNotProcess(t *testing.T) {
 
 // TestMergeChunkPanicFailsQueryNotProcess: a panic in a chunk that a
 // merge's helper goroutine walks (sample.Stratified.Walk, whose driver
-// MergeStratified's parallel strata share) reaches the exchange step's recover
+// MergeStratified's parallel strata share) reaches mergeParts' recover
 // and fails the merge with an error naming it, instead of killing the
 // process from the helper goroutine.
 func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
@@ -72,13 +72,13 @@ func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
 		s.ConsiderColumns([][]int64{{1, 2, 3, 4, 5, 6}, {1, 2, 3, 4, 5, 6}}, 6)
 		return s
 	}
-	orig := mergeStratifiedFn
-	defer func() { mergeStratifiedFn = orig }()
-	mergeStratifiedFn = func(a, b sample.Part, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
+	orig := mergeNFn
+	defer func() { mergeNFn = orig }()
+	mergeNFn = func(parts []sample.Part, g *rng.Lehmer64, workers int) (sample.Part, error) {
 		caller := goid()
 		helperRan := make(chan struct{})
 		var once sync.Once
-		sample.Seal(a).Walk(workers, func() func(lo, hi int) {
+		sample.Seal(parts[0]).Walk(workers, func() func(lo, hi int) {
 			onHelper := goid() != caller
 			return func(lo, hi int) {
 				if onHelper {
@@ -91,9 +91,9 @@ func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
 				}
 			}
 		})
-		return orig(a, b, g, workers)
+		return orig(parts, g, workers)
 	}
-	_, err := treeMergeStratified([]sample.Part{partial(1), partial(2)}, rng.NewLehmer64(1), 2)
+	_, err := mergeParts([]sample.Part{partial(1), partial(2)}, rng.NewLehmer64(1), 2)
 	if err == nil {
 		t.Fatal("a panic in a merge helper's chunk must fail the merge")
 	}

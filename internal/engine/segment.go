@@ -388,7 +388,7 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 
 	mergeStart := time.Now()
 	root := rng.NewLehmer64(seed)
-	merged, err := treeMergeStratified(built, root.Split(1<<32), workers)
+	merged, err := mergeParts(built, root.Split(1<<32), workers)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -258,19 +258,15 @@ func TestSegmentWorkerCapAtTotalMorsels(t *testing.T) {
 // result.
 func TestSegmentMergeReadsBuilders(t *testing.T) {
 	fact := segmentedFact(t, 4000, 4, 1000, 2000, 3000)
-	orig := mergeStratifiedFn
-	defer func() { mergeStratifiedFn = orig }()
+	orig := mergeNFn
+	defer func() { mergeNFn = orig }()
 	var mu sync.Mutex
-	builders := 0
-	mergeStratifiedFn = func(a, b sample.Part, g *rng.Lehmer64, workers int) (*sample.Stratified, error) {
+	var last []sample.Part // the segment merge is the last merge of the build
+	mergeNFn = func(parts []sample.Part, g *rng.Lehmer64, workers int) (sample.Part, error) {
 		mu.Lock()
-		for _, p := range []sample.Part{a, b} {
-			if _, ok := p.(*sample.Builder); ok {
-				builders++
-			}
-		}
+		last = append([]sample.Part(nil), parts...)
 		mu.Unlock()
-		return orig(a, b, g, workers)
+		return orig(parts, g, workers)
 	}
 	sam, st, err := RunStratifiedExprs(&Query{Fact: fact}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 1, nil)
 	if err != nil {
@@ -279,8 +275,47 @@ func TestSegmentMergeReadsBuilders(t *testing.T) {
 	if st.SegmentsBuilt != 4 || sam.TotalWeight() != 4000 {
 		t.Fatalf("%d segments built, weight %v", st.SegmentsBuilt, sam.TotalWeight())
 	}
-	if builders != st.SegmentsBuilt {
-		t.Fatalf("the segment merge read %d builders, want one per segment (%d)", builders, st.SegmentsBuilt)
+	builders := 0
+	for _, p := range last {
+		if _, ok := p.(*sample.Builder); ok {
+			builders++
+		}
+	}
+	if len(last) != st.SegmentsBuilt || builders != st.SegmentsBuilt {
+		t.Fatalf("the segment merge read %d builders of %d parts, want one per segment (%d)", builders, len(last), st.SegmentsBuilt)
+	}
+}
+
+// TestBuildMergesOnlyWorkersThatRan: over one morsel the driver starts one
+// worker whatever the worker count, so a four-worker build merges that
+// worker's builder alone — no empty builder costs the merge a write — and
+// gives the one-worker build's sample.
+func TestBuildMergesOnlyWorkersThatRan(t *testing.T) {
+	fact := buildFact(20000, 6, 10)
+	exprs := ExprsFromNames([]string{"f_group", "f_val"})
+	orig := mergeNFn
+	defer func() { mergeNFn = orig }()
+	mergeNFn = func(parts []sample.Part, g *rng.Lehmer64, workers int) (sample.Part, error) {
+		for i, p := range parts {
+			if b, ok := p.(*sample.Builder); !ok || b.TotalWeight() == 0 {
+				t.Errorf("merge part %d of %d is not a builder that admitted rows", i, len(parts))
+			}
+		}
+		return orig(parts, g, workers)
+	}
+	one, _, err := sealed(BuildSegmentSample(&Query{Fact: fact}, exprs, 1, 32, 5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, st, err := sealed(BuildSegmentSample(&Query{Fact: fact}, exprs, 1, 32, 5, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Workers != 1 {
+		t.Fatalf("%d workers ran over one morsel, want 1", st.Workers)
+	}
+	if a, b := sampleDigest(one), sampleDigest(four); a != b {
+		t.Fatalf("four-worker build digest %s, one-worker %s", b, a)
 	}
 }
 

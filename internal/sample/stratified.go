@@ -233,7 +233,7 @@ func (s *Stratified) At(pos int) (StratumKey, *Reservoir) {
 }
 
 // Part is a merge input: a *Builder, a *Stratified, or the fork of either.
-// MergeStratified and Seal read a part and never write it.
+// MergeStratified, MergeN and Seal read a part and never write it.
 type Part interface {
 	mergeInput() input
 }
@@ -329,9 +329,9 @@ var noStrata strata
 // reads its inputs without writing them.
 //
 // Both samples must share the schema and QCS width. Per-stratum capacities
-// may differ (Algorithm 2 handles the scaled case). MergeStratified also
-// serves the engine's exchange step: per-worker partial samples merge into
-// the final sample the same way Δ-samples merge with stored ones.
+// may differ (Algorithm 2 handles the scaled case). It is the two-part
+// form: a Δ-sample merges into a stored one through it, and MergeN runs it
+// over the rounds of a multi-part merge.
 func MergeStratified(a, b Part, gen *rng.Lehmer64, workers int) (*Stratified, error) {
 	x, y := a.mergeInput(), b.mergeInput()
 	if !x.schema.Equal(y.schema) {
@@ -347,6 +347,34 @@ func MergeStratified(a, b Part, gen *rng.Lehmer64, workers int) (*Stratified, er
 		x, y = y, x
 	}
 	return write(x, y, gen, workers), nil
+}
+
+// MergeN merges parts over disjoint inputs — the per-worker partials of an
+// exchange, the per-segment samples of a segmented build, a window's
+// slides — by rounds of MergeStratified, in order on the caller, each merge
+// spreading its strata over up to workers goroutines: round r merges the
+// part at i with the one at i+⌈n/2⌉ through gen.Split(r<<32|i), and an
+// unpaired part waits for the next round. Merge order does not change the
+// result's distribution; this one fixes its bits. One part is returned as
+// it is, and no part is an error. It reads parts and writes neither them
+// nor the slice.
+func MergeN(parts []Part, gen *rng.Lehmer64, workers int) (Part, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("sample: no parts to merge")
+	}
+	parts = append([]Part(nil), parts...)
+	for r := uint64(0); len(parts) > 1; r++ {
+		half := (len(parts) + 1) / 2
+		for i := 0; i+half < len(parts); i++ {
+			m, err := MergeStratified(parts[i], parts[i+half], gen.Split(r<<32|uint64(i)), workers)
+			if err != nil {
+				return nil, err
+			}
+			parts[i] = m
+		}
+		parts = parts[:half]
+	}
+	return parts[0], nil
 }
 
 // write is the one writer of published samples. It lays the union of a's

@@ -223,7 +223,7 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 	if err != nil {
 		return nil, err
 	}
-	var merged sample.Part
+	var parts []sample.Part
 	for i := range w.slides {
 		sl := &w.slides[i]
 		slEnd := sl.start + w.cfg.SlideWidth - 1
@@ -236,16 +236,14 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 		if sl.start < from || slEnd > to {
 			part = sl.sam.Filter(onTime)
 		}
-		if merged == nil {
-			merged = part
-			continue
-		}
-		if merged, err = sample.MergeStratified(merged, part, w.gen.Split(uint64(i)+0x3E6), 1); err != nil {
-			return nil, err
-		}
+		parts = append(parts, part)
 	}
-	if merged == nil {
-		merged = sample.NewBuilder(w.schema, w.cfg.QCSWidth, w.cfg.K, w.gen.Split(0xE3B))
+	if len(parts) == 0 {
+		parts = append(parts, sample.NewBuilder(w.schema, w.cfg.QCSWidth, w.cfg.K, w.gen.Split(0xE3B)))
+	}
+	merged, err := sample.MergeN(parts, w.gen.Split(0x3E6), 1)
+	if err != nil {
+		return nil, err
 	}
 	return sample.Seal(merged), nil
 }
