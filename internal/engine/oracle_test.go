@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"laqy/internal/algebra"
@@ -23,8 +24,10 @@ import (
 // force both join-table representations: dense keys with holes, keys 10⁹
 // apart, keys at both ends of int64 (the span arithmetic must not overflow),
 // and the bottom end alone. One fact key in nine has no dimension row, and one
-// filter in ten keeps no dimension row at all. The test checks, from the
-// kept keys, the representation and probe order each run built.
+// filter in twelve keeps no dimension row at all, and another exactly 1, 2, 62
+// or 63 of the 64 rows, so that the kept keys match almost none, few, most or
+// almost all of the fact keys. The test checks, from the kept keys, the
+// representation and probe order each run built.
 //
 // Half the trials have a random partial fact predicate over the whole table,
 // so their first join probe takes a selection vector. The other half add
@@ -97,7 +100,7 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 		{Name: "val", Kind: storage.KindInt64, Ints: val},
 	}
 	// Dimension j under layout l: row i has key pools[l][i] (the layout's
-	// first nDim keys in shuffled order) and attr<j> in 0..7;
+	// first nDim keys in shuffled order), attr<j> in 0..7 and pos<j> = i;
 	// pools[l][nDim:] are the absent keys.
 	var dims [maxJoins][]*storage.Table
 	var attrs [maxJoins][]int64
@@ -108,6 +111,10 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 			pools[l][i] = lay.key(i)
 		}
 		r.Shuffle(nDim, func(x, y int) { pools[l][x], pools[l][y] = pools[l][y], pools[l][x] })
+	}
+	pos := make([]int64, nDim)
+	for i := range pos {
+		pos[i] = int64(i)
 	}
 	for j := range dims {
 		attrs[j] = make([]int64, nDim)
@@ -123,12 +130,13 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 			dims[j] = append(dims[j], storage.MustNewTable(fmt.Sprintf("d%d_%s", j, lay.name),
 				&storage.Column{Name: "dkey", Kind: storage.KindInt64, Ints: pools[l][:nDim]},
 				&storage.Column{Name: fmt.Sprintf("attr%d", j), Kind: storage.KindInt64, Ints: attrs[j]},
+				&storage.Column{Name: fmt.Sprintf("pos%d", j), Kind: storage.KindInt64, Ints: pos},
 			))
 		}
 	}
 	fact := storage.MustNewTable("fact", factCols...)
 
-	var arrays, maps, empties, reordered, unfiltered, zoneFull, offset int
+	var arrays, maps, empties, exactKept, reordered, unfiltered, zoneFull, offset int
 	for trial := 0; trial < 120; trial++ {
 		// The first 60 trials scan the whole table with a random partial
 		// predicate. The 60 after them: half scan from a row inside the
@@ -167,10 +175,16 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 		for _, j := range slots {
 			attr := fmt.Sprintf("attr%d", j)
 			filter := algebra.NewPredicate()
-			switch c := r.Intn(10); {
+			switch c := r.Intn(12); {
 			case c == 0:
 				filter = filter.WithRange(attr, 100, 200) // keeps no row
-			case c >= 5:
+			case c == 1: // keeps 1, 2, 62 or 63 rows
+				var rows []algebra.Interval
+				for _, i := range r.Perm(nDim)[:[]int{1, 2, 62, 63}[r.Intn(4)]] {
+					rows = append(rows, algebra.Point(int64(i)))
+				}
+				filter = filter.With(fmt.Sprintf("pos%d", j), algebra.NewSet(rows...))
+			case c >= 7:
 				lo := int64(r.Intn(8))
 				filter = filter.WithRange(attr, lo, lo+int64(r.Intn(8)))
 			}
@@ -196,7 +210,8 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 			jn := q.Joins[jt.slot]
 			var kept []int64
 			for i, k := range jn.Dim.Column("dkey").Ints {
-				if jn.Filter.Matches(map[string]int64{fmt.Sprintf("attr%d", slots[jt.slot]): attrs[slots[jt.slot]][i]}) {
+				j := slots[jt.slot]
+				if jn.Filter.Matches(map[string]int64{fmt.Sprintf("attr%d", j): attrs[j][i], fmt.Sprintf("pos%d", j): int64(i)}) {
 					kept = append(kept, k)
 				}
 			}
@@ -211,6 +226,9 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 			if isArray := jt.rowByKey == nil; isArray != wantArray || jt.kept != len(kept) {
 				t.Fatalf("trial %d join %d (%s): array=%v kept=%d, want array=%v kept=%d",
 					trial, jt.slot, jn.Dim.Name, isArray, jt.kept, wantArray, len(kept))
+			}
+			if slices.Contains([]int{1, 2, 62, 63}, len(kept)) {
+				exactKept++
 			}
 			if wantArray {
 				arrays++
@@ -268,7 +286,7 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 				}
 				attr := fmt.Sprintf("attr%d", j)
 				row[attr] = attrs[j][idx]
-				if f := q.Joins[p].Filter; !f.IsTrue() && !f.Matches(map[string]int64{attr: row[attr]}) {
+				if f := q.Joins[p].Filter; !f.IsTrue() && !f.Matches(map[string]int64{attr: row[attr], fmt.Sprintf("pos%d", j): int64(idx)}) {
 					continue rows
 				}
 			}
@@ -337,10 +355,11 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 			t.Fatalf("trial %d: total weight %v vs %d rows", trial, totalWeight, totalRows)
 		}
 	}
-	t.Logf("%d array and %d map tables, %d empty, %d probed out of join order", arrays, maps, empties, reordered)
-	if arrays == 0 || maps == 0 || empties == 0 || reordered == 0 {
-		t.Fatalf("trials built %d array and %d map tables, %d empty, %d probed out of join order; want each > 0",
-			arrays, maps, empties, reordered)
+	t.Logf("%d array and %d map tables, %d empty, %d keeping 1, 2, 62 or 63 rows, %d probed out of join order",
+		arrays, maps, empties, exactKept, reordered)
+	if arrays == 0 || maps == 0 || empties == 0 || exactKept == 0 || reordered == 0 {
+		t.Fatalf("trials built %d array and %d map tables, %d empty, %d keeping 1, 2, 62 or 63 rows, %d probed out of join order; want each > 0",
+			arrays, maps, empties, exactKept, reordered)
 	}
 	t.Logf("whole-morsel first probes: %d unfiltered, %d zone-map full, %d from a nonzero row", unfiltered, zoneFull, offset)
 	if unfiltered == 0 || zoneFull == 0 || offset == 0 {

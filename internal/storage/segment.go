@@ -12,8 +12,9 @@
 // segmentation adds is that the new version *shares* the sealed segments'
 // zone-map caches with the old version (their rows are unchanged). The
 // per-segment maps are the only zone maps there are — a scan that crosses
-// segments folds the maps of the segments it overlaps — so the summary cost
-// of an append is one read of the open segment, whatever the table's size.
+// segments folds the maps of the segments it overlaps — and the open
+// segment's new map extends its old one, so the summary cost of an append is
+// one read of the appended rows, whatever the table's size.
 // See docs/SHARDING.md.
 package storage
 
@@ -60,16 +61,21 @@ func (s *Segment) Version() uint64 { return s.version }
 // ZoneMap returns the segment's zone map at DefaultMorselSize granularity,
 // built on first use over the segment's rows only and cached. The cache is
 // shared with the same segment in other versions of the table (the rows are
-// identical), so sealed segments never rebuild after an append. Returns nil
-// for empty segments.
+// identical), so sealed segments never rebuild after an append, and a grown
+// open segment's build extends its previous version's map by the appended
+// rows. Returns nil for empty segments.
 func (s *Segment) ZoneMap() *ZoneMap {
 	if s.Rows() == 0 {
 		return nil
 	}
 	s.zone.once.Do(func() {
-		s.zone.zm = buildZoneMapRange(s.t, s.start, s.Rows(), DefaultMorselSize)
+		if from := s.zone.from; from != nil {
+			s.zone.built.Store(from.extend(s.t, s.end))
+		} else {
+			s.zone.built.Store(buildZoneMapRange(s.t, s.start, s.Rows(), DefaultMorselSize))
+		}
 	})
-	return s.zone.zm
+	return s.zone.built.Load()
 }
 
 // Segments returns the table's segment list in row order. Tables built by
@@ -190,7 +196,9 @@ func Seal(t *Table) (*Table, error) {
 //     caches and versions into the new table — their rows are unchanged,
 //     so the summaries stay exact;
 //   - the open segment absorbs rows up to segmentRows, bumping its version
-//     and dropping its cache (it alone re-summarizes);
+//     and taking a fresh cache, whose build extends the old version's map
+//     (built, or itself still to extend) by the appended rows only, and
+//     summarizes the whole segment when there is no such map;
 //   - overflow seals the open segment and spills into fresh segments of up
 //     to segmentRows rows each.
 //
@@ -241,7 +249,8 @@ func appendSegments(old *Table, rows, segRows int) []*Segment {
 		if take > pending {
 			take = pending
 		}
-		segs = append(segs, &Segment{start: open.start, end: open.end + take, version: open.version + 1})
+		segs = append(segs, &Segment{start: open.start, end: open.end + take, version: open.version + 1,
+			zone: &zoneMapCache{from: open.zone.summary()}})
 		row = open.end + take
 		pending -= take
 	}

@@ -1,6 +1,9 @@
 package storage
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // ZoneMap holds per-zone min/max summaries for every column of one segment
 // (Segment.ZoneMap): the lightweight scan index ("small materialized
@@ -19,7 +22,8 @@ import "sync"
 // A ZoneMap is immutable after construction and safe for concurrent reads.
 // It summarizes the segment version it was built from: an append that lands
 // rows in the open segment gives it a fresh cache (AppendColumns), so a
-// grown segment never serves a stale summary.
+// grown segment never serves a stale summary. The fresh cache extends the
+// previous version's map, when there is one, by the appended rows alone.
 type ZoneMap struct {
 	zoneSize int
 	// base is the absolute row the summary starts at (the segment's first
@@ -85,29 +89,42 @@ func (z *ZoneMap) Bounds(name string, start, end int) (lo, hi int64, ok bool) {
 // buildZoneMapRange computes the per-zone min/max of every column over the
 // row range [base, base+rows). Segment builds summarize only their own rows,
 // which is what lets sealed segments carry their maps across appends while
-// the open segment alone re-summarizes.
+// the open segment's map is extended by the appended rows (extend).
 func buildZoneMapRange(t *Table, base, rows, zoneSize int) *ZoneMap {
 	if zoneSize <= 0 {
 		zoneSize = DefaultMorselSize
 	}
-	zones := (rows + zoneSize - 1) / zoneSize
-	z := &ZoneMap{
-		zoneSize: zoneSize,
-		base:     base,
+	z := &ZoneMap{zoneSize: zoneSize, base: base}
+	return z.extend(t, base+rows)
+}
+
+// extend returns the map of z's segment grown to end (absolute), with t's
+// columns, which must extend those z was built from: z's zones are copied
+// and only the rows past z.End() are read, folded into z's last zone when
+// it is partial and into new zones after it. z is not changed.
+func (z *ZoneMap) extend(t *Table, end int) *ZoneMap {
+	rows := end - z.base
+	zones := (rows + z.zoneSize - 1) / z.zoneSize
+	nz := &ZoneMap{
+		zoneSize: z.zoneSize,
+		base:     z.base,
 		rows:     rows,
 		byName:   make(map[string]zoneCol, len(t.columns)),
 	}
 	for _, col := range t.columns {
+		old := z.byName[col.Name]
 		zc := zoneCol{mins: make([]int64, zones), maxs: make([]int64, zones)}
-		vec := col.Ints[base : base+rows]
-		for zi := 0; zi < zones; zi++ {
-			start := zi * zoneSize
-			end := start + zoneSize
-			if end > rows {
-				end = rows
+		copy(zc.mins, old.mins)
+		copy(zc.maxs, old.maxs)
+		vec := col.Ints[z.base:end]
+		for from := z.rows; from < rows; {
+			zi := from / z.zoneSize
+			to := min((zi+1)*z.zoneSize, rows)
+			mn, mx := vec[from], vec[from]
+			if from > zi*z.zoneSize { // the rest of a partial zone
+				mn, mx = zc.mins[zi], zc.maxs[zi]
 			}
-			mn, mx := vec[start], vec[start]
-			for _, v := range vec[start+1 : end] {
+			for _, v := range vec[from:to] {
 				if v < mn {
 					mn = v
 				}
@@ -116,16 +133,29 @@ func buildZoneMapRange(t *Table, base, rows, zoneSize int) *ZoneMap {
 				}
 			}
 			zc.mins[zi], zc.maxs[zi] = mn, mx
+			from = to
 		}
-		z.byName[col.Name] = zc
+		nz.byName[col.Name] = zc
 	}
-	return z
+	return nz
 }
 
 // zoneMapCache memoizes one segment's lazily built ZoneMap. Segments of
 // successive table versions share the cache by pointer for as long as the
-// segment's rows are unchanged.
+// segment's rows are unchanged. built is the map once the build has run;
+// from, when non-nil, is a map of a shorter version of the same open
+// segment, which the build extends instead of reading the whole segment.
 type zoneMapCache struct {
-	once sync.Once
-	zm   *ZoneMap
+	once  sync.Once
+	built atomic.Pointer[ZoneMap]
+	from  *ZoneMap
+}
+
+// summary is the newest map of the segment's rows so far: the built one,
+// else the one the build would extend (nil if neither).
+func (c *zoneMapCache) summary() *ZoneMap {
+	if zm := c.built.Load(); zm != nil {
+		return zm
+	}
+	return c.from
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"laqy/internal/rng"
@@ -135,5 +136,126 @@ func TestEmptyTableZoneMapNil(t *testing.T) {
 	tab := MustNewTable("t", &Column{Name: "c", Kind: KindInt64, Ints: nil})
 	if tab.Segments()[0].ZoneMap() != nil {
 		t.Fatal("empty table should have nil zone map")
+	}
+}
+
+// TestAppendExtendsOpenZoneMap is the differential test of the open
+// segment's map across appends: three columns of random walks are appended
+// in random batches through an Appender — a few rows, batches that cross
+// DefaultMorselSize zones, and batches that fill the open segment and spill
+// into new ones. After some appends every segment map of the versions not
+// read yet is read (a query), after others none is, so the next append finds
+// the old open segment's map built or still to extend, and an older version
+// is read after a newer one extended its map. Every version's every segment
+// map must equal buildZoneMapRange over that segment, column by column, and
+// a map once read must not change when later versions extend it.
+func TestAppendExtendsOpenZoneMap(t *testing.T) {
+	const segRows = 2*DefaultMorselSize + 1000
+	r := rng.NewLehmer64(46)
+	cols := []string{"a", "b", "c"}
+	walk := make([]int64, len(cols))
+	batch := func(n int) [][]int64 {
+		out := make([][]int64, len(cols))
+		for c := range out {
+			out[c] = make([]int64, n)
+			for i := range out[c] {
+				walk[c] += int64(r.Intn(2001)) - 1000
+				out[c][i] = walk[c]
+			}
+		}
+		return out
+	}
+	first := batch(DefaultMorselSize + 777)
+	tab := MustNewTable("t", &Column{Name: "a", Kind: KindInt64, Ints: first[0]},
+		&Column{Name: "b", Kind: KindInt64, Ints: first[1]}, &Column{Name: "c", Kind: KindInt64, Ints: first[2]})
+	cat := NewCatalog()
+	if err := cat.Register(tab); err != nil {
+		t.Fatal(err)
+	}
+
+	type seen struct {
+		zm   *ZoneMap
+		copy map[string]zoneCol
+	}
+	var read []seen          // every map read so far, with a copy of its zones
+	pending := []*Table{tab} // versions not read yet
+	check := func(v *Table) {
+		t.Helper()
+		for _, seg := range v.Segments() {
+			got := seg.ZoneMap()
+			if seg.Rows() == 0 {
+				continue
+			}
+			want := buildZoneMapRange(v, seg.Start(), seg.Rows(), DefaultMorselSize)
+			if got.Start() != want.Start() || got.End() != want.End() || got.NumZones() != want.NumZones() {
+				t.Fatalf("%d rows, segment %d: map [%d, %d) in %d zones, want [%d, %d) in %d",
+					v.NumRows(), seg.ID(), got.Start(), got.End(), got.NumZones(), want.Start(), want.End(), want.NumZones())
+			}
+			for _, name := range cols {
+				g, w := got.byName[name], want.byName[name]
+				if !slices.Equal(g.mins, w.mins) || !slices.Equal(g.maxs, w.maxs) {
+					t.Fatalf("%d rows, segment %d, column %s: mins %v maxs %v, want %v %v",
+						v.NumRows(), seg.ID(), name, g.mins, g.maxs, w.mins, w.maxs)
+				}
+			}
+			cp := map[string]zoneCol{}
+			for name, zc := range got.byName {
+				cp[name] = zoneCol{slices.Clone(zc.mins), slices.Clone(zc.maxs)}
+			}
+			read = append(read, seen{got, cp})
+		}
+	}
+	var spilled, crossed, unread int
+	for step := 0; step < 24; step++ {
+		var n int
+		switch r.Intn(4) {
+		case 0:
+			n = 1 + r.Intn(100)
+		case 1:
+			n = 1 + r.Intn(5000)
+		case 2:
+			n = DefaultMorselSize/2 + r.Intn(DefaultMorselSize)
+		default:
+			n = segRows/2 + r.Intn(segRows)
+		}
+		app, err := cat.BeginAppend("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := app.Table()
+		next, err := app.Append(batch(n), segRows)
+		app.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := old.Segments()[old.NumSegments()-1]
+		if next.NumSegments() > old.NumSegments() {
+			spilled++
+		}
+		if (old.NumRows()-open.Start())/DefaultMorselSize != (old.NumRows()+n-1-open.Start())/DefaultMorselSize {
+			crossed++
+		}
+		pending = append(pending, next)
+		if r.Intn(2) == 0 {
+			for _, v := range pending {
+				check(v)
+			}
+			pending = pending[:0]
+		} else {
+			unread++
+		}
+		for _, s := range read {
+			for name, zc := range s.zm.byName {
+				if !slices.Equal(zc.mins, s.copy[name].mins) || !slices.Equal(zc.maxs, s.copy[name].maxs) {
+					t.Fatalf("step %d: a map of [%d, %d) read earlier changed in column %s", step, s.zm.Start(), s.zm.End(), name)
+				}
+			}
+		}
+	}
+	for _, v := range pending {
+		check(v)
+	}
+	if spilled < 3 || crossed < 3 || unread < 3 {
+		t.Fatalf("%d appends spilled, %d crossed a zone, %d left unread: the mix must reach each", spilled, crossed, unread)
 	}
 }
