@@ -83,14 +83,14 @@ lines:
 race:
 	CGO_ENABLED=1 $(GO) test -race -short ./...
 
-# The robustness gate (docs/GOVERNANCE.md): the governor and degradation
-# suites twice under the race detector to shake out ordering-dependent
-# bugs, then the 64-client chaos storm (chaos_test.go) — mixed
+# The robustness gate (docs/GOVERNANCE.md): the governor, the one
+# work-claiming driver (internal/par) and the degradation suites twice
+# under the race detector to shake out ordering-dependent bugs, then the 64-client chaos storm (chaos_test.go) — mixed
 # exact/approx load, random deadlines and cancellations, injected store
 # faults — which writes the governor metrics snapshot CI uploads as an
 # artifact.
 stress:
-	CGO_ENABLED=1 $(GO) test -race -count=2 ./internal/governor
+	CGO_ENABLED=1 $(GO) test -race -count=2 ./internal/governor ./internal/par
 	CGO_ENABLED=1 $(GO) test -race -count=2 \
 		-run 'TestGovernor|TestDeadline|TestOverload|TestDefaultQueryTimeout|TestConcurrentEvictionNeverDropsNewest' \
 		. ./internal/store

@@ -163,7 +163,7 @@ func TestSupportFailures(t *testing.T) {
 	keys := append(make([]int64, 1000), 1, 1, 1)
 	vals := append(iota64(0, 1000), 0, 1, 2)
 	b.ConsiderColumns([][]int64{keys, vals}, len(keys))
-	s := sample.Seal(b)
+	s := sample.Seal(b, 1)
 	fails := SupportFailures(s, nil, MinSupport)
 	if len(fails) != 1 || fails[0][0] != 1 {
 		t.Fatalf("SupportFailures = %v", fails)
@@ -232,7 +232,7 @@ func TestViewMatchesFilter(t *testing.T) {
 			cols[2] = append(cols[2], int64(g.Uint64n(1<<40))-1<<39)
 		}
 		b.ConsiderColumns(cols, len(cols[0]))
-		s := sample.Seal(b)
+		s := sample.Seal(b, 1)
 		// A union of 1..4 random intervals over the key domain.
 		ivs := make([]algebra.Interval, 1+g.Intn(4))
 		for i := range ivs {
@@ -278,7 +278,7 @@ func TestViewMatchesFilter(t *testing.T) {
 				}
 			}
 		})
-		if want := sample.Seal(copyOf).Keys(); !slices.Equal(viewKeys, want) {
+		if want := sample.Seal(copyOf, 1).Keys(); !slices.Equal(viewKeys, want) {
 			t.Fatalf("trial %d: view emits strata %v, copy holds %v", trial, viewKeys, want)
 		}
 		// The support check reads counts through the same view.

@@ -188,7 +188,7 @@ func answer(res *Result) *sample.Stratified {
 	if res.Keep == nil {
 		return res.Sample
 	}
-	return sample.Seal(res.Sample.Filter(res.Keep))
+	return sample.Seal(res.Sample.Filter(res.Keep), 1)
 }
 
 func TestNarrowedRangeTightens(t *testing.T) {

@@ -76,5 +76,5 @@ func (l *LazySampler) repairSupport(req Request, schema sample.Schema, from *sam
 	if fixed == nil {
 		return &Result{Sample: from, Keep: keep, Stats: repaired.Stats}, nil
 	}
-	return &Result{Sample: sample.Seal(fixed), Stats: repaired.Stats}, nil
+	return &Result{Sample: sample.Seal(fixed, req.Workers), Stats: repaired.Stats}, nil
 }

@@ -14,9 +14,9 @@ import (
 
 // Stats is the per-phase execution breakdown the paper's Figure 11 plots.
 //
-// Scan and Process are per-worker CPU time totals divided by the worker
-// count — an estimate of the wall-clock share of each phase under even load
-// — while Merge and Wall are measured wall-clock durations.
+// Scan and Process are per-worker CPU time totals divided by the number of
+// workers that ran — an estimate of the wall-clock share of each phase
+// under even load — while Merge and Wall are measured wall-clock durations.
 type Stats struct {
 	// Scan is the time spent evaluating the scan filter (predicate over
 	// fact columns producing selection vectors).
@@ -38,8 +38,9 @@ type Stats struct {
 	RowsScanned int64
 	// RowsSelected is the number of rows surviving filter and joins.
 	RowsSelected int64
-	// Workers is the parallelism used (capped at the morsel count: extra
-	// workers would idle and skew the per-phase averages).
+	// Workers is the parallelism used: the workers that claimed a morsel
+	// (no more than the morsel count or GOMAXPROCS), or for a segmented
+	// build the worker budget, capped at the total morsel count.
 	Workers int
 	// MorselsPruned counts morsels skipped outright because the zone map
 	// proved no row could match the scan filter.
@@ -232,8 +233,9 @@ func BuildSegmentSample(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint
 		return nil, stats, err
 	}
 	mergeStart := time.Now()
-	// Only the partials of workers that ran: the driver starts at most one
-	// per morsel, and an empty builder would cost the merge a write.
+	// Only the partials of workers that ran, numbered 0 to Workers−1: a
+	// worker that claims no morsel makes no body, and an empty builder
+	// would cost the merge a write.
 	merged, err := mergeParts(partials[:max(stats.Workers, 1)], root.Split(1<<32), workers)
 	if err != nil {
 		return nil, stats, err

@@ -319,7 +319,7 @@ func TestZoneMapSampleBuildEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return sample.Seal(sam)
+			return sample.Seal(sam, 1)
 		}
 		zm, ref := build(false), build(true)
 		if zm.NumStrata() != ref.NumStrata() || zm.TotalWeight() != ref.TotalWeight() {

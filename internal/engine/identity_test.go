@@ -50,7 +50,7 @@ func TestSampleIdentityPins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := sampleDigest(sample.Seal(s)); got != want {
+		if got := sampleDigest(sample.Seal(s, 1)); got != want {
 			t.Errorf("%s: digest %s, pinned %s", name, got, want)
 		}
 	}

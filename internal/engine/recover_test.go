@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -47,7 +46,7 @@ func TestMergePanicFailsQueryNotProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge after a panic-failed merge: %v", err)
 	}
-	if w := sample.Seal(merged).TotalWeight(); w != 3 {
+	if w := sample.Seal(merged, 1).TotalWeight(); w != 3 {
 		t.Fatalf("post-panic merge weight = %v", w)
 	}
 }
@@ -78,7 +77,7 @@ func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
 		caller := goid()
 		helperRan := make(chan struct{})
 		var once sync.Once
-		sample.Seal(parts[0]).Walk(workers, func() func(lo, hi int) {
+		sample.Seal(parts[0], 1).Walk(workers, func() func(lo, hi int) {
 			onHelper := goid() != caller
 			return func(lo, hi int) {
 				if onHelper {
@@ -99,18 +98,5 @@ func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sample merge") || !strings.Contains(err.Error(), "poisoned stratum chunk") {
 		t.Fatalf("error %q does not name the merge step and the helper's panic", err)
-	}
-}
-
-func TestFirstError(t *testing.T) {
-	if err := firstError(nil); err != nil {
-		t.Fatalf("firstError(nil) = %v", err)
-	}
-	if err := firstError([]error{nil, nil}); err != nil {
-		t.Fatalf("firstError(all nil) = %v", err)
-	}
-	want := errors.New("second")
-	if err := firstError([]error{nil, want, errors.New("third")}); err != want {
-		t.Fatalf("firstError = %v, want %v", err, want)
 	}
 }

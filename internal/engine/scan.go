@@ -2,10 +2,10 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"laqy/internal/expr"
+	"laqy/internal/par"
 	"laqy/internal/storage"
 )
 
@@ -187,9 +187,10 @@ func leaseMorselScratch(nJoins, nSources int) *morselScratch {
 	return s
 }
 
-// scanWorker is one worker's state inside the driver: its leased scratch
-// (any growth of sel stays with the pooled set) and its share of the run's
-// Stats — per-phase time and row/morsel counts, summed after the join.
+// scanWorker is one participant's state inside the driver: its leased
+// scratch (any growth of sel stays with the pooled set) and its share of
+// the run's Stats — per-phase time and row/morsel counts, summed after the
+// wait.
 type scanWorker struct {
 	*morselScratch
 	st Stats
@@ -203,121 +204,74 @@ type scanWorker struct {
 // count it in ws.st.MorselsFused.
 type morselBody func(ws *scanWorker, mo storage.Morsel, v morselVerdict) (selected int, process time.Duration)
 
-// run is the engine's one morsel-parallel worker loop. Each of up to
-// `workers` goroutines leases a scratch set (nJoins probe maps, nSources
-// gather vectors), asks newBody for its body — and, for sinks that can fail
-// mid-run (failableSink), a poll of that failure — then claims morsels until
-// none are left, the context is canceled, or some worker's poll reports an
-// error, which aborts all workers at their next morsel boundary and becomes
-// the run's error. A panic in a body (kernel bug, corrupt column) fails the
-// run through the same error path, with the stack captured, instead of
-// killing the process.
+// run is the engine's one morsel-parallel scan: participants claim morsels
+// through par.Claim, each with a leased scratch set (nJoins probe maps,
+// nSources gather vectors) and the body newBody makes for its number w —
+// and, for sinks that can fail mid-run (failableSink), a poll of that
+// failure. A canceled context, checked before each morsel, or a failure
+// polled after one stops every participant at its next morsel and becomes
+// the run's error; so does a panic in a body (kernel bug, corrupt column),
+// with the stack captured, instead of killing the process.
 //
 // The indirection is one body call per morsel, never per row. The prologue
-// may allocate; the per-morsel loop must not.
+// may allocate; the per-morsel item must not.
 //
 //laqy:hot morsel-parallel scan driver
 func (p *morselPlan) run(q *Query, workers, nJoins, nSources int, newBody func(w int) (morselBody, func() error)) (Stats, error) {
 	morsels := p.morsels
-	// Cap the parallelism at the morsel count: spawning more goroutines
-	// than morsels wastes scheduling work, and dividing the per-phase CPU
-	// totals by idle workers under-reports Scan/Process for small deltas.
-	// (Segmented runs cap at the TOTAL morsel count across segments before
-	// dividing the budget — see runStratifiedSegments — so small segments
-	// don't starve the global parallelism; this local cap only trims the
-	// share handed to one sub-pipeline.)
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	var next atomic.Int64
-	var canceled, aborted atomic.Bool
 	start := time.Now()
-
-	var wg sync.WaitGroup
-	workerErrs := make([]error, workers)
-	var stats Stats // per-worker shares, folded in under mu as workers retire
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Worker-slot write: each goroutine owns workerErrs[w].
-			defer func() {
-				if r := recover(); r != nil {
-					workerErrs[w] = panicError("morsel worker", r)
-				}
-			}()
-			body, failed := newBody(w)
-			ws := scanWorker{morselScratch: leaseMorselScratch(nJoins, nSources)}
-			defer morselScratchPool.Put(ws.morselScratch) //laqy:allow hotalloc pointer into interface, once per worker retirement (not per morsel)
-			for {
-				m := int(next.Add(1)) - 1
-				if m >= len(morsels) {
-					break
-				}
-				if q.Ctx != nil && q.Ctx.Err() != nil {
-					canceled.Store(true)
-					break
-				}
-				if aborted.Load() {
-					break
-				}
-				if failed != nil {
-					if err := failed(); err != nil {
-						workerErrs[w] = err
-						aborted.Store(true)
-						break
-					}
-				}
-				mo := morsels[m]
-
-				t0 := time.Now()
-				v := p.lookup(mo.Start, mo.End)
-				switch v {
-				case morselSkip:
-					ws.st.MorselsPruned++
-					ws.st.Scan += time.Since(t0)
-					continue
-				case morselFull:
-					ws.st.MorselsFull++
-				}
-				n, process := body(&ws, mo, v)
-				ws.st.RowsSelected += int64(n)
-				ws.st.Process += process
-				ws.st.Scan += time.Since(t0) - process
-			}
-			// A failure during the final morsel has no next boundary to be
-			// polled at: re-check before the worker retires.
-			if failed != nil && workerErrs[w] == nil {
-				if err := failed(); err != nil {
-					workerErrs[w] = err
-					aborted.Store(true)
+	ws := make([]scanWorker, max(workers, 1)) // participant w owns ws[w]
+	ran, err := par.Claim(len(morsels), workers, func(w int) func(m int) error {
+		s := &ws[w]
+		s.morselScratch = leaseMorselScratch(nJoins, nSources)
+		body, failed := newBody(w)
+		return func(m int) error {
+			if q.Ctx != nil {
+				if err := q.Ctx.Err(); err != nil {
+					return err
 				}
 			}
-			mu.Lock()
-			stats.Add(ws.st)
-			mu.Unlock()
-		}(w)
+			mo := morsels[m]
+			t0 := time.Now()
+			v := p.lookup(mo.Start, mo.End)
+			switch v {
+			case morselSkip:
+				s.st.MorselsPruned++
+				s.st.Scan += time.Since(t0)
+				return nil
+			case morselFull:
+				s.st.MorselsFull++
+			}
+			n, process := body(s, mo, v)
+			s.st.RowsSelected += int64(n)
+			s.st.Process += process
+			s.st.Scan += time.Since(t0) - process
+			if failed != nil {
+				return failed()
+			}
+			return nil
+		}
+	})
+	var stats Stats
+	for _, s := range ws[:ran] { //laqy:allow ctxpoll one fold per participant, after the wait
+		morselScratchPool.Put(s.morselScratch) //laqy:allow hotalloc pointer into interface, once per participant after the wait (not per morsel)
+		stats.Add(s.st)
 	}
-	wg.Wait()
-	if err := firstError(workerErrs); err != nil {
-		return Stats{}, err
-	}
-	if canceled.Load() {
-		return Stats{}, q.Ctx.Err()
+	if err != nil {
+		return Stats{}, claimError("morsel worker", err)
 	}
 
-	// Scan and Process are per-worker CPU totals averaged over the workers.
-	// An empty morsel set (e.g. a no-op incremental delta) spawned none;
-	// report zero phase times instead of dividing by zero.
-	if workers > 0 {
-		stats.Scan /= time.Duration(workers)
-		stats.Process /= time.Duration(workers)
+	// Scan and Process are per-participant CPU totals averaged over the
+	// participants that ran. An empty morsel set (e.g. a no-op incremental
+	// delta) ran none; report zero phase times instead of dividing by zero.
+	if ran > 0 {
+		stats.Scan /= time.Duration(ran)
+		stats.Process /= time.Duration(ran)
 	}
 	end := time.Now()
 	stats.Wall = end.Sub(start)
 	stats.RowsScanned = int64(p.to - p.from)
-	stats.Workers = workers
+	stats.Workers = ran
 	finishPipeline(q, &stats, len(morsels), start, end)
 	return stats, nil
 }

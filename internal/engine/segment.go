@@ -1,6 +1,6 @@
 // Segment-parallel sample builds: the coordinator half of the sharding
 // design (docs/SHARDING.md). A segmented fact table is built one segment
-// at a time by a bounded pool of segment workers, each running the normal
+// at a time by the participants of one par.Claim, each running the normal
 // morsel-parallel pipeline over its segment's row range and producing an
 // independent per-segment stratified reservoir; the coordinator merges
 // them N-way with the paper's Algorithm 2/3 algebra (proportional when
@@ -17,12 +17,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"laqy/internal/governor"
 	"laqy/internal/obs"
+	"laqy/internal/par"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
 	"laqy/internal/storage"
@@ -217,7 +216,7 @@ func RunStratifiedExprs(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint
 	if err != nil {
 		return nil, stats, err
 	}
-	return sample.Seal(part), stats, nil
+	return sample.Seal(part, workers), stats, nil
 }
 
 // errSegmentsStopped is the internal signal a segment worker leaves when
@@ -226,10 +225,10 @@ func RunStratifiedExprs(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint
 var errSegmentsStopped = errors.New("engine: segment dispatch stopped")
 
 // runStratifiedSegments is the N-way coordinator: fan segment builds
-// across a bounded pool, charge admission per segment batch against the
-// query's memory budget, drop trailing segments (instead of failing the
-// whole query) when the deadline or budget runs out mid-plan, and merge
-// the per-segment reservoirs with the Algorithm 2/3 algebra.
+// across par.Claim's participants, charge admission per segment batch
+// against the query's memory budget, drop trailing segments (instead of
+// failing the whole query) when the deadline or budget runs out mid-plan,
+// and merge the per-segment reservoirs with the Algorithm 2/3 algebra.
 func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, workers int) (sample.Part, Stats, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -248,92 +247,38 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 		workers = 1
 	}
 	// Concurrent segment builds: one per segment, at most one per worker.
-	par := min(DefaultWorkers(), len(sources), workers)
-	perSeg := workers / par
-	if perSeg < 1 {
-		perSeg = 1
-	}
+	segPar := min(DefaultWorkers(), len(sources), workers)
+	perSeg := max(workers/segPar, 1)
 
 	start := time.Now()
 	partials := make([]sample.Part, len(sources))
 	segErrs := make([]error, len(sources))
-	stats := Stats{Workers: workers, Segments: len(sources), SegmentParallelism: par}
-	var statsMu sync.Mutex
-	var next atomic.Int64
-	var stopped atomic.Bool // pressure: stop dispatching trailing segments
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// next.Add hands index i to exactly one worker, so segErrs[i]
-				// and partials[i] are written without a lock.
-				i := int(next.Add(1)) - 1
-				if i >= len(sources) {
-					return
-				}
-				if stopped.Load() {
-					segErrs[i] = errSegmentsStopped
-					continue
-				}
-				if q.Ctx != nil {
-					if err := q.Ctx.Err(); err != nil {
-						// Deadline pressure degrades (drop the tail);
-						// explicit cancellation aborts like before.
-						if errors.Is(err, context.DeadlineExceeded) {
-							stopped.Store(true)
-							segErrs[i] = errSegmentsStopped
-							continue
-						}
-						segErrs[i] = err
-						return
-					}
-				}
-				// Per-segment-batch admission: a denial here drops this
-				// and later segments, not the query.
-				est := sources[i].MemEstimate(perSeg)
-				if q.Budget != nil {
-					if err := q.Budget.Reserve(est); err != nil {
-						stopped.Store(true)
-						segErrs[i] = errSegmentsStopped
-						continue
-					}
-				}
-				segSeed := seed ^ (uint64(sources[i].ID())+1)*0x9E3779B97F4A7C15
-				buildStart := time.Now()
-				sam, st, err := sources[i].Build(perSeg, segSeed)
-				if q.Budget != nil {
-					q.Budget.Release(est)
-				}
-				if err != nil {
-					if errors.Is(err, context.DeadlineExceeded) {
-						stopped.Store(true)
-						segErrs[i] = errSegmentsStopped
-						continue
-					}
-					if errors.Is(err, ErrSegmentUnavailable) {
-						// A per-segment failure (shard down, retries
-						// exhausted): drop just this segment's weight and
-						// keep dispatching the rest — other shards may be
-						// healthy.
-						segErrs[i] = err
-						continue
-					}
-					segErrs[i] = err
-					return
-				}
-				partials[i] = sam
-				recordSegmentSpan(q, sources[i], buildStart)
-				statsMu.Lock()
-				stats.Add(st)
-				stats.SegmentsBuilt++
-				statsMu.Unlock()
+	segStats := make([]Stats, len(sources))
+	// par.Claim hands index i to one participant, so partials[i],
+	// segErrs[i] and segStats[i] are written without a lock.
+	_, err := par.Claim(len(sources), segPar, func(int) func(i int) error {
+		return func(i int) (err error) {
+			partials[i], segStats[i], err = buildSegment(q, sources[i], seed, perSeg)
+			if errors.Is(err, context.DeadlineExceeded) {
+				// Deadline pressure degrades (drop the tail); explicit
+				// cancellation aborts.
+				err = errSegmentsStopped
 			}
-		}()
+			segErrs[i] = err
+			if errors.Is(err, ErrSegmentUnavailable) {
+				// A per-segment failure (shard down, retries exhausted):
+				// drop just this segment's weight and keep dispatching the
+				// rest — other shards may be healthy.
+				return nil
+			}
+			return err
+		}
+	})
+	if errors.As(err, new(*par.Panic)) {
+		return nil, Stats{}, claimError("segment build", err)
 	}
-	wg.Wait()
 
+	stats := Stats{Workers: workers, Segments: len(sources), SegmentParallelism: segPar}
 	built := make([]sample.Part, 0, len(partials))
 	var rowsDropped int64
 	var pressure, unavailable error
@@ -341,6 +286,8 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 		switch {
 		case p != nil:
 			built = append(built, p)
+			stats.Add(segStats[i])
+			stats.SegmentsBuilt++
 		case errors.Is(segErrs[i], errSegmentsStopped):
 			rowsDropped += int64(sources[i].Rows())
 			stats.SegmentDrops = append(stats.SegmentDrops, SegmentDrop{
@@ -363,9 +310,8 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 		case segErrs[i] != nil:
 			return nil, stats, segErrs[i]
 		default:
-			// Dispatch never reached this index (a worker bailed early on
-			// a hard error that we would have returned above), or the
-			// counter raced past it after stop: count it dropped.
+			// Dispatch stopped before this index was claimed: count it
+			// dropped.
 			rowsDropped += int64(sources[i].Rows())
 			stats.SegmentDrops = append(stats.SegmentDrops, SegmentDrop{
 				ID: sources[i].ID(), Rows: int64(sources[i].Rows()), Reason: "pressure",
@@ -396,11 +342,37 @@ func runStratifiedSegments(q *Query, sources []SegmentSource, seed uint64, worke
 	stats.Merge += mergeDur
 	stats.RowsDropped = rowsDropped
 	stats.Segments = len(sources)
-	stats.SegmentParallelism = par
+	stats.SegmentParallelism = segPar
 	stats.Workers = workers
 	stats.Wall = time.Since(start)
 	finishSegments(q, &stats, start, time.Now(), mergeDur)
 	return merged, stats, nil
+}
+
+// buildSegment builds one segment of a segmented sample for
+// runStratifiedSegments, under a per-segment-batch admission: a denial
+// returns errSegmentsStopped, which drops this and later segments, not
+// the query.
+func buildSegment(q *Query, src SegmentSource, seed uint64, workers int) (sample.Part, Stats, error) {
+	if q.Ctx != nil {
+		if err := q.Ctx.Err(); err != nil {
+			return nil, Stats{}, err
+		}
+	}
+	if q.Budget != nil {
+		est := src.MemEstimate(workers)
+		if err := q.Budget.Reserve(est); err != nil {
+			return nil, Stats{}, errSegmentsStopped
+		}
+		defer q.Budget.Release(est)
+	}
+	buildStart := time.Now()
+	sam, st, err := src.Build(workers, seed^(uint64(src.ID())+1)*0x9E3779B97F4A7C15)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	recordSegmentSpan(q, src, buildStart)
+	return sam, st, nil
 }
 
 // shardOf names the shard behind a source, "" for local ones.

@@ -324,7 +324,7 @@ func sealed(p sample.Part, st Stats, err error) (*sample.Stratified, Stats, erro
 	if err != nil {
 		return nil, st, err
 	}
-	return sample.Seal(p), st, nil
+	return sample.Seal(p, 1), st, nil
 }
 
 // fakeSegment scripts one SegmentSource for coordinator tests: successful

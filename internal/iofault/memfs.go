@@ -228,32 +228,6 @@ func (m *MemFS) Clone() *MemFS {
 	return c
 }
 
-// WriteFileDurable installs a file as fully durable content (cache ==
-// disk, entry durable) — a fixture helper for "the previous session saved
-// this" baselines.
-func (m *MemFS) WriteFileDurable(name string, data []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ino := &inode{
-		cache: append([]byte(nil), data...),
-		disk:  append([]byte(nil), data...),
-	}
-	m.cacheDir[name] = ino
-	m.diskDir[name] = ino
-}
-
-// DiskNames lists the durable directory entries, sorted.
-func (m *MemFS) DiskNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.diskDir))
-	for name := range m.diskDir {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // CacheNames lists the cached (pre-crash view) directory entries, sorted.
 func (m *MemFS) CacheNames() []string {
 	m.mu.Lock()

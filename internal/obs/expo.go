@@ -4,8 +4,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 )
+
+// ReadOnly guards an observability endpoint: GET and HEAD only (405 with
+// Allow otherwise), a fixed Content-Type, and Cache-Control: no-store.
+func ReadOnly(contentType string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet && r.Method != http.MethodHead {
+			w.Header().Set("Allow", "GET, HEAD")
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		w.Header().Set("Cache-Control", "no-store")
+		h(w, r)
+	}
+}
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4): counters and gauges as plain samples, duration

@@ -126,7 +126,7 @@ func TestAlgorithmLChiSquareEquivalence(t *testing.T) {
 		}
 		s.ConsiderColumns([][]int64{g, vals}, len(vals))
 		var out []int64
-		Seal(s).ForEach(func(_ StratumKey, r *Reservoir) {
+		Seal(s, 1).ForEach(func(_ StratumKey, r *Reservoir) {
 			for i := 0; i < r.Len(); i++ {
 				out = append(out, r.Tuple(i)[1])
 			}

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"laqy/internal/par"
 )
 
 // goid returns the calling goroutine's id, read off its stack header.
@@ -17,7 +19,7 @@ func goid() string {
 }
 
 // atLeastProcs raises GOMAXPROCS to n for the rest of the test: forChunks
-// starts no more helpers than GOMAXPROCS can run.
+// (par.Claim) starts no more helpers than GOMAXPROCS can run.
 func atLeastProcs(t *testing.T, n int) {
 	if prev := runtime.GOMAXPROCS(0); prev < n {
 		runtime.GOMAXPROCS(n)
@@ -26,8 +28,9 @@ func atLeastProcs(t *testing.T, n int) {
 }
 
 // TestForChunksVisitsEachIndexOnce: every index of [0, n) is in exactly one
-// chunk, whatever the number of chunks and of workers, and a walk of one
-// chunk or one worker is one body call over [0, n) on the caller.
+// chunk of at most size indices, whatever the number of chunks and of
+// workers, and a walk of one chunk or one worker is one body on the caller,
+// called once per chunk.
 func TestForChunksVisitsEachIndexOnce(t *testing.T) {
 	atLeastProcs(t, 8)
 	const size = 7
@@ -43,7 +46,7 @@ func TestForChunksVisitsEachIndexOnce(t *testing.T) {
 					bodies.Add(1)
 					return func(lo, hi int) {
 						calls.Add(1)
-						if (!inline && hi-lo > size) || lo >= hi {
+						if hi-lo > size || lo >= hi {
 							t.Errorf("chunk [%d, %d) with size %d", lo, hi, size)
 						}
 						if goid() != caller {
@@ -62,10 +65,10 @@ func TestForChunksVisitsEachIndexOnce(t *testing.T) {
 					}
 				}
 				if inline {
-					want := int32(min(n, 1))
-					if calls.Load() != want || bodies.Load() != want || !onCaller {
+					want, chunks := int32(min(n, 1)), int32((n+size-1)/size)
+					if calls.Load() != chunks || bodies.Load() != want || !onCaller {
 						t.Errorf("inline walk: %d bodies, %d calls, on caller %v; want %d, %d, true",
-							bodies.Load(), calls.Load(), onCaller, want, want)
+							bodies.Load(), calls.Load(), onCaller, want, chunks)
 					}
 				}
 				if int(bodies.Load()) > workers {
@@ -78,7 +81,7 @@ func TestForChunksVisitsEachIndexOnce(t *testing.T) {
 
 // TestForChunksHelperPanicReachesCaller: a panic in a chunk a helper
 // goroutine runs does not kill the process; it is raised again on the
-// caller's goroutine once the claimed chunks have ended, as a *chunkPanic
+// caller's goroutine once the claimed chunks have ended, as a *par.Panic
 // carrying the original value and the helper's stack.
 func TestForChunksHelperPanicReachesCaller(t *testing.T) {
 	atLeastProcs(t, 2)
@@ -103,12 +106,12 @@ func TestForChunksHelperPanicReachesCaller(t *testing.T) {
 			}
 		})
 	}()
-	p, ok := raised.(*chunkPanic)
+	p, ok := raised.(*par.Panic)
 	if !ok {
-		t.Fatalf("forChunks raised %v (%T), want the helper's panic as a *chunkPanic", raised, raised)
+		t.Fatalf("forChunks raised %v (%T), want the helper's panic as a *par.Panic", raised, raised)
 	}
-	if p.value != "poisoned chunk" || !strings.Contains(p.Error(), "poisoned chunk") || len(p.stack) == 0 {
-		t.Fatalf("chunkPanic{%v, %d stack bytes}, want the helper's value and stack", p.value, len(p.stack))
+	if p.Value != "poisoned chunk" || !strings.Contains(p.Error(), "poisoned chunk") || len(p.Stack) == 0 {
+		t.Fatalf("par.Panic{%v, %d stack bytes}, want the helper's value and stack", p.Value, len(p.Stack))
 	}
 }
 

@@ -141,7 +141,7 @@ func TestKeyIndexConcurrentFind(t *testing.T) {
 	for i := int64(0); i < 500; i++ {
 		addRow(b, i%37, i%11, i)
 	}
-	s := Seal(b)
+	s := Seal(b, 1)
 	want := s.NumStrata()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

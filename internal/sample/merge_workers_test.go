@@ -13,7 +13,8 @@ import (
 )
 
 // TestMergeStratifiedWorkersBitIdentical: merging on eight workers gives the
-// bytes (store encoding) and stratum ids that merging on one does. The two
+// bytes (store encoding) and stratum ids that merging on one does, and
+// sealing a builder on eight workers the bytes sealing it on one does. The two
 // inputs share most strata and cover every case of Algorithm 2 — a side
 // that is not full, two full reservoirs of equal capacity (proportional)
 // and of different capacities (scaled proportional) — and each side holds
@@ -64,7 +65,7 @@ func TestMergeStratifiedWorkersBitIdentical(t *testing.T) {
 				t.Fatalf("%d strata make %d chunks, want at least 3", strata, chunks)
 			}
 			cases := map[string]int{}
-			sample.Seal(right).ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
+			sample.Seal(right, 1).ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
 				l := left.Stratum(key)
 				switch {
 				case l == nil:
@@ -87,10 +88,11 @@ func TestMergeStratifiedWorkersBitIdentical(t *testing.T) {
 				}
 			}
 
-			var encoded [][]byte
+			var encoded, sealed [][]byte
 			var ids [][]sample.StratumKey
 			for _, workers := range []int{1, 8} {
 				a, b := inputs()
+				sealed = append(sealed, store.EncodeStratified(sample.Seal(a, workers)))
 				m, err := sample.MergeStratified(a, b, rng.NewLehmer64(3), workers)
 				if err != nil {
 					t.Fatal(err)
@@ -100,6 +102,9 @@ func TestMergeStratifiedWorkersBitIdentical(t *testing.T) {
 			}
 			if !bytes.Equal(encoded[0], encoded[1]) {
 				t.Error("8-worker merge encodes to other bytes than the 1-worker merge")
+			}
+			if !bytes.Equal(sealed[0], sealed[1]) {
+				t.Error("8-worker seal encodes to other bytes than the 1-worker seal")
 			}
 			if !slices.Equal(ids[0], ids[1]) {
 				t.Error("8-worker merge numbers its strata differently from the 1-worker merge")

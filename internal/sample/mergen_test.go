@@ -55,7 +55,7 @@ func FuzzMergeN(f *testing.F) {
 			}
 			b := sample.NewBuilder(schema, 1, k, gen.Split(uint64(i)))
 			b.ConsiderColumns([][]int64{keys, vals}, len(keys))
-			s := sample.Seal(b)
+			s := sample.Seal(b, 1)
 			views = append(views, s)
 			switch kind % 3 {
 			case 0:
@@ -87,7 +87,7 @@ func FuzzMergeN(f *testing.F) {
 					t.Fatalf("MergeN wrote part %d of its argument", i)
 				}
 			}
-			return sample.Seal(m)
+			return sample.Seal(m, 1)
 		}
 		got := merge(1)
 
@@ -149,7 +149,7 @@ func FuzzMergeN(f *testing.F) {
 			}
 			ref = next
 		}
-		if !bytes.Equal(store.EncodeStratified(sample.Seal(ref[0])), want) {
+		if !bytes.Equal(store.EncodeStratified(sample.Seal(ref[0], 1)), want) {
 			t.Fatal("MergeN differs from the pairwise tree of MergeStratified")
 		}
 	})

@@ -61,8 +61,8 @@ func TestMergeLeavesInputsUnchanged(t *testing.T) {
 	// Each form returns the merge input and the strata it reads.
 	forms := map[string]func(b *Builder) (Part, *strata){
 		"built":  func(b *Builder) (Part, *strata) { return b, &b.strata },
-		"sealed": func(b *Builder) (Part, *strata) { s := Seal(b); return s, &s.strata },
-		"fork":   func(b *Builder) (Part, *strata) { s := Seal(b); return s.Fork(), &s.strata },
+		"sealed": func(b *Builder) (Part, *strata) { s := Seal(b, 1); return s, &s.strata },
+		"fork":   func(b *Builder) (Part, *strata) { s := Seal(b, 1); return s.Fork(), &s.strata },
 	}
 	for _, rightK := range []int{32, 48} {
 		for _, form := range []string{"built", "sealed", "fork"} {
@@ -123,7 +123,7 @@ func TestStratifiedCloneIsolation(t *testing.T) {
 		fillStratified(b, lo, n, 6)
 		return b
 	}
-	orig := Seal(build(1, 0, 600)) // six full strata
+	orig := Seal(build(1, 0, 600), 1) // six full strata
 	second := orig.Fork().mergeInput()
 	wantWeight := orig.TotalWeight()
 

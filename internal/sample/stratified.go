@@ -221,7 +221,7 @@ func (s *Stratified) ForEach(fn func(key StratumKey, r *Reservoir)) {
 // goroutine and returns that goroutine's chunk body. Chunks run
 // concurrently and in no fixed order, so a body may write only what
 // belongs to its own positions; a walk of one chunk, or with one worker,
-// is one body call over every position, on the caller's goroutine.
+// runs every chunk in order through one body on the caller's goroutine.
 func (s *Stratified) Walk(workers int, worker func() func(lo, hi int)) {
 	forChunks(len(s.res), chunkStrata(s.k), workers, worker)
 }
@@ -310,12 +310,12 @@ func (in input) copyInto(out *Reservoir, data []int64, r *Reservoir) {
 
 // Seal publishes p: a *Stratified as it is, any other part — one worker's
 // build, a loaded file, a fork — written by the writer's one-input form
-// into storage of its own.
-func Seal(p Part) *Stratified {
+// into storage of its own, on up to workers goroutines.
+func Seal(p Part, workers int) *Stratified {
 	if s, ok := p.(*Stratified); ok {
 		return s
 	}
-	return write(p.mergeInput(), input{strata: &noStrata}, nil, 1)
+	return write(p.mergeInput(), input{strata: &noStrata}, nil, workers)
 }
 
 // noStrata is the empty second input of the writer's one-input form.

@@ -71,7 +71,7 @@ func TestStratifiedSmallGroupsFullyKept(t *testing.T) {
 			addRow(s, g, g*100+v)
 		}
 	}
-	Seal(s).ForEach(func(_ StratumKey, r *Reservoir) {
+	Seal(s, 1).ForEach(func(_ StratumKey, r *Reservoir) {
 		if r.Len() != 5 || r.Full() {
 			t.Fatalf("small stratum should hold all 5 tuples, has %d", r.Len())
 		}
@@ -95,7 +95,7 @@ func TestStratifiedMultiColumnQCS(t *testing.T) {
 func TestStratifiedKeysDeterministicOrder(t *testing.T) {
 	b := NewBuilder(Schema{"g", "v"}, 1, 5, newGen(5))
 	fillStratified(b, 0, 100, 9)
-	keys := Seal(b).Keys()
+	keys := Seal(b, 1).Keys()
 	if len(keys) != 9 {
 		t.Fatalf("%d keys", len(keys))
 	}
@@ -127,7 +127,7 @@ func TestStratifiedKeysDeterministicOrder(t *testing.T) {
 	if err := m.Restore(StratumKey{1, -5}, r); err != nil {
 		t.Fatal(err)
 	}
-	s := Seal(m)
+	s := Seal(m, 1)
 	want := []StratumKey{{-3, -7}, {-3, 7}, {0, 0}, {1, -5}, {2, -9}, {2, -1}, {2, 4}}
 	inOrder(s, want...)
 	s.Keys()[0] = StratumKey{99}
@@ -173,7 +173,7 @@ func TestStratifiedFilter(t *testing.T) {
 func TestStratifiedClone(t *testing.T) {
 	b := NewBuilder(Schema{"g", "v"}, 1, 10, newGen(7))
 	fillStratified(b, 0, 200, 4)
-	s := Seal(b)
+	s := Seal(b, 1)
 	before := digest(&s.strata)
 	for _, c := range []input{s.Fork().mergeInput(), b.Fork().mergeInput()} {
 		if c.NumStrata() != s.NumStrata() || c.TotalWeight() != s.TotalWeight() {
@@ -286,7 +286,7 @@ func TestMergeStratifiedEquivalenceToDirectSample(t *testing.T) {
 		}
 		return s / float64(r.Len())
 	}
-	Seal(direct).ForEach(func(key StratumKey, dr *Reservoir) {
+	Seal(direct, 1).ForEach(func(key StratumKey, dr *Reservoir) {
 		mr := merged.Stratum(key)
 		if mr == nil {
 			t.Fatalf("stratum %v missing from merged sample", key)

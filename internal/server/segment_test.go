@@ -118,7 +118,7 @@ func TestSegmentBuildEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(store.EncodeStratified(sample.Seal(remote)), store.EncodeStratified(local)) {
+	if !bytes.Equal(store.EncodeStratified(sample.Seal(remote, 1)), store.EncodeStratified(local)) {
 		t.Fatal("remote reservoir differs from local build for the same spec")
 	}
 }

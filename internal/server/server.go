@@ -284,15 +284,15 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.handleQuery)
 	mux.HandleFunc(shard.BuildPath, s.handleSegmentBuild)
-	mux.HandleFunc("/healthz", s.readOnly("text/plain; charset=utf-8", s.handleHealthz))
-	mux.HandleFunc("/readyz", s.readOnly("application/json", s.handleReadyz))
-	mux.HandleFunc("/metrics", s.readOnly("text/plain; version=0.0.4; charset=utf-8",
+	mux.HandleFunc("/healthz", obs.ReadOnly("text/plain; charset=utf-8", s.handleHealthz))
+	mux.HandleFunc("/readyz", obs.ReadOnly("application/json", s.handleReadyz))
+	mux.HandleFunc("/metrics", obs.ReadOnly("text/plain; version=0.0.4; charset=utf-8",
 		func(w http.ResponseWriter, r *http.Request) {
 			if err := s.reg.Snapshot().WritePrometheus(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}))
-	mux.HandleFunc("/metrics.json", s.readOnly("application/json",
+	mux.HandleFunc("/metrics.json", obs.ReadOnly("application/json",
 		func(w http.ResponseWriter, r *http.Request) {
 			if err := s.reg.Snapshot().WriteJSON(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -300,21 +300,6 @@ func (s *Server) Handler() http.Handler {
 		}))
 	mux.HandleFunc("/tenants/{tenant}/{rest...}", s.handleTenantDebug)
 	return s.wrap(mux)
-}
-
-// readOnly guards a daemon observability endpoint: GET/HEAD only, fixed
-// Content-Type, never cached (mirrors laqy.DB.Handler's contract).
-func (s *Server) readOnly(contentType string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", contentType)
-		w.Header().Set("Cache-Control", "no-store")
-		h(w, r)
-	}
 }
 
 // handleTenantDebug routes /tenants/{name}/<sub> to the tenant's engine

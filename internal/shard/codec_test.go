@@ -22,7 +22,7 @@ func testSample(seed uint64, qcsWidth, k int, n int64) *sample.Stratified {
 		cols[0][v], cols[1][v], cols[2][v] = v%5, v, v*3
 	}
 	s.ConsiderColumns(cols, int(n))
-	return sample.Seal(s)
+	return sample.Seal(s, 1)
 }
 
 // testStats sets exactly the eight stats fields a frame carries.
@@ -56,7 +56,7 @@ func TestFrameRoundtrip(t *testing.T) {
 				n, orig.NumStrata(), dec.NumStrata(), orig.TotalWeight(), dec.TotalWeight())
 		}
 		// Encoding is deterministic: same sample + stats → same bytes.
-		if !bytes.Equal(frame, EncodeFrame(sample.Seal(dec), got)) {
+		if !bytes.Equal(frame, EncodeFrame(sample.Seal(dec, 1), got)) {
 			t.Fatalf("n=%d: re-encode not byte-identical", n)
 		}
 	}
@@ -152,7 +152,7 @@ func FuzzReservoirDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := EncodeFrame(sample.Seal(sam), st)
+		re := EncodeFrame(sample.Seal(sam, 1), st)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode accepted non-canonical frame: %d bytes in, %d bytes re-encoded", len(data), len(re))
 		}

@@ -90,7 +90,7 @@ func TestRemoteBuildSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sam == nil || sample.Seal(sam).NumStrata() == 0 {
+	if sam == nil || sample.Seal(sam, 1).NumStrata() == 0 {
 		t.Fatal("empty sample")
 	}
 	if stats.RowsScanned != 200 {

@@ -88,7 +88,7 @@ func TestDecodeRejectsNonCanonicalBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canonical block: %v", err)
 	}
-	if re := EncodeStratified(sample.Seal(dec)); !bytes.Equal(re, canonical) {
+	if re := EncodeStratified(sample.Seal(dec, 1)); !bytes.Equal(re, canonical) {
 		t.Fatal("canonical block re-encodes to other bytes")
 	}
 	if err := New(0).Load(bytes.NewReader(rawStore(canonical)), 1); err != nil {

@@ -635,7 +635,7 @@ func decodeEntryPayload(payload []byte, gen *rng.Lehmer64) (*Entry, error) {
 	if _, err := r.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("trailing bytes after entry payload")
 	}
-	e.Sample = sample.Seal(sam)
+	e.Sample = sample.Seal(sam, 1)
 	return e, nil
 }
 

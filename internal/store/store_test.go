@@ -25,7 +25,7 @@ func makeSample(seed uint64, schema sample.Schema, qcsWidth, k int, n int64) *sa
 		}
 	}
 	s.ConsiderColumns(cols, int(n))
-	return sample.Seal(s)
+	return sample.Seal(s, 1)
 }
 
 var testSchema = sample.Schema{"g", "key", "val"}
@@ -463,7 +463,7 @@ func checkSealed(t *testing.T, what string, sam *sample.Stratified) {
 		}
 		tuples = uintptr(unsafe.Pointer(&tu[0])) + uintptr(len(tu))*8
 	}
-	if sample.Seal(sam) != sam {
+	if sample.Seal(sam, 1) != sam {
 		t.Fatalf("%s: sealing a sealed sample copied it", what)
 	}
 }

@@ -51,7 +51,7 @@ func TestEncodeStratifiedRoundtrip(t *testing.T) {
 			}
 		}
 		// Determinism: re-encoding the decoded sample reproduces the bytes.
-		if !bytes.Equal(enc, EncodeStratified(sample.Seal(dec))) {
+		if !bytes.Equal(enc, EncodeStratified(sample.Seal(dec, 1))) {
 			t.Fatalf("case %+v: re-encode not byte-identical", tc)
 		}
 	}

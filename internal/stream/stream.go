@@ -245,5 +245,5 @@ func (w *WindowedSampler) Window(from, to int64) (*sample.Stratified, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sample.Seal(merged), nil
+	return sample.Seal(merged, 1), nil
 }

@@ -207,7 +207,7 @@ func (db *DB) BuildSegment(ctx context.Context, spec SegmentBuildSpec) (*sample.
 	if err != nil {
 		return nil, st, err
 	}
-	return sample.Seal(part), st, nil
+	return sample.Seal(part, workers), st, nil
 }
 
 // SetSegmentPlanner installs (or, with nil, removes) a segment planner

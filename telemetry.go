@@ -166,19 +166,19 @@ func (db *DB) SetTracing(on bool) { db.traceOn.Store(on) }
 // under /tenants/<name>/ (docs/SERVING.md).
 func (db *DB) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", readOnly("text/plain; version=0.0.4; charset=utf-8",
+	mux.HandleFunc("/metrics", obs.ReadOnly("text/plain; version=0.0.4; charset=utf-8",
 		func(w http.ResponseWriter, r *http.Request) {
 			if err := db.reg.Snapshot().WritePrometheus(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}))
-	mux.HandleFunc("/metrics.json", readOnly("application/json",
+	mux.HandleFunc("/metrics.json", obs.ReadOnly("application/json",
 		func(w http.ResponseWriter, r *http.Request) {
 			if err := db.reg.Snapshot().WriteJSON(w); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 			}
 		}))
-	mux.HandleFunc("/debug/laqy/samples", readOnly("text/plain; charset=utf-8",
+	mux.HandleFunc("/debug/laqy/samples", obs.ReadOnly("text/plain; charset=utf-8",
 		func(w http.ResponseWriter, r *http.Request) {
 			stats := db.SampleStoreStats()
 			_, _ = fmt.Fprintf(w, "samples=%d bytes=%d full=%d partial=%d miss=%d evicted=%d\n\n",
@@ -189,21 +189,6 @@ func (db *DB) Handler() http.Handler {
 			}
 		}))
 	return mux
-}
-
-// readOnly wraps an observability endpoint: GET/HEAD only (405 + Allow
-// otherwise), fixed Content-Type, and Cache-Control: no-store.
-func readOnly(contentType string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", contentType)
-		w.Header().Set("Cache-Control", "no-store")
-		h(w, r)
-	}
 }
 
 // TraceAttr is one key=value annotation on a trace span.
