@@ -376,7 +376,7 @@ func BenchmarkAblation_Pushdown(b *testing.B) {
 			Filter: algebra.NewPredicate().WithRange("lo_intkey", 0, sel-1),
 		}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), qcs, 512, uint64(i), 0, nil); err != nil {
+			if _, _, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), qcs, 512, uint64(i), 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -390,7 +390,7 @@ func BenchmarkAblation_Pushdown(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			s, _, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(fullSchema), qcs, 512, uint64(i), 0, nil)
+			s, _, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(fullSchema), qcs, 512, uint64(i), 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -187,6 +187,32 @@ func (g *growth) appendBatch(t *testing.T, o *countOracle, lazy *core.LazySample
 	return stale
 }
 
+// relayout lays lineorder out again in the catalog, in sealed segments of
+// 3·DefaultMorselSize rows instead of 4, and points the oracle (and with
+// it the requests) at that version, as a DB opened with another
+// Config.SegmentRows lays out the same rows.
+func (g *growth) relayout(t *testing.T, o *countOracle) {
+	t.Helper()
+	old, err := g.cat.Table("lineorder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	laid, err := storage.Resegment(old, 3*storage.DefaultMorselSize)
+	if err == nil {
+		laid, err = storage.Seal(laid)
+	}
+	if err == nil {
+		err = g.cat.Replace(old, laid)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if laid.Segments()[0].Rows() == old.Segments()[0].Rows() {
+		t.Fatalf("re-layout kept the first segment's %d rows", old.Segments()[0].Rows())
+	}
+	o.d.Lineorder, o.vals = laid, map[string][]int64{}
+}
+
 // dropPlanner is an engine.SegmentPlanner that makes the first of two or
 // more segment sources unavailable (a shard down), leaving the others to
 // survive.
@@ -220,9 +246,11 @@ func (unavailableSegment) Build(int, uint64) (sample.Part, engine.Stats, error) 
 // joined ones included) through the sampler entry point laqy.DB.Append
 // uses. The oracle then reads the grown table. Every seventh step the store
 // is saved and loaded into a fresh store under a fresh sampler, which the
-// sequence then continues on: a restored entry's segment watermarks must
-// still say which rows it holds, or a later Δ-merge or maintenance pass
-// double-counts them. Every third step runs under a planner that makes a
+// sequence then continues on: a restored entry must still say how many
+// fact rows it has absorbed, or a later Δ-merge or maintenance pass
+// double-counts them; at every second reload lineorder is also laid out
+// again in segments of another size, which must not change what an entry
+// has absorbed. Every third step runs under a planner that makes a
 // segment unavailable once the first append has split the table in two: a
 // build that dropped a segment answers labeled but must never be stored,
 // nor a Δ-build that dropped one merged.
@@ -253,13 +281,16 @@ func TestWeightConservation(t *testing.T) {
 			// Δ-merged or maintained after the load.
 			var restored map[*store.Entry]*sample.Stratified
 			restoredUsed := false
-			drops := 0
+			drops, reloads := 0, 0
 			for i, step := range steps {
 				if i > 0 && i%appendEvery == 0 {
 					staleSeen = g.appendBatch(t, o, lazy, d.Cfg.Seed+uint64(5000+i)) || staleSeen
 				}
 				if i > 0 && i%reloadEvery == 0 {
 					lazy, restored = reload(t, lazy, d.Cfg.Seed+uint64(7000+i))
+					if reloads++; reloads%2 == 0 {
+						g.relayout(t, o)
+					}
 				}
 				sh, err := grown.shape(step, q2)
 				if err != nil {
@@ -341,7 +372,7 @@ func TestWeightConservationCheckerCatchesDoubleMerge(t *testing.T) {
 	o := &countOracle{d: d, vals: map[string][]int64{}}
 	build := func(lo, hi int64) *sample.Stratified {
 		sh := d.q1(lo, hi)
-		s, _, err := engine.RunStratifiedExprs(sh.Query, engine.ExprsFromNames(sh.Schema), sh.QCSWidth, 16, 1, 2, nil)
+		s, _, err := engine.RunStratifiedExprs(sh.Query, engine.ExprsFromNames(sh.Schema), sh.QCSWidth, 16, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,7 +107,7 @@ func (d *Data) stratifiedCase(row, col string, filter algebra.Predicate, strata 
 			return 0, err
 		}
 		q := &engine.Query{Fact: d.Lineorder, Filter: filter}
-		_, st, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), len(schema)-1, d.Cfg.K, seed, d.Cfg.Workers, nil)
+		_, st, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), len(schema)-1, d.Cfg.K, seed, d.Cfg.Workers)
 		return st.Wall, err
 	}}
 }

@@ -35,7 +35,7 @@ func ReuseSweep(d *Data) (*Table, error) {
 		q := d.q1(qLo, qLo+width-1)
 
 		// Workload-oblivious online sampling of the follow-up query.
-		_, onStats, err := engine.RunStratifiedExprs(q.Query, engine.ExprsFromNames(q.Schema), 1, d.seqK(), d.Cfg.Seed+200, d.Cfg.Workers, nil)
+		_, onStats, err := engine.RunStratifiedExprs(q.Query, engine.ExprsFromNames(q.Schema), 1, d.seqK(), d.Cfg.Seed+200, d.Cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -208,7 +208,7 @@ func RunSequence(d *Data, seq Sequence, q2 bool) (*SeqResult, error) {
 		}
 		// Workload-oblivious online sampling.
 		if _, rec.Online, err = engine.RunStratifiedExprs(sh.Query, engine.ExprsFromNames(sh.Schema), sh.QCSWidth,
-			d.seqK(), d.Cfg.Seed+uint64(1000+i), d.Cfg.Workers, nil); err != nil {
+			d.seqK(), d.Cfg.Seed+uint64(1000+i), d.Cfg.Workers); err != nil {
 			return nil, err
 		}
 		// Scan floor.

@@ -414,7 +414,7 @@ func (l *LazySampler) online(req Request, input string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, dropped, err := buildSample(req.Query, req.Schema, req.QCSWidth, k, req.Seed, req.Workers, nil, "online sample")
+	res, dropped, err := buildSample(req.Query, req.Schema, req.QCSWidth, k, req.Seed, req.Workers, "online sample")
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +428,7 @@ func (l *LazySampler) online(req Request, input string) (*Result, error) {
 			Schema:    req.Schema,
 			QCSWidth:  req.QCSWidth,
 			K:         k,
-			Segments:  segmentWatermarks(req.Query.Fact),
+			Absorbed:  req.Query.Fact.NumRows(),
 		}, res.Sample)
 		if err != nil {
 			return nil, err
@@ -525,7 +525,7 @@ func (l *LazySampler) partial(req Request, match *store.Match) (*Result, error) 
 	storedSet, _ := meta.Predicate.Constraint(delta.Column)
 	newPred := replaceConstraint(meta.Predicate, delta.Column, storedSet.Union(delta.Missing))
 	ext, dropped, err := l.extend(req.Query, match, replaceConstraint(meta.Predicate, delta.Column, delta.Missing),
-		newPred, nil, req.Seed, req.Workers, obs.Attr{Key: "missing", Value: delta.Column + "∈" + delta.Missing.String()})
+		newPred, req.Seed, req.Workers, obs.Attr{Key: "missing", Value: delta.Column + "∈" + delta.Missing.String()})
 	if err != nil {
 		return nil, err
 	}

@@ -14,10 +14,10 @@ import (
 )
 
 // extend is the one step that grows a stored sample (Algorithm 3): it
-// Δ-samples base under deltaPred — m's predicate over the piece of input
-// m lacks — through buildSample, resuming each fact segment at from (nil:
-// at its start), merges the Δ with m's sample, and publishes the merge as
-// m's entry under pred, covering the fact's current segments. A partial
+// Δ-samples base (from its ScanFrom) under deltaPred — m's predicate over
+// the piece of input m lacks — through buildSample, merges the Δ with m's
+// sample, and publishes the merge as m's entry under pred, having absorbed
+// every row of base's fact. A partial
 // reuse extends an entry over a missing predicate range and an append over
 // the appended rows; in the sampling algebra both are a union of samples
 // over disjoint inputs. The merge writes a new sealed sample and leaves m's
@@ -29,14 +29,13 @@ import (
 // under-represents the piece the entry would claim): extend then returns
 // the Δ's own labeled Result with dropped set, and publishes nothing.
 func (l *LazySampler) extend(base *engine.Query, m *store.Match, deltaPred, pred algebra.Predicate,
-	from map[int]int, seed uint64, workers int, attrs ...obs.Attr) (res *Result, dropped bool, err error) {
+	seed uint64, workers int, attrs ...obs.Attr) (res *Result, dropped bool, err error) {
 
 	q, err := entryQuery(base, deltaPred)
 	if err != nil {
 		return nil, false, err
 	}
-	delta, dropped, err := buildSample(q, m.Meta.Schema, m.Meta.QCSWidth, m.Meta.K, seed, workers, from,
-		"Δ-sample", attrs...)
+	delta, dropped, err := buildSample(q, m.Meta.Schema, m.Meta.QCSWidth, m.Meta.K, seed, workers, "Δ-sample", attrs...)
 	if err != nil || dropped {
 		return delta, dropped, err
 	}
@@ -52,7 +51,7 @@ func (l *LazySampler) extend(base *engine.Query, m *store.Match, deltaPred, pred
 	if err != nil {
 		return nil, false, err
 	}
-	l.store.Update(m.Entry, merged, pred, segmentWatermarks(base.Fact))
+	l.store.Update(m.Entry, merged, pred, base.Fact.NumRows())
 	msp.SetAttrInt("strata", int64(merged.NumStrata()))
 	msp.SetAttrInt("workers", int64(workers))
 	return &Result{Sample: merged, Stats: delta.Stats, MergeTime: obs.Since(mergeStart)}, false, nil
@@ -68,7 +67,7 @@ func (l *LazySampler) extend(base *engine.Query, m *store.Match, deltaPred, pred
 //     append can change which fact rows join, which no Δ of fact rows
 //     repairs;
 //   - every other entry whose fact is the table is extended by the rows
-//     its segment watermarks have not absorbed, filtered by its own
+//     after the ones it has absorbed, filtered by its own
 //     predicate, joined or not. Joins here are key–foreign-key joins with
 //     unique kept dimension keys, and a fact append leaves every dimension
 //     unchanged, so the rows the join gains are exactly the appended rows
@@ -107,8 +106,9 @@ func (l *LazySampler) MaintainAppend(grown *storage.Table, fromRow int, tables f
 			}
 			// q carries no deadline, budget or shard planner, so its Δ
 			// never drops segments.
-			if _, _, err := l.extend(q, &m, m.Meta.Predicate, m.Meta.Predicate,
-				watermarkFrom(grown, m.Meta.Segments), seed+uint64(i)*0x9E37, workers); err != nil {
+			rest := *q
+			rest.ScanFrom = m.Meta.Absorbed
+			if _, _, err := l.extend(&rest, &m, m.Meta.Predicate, m.Meta.Predicate, seed+uint64(i)*0x9E37, workers); err != nil {
 				return fmt.Errorf("core: maintaining %q: %w", input, err)
 			}
 		}

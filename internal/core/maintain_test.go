@@ -62,8 +62,8 @@ func TestMaintainExtendsStoredSamples(t *testing.T) {
 	// The entry now covers every grown row, and absorbed only the appended
 	// ones: its weight is initial+extra (checked below), not that plus a
 	// rescan of the first initial rows.
-	if marks := l.Store().List()[0].Meta.Segments; len(marks) != 1 || marks[0].Rows != initial+extra {
-		t.Fatalf("watermarks after maintenance = %+v, want one of %d rows", marks, initial+extra)
+	if got := l.Store().List()[0].Meta.Absorbed; got != initial+extra {
+		t.Fatalf("absorbed rows after maintenance = %d, want %d", got, initial+extra)
 	}
 
 	// The stored sample now represents all initial+extra rows: a covering

@@ -50,8 +50,7 @@ func (l *LazySampler) repairSupport(req Request, schema sample.Schema, from *sam
 		// (should not happen for planned queries); not repairable.
 		return nil, nil
 	}
-	repaired, dropped, err := buildSample(repairQuery, schema, req.QCSWidth, req.effectiveK(), req.Seed^0x5EFA, req.Workers, nil,
-		"support repair")
+	repaired, dropped, err := buildSample(repairQuery, schema, req.QCSWidth, req.effectiveK(), req.Seed^0x5EFA, req.Workers, "support repair")
 	if err != nil || dropped {
 		// A repair that dropped segments samples only part of each
 		// stratum's rows, and its weights would under-count them: not

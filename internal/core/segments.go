@@ -8,57 +8,7 @@ import (
 	"laqy/internal/governor"
 	"laqy/internal/obs"
 	"laqy/internal/sample"
-	"laqy/internal/storage"
-	"laqy/internal/store"
 )
-
-// segmentWatermarks snapshots the fact table's segment layout as per-segment
-// provenance for a freshly built (or freshly extended) sample: the sample
-// covers every listed segment up to the recorded row count at the recorded
-// version. Maintenance later rescans only segments that grew or changed,
-// instead of trusting a single table-wide offset.
-//
-// The marks assume the storage layer's append-only contract: a segment keeps
-// its id and start row across table versions and only gains rows
-// (storage.AppendColumns). An explicit re-layout (storage.Resegment) breaks
-// that assumption, so callers re-segmenting a table with live samples must
-// invalidate them first.
-func segmentWatermarks(t *storage.Table) []store.SegmentWatermark {
-	segs := t.Segments()
-	marks := make([]store.SegmentWatermark, 0, len(segs))
-	for _, s := range segs {
-		marks = append(marks, store.SegmentWatermark{ID: s.ID(), Version: s.Version(), Rows: s.Rows()})
-	}
-	return marks
-}
-
-// watermarkFrom converts an entry's per-segment provenance into a Δ-scan
-// plan for engine.RunStratifiedExprs: for each current segment, the
-// absolute row to resume sampling from. Under the append-only contract a
-// segment's recorded row prefix is still verbatim, so an unchanged segment
-// (same rows) resumes at its end — skipped entirely — and a grown segment
-// rescans only its suffix beyond the recorded row count. A segment the
-// marks never saw, or one whose recorded rows exceed its current extent
-// (which append-only storage forbids — it signals a re-layout), is
-// conservatively rescanned from its start. Versions ride along as
-// provenance but do not gate the resume point: tables rebuilt wholesale
-// synthesize version-1 segments at any size.
-func watermarkFrom(t *storage.Table, marks []store.SegmentWatermark) map[int]int {
-	byID := make(map[int]store.SegmentWatermark, len(marks))
-	for _, m := range marks {
-		byID[m.ID] = m
-	}
-	from := make(map[int]int, t.NumSegments())
-	for _, s := range t.Segments() {
-		m, ok := byID[s.ID()]
-		if !ok || m.Rows > s.Rows() {
-			from[s.ID()] = s.Start()
-			continue
-		}
-		from[s.ID()] = s.Start() + m.Rows
-	}
-	return from
-}
 
 // dropAttribution names why segments were dropped and which shards (for
 // remote sources) were at fault, from the coordinator's per-drop records.
@@ -99,8 +49,7 @@ func dropAttribution(stats engine.Stats) (reason, detail string) {
 }
 
 // buildSample runs one stratified sample build of q — schema captured, the
-// first qcsWidth columns stratifying, k per stratum, each fact segment
-// resumed at from (nil: at its start) — under a child span
+// first qcsWidth columns stratifying, k per stratum — under a child span
 // named span carrying attrs and the build's row counts, so the engine's own
 // pipeline spans nest under the sampler phase that triggered them. It
 // returns the build as an answer (Sample and Stats) and reports whether the
@@ -110,7 +59,7 @@ func dropAttribution(stats engine.Stats) (reason, detail string) {
 // installs it. Online builds, Δ-builds (partial reuse and append
 // maintenance alike) and support repairs all go through here.
 func buildSample(q *engine.Query, schema sample.Schema, qcsWidth, k int, seed uint64, workers int,
-	from map[int]int, span string, attrs ...obs.Attr) (res *Result, dropped bool, err error) {
+	span string, attrs ...obs.Attr) (res *Result, dropped bool, err error) {
 
 	sp := obs.SpanFrom(q.Ctx).Start(span) // nil when tracing is off
 	if sp != nil {
@@ -121,7 +70,7 @@ func buildSample(q *engine.Query, schema sample.Schema, qcsWidth, k int, seed ui
 		traced.Ctx = obs.WithSpan(q.Ctx, sp)
 		q = &traced
 	}
-	sam, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), qcsWidth, k, seed, workers, from)
+	sam, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), qcsWidth, k, seed, workers)
 	if sp != nil {
 		sp.SetAttrInt("rows_scanned", stats.RowsScanned)
 		sp.SetAttrInt("rows_selected", stats.RowsSelected)

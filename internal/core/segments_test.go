@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -22,6 +24,9 @@ func segFact(t *testing.T, n, groups int, cuts ...int) *storage.Table {
 	return tab
 }
 
+// TestSampleRecordsSegmentWatermarks: a stored sample's one watermark is
+// the number of fact rows it has absorbed, however many segments hold
+// them.
 func TestSampleRecordsSegmentWatermarks(t *testing.T) {
 	fact := segFact(t, 30000, 4, 10000, 20000)
 	l := New(store.New(0), 11)
@@ -32,15 +37,8 @@ func TestSampleRecordsSegmentWatermarks(t *testing.T) {
 	if len(matches) != 1 {
 		t.Fatalf("store holds %d entries", len(matches))
 	}
-	marks := matches[0].Meta.Segments
-	if len(marks) != 3 {
-		t.Fatalf("watermarks = %+v, want 3 marks", marks)
-	}
-	wantRows := []int{10000, 10000, 10000}
-	for i, m := range marks {
-		if m.ID != i || m.Rows != wantRows[i] || m.Version != 1 {
-			t.Fatalf("mark %d = %+v, want id %d rows %d v1", i, m, i, wantRows[i])
-		}
+	if got := matches[0].Meta.Absorbed; got != 30000 {
+		t.Fatalf("absorbed rows = %d, want 30000", got)
 	}
 }
 
@@ -71,8 +69,8 @@ func TestMaintainResumesFromSegmentWatermarks(t *testing.T) {
 		t.Fatalf("maintained %d samples, want 1", updates.Value())
 	}
 	// The weight below is initial+extra only if the Δ resumed the grown
-	// segment after its watermark (a rescan from its start would add the
-	// segment's first 5000 rows again).
+	// segment after the absorbed rows (a rescan from its start would add
+	// the segment's first 5000 rows again).
 	out, err := l.Sample(request(grown, 0, initial+extra))
 	if err != nil {
 		t.Fatal(err)
@@ -84,45 +82,81 @@ func TestMaintainResumesFromSegmentWatermarks(t *testing.T) {
 		t.Fatalf("weight = %v, want %d", out.Sample.TotalWeight(), initial+extra)
 	}
 
-	// Maintaining again without new appends is a no-op, and the
-	// watermarks already cover every segment's rows.
+	// Maintaining again without new appends is a no-op, and the entry has
+	// absorbed every row.
 	if err := l.MaintainAppend(grown, grown.NumRows(), nil, 10, 2); err != nil {
 		t.Fatal(err)
 	}
 	if updates.Value() != 1 {
 		t.Fatalf("repeat maintain updated %d more samples, want none", updates.Value()-1)
 	}
-	marks := l.Store().List()[0].Meta.Segments
-	for _, s := range grown.Segments() {
-		if from := watermarkFrom(grown, marks)[s.ID()]; from != s.End() {
-			t.Fatalf("segment %d resumes at %d after maintenance, want its end %d", s.ID(), from, s.End())
-		}
+	if got := l.Store().List()[0].Meta.Absorbed; got != grown.NumRows() {
+		t.Fatalf("absorbed rows after maintenance = %d, want %d", got, grown.NumRows())
 	}
 }
 
-func TestWatermarkFromFallsBackToFullScan(t *testing.T) {
-	fact := segFact(t, 3000, 3, 1000, 2000)
-	segs := fact.Segments()
-	marks := []store.SegmentWatermark{
-		{ID: 0, Version: 1, Rows: 1000}, // fully covered
-		{ID: 1, Version: 1, Rows: 400},  // partially covered
-		{ID: 2, Version: 1, Rows: 5000}, // implausible: more rows than the segment holds
+// exactStrata checks that every stratum of the store's one entry weighs
+// the count of testFact's rows 0, …, rows-1 in its group (grps groups).
+func exactStrata(t *testing.T, st *store.Store, rows, grps int) {
+	t.Helper()
+	entries := st.List()
+	if len(entries) != 1 || entries[0].Meta.Absorbed != rows {
+		t.Fatalf("%d entries, want one that absorbed %d rows", len(entries), rows)
 	}
-	from := watermarkFrom(fact, marks)
-	if from[0] != segs[0].End() {
-		t.Fatalf("covered segment resumes at %d, want its end %d", from[0], segs[0].End())
+	entries[0].Sample.ForEach(func(key sample.StratumKey, r *sample.Reservoir) {
+		want := rows / grps
+		if int(key[0]) < rows%grps {
+			want++
+		}
+		if r.Weight() != float64(want) {
+			t.Fatalf("group %d weighs %v, want %d", key[0], r.Weight(), want)
+		}
+	})
+}
+
+// TestMaintainResumesAtAbsorbedRowsAcrossRelayout: the resume point does
+// not depend on the segment layout. A sample built over segments of
+// 10 000 rows and maintained after the table was laid out again in
+// segments of 7 000 rows and grown counts every row once.
+func TestMaintainResumesAtAbsorbedRowsAcrossRelayout(t *testing.T) {
+	const initial, extra, grps = 30000, 4000, 4
+	l := New(store.New(0), 11)
+	if _, err := l.Sample(request(segFact(t, initial, grps, 10000, 20000), 0, 1<<20)); err != nil {
+		t.Fatal(err)
 	}
-	if from[1] != segs[1].Start()+400 {
-		t.Fatalf("partial segment resumes at %d, want %d", from[1], segs[1].Start()+400)
+	grown := segFact(t, initial+extra, grps, 7000, 14000, 21000, 28000)
+	if err := l.MaintainAppend(grown, initial, nil, 9, 2); err != nil {
+		t.Fatal(err)
 	}
-	if from[2] != segs[2].Start() {
-		t.Fatalf("implausible mark must rescan from %d, got %d", segs[2].Start(), from[2])
+	exactStrata(t, l.Store(), initial+extra, grps)
+}
+
+// TestSegmentMarksLoadAsAbsorbedRows: a store file written with a mark
+// per segment (testdata/marks-v3.laqy: one entry over a
+// 2·65 536 + 5 000-row testFact of 3 groups, its marks 65 536, 65 536 and
+// 5 000 rows) loads as having absorbed the sum of its marks' rows, and
+// maintenance over a grown table laid out otherwise adds only the
+// appended rows.
+func TestSegmentMarksLoadAsAbsorbedRows(t *testing.T) {
+	const initial, extra, grps = 2*storage.DefaultMorselSize + 5000, 3000, 3
+	f, err := os.Open(filepath.Join("testdata", "marks-v3.laqy"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A segment with no mark at all rescans from its start.
-	from = watermarkFrom(fact, marks[:2])
-	if from[2] != segs[2].Start() {
-		t.Fatalf("unmarked segment resumes at %d, want %d", from[2], segs[2].Start())
+	defer f.Close()
+	st := store.New(0)
+	if err := st.Load(f, 5); err != nil {
+		t.Fatal(err)
 	}
+	exactStrata(t, st, initial, grps)
+	grown, err := storage.Resegment(testFact(initial+extra, grps), 2*storage.DefaultMorselSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New(st, 5).MaintainAppend(grown, initial, nil, 9, 2); err != nil {
+		t.Fatal(err)
+	}
+	exactStrata(t, st, initial+extra, grps)
 }
 
 func TestDropDegradationExtrapolates(t *testing.T) {

@@ -210,7 +210,7 @@ func BenchmarkSegmentParallelBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 				q := &Query{Fact: tab, Filter: q11Predicate()}
-				_, st, err := RunStratifiedExprs(q, ExprsFromNames(schema), 1, 256, uint64(i)+1, 4, nil)
+				_, st, err := RunStratifiedExprs(q, ExprsFromNames(schema), 1, 256, uint64(i)+1, 4)
 				if err != nil {
 					b.Fatal(err)
 				}

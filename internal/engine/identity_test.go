@@ -59,7 +59,7 @@ func TestSampleIdentityPins(t *testing.T) {
 	one := buildFact(150000, 6, 10)
 	oneExprs := ExprsFromNames([]string{"f_group", "f_val"})
 	onePred := algebra.NewPredicate().WithRange("f_key", 1000, 140000)
-	s, _, err := RunStratifiedExprs(&Query{Fact: one, Filter: onePred}, oneExprs, 1, k, seed, 1, nil)
+	s, _, err := RunStratifiedExprs(&Query{Fact: one, Filter: onePred}, oneExprs, 1, k, seed, 1)
 	check("single-segment", s, err, "a29918367d89b100")
 
 	// Four sealed encoded segments plus the empty open one.
@@ -74,7 +74,7 @@ func TestSampleIdentityPins(t *testing.T) {
 		{"4-segment workers=1", 1, "516435244777b62a"},
 		{"4-segment workers=4", 4, "516435244777b62a"},
 	} {
-		s, st, err := RunStratifiedExprs(&Query{Fact: enc, Filter: encPred}, encExprs, 1, k, seed, c.workers, nil)
+		s, st, err := RunStratifiedExprs(&Query{Fact: enc, Filter: encPred}, encExprs, 1, k, seed, c.workers)
 		check(c.name, s, err, c.want)
 		if err == nil && st.Segments != 4 {
 			t.Errorf("%s: %d segments planned, want 4", c.name, st.Segments)
@@ -93,7 +93,7 @@ func TestSampleIdentityPins(t *testing.T) {
 		{"5-segment workers=1", 5, "dc73603a45cb5f5d"},
 	} {
 		fact := buildClusteredFact(t, (c.segments-1)*storage.DefaultMorselSize+30000, 9)
-		s, st, err := RunStratifiedExprs(&Query{Fact: fact, Filter: encPred}, encExprs, 1, k, seed, 1, nil)
+		s, st, err := RunStratifiedExprs(&Query{Fact: fact, Filter: encPred}, encExprs, 1, k, seed, 1)
 		check(c.name, s, err, c.want)
 		if err == nil && st.Segments != c.segments {
 			t.Errorf("%s: %d segments planned, want %d", c.name, st.Segments, c.segments)
@@ -110,14 +110,14 @@ func TestSampleIdentityPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := growFactTable(t, base, n, segRows+123, 5, segRows)
-	s, st, err := RunStratifiedExprs(&Query{Fact: grown, ScanFrom: n}, oneExprs, 1, k, seed, 1, nil)
+	s, st, err := RunStratifiedExprs(&Query{Fact: grown, ScanFrom: n}, oneExprs, 1, k, seed, 1)
 	check("delta from ScanFrom", s, err, "994ae8b5a095da84")
 	if err == nil && (int(s.TotalWeight()) != grown.NumRows()-n || st.Segments != 2) {
 		t.Errorf("delta weight %v over %d segments", s.TotalWeight(), st.Segments)
 	}
 
 	// The shard-side leaf and the local source produce the same bytes.
-	sources := localSegmentSources(&Query{Fact: enc, Filter: encPred}, encExprs, 1, k, nil)
+	sources := localSegmentSources(&Query{Fact: enc, Filter: encPred}, encExprs, 1, k)
 	if len(sources) != 4 {
 		t.Fatalf("%d local sources, want 4", len(sources))
 	}

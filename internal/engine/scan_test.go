@@ -190,7 +190,7 @@ func TestScanDriverFailures(t *testing.T) {
 			return err
 		}, is(context.Canceled)},
 		{"expired deadline/sample build", func() error {
-			_, _, err := RunStratifiedExprs(&Query{Fact: fact, Ctx: expired}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 10, 1, 2, nil)
+			_, _, err := RunStratifiedExprs(&Query{Fact: fact, Ctx: expired}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 10, 1, 2)
 			return err
 		}, is(context.DeadlineExceeded)},
 		{"panic/poisoned sink", func() error {
@@ -255,7 +255,7 @@ func TestScanDriverFailures(t *testing.T) {
 
 	// The engine is still fully functional: a healthy query of each body
 	// runs cleanly afterwards.
-	sam, _, err := RunStratifiedExprs(&Query{Fact: fact, Ctx: context.Background()}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 16, 1, 4, nil)
+	sam, _, err := RunStratifiedExprs(&Query{Fact: fact, Ctx: context.Background()}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 16, 1, 4)
 	if err != nil {
 		t.Fatalf("sample build after the failed runs: %v", err)
 	}

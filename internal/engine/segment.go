@@ -141,25 +141,14 @@ func (s *localSegment) Build(workers int, seed uint64) (sample.Part, Stats, erro
 func (s *localSegment) ScanRange() (from, to int) { return s.q.ScanFrom, s.q.ScanTo }
 
 // localSegmentSources plans the per-segment builds for q: one source per
-// segment overlapping the scan range, each clipped to [from, to) — where
-// from is q.ScanFrom, or the segment's own high-water mark when fromBySeg
-// supplies one (Δ-maintenance passes the per-segment marks recorded in
-// sample provenance). An unsegmented table is a table with one segment.
-func localSegmentSources(q *Query, exprs []ColumnExpr, qcsWidth, k int, fromBySeg map[int]int) []SegmentSource {
+// segment overlapping the scan range [ScanFrom, ScanTo), each clipped to
+// it. An unsegmented table is a table with one segment.
+func localSegmentSources(q *Query, exprs []ColumnExpr, qcsWidth, k int) []SegmentSource {
 	segs := q.Fact.Segments()
 	from, to := q.scanBounds()
 	out := make([]SegmentSource, 0, len(segs))
 	for _, seg := range segs {
-		lo, hi := seg.Start(), seg.End()
-		if fb, ok := fromBySeg[seg.ID()]; ok && lo < fb {
-			lo = fb
-		}
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
+		lo, hi := max(seg.Start(), from), min(seg.End(), to)
 		if lo >= hi {
 			continue
 		}
@@ -173,8 +162,8 @@ func localSegmentSources(q *Query, exprs []ColumnExpr, qcsWidth, k int, fromBySe
 // planSegments produces the dispatch-ready segment sources: the local
 // plan, rewritten by q.Planner when one is installed (the distributed
 // path — internal/shard wraps assigned segments in RPC clients).
-func planSegments(q *Query, exprs []ColumnExpr, qcsWidth, k int, fromBySeg map[int]int) []SegmentSource {
-	local := localSegmentSources(q, exprs, qcsWidth, k, fromBySeg)
+func planSegments(q *Query, exprs []ColumnExpr, qcsWidth, k int) []SegmentSource {
+	local := localSegmentSources(q, exprs, qcsWidth, k)
 	if q.Planner == nil || len(local) == 0 {
 		return local
 	}
@@ -184,10 +173,9 @@ func planSegments(q *Query, exprs []ColumnExpr, qcsWidth, k int, fromBySeg map[i
 // RunStratifiedExprs executes q and builds a stratified sample of the
 // qualifying rows capturing exprs (the first qcsWidth are the QCS columns,
 // k the per-stratum reservoir capacity). It is the one entry for sample
-// builds — full, Δ and distributed: fromBySeg optionally gives per-segment
-// resume marks (absolute row; segments absent from the map, or a nil map,
-// scan in full), so an append touching only the open segment rescans only
-// that segment's tail.
+// builds — full, Δ and distributed: a Δ over appended rows is q from the
+// first row its sample lacks (ScanFrom), so an append touching only the
+// open segment rescans only that segment's tail.
 //
 // The build is planned as one source per overlapping segment and
 // dispatched by one rule: no sources (every segment already covered, or an
@@ -198,8 +186,8 @@ func planSegments(q *Query, exprs []ColumnExpr, qcsWidth, k int, fromBySeg map[i
 // path — fans out through the coordinator and merges N-way. The result is
 // sealed: a merge's as it is, a lone builder (one worker over one segment)
 // written once.
-func RunStratifiedExprs(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int, fromBySeg map[int]int) (*sample.Stratified, Stats, error) {
-	sources := planSegments(q, exprs, qcsWidth, k, fromBySeg)
+func RunStratifiedExprs(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int) (*sample.Stratified, Stats, error) {
+	sources := planSegments(q, exprs, qcsWidth, k)
 	var part sample.Part
 	var stats Stats
 	var err error

@@ -37,7 +37,7 @@ func TestSegmentedMatchesReferenceWeights(t *testing.T) {
 	}
 
 	seg, stats, err := RunStratifiedExprs(&Query{Fact: fact},
-		ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4, nil)
+		ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSegmentedBuildChiSquare(t *testing.T) {
 	exprs := ExprsFromNames([]string{"f_group", "f_val"})
 	segmented := func(workers int) func(uint64) (*sample.Stratified, Stats, error) {
 		return func(seed uint64) (*sample.Stratified, Stats, error) {
-			return RunStratifiedExprs(&Query{Fact: fact}, exprs, 1, k, seed, workers, nil)
+			return RunStratifiedExprs(&Query{Fact: fact}, exprs, 1, k, seed, workers)
 		}
 	}
 	const critical = 40.0 // χ²(df=14) at p≈0.001 is 36.1; headroom for seeds
@@ -166,9 +166,9 @@ func growFactTable(t *testing.T, fact *storage.Table, n, extra, groups, segRows 
 
 // TestSegmentedInterleavedAppends drives the Δ-maintenance entry point
 // through appends that land mid-layout: build over the base segments,
-// append (open segment grows, then spills), Δ-build only the new rows via
-// per-segment high-water marks, and merge — estimates must track the grown
-// table.
+// append (open segment grows, then spills), Δ-build only the new rows by
+// resuming at the base's row count (ScanFrom), and merge — estimates must
+// track the grown table.
 func TestSegmentedInterleavedAppends(t *testing.T) {
 	const groups, k = 4, 800
 	segRows := storage.DefaultMorselSize
@@ -179,22 +179,17 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 	}
 	exprs := ExprsFromNames([]string{"f_group", "f_val"})
 
-	base, _, err := RunStratifiedExprs(&Query{Fact: fact}, exprs, 1, k, 11, 2, nil)
+	base, _, err := RunStratifiedExprs(&Query{Fact: fact}, exprs, 1, k, 11, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	marks := map[int]int{}
-	for _, s := range fact.Segments() {
-		marks[s.ID()] = s.End()
-	}
-
 	// Append enough to grow the open segment to capacity and spill.
 	extra := segRows
 	grown := growFactTable(t, fact, n, extra, groups, segRows)
 	if grown.NumSegments() != 3 {
 		t.Fatalf("segments after append = %d, want 3", grown.NumSegments())
 	}
-	delta, dstats, err := RunStratifiedExprs(&Query{Fact: grown}, exprs, 1, k, 13, 2, marks)
+	delta, dstats, err := RunStratifiedExprs(&Query{Fact: grown, ScanFrom: n}, exprs, 1, k, 13, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +219,8 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 		}
 	})
 
-	// A second pass with up-to-date marks is an empty delta.
-	for _, s := range grown.Segments() {
-		marks[s.ID()] = s.End()
-	}
-	empty, _, err := RunStratifiedExprs(&Query{Fact: grown}, exprs, 1, k, 17, 2, marks)
+	// A second pass resuming at the grown table's end is an empty delta.
+	empty, _, err := RunStratifiedExprs(&Query{Fact: grown, ScanFrom: grown.NumRows()}, exprs, 1, k, 17, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +235,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 func TestSegmentWorkerCapAtTotalMorsels(t *testing.T) {
 	fact := segmentedFact(t, 2000, 4, 1000) // 2 segments, 1 morsel each
 	_, stats, err := RunStratifiedExprs(&Query{Fact: fact},
-		ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 8, nil)
+		ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +260,7 @@ func TestSegmentMergeReadsBuilders(t *testing.T) {
 		mu.Unlock()
 		return orig(parts, g, workers)
 	}
-	sam, st, err := RunStratifiedExprs(&Query{Fact: fact}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 1, nil)
+	sam, st, err := RunStratifiedExprs(&Query{Fact: fact}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,9 +167,8 @@ func (s *Segment) Sealed() bool {
 // loaders call this after Resegment, so the loaded segments keep their
 // boundaries — and with them their per-segment build seeds and sample
 // identities — however many rows arrive later. The empty open segment is
-// invisible to planning (segment sources skip empty segments), to zone-map
-// pruning (it has no map) and to Δ-maintenance (an empty watermark is a
-// no-op).
+// invisible to planning (segment sources skip empty segments) and to
+// zone-map pruning (it has no map).
 func Seal(t *Table) (*Table, error) {
 	segs := t.Segments()
 	if segs[len(segs)-1].Rows() == 0 {

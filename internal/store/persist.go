@@ -50,8 +50,10 @@ import (
 //	sample:     uvarint #strata
 //	  stratum*: int64 key[MaxQCS]; float64 weight;
 //	            uvarint resK, width, tupleCount; int64 data[count*width]
-//	segments:   uvarint #marks { uvarint id; uvarint version; uvarint rows }
-//	            (per-segment high-water marks, docs/SHARDING.md)
+//	marks:      uvarint #marks { uvarint id; uvarint version; uvarint rows }
+//	            read as Σ rows, the fact rows the sample has absorbed
+//	            (docs/SHARDING.md); Save writes one mark {0, 0, rows}, or
+//	            none when no rows are absorbed
 //
 // Any other magic — the retired v2 ("LAQYSTO2", entries without the
 // segments block, written by no build since segment marks arrived) and
@@ -86,7 +88,7 @@ const (
 	maxStrata = 1 << 26
 	// maxReservoirK bounds the persisted reservoir capacity fields.
 	maxReservoirK = 1 << 30
-	// maxSegmentMarks bounds the per-entry segment watermark count.
+	// maxSegmentMarks bounds the per-entry mark count.
 	maxSegmentMarks = 1 << 20
 )
 
@@ -454,42 +456,35 @@ func checkFooter(br *bufio.Reader, count uint64, digest uint32, entriesDropped b
 	return nil
 }
 
-// readSegmentMarks decodes the per-segment provenance block.
-func readSegmentMarks(r *bufio.Reader) ([]SegmentWatermark, error) {
+// readAbsorbed decodes the marks block as the rows the sample has
+// absorbed: the sum of its marks' rows. Files written before the one mark
+// hold a mark per segment, which sum to the same prefix.
+func readAbsorbed(r *bufio.Reader) (int, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, fmt.Errorf("reading segment mark count: %w", err)
+		return 0, fmt.Errorf("reading segment mark count: %w", err)
 	}
 	if n > maxSegmentMarks {
-		return nil, fmt.Errorf("implausible segment mark count %d", n)
+		return 0, fmt.Errorf("implausible segment mark count %d", n)
 	}
-	if n == 0 {
-		return nil, nil
+	var absorbed uint64
+	for range n {
+		var mark [3]uint64 // id, version, rows
+		for i := range mark {
+			if mark[i], err = binary.ReadUvarint(r); err != nil {
+				return 0, err
+			}
+		}
+		if mark[2] > math.MaxInt-absorbed {
+			return 0, fmt.Errorf("implausible absorbed rows %d + %d", absorbed, mark[2])
+		}
+		absorbed += mark[2]
 	}
-	marks := make([]SegmentWatermark, n)
-	for i := range marks {
-		id, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		version, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		if id > maxSegmentMarks || rows > math.MaxInt32 {
-			return nil, fmt.Errorf("implausible segment mark %d/%d", id, rows)
-		}
-		marks[i] = SegmentWatermark{ID: int(id), Version: version, Rows: int(rows)}
-	}
-	return marks, nil
+	return int(absorbed), nil
 }
 
 // writeEntryPayload encodes one entry: input, predicate, the stratified
-// block, then the per-segment provenance block. Writing into a
+// block, then the marks block holding its absorbed rows. Writing into a
 // bytes.Buffer cannot fail; bufio destinations surface errors on the
 // caller's Flush.
 func writeEntryPayload(w binWriter, e *Entry) {
@@ -510,12 +505,16 @@ func writeEntryPayload(w binWriter, e *Entry) {
 	// Schema + parameters + sample payload (the shared stratified block,
 	// also the unit of the shard wire codec — internal/shard).
 	writeStratifiedBlock(w, e.Schema, e.QCSWidth, e.K, e.Sample)
-	writeUvarint(w, uint64(len(e.Segments)))
-	for _, m := range e.Segments {
-		writeUvarint(w, uint64(m.ID))
-		writeUvarint(w, m.Version)
-		writeUvarint(w, uint64(m.Rows))
+	// The marks block: one mark {id 0, version 0, absorbed rows}, none
+	// when the sample has absorbed no rows.
+	if e.Absorbed == 0 {
+		writeUvarint(w, 0)
+		return
 	}
+	writeUvarint(w, 1)
+	writeUvarint(w, 0) // id
+	writeUvarint(w, 0) // version
+	writeUvarint(w, uint64(e.Absorbed))
 }
 
 // writeStratifiedBlock encodes the schema/qcsWidth/k header and the
@@ -629,7 +628,7 @@ func decodeEntryPayload(payload []byte, gen *rng.Lehmer64) (*Entry, error) {
 			K:         k,
 		},
 	}
-	if e.Segments, err = readSegmentMarks(r); err != nil {
+	if e.Absorbed, err = readAbsorbed(r); err != nil {
 		return nil, err
 	}
 	if _, err := r.ReadByte(); err != io.EOF {

@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"hash/crc32"
-	"reflect"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -31,15 +31,14 @@ func frameStore(magic string, payloads ...[]byte) []byte {
 	return buf.Bytes()
 }
 
+// TestSegmentWatermarksRoundTrip: an entry's absorbed rows — one
+// watermark over its fact table — survive Save and Load, above
+// math.MaxInt32 rows too, and an entry that absorbed none loads with none.
 func TestSegmentWatermarksRoundTrip(t *testing.T) {
 	s := threeEntryStore(t)
-	marks := []SegmentWatermark{
-		{ID: 0, Version: 1, Rows: 1 << 20},
-		{ID: 1, Version: 3, Rows: 12345},
-		{ID: 7, Version: 2, Rows: 0},
-	}
+	const absorbed = math.MaxInt32 + 12345
 	e := s.entries[0]
-	s.Update(e, e.Sample, e.Predicate, marks)
+	s.Update(e, e.Sample, e.Predicate, absorbed)
 
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
@@ -52,31 +51,27 @@ func TestSegmentWatermarksRoundTrip(t *testing.T) {
 	if loaded.Len() != 3 {
 		t.Fatalf("loaded %d entries, want 3", loaded.Len())
 	}
-	got := loaded.entries[0].Segments
-	if !reflect.DeepEqual(got, marks) {
-		t.Fatalf("watermarks after round-trip = %+v, want %+v", got, marks)
+	if got := loaded.entries[0].Absorbed; got != absorbed {
+		t.Fatalf("absorbed rows after round-trip = %d, want %d", got, absorbed)
 	}
-	// Entries saved without watermarks stay without them (nil, not empty
-	// slice, so the absence is distinguishable from "zero segments known").
 	for i := 1; i < 3; i++ {
-		if loaded.entries[i].Segments != nil {
-			t.Fatalf("entry %d grew watermarks %+v from nowhere", i, loaded.entries[i].Segments)
+		if got := loaded.entries[i].Absorbed; got != 0 {
+			t.Fatalf("entry %d absorbed %d rows from nowhere", i, got)
 		}
 	}
 }
 
 func TestSegmentWatermarksSurviveSalvage(t *testing.T) {
 	s := threeEntryStore(t)
-	marks := []SegmentWatermark{{ID: 2, Version: 5, Rows: 777}}
 	e := s.entries[2]
-	s.Update(e, e.Sample, e.Predicate, marks)
+	s.Update(e, e.Sample, e.Predicate, 777)
 
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the middle entry's payload; salvage must keep entries 0 and 2
-	// and entry 2's watermarks with them.
+	// and entry 2's absorbed rows with them.
 	payloads, _ := framePayloads(t, buf.Bytes())
 	data := append([]byte(nil), buf.Bytes()...)
 	data[payloads[1][0]] ^= 0xFF
@@ -86,32 +81,54 @@ func TestSegmentWatermarksSurviveSalvage(t *testing.T) {
 	if !errors.As(err, &corrupt) || corrupt.Loaded != 2 {
 		t.Fatalf("salvage = %v", err)
 	}
-	if got := loaded.entries[1].Segments; !reflect.DeepEqual(got, marks) {
-		t.Fatalf("salvaged watermarks = %+v, want %+v", got, marks)
+	if got := loaded.entries[1].Absorbed; got != 777 {
+		t.Fatalf("salvaged absorbed rows = %d, want 777", got)
 	}
 }
 
-// TestV3PayloadIsCorePlusMarks pins the entry layout: the watermark block
-// is the payload's tail, after a core (input, predicate, stratified block)
-// that does not depend on the marks.
+// marksBlock encodes a marks block of the given {id, version, rows} marks.
+func marksBlock(marks ...[3]uint64) []byte {
+	var b bytes.Buffer
+	writeUvarint(&b, uint64(len(marks)))
+	for _, m := range marks {
+		for _, v := range m {
+			writeUvarint(&b, v)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestV3PayloadIsCorePlusMarks pins the entry layout: the marks block is
+// the payload's tail, after a core (input, predicate, stratified block)
+// that does not depend on it. The writer's block is one mark {0, 0, rows}
+// (none for no rows), and a block of a mark per segment, as files written
+// before the one mark hold, reads as the sum of their rows.
 func TestV3PayloadIsCorePlusMarks(t *testing.T) {
 	s := threeEntryStore(t)
-	marks := []SegmentWatermark{{ID: 1, Version: 2, Rows: 500}}
 	e := s.entries[0]
 	var bare, full bytes.Buffer
-	writeEntryPayload(&bare, e) // no marks: the core, then a zero count
-	s.Update(e, e.Sample, e.Predicate, marks)
+	writeEntryPayload(&bare, e) // no rows absorbed: the core, then a zero count
+	s.Update(e, e.Sample, e.Predicate, 500)
 	writeEntryPayload(&full, e)
 	core := bare.Bytes()[:bare.Len()-1]
-	if !bytes.HasPrefix(full.Bytes(), core) {
-		t.Fatal("payload with marks does not start with the core")
+	if !bytes.Equal(bare.Bytes()[len(core):], marksBlock()) {
+		t.Fatal("payload without absorbed rows does not end in an empty marks block")
 	}
-	tail := full.Bytes()[len(core):]
-	got, err := readSegmentMarks(bufio.NewReader(bytes.NewReader(tail)))
-	if err != nil {
+	if !bytes.Equal(full.Bytes(), append(slices.Clip(core), marksBlock([3]uint64{0, 0, 500})...)) {
+		t.Fatal("payload is not the core and one mark of 500 rows")
+	}
+
+	perSegment := append(slices.Clip(core), marksBlock([3]uint64{0, 1, 65536}, [3]uint64{1, 1, 65536}, [3]uint64{2, 3, 5000})...)
+	loaded := New(0)
+	if err := loaded.Load(bytes.NewReader(frameStore(persistMagicV3, perSegment)), 9); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, marks) {
-		t.Fatalf("decoded marks = %+v, want %+v", got, marks)
+	if got := loaded.entries[0].Absorbed; got != 2*65536+5000 {
+		t.Fatalf("per-segment marks load as %d absorbed rows, want %d", got, 2*65536+5000)
+	}
+
+	overflow := append(slices.Clip(core), marksBlock([3]uint64{0, 0, math.MaxInt}, [3]uint64{1, 0, 1})...)
+	if err := New(0).Load(bytes.NewReader(frameStore(persistMagicV3, overflow)), 9); err == nil {
+		t.Fatal("marks summing past math.MaxInt rows loaded")
 	}
 }

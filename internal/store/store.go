@@ -22,23 +22,6 @@ import (
 	"laqy/internal/sample"
 )
 
-// SegmentWatermark is per-segment sample provenance: the sample has
-// absorbed the first Rows rows of segment ID, whose content was at
-// Version when they were scanned. Δ-maintenance resumes each live segment
-// after its mark's Rows: an unchanged segment is skipped without a scan, a
-// grown one rescans only [Rows, End), and a segment with no mark, or
-// fewer rows than its mark (a re-layout), is rescanned from its start.
-// Version is recorded, not compared: tables rebuilt wholesale synthesize
-// version-1 segments at any size.
-type SegmentWatermark struct {
-	// ID is the segment's position in the input table's segment list.
-	ID int
-	// Version is the segment's content version at scan time.
-	Version uint64
-	// Rows is how many of the segment's rows the sample has absorbed.
-	Rows int
-}
-
 // Meta describes a sample's logical sampler: where in the plan it samples
 // (Input), under which predicate it was built, and which columns it
 // captures (QCS first, then QVS).
@@ -57,11 +40,12 @@ type Meta struct {
 	QCSWidth int
 	// K is the per-stratum reservoir capacity.
 	K int
-	// Segments records per-segment high-water marks over the input's fact
-	// table: which of its rows the sample has absorbed. Every writer
-	// passes them to Put and Update, the one store format read keeps
-	// them, and append maintenance resumes from them.
-	Segments []SegmentWatermark
+	// Absorbed is how many rows of the input's fact table the sample has
+	// absorbed. Storage only appends, so they are rows [0, Absorbed):
+	// append maintenance resumes the scan there, whatever the table's
+	// segment layout. Every writer passes it to Put and Update, and the
+	// store format keeps it.
+	Absorbed int
 }
 
 // QCS returns the stratification columns.
@@ -270,10 +254,9 @@ func (s *Store) Put(meta Meta, sam *sample.Stratified) (*Entry, error) {
 	return e, nil
 }
 
-// Update replaces an entry's sample, predicate and per-segment watermarks
-// (the provenance of the merged sample) after a Δ-merge extended its
-// coverage, keeping the entry's LRU position fresh.
-func (s *Store) Update(e *Entry, sam *sample.Stratified, pred algebra.Predicate, segs []SegmentWatermark) {
+// Update replaces an entry's sample, predicate and absorbed rows after a
+// Δ-merge extended its coverage, keeping the entry's LRU position fresh.
+func (s *Store) Update(e *Entry, sam *sample.Stratified, pred algebra.Predicate, absorbed int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if slices.Contains(s.entries, e) { // an entry evicted since its Lookup no longer counts
@@ -281,7 +264,7 @@ func (s *Store) Update(e *Entry, sam *sample.Stratified, pred algebra.Predicate,
 	}
 	e.Sample = sam
 	e.Predicate = pred
-	e.Segments = segs
+	e.Absorbed = absorbed
 	s.clock++
 	e.lastUsed = s.clock
 	s.met.updates.Inc()

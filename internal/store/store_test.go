@@ -176,7 +176,7 @@ func TestUpdateExpandsPredicate(t *testing.T) {
 	s := New(0)
 	e, _ := s.Put(meta(algebra.NewPredicate().WithRange("key", 0, 50)), makeSample(10, testSchema, 1, 10, 100))
 	bigger := makeSample(11, testSchema, 1, 10, 200)
-	s.Update(e, bigger, algebra.NewPredicate().WithRange("key", 0, 100), nil)
+	s.Update(e, bigger, algebra.NewPredicate().WithRange("key", 0, 100), 0)
 	m := s.Lookup("lineorder", testSchema, 1, 10, algebra.NewPredicate().WithRange("key", 60, 90))
 	if m == nil || m.Reuse != algebra.ReuseFull {
 		t.Fatalf("updated entry should now fully cover; got %+v", m)
@@ -257,18 +257,18 @@ func TestBudgetEviction(t *testing.T) {
 
 	// Update swaps in a smaller sample: the total follows, and growing it
 	// back past the budget evicts the other entry, never the updated one.
-	s.Update(a, makeSample(18, testSchema, 1, 4, 1000), a.Predicate, nil)
+	s.Update(a, makeSample(18, testSchema, 1, 4, 1000), a.Predicate, 0)
 	checkBytes("after shrinking Update")
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d after a shrinking Update", s.Len())
 	}
-	s.Update(a, makeSample(19, testSchema, 1, 15, 1000), a.Predicate, nil)
+	s.Update(a, makeSample(19, testSchema, 1, 15, 1000), a.Predicate, 0)
 	checkBytes("after growing Update")
 	if s.Len() != 1 || s.List()[0].Entry != a {
 		t.Fatalf("growing Update kept %d entries; the updated one must survive alone", s.Len())
 	}
 	// An Update through a stale handle (c was just evicted) is not counted.
-	s.Update(c, makeSample(21, testSchema, 1, 10, 1000), c.Predicate, nil)
+	s.Update(c, makeSample(21, testSchema, 1, 10, 1000), c.Predicate, 0)
 	checkBytes("after Update of an evicted entry")
 
 	dPred := algebra.NewPredicate().WithRange("key", 60, 70)
@@ -483,7 +483,7 @@ func TestStoredSamplesAreSealedSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Update(e, merged, algebra.NewPredicate().WithRange("key", 0, 1299), nil)
+	s.Update(e, merged, algebra.NewPredicate().WithRange("key", 0, 1299), 0)
 	checkSealed(t, "Update", e.Sample)
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {

@@ -429,6 +429,43 @@ func TestSaveLoadSamplesAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestLoadedSampleMaintainsAcrossARelayout: a stored sample records how
+// many of its fact table's rows it has absorbed, not where the segments
+// cut them. Saved over 200 000-row segments, loaded by a DB that lays the
+// same table out in 70 000-row segments and then given an append, it
+// counts every row once.
+func TestLoadedSampleMaintainsAcrossARelayout(t *testing.T) {
+	const rows, extra = 300_000, 1_000
+	path := filepath.Join(t.TempDir(), "samples.laqy")
+	const q = `SELECT COUNT(*) FROM t APPROX WITH K 64`
+
+	db1 := openKeys(t, Config{Workers: 1, SegmentRows: 200_000}, rows)
+	if _, err := db1.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := db1.SaveSamples(path); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := openKeys(t, Config{Workers: 1, SegmentRows: 70_000}, rows)
+	if err := db2.LoadSamples(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.Append("t", NewTable("t").Int64("key", keyRun(rows, extra)).Int64("v", keyRun(rows, extra))); err != nil {
+		t.Fatal(err)
+	}
+	if w := storedWeight(db2); len(w) != 1 || w[0] != rows+extra {
+		t.Fatalf("stored weight %v after the append, want [%d]", w, rows+extra)
+	}
+	res, err := db2.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != ModeOffline || res.Rows[0].Aggs[0].Value != rows+extra {
+		t.Fatalf("COUNT(*) = %v (%s), want %d offline", res.Rows[0].Aggs[0].Value, res.Mode, rows+extra)
+	}
+}
+
 func TestErrorBoundClause(t *testing.T) {
 	db := openSSB(t, 40000)
 	// A bound so tight that the required reservoir capacity exceeds the
