@@ -88,7 +88,9 @@ race:
 # under the race detector to shake out ordering-dependent bugs, then the 64-client chaos storm (chaos_test.go) — mixed
 # exact/approx load, random deadlines and cancellations, injected store
 # faults — which writes the governor metrics snapshot CI uploads as an
-# artifact.
+# artifact. Last, the short suite at GOMAXPROCS=1: at one worker a query
+# runs inline and yields nowhere, so a test that needs two goroutines to
+# overlap must arrange it itself instead of relying on the scheduler.
 stress:
 	CGO_ENABLED=1 $(GO) test -race -count=2 ./internal/governor ./internal/par
 	CGO_ENABLED=1 $(GO) test -race -count=2 \
@@ -96,6 +98,7 @@ stress:
 		. ./internal/store
 	CGO_ENABLED=1 LAQY_STRESS_METRICS_OUT=$(CURDIR)/stress-metrics.json \
 		$(GO) test -race -count=1 -run 'TestChaosStorm' -v .
+	GOMAXPROCS=1 $(GO) test -short ./...
 
 # The serving robustness gate (docs/SERVING.md): the connection-chaos
 # harness against the laqyd HTTP surface — 64 clients x 4 tenants under

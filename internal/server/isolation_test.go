@@ -22,6 +22,7 @@ func TestTenantIsolationUnderSaturation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("isolation property skipped in -short mode")
 	}
+	atLeastProcs(t, 2) // the noisy tenant's requests must overlap to saturate it
 
 	noisy := laqy.Open(laqy.Config{
 		Workers:  1,

@@ -207,10 +207,22 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 }
 
+// atLeastProcs raises GOMAXPROCS to n for the rest of the test. A
+// Workers: 1 query runs inline on its request goroutine and never yields,
+// so at GOMAXPROCS 1 a burst of them runs one after another and never has
+// two in flight: an overload test needs requests that overlap.
+func atLeastProcs(t *testing.T, n int) {
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
 // TestOverloadedHTTP drives a tiny admission pool into rejection over
 // HTTP and asserts the full 429 contract: status, typed code, envelope
 // backoff, and the Retry-After header on every rejection.
 func TestOverloadedHTTP(t *testing.T) {
+	atLeastProcs(t, 2)
 	db := laqy.Open(laqy.Config{
 		Workers:  1,
 		DefaultK: 64,
