@@ -77,9 +77,9 @@ func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
 		caller := goid()
 		helperRan := make(chan struct{})
 		var once sync.Once
-		sample.Seal(parts[0], 1).Walk(workers, func() func(lo, hi int) {
+		sample.Seal(parts[0], 1).Walk(workers, func(int) func(int) error {
 			onHelper := goid() != caller
-			return func(lo, hi int) {
+			return func(int) error {
 				if onHelper {
 					once.Do(func() { close(helperRan) })
 					panic("poisoned stratum chunk")
@@ -88,6 +88,7 @@ func TestMergeChunkPanicFailsQueryNotProcess(t *testing.T) {
 				case <-helperRan:
 				case <-time.After(10 * time.Second):
 				}
+				return nil
 			}
 		})
 		return orig(parts, g, workers)

@@ -18,24 +18,23 @@ func chunkStrata(k int) int {
 	return max(chunkTuples/max(k, 1), 1)
 }
 
+// chunkBounds is the index range [lo, hi) of chunk c of a walk over
+// [0, n) in chunks of size consecutive indices.
+func chunkBounds(c, size, n int) (lo, hi int) {
+	return c * size, min(c*size+size, n)
+}
+
 // forChunks walks [0, n) in chunks of size consecutive indices, one
 // par.Claim item per chunk: worker is called once per participant, on its
 // own goroutine before its first chunk, and returns that participant's
-// chunk body. After a panic in any chunk, chunks claimed later end without
-// running; once every claimed chunk has ended, the panic is raised again
-// on the caller's goroutine as a *par.Panic, carrying the stack of the
-// goroutine that panicked — so a caller that recovers (the engine's
-// exchange merge turns a panic into the query's error) recovers helper
-// panics too.
-func forChunks(n, size, workers int, worker func() func(lo, hi int)) {
-	_, err := par.Claim((n+size-1)/size, workers, func(int) func(c int) error {
-		body := worker()
-		return func(c int) error {
-			body(c*size, min(c*size+size, n))
-			return nil
-		}
-	})
-	if err != nil {
+// body, which runs chunk c over chunkBounds(c, size, n) and returns nil.
+// After a panic in any chunk, chunks claimed later end without running;
+// once every claimed chunk has ended, the panic is raised again on the
+// caller's goroutine as a *par.Panic, carrying the stack of the goroutine
+// that panicked — so a caller that recovers (the engine's exchange merge
+// turns a panic into the query's error) recovers helper panics too.
+func forChunks(n, size, workers int, worker func(p int) func(c int) error) {
+	if _, err := par.Claim((n+size-1)/size, workers, worker); err != nil {
 		// invariant: only a chunk body's panic fails the walk, and only a
 		// bug in this repository can cause one.
 		panic(err)

@@ -42,10 +42,11 @@ func TestForChunksVisitsEachIndexOnce(t *testing.T) {
 				var calls, bodies atomic.Int32
 				caller, onCaller := goid(), true
 				var mu sync.Mutex
-				forChunks(n, size, workers, func() func(lo, hi int) {
+				forChunks(n, size, workers, func(int) func(c int) error {
 					bodies.Add(1)
-					return func(lo, hi int) {
+					return func(c int) error {
 						calls.Add(1)
+						lo, hi := chunkBounds(c, size, n)
 						if hi-lo > size || lo >= hi {
 							t.Errorf("chunk [%d, %d) with size %d", lo, hi, size)
 						}
@@ -57,6 +58,7 @@ func TestForChunksVisitsEachIndexOnce(t *testing.T) {
 						for i := lo; i < hi; i++ {
 							visits[i].Add(1)
 						}
+						return nil
 					}
 				})
 				for i := range visits {
@@ -92,9 +94,9 @@ func TestForChunksHelperPanicReachesCaller(t *testing.T) {
 	var raised any
 	func() {
 		defer func() { raised = recover() }()
-		forChunks(size*chunks, size, 2, func() func(lo, hi int) {
+		forChunks(size*chunks, size, 2, func(int) func(int) error {
 			onHelper := goid() != caller
-			return func(lo, hi int) {
+			return func(int) error {
 				if onHelper {
 					once.Do(func() { close(helperRan) })
 					panic("poisoned chunk")
@@ -103,6 +105,7 @@ func TestForChunksHelperPanicReachesCaller(t *testing.T) {
 				case <-helperRan:
 				case <-time.After(10 * time.Second):
 				}
+				return nil
 			}
 		})
 	}()
@@ -131,15 +134,16 @@ func TestForChunksCallerPanicWaitsForHelpers(t *testing.T) {
 				t.Fatalf("forChunks raised with %d chunk bodies still running", n)
 			}
 		}()
-		forChunks(64, 1, 2, func() func(lo, hi int) {
+		forChunks(64, 1, 2, func(int) func(int) error {
 			onCaller := goid() == caller
-			return func(lo, hi int) {
+			return func(int) error {
 				running.Add(1)
 				defer running.Add(-1)
 				if onCaller {
 					panic("caller chunk")
 				}
 				time.Sleep(time.Millisecond)
+				return nil
 			}
 		})
 	}()

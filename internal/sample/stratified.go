@@ -218,12 +218,18 @@ func (s *Stratified) ForEach(fn func(key StratumKey, r *Reservoir)) {
 // Walk spreads the positions [0, NumStrata()) of the strata in key order
 // (the order ForEach visits; At reads them) over up to workers goroutines,
 // in chunks of whole strata (forChunks): worker is called once per
-// goroutine and returns that goroutine's chunk body. Chunks run
-// concurrently and in no fixed order, so a body may write only what
-// belongs to its own positions; a walk of one chunk, or with one worker,
-// runs every chunk in order through one body on the caller's goroutine.
-func (s *Stratified) Walk(workers int, worker func() func(lo, hi int)) {
+// goroutine and returns that goroutine's body, which runs chunk c over the
+// positions Chunk(c) and returns nil. Chunks run concurrently and in no
+// fixed order, so a body may write only what belongs to its own positions;
+// a walk of one chunk, or with one worker, runs every chunk in order
+// through one body on the caller's goroutine.
+func (s *Stratified) Walk(workers int, worker func(p int) func(c int) error) {
 	forChunks(len(s.res), chunkStrata(s.k), workers, worker)
+}
+
+// Chunk is the positions [lo, hi) chunk c of a Walk covers.
+func (s *Stratified) Chunk(c int) (lo, hi int) {
+	return chunkBounds(c, chunkStrata(s.k), len(s.res))
 }
 
 // At returns the key and reservoir of the stratum at position pos in key
@@ -436,9 +442,11 @@ func write(a, b input, gen *rng.Lehmer64, workers int) *Stratified {
 		out.index.Insert(&plan[pos].key)
 	}
 	tuples := make([]int64, total)
-	forChunks(len(plan), chunkStrata(max(a.k, b.k)), workers, func() func(lo, hi int) {
-		return func(lo, hi int) {
+	size := chunkStrata(max(a.k, b.k))
+	forChunks(len(plan), size, workers, func(int) func(c int) error {
+		return func(c int) error {
 			var bufA, bufB Reservoir
+			lo, hi := chunkBounds(c, size, len(plan))
 			for pos := lo; pos < hi; pos++ {
 				p := &plan[pos]
 				end := total
@@ -456,6 +464,7 @@ func write(a, b input, gen *rng.Lehmer64, workers int) *Stratified {
 					mergeInto(&out.res[pos], data, a.read(r1, &bufA), b.read(r2, &bufB), &g)
 				}
 			}
+			return nil
 		}
 	})
 	return out

@@ -547,9 +547,10 @@ func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time, workers
 	rows := make([]Row, strata)
 	groups := make([]GroupValue, strata*nGroups)
 	aggs := make([]AggValue, strata*nAggs)
-	res.Sample.Walk(workers, func() func(lo, hi int) {
+	res.Sample.Walk(workers, func(int) func(c int) error {
 		sel := new(approx.Selection)
-		return func(lo, hi int) {
+		return func(c int) error {
+			lo, hi := res.Sample.Chunk(c)
 			for pos := lo; pos < hi; pos++ {
 				key, r := res.Sample.At(pos)
 				if !sel.Select(r, res.Keep) {
@@ -571,6 +572,7 @@ func resultFromSample(plan *sql.Plan, res *core.Result, start time.Time, workers
 				}
 				rows[pos] = row
 			}
+			return nil
 		}
 	})
 	// A stratum the tightening emptied left its row zero; every kept row has
