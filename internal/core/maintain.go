@@ -17,9 +17,9 @@ import (
 // Δ-samples base (from its ScanFrom) under deltaPred — m's predicate over
 // the piece of input m lacks — through buildSample, merges the Δ with m's
 // sample, and publishes the merge as m's entry under pred, having absorbed
-// every row of base's fact. A partial
-// reuse extends an entry over a missing predicate range and an append over
-// the appended rows; in the sampling algebra both are a union of samples
+// every row of base's fact. A partial reuse extends an entry over a
+// missing predicate range and an append over the rows after those the
+// entry absorbed; in the sampling algebra both are a union of samples
 // over disjoint inputs. The merge writes a new sealed sample and leaves m's
 // as it was: readers holding the old snapshot stay valid, and of two racing
 // extensions of one entry the later Update wins.

@@ -56,7 +56,7 @@ import (
 //	            none when no rows are absorbed
 //
 // Any other magic — the retired v2 ("LAQYSTO2", entries without the
-// segments block, written by no build since segment marks arrived) and
+// marks block, written by no build since the marks block arrived) and
 // the unframed, unchecksummed v1 ("LAQYSTO1") among them — is refused.
 const (
 	persistMagicV3 = "LAQYSTO3"
