@@ -141,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReservoirDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard
 	$(GO) test -fuzz=FuzzJoinProbe -fuzztime=$(FUZZTIME) -run '^$$' ./internal/engine
 	$(GO) test -fuzz=FuzzMergeN -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sample
+	$(GO) test -fuzz=FuzzAppendVersions -fuzztime=$(FUZZTIME) -run '^$$' ./internal/storage
 
 clean:
 	$(GO) clean ./...

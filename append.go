@@ -11,10 +11,13 @@ import (
 // maintains the cached samples, at a cost that grows with the batch, not
 // the table:
 //
-//   - the rows are written past the table's current rows, into column
-//     capacity the catalog holds spare, and the grown table is published
-//     as a new version; queries already running keep reading the version
-//     they planned against, whose rows never change;
+//   - the rows are written to the table's open segment, in the spare
+//     capacity behind its vectors or in a new allocation holding that
+//     segment's rows alone, and to fresh segments past it when it fills;
+//     sealed segments are shared with the new version unchanged, so no
+//     sealed row is ever copied. The grown table is published as a new
+//     version; queries already running keep reading the version they
+//     planned against, whose rows never change;
 //   - every sample whose input has this table as its fact — scan-level or
 //     joined with dimensions — is extended with the appended rows (filtered
 //     by its own predicate, joined to the unchanged dimensions, merged per
@@ -58,13 +61,14 @@ func (db *DB) Append(table string, b *TableBuilder) error {
 // string columns against its own dictionary; their codes are re-encoded
 // through the table's.
 func batchColumns(t *storage.Table, b *TableBuilder) ([][]int64, error) {
-	if len(b.cols) != len(t.Columns()) {
+	schema := t.Schema()
+	if len(b.cols) != len(schema) {
 		return nil, fmt.Errorf("laqy: append to %q: %d columns, table has %d",
-			t.Name, len(b.cols), len(t.Columns()))
+			t.Name, len(b.cols), len(schema))
 	}
 	newRows := -1
-	batch := make([][]int64, 0, len(t.Columns()))
-	for _, oc := range t.Columns() {
+	batch := make([][]int64, 0, len(schema))
+	for _, oc := range schema {
 		var nc *storage.Column
 		for _, c := range b.cols {
 			if c.Name == oc.Name {

@@ -9,6 +9,7 @@ import (
 
 	"laqy/internal/sample"
 	"laqy/internal/ssb"
+	"laqy/internal/storage"
 )
 
 // keyRun is the column from, from+1, …, from+n-1.
@@ -194,39 +195,147 @@ func TestPublishedColumnsAreClipped(t *testing.T) {
 }
 
 // TestAppendAllocationScalesWithBatch: an append costs the batch, not the
-// table. Bytes allocated per append, amortized over 50 appends, are within
-// 1.5× of each other on a 0.5 M- and a 2 M-row table; copying the table per
-// append makes them differ by the tables' ratio. The columns grow by an
-// eighth of the table when their spare capacity runs out, so the amortized
-// cost is a constant per appended row only over windows spanning several
-// growths: 25 000-row batches make the window 1.25 M rows, five growths of
-// the larger table.
+// table. On a 0.5 M- and a 2 M-row table alike, no single one of 50 appends
+// allocates more than a copy of its batch, one allocation for the open
+// segment (at most Config.SegmentRows rows of every column) and a little
+// bookkeeping; copying the table, or any sealed row of it, on an append
+// would pass that bound. The 1.25 M appended rows seal several segments.
 func TestAppendAllocationScalesWithBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("appends 2.5 M rows")
 	}
-	const batch, appends = 25_000, 50
-	perAppend := func(rows int) float64 {
-		db := openKeys(t, Config{}, rows)
-		batches := make([]*TableBuilder, appends)
-		for i := range batches {
+	const batch, appends, segRows = 25_000, 50, 1 << 18
+	const bound = (batch+segRows)*2*8 + 64<<10
+	for _, rows := range []int{500_000, 2_000_000} {
+		db := openKeys(t, Config{SegmentRows: segRows}, rows)
+		var worst uint64
+		for i := 0; i < appends; i++ {
 			from := rows + i*batch
-			batches[i] = NewTable("t").Int64("key", keyRun(from, batch)).Int64("v", keyRun(from, batch))
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for _, b := range batches {
+			b := NewTable("t").Int64("key", keyRun(from, batch)).Int64("v", keyRun(from, batch))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			if err := db.Append("t", b); err != nil {
 				t.Fatal(err)
 			}
+			runtime.ReadMemStats(&after)
+			worst = max(worst, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / appends
+		t.Logf("%d rows: at most %d bytes per %d-row append", rows, worst, batch)
+		if worst > bound {
+			t.Fatalf("%d rows: an append allocated %d bytes; want at most %d", rows, worst, bound)
+		}
 	}
-	small, large := perAppend(500_000), perAppend(2_000_000)
-	t.Logf("bytes per %d-row append: %.0f at 0.5 M rows, %.0f at 2 M rows", batch, small, large)
-	if ratio := large / small; ratio > 1.5 || ratio < 1/1.5 {
-		t.Fatalf("bytes per append differ %.2f× between table sizes; want within 1.5×", ratio)
+}
+
+// TestAppendAcrossSealAnswersAsConcatenated: after appends that cross a
+// segment seal, the 13 SSB queries answer exactly as a table loaded whole
+// from the concatenated rows does, and an APPROX query whose stored sample
+// the appends maintained (k past every stratum's size, so the sample is the
+// rows themselves) answers offline with the same totals. No version of
+// lineorder the appends made is ever concatenated into whole-table
+// vectors: scans, Δ-builds and joins read its segments.
+func TestAppendAcrossSealAnswersAsConcatenated(t *testing.T) {
+	const base, batch, batches = 100_000, 9_000, 8
+	const approx = `SELECT lo_discount, SUM(lo_revenue), COUNT(*) FROM lineorder
+		WHERE lo_quantity BETWEEN 10 AND 30 GROUP BY lo_discount`
+	data, err := ssb.Generate(ssb.Config{LineorderRows: base, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := ssb.Generate(ssb.Config{LineorderRows: batch * batches, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Open(Config{Workers: 2, Seed: 3, SegmentRows: storage.DefaultMorselSize})
+	if err := db.LoadSSB(base, 11); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(approx + " APPROX WITH K 100000"); err != nil {
+		t.Fatal(err)
+	}
+	var versions []*storage.Table
+	for b := 0; b < batches; b++ {
+		tb := NewTable("lineorder")
+		for _, c := range extra.Lineorder.Columns() {
+			tb.Int64(c.Name, c.Ints[b*batch:(b+1)*batch])
+		}
+		if err := db.Append("lineorder", tb); err != nil {
+			t.Fatal(err)
+		}
+		v, _ := db.catalog.Table("lineorder")
+		versions = append(versions, v)
+	}
+	// Loaded as [0, 65 536) and [65 536, 100 000); the appends fill
+	// [100 000, 165 536), seal it, and open a fourth segment.
+	fact := versions[len(versions)-1]
+	if fact.NumSegments() != 4 || fact.Segments()[2].End() != base+storage.DefaultMorselSize {
+		t.Fatalf("%d rows in %d segments: the appends did not cross a seal", fact.NumRows(), fact.NumSegments())
+	}
+
+	oracle := Open(Config{Workers: 2, Seed: 3})
+	var cols []*storage.Column
+	for i, c := range data.Lineorder.Columns() {
+		vals := append(slices.Clone(c.Ints), extra.Lineorder.Columns()[i].Ints...)
+		cols = append(cols, &storage.Column{Name: c.Name, Kind: c.Kind, Ints: vals, Dict: c.Dict})
+	}
+	for _, tab := range []*storage.Table{storage.MustNewTable("lineorder", cols...), data.Date, data.Supplier, data.Part, data.Customer} {
+		if err := oracle.registerTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// same compares answers group by group: exact ones bit for bit, and
+	// estimates, which sum weighted values in another order, to 1e-12.
+	same := func(name string, got, want *Result) {
+		t.Helper()
+		tol := 0.0
+		if got.Approximate {
+			tol = 1e-12
+		}
+		if len(got.Rows) != len(want.Rows) || len(got.Rows) == 0 {
+			t.Fatalf("%s: %d groups, the concatenated table gives %d", name, len(got.Rows), len(want.Rows))
+		}
+		for i, row := range got.Rows {
+			w := want.Rows[i]
+			for g := range row.Groups {
+				if row.Groups[g] != w.Groups[g] {
+					t.Fatalf("%s: group %d is %v, want %v", name, i, row.Groups, w.Groups)
+				}
+			}
+			for a := range row.Aggs {
+				if math.Abs(row.Aggs[a].Value-w.Aggs[a].Value) > tol*math.Abs(w.Aggs[a].Value) {
+					t.Fatalf("%s: group %v aggregate %d = %v, want %v", name, row.Groups, a, row.Aggs[a].Value, w.Aggs[a].Value)
+				}
+			}
+		}
+	}
+	for _, q := range ssbQueries {
+		got, err := db.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		want, err := oracle.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s on the concatenated table: %v", q.name, err)
+		}
+		same(q.name, got, want)
+	}
+	got, err := db.Query(approx + " APPROX WITH K 100000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode != ModeOffline {
+		t.Fatalf("APPROX after the appends ran %v; want the maintained sample reused offline", got.Mode)
+	}
+	want, err := oracle.Query(approx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("APPROX", got, want)
+	for _, v := range versions {
+		if v.Concatenated() {
+			t.Fatalf("the lineorder version of %d rows was concatenated into whole-table vectors", v.NumRows())
+		}
 	}
 }
 

@@ -249,16 +249,22 @@ func BenchmarkReuseHit(b *testing.B) {
 
 // BenchmarkAppend times one 2 500-row append to a 0.5 M- and a 2 M-row
 // table of four int64 columns with no stored samples: the storage share of
-// an append, with the columns' amortized growth in its bytes per op. Every
-// 50 appends the table is loaded afresh, off the clock, so its size stays
-// near the label; the first append after a load moves the loaded columns
-// into vectors with spare capacity, as every table's first append does.
+// an append, with the open segment's amortized growth in its bytes per op.
+// Every 50 appends the table is loaded afresh, off the clock, so its size
+// stays near the label. The third case cuts the 2 M rows into 65 536-row
+// segments, so the 125 000 rows of every 50 appends cross a seal. worst-ms
+// is the slowest single append of the run: the tail that a copy of the
+// table, at a seal or at the first append after a load, would set.
 func BenchmarkAppend(b *testing.B) {
 	const batch, lap = 2500, 50
 	cols := []string{"a", "b", "c", "d"}
-	for _, rows := range []int{500_000, 2_000_000} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			loaded := make([]int64, rows)
+	for _, c := range []struct{ rows, segRows int }{{500_000, 0}, {2_000_000, 0}, {2_000_000, 1 << 16}} {
+		name := fmt.Sprintf("rows=%d", c.rows)
+		if c.segRows > 0 {
+			name += fmt.Sprintf(",segrows=%d", c.segRows)
+		}
+		b.Run(name, func(b *testing.B) {
+			loaded := make([]int64, c.rows)
 			for i := range loaded {
 				loaded[i] = int64(i)
 			}
@@ -266,33 +272,37 @@ func BenchmarkAppend(b *testing.B) {
 			for i := range batches {
 				vals := make([]int64, batch)
 				for j := range vals {
-					vals[j] = int64(rows + i*batch + j)
+					vals[j] = int64(c.rows + i*batch + j)
 				}
 				batches[i] = laqy.NewTable("t")
-				for _, c := range cols {
-					batches[i].Int64(c, vals)
+				for _, col := range cols {
+					batches[i].Int64(col, vals)
 				}
 			}
 			var db *laqy.DB
+			var worst time.Duration
 			b.SetBytes(int64(batch * len(cols) * 8))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if i%lap == 0 {
 					b.StopTimer()
-					db = laqy.Open(laqy.Config{})
+					db = laqy.Open(laqy.Config{SegmentRows: c.segRows})
 					tb := laqy.NewTable("t")
-					for _, c := range cols {
-						tb.Int64(c, loaded)
+					for _, col := range cols {
+						tb.Int64(col, loaded)
 					}
 					if err := db.Register(tb); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()
 				}
+				start := time.Now()
 				if err := db.Append("t", batches[i%lap]); err != nil {
 					b.Fatal(err)
 				}
+				worst = max(worst, time.Since(start))
 			}
+			b.ReportMetric(float64(worst.Nanoseconds())/1e6, "worst-ms")
 		})
 	}
 }
@@ -394,7 +404,7 @@ func BenchmarkAblation_Pushdown(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s.Filter(keep)
+			sample.Seal(s, 1).Filter(keep)
 		}
 	})
 }

@@ -376,7 +376,7 @@ func TestWeightConservationCheckerCatchesDoubleMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return sample.Seal(s, 1)
 	}
 	base, delta := build(0, 9_999), build(10_000, 19_999)
 	if bad := o.check(t, d.q1(0, 9_999).Predicate, []string{"lo_orderdate"}, base); bad != "" {

@@ -414,10 +414,11 @@ func (l *LazySampler) online(req Request, input string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, dropped, err := buildSample(req.Query, req.Schema, req.QCSWidth, k, req.Seed, req.Workers, "online sample")
+	part, stats, err := buildSample(req.Query, req.Schema, req.QCSWidth, k, req.Seed, req.Workers, "online sample")
 	if err != nil {
 		return nil, err
 	}
+	res, dropped := sealAnswer(part, stats, req.Workers)
 	// A sample that dropped segments still answers this query (labeled and
 	// scaled by buildSample) but is not stored: its actual coverage is
 	// narrower than its predicate claims, which would poison future reuse.

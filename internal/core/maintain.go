@@ -35,9 +35,13 @@ func (l *LazySampler) extend(base *engine.Query, m *store.Match, deltaPred, pred
 	if err != nil {
 		return nil, false, err
 	}
-	delta, dropped, err := buildSample(q, m.Meta.Schema, m.Meta.QCSWidth, m.Meta.K, seed, workers, "Δ-sample", attrs...)
-	if err != nil || dropped {
-		return delta, dropped, err
+	delta, stats, err := buildSample(q, m.Meta.Schema, m.Meta.QCSWidth, m.Meta.K, seed, workers, "Δ-sample", attrs...)
+	if err != nil {
+		return nil, false, err
+	}
+	if stats.RowsDropped > 0 {
+		res, _ := sealAnswer(delta, stats, workers)
+		return res, true, nil
 	}
 	mergeStart := obs.Clock()
 	msp := obs.SpanFrom(base.Ctx).Start("merge")
@@ -47,15 +51,21 @@ func (l *LazySampler) extend(base *engine.Query, m *store.Match, deltaPred, pred
 	// the copy a stored sample was once merged into. Merged samples, and
 	// with them the answers TestReuseAnswerPins and TestAppendAnswerPins
 	// record, keep the bits they had.
-	merged, err := sample.MergeStratified(m.Sample.Fork(), delta.Sample, l.nextMergeGen(), workers)
+	// The Δ is read as built: a lone worker's builder is merged without a
+	// sealed copy of its own.
+	merged, err := mergeStratified(m.Sample.Fork(), delta, l.nextMergeGen(), workers)
 	if err != nil {
 		return nil, false, err
 	}
 	l.store.Update(m.Entry, merged, pred, base.Fact.NumRows())
 	msp.SetAttrInt("strata", int64(merged.NumStrata()))
 	msp.SetAttrInt("workers", int64(workers))
-	return &Result{Sample: merged, Stats: delta.Stats, MergeTime: obs.Since(mergeStart)}, false, nil
+	return &Result{Sample: merged, Stats: stats, MergeTime: obs.Since(mergeStart)}, false, nil
 }
+
+// mergeStratified is extend's merge. It is a variable only as a test seam:
+// the maintenance suite records the Δ it is handed.
+var mergeStratified = sample.MergeStratified
 
 // MaintainAppend brings the store up to date after rows [fromRow,
 // grown.NumRows()) were appended to one table, of which grown is the new
@@ -177,11 +187,11 @@ func pushDown(q *engine.Query, pred algebra.Predicate) (*engine.Query, error) {
 	out.Joins = slices.Clone(q.Joins)
 	for _, col := range pred.Columns() {
 		set, _ := pred.Constraint(col)
-		if q.Fact.Column(col) != nil {
+		if _, ok := q.Fact.Field(col); ok {
 			out.Filter = out.Filter.With(col, set)
 			continue
 		}
-		i := slices.IndexFunc(out.Joins, func(j engine.Join) bool { return j.Dim.Column(col) != nil })
+		i := slices.IndexFunc(out.Joins, func(j engine.Join) bool { _, ok := j.Dim.Field(col); return ok })
 		if i < 0 {
 			return nil, fmt.Errorf("core: predicate column %q not found in query tables", col)
 		}

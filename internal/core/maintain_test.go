@@ -9,6 +9,7 @@ import (
 	"laqy/internal/approx"
 	"laqy/internal/engine"
 	"laqy/internal/obs"
+	"laqy/internal/rng"
 	"laqy/internal/sample"
 	"laqy/internal/storage"
 	"laqy/internal/store"
@@ -192,9 +193,7 @@ func TestMaintainAppendByTableRole(t *testing.T) {
 		t.Fatalf("a fact append maintained %d samples, left %d", updates.Value(), l.Store().Len())
 	}
 	// An append to the dimension removes the join-level sample only.
-	grownDim, err := storage.AppendColumns(dim, []*storage.Column{
-		{Name: "d_key", Kind: storage.KindInt64, Ints: []int64{0, 1, 2}},
-	}, 0)
+	grownDim, err := storage.AppendColumns(dim, [][]int64{{2}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,5 +265,31 @@ func TestPushDownErrors(t *testing.T) {
 	pred := algebra.NewPredicate().WithRange("nope", 0, 1)
 	if _, err := pushDown(&engine.Query{Fact: fact}, pred); err == nil {
 		t.Fatal("unknown column must error")
+	}
+}
+
+// TestMaintenanceMergeReadsTheBuilder: a Δ over one morsel — every small
+// append's — is built by one worker, and reaches the maintenance merge as
+// that worker's builder, with no sealed copy made of it first.
+func TestMaintenanceMergeReadsTheBuilder(t *testing.T) {
+	const initial, extra, groups = 20000, 10000, 5
+	l, updates := observedSampler(1)
+	if _, err := l.Sample(request(testFact(initial, groups), 0, initial+extra)); err != nil {
+		t.Fatal(err)
+	}
+	var deltas []sample.Part
+	defer func() { mergeStratified = sample.MergeStratified }()
+	mergeStratified = func(a, b sample.Part, gen *rng.Lehmer64, workers int) (*sample.Stratified, error) {
+		deltas = append(deltas, b)
+		return sample.MergeStratified(a, b, gen, workers)
+	}
+	if err := l.MaintainAppend(growFact(initial, extra, groups), initial, nil, 9, 2); err != nil {
+		t.Fatal(err)
+	}
+	if updates.Value() != 1 || len(deltas) != 1 {
+		t.Fatalf("%d updates, %d merges; want one of each", updates.Value(), len(deltas))
+	}
+	if _, ok := deltas[0].(*sample.Builder); !ok {
+		t.Fatalf("the maintenance merge read a %T, want the Δ worker's *sample.Builder", deltas[0])
 	}
 }

@@ -50,12 +50,16 @@ func (l *LazySampler) repairSupport(req Request, schema sample.Schema, from *sam
 		// (should not happen for planned queries); not repairable.
 		return nil, nil
 	}
-	repaired, dropped, err := buildSample(repairQuery, schema, req.QCSWidth, req.effectiveK(), req.Seed^0x5EFA, req.Workers, "support repair")
-	if err != nil || dropped {
+	part, stats, err := buildSample(repairQuery, schema, req.QCSWidth, req.effectiveK(), req.Seed^0x5EFA, req.Workers, "support repair")
+	if err != nil {
+		return nil, err
+	}
+	repaired, dropped := sealAnswer(part, stats, req.Workers)
+	if dropped {
 		// A repair that dropped segments samples only part of each
 		// stratum's rows, and its weights would under-count them: not
 		// repairable. The online fallback labels its own drops.
-		return nil, err
+		return nil, nil
 	}
 	var fixed *sample.Builder
 	for _, k := range fails {

@@ -52,14 +52,12 @@ func dropAttribution(stats engine.Stats) (reason, detail string) {
 // first qcsWidth columns stratifying, k per stratum — under a child span
 // named span carrying attrs and the build's row counts, so the engine's own
 // pipeline spans nest under the sampler phase that triggered them. It
-// returns the build as an answer (Sample and Stats) and reports whether the
-// build dropped segments (deadline or memory pressure, an unavailable
-// shard): such a sample covers only part of q's rows, the answer carries
-// dropDegradation's label and scale, and no caller stores, merges or
-// installs it. Online builds, Δ-builds (partial reuse and append
-// maintenance alike) and support repairs all go through here.
+// returns the build unsealed, as a merge input: a Δ merges it as it is,
+// and what is published — an answer — goes through sealAnswer.
+// Online builds, Δ-builds (partial reuse and append maintenance alike) and
+// support repairs all go through here.
 func buildSample(q *engine.Query, schema sample.Schema, qcsWidth, k int, seed uint64, workers int,
-	span string, attrs ...obs.Attr) (res *Result, dropped bool, err error) {
+	span string, attrs ...obs.Attr) (sample.Part, engine.Stats, error) {
 
 	sp := obs.SpanFrom(q.Ctx).Start(span) // nil when tracing is off
 	if sp != nil {
@@ -70,22 +68,29 @@ func buildSample(q *engine.Query, schema sample.Schema, qcsWidth, k int, seed ui
 		traced.Ctx = obs.WithSpan(q.Ctx, sp)
 		q = &traced
 	}
-	sam, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), qcsWidth, k, seed, workers)
+	part, stats, err := engine.RunStratifiedExprs(q, engine.ExprsFromNames(schema), qcsWidth, k, seed, workers)
 	if sp != nil {
 		sp.SetAttrInt("rows_scanned", stats.RowsScanned)
 		sp.SetAttrInt("rows_selected", stats.RowsSelected)
 		sp.End()
 	}
-	if err != nil {
-		return nil, false, err
-	}
-	res = &Result{Sample: sam, Stats: stats}
-	return res, dropDegradation(stats, res), nil
+	return part, stats, err
 }
 
-// dropDegradation is the dropped-segment rule, and the one place core
-// decides that a build dropped segments: when stats report dropped rows it
-// labels res with the drop_segments rung (attributing shard faults per
+// sealAnswer publishes a build (buildSample) as an answer: its sample sealed on
+// up to workers goroutines and its Stats. It reports whether the build
+// dropped segments (deadline or memory pressure, an unavailable shard): such
+// a sample covers only part of the query's rows, the answer carries
+// dropDegradation's label and scale, and no caller stores, merges or
+// installs it.
+func sealAnswer(part sample.Part, stats engine.Stats, workers int) (res *Result, dropped bool) {
+	res = &Result{Sample: sample.Seal(part, workers), Stats: stats}
+	return res, dropDegradation(stats, res)
+}
+
+// dropDegradation is the dropped-segment rule: when stats report dropped
+// rows — the count extend also reads before it would merge a Δ — it labels
+// res with the drop_segments rung (attributing shard faults per
 // segment), scales it by (scanned+dropped)/scanned — the inverse of the
 // share of rows the build scanned — and reports true.
 //

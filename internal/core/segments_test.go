@@ -57,8 +57,11 @@ func TestMaintainResumesFromSegmentWatermarks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	grownCols := testFact(initial+extra, grps).Columns()
-	grown, err := storage.AppendColumns(fact, grownCols, segRows)
+	var batch [][]int64
+	for _, c := range testFact(initial+extra, grps).Columns() {
+		batch = append(batch, c.Ints[initial:])
+	}
+	grown, err := storage.AppendColumns(fact, batch, segRows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,16 +174,14 @@ func BenchmarkSegmentParallelBuild(b *testing.B) {
 	base := buildQ11Fact(nMorsels)
 	n := base.NumRows()
 
-	// Grown columns: the base rows verbatim plus one batch continuing the
-	// load-order tail (zone-map carry-over requires a verbatim prefix).
-	grown := make([]*storage.Column, 0, len(base.Columns()))
+	// One batch continuing the load-order tail.
+	batch := make([][]int64, 0, len(base.Columns()))
 	for _, c := range base.Columns() {
-		ints := make([]int64, 0, n+appendRows)
-		ints = append(ints, c.Ints...)
-		for j := 0; j < appendRows; j++ {
-			ints = append(ints, c.Ints[n-1])
+		ints := make([]int64, appendRows)
+		for j := range ints {
+			ints[j] = c.Ints[n-1]
 		}
-		grown = append(grown, &storage.Column{Name: c.Name, Kind: c.Kind, Ints: ints})
+		batch = append(batch, ints)
 	}
 
 	schema := sample.Schema{"lo_discount", "lo_orderdate", "lo_extendedprice"}
@@ -205,12 +203,12 @@ func BenchmarkSegmentParallelBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tab, err := storage.AppendColumns(seg, grown, segRows)
+				tab, err := storage.AppendColumns(seg, batch, segRows)
 				if err != nil {
 					b.Fatal(err)
 				}
 				q := &Query{Fact: tab, Filter: q11Predicate()}
-				_, st, err := RunStratifiedExprs(q, ExprsFromNames(schema), 1, 256, uint64(i)+1, 4)
+				_, st, err := runStratified(q, ExprsFromNames(schema), 1, 256, uint64(i)+1, 4)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+
+	"laqy/internal/storage"
 )
 
 // ColumnExpr describes one value produced for the sink per qualifying row:
@@ -64,6 +67,16 @@ func (q *Query) resolveExprs(exprs []ColumnExpr) ([]exprSource, error) {
 		}
 	}
 	return out, nil
+}
+
+// bindExprs returns a copy of srcs whose fact operands read seg's vectors.
+func bindExprs(srcs []exprSource, seg *storage.Segment) []exprSource {
+	out := slices.Clone(srcs)
+	for i := range out {
+		out[i].left.bind(seg)
+		out[i].right.bind(seg)
+	}
+	return out
 }
 
 // gather materializes the expression for the selected rows into out.

@@ -178,7 +178,7 @@ func TestRunStratified(t *testing.T) {
 	const n, groups, k = 50000, 10, 100
 	fact := buildFact(n, groups, 10)
 	q := &Query{Fact: fact}
-	sam, stats, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4)
+	sam, stats, err := runStratified(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRunStratifiedEstimatesMatchExact(t *testing.T) {
 	const n, groups, k = 100000, 5, 2000
 	fact := buildFact(n, groups, 10)
 	q := &Query{Fact: fact}
-	sam, _, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 7, 4)
+	sam, _, err := runStratified(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRunStratifiedWithJoinQCS(t *testing.T) {
 		Fact:  fact,
 		Joins: []Join{{Dim: dim, FactKey: "f_dimfk", DimKey: "d_key"}},
 	}
-	sam, _, err := RunStratifiedExprs(q, ExprsFromNames([]string{"d_attr", "f_val", "f_key"}), 1, 50, 9, 4)
+	sam, _, err := runStratified(q, ExprsFromNames([]string{"d_attr", "f_val", "f_key"}), 1, 50, 9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestStatsAdd(t *testing.T) {
 func TestWorkerCountOne(t *testing.T) {
 	fact := buildFact(5000, 3, 10)
 	q := &Query{Fact: fact}
-	sam, _, err := RunStratifiedExprs(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, 10, 1, 1)
+	sam, _, err := runStratified(q, ExprsFromNames([]string{"f_group", "f_val"}), 1, 10, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestEmptyAndTinyTables(t *testing.T) {
 	if res.NumGroups() != 0 || stats.RowsScanned != 0 {
 		t.Fatalf("empty table: groups=%d scanned=%d", res.NumGroups(), stats.RowsScanned)
 	}
-	sam, _, err := RunStratifiedExprs(q, ExprsFromNames([]string{"g", "v"}), 1, 10, 1, 2)
+	sam, _, err := runStratified(q, ExprsFromNames([]string{"g", "v"}), 1, 10, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"laqy/internal/expr"
 	"laqy/internal/rng"
 	"laqy/internal/sample"
-	"laqy/internal/storage"
 )
 
 // Stats is the per-phase execution breakdown the paper's Figure 11 plots.
@@ -132,7 +131,7 @@ func runPipeline(q *Query, exprs []ColumnExpr, workers int, sinks []rowSink) (St
 	if len(sinks) != workers {
 		return Stats{}, fmt.Errorf("engine: %d sinks for %d workers", len(sinks), workers) //laqy:allow hotalloc cold error prologue, once per query
 	}
-	sources, err := q.resolveExprs(exprs)
+	resolved, err := q.resolveExprs(exprs)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -140,17 +139,25 @@ func runPipeline(q *Query, exprs []ColumnExpr, workers int, sinks []rowSink) (St
 	if err != nil {
 		return Stats{}, err
 	}
-	joinTables, err := buildJoinTables(q)
+	built, err := buildJoinTables(q)
 	if err != nil {
 		return Stats{}, err
 	}
-	return plan.run(q, workers, len(joinTables), len(sources), func(w int) (morselBody, func() error) {
+	// Each segment's sources and join tables, bound to its vectors once
+	// here: a morsel's body only picks its segment's.
+	segSources := make([][]exprSource, len(plan.segs))
+	segJoins := make([][]joinTable, len(plan.segs))
+	for i, s := range plan.segs { //laqy:allow ctxpoll prologue: one binding per segment, before any morsel runs
+		segSources[i], segJoins[i] = bindExprs(resolved, s.seg), bindJoins(built, s.seg)
+	}
+	return plan.run(q, workers, len(built), len(resolved), func(w int) (morselBody, func() error) {
 		sink := sinks[w]
 		var failed func() error
 		if fs, ok := sink.(failableSink); ok {
 			failed = fs.sinkErr
 		}
-		return func(ws *scanWorker, mo storage.Morsel, v morselVerdict) (int, time.Duration) {
+		return func(ws *scanWorker, mo morsel, v morselVerdict) (int, time.Duration) {
+			sources, joinTables := segSources[mo.seg], segJoins[mo.seg]
 			// The first join of a whole morsel reads the fact keys in order
 			// and writes the selection vector itself: no selection pass, and
 			// its time counts as Process.
@@ -161,7 +168,7 @@ func runPipeline(q *Query, exprs []ColumnExpr, workers int, sinks []rowSink) (St
 			case plan.whole(v):
 				ws.sel = expr.FillRange(ws.sel[:0], mo.Start, mo.End)
 			default:
-				ws.sel = plan.filter.SelectInto(mo.Start, mo.End, ws.sel[:0])
+				ws.sel = plan.segs[mo.seg].filter.SelectInto(mo.Start, mo.End, ws.sel[:0])
 			}
 			t1 := time.Now()
 			sel, dimRows, gathered := ws.sel, ws.dimRows[:len(joinTables)], ws.gathered[:len(sources)]

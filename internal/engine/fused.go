@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"laqy/internal/sample"
-	"laqy/internal/storage"
 )
 
 // fusedExpr is one aggregate expression resolved for the fused path.
@@ -33,28 +32,33 @@ type fusedExpr struct {
 // MIN and MAX, which the fold never computes, to the group-by sink.
 // BenchmarkFusedAggregate measures the gap to materialize-then-aggregate.
 func runFold(q *Query, exprs []ColumnExpr, workers int) (*GroupResult, Stats, error) {
-	sources, err := q.resolveExprs(exprs)
+	resolved, err := q.resolveExprs(exprs)
 	if err != nil {
 		return nil, Stats{}, err
-	}
-	fes := make([]fusedExpr, len(sources))
-	for i, s := range sources {
-		fes[i] = fusedExpr{left: s.left.vec, op: s.op, lit: s.lit}
-		if s.op != 0 && !s.isLit {
-			fes[i].right = s.right.vec
-		}
 	}
 	plan, err := newMorselPlan(q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	// Each segment's operands, bound to its vectors once here.
+	segFes := make([][]fusedExpr, len(plan.segs))
+	for i, s := range plan.segs {
+		segFes[i] = make([]fusedExpr, len(resolved))
+		for e, src := range bindExprs(resolved, s.seg) {
+			segFes[i][e] = fusedExpr{left: src.left.vec, op: src.op, lit: src.lit}
+			if src.op != 0 && !src.isLit {
+				segFes[i][e].right = src.right.vec
+			}
+		}
+	}
 
 	sums := make([][]float64, workers) // worker w owns sums[w]
 	stats, err := plan.run(q, workers, 0, 0, func(w int) (morselBody, func() error) {
-		mySums := make([]float64, len(fes))
+		mySums := make([]float64, len(resolved))
 		sums[w] = mySums
-		acc := make([]int64, len(fes))
-		return func(ws *scanWorker, mo storage.Morsel, v morselVerdict) (int, time.Duration) {
+		acc := make([]int64, len(resolved))
+		return func(ws *scanWorker, mo morsel, v morselVerdict) (int, time.Duration) {
+			fes := segFes[mo.seg]
 			var n int
 			if v == morselFull {
 				// Every row matches: fold the whole morsel.
@@ -64,7 +68,7 @@ func runFold(q *Query, exprs []ColumnExpr, workers int) (*GroupResult, Stats, er
 					acc[e] = sumExprRange(&fes[e], mo.Start, mo.End)
 				}
 			} else {
-				ws.sel = plan.filter.SelectInto(mo.Start, mo.End, ws.sel[:0])
+				ws.sel = plan.segs[mo.seg].filter.SelectInto(mo.Start, mo.End, ws.sel[:0])
 				n = len(ws.sel)
 				for e := range fes {
 					acc[e] = sumExprSel(&fes[e], ws.sel)
@@ -88,7 +92,7 @@ func runFold(q *Query, exprs []ColumnExpr, workers int) (*GroupResult, Stats, er
 	out := &GroupResult{index: sample.NewKeyIndex(0)}
 	if stats.RowsSelected > 0 {
 		out.index.Insert(&GroupKey{})
-		out.states = make([]aggState, len(fes))
+		out.states = make([]aggState, len(resolved))
 		for e := range out.states {
 			out.states[e].count = stats.RowsSelected
 			for _, ws := range sums {

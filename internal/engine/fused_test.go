@@ -314,7 +314,7 @@ func TestZoneMapSampleBuildEquivalence(t *testing.T) {
 			if par == 0 {
 				sam, _, err = BuildSegmentSample(q, exprs, 1, 64, 99, 1)
 			} else {
-				sam, _, err = RunStratifiedExprs(q, exprs, 1, 64, 99, 1)
+				sam, _, err = runStratified(q, exprs, 1, 64, 99, 1)
 			}
 			if err != nil {
 				t.Fatal(err)

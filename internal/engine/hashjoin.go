@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"laqy/internal/expr"
+	"laqy/internal/storage"
 )
 
 // denseSpanFactor decides a join table's representation: when the keys the
@@ -20,8 +21,10 @@ import (
 const denseSpanFactor = 32
 
 // joinTable is one dimension join, built once per pipeline run and shared
-// read-only across scan workers: dimension key → index of the dimension row
-// with that key, over the rows the join's filter keeps.
+// read-only across scan workers and segments: dimension key → index of the
+// dimension row with that key, over the rows the join's filter keeps. Each
+// segment of the scan probes a copy bound to its own fact-key vector
+// (bindJoins).
 //
 // Dense keys take a direct-address table: rows[1+key−lo] is the row, −1 for
 // none, and slot 0 is a permanent −1 miss slot, where the probes send every
@@ -29,7 +32,8 @@ const denseSpanFactor = 32
 // rowByKey (non-nil exactly then); DB.Register accepts any key layout, so
 // the map stays.
 type joinTable struct {
-	factKeyVec []int64
+	factKey    string
+	factKeyVec []int64 // the bound segment's factKey vector
 	lo         int64
 	rows       []int32
 	rowByKey   map[int64]int32
@@ -53,8 +57,7 @@ type joinTable struct {
 func buildJoinTables(q *Query) ([]joinTable, error) {
 	out := make([]joinTable, len(q.Joins))
 	for j, jn := range q.Joins {
-		factKey := q.Fact.Column(jn.FactKey)
-		if factKey == nil {
+		if _, ok := q.Fact.Field(jn.FactKey); !ok {
 			return nil, fmt.Errorf("engine: join %d: fact key column %q missing", j, jn.FactKey)
 		}
 		dimKey := jn.Dim.Column(jn.DimKey)
@@ -76,7 +79,7 @@ func buildJoinTables(q *Query) ([]joinTable, error) {
 		if err != nil {
 			return nil, fmt.Errorf("engine: join %d on %q: %w", j, jn.Dim.Name, err)
 		}
-		jt.factKeyVec, jt.slot = factKey.Ints, j
+		jt.factKey, jt.slot = jn.FactKey, j
 		out[j] = jt
 	}
 	slices.SortStableFunc(out, func(a, b joinTable) int {
@@ -88,6 +91,16 @@ func buildJoinTables(q *Query) ([]joinTable, error) {
 		out[i].prior = slots[:i]
 	}
 	return out, nil
+}
+
+// bindJoins returns a copy of jts, each table probing seg's vector of its
+// fact key; the dimension side is shared.
+func bindJoins(jts []joinTable, seg *storage.Segment) []joinTable {
+	out := slices.Clone(jts)
+	for i := range out {
+		out[i].factKeyVec = segmentColumn(seg, out[i].factKey)
+	}
+	return out
 }
 
 // newJoinTable indexes the kept rows of a dimension by their key column,

@@ -331,7 +331,7 @@ func TestRandomizedQueriesAgainstOracle(t *testing.T) {
 		// The stratified sampler over the same query must see exactly the
 		// qualifying rows (weights are exact even when values are sampled).
 		schema := append(append([]string{}, groupCols...), "val")
-		sam, _, err := RunStratifiedExprs(q, ExprsFromNames(schema), len(groupCols), 64, uint64(trial), 3)
+		sam, _, err := runStratified(q, ExprsFromNames(schema), len(groupCols), 64, uint64(trial), 3)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

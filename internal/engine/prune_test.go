@@ -154,9 +154,10 @@ func TestZoneMapPruningSkipsAndFullPaths(t *testing.T) {
 	}
 }
 
-// TestZoneMapAppendInvalidation mimics copy-on-append (append.go builds a
-// new Table) and checks the grown table's scans see the appended rows: the
-// new version builds a fresh zone map, so a predicate selecting only the
+// TestZoneMapAppendInvalidation builds a longer table from a copy of a
+// table's rows plus new ones — a new Table with no cache in common with the
+// old — and checks the grown table's scans see the appended rows: the new
+// version builds a fresh zone map, so a predicate selecting only the
 // appended tail is answered from the new summary, and the incremental
 // ScanFrom Δ-scan over just the tail prunes correctly too.
 func TestZoneMapAppendInvalidation(t *testing.T) {
@@ -167,7 +168,7 @@ func TestZoneMapAppendInvalidation(t *testing.T) {
 		t.Fatal("no zone map for base table")
 	}
 
-	// Copy-on-append: new Table with extra rows continuing the sequence.
+	// A new Table with extra rows continuing the sequence.
 	const extra = storage.DefaultMorselSize / 2
 	cols := make([]*storage.Column, 0, 4)
 	for _, c := range base.Columns() {
@@ -232,89 +233,105 @@ func appendPruneRows(t *testing.T, tab *storage.Table, extra int, seed uint64) *
 		}
 		grown = append(grown, &storage.Column{Name: c.Name, Kind: c.Kind, Ints: vals})
 	}
-	nt, err := storage.AppendColumns(tab, grown, 0)
+	batch := make([][]int64, len(grown))
+	for i, c := range grown {
+		batch[i] = c.Ints[n:]
+	}
+	nt, err := storage.AppendColumns(tab, batch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return nt
 }
 
-// TestStraddlingMorselVerdicts pins the fold that replaced the whole-table
-// zone map, on the layout ingest leaves behind: a clustered table sealed at
-// a row count that is not a multiple of the morsel size, then grown by small
-// appends into the open segment, so one morsel of every cross-segment scan
-// covers the tail of the sealed segment and the head of the open one. That
-// morsel's bounds come from both segments' maps; the scans must equal the
-// DisableZoneMaps reference, and each verdict must be reachable on it.
+// TestStraddlingMorselVerdicts pins how a scan crosses a seal on the layout
+// ingest leaves behind: a clustered table sealed at a row count that is not
+// a multiple of the morsel size, then grown by small appends into the open
+// segment. No morsel straddles the seal: the morsels are cut at it, so the
+// sealed segment's last morsel is short, the open segment's first starts at
+// its row 0, and each reads its own segment's zone map. The scans must
+// equal the DisableZoneMaps reference, and each verdict must be reachable
+// on the morsels either side of the seal.
 func TestStraddlingMorselVerdicts(t *testing.T) {
 	const sealedRows = 500_000 // 7 morsels + 41 248 rows
+	const m = storage.DefaultMorselSize
 	tab, err := storage.Seal(buildPruneFact(sealedRows, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	anySeq := algebra.NewPredicate().WithRange("p_seq", 0, 1<<40)
 
-	// Fresh after Seal the open segment is empty: it has no map, so the plan
-	// classifies with the sealed segment's alone.
+	// Fresh after Seal the open segment is empty: the plan holds the sealed
+	// segment alone.
 	plan, err := newMorselPlan(&Query{Fact: tab, Filter: anySeq})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.zms) != 1 || plan.zms[0].End() != sealedRows {
-		t.Fatalf("plan over an empty open segment holds %d maps", len(plan.zms))
+	if len(plan.segs) != 1 || len(plan.morsels) != 8 {
+		t.Fatalf("plan over an empty open segment: %d segments, %d morsels", len(plan.segs), len(plan.morsels))
 	}
-	if v := plan.lookup(7*storage.DefaultMorselSize, sealedRows); v != morselFull {
-		t.Fatalf("last sealed morsel: verdict %d, want full", v)
+	if last := plan.morsels[7]; last.Start != 7*m || last.End != sealedRows || plan.lookup(last) != morselFull {
+		t.Fatalf("last sealed morsel [%d,%d): verdict %d, want full", last.Start, last.End, plan.lookup(last))
 	}
 
-	// straddler returns the morsel of the scan from `from` that crosses the
-	// seal, with its verdict under pred.
-	straddler := func(fact *storage.Table, pred algebra.Predicate, from int) (storage.Morsel, morselVerdict) {
+	// sides returns the two morsels of the scan from `from` that meet at
+	// the seal, with their verdicts under pred, having checked that every
+	// morsel lies inside its segment.
+	sides := func(fact *storage.Table, pred algebra.Predicate, from int) (before, after morsel, vb, va morselVerdict) {
 		t.Helper()
 		plan, err := newMorselPlan(&Query{Fact: fact, Filter: pred, ScanFrom: from})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(plan.zms) != 2 {
-			t.Fatalf("plan holds %d maps, want the sealed and the open segment's", len(plan.zms))
+		if len(plan.segs) != 2 {
+			t.Fatalf("plan holds %d segments, want the sealed and the open one", len(plan.segs))
 		}
-		for _, mo := range plan.morsels {
-			if mo.Start < sealedRows && mo.End > sealedRows {
-				return mo, plan.lookup(mo.Start, mo.End)
+		for i, mo := range plan.morsels {
+			if seg := plan.segs[mo.seg].seg; mo.Start < 0 || mo.End > seg.Rows() || mo.Len() > m {
+				t.Fatalf("morsel [%d,%d) of segment %d is not inside its %d rows", mo.Start, mo.End, seg.ID(), seg.Rows())
+			}
+			if mo.seg == 0 && mo.End == sealedRows {
+				next := plan.morsels[i+1]
+				if next.seg != 1 || next.Start != 0 {
+					t.Fatalf("the morsel after the seal is [%d,%d) of segment %d", next.Start, next.End, next.seg)
+				}
+				return mo, next, plan.lookup(mo), plan.lookup(next)
 			}
 		}
-		t.Fatalf("no morsel of the scan from %d straddles row %d", from, sealedRows)
-		return storage.Morsel{}, 0
+		t.Fatalf("no morsel of the scan from %d ends at the seal", from)
+		return morsel{}, morsel{}, 0, 0
 	}
 
 	for ai, extra := range []int{3_000, 20_000, 50_000} {
 		tab = appendPruneRows(t, tab, extra, uint64(40+ai))
 		n := int64(tab.NumRows())
+		appended := int(n) - sealedRows
 		for _, from := range []int{0, 123_457} {
-			mo, _ := straddler(tab, anySeq, from)
-			// The bounds the fold can know: p_seq is the row index, and a
-			// map answers in whole zones, aligned to its segment's start.
-			const m = storage.DefaultMorselSize
-			lo := int64(mo.Start / m * m)
-			hi := min(n, int64(sealedRows+(mo.End-sealedRows+m-1)/m*m)) - 1
+			before, after, _, _ := sides(tab, anySeq, from)
+			if after.End != min(appended, m) {
+				t.Fatalf("append %d from %d: the open segment's first morsel is [%d,%d)", ai, from, after.Start, after.End)
+			}
+			// The bounds a map can know: p_seq is the row index, and a map
+			// answers in whole zones, aligned to its segment's start.
+			lo := int64(before.Start / m * m)
 			shapes := []struct {
-				name string
-				pred algebra.Predicate
-				want morselVerdict
+				name         string
+				pred         algebra.Predicate
+				wantB, wantA morselVerdict
 			}{
-				{"before the straddler", algebra.NewPredicate().WithRange("p_seq", 0, lo-1), morselSkip},
-				{"only appended rows past it", algebra.NewPredicate().WithRange("p_seq", hi+1, n), morselSkip},
-				{"covering it", algebra.NewPredicate().WithRange("p_seq", lo-10, n), morselFull},
-				{"sealed rows only", algebra.NewPredicate().WithRange("p_seq", 0, sealedRows-1), morselPartial},
-				{"appended rows only", algebra.NewPredicate().WithRange("p_seq", sealedRows, n), morselPartial},
-				{"covering it, and noise", algebra.NewPredicate().WithRange("p_seq", lo-10, n).WithRange("p_noise", 100, 899), morselPartial},
-				{"before it, and noise", algebra.NewPredicate().WithRange("p_seq", 0, lo-1).WithRange("p_noise", 100, 899), morselSkip},
-				{"covering it, and all noise", algebra.NewPredicate().WithRange("p_seq", lo-10, n).WithRange("p_noise", 0, 999), morselFull},
+				{"before the seal's morsels", algebra.NewPredicate().WithRange("p_seq", 0, lo-1), morselSkip, morselSkip},
+				{"sealed rows only", algebra.NewPredicate().WithRange("p_seq", 0, sealedRows-1), morselFull, morselSkip},
+				{"appended rows only", algebra.NewPredicate().WithRange("p_seq", sealedRows, n), morselSkip, morselFull},
+				{"covering both", algebra.NewPredicate().WithRange("p_seq", lo-10, n), morselFull, morselFull},
+				{"inside the sealed tail", algebra.NewPredicate().WithRange("p_seq", sealedRows-100, sealedRows-50), morselPartial, morselSkip},
+				{"covering both, and noise", algebra.NewPredicate().WithRange("p_seq", lo-10, n).WithRange("p_noise", 100, 899), morselPartial, morselPartial},
+				{"sealed rows only, and noise", algebra.NewPredicate().WithRange("p_seq", 0, sealedRows-1).WithRange("p_noise", 100, 899), morselPartial, morselSkip},
+				{"covering both, and all noise", algebra.NewPredicate().WithRange("p_seq", lo-10, n).WithRange("p_noise", 0, 999), morselFull, morselFull},
 			}
 			for _, sh := range shapes {
-				if _, v := straddler(tab, sh.pred, from); v != sh.want {
-					t.Fatalf("append %d from %d, %s: straddling morsel [%d,%d) verdict %d, want %d",
-						ai, from, sh.name, mo.Start, mo.End, v, sh.want)
+				if _, _, vb, va := sides(tab, sh.pred, from); vb != sh.wantB || va != sh.wantA {
+					t.Fatalf("append %d from %d, %s: verdicts %d and %d either side of the seal, want %d and %d",
+						ai, from, sh.name, vb, va, sh.wantB, sh.wantA)
 				}
 				pruned, ref, ps, rs := runBoth(t, tab, sh.pred, from)
 				assertSameResult(t, pruned, ref, ps, rs)

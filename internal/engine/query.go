@@ -99,27 +99,44 @@ func (q *Query) scanBounds() (from, to int) {
 	return from, to
 }
 
-// columnSource locates a column needed downstream: either a fact column or
-// a column of the j-th join's dimension table.
+// columnSource locates a column needed downstream: a fact column, whose
+// vector a segment binds (bind), or a column of the j-th join's dimension
+// table, whose whole-table vector every segment shares.
 type columnSource struct {
+	name    string
 	vec     []int64
 	joinIdx int // -1 for fact columns
 }
 
+// bind points a fact column at seg's vector of it; rows are then relative
+// to the segment's first row. Dimension columns stay as they are.
+func (c *columnSource) bind(seg *storage.Segment) {
+	if c.joinIdx < 0 {
+		c.vec = segmentColumn(seg, c.name)
+	}
+}
+
+// segmentColumn is how a scan reads a segment's vector of a column: its
+// filter, fact operands and fact join keys. It is a variable only as a test
+// seam: the driver-failure suite hands the bodies a vector shorter than its
+// segment, to prove an out-of-range read fails the query, not the process.
+var segmentColumn = (*storage.Segment).Column
+
 // resolveColumns maps each requested name to its source, searching the fact
 // table first and then each dimension in join order. SSB-style prefixes
-// (lo_, d_, s_, p_) make names unambiguous; the first match wins.
+// (lo_, d_, s_, p_) make names unambiguous; the first match wins. Fact
+// columns are left unbound: each segment of a scan binds its own vectors.
 func (q *Query) resolveColumns(names []string) ([]columnSource, error) {
 	out := make([]columnSource, len(names))
 	for i, name := range names {
-		if c := q.Fact.Column(name); c != nil {
-			out[i] = columnSource{vec: c.Ints, joinIdx: -1}
+		if _, ok := q.Fact.Field(name); ok {
+			out[i] = columnSource{name: name, joinIdx: -1}
 			continue
 		}
 		found := false
 		for j, jn := range q.Joins {
-			if c := jn.Dim.Column(name); c != nil {
-				out[i] = columnSource{vec: c.Ints, joinIdx: j}
+			if _, ok := jn.Dim.Field(name); ok {
+				out[i] = columnSource{name: name, vec: jn.Dim.Column(name).Ints, joinIdx: j}
 				found = true
 				break
 			}
@@ -130,13 +147,4 @@ func (q *Query) resolveColumns(names []string) ([]columnSource, error) {
 		}
 	}
 	return out, nil
-}
-
-// resolveFact returns the named fact column vector, or nil; this is the
-// resolver handed to expr.Compile for the scan filter.
-func (q *Query) resolveFact(name string) []int64 {
-	if c := q.Fact.Column(name); c != nil {
-		return c.Ints
-	}
-	return nil
 }

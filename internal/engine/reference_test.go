@@ -1,6 +1,9 @@
 package engine
 
-import "laqy/internal/approx"
+import (
+	"laqy/internal/approx"
+	"laqy/internal/sample"
+)
 
 // sums asks RunExact for the SUM of each expression, output i being
 // exprs[i]'s.
@@ -80,4 +83,14 @@ func RunScan(q *Query, col string, workers int) (float64, Stats, error) {
 		total += p.sum
 	}
 	return total, stats, nil
+}
+
+// runStratified is RunStratifiedExprs with its sample sealed, for tests
+// that read the sample.
+func runStratified(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int) (*sample.Stratified, Stats, error) {
+	part, stats, err := RunStratifiedExprs(q, exprs, qcsWidth, k, seed, workers)
+	if err != nil {
+		return nil, stats, err
+	}
+	return sample.Seal(part, workers), stats, nil
 }

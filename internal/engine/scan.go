@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -30,24 +31,24 @@ const (
 )
 
 // morselPlan is the per-run classification of a scan, built once in the
-// prologue: the morsel list and the zone maps the filter's interval
-// conjuncts are checked against — one per non-empty segment overlapping the
-// scan range, each summarizing only its own rows. Building the plan may
-// lazily build those maps (a one-off read of a segment, carried across
-// appends for as long as the segment is unchanged), so the per-morsel lookup
-// allocates nothing.
+// prologue: one scanSegment per non-empty segment overlapping the scan
+// range, and the morsels, cut at segment boundaries, each carrying its
+// segment. A morsel's rows are relative to its segment's first row and read
+// that segment's own vectors, so no morsel spans two segments and each
+// reads one zone map. Building the plan may lazily build those maps (a
+// one-off read of a segment, carried across appends for as long as the
+// segment is unchanged), so the per-morsel lookup allocates nothing.
 //
 // It is the only reader of Query.DisableZoneMaps (the oracle switch of the
 // equivalence suites): both scan bodies consume the same verdicts, so they
 // cannot disagree about a morsel, and under the switch no morsel is whole.
 type morselPlan struct {
 	from, to int
-	morsels  []storage.Morsel
-	filter   *expr.Filter
+	segs     []scanSegment
+	morsels  []morsel
 
-	zms []*storage.ZoneMap // in row order; empty = no pruning: every morsel is partial
-	ivs []expr.IntervalConjunct
-	all bool // every filter conjunct is single-interval
+	ivs []expr.IntervalConjunct // empty = no pruning: every morsel is partial
+	all bool                    // every filter conjunct is single-interval
 
 	// trivial: the filter keeps every row, so every morsel is whole (see
 	// whole). Off under DisableZoneMaps, where every morsel goes through
@@ -55,18 +56,54 @@ type morselPlan struct {
 	trivial bool
 }
 
-// newMorselPlan compiles q's filter and plans its scan range.
+// scanSegment is one segment's share of a scan: the segment, the scan
+// filter compiled against its vectors, and its zone map when the plan
+// prunes (nil otherwise).
+type scanSegment struct {
+	seg    *storage.Segment
+	filter *expr.Filter
+	zm     *storage.ZoneMap
+}
+
+// morsel is the unit of a scan: rows [Start, End) of the plan's segment
+// segs[seg], relative to that segment's first row.
+type morsel struct {
+	storage.Morsel
+	seg int
+}
+
+// newMorselPlan compiles q's filter for each segment the scan range
+// overlaps and plans the morsels.
 //
 // Pruning is off when it cannot help: trivial filters select everything
 // anyway, filters with no single-interval conjunct give the zone maps
-// nothing to intersect, and empty segments have no zones.
+// nothing to intersect.
 func newMorselPlan(q *Query) (*morselPlan, error) {
-	filter, err := expr.Compile(q.Filter, q.resolveFact)
-	if err != nil {
-		return nil, err
+	for _, name := range q.Filter.Columns() {
+		if _, ok := q.Fact.Field(name); !ok {
+			return nil, fmt.Errorf("expr: unknown column %q in predicate", name)
+		}
 	}
 	from, to := q.scanBounds()
-	p := &morselPlan{from: from, to: to, morsels: storage.MorselsRange(from, to, 0), filter: filter}
+	p := &morselPlan{from: from, to: to}
+	for _, seg := range q.Fact.Segments() {
+		lo, hi := max(seg.Start(), from), min(seg.End(), to)
+		if lo >= hi {
+			continue
+		}
+		filter, err := expr.Compile(q.Filter, func(name string) []int64 { return segmentColumn(seg, name) })
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range storage.MorselsRange(lo-seg.Start(), hi-seg.Start(), 0) {
+			p.morsels = append(p.morsels, morsel{Morsel: m, seg: len(p.segs)})
+		}
+		p.segs = append(p.segs, scanSegment{seg: seg, filter: filter})
+	}
+	if len(p.segs) == 0 {
+		return p, nil
+	}
+	filter := p.segs[0].filter // every segment's filter has the same conjuncts
 	if filter.Trivial() || q.DisableZoneMaps {
 		p.trivial = filter.Trivial() && !q.DisableZoneMaps
 		return p, nil
@@ -74,13 +111,8 @@ func newMorselPlan(q *Query) (*morselPlan, error) {
 	if p.ivs, p.all = filter.IntervalConjuncts(); len(p.ivs) == 0 {
 		return p, nil
 	}
-	for _, seg := range q.Fact.Segments() {
-		if seg.End() <= from || seg.Start() >= to {
-			continue
-		}
-		if zm := seg.ZoneMap(); zm != nil {
-			p.zms = append(p.zms, zm)
-		}
+	for i := range p.segs {
+		p.segs[i].zm = p.segs[i].seg.ZoneMap()
 	}
 	return p, nil
 }
@@ -88,17 +120,19 @@ func newMorselPlan(q *Query) (*morselPlan, error) {
 // lookup resolves one morsel to its zone-map verdict. It runs once per
 // morsel, never per row: a handful of map lookups and compares buys
 // skipping up to DefaultMorselSize rows.
-func (p *morselPlan) lookup(start, end int) morselVerdict {
-	if len(p.zms) == 0 {
+func (p *morselPlan) lookup(mo morsel) morselVerdict {
+	s := &p.segs[mo.seg]
+	if s.zm == nil {
 		return morselPartial
 	}
 	v := morselPartial
 	if p.all {
 		v = morselFull
 	}
+	base := s.seg.Start()
 	for i := range p.ivs {
 		iv := &p.ivs[i]
-		lo, hi, ok := p.bounds(iv.Name, start, end)
+		lo, hi, ok := s.zm.Bounds(iv.Name, base+mo.Start, base+mo.End)
 		if !ok {
 			// Unknown column: no judgement for this conjunct, so the full
 			// fast path is off the table.
@@ -121,35 +155,6 @@ func (p *morselPlan) lookup(start, end int) morselVerdict {
 // selection pass, so a pipeline hands them to its first join probe as a
 // range.
 func (p *morselPlan) whole(v morselVerdict) bool { return v == morselFull || p.trivial }
-
-// bounds folds the named column's value bounds over the segments the morsel
-// [start, end) overlaps. The plan's maps tile the scan range, so a morsel
-// inside one segment reads one map and a morsel straddling a boundary (a
-// segment sealed at a row count that is not a multiple of the morsel size,
-// or an unaligned ScanFrom) folds both sides; either way the bounds hold
-// for every row of the morsel.
-func (p *morselPlan) bounds(name string, start, end int) (lo, hi int64, ok bool) {
-	for _, zm := range p.zms {
-		if zm.End() <= start {
-			continue
-		}
-		if zm.Start() >= end {
-			break
-		}
-		l, h, found := zm.Bounds(name, max(start, zm.Start()), min(end, zm.End()))
-		if !found {
-			return 0, 0, false
-		}
-		if !ok || l < lo {
-			lo = l
-		}
-		if !ok || h > hi {
-			hi = h
-		}
-		ok = true
-	}
-	return lo, hi, ok
-}
 
 // morselScratch is one worker's reusable per-morsel buffers: the selection
 // vector, join-probe row maps, gathered column vectors, and the gather
@@ -202,7 +207,7 @@ type scanWorker struct {
 // share of its time spent past the scan, which the driver books as
 // Stats.Process; the rest of the morsel's time is Stats.Scan. Bodies that fold a morsel without a selection vector
 // count it in ws.st.MorselsFused.
-type morselBody func(ws *scanWorker, mo storage.Morsel, v morselVerdict) (selected int, process time.Duration)
+type morselBody func(ws *scanWorker, mo morsel, v morselVerdict) (selected int, process time.Duration)
 
 // run is the engine's one morsel-parallel scan: participants claim morsels
 // through par.Claim, each with a leased scratch set (nJoins probe maps,
@@ -233,7 +238,7 @@ func (p *morselPlan) run(q *Query, workers, nJoins, nSources int, newBody func(w
 			}
 			mo := morsels[m]
 			t0 := time.Now()
-			v := p.lookup(mo.Start, mo.End)
+			v := p.lookup(mo)
 			switch v {
 			case morselSkip:
 				s.st.MorselsPruned++

@@ -151,10 +151,17 @@ func TestScanDriverFailures(t *testing.T) {
 	defer stop()
 	val := ExprsFromNames([]string{"f_val"})
 
-	// A corrupt column: f_val lost its tail after the table was built, so
-	// any body reading a late row through it indexes out of range.
+	// A corrupt column: corrupt's f_val reads as a vector that lost its
+	// tail, so any body reading a late row through it indexes out of range.
 	corrupt := buildFact(200000, 4, 10)
-	corrupt.Column("f_val").Ints = corrupt.Column("f_val").Ints[:1000]
+	defer func() { segmentColumn = (*storage.Segment).Column }()
+	segmentColumn = func(s *storage.Segment, name string) []int64 {
+		v := s.Column(name)
+		if name == "f_val" && s == corrupt.Segments()[0] {
+			return v[:1000]
+		}
+		return v
+	}
 
 	gov := governor.New(governor.Config{QueryMemoryBytes: 1 << 20})
 	budget := gov.NewQueryBudget()
@@ -190,7 +197,7 @@ func TestScanDriverFailures(t *testing.T) {
 			return err
 		}, is(context.Canceled)},
 		{"expired deadline/sample build", func() error {
-			_, _, err := RunStratifiedExprs(&Query{Fact: fact, Ctx: expired}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 10, 1, 2)
+			_, _, err := runStratified(&Query{Fact: fact, Ctx: expired}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 10, 1, 2)
 			return err
 		}, is(context.DeadlineExceeded)},
 		{"panic/poisoned sink", func() error {
@@ -229,7 +236,7 @@ func TestScanDriverFailures(t *testing.T) {
 			}
 			_, err = plan.run(q, 3, 0, 0, func(int) (morselBody, func() error) {
 				seen := 0
-				body := func(*scanWorker, storage.Morsel, morselVerdict) (int, time.Duration) {
+				body := func(*scanWorker, morsel, morselVerdict) (int, time.Duration) {
 					seen++
 					return 0, 0
 				}
@@ -255,7 +262,7 @@ func TestScanDriverFailures(t *testing.T) {
 
 	// The engine is still fully functional: a healthy query of each body
 	// runs cleanly afterwards.
-	sam, _, err := RunStratifiedExprs(&Query{Fact: fact, Ctx: context.Background()}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 16, 1, 4)
+	sam, _, err := runStratified(&Query{Fact: fact, Ctx: context.Background()}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 16, 1, 4)
 	if err != nil {
 		t.Fatalf("sample build after the failed runs: %v", err)
 	}

@@ -184,9 +184,10 @@ func planSegments(q *Query, exprs []ColumnExpr, qcsWidth, k int) []SegmentSource
 // no coordinator; anything else — several segments, or any plan a Planner
 // rewrote, since even a single remote segment needs the drop/degradation
 // path — fans out through the coordinator and merges N-way. The result is
-// sealed: a merge's as it is, a lone builder (one worker over one segment)
-// written once.
-func RunStratifiedExprs(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int) (*sample.Stratified, Stats, error) {
+// a merge input, not yet sealed: a merge's sample, or a lone builder (one
+// worker over one segment), which a Δ's merge reads as it is and
+// sample.Seal writes once where it is published.
+func RunStratifiedExprs(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint64, workers int) (sample.Part, Stats, error) {
 	sources := planSegments(q, exprs, qcsWidth, k)
 	var part sample.Part
 	var stats Stats
@@ -204,7 +205,7 @@ func RunStratifiedExprs(q *Query, exprs []ColumnExpr, qcsWidth, k int, seed uint
 	if err != nil {
 		return nil, stats, err
 	}
-	return sample.Seal(part, workers), stats, nil
+	return part, stats, nil
 }
 
 // errSegmentsStopped is the internal signal a segment worker leaves when

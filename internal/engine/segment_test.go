@@ -36,7 +36,7 @@ func TestSegmentedMatchesReferenceWeights(t *testing.T) {
 		t.Fatalf("segments = %d", fact.NumSegments())
 	}
 
-	seg, stats, err := RunStratifiedExprs(&Query{Fact: fact},
+	seg, stats, err := runStratified(&Query{Fact: fact},
 		ExprsFromNames([]string{"f_group", "f_val"}), 1, k, 42, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestSegmentedBuildChiSquare(t *testing.T) {
 	exprs := ExprsFromNames([]string{"f_group", "f_val"})
 	segmented := func(workers int) func(uint64) (*sample.Stratified, Stats, error) {
 		return func(seed uint64) (*sample.Stratified, Stats, error) {
-			return RunStratifiedExprs(&Query{Fact: fact}, exprs, 1, k, seed, workers)
+			return runStratified(&Query{Fact: fact}, exprs, 1, k, seed, workers)
 		}
 	}
 	const critical = 40.0 // χ²(df=14) at p≈0.001 is 36.1; headroom for seeds
@@ -157,7 +157,11 @@ func growFactTable(t *testing.T, fact *storage.Table, n, extra, groups, segRows 
 		}
 		grown = append(grown, &storage.Column{Name: c.Name, Kind: c.Kind, Ints: vals})
 	}
-	nt, err := storage.AppendColumns(fact, grown, segRows)
+	batch := make([][]int64, len(grown))
+	for i, c := range grown {
+		batch[i] = c.Ints[n:]
+	}
+	nt, err := storage.AppendColumns(fact, batch, segRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +183,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 	}
 	exprs := ExprsFromNames([]string{"f_group", "f_val"})
 
-	base, _, err := RunStratifiedExprs(&Query{Fact: fact}, exprs, 1, k, 11, 2)
+	base, _, err := runStratified(&Query{Fact: fact}, exprs, 1, k, 11, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +193,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 	if grown.NumSegments() != 3 {
 		t.Fatalf("segments after append = %d, want 3", grown.NumSegments())
 	}
-	delta, dstats, err := RunStratifiedExprs(&Query{Fact: grown, ScanFrom: n}, exprs, 1, k, 13, 2)
+	delta, dstats, err := runStratified(&Query{Fact: grown, ScanFrom: n}, exprs, 1, k, 13, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 	})
 
 	// A second pass resuming at the grown table's end is an empty delta.
-	empty, _, err := RunStratifiedExprs(&Query{Fact: grown, ScanFrom: grown.NumRows()}, exprs, 1, k, 17, 2)
+	empty, _, err := runStratified(&Query{Fact: grown, ScanFrom: grown.NumRows()}, exprs, 1, k, 17, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +238,7 @@ func TestSegmentedInterleavedAppends(t *testing.T) {
 // single segment's count.
 func TestSegmentWorkerCapAtTotalMorsels(t *testing.T) {
 	fact := segmentedFact(t, 2000, 4, 1000) // 2 segments, 1 morsel each
-	_, stats, err := RunStratifiedExprs(&Query{Fact: fact},
+	_, stats, err := runStratified(&Query{Fact: fact},
 		ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +264,7 @@ func TestSegmentMergeReadsBuilders(t *testing.T) {
 		mu.Unlock()
 		return orig(parts, g, workers)
 	}
-	sam, st, err := RunStratifiedExprs(&Query{Fact: fact}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 1)
+	sam, st, err := runStratified(&Query{Fact: fact}, ExprsFromNames([]string{"f_group", "f_val"}), 1, 50, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func PlanStatement(stmt *Statement, catalog *storage.Catalog) (*Plan, error) {
 
 	owner := func(col string) *storage.Table {
 		for _, t := range tables {
-			if t.Column(col) != nil {
+			if _, ok := t.Field(col); ok {
 				return t
 			}
 		}
@@ -194,8 +194,8 @@ func PlanStatement(stmt *Statement, catalog *storage.Catalog) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		if col := t.Column(c.Column); col.Kind == storage.KindString {
-			dicts[c.Column] = col.Dict
+		if f, _ := t.Field(c.Column); f.Kind == storage.KindString {
+			dicts[c.Column] = f.Dict
 		}
 		pred = pred.With(c.Column, set)
 		if t == fact {
@@ -239,8 +239,8 @@ func PlanStatement(stmt *Statement, catalog *storage.Catalog) (*Plan, error) {
 		if t == nil {
 			return nil, fmt.Errorf("sql: unknown GROUP BY column %q", g)
 		}
-		if col := t.Column(g); col.Kind == storage.KindString {
-			dicts[g] = col.Dict
+		if f, _ := t.Field(g); f.Kind == storage.KindString {
+			dicts[g] = f.Dict
 		}
 		inGroupBy[g] = true
 		plan.GroupBy = append(plan.GroupBy, g)
@@ -269,8 +269,10 @@ func PlanStatement(stmt *Statement, catalog *storage.Catalog) (*Plan, error) {
 				if c == "" {
 					continue
 				}
-				if t := owner(c); t != nil && t.Column(c).Kind == storage.KindString {
-					return nil, fmt.Errorf("sql: cannot aggregate arithmetic over string column %q", c)
+				if t := owner(c); t != nil {
+					if f, _ := t.Field(c); f.Kind == storage.KindString {
+						return nil, fmt.Errorf("sql: cannot aggregate arithmetic over string column %q", c)
+					}
 				}
 			}
 		}
@@ -341,17 +343,17 @@ func PlanStatement(stmt *Statement, catalog *storage.Catalog) (*Plan, error) {
 		}
 	}
 	for _, c := range pred.Columns() {
-		if !seen[c] && fact.Column(c) != nil {
+		if _, ok := fact.Field(c); !seen[c] && ok {
 			seen[c] = true
 			plan.Schema = append(plan.Schema, c)
 		}
 	}
 	// COUNT(*) needs at least one value column to ride on.
 	if len(plan.Schema) == len(plan.GroupBy) {
-		if len(fact.Columns()) == 0 {
+		if len(fact.Schema()) == 0 {
 			return nil, fmt.Errorf("sql: fact table %q has no columns", fact.Name)
 		}
-		plan.Schema = append(plan.Schema, fact.Columns()[0].Name)
+		plan.Schema = append(plan.Schema, fact.Schema()[0].Name)
 	}
 	return plan, nil
 }
@@ -361,7 +363,7 @@ func PlanStatement(stmt *Statement, catalog *storage.Catalog) (*Plan, error) {
 // absent from the dictionary yields the empty set (the predicate matches
 // nothing) for equality, consistent with exact evaluation.
 func conditionSet(c Condition, t *storage.Table) (algebra.Set, error) {
-	col := t.Column(c.Column)
+	col, _ := t.Field(c.Column)
 	encode := func(l Literal) (int64, bool, error) {
 		if !l.IsString {
 			if col.Kind == storage.KindString {

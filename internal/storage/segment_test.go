@@ -127,13 +127,11 @@ func TestSealLayout(t *testing.T) {
 // grow appends n rows (continuing the row-index values) via AppendColumns.
 func grow(t *testing.T, tab *Table, n, segRows int) *Table {
 	t.Helper()
-	old := tab.Columns()[0]
-	merged := make([]int64, 0, len(old.Ints)+n)
-	merged = append(merged, old.Ints...)
-	for i := 0; i < n; i++ {
-		merged = append(merged, int64(len(old.Ints)+i))
+	batch := make([]int64, n)
+	for i := range batch {
+		batch[i] = int64(tab.NumRows() + i)
 	}
-	nt, err := AppendColumns(tab, []*Column{{Name: "v", Kind: KindInt64, Ints: merged}}, segRows)
+	nt, err := AppendColumns(tab, [][]int64{batch}, segRows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +242,14 @@ func TestAppendColumnsValidates(t *testing.T) {
 	if _, err := AppendColumns(tab, nil, 0); err == nil {
 		t.Fatal("column count mismatch must error")
 	}
-	if _, err := AppendColumns(tab, []*Column{{Name: "w", Kind: KindInt64, Ints: make([]int64, 200)}}, 0); err == nil {
-		t.Fatal("renamed column must error")
+	if _, err := AppendColumns(tab, [][]int64{{1}, {2}}, 0); err == nil {
+		t.Fatal("an extra column must error")
 	}
-	if _, err := AppendColumns(tab, []*Column{{Name: "v", Kind: KindInt64, Ints: make([]int64, 50)}}, 0); err == nil {
-		t.Fatal("shrinking append must error")
+	two := MustNewTable("t2", &Column{Name: "a", Ints: make([]int64, 10)}, &Column{Name: "b", Ints: make([]int64, 10)})
+	if _, err := AppendColumns(two, [][]int64{{1, 2}, {3}}, 0); err == nil {
+		t.Fatal("columns of unequal lengths must error")
+	}
+	if got, err := AppendColumns(tab, [][]int64{{}}, 0); err != nil || got != tab {
+		t.Fatalf("an empty batch must return the table itself: %v", err)
 	}
 }

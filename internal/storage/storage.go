@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind describes the logical type of a column.
@@ -111,10 +112,13 @@ func (c *Column) StringAt(i int) string {
 	return c.Dict.Value(c.Ints[i])
 }
 
-// Field describes one column of a schema.
+// Field describes one column of a schema: its name, kind and, for string
+// columns, dictionary. Reading a table's fields never touches its rows.
 type Field struct {
 	Name string
 	Kind Kind
+	// Dict is non-nil iff Kind == KindString.
+	Dict *Dict
 }
 
 // Schema is an ordered list of fields.
@@ -130,34 +134,53 @@ func (s Schema) Index(name string) int {
 	return -1
 }
 
-// Table is an immutable in-memory relation in column layout.
+// Table is an immutable in-memory relation in column layout, split into
+// segments (segment.go) that own their rows: segment i holds one vector per
+// column, and a later version of the table shares its sealed segments'
+// vectors unchanged.
 type Table struct {
-	Name    string
-	columns []*Column
-	byName  map[string]*Column
-	rows    int
-	// segs is the segment list (segment.go): explicit for tables built by
-	// the segmented constructors, synthesized as one whole-table segment on
-	// first Segments() call otherwise. segOnce guards the lazy synthesis.
-	segs    []*Segment
-	segOnce sync.Once
+	Name string
+	meta *tableMeta
+	rows int
+	segs []*Segment
+	// spare holds the full-capacity vectors behind the open (last)
+	// segment's rows, nil when it has none. The capacity past those rows is
+	// written by the one later version that claims it (AppendColumns), so
+	// two versions grown from this one never write the same memory.
+	spare   [][]int64
+	claimed atomic.Bool
+	// columns are the whole-table vectors when the table lies in one
+	// allocation (every table NewTable built, and the segmentings and seal
+	// of one); nil otherwise, and built, the first time a caller needs
+	// contiguous rows, into built.
+	columns      []*Column
+	wholeOnce    sync.Once
+	built        []*Column
+	concatenated atomic.Bool
+}
+
+// tableMeta is a table's schema, shared by every version of it: appends
+// add rows, never columns.
+type tableMeta struct {
+	fields Schema
+	index  map[string]int
 }
 
 // NewTable assembles a table from columns. All columns must have equal
-// length; names must be unique.
+// length; names must be unique. The table is one segment over the columns'
+// vectors.
 //
 // Every column vector is clipped to its length (cap == len; a column with
 // spare capacity gets a clipped header of its own): a reader's append to a
-// column can never write past the table's rows, where Appender.Append
-// writes the next version's rows, and no append writes through a caller's
-// vector.
+// column can never write past the table's rows, and no append writes
+// through a caller's vector.
 func NewTable(name string, columns ...*Column) (*Table, error) {
-	t := &Table{Name: name, byName: make(map[string]*Column, len(columns))}
+	t := &Table{Name: name, meta: &tableMeta{index: make(map[string]int, len(columns))}}
 	for _, c := range columns {
 		if c == nil {
 			return nil, fmt.Errorf("storage: table %q: nil column", name)
 		}
-		if _, dup := t.byName[c.Name]; dup {
+		if _, dup := t.meta.index[c.Name]; dup {
 			return nil, fmt.Errorf("storage: table %q: duplicate column %q", name, c.Name)
 		}
 		if len(t.columns) > 0 && c.Len() != t.rows {
@@ -168,9 +191,14 @@ func NewTable(name string, columns ...*Column) (*Table, error) {
 		if cap(c.Ints) > t.rows {
 			c = &Column{Name: c.Name, Kind: c.Kind, Ints: c.Ints[:t.rows:t.rows], Dict: c.Dict}
 		}
+		t.meta.index[c.Name] = len(t.columns)
+		t.meta.fields = append(t.meta.fields, Field{Name: c.Name, Kind: c.Kind, Dict: c.Dict})
 		t.columns = append(t.columns, c)
-		t.byName[c.Name] = c
 	}
+	if t.columns == nil {
+		t.columns = []*Column{} // no columns: trivially one allocation
+	}
+	t.setSegments([]*Segment{{start: 0, end: t.rows, version: 1, cols: wholeVectors(t.columns, 0, t.rows)}})
 	return t, nil
 }
 
@@ -188,46 +216,75 @@ func MustNewTable(name string, columns ...*Column) *Table {
 // NumRows returns the row count.
 func (t *Table) NumRows() int { return t.rows }
 
-// Columns returns the table's columns in schema order. The slice must not
-// be modified.
-func (t *Table) Columns() []*Column { return t.columns }
-
-// Column returns the named column, or nil if absent.
-func (t *Table) Column(name string) *Column { return t.byName[name] }
-
-// Schema returns the table's schema.
-func (t *Table) Schema() Schema {
-	s := make(Schema, len(t.columns))
-	for i, c := range t.columns {
-		s[i] = Field{Name: c.Name, Kind: c.Kind}
+// Columns returns the table's whole-table columns in schema order, for
+// callers that need each column's rows contiguous. A table in one
+// allocation returns its vectors as they are; any other version
+// concatenates its segments' vectors once, on first use, and keeps them
+// (Concatenated). Scans never call it: they read each segment's own vectors
+// (Segment.Column). The slice must not be modified.
+func (t *Table) Columns() []*Column {
+	if t.columns != nil {
+		return t.columns
 	}
-	return s
+	t.wholeOnce.Do(func() {
+		cols := make([]*Column, len(t.meta.fields))
+		for i, f := range t.meta.fields {
+			v := make([]int64, 0, t.rows)
+			for _, s := range t.segs {
+				v = append(v, s.cols[i]...)
+			}
+			cols[i] = &Column{Name: f.Name, Kind: f.Kind, Ints: v, Dict: f.Dict}
+		}
+		t.built = cols
+		t.concatenated.Store(true)
+	})
+	return t.built
 }
+
+// Concatenated reports whether this version's whole-table columns were
+// built by concatenating its segments (Columns). A table in one allocation
+// never needs to; tests use it to prove a path reads segments only.
+func (t *Table) Concatenated() bool { return t.concatenated.Load() }
+
+// Column returns the named whole-table column (see Columns), or nil if
+// absent. A check that a column exists, or a read of its kind or
+// dictionary, takes Field, which never touches rows.
+func (t *Table) Column(name string) *Column {
+	i, ok := t.meta.index[name]
+	if !ok {
+		return nil
+	}
+	return t.Columns()[i]
+}
+
+// Field returns the named column's field, and whether the table has it.
+func (t *Table) Field(name string) (Field, bool) {
+	i, ok := t.meta.index[name]
+	if !ok {
+		return Field{}, false
+	}
+	return t.meta.fields[i], true
+}
+
+// Schema returns the table's schema. The slice must not be modified.
+func (t *Table) Schema() Schema { return t.meta.fields }
 
 // Catalog is a named collection of tables, safe for concurrent use: an
 // append publishes a table's next version (Replace) beside queries planning
-// against the catalog (Table). The catalog also owns each table's spare
-// column capacity and the lock that lets one appender at a time write into
-// it (BeginAppend).
+// against the catalog (Table). The catalog also owns each table's append
+// lock, which lets one appender at a time grow it (BeginAppend).
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*catalogEntry
 }
 
-// catalogEntry is one registered table: its current version, its append
-// lock, and the spare capacity behind its columns.
+// catalogEntry is one registered table: its current version and its
+// append lock.
 type catalogEntry struct {
 	t *Table
 	// appendMu serializes appends to the table: an Appender holds it from
 	// BeginAppend to Close.
 	appendMu sync.Mutex
-	// vecs are the full-capacity vectors behind spareOf's columns:
-	// vecs[i][:spareOf.NumRows()] is spareOf's column i, and the capacity
-	// past it is written only by the holder of appendMu. They serve an
-	// append only while spareOf is the current version; nil until the
-	// table's first append.
-	spareOf *Table
-	vecs    [][]int64
 }
 
 // NewCatalog returns an empty catalog.

@@ -80,7 +80,7 @@ func TestTableSchema(t *testing.T) {
 		&Column{Name: "s", Kind: KindString, Ints: []int64{0}, Dict: d},
 	)
 	s := tab.Schema()
-	if len(s) != 2 || s[0] != (Field{"k", KindInt64}) || s[1] != (Field{"s", KindString}) {
+	if len(s) != 2 || s[0] != (Field{Name: "k", Kind: KindInt64}) || s[1] != (Field{Name: "s", Kind: KindString, Dict: d}) {
 		t.Fatalf("schema = %v", s)
 	}
 	if s.Index("s") != 1 || s.Index("zzz") != -1 {

@@ -13,11 +13,9 @@ import (
 //
 // Zones are fixed-width, segment-aligned row ranges of DefaultMorselSize
 // rows; an arbitrary row range inside the segment is summarized by folding
-// the zones it overlaps, and a morsel that crosses a segment boundary by
-// folding the maps of both segments (engine's morselPlan), so pruning stays
-// exact when the scan starts mid-table (ScanFrom > 0 during incremental
-// Δ-scans) and when a segment sealed at a row count that is not a multiple
-// of the zone size.
+// the zones it overlaps, so pruning stays exact when the scan starts
+// mid-segment (ScanFrom > 0 during incremental Δ-scans). The engine cuts
+// its morsels at segment boundaries, so every morsel reads one map.
 //
 // A ZoneMap is immutable after construction and safe for concurrent reads.
 // It summarizes the segment version it was built from: an append that lands
@@ -86,37 +84,26 @@ func (z *ZoneMap) Bounds(name string, start, end int) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// buildZoneMapRange computes the per-zone min/max of every column over the
-// row range [base, base+rows). Segment builds summarize only their own rows,
-// which is what lets sealed segments carry their maps across appends while
-// the open segment's map is extended by the appended rows (extend).
-func buildZoneMapRange(t *Table, base, rows, zoneSize int) *ZoneMap {
-	if zoneSize <= 0 {
-		zoneSize = DefaultMorselSize
-	}
-	z := &ZoneMap{zoneSize: zoneSize, base: base}
-	return z.extend(t, base+rows)
-}
-
-// extend returns the map of z's segment grown to end (absolute), with t's
-// columns, which must extend those z was built from: z's zones are copied
-// and only the rows past z.End() are read, folded into z's last zone when
-// it is partial and into new zones after it. z is not changed.
-func (z *ZoneMap) extend(t *Table, end int) *ZoneMap {
-	rows := end - z.base
+// extend returns the map of z's segment grown to rows rows, from the
+// segment's vectors cols (one per field, segment-relative), which must
+// extend those z was built from: z's zones are copied and only the rows
+// past z's are read, folded into z's last zone when it is partial and into
+// new zones after it. z is not changed. Sealed segments carry their maps
+// across appends; the open segment's map is extended by the appended rows.
+func (z *ZoneMap) extend(fields Schema, cols [][]int64, rows int) *ZoneMap {
 	zones := (rows + z.zoneSize - 1) / z.zoneSize
 	nz := &ZoneMap{
 		zoneSize: z.zoneSize,
 		base:     z.base,
 		rows:     rows,
-		byName:   make(map[string]zoneCol, len(t.columns)),
+		byName:   make(map[string]zoneCol, len(fields)),
 	}
-	for _, col := range t.columns {
-		old := z.byName[col.Name]
+	for c, f := range fields {
+		old := z.byName[f.Name]
 		zc := zoneCol{mins: make([]int64, zones), maxs: make([]int64, zones)}
 		copy(zc.mins, old.mins)
 		copy(zc.maxs, old.maxs)
-		vec := col.Ints[z.base:end]
+		vec := cols[c][:rows]
 		for from := z.rows; from < rows; {
 			zi := from / z.zoneSize
 			to := min((zi+1)*z.zoneSize, rows)
@@ -135,7 +122,7 @@ func (z *ZoneMap) extend(t *Table, end int) *ZoneMap {
 			zc.mins[zi], zc.maxs[zi] = mn, mx
 			from = to
 		}
-		nz.byName[col.Name] = zc
+		nz.byName[f.Name] = zc
 	}
 	return nz
 }

@@ -21,6 +21,16 @@ func buildZoneMap(t *Table, zoneSize int) *ZoneMap {
 	return buildZoneMapRange(t, 0, t.NumRows(), zoneSize)
 }
 
+// buildZoneMapRange summarizes rows [base, base+rows) of t's whole-table
+// columns from scratch: the reference a segment's map must equal.
+func buildZoneMapRange(t *Table, base, rows, zoneSize int) *ZoneMap {
+	cols := make([][]int64, len(t.Schema()))
+	for i, c := range t.Columns() {
+		cols[i] = c.Ints[base : base+rows]
+	}
+	return (&ZoneMap{zoneSize: zoneSize, base: base}).extend(t.Schema(), cols, rows)
+}
+
 func TestZoneMapBoundsSingleZone(t *testing.T) {
 	tab := zoneTable(t, "c", []int64{5, -3, 9, 0})
 	zm := buildZoneMap(tab, 8)
@@ -118,8 +128,8 @@ func TestTableZoneMapMemoizedPerVersion(t *testing.T) {
 	if a == nil || a != b {
 		t.Fatalf("ZoneMap not memoized: %p vs %p", a, b)
 	}
-	// Copy-on-append invalidation: a new Table version (as append.go
-	// constructs) builds its own summary covering the new rows.
+	// A new Table over more rows shares no cache with the old one: it
+	// builds its own summary covering the new rows.
 	grown := MustNewTable("t",
 		&Column{Name: "c", Kind: KindInt64, Ints: []int64{1, 2, 3, 99}},
 	)

@@ -226,7 +226,7 @@ func (db *DB) registerTable(t *storage.Table) error {
 // tableBytes is the footprint of rows rows of t: every column is a plain
 // int64 vector, so rows×columns×8.
 func tableBytes(t *storage.Table, rows int) int64 {
-	return int64(rows) * int64(len(t.Columns())) * 8
+	return int64(rows) * int64(len(t.Schema())) * 8
 }
 
 // LoadSSB generates and registers the Star Schema Benchmark tables
@@ -269,8 +269,8 @@ func (db *DB) Describe(table string) ([]ColumnInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ColumnInfo, 0, len(t.Columns()))
-	for _, c := range t.Columns() {
+	out := make([]ColumnInfo, 0, len(t.Schema()))
+	for _, c := range t.Schema() {
 		info := ColumnInfo{Name: c.Name, Type: c.Kind.String()}
 		if c.Dict != nil {
 			info.DictSize = c.Dict.Size()
